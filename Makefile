@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race cover bench-smoke fuzz-smoke sched-scale-smoke watch-churn-smoke tenant-smoke throughput-smoke commitlog-smoke recovery-smoke obs-smoke chaos-smoke docs-check ci
+.PHONY: all fmt vet build test race cover bench-smoke fuzz-smoke expt-smoke docs-check ci
 
 all: build
 
@@ -46,23 +46,6 @@ cover:
 bench-smoke:
 	$(GO) test -run=xxx -bench='BenchmarkTable7Figure5ScaleTest|BenchmarkSchedulerScale' -benchtime=1x .
 
-# Small-size scheduler scale sweep; emits the BENCH json artifact CI
-# uploads (bench-sched.json).
-sched-scale-smoke:
-	$(GO) run ./cmd/ffdl-bench -sched-scale -sched-nodes 200,400 -json bench-sched.json
-
-# Small watch-churn run (resyncs per snapshot restore, persisted event
-# log vs ablation); emits the BENCH json artifact CI uploads
-# (bench-watch.json).
-watch-churn-smoke:
-	$(GO) run ./cmd/ffdl-bench -watch-churn -churn-jobs 200 -churn-cycles 2 -json bench-watch.json
-
-# Small multi-tenant run (queue delay + preemption, with vs without
-# preemption); emits the BENCH json artifact CI uploads
-# (bench-tenant.json).
-tenant-smoke:
-	$(GO) run ./cmd/ffdl-bench -tenant -tenant-iters 2 -json bench-tenant.json
-
 # Fuzz gate for the hand-rolled wire codecs: a short coverage-guided
 # run of each roundtrip fuzzer (etcd command entries, RPC frames,
 # commit-log segments and consumer-offset maps). Corrupt or truncated
@@ -74,47 +57,51 @@ fuzz-smoke:
 	$(GO) test -run=xxx -fuzz=FuzzSegmentRecordRoundtrip -fuzztime=10s ./internal/commitlog
 	$(GO) test -run=xxx -fuzz=FuzzOffsetMapDecode -fuzztime=10s ./internal/commitlog
 
-# Small control-plane throughput run (submissions dispatched/sec +
-# etcd proposals/sec + mongo ops/sec + codec round-trips/sec) across
-# all three arms: group commit + binary entry codec, the gob-codec
-# ablation, and the seed's unbatched + gob arm; emits the BENCH json
-# artifact CI uploads (bench-throughput.json) — the perf trajectory
-# baseline.
-throughput-smoke:
-	$(GO) run ./cmd/ffdl-bench -throughput -tp-submitters 32 -tp-jobs 64 -json bench-throughput.json
+# Experiment smoke: one small run of each of the repo's own experiments,
+# one row per experiment — "<name> <ffdl-bench args>" — each emitting the
+# BENCH json artifact CI uploads (bench-<name>.json):
+#
+#   sched       scheduler scale sweep
+#   watch       watch churn: resyncs per snapshot restore
+#   tenant      multi-tenant queue delay + preemption (with vs without)
+#   throughput  control-plane throughput: submissions, etcd proposals,
+#               mongo ops and codec round-trips per second
+#   commitlog   crash-torture smoke (any invariant violation fails) +
+#               replay-vs-resync retention cost
+#   recovery    restart-the-world reopen latency + what survives,
+#               FileStore DataDir vs MemStore
+#   obs         observability gate: interleaved instrumented-vs-DisableObs
+#               pairs; fails if the median overhead exceeds the 5% budget
+#   chaos       chaos gate: calm arm, then every fault injector concurrent,
+#               with hard invariants and a chaos-vs-calm latency SLO
+#
+# ffdl-bench writes the artifact before a failing gate exits 1, and the
+# loop runs every row before reporting, so a red run keeps all eight
+# artifacts as evidence.
+EXPT_SMOKE := \
+	"sched -sched-scale -sched-nodes 200,400" \
+	"watch -watch-churn -churn-jobs 200 -churn-cycles 2" \
+	"tenant -tenant -tenant-iters 2" \
+	"throughput -throughput -tp-submitters 32 -tp-jobs 64" \
+	"commitlog -commitlog -cl-crash 40 -cl-events 4000" \
+	"recovery -recovery -rc-jobs 2 -rc-churn 3000" \
+	"obs -obs-overhead -obs-submitters 16 -obs-jobs 32 -obs-pairs 3" \
+	"chaos -chaos-soak -soak-users 2 -soak-jobs 2 -soak-nodes 3"
 
-# Small commit-log run: a crash-torture smoke (any invariant violation
-# fails the gate) plus the replay-vs-resync retention micro-bench;
-# emits the BENCH json artifact CI uploads (bench-commitlog.json).
-commitlog-smoke:
-	$(GO) run ./cmd/ffdl-bench -commitlog -cl-crash 40 -cl-events 4000 -json bench-commitlog.json
-
-# Small restart-the-world recovery run (reopen latency + what survives,
-# FileStore DataDir vs the MemStore ablation); emits the BENCH json
-# artifact CI uploads (bench-recovery.json).
-recovery-smoke:
-	$(GO) run ./cmd/ffdl-bench -recovery -rc-jobs 2 -rc-churn 3000 -json bench-recovery.json
-
-# Observability gate: interleaved instrumented-vs-DisableObs throughput
-# pairs; fails (exit 1) if the median overhead exceeds the 5% budget.
-# Emits the BENCH json artifact CI uploads (bench-obs.json).
-obs-smoke:
-	$(GO) run ./cmd/ffdl-bench -obs-overhead -obs-submitters 16 -obs-jobs 32 -obs-pairs 3 -json bench-obs.json
-
-# Chaos gate: the full soak — calm baseline arm, then every fault
-# injector concurrent (node crashes, pod kills, etcd outages + snapshot
-# restores, mongo failovers/feed drops/freezes, RPC drop/dup/delay,
-# replica crash-restarts) — with hard invariants (every job terminal,
-# watch exactly-once/in-order, admission conserved, log offsets
-# monotone) and a chaos-vs-calm latency SLO. Any violation exits 1
-# after writing the BENCH json artifact CI uploads (bench-chaos.json).
-chaos-smoke:
-	$(GO) run ./cmd/ffdl-bench -chaos-soak -soak-users 2 -soak-jobs 2 -soak-nodes 3 -json bench-chaos.json
+expt-smoke:
+	@failed=""; \
+	for row in $(EXPT_SMOKE); do \
+		set -- $$row; name=$$1; shift; \
+		echo "== expt-smoke $$name: ffdl-bench $$* -json bench-$$name.json"; \
+		$(GO) run ./cmd/ffdl-bench "$$@" -json bench-$$name.json || failed="$$failed $$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "expt-smoke: FAILED:$$failed"; exit 1; fi
 
 # Docs drift gate: README.md must mention every example, and
 # docs/architecture.md must cover every internal package, and the watch
 # protocol spec must exist, cover all four watch layers, and be linked
-# from the architecture doc and the README.
+# from the architecture doc and the README. The negative list is the
+# other direction: names of retired options must not linger in the docs.
 docs-check:
 	@test -f README.md || { echo "README.md missing"; exit 1; }
 	@test -f docs/architecture.md || { echo "docs/architecture.md missing"; exit 1; }
@@ -139,6 +126,9 @@ docs-check:
 	done; \
 	for anchor in "watch.replays" "watch.refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
+	done; \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission"; do \
+		if grep -n "$$gone" README.md docs/*.md; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \
 	grep -q "watch-protocol.md" README.md || { echo "README.md does not link watch-protocol.md"; ok=0; }; \

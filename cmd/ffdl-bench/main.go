@@ -42,12 +42,12 @@ func main() {
 		schedScale = flag.Bool("sched-scale", false, "run the scheduler scale experiment")
 		schedNodes = flag.String("sched-nodes", "1000,5000", "comma-separated cluster sizes for -sched-scale")
 		schedGangs = flag.Int("sched-gangs", 0, "gangs per -sched-scale run (0 = size/2 of the smallest cluster)")
-		watchChurn = flag.Bool("watch-churn", false, "run the watch-churn experiment (resyncs per snapshot restore, persisted log vs ablation)")
+		watchChurn = flag.Bool("watch-churn", false, "run the watch-churn experiment (resyncs per snapshot restore for watchers resuming by revision)")
 		churnJobs  = flag.Int("churn-jobs", 1000, "watched job prefixes for -watch-churn")
 		churnCycle = flag.Int("churn-cycles", 3, "chaos cycles for -watch-churn")
 		tenantExp  = flag.Bool("tenant", false, "run the multi-tenant experiment (queue delay + preemption, with vs without preemption)")
 		tenantIter = flag.Int("tenant-iters", 0, "training iterations per job for -tenant (0 = default)")
-		throughput = flag.Bool("throughput", false, "run the control-plane throughput experiment (batched vs unbatched-ablation etcd)")
+		throughput = flag.Bool("throughput", false, "run the control-plane throughput experiment (submissions, etcd proposals, mongo ops and codec round-trips per second)")
 		tpSubs     = flag.Int("tp-submitters", 0, "concurrent submitters for -throughput (0 = default 64)")
 		tpJobs     = flag.Int("tp-jobs", 0, "total submissions for -throughput (0 = default 2x submitters)")
 		clog       = flag.Bool("commitlog", false, "run the commit-log experiment (crash torture smoke + replay-vs-resync retention cost)")
@@ -216,20 +216,19 @@ func runSchedScale(nodesCSV string, gangs int, seed int64) []expt.SchedScaleResu
 	return results
 }
 
-// runWatchChurn runs the before/after watch-churn pair (persisted event
-// log vs the ring-buffer-only ablation), prints the table, and returns
-// the raw results for the BENCH json artifact.
-func runWatchChurn(jobs, cycles int, seed int64) []expt.WatchChurnResult {
-	with, without, err := expt.WatchChurnCompare(expt.WatchChurnConfig{
+// runWatchChurn runs the watch-churn experiment (watchers resuming by
+// revision across snapshot restores), prints the table, and returns the
+// raw result for the BENCH json artifact.
+func runWatchChurn(jobs, cycles int, seed int64) expt.WatchChurnResult {
+	res, err := expt.WatchChurn(expt.WatchChurnConfig{
 		Jobs: jobs, Cycles: cycles, Seed: seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffdl-bench: watch-churn: %v\n", err)
 		os.Exit(1)
 	}
-	results := []expt.WatchChurnResult{with, without}
-	fmt.Println(expt.RenderWatchChurn(results).String())
-	return results
+	fmt.Println(expt.RenderWatchChurn(res).String())
+	return res
 }
 
 // runTenant runs the multi-tenant pair (preemption vs the ablation),
@@ -248,20 +247,19 @@ func runTenant(iters int, seed int64) []expt.MultiTenantResult {
 	return results
 }
 
-// runThroughput runs the three-arm control-plane throughput comparison
-// (group commit + binary entry codec, the gob-codec ablation, and the
-// seed's unbatched + gob arm), prints the table, and returns the raw
-// results for the BENCH json artifact.
-func runThroughput(submitters, jobs int, seed int64) []expt.ThroughputResult {
-	results, err := expt.ThroughputArms(expt.ThroughputConfig{
+// runThroughput runs the control-plane throughput experiment on the
+// shipping configuration (group commit + binary entry codec), prints
+// the table, and returns the raw result for the BENCH json artifact.
+func runThroughput(submitters, jobs int, seed int64) expt.ThroughputResult {
+	res, err := expt.Throughput(expt.ThroughputConfig{
 		Submitters: submitters, Jobs: jobs, Seed: seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffdl-bench: throughput: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println(expt.RenderThroughput(results).String())
-	return results
+	fmt.Println(expt.RenderThroughput(res).String())
+	return res
 }
 
 // runCommitlog runs the commit-log pair (crash torture smoke +

@@ -171,10 +171,19 @@ func TestRestartTheWorldDurability(t *testing.T) {
 		t.Fatalf("job B recovered as terminal %q — restart missed the mid-flight window", st)
 	}
 
-	// Oplog state survived: sequence resumed, floor rose past 1.
-	if got := p2.Mongo.OplogLen(); got != preOplogLen {
-		t.Fatalf("recovered OplogLen %d, want %d", got, preOplogLen)
+	// Oplog state survived: sequence resumed, floor rose past 1. The
+	// recovered length is never behind the pre-crash one, but p2's
+	// recovery scan starts inside NewPlatform and may already have
+	// appended job B's re-deploy on top, so exactness is checked on the
+	// pre-crash tail instead: job B's last write still sits at its Seq.
+	if got := p2.Mongo.OplogLen(); got < preOplogLen {
+		t.Fatalf("recovered OplogLen %d, want >= %d", got, preOplogLen)
 	}
+	csTail := p2.Mongo.Watch("jobs", preOplogLen-1)
+	if ev := <-csTail.Events(); ev.Seq != preOplogLen || ev.ID != jobB {
+		t.Fatalf("recovered oplog tail = Seq %d (%s %s), want job B's pre-crash write at Seq %d", ev.Seq, ev.Kind, ev.ID, preOplogLen)
+	}
+	csTail.Cancel()
 	if floor := p2.Mongo.OplogFloor(); floor <= 1 {
 		t.Fatalf("recovered oplog floor = %d, want > 1 after churn", floor)
 	}
@@ -291,9 +300,9 @@ func TestRestartTheWorldDurability(t *testing.T) {
 	if lastE := postEntries[len(postEntries)-1]; lastE.Status != core.StatusCompleted {
 		t.Fatalf("post-restart watch ended on %s, want COMPLETED", lastE.Status)
 	}
-	if n := p2.Metrics.Counter("watch.replays"); n < 1 {
+	if n := p2.Obs.CounterValue("watch.replays"); n < 1 {
 		t.Fatalf("watch.replays = %d after reconnect, want >= 1 (refills = %d)",
-			n, p2.Metrics.Counter("watch.refills"))
+			n, p2.Obs.CounterValue("watch.refills"))
 	}
 
 	// The watcher that was mid-stream when the world ended saw a prefix

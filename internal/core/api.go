@@ -11,7 +11,6 @@ import (
 	"github.com/ffdl/ffdl/internal/obs"
 	"github.com/ffdl/ffdl/internal/resilience"
 	"github.com/ffdl/ffdl/internal/rpc"
-	"github.com/ffdl/ffdl/internal/sched"
 	"github.com/ffdl/ffdl/internal/sim"
 	"github.com/ffdl/ffdl/internal/tenant"
 )
@@ -157,10 +156,8 @@ func (a *apiReplica) listen() error {
 // With the tenant subsystem enabled, submissions are not gated here:
 // any job from a registered tenant is accepted, persisted as QUEUED,
 // and admitted later by the dispatcher — over-capacity work waits in
-// the queue instead of being rejected (§3.6). Without it, the legacy
-// Config.Admission gate still rejects over-capacity submits, but the
-// footprint is only kept once the MongoDB insert succeeds, and Admit is
-// idempotent per job ID, so API replica retries cannot double-count.
+// the queue instead of being rejected (§3.6). Without it submission is
+// open: the job is persisted as PENDING and handed straight to the LCM.
 func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 	req := arg.(SubmitArgs)
 	m := req.Manifest
@@ -200,12 +197,6 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		return nil, degradedSubmitErr(fmt.Errorf("submission shed, breaker open"))
 	}
 	jobID := a.p.nextJobID()
-	if adm := a.p.Admission; adm != nil && a.p.Dispatcher == nil {
-		dec, err := adm.Admit(manifestGang(&m, jobID))
-		if dec == sched.Reject {
-			return nil, fmt.Errorf("core: admission rejected job: %w", err)
-		}
-	}
 	now := a.p.clock.Now()
 	doc := manifestToDoc(m)
 	doc["_id"] = jobID
@@ -219,9 +210,6 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		_, err := a.p.Jobs.Insert(doc)
 		return err
 	}); err != nil {
-		if adm := a.p.Admission; adm != nil && a.p.Dispatcher == nil {
-			adm.Release(jobID) // keep accounting exact on failed persists
-		}
 		if mongoOutageErr(err) {
 			a.p.Metrics.Inc("api.degraded_sheds")
 			return nil, degradedSubmitErr(err)
@@ -262,11 +250,7 @@ func (a *apiReplica) handleQuota(_ context.Context, arg any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no tenant record for %q", req.User)
 	}
-	reply := TenantReply{Tenant: rec}
-	if a.p.Admission != nil {
-		reply.InUse = a.p.Admission.Usage(req.User)
-	}
-	return reply, nil
+	return TenantReply{Tenant: rec, InUse: a.p.Admission.Usage(req.User)}, nil
 }
 
 // handleSetQuota installs or updates a tenant record. The write lands
@@ -507,7 +491,7 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 	// the bus's commit log replays from there — no MongoDB read. The
 	// replay is only taken when provably complete (contiguous from
 	// FromSeq); otherwise fall back to the durable refill.
-	if evs, replayed := a.p.bus.ReplayJob(req.JobID, next); replayed {
+	if evs, contiguous := a.p.bus.ReplayJob(req.JobID, next); contiguous {
 		a.p.Metrics.Inc("watch.replays")
 		for _, ev := range evs {
 			if err := send(StatusItem{Seq: ev.Seq, Entry: ev.Entry}); err != nil {

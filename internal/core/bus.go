@@ -139,15 +139,18 @@ func (b *statusBus) Publish(ev StatusEvent) {
 }
 
 // ReplayJob returns the retained transitions of jobID with Seq >=
-// fromSeq. ok demands proof of completeness: at least one event, led
-// by exactly fromSeq, with contiguous Seqs — so the caller can stream
-// the replay as-is. Anything less (job unknown here, resume point
-// compacted away, retention trimmed the tail) returns ok=false and the
-// caller refills from MongoDB, which remains the source of truth.
-func (b *statusBus) ReplayJob(jobID string, fromSeq int) (evs []StatusEvent, ok bool) {
+// fromSeq, in Seq order. contiguous is the proof of completeness the
+// watch path demands before streaming the replay as-is: at least one
+// event, led by exactly fromSeq, with no Seq hole. Anything less (job
+// unknown here, resume point compacted away, retention trimmed the
+// tail) reports false and the watcher refills from MongoDB, which
+// remains the source of truth. Degraded mode's status read takes the
+// events regardless — a front truncated by compaction still beats
+// failing the read while the metadata store is unavailable.
+func (b *statusBus) ReplayJob(jobID string, fromSeq int) (evs []StatusEvent, contiguous bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	last := fromSeq - 1
+	last, holes := fromSeq-1, false
 	for _, rec := range b.log.Records(0) {
 		if rec.Key != jobID {
 			continue
@@ -157,37 +160,12 @@ func (b *statusBus) ReplayJob(jobID string, fromSeq int) (evs []StatusEvent, ok 
 			continue // duplicate (late terminal echo) or below the resume point
 		}
 		if ev.Seq != last+1 {
-			return nil, false // hole: compaction or a lost publish
+			holes = true // compaction or a lost publish
 		}
 		evs = append(evs, ev)
 		last = ev.Seq
 	}
-	return evs, len(evs) > 0
-}
-
-// LatestJob returns whatever retained transitions of jobID the replay
-// log still holds, in Seq order, without ReplayJob's completeness
-// demand: the front may be truncated by compaction. This is degraded
-// mode's read path — while the metadata store is unavailable the API
-// serves status from here, flagged Degraded, rather than failing reads
-// outright.
-func (b *statusBus) LatestJob(jobID string) []StatusEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var evs []StatusEvent
-	last := 0
-	for _, rec := range b.log.Records(0) {
-		if rec.Key != jobID {
-			continue
-		}
-		ev, isEv := busEvent(rec)
-		if !isEv || ev.Seq <= last {
-			continue // late terminal echo or compaction duplicate
-		}
-		evs = append(evs, ev)
-		last = ev.Seq
-	}
-	return evs
+	return evs, len(evs) > 0 && !holes
 }
 
 // busEvent extracts the StatusEvent a log record carries: the in-memory

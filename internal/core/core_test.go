@@ -259,7 +259,7 @@ func TestGuardianCrashRollsBackAndRedeploys(t *testing.T) {
 	// The kube Job restarts the Guardian, which rolls back and
 	// redeploys; the job must still complete.
 	waitStatus(t, c, jobID, StatusCompleted, 40*time.Second)
-	if p.Metrics.Counter("guardian.rollbacks") == 0 {
+	if p.Obs.CounterValue("guardian.rollbacks") == 0 {
 		t.Fatal("restarted guardian did not roll back")
 	}
 }
@@ -283,7 +283,7 @@ func TestAPIReplicaCrashDoesNotInterruptService(t *testing.T) {
 	waitStatus(t, c, jobID, StatusCompleted, 20*time.Second)
 	// The crashed replica restarts.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Metrics.Counter("api.restarts") == 0 {
+	for p.Obs.CounterValue("api.restarts") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("API replica never restarted")
 		}
@@ -797,9 +797,10 @@ func TestEventDrivenControlPlanePollIndependence(t *testing.T) {
 }
 
 // TestStatusBusReplayJob pins the bus's commit-log replay contract:
-// ReplayJob must return a provably complete suffix (led by exactly
-// fromSeq, contiguous) or nothing — callers stream a replay as-is, so
-// "almost complete" would silently gap a watcher.
+// ReplayJob reports contiguous only for a provably complete suffix (led
+// by exactly fromSeq, no hole) — the watch path streams such a replay
+// as-is, so "almost complete" would silently gap a watcher. The events
+// themselves come back either way, for degraded mode's status read.
 func TestStatusBusReplayJob(t *testing.T) {
 	b := newMemBus(t)
 	for seq := 1; seq <= 5; seq++ {
@@ -827,8 +828,12 @@ func TestStatusBusReplayJob(t *testing.T) {
 	b2 := newMemBus(t)
 	b2.Publish(StatusEvent{JobID: "j", Seq: 1, Status: StatusPending})
 	b2.Publish(StatusEvent{JobID: "j", Seq: 3, Status: StatusDeploying}) // 2 never published
-	if _, ok := b2.ReplayJob("j", 1); ok {
+	evs, ok = b2.ReplayJob("j", 1)
+	if ok {
 		t.Fatal("ReplayJob across a Seq hole must not claim completeness")
+	}
+	if len(evs) != 2 || evs[1].Seq != 3 {
+		t.Fatalf("ReplayJob across a Seq hole = %+v, want both retained events", evs)
 	}
 }
 
@@ -864,7 +869,7 @@ func TestWatchReplaysFromBusLog(t *testing.T) {
 	if len(got) != len(reply.History) {
 		t.Fatalf("replayed %d transitions, history has %d", len(got), len(reply.History))
 	}
-	if n := p.Metrics.Counter("watch.replays"); n < 1 {
+	if n := p.Obs.CounterValue("watch.replays"); n < 1 {
 		t.Fatalf("watch.replays = %d, want >= 1 (watch did not use the bus log)", n)
 	}
 }
@@ -902,7 +907,7 @@ func TestWatchRefillsWhenLogCold(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("refilled %d transitions, want 2", len(got))
 	}
-	if n := p.Metrics.Counter("watch.refills"); n < 1 {
+	if n := p.Obs.CounterValue("watch.refills"); n < 1 {
 		t.Fatalf("watch.refills = %d, want >= 1", n)
 	}
 }

@@ -101,10 +101,10 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 	}
 
 	// The degraded window was observable on the platform counters.
-	if got := p.Metrics.Counter("api.degraded_sheds"); got < 2 {
+	if got := p.Obs.CounterValue("api.degraded_sheds"); got < 2 {
 		t.Fatalf("api.degraded_sheds = %d, want >= 2", got)
 	}
-	if got := p.Metrics.Counter("api.degraded_reads"); got < 1 {
+	if got := p.Obs.CounterValue("api.degraded_reads"); got < 1 {
 		t.Fatalf("api.degraded_reads = %d, want >= 1", got)
 	}
 }

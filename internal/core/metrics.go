@@ -251,15 +251,3 @@ func (m *MetricsService) StreamLogs(jobID string) (<-chan LogLine, func()) {
 func (m *MetricsService) Inc(counter string) {
 	m.reg.Counter(counter).Inc()
 }
-
-// Counter reads a named counter.
-func (m *MetricsService) Counter(counter string) int64 {
-	return m.reg.CounterValue(counter)
-}
-
-// Counters returns one consistent snapshot of every counter in the
-// registry — the read path experiments use instead of torn per-name
-// Counter calls.
-func (m *MetricsService) Counters() map[string]int64 {
-	return m.reg.CounterValues()
-}

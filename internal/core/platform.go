@@ -81,36 +81,18 @@ type Config struct {
 	// up", §3.3).
 	DeployAttempts int
 
-	// Admission, when non-nil, gates submissions by user quota. Without
-	// Tenancy it acts as the legacy synchronous submit-time gate
-	// (rejecting over-capacity work); with Tenancy it becomes the
-	// tenant dispatcher's accounting controller. Footprints are
-	// released on every terminal transition either way, driven from the
-	// status bus so transitions committed by any writer are covered.
-	Admission *sched.Admission
-
 	// Tenancy, when non-nil, enables the multi-tenant subsystem
 	// (internal/tenant): submissions are persisted as QUEUED and an
 	// event-driven dispatcher admits them in FCFS order, preempting
-	// free-tier and over-quota work for starved in-quota requests. If
-	// Admission is nil a controller is created, with its cluster budget
-	// tracked from kube node capacity.
+	// free-tier and over-quota work for starved in-quota requests. The
+	// dispatcher's admission controller tracks its cluster budget from
+	// kube node capacity. Nil leaves submission open: every valid job
+	// goes straight to the LCM as PENDING.
 	Tenancy *TenancyConfig
 
 	// StorageBandwidth throttles the object store (bytes/sec aggregate);
 	// 0 = unthrottled.
 	StorageBandwidth float64
-
-	// EtcdUnbatched runs the coordination store with group commit and
-	// pipelined replication disabled (etcd.Options.UnbatchedAblation) —
-	// the throughput experiment's ablation arm. Leave false.
-	EtcdUnbatched bool
-
-	// EtcdGobCodec makes the coordination store encode Raft entries with
-	// gob instead of the hand-rolled binary codec
-	// (etcd.Options.GobCodec) — the codec ablation arm of the throughput
-	// experiment. Leave false.
-	EtcdGobCodec bool
 
 	// DataDir, when set, roots the platform's durable logs: the mongo
 	// oplog, the status bus's replay window, and per-job learner logs
@@ -245,8 +227,8 @@ type Platform struct {
 
 	// Tenants and Dispatcher are the multi-tenant subsystem (nil unless
 	// Config.Tenancy is set): the MongoDB-backed quota registry and the
-	// event-driven admission queue over it. Admission is the shared
-	// accounting controller (also set in legacy Config.Admission mode).
+	// event-driven admission queue over it. Admission is the
+	// dispatcher's accounting controller.
 	Tenants    *tenant.Registry
 	Dispatcher *tenant.Dispatcher
 	Admission  *sched.Admission
@@ -294,8 +276,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		// resync tick, so it scales with the platform's poll interval
 		// (and stretches with it in long-virtual-horizon simulations).
 		WatchHealthInterval: cfg.PollInterval * 4,
-		UnbatchedAblation:   cfg.EtcdUnbatched,
-		GobCodec:            cfg.EtcdGobCodec,
 		Obs:                 instruments,
 	})
 	if err != nil {
@@ -410,20 +390,11 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		p.statusFeedLoop(feed)
 	}()
 
-	p.Admission = cfg.Admission
 	if cfg.Tenancy != nil {
 		if err := p.startTenancy(cfg.Tenancy); err != nil {
 			p.Stop()
 			return nil, err
 		}
-	} else if p.Admission != nil {
-		// Legacy synchronous gate: footprints are still released on
-		// every terminal transition, driven from the status bus.
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.admissionAccountingLoop()
-		}()
 	}
 
 	for i := 0; i < cfg.APIReplicas; i++ {

@@ -187,7 +187,7 @@ func mongoOutageErr(err error) bool {
 // front by compaction); ok=false means the bus retains nothing for the
 // job and the caller must surface the store error.
 func (p *Platform) degradedStatus(jobID string) (StatusReply, bool) {
-	evs := p.bus.LatestJob(jobID)
+	evs, _ := p.bus.ReplayJob(jobID, 1)
 	if len(evs) == 0 {
 		return StatusReply{}, false
 	}

@@ -30,9 +30,7 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 			return fmt.Errorf("core: seed tenant quota: %w", err)
 		}
 	}
-	if p.Admission == nil {
-		p.Admission = sched.NewAdmission(0)
-	}
+	p.Admission = sched.NewAdmission(0)
 	resync := tc.ResyncInterval
 	if resync <= 0 {
 		resync = p.cfg.PollInterval * 10
@@ -150,36 +148,6 @@ func (p *Platform) tenancyStatusPump(events <-chan StatusEvent) {
 			case ev.Status.Terminal():
 				p.clearPreempted(ev.JobID)
 				p.Dispatcher.NoteTerminal(ev.JobID)
-			}
-		}
-	}
-}
-
-// admissionAccountingLoop is the legacy-mode (Config.Admission without
-// Tenancy) footprint accounting: release on every terminal transition
-// and on HALT (the checkpoint frees the GPUs), restore on RESUME. It
-// rides the status bus, so transitions committed by any replica or
-// process are covered; Admit/Release idempotence absorbs duplicates.
-func (p *Platform) admissionAccountingLoop() {
-	events, cancel := p.bus.Subscribe("", 256)
-	defer cancel()
-	for {
-		select {
-		case <-p.stopCh:
-			return
-		case ev, ok := <-events:
-			if !ok {
-				return
-			}
-			switch {
-			case ev.Status == StatusHalted:
-				p.Admission.Release(ev.JobID)
-			case ev.Status == StatusResumed:
-				if j, err := p.tenantJob(ev.JobID); err == nil && j.Gang != nil {
-					p.Admission.Admit(j.Gang) //nolint:errcheck // accounting restore
-				}
-			case ev.Status.Terminal():
-				p.Admission.Release(ev.JobID)
 			}
 		}
 	}

@@ -261,31 +261,3 @@ func TestQuotaAPIRoundTrip(t *testing.T) {
 	}
 	waitStatus(t, c, jobID, StatusCompleted, 30*time.Second)
 }
-
-// TestLegacyAdmissionReleasesOnTerminal pins the accounting-leak fix in
-// the pre-tenancy mode: footprints admitted at submit time are released
-// on every terminal transition, driven from the status bus.
-func TestLegacyAdmissionReleasesOnTerminal(t *testing.T) {
-	adm := sched.NewAdmission(8)
-	adm.SetQuota(sched.UserQuota{User: "alice", Tier: sched.TierPaid, GPUs: 8})
-	p := newTestPlatform(t, func(c *Config) {
-		c.Admission = adm
-	})
-	c := p.Client()
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		m := testManifest()
-		m.GPUsPerLearner = 4
-		jobID, err := c.Submit(ctx, m)
-		if err != nil {
-			t.Fatalf("submit %d: %v (admission leaked?)", i, err)
-		}
-		waitStatus(t, c, jobID, StatusCompleted, 30*time.Second)
-		waitUntil(t, "footprint released", 10*time.Second, func() bool {
-			return adm.Usage("alice") == 0
-		})
-	}
-	if adm.AdmittedGPUs() != 0 {
-		t.Fatalf("admitted after all jobs done = %d", adm.AdmittedGPUs())
-	}
-}

@@ -66,38 +66,6 @@ func TestGroupCommitBatchesConcurrentProposals(t *testing.T) {
 	}
 }
 
-// TestUnbatchedAblationProposesPerCommand pins the ablation arm: one
-// Raft entry per command, results identical.
-func TestUnbatchedAblationProposesPerCommand(t *testing.T) {
-	c := newTestCluster(t, Options{UnbatchedAblation: true})
-	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Put(fmt.Sprintf("ab/k%d", i), []byte("v"), 0); err != nil {
-				t.Errorf("Put: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.MaxBatch != 0 {
-		t.Fatalf("ablation built a batch envelope (MaxBatch=%d)", st.MaxBatch)
-	}
-	if st.Entries < uint64(n) {
-		t.Fatalf("entries = %d, want >= %d (one per command)", st.Entries, n)
-	}
-	kvs, err := c.List("ab/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != n {
-		t.Fatalf("keys = %d, want %d", len(kvs), n)
-	}
-}
-
 // TestBatchedProposalsSurviveLeaderFailover exercises the re-enqueue
 // retry path: proposals issued while the leader is isolated land
 // exactly once after failover.
@@ -201,41 +169,10 @@ func TestPutAllocBudgetOnIdleCluster(t *testing.T) {
 	})
 	// Measured ~51 allocs/op with the binary command codec (raft
 	// messages, the 3 applies, timers and waiter machinery; encode is
-	// one buffer, decode aliases it). The gob codec measured ~800 —
-	// a regression back to per-entry reflective encoding, or to
+	// one buffer, decode aliases it). The seed's per-entry gob encoding
+	// measured ~800 — a regression back to reflective encoding, or to
 	// full-suffix resends or per-waiter polling, blows this budget.
 	if allocs > 150 {
 		t.Fatalf("Put allocations = %.0f, budget 150", allocs)
-	}
-}
-
-// TestGobCodecAblationStillCorrect pins the codec ablation arm: a
-// cluster running gob-encoded Raft entries produces identical results,
-// and its serial-Put allocation cost shows the codec delta the
-// throughput experiment reports (sanity floor only — the point of the
-// ablation is to measure, not to bound).
-func TestGobCodecAblationStillCorrect(t *testing.T) {
-	c := newTestCluster(t, Options{GobCodec: true})
-	const writers, perWriter = 8, 16
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				key := fmt.Sprintf("gob/w%d/k%d", w, i)
-				if _, err := c.Put(key, []byte("v"), 0); err != nil {
-					t.Errorf("Put %s: %v", key, err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kvs, err := c.List("gob/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != writers*perWriter {
-		t.Fatalf("keys = %d, want %d", len(kvs), writers*perWriter)
 	}
 }

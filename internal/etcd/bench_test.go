@@ -58,9 +58,3 @@ func BenchmarkEtcdPutSerial(b *testing.B) { benchPuts(b, Options{}, 1) }
 // BenchmarkEtcdPutConcurrent64 is the group-commit hot path: 64
 // concurrent proposers share Raft entries.
 func BenchmarkEtcdPutConcurrent64(b *testing.B) { benchPuts(b, Options{}, 64) }
-
-// BenchmarkEtcdPutConcurrent64Unbatched is the ablation: the seed's
-// entry-per-command + full-suffix fan-out path at the same concurrency.
-func BenchmarkEtcdPutConcurrent64Unbatched(b *testing.B) {
-	benchPuts(b, Options{UnbatchedAblation: true}, 64)
-}

@@ -41,10 +41,7 @@ type Options struct {
 	// revisions are compacted away even while the WatchHistory entry cap
 	// has room, and the retained log is persisted inside Raft snapshots
 	// so Watch(fromRevision) replays across snapshot restore and leader
-	// failover without forcing a resync. Defaults to 4096. A negative
-	// value disables snapshot persistence of the log (retention falls
-	// back to the in-memory ring buffer only, the pre-durability
-	// behaviour kept for the watch-churn ablation).
+	// failover without forcing a resync. Defaults to 4096.
 	CompactRevisions int
 	// WatchHealthInterval is the per-stream failure-detection tick: how
 	// often an attached WatchStream audits its source replica for
@@ -53,21 +50,6 @@ type Options struct {
 	// long-virtual-horizon simulations may stretch it freely. Defaults
 	// to TickInterval * 4.
 	WatchHealthInterval time.Duration
-	// UnbatchedAblation restores the seed's proposal hot path for the
-	// throughput ablation: one Raft entry per command and full-suffix
-	// append fan-out (LegacyReplication) instead of group commit +
-	// pipelined replication. Production configurations leave it false.
-	// Results, ordering and the watch contract are identical either way
-	// — only the per-operation cost differs.
-	UnbatchedAblation bool
-	// GobCodec keeps Raft entries in the seed's gob encoding instead of
-	// the hand-rolled binary command codec — the codec ablation arm of
-	// the throughput experiment. Decode always auto-detects the format
-	// (see codec.go), so mixed-codec entries apply identically;
-	// production configurations leave this false. Raft snapshots use
-	// gob regardless: they are cold-path and their schema already
-	// self-describes.
-	GobCodec bool
 	// Obs, when non-nil, wires the cluster into the platform's metrics
 	// registry: propose→apply latency ("etcd.propose_apply") and
 	// commands-per-entry batch sizes ("etcd.batch_size"). Nil leaves the
@@ -97,7 +79,7 @@ func (o *Options) defaults() {
 	if o.WatchHistory <= 0 {
 		o.WatchHistory = 1024
 	}
-	if o.CompactRevisions == 0 {
+	if o.CompactRevisions <= 0 {
 		o.CompactRevisions = 4096
 	}
 	if o.WatchHealthInterval <= 0 {
@@ -191,14 +173,13 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	rng := sim.NewRNG(opts.Seed)
 	for i := 0; i < opts.Replicas; i++ {
-		st := newStoreState(opts.Clock.Now, opts.WatchHistory, opts.CompactRevisions, opts.CompactRevisions >= 0)
+		st := newStoreState(opts.Clock.Now, opts.WatchHistory, opts.CompactRevisions)
 		cfg := Config{
 			ID: i, Peers: peers,
 			SnapshotThreshold: opts.SnapshotThreshold,
 			Snapshot:          st.snapshot,
 			Restore:           func(data []byte, _ uint64) { st.restore(data) },
 			OnLeaderChange:    c.notifyLeadership,
-			LegacyReplication: opts.UnbatchedAblation,
 		}
 		n := newNode(cfg, c.transport, rng.Stream(int64(i)), c.applier(st))
 		c.nodes = append(c.nodes, n)
@@ -435,57 +416,15 @@ func (c *Cluster) flush(q []*command) {
 			break
 		}
 	}
-	var data []byte
-	var err error
 	if len(q) == 1 {
-		data, err = encodeEntry(q[0], c.opts.GobCodec)
-		if err != nil {
-			c.failWaiter(q[0].ReqID, err)
-			return
-		}
-	} else {
-		env := command{Op: opBatch, Batch: make([]command, len(q))}
-		for i, cmd := range q {
-			env.Batch[i] = *cmd
-		}
-		data, err = encodeEntry(&env, c.opts.GobCodec)
-		if err != nil {
-			// A poison command must not take the batch down with it (or
-			// keep re-landing in subsequent batches): re-encode each
-			// command alone, fail exactly the unencodable ones, and
-			// propose the rest as their own entries. (Only the gob arm
-			// can fail; the binary codec is total over command values.)
-			for _, cmd := range q {
-				one, err := encodeEntry(cmd, c.opts.GobCodec)
-				if err != nil {
-					c.failWaiter(cmd.ReqID, err)
-					continue
-				}
-				c.proposeEntry(one)
-			}
-			return
-		}
+		c.proposeEntry(encodeEntry(q[0]))
+		return
 	}
-	c.proposeEntry(data)
-}
-
-// failWaiter completes a proposal's waiter with a terminal error and
-// caches it so a raced re-enqueue check sees the same outcome.
-func (c *Cluster) failWaiter(reqID uint64, err error) {
-	res := result{err: err}
-	c.mu.Lock()
-	if _, ok := c.applied[reqID]; !ok {
-		c.applied[reqID] = res
+	env := command{Op: opBatch, Batch: make([]command, len(q))}
+	for i, cmd := range q {
+		env.Batch[i] = *cmd
 	}
-	w := c.waiters[reqID]
-	delete(c.waiters, reqID)
-	c.mu.Unlock()
-	if w != nil {
-		select {
-		case w <- res:
-		default:
-		}
-	}
+	c.proposeEntry(encodeEntry(&env))
 }
 
 // proposeEntry hands one encoded entry to the current leader, parking
@@ -574,9 +513,6 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 		delete(c.waiters, cmd.ReqID)
 		c.mu.Unlock()
 	}()
-	if c.opts.UnbatchedAblation {
-		return c.proposeDirect(cmd, ch)
-	}
 	c.enqueue(cmd)
 
 	clk := c.opts.Clock
@@ -611,53 +547,6 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 			return result{}, ErrTimeout
 		}
 		c.enqueue(cmd)
-	}
-}
-
-// proposeDirect is the seed's proposal hot path, kept verbatim for the
-// unbatched ablation: every caller encodes its own command as its own
-// Raft entry and proposes it directly, so concurrent callers overlap
-// replication rounds exactly as they did before group commit (no
-// queue, no pacing). Exactly-once still holds via ReqID dedup. The
-// entry codec follows Options.GobCodec, so the batching and codec
-// ablations compose orthogonally.
-func (c *Cluster) proposeDirect(cmd *command, ch chan result) (result, error) {
-	data, err := encodeEntry(cmd, c.opts.GobCodec)
-	if err != nil {
-		return result{}, err
-	}
-	clk := c.opts.Clock
-	deadline := clk.Now().Add(c.opts.ProposalTimeout)
-	for {
-		li := c.leaderIndex()
-		if li >= 0 {
-			if _, _, err := c.nodes[li].Propose(data); err == nil {
-				c.statEntries.Add(1)
-				t := clk.NewTimer(20 * c.opts.TickInterval)
-				select {
-				case res := <-ch:
-					t.Stop()
-					c.noteRev(res.rev)
-					return res, res.err
-				case <-t.C:
-					// Re-propose if leadership moved before commit.
-				case <-c.stopCh:
-					t.Stop()
-					return result{}, ErrStopped
-				}
-				c.mu.Lock()
-				res, done := c.applied[cmd.ReqID]
-				c.mu.Unlock()
-				if done {
-					c.noteRev(res.rev)
-					return res, res.err
-				}
-			}
-		}
-		if clk.Now().After(deadline) {
-			return result{}, ErrTimeout
-		}
-		clk.Sleep(c.opts.TickInterval)
 	}
 }
 
@@ -840,14 +729,13 @@ type ClusterStats struct {
 	Commands uint64
 	// Entries is the number of Raft entries those commands were packed
 	// into (batch envelopes count once). Commands/Entries is the group
-	// commit ratio; 1.0 means no batching happened (or the ablation).
+	// commit ratio; 1.0 means no batching happened.
 	Entries uint64
 	// MaxBatch is the largest commands-per-entry batch observed.
 	MaxBatch uint64
 	// AppendsSent / EntriesSent are append+snapshot messages and log
 	// entries shipped across all nodes. Pipelined replication keeps
-	// EntriesSent near Entries×(replicas-1); the legacy full-suffix
-	// resend inflates it quadratically under concurrency.
+	// EntriesSent near Entries×(replicas-1).
 	AppendsSent uint64
 	EntriesSent uint64
 }

@@ -1,23 +1,19 @@
 package etcd
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"runtime"
 	"time"
 )
 
-// allocSnapshot captures the global malloc counter for BenchCodec's
+// mallocs reads the global malloc counter for BenchCodec's
 // allocs-per-op accounting (the non-testing analogue of ReportAllocs).
-type allocSnapshot struct{ mallocs uint64 }
-
-func (a *allocSnapshot) read() {
+func mallocs() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	a.mallocs = ms.Mallocs
+	return ms.Mallocs
 }
 
 // Hand-rolled binary codec for replicated commands — the wire format of
@@ -36,13 +32,14 @@ func (a *allocSnapshot) read() {
 //	cmdMagic | op | ReqID | Key | Value | Lease | TTL | flags |
 //	CmpKey | CmpRev | RequestBy [| batch count | sub-commands...]
 //
-// The leading cmdMagic byte (0xE7) makes entries self-describing
-// against gob: a gob stream for these types always begins with a
-// message length whose first byte is either a small unsigned count
-// (< 0x80) or a multi-byte-length marker near 0xFF, never 0xE7. Raft
-// snapshots keep gob (storeSnapshot is cold-path), and the GobCodec
-// ablation keeps whole entries in gob; decodeCommand dispatches on the
-// first byte so a cluster can apply both forms interchangeably.
+// The leading cmdMagic byte (0xE7) is the format tag: Raft entries are
+// never read back from disk, so this is the only entry format that
+// exists and decodeCommand rejects any other first byte as corrupt. A
+// gob stream for these types begins with a message length whose first
+// byte is a small count (< 0x80) or a multi-byte marker near 0xFF,
+// never 0xE7, so an entry from the seed's gob era fails loudly instead
+// of half-decoding. Raft snapshots keep gob (storeSnapshot is
+// cold-path).
 //
 // Sub-commands of an opBatch envelope are encoded with the same field
 // layout (no magic byte). Nesting is a single level: an opBatch inside
@@ -233,20 +230,13 @@ func (r *cmdReader) decodeCommandBody(cmd *command, topLevel bool) error {
 // decodeCommand decodes an encoded Raft entry into cmd, reusing cmd's
 // Batch backing array when capacity allows (the applier passes a
 // per-replica scratch command, so steady-state decode allocates only
-// key strings). It dispatches on the leading byte: cmdMagic selects the
-// binary layout, anything else falls back to gob — entries written by
-// the GobCodec ablation (or by a cluster predating the codec) decode
-// through the same call.
+// key strings). A leading byte other than cmdMagic is corrupt input.
 func decodeCommand(data []byte, cmd *command) error {
 	if len(data) == 0 {
 		return errCodecTruncated
 	}
 	if data[0] != cmdMagic {
-		*cmd = command{}
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(cmd); err != nil {
-			return fmt.Errorf("etcd: codec: gob fallback: %w", err)
-		}
-		return nil
+		return fmt.Errorf("%w: leading byte %#x is not the command magic", errCodecCorrupt, data[0])
 	}
 	r := cmdReader{buf: data, off: 1}
 	scratch := cmd.Batch[:0]
@@ -288,34 +278,25 @@ func decodeCommand(data []byte, cmd *command) error {
 }
 
 // encodeEntry serializes one proposal (a single command or a batch
-// envelope) for the Raft log using the cluster's configured codec: one
-// exact-size allocation on the binary path, the seed's gob path under
-// the GobCodec ablation.
-func encodeEntry(cmd *command, gobCodec bool) ([]byte, error) {
-	if gobCodec {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(cmd); err != nil {
-			return nil, fmt.Errorf("etcd: encode command: %w", err)
-		}
-		return buf.Bytes(), nil
-	}
-	return encodeCommand(make([]byte, 0, commandSize(cmd)), cmd), nil
+// envelope) for the Raft log in one exact-size allocation. The codec is
+// total over command values, so encoding cannot fail.
+func encodeEntry(cmd *command) []byte {
+	return encodeCommand(make([]byte, 0, commandSize(cmd)), cmd)
 }
 
 // CodecStats reports the codec microbenchmark used by the throughput
 // experiment's JSON artifact: round-trips per second and allocations
 // per encode+decode of a representative Put command.
 type CodecStats struct {
-	Codec       string  `json:"codec"`
 	CmdsPerSec  float64 `json:"cmds_per_sec"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// BenchCodec measures the configured entry codec over iters
-// encode+decode round-trips of a representative Put command, without
-// needing the testing package — ffdl-bench calls it to put the codec
-// dimension into bench-throughput.json.
-func BenchCodec(gobCodec bool, iters int) CodecStats {
+// BenchCodec measures the entry codec over iters encode+decode
+// round-trips of a representative Put command, without needing the
+// testing package — ffdl-bench calls it to put the codec microstage
+// into bench-throughput.json.
+func BenchCodec(iters int) CodecStats {
 	if iters <= 0 {
 		iters = 1 << 14
 	}
@@ -323,29 +304,20 @@ func BenchCodec(gobCodec bool, iters int) CodecStats {
 		Op: opPut, Key: "jobs/tp-000/status", Value: []byte("PROCESSING"),
 		ReqID: 12345,
 	}
-	name := "binary"
-	if gobCodec {
-		name = "gob"
-	}
 	var scratch command
-	var ms0, ms1 allocSnapshot
-	ms0.read()
+	m0 := mallocs()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		data, err := encodeEntry(&cmd, gobCodec)
-		if err != nil {
-			panic(err) // cannot fail for this command shape
-		}
-		if err := decodeCommand(data, &scratch); err != nil {
-			panic(err)
+		if err := decodeCommand(encodeEntry(&cmd), &scratch); err != nil {
+			panic(err) // cannot fail: the codec round-trips every command
 		}
 	}
 	wall := time.Since(start).Seconds()
-	ms1.read()
-	st := CodecStats{Codec: name}
+	m1 := mallocs()
+	var st CodecStats
 	if wall > 0 {
 		st.CmdsPerSec = float64(iters) / wall
 	}
-	st.AllocsPerOp = float64(ms1.mallocs-ms0.mallocs) / float64(iters)
+	st.AllocsPerOp = float64(m1-m0) / float64(iters)
 	return st
 }

@@ -2,13 +2,14 @@ package etcd
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"testing"
 	"time"
 )
 
 // commandEqual compares commands treating nil and empty byte slices /
-// batches as equal (the binary codec canonicalizes empties to nil; gob
-// does the same on its own).
+// batches as equal (the codec canonicalizes empties to nil).
 func commandEqual(a, b *command) bool {
 	if a.Op != b.Op || a.Key != b.Key || a.Lease != b.Lease ||
 		a.TTL != b.TTL || a.Prefix != b.Prefix || a.CmpKey != b.CmpKey ||
@@ -48,23 +49,66 @@ func codecCases() []command {
 }
 
 // TestCommandCodecRoundtrip pins decode(encode(x)) == x for every op
-// shape on both codecs (the gob arm exercises the auto-detecting
-// fallback in decodeCommand).
+// shape.
 func TestCommandCodecRoundtrip(t *testing.T) {
-	for _, gobCodec := range []bool{false, true} {
-		var scratch command
-		for _, want := range codecCases() {
-			data, err := encodeEntry(&want, gobCodec)
-			if err != nil {
-				t.Fatalf("encode (gob=%v) %+v: %v", gobCodec, want, err)
-			}
-			if err := decodeCommand(data, &scratch); err != nil {
-				t.Fatalf("decode (gob=%v) %+v: %v", gobCodec, want, err)
-			}
-			if !commandEqual(&want, &scratch) {
-				t.Fatalf("roundtrip (gob=%v): got %+v, want %+v", gobCodec, scratch, want)
-			}
+	var scratch command
+	for _, want := range codecCases() {
+		if err := decodeCommand(encodeEntry(&want), &scratch); err != nil {
+			t.Fatalf("decode %+v: %v", want, err)
 		}
+		if !commandEqual(&want, &scratch) {
+			t.Fatalf("roundtrip: got %+v, want %+v", scratch, want)
+		}
+	}
+}
+
+// gobCommand returns cmd in the seed's gob entry encoding, the one
+// foreign format a log could ever have held.
+func gobCommand(t testing.TB, cmd *command) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(cmd); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCommandCodecRejectsForeignEntries pins that the binary layout is
+// the only entry format: a gob-encoded command, and any entry whose
+// first byte is not cmdMagic, decode to errCodecCorrupt — never a
+// panic, never a half-filled command.
+func TestCommandCodecRejectsForeignEntries(t *testing.T) {
+	var scratch command
+	for _, want := range codecCases() {
+		if err := decodeCommand(gobCommand(t, &want), &scratch); !errors.Is(err, errCodecCorrupt) {
+			t.Fatalf("gob-encoded %+v: err = %v, want errCodecCorrupt", want, err)
+		}
+	}
+	valid := encodeCommand(nil, &command{Op: opPut, Key: "k", Value: []byte("v"), ReqID: 1})
+	for b := 0; b < 256; b++ {
+		if b == cmdMagic {
+			continue
+		}
+		data := append([]byte{byte(b)}, valid[1:]...)
+		if err := decodeCommand(data, &scratch); !errors.Is(err, errCodecCorrupt) {
+			t.Fatalf("leading byte %#x: err = %v, want errCodecCorrupt", b, err)
+		}
+	}
+}
+
+// TestCommandCodecAllocBudget pins the codec microstage as an absolute:
+// one encode (the exact-size entry buffer) plus one decode into a
+// reused scratch (the key string) is at most 2 allocations.
+func TestCommandCodecAllocBudget(t *testing.T) {
+	cmd := command{Op: opPut, Key: "jobs/tp-000/status", Value: []byte("PROCESSING"), ReqID: 12345}
+	var scratch command
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := decodeCommand(encodeEntry(&cmd), &scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("binary round-trip = %.1f allocs/op, want <= 2", allocs)
 	}
 }
 
@@ -124,11 +168,16 @@ func TestCommandCodecBatchScratchReuse(t *testing.T) {
 //     (including a batch envelope when batchN > 0);
 //  2. decoding any proper prefix of the encoding errors — truncated
 //     entries never decode silently;
-//  3. decoding arbitrary bytes (the raw value payload) never panics.
+//  3. decoding arbitrary bytes (the raw value payload) never panics,
+//     and errors whenever the first byte is not cmdMagic (a gob-encoded
+//     command is seeded as one such payload).
 func FuzzCommandCodecRoundtrip(f *testing.F) {
 	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), int64(0), int64(0), false, "", uint64(0), uint64(7), 0, uint8(0), uint(0))
 	f.Add(uint8(opTxnPut), "a", []byte{1, 2}, int64(3), int64(4), true, "cmp", uint64(5), uint64(6), 1, uint8(3), uint(2))
 	f.Add(uint8(opBatch), "", []byte(nil), int64(0), int64(0), false, "", uint64(0), uint64(0), 0, uint8(5), uint(9))
+	f.Add(uint8(opPut), "gob", gobCommand(f, &command{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7}),
+		int64(0), int64(0), false, "", uint64(0), uint64(1), 0, uint8(0), uint(0))
+	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, int64(0), int64(0), false, "", uint64(0), uint64(2), 0, uint8(0), uint(0))
 	f.Fuzz(func(t *testing.T, op uint8, key string, value []byte, lease, ttl int64,
 		prefix bool, cmpKey string, cmpRev, reqID uint64, requestBy int, batchN uint8, cut uint) {
 		want := command{
@@ -161,66 +210,51 @@ func FuzzCommandCodecRoundtrip(f *testing.F) {
 				t.Fatalf("decode of truncated entry (%d/%d bytes) succeeded", cut, len(data))
 			}
 		}
-		// Arbitrary bytes must never panic (error or not is fine — the
-		// value payload may happen to be a valid encoding or valid gob).
-		_ = decodeCommand(value, &got) //nolint:errcheck
+		// Arbitrary bytes must never panic, and only a cmdMagic-led
+		// payload may happen to be a valid encoding.
+		if err := decodeCommand(value, &got); err == nil && value[0] != cmdMagic {
+			t.Fatalf("decode of %x succeeded without the command magic", value)
+		}
 	})
 }
 
-// BenchmarkCommandEncode compares per-entry encode cost: hand-rolled
-// binary vs the seed's gob, for a representative single Put and for a
-// 64-command batch envelope.
-func BenchmarkCommandEncode(b *testing.B) {
+// benchCommands returns the two representative entry shapes: a single
+// Put and a 64-command batch envelope.
+func benchCommands() []namedCommand {
 	single := command{Op: opPut, Key: "jobs/tp-000/status", Value: []byte("PROCESSING"), ReqID: 12345}
 	env := command{Op: opBatch, Batch: make([]command, 64)}
 	for i := range env.Batch {
 		env.Batch[i] = single
 		env.Batch[i].ReqID = uint64(i + 1)
 	}
-	for _, bc := range []struct {
-		name string
-		gob  bool
-		cmd  *command
-	}{
-		{"Binary/Single", false, &single},
-		{"Gob/Single", true, &single},
-		{"Binary/Batch64", false, &env},
-		{"Gob/Batch64", true, &env},
-	} {
+	return []namedCommand{{"Single", &single}, {"Batch64", &env}}
+}
+
+type namedCommand struct {
+	name string
+	cmd  *command
+}
+
+// encodeSink keeps the compiler from discarding the measured encode.
+var encodeSink []byte
+
+// BenchmarkCommandEncode measures per-entry encode cost.
+func BenchmarkCommandEncode(b *testing.B) {
+	for _, bc := range benchCommands() {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := encodeEntry(bc.cmd, bc.gob); err != nil {
-					b.Fatal(err)
-				}
+				encodeSink = encodeEntry(bc.cmd)
 			}
 		})
 	}
 }
 
-// BenchmarkCommandDecode compares per-entry decode cost into a reused
+// BenchmarkCommandDecode measures per-entry decode cost into a reused
 // scratch command (the applier's shape).
 func BenchmarkCommandDecode(b *testing.B) {
-	single := command{Op: opPut, Key: "jobs/tp-000/status", Value: []byte("PROCESSING"), ReqID: 12345}
-	env := command{Op: opBatch, Batch: make([]command, 64)}
-	for i := range env.Batch {
-		env.Batch[i] = single
-		env.Batch[i].ReqID = uint64(i + 1)
-	}
-	for _, bc := range []struct {
-		name string
-		gob  bool
-		cmd  *command
-	}{
-		{"Binary/Single", false, &single},
-		{"Gob/Single", true, &single},
-		{"Binary/Batch64", false, &env},
-		{"Gob/Batch64", true, &env},
-	} {
-		data, err := encodeEntry(bc.cmd, bc.gob)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range benchCommands() {
+		data := encodeEntry(bc.cmd)
 		b.Run(bc.name, func(b *testing.B) {
 			var scratch command
 			b.ReportAllocs()

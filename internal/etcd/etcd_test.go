@@ -498,39 +498,32 @@ func TestLaggingFollowerCatchesUpViaSnapshot(t *testing.T) {
 // TestSnapshotRestorePreservesWatchHistory pins the durable-history half
 // of the watch contract at the state-machine level: a replica rebuilt
 // from a snapshot adopts the snapshot's compacted event log, so a
-// watcher resuming from an old revision gets a replay, not a resync.
-// The persistence-off arm restores the old clear-on-restore behaviour
-// (the CompactRevisions<0 ablation the watch-churn experiment measures).
+// watcher resuming from an old revision gets the full replay backlog,
+// not a resync.
 func TestSnapshotRestorePreservesWatchHistory(t *testing.T) {
-	for _, persist := range []bool{true, false} {
-		src := newStoreState(time.Now, 1024, 4096, persist)
-		var req uint64
-		for i := 0; i < 10; i++ {
-			req++
-			src.apply(&command{Op: opPut, Key: fmt.Sprintf("jobs/j/l%d", i), Value: []byte("S"), ReqID: req})
+	src := newStoreState(time.Now, 1024, 4096)
+	var req uint64
+	for i := 0; i < 10; i++ {
+		req++
+		src.apply(&command{Op: opPut, Key: fmt.Sprintf("jobs/j/l%d", i), Value: []byte("S"), ReqID: req})
+	}
+	dst := newStoreState(time.Now, 1024, 4096)
+	dst.restore(src.snapshot())
+	if got := dst.restoreCount(); got != 1 {
+		t.Fatalf("restoreCount = %d, want 1", got)
+	}
+	if dst.revision() != src.revision() {
+		t.Fatalf("restored revision = %d, want %d", dst.revision(), src.revision())
+	}
+	_, backlog, cancel := dst.addWatcherFrom("jobs/j/", true, 1, 64)
+	defer cancel()
+	if len(backlog) != 10 {
+		t.Fatalf("replay backlog = %d events, want 10", len(backlog))
+	}
+	for i, ev := range backlog {
+		if ev.Type != EventPut || ev.Revision != uint64(i+1) {
+			t.Fatalf("backlog[%d] = %+v, want PUT at revision %d", i, ev, i+1)
 		}
-		dst := newStoreState(time.Now, 1024, 4096, persist)
-		dst.restore(src.snapshot())
-		if got := dst.restoreCount(); got != 1 {
-			t.Fatalf("restoreCount = %d, want 1", got)
-		}
-		if dst.revision() != src.revision() {
-			t.Fatalf("restored revision = %d, want %d", dst.revision(), src.revision())
-		}
-		_, backlog, cancel := dst.addWatcherFrom("jobs/j/", true, 1, 64)
-		if persist {
-			if len(backlog) != 10 {
-				t.Fatalf("persisted replay backlog = %d events, want 10", len(backlog))
-			}
-			for i, ev := range backlog {
-				if ev.Type != EventPut || ev.Revision != uint64(i+1) {
-					t.Fatalf("backlog[%d] = %+v, want PUT at revision %d", i, ev, i+1)
-				}
-			}
-		} else if len(backlog) == 0 || backlog[0].Type != EventResync {
-			t.Fatalf("ablation backlog = %+v, want a leading RESYNC", backlog)
-		}
-		cancel()
 	}
 }
 
@@ -538,7 +531,7 @@ func TestSnapshotRestorePreservesWatchHistory(t *testing.T) {
 // based — events older than the CompactRevisions window are compacted
 // even while the WatchHistory entry cap still has room.
 func TestCompactRevisionsWindowTrimsHistory(t *testing.T) {
-	st := newStoreState(time.Now, 1024, 8, true)
+	st := newStoreState(time.Now, 1024, 8)
 	var req uint64
 	for i := 0; i < 20; i++ {
 		req++

@@ -130,13 +130,6 @@ type Config struct {
 	// to wake WaitLeader/propose waiters instead of having them poll.
 	// The callback must not call back into the node.
 	OnLeaderChange func()
-	// LegacyReplication restores the seed's append-fanout behaviour:
-	// every broadcast re-sends the full log suffix from nextIndex to
-	// each peer, so K in-flight proposals cost O(K×peers) messages with
-	// O(K²) entry copying. Kept for the throughput ablation; production
-	// configurations leave it false and get pipelined replication (only
-	// the unsent suffix ships, tracked per peer by sentIndex).
-	LegacyReplication bool
 }
 
 // node is a single Raft server.
@@ -166,8 +159,7 @@ type node struct {
 	// sentIndex is the replication pipeline frontier: the highest log
 	// index optimistically shipped to each peer. Appends send only
 	// (sentIndex, lastIndex]; a rejection or a heartbeat probe that
-	// fails resets it to nextIndex-1 and re-ships. Ignored under
-	// LegacyReplication.
+	// fails resets it to nextIndex-1 and re-ships.
 	sentIndex map[int]uint64
 
 	votes map[int]bool
@@ -190,7 +182,6 @@ type node struct {
 	snapshotFn        func() []byte
 	restoreFn         func([]byte, uint64)
 	onLeaderChange    func()
-	legacyReplication bool
 
 	stopped bool
 	stopCh  chan struct{}
@@ -223,7 +214,6 @@ func newNode(cfg Config, transport Transport, rng interface{ Intn(int) int }, ap
 		snapshotFn:        cfg.Snapshot,
 		restoreFn:         cfg.Restore,
 		onLeaderChange:    cfg.OnLeaderChange,
-		legacyReplication: cfg.LegacyReplication,
 		stopCh:            make(chan struct{}),
 		leaderHint:        -1,
 	}
@@ -440,14 +430,12 @@ func (n *node) broadcastAppendLocked() {
 }
 
 // sendFrom computes the first index the next append to a peer should
-// carry: nextIndex under legacy replication, else the pipeline frontier
-// (everything up to sentIndex is already in flight and is not re-sent).
+// carry: the pipeline frontier (everything up to sentIndex is already
+// in flight and is not re-sent), never below nextIndex.
 func (n *node) sendFrom(to int) uint64 {
 	from := n.nextIndex[to]
-	if !n.legacyReplication {
-		if s := n.sentIndex[to] + 1; s > from {
-			from = s
-		}
+	if s := n.sentIndex[to] + 1; s > from {
+		from = s
 	}
 	if last := n.lastIndex(); from > last+1 {
 		from = last + 1

@@ -130,14 +130,13 @@ type storeState struct {
 	// revision; splitting them would corrupt a replay). Retention is
 	// revision-window-based (compactRevs) with histCap as the hard
 	// entry-count bound, enforced with TruncateBefore. A resume older
-	// than the retained floor gets a resync instead. When persistHist
-	// is set the retained log rides along in Raft snapshots, so replay
-	// survives snapshot restore and leader failover.
+	// than the retained floor gets a resync instead. The retained log
+	// rides along in Raft snapshots, so replay survives snapshot
+	// restore and leader failover.
 	hist        *commitlog.Log
 	revIdx      []revOff
 	histCap     int
 	compactRevs int
-	persistHist bool
 	// restores counts snapshot restores applied to this replica, for the
 	// watch-churn experiment's resyncs-per-restore metric.
 	restores uint64
@@ -179,7 +178,7 @@ func newHistLog() *commitlog.Log {
 	return l
 }
 
-func newStoreState(now func() time.Time, histCap, compactRevs int, persistHist bool) *storeState {
+func newStoreState(now func() time.Time, histCap, compactRevs int) *storeState {
 	return &storeState{
 		kv:          make(map[string]KV),
 		leases:      make(map[int64]*leaseRec),
@@ -189,7 +188,6 @@ func newStoreState(now func() time.Time, histCap, compactRevs int, persistHist b
 		hist:        newHistLog(),
 		histCap:     histCap,
 		compactRevs: compactRevs,
-		persistHist: persistHist,
 		applySig:    make(chan struct{}),
 	}
 }
@@ -400,7 +398,7 @@ func (s *storeState) appendHistLocked(ev Event) {
 func (s *storeState) compactHistLocked() {
 	oldest, next := s.hist.OldestOffset(), s.hist.NextOffset()
 	cutOff := oldest
-	if s.compactRevs > 0 && s.rev > uint64(s.compactRevs) {
+	if s.rev > uint64(s.compactRevs) {
 		floor := s.rev - uint64(s.compactRevs)
 		// First revision past the window's floor; everything below its
 		// offset is outside the replay window.
@@ -577,15 +575,13 @@ func (s *storeState) snapshot() []byte {
 		snap.Applied = append(snap.Applied, id)
 	}
 	sort.Slice(snap.Applied, func(i, j int) bool { return snap.Applied[i] < snap.Applied[j] })
-	if s.persistHist {
-		// The compacted event log rides along so a replica rebuilt from
-		// this snapshot can still replay watches from old revisions. The
-		// snapshot carries decoded events, not log segments — the gob
-		// format predates the commit-log port and stays unchanged.
-		for _, rec := range s.hist.Records(0) {
-			if ev, ok := rec.Value.(Event); ok {
-				snap.Hist = append(snap.Hist, ev)
-			}
+	// The compacted event log rides along so a replica rebuilt from
+	// this snapshot can still replay watches from old revisions. The
+	// snapshot carries decoded events, not log segments — the gob
+	// format predates the commit-log port and stays unchanged.
+	for _, rec := range s.hist.Records(0) {
+		if ev, ok := rec.Value.(Event); ok {
+			snap.Hist = append(snap.Hist, ev)
 		}
 	}
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
@@ -621,10 +617,9 @@ func (s *storeState) restore(data []byte) {
 	}
 	// Adopt the snapshot's persisted event log: a watcher resuming
 	// against this freshly-restored replica replays from its revision
-	// instead of resyncing. Without persistence (CompactRevisions < 0)
-	// the log is cleared and such a resume forces a resync. The replica
-	// re-appends into a fresh commit log — offsets are replica-local,
-	// revisions are the resume tokens that survive the restore.
+	// instead of resyncing. The replica re-appends into a fresh commit
+	// log — offsets are replica-local, revisions are the resume tokens
+	// that survive the restore.
 	s.hist = newHistLog()
 	s.revIdx = s.revIdx[:0]
 	for _, ev := range snap.Hist {

@@ -645,8 +645,8 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 	snap := p.Obs.Snapshot()
 	arm.retries = snap.Counter("resilience.retries")
 	arm.sheds = snap.Counter("resilience.shed")
-	arm.degradedSheds += p.Metrics.Counter("api.degraded_sheds") - arm.degradedSheds // absolute platform count wins
-	arm.degradedReads = p.Metrics.Counter("api.degraded_reads")
+	arm.degradedSheds = snap.Counter("api.degraded_sheds") // absolute platform count wins
+	arm.degradedReads = snap.Counter("api.degraded_reads")
 	arm.virtual = fc.Since(virtualStart)
 	return arm, nil
 }

@@ -266,7 +266,7 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	}
 	// One consistent registry snapshot instead of torn per-name reads:
 	// both counters reflect the same instant.
-	counters := p2.Metrics.Counters()
+	counters := p2.Obs.CounterValues()
 	arm.WatchReplays = counters["watch.replays"]
 	arm.WatchRefills = counters["watch.refills"]
 

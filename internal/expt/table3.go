@@ -151,13 +151,10 @@ func Table3(trials int) ([]Table3Row, error) {
 	}
 
 	var rows []Table3Row
-	// Restart detection reads counters through one registry snapshot per
-	// poll (Counters()), not per-name Counter calls, so a probe that ever
-	// compares two counters sees one consistent instant.
 	apiRow, err := measure("API", func() func() bool {
-		before := p.Metrics.Counters()["api.restarts"]
+		before := p.Obs.CounterValue("api.restarts")
 		p.CrashAPI(0)
-		return func() bool { return p.Metrics.Counters()["api.restarts"] > before }
+		return func() bool { return p.Obs.CounterValue("api.restarts") > before }
 	})
 	if err != nil {
 		return nil, err
@@ -165,9 +162,9 @@ func Table3(trials int) ([]Table3Row, error) {
 	rows = append(rows, apiRow)
 
 	lcmRow, err := measure("LCM", func() func() bool {
-		before := p.Metrics.Counters()["lcm.restarts"]
+		before := p.Obs.CounterValue("lcm.restarts")
 		p.CrashLCM(1)
-		return func() bool { return p.Metrics.Counters()["lcm.restarts"] > before }
+		return func() bool { return p.Obs.CounterValue("lcm.restarts") > before }
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package expt
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // The throughput experiment: the repo's own measurement of the
 // metadata/coordination hot path under concurrency — the paths every
 // other subsystem (scheduler, tenant dispatcher, status bus) sits on.
-// It has three stages, each reported per wall-clock second (the sim
+// It has four stages, each reported per wall-clock second (the sim
 // clock absorbs all modeled delays, so wall time is pure control-plane
 // software cost):
 //
@@ -32,10 +31,8 @@ import (
 //     ratio (commands per Raft entry) and append fan-out counters.
 //  3. mongo microstage: concurrent job-document traffic (insert, status
 //     append onto a growing history, read) — ops per second.
-//
-// Compare runs the batched configuration against the unbatched
-// ablation (the seed's per-command Raft entries + full-suffix append
-// fan-out), isolating what group commit + pipelined replication buy.
+//  4. codec microstage: encode+decode round-trips of a representative
+//     Put through the Raft entry codec.
 
 // ThroughputConfig parameterizes one run.
 type ThroughputConfig struct {
@@ -56,12 +53,6 @@ type ThroughputConfig struct {
 	// MongoOps is the per-submitter op count for the mongo microstage.
 	// Default 256.
 	MongoOps int
-	// Unbatched selects the batching ablation arm (seed proposal path).
-	Unbatched bool
-	// GobCodec selects the codec ablation arm: gob-encoded Raft entries
-	// (the seed codec) instead of the hand-rolled binary codec. The two
-	// ablations compose; the seed-faithful arm is Unbatched+GobCodec.
-	GobCodec bool
 	// DisableObs runs the platform with hot-path instrumentation and
 	// per-job tracing stripped — the observability ablation arm the
 	// ObsOverhead experiment compares against.
@@ -111,10 +102,8 @@ func (c *ThroughputConfig) defaults() {
 
 // ThroughputResult reports one run.
 type ThroughputResult struct {
-	Submitters int    `json:"submitters"`
-	Jobs       int    `json:"jobs"`
-	Batched    bool   `json:"batched"`
-	Codec      string `json:"codec"` // "binary" or "gob"
+	Submitters int `json:"submitters"`
+	Jobs       int `json:"jobs"`
 
 	// End-to-end stage.
 	Dispatched       int     `json:"dispatched"`
@@ -134,8 +123,8 @@ type ThroughputResult struct {
 	MongoOpsPerSec float64 `json:"mongo_ops_per_sec"`
 
 	// Codec microstage: encode+decode round-trips of a representative
-	// Put command through this arm's entry codec (no Raft, no disk —
-	// pure serialization cost).
+	// Put command through the entry codec (no Raft, no disk — pure
+	// serialization cost).
 	CodecBench etcd.CodecStats `json:"codec_bench"`
 
 	WallSeconds float64 `json:"wall_seconds"`
@@ -144,13 +133,7 @@ type ThroughputResult struct {
 // Throughput runs the experiment once.
 func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	cfg.defaults()
-	res := ThroughputResult{
-		Submitters: cfg.Submitters, Jobs: cfg.Jobs, Batched: !cfg.Unbatched,
-		Codec: "binary",
-	}
-	if cfg.GobCodec {
-		res.Codec = "gob"
-	}
+	res := ThroughputResult{Submitters: cfg.Submitters, Jobs: cfg.Jobs}
 	wallStart := time.Now()
 	if err := throughputE2E(cfg, &res); err != nil {
 		return res, err
@@ -159,7 +142,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		return res, err
 	}
 	throughputMongo(cfg, &res)
-	res.CodecBench = etcd.BenchCodec(cfg.GobCodec, 0)
+	res.CodecBench = etcd.BenchCodec(0)
 	res.WallSeconds = time.Since(wallStart).Seconds()
 	return res, nil
 }
@@ -188,13 +171,11 @@ func throughputE2E(cfg ThroughputConfig, res *ThroughputResult) error {
 		// on the dispatch path needs a FakeClock auto-advance, and the
 		// advancer only steps after a real-time window with no clock
 		// activity — which 64-way proposal timer churn starves — so a
-		// modeled delay would stall both arms identically and dilute
-		// the comparison. (A zero-duration timer fires inline without
+		// modeled delay would stall the run without measuring
+		// anything. (A zero-duration timer fires inline without
 		// registering a clock waiter.)
-		StartDelay:    func(string) time.Duration { return 0 },
-		EtcdUnbatched: cfg.Unbatched,
-		EtcdGobCodec:  cfg.GobCodec,
-		DisableObs:    cfg.DisableObs,
+		StartDelay: func(string) time.Duration { return 0 },
+		DisableObs: cfg.DisableObs,
 	})
 	if err != nil {
 		return err
@@ -299,11 +280,7 @@ func throughputE2E(cfg ThroughputConfig, res *ThroughputResult) error {
 // throughputEtcd measures raw coordination-store proposals per second
 // at the configured concurrency.
 func throughputEtcd(cfg ThroughputConfig, res *ThroughputResult) error {
-	c, err := etcd.NewCluster(etcd.Options{
-		Seed:              cfg.Seed,
-		UnbatchedAblation: cfg.Unbatched,
-		GobCodec:          cfg.GobCodec,
-	})
+	c, err := etcd.NewCluster(etcd.Options{Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
@@ -374,53 +351,14 @@ func throughputMongo(cfg ThroughputConfig, res *ThroughputResult) {
 	}
 }
 
-// ThroughputCompare runs the batched configuration (binary codec)
-// against the unbatched ablation over the identical workload. The
-// ablation arm keeps the seed's gob entry codec, so the pair measures
-// everything the proposal-path work bought end to end.
-func ThroughputCompare(cfg ThroughputConfig) (batched, unbatched ThroughputResult, err error) {
-	cfg.Unbatched, cfg.GobCodec = false, false
-	batched, err = Throughput(cfg)
-	if err != nil {
-		return batched, unbatched, err
-	}
-	cfg.Unbatched, cfg.GobCodec = true, true
-	unbatched, err = Throughput(cfg)
-	return batched, unbatched, err
-}
-
-// ThroughputArms runs the full three-arm comparison over the identical
-// workload: the shipping configuration (group commit + binary codec),
-// the codec ablation (group commit + gob entries — isolates what the
-// binary codec buys), and the seed arm (unbatched + gob).
-func ThroughputArms(cfg ThroughputConfig) ([]ThroughputResult, error) {
-	arms := []struct{ unbatched, gob bool }{
-		{false, false}, // shipping: batched + binary
-		{false, true},  // codec ablation: batched + gob
-		{true, true},   // seed: unbatched + gob
-	}
-	results := make([]ThroughputResult, 0, len(arms))
-	for _, a := range arms {
-		cfg.Unbatched, cfg.GobCodec = a.unbatched, a.gob
-		r, err := Throughput(cfg)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
-}
-
-// RenderThroughput formats results as a table.
-func RenderThroughput(results []ThroughputResult) *Table {
-	t := &Table{
-		Title: "Control-plane throughput: group commit + binary entry codec vs the gob-codec and unbatched ablations",
-		Header: []string{"Batched", "Codec", "Submitters", "Jobs", "Dispatched/s", "etcd props/s",
+// RenderThroughput formats a result as a one-row table.
+func RenderThroughput(r ThroughputResult) *Table {
+	return &Table{
+		Title: "Control-plane throughput: group commit + binary entry codec",
+		Header: []string{"Submitters", "Jobs", "Dispatched/s", "etcd props/s",
 			"cmds/entry", "codec cmds/s", "codec allocs", "mongo ops/s", "E2E wall (s)"},
-	}
-	for _, r := range results {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%v", r.Batched), r.Codec, fmt.Sprintf("%d", r.Submitters),
+		Rows: [][]string{{
+			fmt.Sprintf("%d", r.Submitters),
 			fmt.Sprintf("%d", r.Jobs), f2(r.DispatchedPerSec),
 			fmt.Sprintf("%.0f", r.EtcdProposalsPerSec),
 			f2(r.EtcdCmdsPerEntry),
@@ -428,38 +366,6 @@ func RenderThroughput(results []ThroughputResult) *Table {
 			f2(r.CodecBench.AllocsPerOp),
 			fmt.Sprintf("%.0f", r.MongoOpsPerSec),
 			f2(r.E2EWallSeconds),
-		})
+		}},
 	}
-	// Caption ratios against whichever ablation arms are present,
-	// measured from the shipping arm (batched + binary) when it leads.
-	if len(results) < 2 || !results[0].Batched || results[0].Codec != "binary" {
-		return t
-	}
-	ship := results[0]
-	caption := ""
-	ratio := func(num, den float64) float64 {
-		if den > 0 {
-			return num / den
-		}
-		return 0
-	}
-	for _, r := range results[1:] {
-		switch {
-		case r.Batched && r.Codec == "gob":
-			caption += fmt.Sprintf(
-				"Binary entry codec: %.1fx codec round-trips/sec (%.1f vs %.1f allocs/op), %.2fx raw etcd proposals/sec vs the gob-codec ablation. ",
-				ratio(ship.CodecBench.CmdsPerSec, r.CodecBench.CmdsPerSec),
-				ship.CodecBench.AllocsPerOp, r.CodecBench.AllocsPerOp,
-				ratio(ship.EtcdProposalsPerSec, r.EtcdProposalsPerSec))
-		case !r.Batched:
-			caption += fmt.Sprintf(
-				"Vs the seed arm (unbatched + gob) at %d concurrent submitters: %.1fx submissions dispatched/sec end to end, %.1fx raw etcd proposals/sec (group commit at %.1f cmds/entry). ",
-				ship.Submitters,
-				ratio(ship.DispatchedPerSec, r.DispatchedPerSec),
-				ratio(ship.EtcdProposalsPerSec, r.EtcdProposalsPerSec),
-				ship.EtcdCmdsPerEntry)
-		}
-	}
-	t.Caption = strings.TrimSpace(caption)
-	return t
 }

@@ -6,64 +6,44 @@ import (
 	"github.com/ffdl/ffdl/internal/etcd"
 )
 
-// TestThroughputBatchingOutperformsAblation is the acceptance pin for
-// the control-plane throughput work at (reduced) experiment scale:
-// group commit actually groups (cmds/entry > 1 under concurrency, == 1
-// in the ablation), every submission dispatches, and both the raw etcd
-// proposal rate and the end-to-end dispatch rate beat the unbatched
-// ablation. The full-size ≥2x criterion at 64 submitters is pinned by
-// `make throughput-smoke` / `ffdl-bench -throughput`; the in-test
-// threshold is looser so a loaded CI machine cannot flake it.
-func TestThroughputBatchingOutperformsAblation(t *testing.T) {
+// TestThroughputDispatchesAndGroups is the acceptance pin for the
+// control-plane throughput experiment at (reduced) scale, as absolutes
+// on the shipping configuration: every submission dispatches, every
+// stage reports a rate, and group commit actually groups under
+// concurrency (cmds/entry > 1.5 in the etcd microstage). Rates
+// themselves are the bench's job (bench/, BENCHMARK.json), not a unit
+// test's.
+func TestThroughputDispatchesAndGroups(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots two full platforms")
+		t.Skip("boots a full platform")
 	}
-	cfg := ThroughputConfig{Submitters: 16, Jobs: 32, EtcdOps: 64, MongoOps: 64, Seed: 7}
-	batched, unbatched, err := ThroughputCompare(cfg)
+	r, err := Throughput(ThroughputConfig{Submitters: 16, Jobs: 32, EtcdOps: 64, MongoOps: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []ThroughputResult{batched, unbatched} {
-		if r.Dispatched != r.Jobs {
-			t.Fatalf("batched=%v dispatched %d/%d jobs", r.Batched, r.Dispatched, r.Jobs)
-		}
-		if r.EtcdProposalsPerSec <= 0 || r.MongoOpsPerSec <= 0 || r.DispatchedPerSec <= 0 {
-			t.Fatalf("batched=%v has zero rates: %+v", r.Batched, r)
-		}
+	if r.Dispatched != r.Jobs {
+		t.Fatalf("dispatched %d/%d jobs", r.Dispatched, r.Jobs)
 	}
-	if batched.EtcdCmdsPerEntry <= 1.5 {
-		t.Fatalf("group commit did not group: %.2f cmds/entry", batched.EtcdCmdsPerEntry)
+	if r.EtcdProposalsPerSec <= 0 || r.MongoOpsPerSec <= 0 || r.DispatchedPerSec <= 0 {
+		t.Fatalf("zero rates: %+v", r)
 	}
-	// The ablation proposes one entry per command; retries can only push
-	// the ratio below 1 (extra entries), never above.
-	if unbatched.EtcdCmdsPerEntry > 1.001 {
-		t.Fatalf("ablation batched: %.2f cmds/entry", unbatched.EtcdCmdsPerEntry)
-	}
-	if batched.EtcdProposalsPerSec < 2*unbatched.EtcdProposalsPerSec {
-		t.Fatalf("etcd proposals/sec: batched %.0f vs ablation %.0f, want >= 2x",
-			batched.EtcdProposalsPerSec, unbatched.EtcdProposalsPerSec)
-	}
-	if batched.DispatchedPerSec < unbatched.DispatchedPerSec {
-		t.Fatalf("dispatch rate: batched %.1f/s vs ablation %.1f/s — batching made the platform slower",
-			batched.DispatchedPerSec, unbatched.DispatchedPerSec)
+	if r.EtcdCmdsPerEntry <= 1.5 {
+		t.Fatalf("group commit did not group: %.2f cmds/entry", r.EtcdCmdsPerEntry)
 	}
 }
 
-// TestThroughputCodecMicrostage pins the codec dimension of the
-// throughput artifact without booting a platform: the binary entry
-// codec must beat the gob ablation on both round-trip rate and
-// allocations for the representative Put command BenchCodec measures.
+// TestThroughputCodecMicrostage pins the codec stage of the throughput
+// artifact without booting a platform: a binary round-trip of the
+// representative Put command costs 2 allocations (the entry buffer and
+// the decoded key string). BenchCodec reads the process-wide malloc
+// counter, so stragglers from earlier tests add a fraction; the exact
+// per-goroutine pin is etcd's TestCommandCodecAllocBudget.
 func TestThroughputCodecMicrostage(t *testing.T) {
-	binary := etcd.BenchCodec(false, 1<<12)
-	gob := etcd.BenchCodec(true, 1<<12)
-	if binary.Codec != "binary" || gob.Codec != "gob" {
-		t.Fatalf("codec labels: %q / %q", binary.Codec, gob.Codec)
+	st := etcd.BenchCodec(1 << 12)
+	if st.CmdsPerSec <= 0 {
+		t.Fatalf("zero rate: %+v", st)
 	}
-	if binary.CmdsPerSec <= 0 || gob.CmdsPerSec <= 0 {
-		t.Fatalf("zero rates: binary %+v gob %+v", binary, gob)
-	}
-	if binary.AllocsPerOp >= gob.AllocsPerOp {
-		t.Fatalf("binary codec allocs/op %.1f not below gob %.1f",
-			binary.AllocsPerOp, gob.AllocsPerOp)
+	if st.AllocsPerOp >= 2.5 {
+		t.Fatalf("binary round-trip = %.2f allocs/op, want 2", st.AllocsPerOp)
 	}
 }

@@ -16,12 +16,10 @@ import (
 // watch per job, the shape the Guardians and the status machinery use —
 // crash and resume by revision, exactly like an API replica resuming
 // its status cursor after a restart. The headline metric is
-// resyncs-per-restore: with the persisted event log
-// (Options.CompactRevisions >= 0) a watcher resuming against a
-// freshly snapshot-restored replica replays its gap and the metric is
-// ~0; with persistence disabled (the pre-durability ablation,
-// CompactRevisions < 0) every resumed watcher is forced through an
-// EventResync and the metric is >= 1.
+// resyncs-per-restore: the compacted event log rides inside Raft
+// snapshots, so a watcher resuming against a freshly snapshot-restored
+// replica replays its gap and the metric is 0; every resync counted is
+// a watcher that lost replayability.
 
 // WatchChurnConfig parameterizes one watch-churn run.
 type WatchChurnConfig struct {
@@ -38,9 +36,6 @@ type WatchChurnConfig struct {
 	// SnapshotThreshold forces log compaction (and therefore snapshot
 	// rejoins) quickly. Default 64.
 	SnapshotThreshold int
-	// PersistHistory selects the durable event log (true, the default
-	// configuration) or the CompactRevisions<0 ablation (false).
-	PersistHistory bool
 	// Seed drives election randomness.
 	Seed int64
 	// Timeout bounds the whole run. Default 60s.
@@ -70,9 +65,8 @@ func (c *WatchChurnConfig) defaults() {
 
 // WatchChurnResult reports one run.
 type WatchChurnResult struct {
-	Jobs             int  `json:"jobs"`
-	Cycles           int  `json:"cycles"`
-	PersistedHistory bool `json:"persisted_history"`
+	Jobs   int `json:"jobs"`
+	Cycles int `json:"cycles"`
 
 	Writes    uint64 `json:"writes"`
 	Delivered uint64 `json:"delivered"`
@@ -99,30 +93,22 @@ type churnWatcher struct {
 // WatchChurn runs the experiment once.
 func WatchChurn(cfg WatchChurnConfig) (WatchChurnResult, error) {
 	cfg.defaults()
-	// Retain comfortably more than one cycle's churn so the persisted
-	// arm can always replay; the ablation arm keeps the same in-memory
-	// retention and differs only in losing it at snapshot restore.
-	window := 4 * cfg.Jobs
-	if window < 4096 {
-		window = 4096
-	}
-	compact := window
-	if !cfg.PersistHistory {
-		compact = -1
-	}
+	// Retain comfortably more than one cycle's churn so a resuming
+	// watcher can always replay.
+	window := max(4*cfg.Jobs, 4096)
 	c, err := etcd.NewCluster(etcd.Options{
 		Replicas:          cfg.Replicas,
 		Seed:              cfg.Seed,
 		SnapshotThreshold: cfg.SnapshotThreshold,
 		WatchHistory:      window,
-		CompactRevisions:  compact,
+		CompactRevisions:  window,
 	})
 	if err != nil {
 		return WatchChurnResult{}, err
 	}
 	defer c.Stop()
 
-	res := WatchChurnResult{Jobs: cfg.Jobs, Cycles: cfg.Cycles, PersistedHistory: cfg.PersistHistory}
+	res := WatchChurnResult{Jobs: cfg.Jobs, Cycles: cfg.Cycles}
 	start := time.Now()
 	deadline := start.Add(cfg.Timeout)
 	var delivered atomic.Uint64
@@ -241,39 +227,18 @@ func WatchChurn(cfg WatchChurnConfig) (WatchChurnResult, error) {
 	return res, nil
 }
 
-// WatchChurnCompare runs the before/after pair: the persisted event log
-// versus the ring-buffer-only ablation, identical otherwise.
-func WatchChurnCompare(cfg WatchChurnConfig) (with, without WatchChurnResult, err error) {
-	cfg.PersistHistory = true
-	with, err = WatchChurn(cfg)
-	if err != nil {
-		return with, without, err
-	}
-	cfg.PersistHistory = false
-	without, err = WatchChurn(cfg)
-	return with, without, err
-}
-
-// RenderWatchChurn formats already-computed results.
-func RenderWatchChurn(results []WatchChurnResult) *Table {
-	t := &Table{
-		Title: "Watch churn: resyncs per snapshot restore, persisted log vs ablation",
-		Header: []string{"Persisted log", "Jobs", "Cycles", "Writes", "Delivered",
+// RenderWatchChurn formats a result as a one-row table.
+func RenderWatchChurn(r WatchChurnResult) *Table {
+	return &Table{
+		Title: "Watch churn: resyncs per snapshot restore",
+		Header: []string{"Jobs", "Cycles", "Writes", "Delivered",
 			"Resumes", "Restores", "Failovers", "Resyncs", "Resyncs/restore"},
-	}
-	for _, r := range results {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%v", r.PersistedHistory), fmt.Sprintf("%d", r.Jobs),
+		Rows: [][]string{{
+			fmt.Sprintf("%d", r.Jobs),
 			fmt.Sprintf("%d", r.Cycles), fmt.Sprintf("%d", r.Writes),
 			fmt.Sprintf("%d", r.Delivered), fmt.Sprintf("%d", r.Resumes),
 			fmt.Sprintf("%d", r.SnapshotRestores), fmt.Sprintf("%d", r.Failovers),
 			fmt.Sprintf("%d", r.Resyncs), fmt.Sprintf("%.2f", r.ResyncsPerRestore),
-		})
+		}},
 	}
-	if len(results) == 2 {
-		t.Caption = fmt.Sprintf(
-			"Persisting the compacted event log in snapshots: %.2f resyncs/restore vs %.2f without.",
-			results[0].ResyncsPerRestore, results[1].ResyncsPerRestore)
-	}
-	return t
 }

@@ -2,30 +2,23 @@ package expt
 
 import "testing"
 
-// TestWatchChurnPersistedLogEliminatesResyncs is the acceptance pin for
-// the durable watch layer at experiment scale: under chaos-injected
+// TestWatchChurnReplaysWithoutResync is the acceptance pin for the
+// durable watch layer at experiment scale: under chaos-injected
 // snapshot restores and forced failovers, watchers resuming by revision
-// never resync when the event log is persisted, and are forced to
-// resync (>= 1 per restore) in the ablation.
-func TestWatchChurnPersistedLogEliminatesResyncs(t *testing.T) {
-	cfg := WatchChurnConfig{Jobs: 50, Cycles: 2, Seed: 7}
-	with, without, err := WatchChurnCompare(cfg)
+// replay their gap from the snapshot-persisted event log and never
+// resync.
+func TestWatchChurnReplaysWithoutResync(t *testing.T) {
+	r, err := WatchChurn(WatchChurnConfig{Jobs: 50, Cycles: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []WatchChurnResult{with, without} {
-		if r.SnapshotRestores == 0 {
-			t.Fatalf("run (persisted=%v) induced no snapshot restore; chaos ineffective: %+v", r.PersistedHistory, r)
-		}
-		if r.Resumes == 0 || r.Delivered == 0 {
-			t.Fatalf("run (persisted=%v) exercised no resumes/deliveries: %+v", r.PersistedHistory, r)
-		}
+	if r.SnapshotRestores == 0 {
+		t.Fatalf("run induced no snapshot restore; chaos ineffective: %+v", r)
 	}
-	if with.Resyncs != 0 {
-		t.Fatalf("persisted log still forced %d resyncs (%.2f/restore)", with.Resyncs, with.ResyncsPerRestore)
+	if r.Resumes == 0 || r.Delivered == 0 {
+		t.Fatalf("run exercised no resumes/deliveries: %+v", r)
 	}
-	if without.ResyncsPerRestore < 1 {
-		t.Fatalf("ablation resyncs/restore = %.2f, want >= 1 (%d resyncs / %d restores)",
-			without.ResyncsPerRestore, without.Resyncs, without.SnapshotRestores)
+	if r.Resyncs != 0 {
+		t.Fatalf("resuming watchers were forced through %d resyncs (%.2f/restore)", r.Resyncs, r.ResyncsPerRestore)
 	}
 }

@@ -78,8 +78,8 @@ func BenchmarkMongoFindSortLimit(b *testing.B) {
 // BenchmarkMongoFindCompiledFilter pins the win from compiling filters
 // once per query: a multi-condition nested-path filter scanned over
 // 1000 candidates, evaluated via the compiled form Find uses vs the
-// interpreted per-candidate Filter.Matches it replaced (which re-split
-// every dotted path for every candidate).
+// interpreted per-candidate matcher it replaced (interpretedMatch,
+// which re-split every dotted path for every candidate).
 func BenchmarkMongoFindCompiledFilter(b *testing.B) {
 	db := NewDB()
 	c := db.C("jobs")
@@ -129,7 +129,7 @@ func BenchmarkMongoFindCompiledFilter(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
 			for _, d := range docs {
-				if f.Matches(d) {
+				if interpretedMatch(f, d) {
 					n++
 				}
 			}

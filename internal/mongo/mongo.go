@@ -263,80 +263,6 @@ func In(vs ...any) Op { return Op{Kind: OpIn, List: vs} }
 // Exists builds an $exists condition.
 func Exists(want bool) Op { return Op{Kind: OpExists, Value: want} }
 
-// Matches reports whether doc satisfies the filter. This is the
-// interpreted one-shot path: it re-splits every field path on each
-// call, which is fine for matching a single document but quadratic-ish
-// across a candidate scan — the query engine (Find, Count, update,
-// delete) compiles the filter once instead (see Filter.compile).
-func (f Filter) Matches(d Doc) bool {
-	for path, cond := range f {
-		got, present := lookupPath(d, path)
-		op, isOp := cond.(Op)
-		if !isOp {
-			if !present || !equal(got, cond) {
-				return false
-			}
-			continue
-		}
-		switch op.Kind {
-		case OpExists:
-			want, _ := op.Value.(bool)
-			if present != want {
-				return false
-			}
-		case OpEq:
-			if !present || !equal(got, op.Value) {
-				return false
-			}
-		case OpNe:
-			if present && equal(got, op.Value) {
-				return false
-			}
-		case OpIn:
-			if !present {
-				return false
-			}
-			found := false
-			for _, v := range op.List {
-				if equal(got, v) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		default:
-			if !present {
-				return false
-			}
-			c, ok := compare(got, op.Value)
-			if !ok {
-				return false
-			}
-			switch op.Kind {
-			case OpGt:
-				if c <= 0 {
-					return false
-				}
-			case OpGte:
-				if c < 0 {
-					return false
-				}
-			case OpLt:
-				if c >= 0 {
-					return false
-				}
-			case OpLte:
-				if c > 0 {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // compiledCond is one filter condition with its field path pre-split
 // and its operator dispatch resolved to a closure, so evaluating a
 // candidate document costs only the lookupParts walk plus one indirect
@@ -348,8 +274,7 @@ type compiledCond struct {
 
 // compiledFilter is a Filter compiled for repeated evaluation. Find,
 // Count, update and delete compile each query once and run the
-// compiled form against every candidate; Filter.Matches remains the
-// interpreted one-shot path for callers matching a single document.
+// compiled form against every candidate.
 type compiledFilter []compiledCond
 
 // compile pre-splits every field path and resolves each condition's
@@ -366,8 +291,8 @@ func (f Filter) compile() compiledFilter {
 }
 
 // compileCond resolves one condition (literal equality or an Op) to a
-// match closure. Behavior is identical to the corresponding branch of
-// Filter.Matches.
+// match closure. The tests pin its behavior against an interpreted
+// oracle (interpretedMatch in mongo_test.go).
 func compileCond(cond any) func(got any, present bool) bool {
 	op, isOp := cond.(Op)
 	if !isOp {

@@ -223,7 +223,7 @@ func TestIndexEqualityMatchesScan(t *testing.T) {
 		f := Filter{"user": fmt.Sprintf("u%d", u)}
 		want := 0
 		for _, d := range c.Find(Filter{}, FindOpts{}) {
-			if f.Matches(d) {
+			if interpretedMatch(f, d) {
 				want++
 			}
 		}
@@ -554,8 +554,8 @@ func TestFindMatchesNaiveScanProperty(t *testing.T) {
 }
 
 // TestCompiledFilterMatchesInterpreted pins that the compiled form the
-// query engine runs (Filter.compile) agrees with the interpreted
-// Filter.Matches for every operator, nested paths, and missing fields.
+// query engine runs (Filter.compile) agrees with the interpretedMatch
+// oracle for every operator, nested paths, and missing fields.
 func TestCompiledFilterMatchesInterpreted(t *testing.T) {
 	docs := []Doc{
 		{"_id": "a", "gpus": 2, "user": "u0", "status": Doc{"phase": "RUNNING", "retries": 2}},
@@ -582,9 +582,83 @@ func TestCompiledFilterMatchesInterpreted(t *testing.T) {
 	for _, f := range filters {
 		cf := f.compile()
 		for _, d := range docs {
-			if got, want := cf.matches(d), f.Matches(d); got != want {
+			if got, want := cf.matches(d), interpretedMatch(f, d); got != want {
 				t.Errorf("filter %v on doc %v: compiled=%v interpreted=%v", f, d, got, want)
 			}
 		}
 	}
+}
+
+// interpretedMatch reports whether d satisfies f by walking the filter
+// directly: it re-splits every field path and re-dispatches every
+// operator per call. It is the query engine's original matcher, kept
+// here as the independent oracle for the compiled one (Filter.compile)
+// and as the baseline of BenchmarkMongoFindCompiledFilter.
+func interpretedMatch(f Filter, d Doc) bool {
+	for path, cond := range f {
+		got, present := lookupPath(d, path)
+		op, isOp := cond.(Op)
+		if !isOp {
+			if !present || !equal(got, cond) {
+				return false
+			}
+			continue
+		}
+		switch op.Kind {
+		case OpExists:
+			want, _ := op.Value.(bool)
+			if present != want {
+				return false
+			}
+		case OpEq:
+			if !present || !equal(got, op.Value) {
+				return false
+			}
+		case OpNe:
+			if present && equal(got, op.Value) {
+				return false
+			}
+		case OpIn:
+			if !present {
+				return false
+			}
+			found := false
+			for _, v := range op.List {
+				if equal(got, v) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return false
+			}
+		default:
+			if !present {
+				return false
+			}
+			c, ok := compare(got, op.Value)
+			if !ok {
+				return false
+			}
+			switch op.Kind {
+			case OpGt:
+				if c <= 0 {
+					return false
+				}
+			case OpGte:
+				if c < 0 {
+					return false
+				}
+			case OpLt:
+				if c >= 0 {
+					return false
+				}
+			case OpLte:
+				if c > 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

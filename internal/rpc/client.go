@@ -173,6 +173,12 @@ func (c *Conn) Call(ctx context.Context, methodName string, arg, reply any) erro
 	if err != nil {
 		return err
 	}
+	return c.await(ctx, id, cl, methodName, reply)
+}
+
+// await blocks until a started unary call completes and decodes its
+// reply body.
+func (c *Conn) await(ctx context.Context, id uint64, cl *call, methodName string, reply any) error {
 	var body []byte
 	for {
 		select {
@@ -184,6 +190,13 @@ func (c *Conn) Call(ctx context.Context, methodName string, arg, reply any) erro
 		case err := <-cl.done:
 			if err != nil {
 				return err
+			}
+			// The read loop queues the reply's data frame before its end
+			// frame, but select picks among ready channels at random:
+			// done may win while the body is still sitting in data.
+			select {
+			case body = <-cl.data:
+			default:
 			}
 			if reply != nil && len(body) > 0 {
 				if err := decodeInto(reply, body); err != nil {

@@ -368,3 +368,30 @@ func BenchmarkRPCRoundtrip(b *testing.B) {
 		}
 	}
 }
+
+// TestCallKeepsReplyWhenEndRacesData pins the unary-reply race: the
+// read loop queues a reply's data frame and then its end frame, and a
+// caller that reaches its select only after both are queued sees two
+// ready channels, of which select picks one at random. Taking the end
+// first must not lose the body. Both frames are pre-delivered here, so
+// every iteration is that worst case; before the fix about half of
+// them came back nil with an untouched reply.
+func TestCallKeepsReplyWhenEndRacesData(t *testing.T) {
+	body, err := encode(echoResp{Msg: "hi", N: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Conn{calls: make(map[uint64]*call)}
+	for i := 0; i < 4000; i++ {
+		cl := &call{data: make(chan []byte, 16), done: make(chan error, 1)}
+		cl.data <- body
+		cl.done <- nil
+		var resp echoResp
+		if err := c.await(context.Background(), uint64(i), cl, "Echo", &resp); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if resp.Msg != "hi" || resp.N != 42 {
+			t.Fatalf("call %d: reply = %+v, want {hi 42} (end frame won the select and the body was dropped)", i, resp)
+		}
+	}
+}

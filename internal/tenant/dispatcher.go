@@ -483,8 +483,7 @@ func (d *Dispatcher) dispatchQueuedLocked(e *queuedEntry) bool {
 	}
 	// Permanently infeasible: a gang bigger than the whole cluster can
 	// never be admitted, and in strict FCFS it would wedge the queue
-	// for every tenant behind it. Fail it visibly instead (the legacy
-	// gate rejected it at submit time).
+	// for every tenant behind it. Fail it visibly instead.
 	if d.failIfInfeasibleLocked(e) {
 		return true
 	}
