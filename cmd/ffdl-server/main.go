@@ -101,6 +101,12 @@ func main() {
 		json.NewEncoder(w).Encode(v) //nolint:errcheck
 	}
 	fail := func(w http.ResponseWriter, code int, err error) {
+		if ffdl.IsDegraded(err) {
+			// Degraded mode: the metadata store is unavailable and the
+			// request was shed, not rejected. Tell the client to retry.
+			w.Header().Set("Retry-After", "1")
+			code = http.StatusServiceUnavailable
+		}
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 	}
 
@@ -116,13 +122,6 @@ func main() {
 			}
 			id, err := client.Submit(ctx, m)
 			if err != nil {
-				if ffdl.IsDegraded(err) {
-					// Read-only degraded mode: the submission was shed,
-					// not rejected. Tell the client to retry.
-					w.Header().Set("Retry-After", "1")
-					fail(w, http.StatusServiceUnavailable, err)
-					return
-				}
 				fail(w, http.StatusUnprocessableEntity, err)
 				return
 			}

@@ -686,42 +686,51 @@ func (l *Log) Get(offset uint64) (Record, bool) {
 
 // atOrAfterLocked returns the first record with Offset >= offset, its
 // successor offset, and whether one exists.
-func (l *Log) atOrAfterLocked(offset uint64) (Record, uint64, bool) {
-	// Find the first segment whose last record reaches offset.
+func (l *Log) atOrAfterLocked(offset uint64) (rec Record, succ uint64, ok bool) {
+	l.scanLocked(offset, func(r Record) bool {
+		rec, succ, ok = r, r.Offset+1, true
+		return false
+	})
+	return rec, succ, ok
+}
+
+// Scan calls fn on every retained record with Offset >= from, in offset
+// order (compaction holes skipped), until fn returns false. It walks the
+// index in place under the log's lock — no copy — so fn must not call
+// back into the Log, and what it wants to keep of a record it copies.
+func (l *Log) Scan(from uint64, fn func(Record) bool) {
+	l.lock()
+	defer l.unlock()
+	l.scanLocked(from, fn)
+}
+
+func (l *Log) scanLocked(from uint64, fn func(Record) bool) {
+	// Find the first segment whose last record reaches from. The empty
+	// active segment counts as reaching it — nothing lies beyond — which
+	// keeps the predicate monotone for the binary search.
 	i := sort.Search(len(l.segments), func(i int) bool {
 		last, ok := l.segments[i].lastOffset()
-		return ok && last >= offset
+		return !ok || last >= from
 	})
 	for ; i < len(l.segments); i++ {
 		recs := l.segments[i].recs
-		j := sort.Search(len(recs), func(j int) bool { return recs[j].Offset >= offset })
-		if j < len(recs) {
-			return recs[j], recs[j].Offset + 1, true
-		}
-	}
-	return Record{}, 0, false
-}
-
-// Records returns a copy of every retained record with Offset >= from
-// (compaction holes skipped) — the bulk-replay convenience readers
-// wrap.
-func (l *Log) Records(from uint64) []Record {
-	l.lock()
-	defer l.unlock()
-	if from < l.oldest {
-		from = l.oldest
-	}
-	var out []Record
-	for _, seg := range l.segments {
-		if last, ok := seg.lastOffset(); !ok || last < from {
-			continue
-		}
-		for _, r := range seg.recs {
-			if r.Offset >= from {
-				out = append(out, r)
+		j := sort.Search(len(recs), func(j int) bool { return recs[j].Offset >= from })
+		for ; j < len(recs); j++ {
+			if !fn(recs[j]) {
+				return
 			}
 		}
 	}
+}
+
+// Records returns a copy of every retained record with Offset >= from
+// — the bulk-replay convenience over Scan.
+func (l *Log) Records(from uint64) []Record {
+	var out []Record
+	l.Scan(from, func(r Record) bool {
+		out = append(out, r)
+		return true
+	})
 	return out
 }
 

@@ -88,6 +88,68 @@ func TestSegmentSealing(t *testing.T) {
 	}
 }
 
+// TestReadsRightAfterRoll pins the segment search on a log whose active
+// segment is empty — the state every seal and every reopen leaves
+// behind: point reads, readers and scans must still find the sealed
+// records.
+func TestReadsRightAfterRoll(t *testing.T) {
+	for _, full := range []int{1, 2, 3} { // sealed segments before the empty active one
+		l, err := Open(NewMemStore(), Options{SegmentRecords: 4})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		n := uint64(4 * full)
+		for i := uint64(0); i < n; i++ {
+			mustAppend(t, l, "", []byte{byte(i)})
+		}
+		for off := uint64(0); off < n; off++ {
+			if rec, ok := l.Get(off); !ok || rec.Offset != off {
+				t.Fatalf("%d full segments: Get(%d) = %+v, %v", full, off, rec, ok)
+			}
+			if rec, err := l.ReadFrom(off).Next(); err != nil || rec.Offset != off {
+				t.Fatalf("%d full segments: ReadFrom(%d).Next = %+v, %v", full, off, rec, err)
+			}
+		}
+		if recs := l.Records(2); uint64(len(recs)) != n-2 || recs[0].Offset != 2 {
+			t.Fatalf("%d full segments: Records(2) = %d records, want %d from offset 2", full, len(recs), n-2)
+		}
+	}
+}
+
+// TestScan pins the in-place iterator: offset order from the requested
+// offset, compaction holes skipped, and it stops when fn says so.
+func TestScan(t *testing.T) {
+	l, err := Open(NewMemStore(), Options{SegmentRecords: 4, Compact: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 10; i++ {
+		mustAppend(t, l, fmt.Sprintf("k%d", i%2), []byte{byte(i)})
+	}
+	want := l.Records(3)
+	var got []uint64
+	l.Scan(3, func(r Record) bool {
+		got = append(got, r.Offset)
+		return true
+	})
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("Scan(3) visited %d records, Records(3) has %d", len(got), len(want))
+	}
+	for i, r := range want {
+		if got[i] != r.Offset {
+			t.Fatalf("Scan(3) visit %d = offset %d, want %d", i, got[i], r.Offset)
+		}
+	}
+	visits := 0
+	l.Scan(0, func(Record) bool {
+		visits++
+		return visits < 2
+	})
+	if visits != 2 {
+		t.Fatalf("Scan visited %d records after fn returned false on the 2nd", visits)
+	}
+}
+
 func TestValueRidesMemory(t *testing.T) {
 	type ev struct{ N int }
 	l, err := Open(NewMemStore(), Options{})

@@ -178,7 +178,7 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		}); err != nil {
 			if mongoOutageErr(err) {
 				a.p.Metrics.Inc("api.degraded_sheds")
-				return nil, degradedSubmitErr(err)
+				return nil, degradedErr(err)
 			}
 			return nil, fmt.Errorf("core: tenant lookup: %w", err)
 		}
@@ -194,7 +194,7 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 	// forbids acknowledging anything not durably persisted.
 	if a.p.Degraded() {
 		a.p.Metrics.Inc("api.degraded_sheds")
-		return nil, degradedSubmitErr(fmt.Errorf("submission shed, breaker open"))
+		return nil, degradedErr(fmt.Errorf("submission shed, breaker open"))
 	}
 	jobID := a.p.nextJobID()
 	now := a.p.clock.Now()
@@ -212,7 +212,7 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 	}); err != nil {
 		if mongoOutageErr(err) {
 			a.p.Metrics.Inc("api.degraded_sheds")
-			return nil, degradedSubmitErr(err)
+			return nil, degradedErr(err)
 		}
 		return nil, fmt.Errorf("core: persist job: %w", err)
 	}
@@ -293,26 +293,51 @@ func (a *apiReplica) deployWithRetry(jobID string) {
 
 func (a *apiReplica) handleStatus(_ context.Context, arg any) (any, error) {
 	req := arg.(JobArgs)
-	doc, err := a.p.findJob(req.JobID)
+	reply, _, err := a.p.statusHistory(req.JobID, 1)
 	if err != nil {
-		// Graceful degradation: while the metadata store is unavailable,
-		// serve the latest transitions the status bus retains (flagged
-		// Degraded) instead of failing the read. Not-found and other
-		// store answers surface as before.
-		if mongoOutageErr(err) {
-			if reply, ok := a.p.degradedStatus(req.JobID); ok {
-				a.p.Metrics.Inc("api.degraded_reads")
-				return reply, nil
-			}
-		}
-		return nil, fmt.Errorf("core: job %s: %w", req.JobID, err)
+		return nil, err
 	}
-	rec := docToRecord(doc)
-	reply := StatusReply{JobID: rec.ID, Status: rec.Status, History: rec.History}
-	if rec.Status == StatusQueued && a.p.Dispatcher != nil {
-		reply.QueuePos, _ = a.p.Dispatcher.Position(rec.ID)
+	if reply.Degraded {
+		if len(reply.History) == 0 {
+			return nil, fmt.Errorf("core: job %s: %w", req.JobID, ErrDegraded)
+		}
+		a.p.Metrics.Inc("api.degraded_reads")
+	} else if reply.Status == StatusQueued && a.p.Dispatcher != nil {
+		reply.QueuePos, _ = a.p.Dispatcher.Position(req.JobID)
 	}
 	return reply, nil
+}
+
+// statusHistory reads a job's current status and its history from Seq
+// fromSeq on. It is the one place that knows where that history lives
+// and in which order to ask: the bus log when it proves a complete
+// answer (ReplayJob's contiguity rule; replayed=true, no MongoDB read),
+// MongoDB — the source of truth — behind it, and when MongoDB does not
+// answer, whatever the log retains. Only that last answer may have
+// holes; it is flagged Degraded, as is a replay while the store's
+// breaker is not closed. Store answers such as not-found are errors.
+func (p *Platform) statusHistory(jobID string, fromSeq int) (reply StatusReply, replayed bool, err error) {
+	evs, contiguous := p.bus.ReplayJob(jobID, fromSeq)
+	if !contiguous {
+		doc, err := p.findJob(jobID)
+		if err == nil {
+			rec := docToRecord(doc)
+			return StatusReply{JobID: jobID, Status: rec.Status, History: rec.History[min(fromSeq-1, len(rec.History)):]}, false, nil
+		}
+		if !mongoOutageErr(err) {
+			return StatusReply{}, false, fmt.Errorf("core: job %s: %w", jobID, err)
+		}
+		evs = p.bus.Retained(jobID, fromSeq)
+	}
+	reply = StatusReply{
+		JobID:    jobID,
+		History:  make([]StatusEntry, 0, len(evs)),
+		Degraded: !contiguous || p.res.mongo.BreakerState() != resilience.BreakerClosed,
+	}
+	for _, ev := range evs {
+		reply.Status, reply.History = ev.Status, append(reply.History, ev.Entry)
+	}
+	return reply, contiguous, nil
 }
 
 func (a *apiReplica) handleList(_ context.Context, arg any) (any, error) {
@@ -321,7 +346,17 @@ func (a *apiReplica) handleList(_ context.Context, arg any) (any, error) {
 	if req.User != "" {
 		filter["user"] = req.User
 	}
-	docs := a.p.Jobs.Find(filter, mongo.FindOpts{SortBy: "_id"})
+	var docs []mongo.Doc
+	if err := a.p.mongoDo(func() error {
+		// Find has no error return; nil, as opposed to empty, is how it
+		// says the primary is unavailable.
+		if docs = a.p.Jobs.Find(filter, mongo.FindOpts{SortBy: "_id"}); docs == nil {
+			return mongo.ErrUnavailable
+		}
+		return nil
+	}); err != nil {
+		return nil, degradedErr(err)
+	}
 	reply := ListReply{}
 	for _, d := range docs {
 		reply.Jobs = append(reply.Jobs, docToRecord(d))
@@ -348,11 +383,11 @@ func (a *apiReplica) handleTrace(_ context.Context, arg any) (any, error) {
 	if t, ok := a.p.Tracer.Trace(req.JobID); ok {
 		return TraceReply{Trace: t}, nil
 	}
-	rec, err := a.jobRecord(req.JobID)
+	doc, err := a.p.findJob(req.JobID)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: job %s: %w", req.JobID, err)
 	}
-	return TraceReply{Trace: traceFromHistory(rec)}, nil
+	return TraceReply{Trace: traceFromHistory(docToRecord(doc))}, nil
 }
 
 // traceFromHistory rebuilds a job's phase-level trace from its status
@@ -450,11 +485,10 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 }
 
 // handleWatch streams a job's status transitions in history order. The
-// bus subscription is taken before the MongoDB backlog is read, so no
+// bus subscription is taken before the backlog is read, so no
 // transition can fall between backlog and live stream; any bus gap
-// (slow subscriber, dropped event) is refilled from MongoDB, which
-// remains the source of truth. The stream ends once the job reaches a
-// terminal status.
+// (slow subscriber, dropped event) is refilled from statusHistory. The
+// stream ends once the job reaches a terminal status.
 func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) error) error {
 	req := arg.(WatchArgs)
 	next := req.FromSeq
@@ -464,53 +498,45 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 	live, cancel := a.p.bus.Subscribe(req.JobID, 64)
 	defer cancel()
 
-	// refill streams everything the durable history holds from next on;
-	// it is the recovery path for any bus shortfall (gap, dropped
-	// terminal event) and the initial backlog. done=true ends the
-	// stream at a terminal status.
-	refill := func() (done bool, err error) {
-		rec, err := a.jobRecord(req.JobID)
+	// fill streams everything statusHistory holds from next on: the
+	// initial backlog, and the recovery path for any bus shortfall (gap,
+	// dropped terminal event). done=true ends the stream at a terminal
+	// status.
+	fill := func() (replayed, done bool, err error) {
+		h, replayed, err := a.p.statusHistory(req.JobID, next)
 		if err != nil {
-			// Degraded: the metadata store did not answer. The stream
-			// survives on live bus events alone — Seq dedup keeps
-			// delivery exactly-once — and the safety tick retries the
-			// durable reconcile once the store heals. Store answers
-			// (job deleted) still end the stream.
-			if mongoOutageErr(err) {
-				a.p.Metrics.Inc("watch.degraded_refills")
-				return false, nil
+			return false, false, err
+		}
+		if h.Degraded && !replayed {
+			// The metadata store did not answer, and what the log retains
+			// may have holes. The stream survives on live bus events alone
+			// — the Seq cursor keeps delivery exactly-once — and the
+			// safety tick retries the fill once the store heals.
+			a.p.Metrics.Inc("watch.degraded_refills")
+			return false, false, nil
+		}
+		for _, e := range h.History {
+			if err := send(StatusItem{Seq: next, Entry: e}); err != nil {
+				return replayed, false, err
 			}
-			return false, err
+			next++
 		}
-		if next, err = sendHistoryFrom(rec, next, send); err != nil {
-			return false, err
-		}
-		return rec.Status.Terminal(), nil
+		return replayed, h.Status.Terminal(), nil
 	}
-	// Fast path: a reconnecting watcher whose resume point is still in
-	// the bus's commit log replays from there — no MongoDB read. The
-	// replay is only taken when provably complete (contiguous from
-	// FromSeq); otherwise fall back to the durable refill.
-	if evs, contiguous := a.p.bus.ReplayJob(req.JobID, next); contiguous {
+	// A watcher whose resume point is still in the bus's commit log
+	// opens with no MongoDB read.
+	replayed, done, err := fill()
+	if replayed {
 		a.p.Metrics.Inc("watch.replays")
-		for _, ev := range evs {
-			if err := send(StatusItem{Seq: ev.Seq, Entry: ev.Entry}); err != nil {
-				return err
-			}
-			next = ev.Seq + 1
-			if ev.Status.Terminal() {
-				return nil
-			}
-		}
 	} else {
 		a.p.Metrics.Inc("watch.refills")
-		if done, err := refill(); err != nil || done {
-			return err
-		}
+	}
+	if err != nil || done {
+		return err
 	}
 	// Safety tick: the bus drops events for slow subscribers, and a
 	// dropped *terminal* event has no successor to reveal the gap, so
-	// the stream must periodically reconcile against MongoDB.
+	// the stream must periodically reconcile against the history.
 	ticker := a.p.clock.NewTicker(a.p.cfg.PollInterval * 10)
 	defer ticker.Stop()
 	for {
@@ -518,7 +544,7 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 		case <-ctx.Done():
 			return nil
 		case <-ticker.C:
-			if done, err := refill(); err != nil || done {
+			if _, done, err := fill(); err != nil || done {
 				return err
 			}
 		case ev, ok := <-live:
@@ -530,9 +556,9 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 			}
 			if ev.Seq > next {
 				// Gap: the bus dropped events for us. The event that
-				// revealed the gap was published after its MongoDB
-				// write, so the refill includes it.
-				if done, err := refill(); err != nil || done {
+				// revealed the gap was logged, after its MongoDB write,
+				// before it was fanned out, so the fill includes it.
+				if _, done, err := fill(); err != nil || done {
 					return err
 				}
 				continue
@@ -546,26 +572,6 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 			}
 		}
 	}
-}
-
-func (a *apiReplica) jobRecord(jobID string) (JobRecord, error) {
-	doc, err := a.p.findJob(jobID)
-	if err != nil {
-		return JobRecord{}, fmt.Errorf("core: job %s: %w", jobID, err)
-	}
-	return docToRecord(doc), nil
-}
-
-// sendHistoryFrom streams rec's history entries with sequence >= next
-// and returns the next unsent sequence.
-func sendHistoryFrom(rec JobRecord, next int, send func(any) error) (int, error) {
-	for i := next - 1; i < len(rec.History); i++ {
-		if err := send(StatusItem{Seq: i + 1, Entry: rec.History[i]}); err != nil {
-			return next, err
-		}
-		next = i + 2
-	}
-	return next, nil
 }
 
 // crashAndRestart models a replica crash: the server drops all
@@ -810,10 +816,10 @@ const watchRetryDelay = 5 * time.Millisecond
 // ctx/cancel fires); closure without a terminal entry means
 // cancellation, never completion. The stream transparently reconnects
 // across API replica crashes, resuming from the last delivered
-// transition, so every transition is observed exactly once end-to-end —
-// including transitions committed by other API replicas or processes,
-// which reach every replica's status bus through the MongoDB change
-// feed. This is the layer-4 contract of docs/watch-protocol.md.
+// transition, so every transition is observed exactly once end-to-end,
+// whichever API replica serves the stream and whichever replica
+// committed the transition. This is the layer-4 contract of
+// docs/watch-protocol.md.
 func (c *Client) WatchStatus(ctx context.Context, jobID string) (<-chan StatusEntry, func(), error) {
 	// Synchronous existence check so callers get an immediate error for
 	// unknown jobs rather than a silently empty stream.

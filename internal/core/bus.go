@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/ffdl/ffdl/internal/commitlog"
-	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/obs"
 	"github.com/ffdl/ffdl/internal/sim"
 )
@@ -25,27 +24,17 @@ type StatusEvent struct {
 
 // statusBus fans job status transitions out to in-process subscribers:
 // the LCM recovery loop (wakes on PENDING jobs instead of polling
-// MongoDB) and the API replicas' WatchStatus streams. Delivery is
-// best-effort with bounded buffers — a slow subscriber loses events and
-// recovers from MongoDB via Seq gaps or a resync tick.
+// MongoDB), the tenant dispatcher's status pump and the API replicas'
+// WatchStatus streams. Delivery is best-effort with bounded buffers — a
+// slow subscriber loses events and recovers from MongoDB via Seq gaps or
+// a resync tick.
 //
-// The bus has two feeders: the direct path (setJobStatus publishes
-// right after its MongoDB write) and the change-feed path (the
-// platform tails the jobs collection's mongo change stream and
-// republishes transitions it carries — the multi-replica fallback that
-// delivers transitions committed by other API processes). Per-job Seq
-// dedup below makes the two paths composable: whichever arrives first
-// wins, the echo is dropped, and per-job order is preserved.
+// The bus has one feeder: the writers of a job's status (handleSubmit,
+// setJobStatus) publish right after their MongoDB write, in Seq order.
 type statusBus struct {
 	mu    sync.Mutex
 	subs  map[int]*busSub
 	nextS int
-	// lastSeq is the highest Seq published per in-flight job, the
-	// dedup cursor between the direct and change-feed paths. Entries
-	// are removed at the terminal transition to bound the map; a late
-	// duplicate terminal may therefore be republished, which
-	// subscribers absorb by their own Seq cursors.
-	lastSeq map[string]int
 	// log retains recent published events on the platform's commit log
 	// (internal/commitlog), keyed by job id with key-compaction: a
 	// watcher that disconnects and comes back within the retained
@@ -53,6 +42,15 @@ type statusBus struct {
 	// re-reading MongoDB (ReplayJob), and compaction keeps at least
 	// every job's newest transition as older segments merge.
 	log *commitlog.Log
+	// first is where ReplayJob starts reading: per tracked job, the log
+	// offset of its earliest event compaction has not yet taken. A job
+	// is tracked from its first non-terminal event on — a lone terminal
+	// event is the record compaction keeps forever, and tracking it
+	// would pin an entry per finished job — until a sweep finds that
+	// event compacted away; an untracked job costs a read one map miss,
+	// not a scan of the log. appends paces the sweeps.
+	first   map[string]uint64
+	appends int
 	// persist encodes events into record payloads so the replay window
 	// survives a process restart (DataDir platforms); off on MemStore,
 	// where events ride the in-memory record Value.
@@ -64,15 +62,20 @@ type busSub struct {
 	ch    chan StatusEvent
 }
 
+// busSegmentRecords is the replay log's segment size. Sealing a segment
+// is what compacts it, so it is also how often Publish sweeps first.
+const busSegmentRecords = 256
+
 // newStatusBus opens the bus over the given replay-log store — a
 // MemStore for the simulation default, a FileStore under DataDir for a
 // durable platform, where the retained window (and therefore WatchStatus
-// replay-on-reconnect) survives a full process restart. obsReg/clk wire
-// the commit log's append/compaction instrumentation (nil obsReg runs
-// the log uninstrumented).
+// replay-on-reconnect) survives a full process restart: the jobs a
+// recovered log still holds are tracked again from its records.
+// obsReg/clk wire the commit log's append/compaction instrumentation
+// (nil obsReg runs the log uninstrumented).
 func newStatusBus(store commitlog.SegmentStore, persist bool, obsReg *obs.Registry, clk sim.Clock) (*statusBus, error) {
 	log, err := commitlog.Open(store, commitlog.Options{
-		SegmentRecords: 256,
+		SegmentRecords: busSegmentRecords,
 		Compact:        true,
 		MaxSegments:    8,
 		Obs:            obsReg,
@@ -81,7 +84,21 @@ func newStatusBus(store commitlog.SegmentStore, persist bool, obsReg *obs.Regist
 	if err != nil {
 		return nil, fmt.Errorf("core: open status log: %w", err)
 	}
-	return &statusBus{subs: make(map[int]*busSub), lastSeq: make(map[string]int), log: log, persist: persist}, nil
+	b := &statusBus{subs: make(map[int]*busSub), first: make(map[string]uint64), log: log, persist: persist}
+	log.Scan(0, func(rec commitlog.Record) bool {
+		if ev, isEv := busEvent(rec); isEv {
+			b.track(ev, rec.Offset)
+		}
+		return true
+	})
+	return b, nil
+}
+
+// track starts tracking ev's job at offset off unless it already is.
+func (b *statusBus) track(ev StatusEvent, off uint64) {
+	if _, tracked := b.first[ev.JobID]; !tracked && !ev.Status.Terminal() {
+		b.first[ev.JobID] = off
+	}
 }
 
 // Subscribe registers for transitions of one job (or all jobs when
@@ -103,29 +120,37 @@ func (b *statusBus) Subscribe(jobID string, buf int) (<-chan StatusEvent, func()
 	}
 }
 
-// Publish delivers ev to matching subscribers without blocking. Events
-// at or below the job's published cursor are dropped, so the direct and
-// change-feed paths never duplicate or reorder a job's transitions.
+// Publish records ev in the replay log and delivers it to matching
+// subscribers without blocking. Callers publish a job's transitions in
+// Seq order (statusMu serialises the writers).
 func (b *statusBus) Publish(ev StatusEvent) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if ev.Seq <= b.lastSeq[ev.JobID] {
-		return // already published by the other feeder
-	}
-	if ev.Status.Terminal() {
-		delete(b.lastSeq, ev.JobID)
-	} else {
-		b.lastSeq[ev.JobID] = ev.Seq
-	}
-	// Record the transition in the replay log (keyed by job) before
-	// fan-out, so a subscriber that misses the channel send can still
-	// replay it. A durable bus encodes the event into the payload; a
-	// failed append degrades to refill-from-MongoDB, never blocks a
-	// transition.
+	// Log before fan-out (keyed by job), so a subscriber that misses the
+	// channel send can still replay the transition. A durable bus encodes
+	// the event into the payload.
+	var off uint64
+	var err error
 	if b.persist {
-		b.log.Append(ev.JobID, encodeStatusEvent(nil, ev)) //nolint:errcheck // replay is an optimization; MongoDB is the source of truth
+		off, err = b.log.Append(ev.JobID, encodeStatusEvent(nil, ev))
 	} else {
-		b.log.AppendValue(ev.JobID, ev) //nolint:errcheck // unreachable on a MemStore
+		off, err = b.log.AppendValue(ev.JobID, ev)
+	}
+	if err != nil {
+		// A failed append never blocks a transition, but it kills the log
+		// (commitlog.ErrDead): its tail is stale from here on, so nothing
+		// it holds can prove a complete answer. Untracking every job sends
+		// all reads to MongoDB, the source of truth.
+		clear(b.first)
+	} else {
+		b.track(ev, off)
+		if b.appends++; b.appends%busSegmentRecords == 0 {
+			for id, first := range b.first {
+				if _, retained := b.log.Get(first); !retained {
+					delete(b.first, id)
+				}
+			}
+		}
 	}
 	for _, s := range b.subs {
 		if s.jobID != "" && s.jobID != ev.JobID {
@@ -138,33 +163,53 @@ func (b *statusBus) Publish(ev StatusEvent) {
 	}
 }
 
-// ReplayJob returns the retained transitions of jobID with Seq >=
-// fromSeq, in Seq order. contiguous is the proof of completeness the
-// watch path demands before streaming the replay as-is: at least one
-// event, led by exactly fromSeq, with no Seq hole. Anything less (job
-// unknown here, resume point compacted away, retention trimmed the
-// tail) reports false and the watcher refills from MongoDB, which
-// remains the source of truth. Degraded mode's status read takes the
-// events regardless — a front truncated by compaction still beats
-// failing the read while the metadata store is unavailable.
+// ReplayJob returns the retained transitions of a tracked job with Seq
+// >= fromSeq, in Seq order. contiguous is the proof of completeness a
+// read demands before serving the replay as-is: at least one event, led
+// by exactly fromSeq, with no Seq hole. Anything less (job untracked
+// here, resume point compacted away, nothing at or past fromSeq yet)
+// reports false and the read goes to MongoDB, which remains the source
+// of truth.
 func (b *statusBus) ReplayJob(jobID string, fromSeq int) (evs []StatusEvent, contiguous bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	first, tracked := b.first[jobID]
+	if !tracked {
+		return nil, false
+	}
+	return b.scanJob(jobID, fromSeq, first)
+}
+
+// Retained returns every transition of jobID with Seq >= fromSeq the
+// log still holds, tracked or not, holes and all: the whole-log read
+// behind a degraded reply, where a history truncated by compaction
+// still beats failing the read.
+func (b *statusBus) Retained(jobID string, fromSeq int) []StatusEvent {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	evs, _ := b.scanJob(jobID, fromSeq, 0)
+	return evs
+}
+
+// scanJob walks the log in place from offset from, collecting jobID's
+// events with Seq >= fromSeq.
+func (b *statusBus) scanJob(jobID string, fromSeq int, from uint64) (evs []StatusEvent, contiguous bool) {
 	last, holes := fromSeq-1, false
-	for _, rec := range b.log.Records(0) {
+	b.log.Scan(from, func(rec commitlog.Record) bool {
 		if rec.Key != jobID {
-			continue
+			return true
 		}
 		ev, isEv := busEvent(rec)
 		if !isEv || ev.Seq <= last {
-			continue // duplicate (late terminal echo) or below the resume point
+			return true // undecodable, or below the resume point
 		}
 		if ev.Seq != last+1 {
 			holes = true // compaction or a lost publish
 		}
 		evs = append(evs, ev)
 		last = ev.Seq
-	}
+		return true
+	})
 	return evs, len(evs) > 0 && !holes
 }
 
@@ -180,40 +225,4 @@ func busEvent(rec commitlog.Record) (StatusEvent, bool) {
 	}
 	ev, err := decodeStatusEvent(rec.Payload)
 	return ev, err == nil
-}
-
-// statusFeedLoop tails the jobs collection's change stream and
-// republishes each carried status transition on the bus. This is the
-// bus's multi-replica fallback: a transition committed by another API
-// process — whose in-process Publish this one cannot observe — still
-// reaches local subscribers through the durable feed, so
-// Client.WatchStatus keeps its exactly-once, in-order, seq-resumable
-// contract when the API layer runs multi-replica. Locally-published
-// transitions come back as echoes and are dropped by the bus's Seq
-// dedup. Feed lag or drops are harmless for the same reason every bus
-// gap is: subscribers refill from MongoDB by Seq.
-func (p *Platform) statusFeedLoop(cs *mongo.ChangeStream) {
-	for {
-		select {
-		case <-p.stopCh:
-			return
-		case ev, ok := <-cs.Events():
-			if !ok {
-				return
-			}
-			if ev.Doc == nil {
-				continue // deletes carry no transition
-			}
-			rec := docToRecord(ev.Doc)
-			if rec.ID == "" || len(rec.History) == 0 {
-				continue
-			}
-			p.bus.Publish(StatusEvent{
-				JobID:  rec.ID,
-				Seq:    len(rec.History),
-				Status: rec.Status,
-				Entry:  rec.History[len(rec.History)-1],
-			})
-		}
-	}
 }

@@ -629,18 +629,6 @@ func TestWatchStatusDeliversTransitionsInOrderUnderAPICrash(t *testing.T) {
 	}
 }
 
-// TestEventDrivenControlPlanePollIndependence is the acceptance test for
-// the event-driven refactor: with every control-loop interval cranked to
-// 100ms on a simulated clock, a 2-learner job must still complete with
-// end-to-end virtual latency dominated by the modeled container start
-// delays (~15ms), not by ticker periods. A poll-driven control plane at
-// the same intervals cannot finish in under one PollInterval — the
-// helper and guardian alone would each burn at least one 100ms tick —
-// so completing in < 100ms virtual proves no control-plane hop waits
-// for a ticker.
-// TestStatusBusDedupsAcrossFeeders: the bus has two feeders (direct
-// publish and the MongoDB change feed); per-job Seq dedup must drop the
-// echo and stale replays while preserving order.
 // newMemBus opens a status bus on a fresh MemStore for bus-only tests.
 func newMemBus(t *testing.T) *statusBus {
 	t.Helper()
@@ -651,100 +639,15 @@ func newMemBus(t *testing.T) *statusBus {
 	return b
 }
 
-func TestStatusBusDedupsAcrossFeeders(t *testing.T) {
-	b := newMemBus(t)
-	ch, cancel := b.Subscribe("j", 16)
-	defer cancel()
-	b.Publish(StatusEvent{JobID: "j", Seq: 1, Status: StatusPending})
-	b.Publish(StatusEvent{JobID: "j", Seq: 1, Status: StatusPending}) // change-feed echo
-	b.Publish(StatusEvent{JobID: "j", Seq: 2, Status: StatusDeploying})
-	b.Publish(StatusEvent{JobID: "j", Seq: 1, Status: StatusPending}) // stale replay
-	if n := len(ch); n != 2 {
-		t.Fatalf("subscriber got %d events, want 2 (dedup failed)", n)
-	}
-	if ev := <-ch; ev.Seq != 1 {
-		t.Fatalf("first event Seq = %d, want 1", ev.Seq)
-	}
-	if ev := <-ch; ev.Seq != 2 {
-		t.Fatalf("second event Seq = %d, want 2", ev.Seq)
-	}
-}
-
-// TestWatchStatusSeesTransitionsFromOtherReplicas pins the bus's
-// multi-replica fallback: transitions committed straight to MongoDB (as
-// an API replica in another process would) must reach a local
-// WatchStatus stream promptly via the change feed — not via the
-// seconds-long MongoDB safety tick, which a long PollInterval pushes out
-// of reach here.
-func TestWatchStatusSeesTransitionsFromOtherReplicas(t *testing.T) {
-	p := newTestPlatform(t, func(c *Config) { c.PollInterval = 500 * time.Millisecond })
-	c := p.Client()
-	const jobID = "training-remote"
-	now := p.clock.Now().Format(time.RFC3339Nano)
-	hist := func(s JobStatus) map[string]any {
-		return map[string]any{"status": string(s), "time": now, "message": "from another replica"}
-	}
-	// The job appears fully formed in MongoDB, already past PENDING so
-	// the local LCM recovery loop leaves it alone.
-	if _, err := p.Jobs.Insert(mongo.Doc{
-		"_id": jobID, "name": "remote-job", "user": "bob",
-		"status":  string(StatusDeploying),
-		"history": []any{hist(StatusPending), hist(StatusDeploying)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ch, stop, err := c.WatchStatus(ctx, jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	expect := func(want JobStatus) {
-		t.Helper()
-		select {
-		case e, ok := <-ch:
-			if !ok {
-				t.Fatalf("stream closed while waiting for %s", want)
-			}
-			if e.Status != want {
-				t.Fatalf("got %s, want %s", e.Status, want)
-			}
-		case <-time.After(3 * time.Second):
-			t.Fatalf("no %s transition (change feed not delivering?)", want)
-		}
-	}
-	expect(StatusPending)
-	expect(StatusDeploying)
-	// "Another replica" commits transitions straight to MongoDB; this
-	// process's bus can only learn of them through the change feed.
-	push := func(s JobStatus) {
-		t.Helper()
-		if err := p.Jobs.UpdateOne(mongo.Filter{"_id": jobID}, mongo.Update{
-			Set:  mongo.Doc{"status": string(s)},
-			Push: map[string]any{"history": hist(s)},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	start := time.Now()
-	push(StatusProcessing)
-	expect(StatusProcessing)
-	push(StatusCompleted)
-	expect(StatusCompleted)
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("transitions took %v, slower than the change feed should ever be", elapsed)
-	}
-	select {
-	case _, ok := <-ch:
-		if ok {
-			t.Fatal("stream delivered past the terminal status")
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("stream did not close after the terminal transition")
-	}
-}
-
+// TestEventDrivenControlPlanePollIndependence is the acceptance test for
+// the event-driven refactor: with every control-loop interval cranked to
+// 100ms on a simulated clock, a 2-learner job must still complete with
+// end-to-end virtual latency dominated by the modeled container start
+// delays (~15ms), not by ticker periods. A poll-driven control plane at
+// the same intervals cannot finish in under one PollInterval — the
+// helper and guardian alone would each burn at least one 100ms tick —
+// so completing in < 100ms virtual proves no control-plane hop waits
+// for a ticker.
 func TestEventDrivenControlPlanePollIndependence(t *testing.T) {
 	fc := sim.NewFakeClock(time.Unix(0, 0))
 	// Generous settle: virtual time only advances after 15ms of wall

@@ -57,6 +57,12 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 		t.Fatal("degraded status reply carries no history")
 	}
 
+	// List has no replay window to fall back on: it must say so with the
+	// retryable error, never answer "no jobs".
+	if recs, err := c.List(ctx, "alice"); !IsDegraded(err) {
+		t.Fatalf("List during the outage = %d jobs, err %v; want the degraded-retryable error", len(recs), err)
+	}
+
 	// Watch reads work too: the stream replays the bus's commit-log
 	// window (no MongoDB read) in order through the terminal entry.
 	wch, wcancel, err := c.WatchStatus(ctx, jobID)
@@ -98,6 +104,10 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 	reply, err = c.Status(ctx, job2)
 	if err != nil || reply.Degraded {
 		t.Fatalf("post-heal status degraded=%v err=%v, want clean read", reply.Degraded, err)
+	}
+
+	if recs, err := c.List(ctx, "alice"); err != nil || len(recs) != 2 {
+		t.Fatalf("post-heal List = %d jobs, err %v; want both jobs", len(recs), err)
 	}
 
 	// The degraded window was observable on the platform counters.

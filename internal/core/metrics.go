@@ -38,8 +38,8 @@ type MetricsService struct {
 	// reg is the platform's unified metrics registry: the flat counter
 	// map the service historically kept now lives there as obs.Counter
 	// instruments under the dotted subsystem.name convention, so the
-	// same counters appear on the GET /v1/metrics scrape. Inc/Counter/
-	// Counters remain as thin views over it.
+	// same counters appear on the GET /v1/metrics scrape; Inc is the
+	// write side, readers go to the registry (Platform.Obs).
 	reg  *obs.Registry
 	subs map[string][]chan LogLine
 	// obs/clock wire hot-path instrumentation into each job's commit
@@ -111,12 +111,14 @@ func (m *MetricsService) jobLogForReadLocked(jobID string) *commitlog.Log {
 }
 
 // AppendLog ingests one log line, assigns its offset, and fans it out
-// to streamers.
+// to streamers. The fan-out stays under m.mu: a StreamLogs cancel edits
+// the subscriber slice in place and closes the channel under the same
+// lock, so a send can never race either.
 func (m *MetricsService) AppendLog(line LogLine) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	l, err := m.jobLogLocked(line.JobID)
 	if err != nil {
-		m.mu.Unlock()
 		m.reg.Counter("metrics.log_open_errors").Inc()
 		return
 	}
@@ -129,12 +131,9 @@ func (m *MetricsService) AppendLog(line LogLine) {
 		_, err = l.AppendValue("", line)
 	}
 	if err != nil {
-		m.mu.Unlock()
 		return // never half-publish
 	}
-	subs := m.subs[line.JobID]
-	m.mu.Unlock()
-	for _, ch := range subs {
+	for _, ch := range m.subs[line.JobID] {
 		select {
 		case ch <- line:
 		default:

@@ -377,19 +377,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	registry.RegisterCollector(p.collectStats)
 	p.registerRuntimes()
 
-	// The status bus's multi-replica fallback: tail the jobs collection's
-	// change stream so transitions committed by any writer — not just
-	// this process's setJobStatus — reach local bus subscribers (see
-	// statusFeedLoop). Start at the oplog head: pre-existing history is
-	// served from MongoDB on demand, not replayed through the bus.
-	feed := db.Watch("jobs", db.OplogLen())
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer feed.Cancel()
-		p.statusFeedLoop(feed)
-	}()
-
 	if cfg.Tenancy != nil {
 		if err := p.startTenancy(cfg.Tenancy); err != nil {
 			p.Stop()

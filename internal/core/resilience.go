@@ -31,7 +31,8 @@ import (
 // instead of queued behind a dead dependency. The error is retryable —
 // clients should back off and resubmit (the HTTP gateway maps it to
 // 503 + Retry-After). Status and watch reads keep working from the
-// status bus's replay window while degraded.
+// status bus's replay window while degraded; a List, or a Status the
+// window holds nothing for, sheds with this error too.
 var ErrDegraded = errors.New("core: degraded mode: metadata store unavailable, retry later")
 
 // IsDegraded reports whether err is (or wraps) ErrDegraded. Application
@@ -181,26 +182,8 @@ func mongoOutageErr(err error) bool {
 	return errors.Is(err, mongo.ErrUnavailable) || resilience.IsShed(err)
 }
 
-// degradedStatus serves a job's status from the status bus's retained
-// replay window while the metadata store is unavailable. The window
-// holds the job's recent transitions in order (possibly truncated at the
-// front by compaction); ok=false means the bus retains nothing for the
-// job and the caller must surface the store error.
-func (p *Platform) degradedStatus(jobID string) (StatusReply, bool) {
-	evs, _ := p.bus.ReplayJob(jobID, 1)
-	if len(evs) == 0 {
-		return StatusReply{}, false
-	}
-	reply := StatusReply{JobID: jobID, Degraded: true}
-	for _, ev := range evs {
-		reply.History = append(reply.History, ev.Entry)
-	}
-	reply.Status = evs[len(evs)-1].Status
-	return reply, true
-}
-
-// degradedSubmitErr wraps a metadata-store outage into the retryable
-// degraded-mode submission error.
-func degradedSubmitErr(err error) error {
+// degradedErr wraps a metadata-store outage into the retryable
+// degraded-mode error.
+func degradedErr(err error) error {
 	return fmt.Errorf("%w (%v)", ErrDegraded, err)
 }

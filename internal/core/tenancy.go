@@ -64,8 +64,8 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 
 	// Status pump: QUEUED enqueues, HALTED releases/requeues victims,
 	// RESUMED restores footprints, terminal transitions release and
-	// free the budget. The bus sees transitions from every writer via
-	// the jobs change feed, so this stays correct multi-replica.
+	// free the budget. Every status writer of the platform publishes
+	// on this bus, so this stays correct multi-replica.
 	events, cancel := p.bus.Subscribe("", 256)
 	p.wg.Add(1)
 	go func() {

@@ -584,11 +584,22 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 		}
 	}
 
+	// The durable history is read through List, which only MongoDB can
+	// answer: Status may be served by the same bus log that fed the
+	// watch streams under test.
+	durable := make(map[string]core.JobRecord, len(jobIDs))
+	recs, err := c.List(ctx, "")
+	if err != nil {
+		arm.violations = append(arm.violations, fmt.Sprintf("final list read: %v", err))
+	}
+	for _, rec := range recs {
+		durable[rec.ID] = rec
+	}
 	var latencies []time.Duration
 	for _, id := range jobIDs {
-		reply, err := c.Status(ctx, id)
-		if err != nil {
-			arm.violations = append(arm.violations, fmt.Sprintf("final status read %s: %v", id, err))
+		reply, ok := durable[id]
+		if !ok {
+			arm.violations = append(arm.violations, fmt.Sprintf("final list read is missing %s", id))
 			continue
 		}
 		if !reply.Status.Terminal() {

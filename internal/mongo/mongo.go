@@ -579,10 +579,12 @@ type FindOpts struct {
 }
 
 // Find returns copy-on-write views of all matching documents (see the
-// Doc mutation rules). Matching and sorting run against the stored
-// documents under the read lock — an indexed-equality query with a sort
-// and a Limit never materializes the losers; only the surviving window
-// is cloned.
+// Doc mutation rules) — nil, never an empty slice, while the primary is
+// unavailable, which is how callers that must not mistake an outage for
+// "no documents" tell the two apart. Matching and sorting run against
+// the stored documents under the read lock — an indexed-equality query
+// with a sort and a Limit never materializes the losers; only the
+// surviving window is cloned.
 func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	defer c.db.opEnd(c.db.opStart())
 	if c.db.Unavailable() {
@@ -1127,8 +1129,8 @@ type ChangeEvent struct {
 // increasing Seq tokens; delivery is at-least-resumable, never silently
 // reordered: a consumer that sees a Seq gap (oplog trimmed past its
 // resume point, or lag drops) refills from the collection itself.
-// See docs/watch-protocol.md ("core status bus" layer) for how the
-// platform uses it to span API replicas.
+// See docs/watch-protocol.md ("The MongoDB change feed") for the
+// contract and its consumers.
 type ChangeStream struct {
 	db   *DB
 	id   int
