@@ -22,7 +22,6 @@ func TestPreemptionSurvivesLCMFailover(t *testing.T) {
 	p, err := core.NewPlatform(core.Config{
 		Seed:            23,
 		PollInterval:    2 * time.Millisecond,
-		LCMReplicas:     2,
 		LCMRestartDelay: 40 * time.Millisecond,
 		TimeCompression: 2e-3,
 		Tenancy: &core.TenancyConfig{

@@ -157,7 +157,8 @@ func (a *apiReplica) listen() error {
 // any job from a registered tenant is accepted, persisted as QUEUED,
 // and admitted later by the dispatcher — over-capacity work waits in
 // the queue instead of being rejected (§3.6). Without it submission is
-// open: the job is persisted as PENDING and handed straight to the LCM.
+// open: the job is persisted as PENDING. Either way the API's part ends
+// with the bus announcement below — the LCM deploys on the PENDING event.
 func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 	req := arg.(SubmitArgs)
 	m := req.Manifest
@@ -231,12 +232,6 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		Status: status,
 		Entry:  StatusEntry{Status: status, Time: now, Message: message},
 	})
-	if a.p.Dispatcher == nil {
-		// Hand off to the LCM asynchronously; if every LCM replica is
-		// down the LCM recovery loop will pick the job up from MongoDB
-		// later. (Queued jobs reach the LCM through the dispatcher.)
-		go a.deployWithRetry(jobID)
-	}
 	return SubmitReply{JobID: jobID}, nil
 }
 
@@ -276,20 +271,6 @@ func (a *apiReplica) handleTenants(_ context.Context, arg any) (any, error) {
 }
 
 var errTenancyDisabled = errors.New("core: tenancy is not enabled on this platform")
-
-func (a *apiReplica) deployWithRetry(jobID string) {
-	for attempt := 0; attempt < 50; attempt++ {
-		err := a.lcm.Call(context.Background(), "LCM.Deploy", JobArgs{JobID: jobID}, nil)
-		if err == nil {
-			return
-		}
-		select {
-		case <-a.p.stopCh:
-			return
-		case <-a.p.clock.After(a.p.cfg.PollInterval * 4):
-		}
-	}
-}
 
 func (a *apiReplica) handleStatus(_ context.Context, arg any) (any, error) {
 	req := arg.(JobArgs)
@@ -444,23 +425,29 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 		live, cancel = a.p.Metrics.StreamLogs(req.JobID)
 		defer cancel()
 	}
-	backlog := a.p.Metrics.LogsFrom(req.JobID, req.FromOffset)
 	// next is the first undelivered line offset: the backlog/live seam
 	// and any lines buffered on both sides dedup by offset, not by
 	// counting.
 	next := req.FromOffset
-	for _, l := range backlog {
-		if req.Search != "" && !strings.Contains(l.Text, req.Search) {
-			next = l.Offset + 1
-			continue
-		}
-		if err := send(LogItem{Line: l}); err != nil {
-			return err
-		}
+	deliver := func(l LogLine) error {
 		next = l.Offset + 1
+		if req.Search != "" && !strings.Contains(l.Text, req.Search) {
+			return nil
+		}
+		return send(LogItem{Line: l})
 	}
-	if !req.Follow {
+	// refill delivers everything the job's log holds from next on: the
+	// backlog, and the recovery path for a gap in the live stream.
+	refill := func() error {
+		for _, l := range a.p.Metrics.LogsFrom(req.JobID, next) {
+			if err := deliver(l); err != nil {
+				return err
+			}
+		}
 		return nil
+	}
+	if err := refill(); err != nil || !req.Follow {
+		return err
 	}
 	for {
 		select {
@@ -470,14 +457,18 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 			if !ok {
 				return nil
 			}
-			if l.Offset < next {
-				continue // already sent from the backlog
+			var err error
+			switch {
+			case l.Offset < next: // already sent from the backlog
+			case l.Offset > next:
+				// Gap: our buffer was full and AppendLog dropped lines. A
+				// line is logged before it is fanned out, so the refill
+				// includes the one that revealed the gap.
+				err = refill()
+			default:
+				err = deliver(l)
 			}
-			next = l.Offset + 1
-			if req.Search != "" && !strings.Contains(l.Text, req.Search) {
-				continue
-			}
-			if err := send(LogItem{Line: l}); err != nil {
+			if err != nil {
 				return err
 			}
 		}

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"github.com/ffdl/ffdl/internal/commitlog"
+	"github.com/ffdl/ffdl/internal/etcd"
 	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/perf"
+	"github.com/ffdl/ffdl/internal/rpc"
 	"github.com/ffdl/ffdl/internal/sim"
 )
 
@@ -893,5 +895,141 @@ func TestLogsFromOffset(t *testing.T) {
 	}
 	if out := m.LogsFrom("j", 42); len(out) != 0 {
 		t.Fatalf("LogsFrom past the tail = %d lines, want 0", len(out))
+	}
+}
+
+// TestFollowLogsRefillsOverflowGap pins the follow stream's gap rule: a
+// follower that drains slower than the job logs overflows its 256-line
+// live buffer, and the lines AppendLog dropped must be refilled from
+// the job's log when the next live line reveals the gap.
+func TestFollowLogsRefillsOverflowGap(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	const jobID = "gap-job"
+	appendLines := func(n int) {
+		for i := 0; i < n; i++ {
+			p.Metrics.AppendLog(LogLine{JobID: jobID, Text: "line"})
+		}
+	}
+	appendLines(1)
+
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	got := make(chan uint64, 1024) // holds every offset sent (602), so send never blocks past the gate
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		first := true
+		done <- p.apis[0].handleLogs(ctx, LogsArgs{JobID: jobID, Follow: true}, func(item any) error {
+			if first {
+				// Blocking on the backlog line proves the live
+				// subscription exists, and stalls the drain.
+				first = false
+				close(entered)
+				<-gate
+			}
+			got <- item.(LogItem).Line.Offset
+			return nil
+		})
+	}()
+	<-entered
+	const burst = 600 // > the 256-line buffer: the tail of it is dropped
+	appendLines(burst)
+	close(gate)
+
+	next := uint64(0)
+	recv := func(upTo uint64) {
+		t.Helper()
+		for next <= upTo {
+			select {
+			case off := <-got:
+				if off != next {
+					t.Fatalf("follower got offset %d, want %d", off, next)
+				}
+				next++
+			case <-time.After(5 * time.Second):
+				t.Fatalf("follower stalled at offset %d, want through %d", next, upTo)
+			}
+		}
+	}
+	recv(256) // the backlog line and what the buffer held
+	appendLines(1)
+	recv(burst + 1) // the dropped lines, then the one that revealed them
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("handleLogs: %v", err)
+	}
+}
+
+// TestJobTrafficOnce pins what a job's life writes and who hands it to
+// whom: the helper mirrors no exit codes into etcd, teardown is one
+// prefix delete that leaves nothing behind, the PENDING bus event is
+// the only deploy hand-off (no LCM.Deploy RPC exists), and the job
+// document carries no write-only field.
+func TestJobTrafficOnce(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	c := p.Client()
+	ws, err := p.Etcd.Watch("jobs/", true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Cancel()
+
+	var jobs []string
+	for _, learners := range []int{1, 4} {
+		m := testManifest()
+		m.Learners = learners
+		jobID, err := c.Submit(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, c, jobID, StatusCompleted, 30*time.Second)
+		jobs = append(jobs, jobID)
+	}
+	// COMPLETED is recorded before teardown runs; wait for the subtrees
+	// to go.
+	for _, jobID := range jobs {
+		waitUntil(t, "etcd subtree of "+jobID+" to be erased", 5*time.Second, func() bool {
+			kvs, err := p.Etcd.List(keyJobPrefix(jobID))
+			return err == nil && len(kvs) == 0
+		})
+	}
+	puts := 0
+drain:
+	for {
+		select {
+		case ev := <-ws.Events():
+			if ev.Type != etcd.EventPut {
+				continue
+			}
+			puts++
+			if strings.HasSuffix(ev.KV.Key, "/exit") {
+				t.Fatalf("unread key written: %s", ev.KV.Key)
+			}
+		default:
+			break drain
+		}
+	}
+	if puts == 0 {
+		t.Fatal("the jobs/ watch saw no writes at all")
+	}
+
+	before := p.Etcd.Stats().Commands
+	p.teardownJob(jobs[0])
+	if got := p.Etcd.Stats().Commands - before; got != 1 {
+		t.Fatalf("teardownJob issued %d etcd commands, want 1", got)
+	}
+
+	lcm := rpc.NewBalancer(p.Registry, ServiceLCM)
+	err = lcm.Call(context.Background(), "LCM.Deploy", JobArgs{JobID: jobs[0]}, nil)
+	if err == nil || !strings.Contains(err.Error(), rpc.ErrMethodNotFound.Error()) {
+		t.Fatalf("LCM.Deploy call: err = %v, want %v", err, rpc.ErrMethodNotFound)
+	}
+
+	doc, err := p.Jobs.FindOne(mongo.Filter{"_id": jobs[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, has := doc["updated"]; has {
+		t.Fatalf("job document carries the write-only \"updated\" field: %v", doc)
 	}
 }

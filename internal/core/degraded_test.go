@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/commitlog"
+	"github.com/ffdl/ffdl/internal/mongo"
 )
 
 // TestDegradedModeServesReadsShedsSubmits is the end-to-end pin for
@@ -116,5 +119,49 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 	}
 	if got := p.Obs.CounterValue("api.degraded_reads"); got < 1 {
 		t.Fatalf("api.degraded_reads = %d, want >= 1", got)
+	}
+}
+
+// TestDeadOplogShedsSubmissions is the platform end of "acknowledged ⇒
+// durable": when the metadata store's oplog stops taking writes (a
+// FaultStore crash point under the real DataDir layout), submissions
+// must shed with the retryable degraded error — never be acknowledged
+// into a log that lost them — and a restart holds every job that was
+// acknowledged.
+func TestDeadOplogShedsSubmissions(t *testing.T) {
+	dir := t.TempDir()
+	p := newTestPlatform(t, func(c *Config) {
+		c.DataDir = dir
+		c.StoreWrapper = func(name string, s commitlog.SegmentStore) commitlog.SegmentStore {
+			if name != dirMongoOplog {
+				return s
+			}
+			return commitlog.NewFaultStore(s, 16<<10) // a handful of jobs in
+		}
+	})
+	c := p.Client()
+	var acked []string
+	var shed error
+	for i := 0; i < 200; i++ {
+		jobID, err := c.Submit(context.Background(), testManifest())
+		if err != nil {
+			shed = err
+			break
+		}
+		acked = append(acked, jobID)
+	}
+	if !IsDegraded(shed) {
+		t.Fatalf("submit on a dead oplog: err = %v after %d acknowledged, want the degraded-retryable error", shed, len(acked))
+	}
+	if len(acked) == 0 {
+		t.Fatal("crash point hit before any submission was acknowledged")
+	}
+	p.Stop()
+
+	p2 := newTestPlatform(t, func(c *Config) { c.DataDir = dir })
+	for _, jobID := range acked {
+		if _, err := p2.Jobs.FindOne(mongo.Filter{"_id": jobID}); err != nil {
+			t.Fatalf("acknowledged job %s after restart: %v", jobID, err)
+		}
 	}
 }

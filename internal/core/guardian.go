@@ -108,12 +108,8 @@ func (p *Platform) deployJob(jobID string, m Manifest) error {
 		m.ResultBucket = "ffdl-results"
 	}
 	p.Store.EnsureBucket(m.ResultBucket)
-	var mount *jobMount
-	if m.DataBucket != "" {
-		mount = &jobMount{bucket: m.DataBucket}
-	}
 	res := &jobResources{manifest: m, volume: vol}
-	if mount != nil {
+	if m.DataBucket != "" {
 		res.mount = p.Store.NewMount(m.DataBucket, 256<<20)
 	}
 	p.putResources(jobID, res)
@@ -138,7 +134,14 @@ func (p *Platform) deployJob(jobID string, m Manifest) error {
 		},
 	})
 	// Step 5: learners as a stateful set carrying gang name + size.
-	st.Put(kube.KindStatefulSet, learnerSetName(jobID), &kube.StatefulSet{
+	p.putLearnerSet(jobID, m)
+	return nil
+}
+
+// putLearnerSet creates the job's learner stateful set, at deployment
+// and again on RESUME.
+func (p *Platform) putLearnerSet(jobID string, m Manifest) {
+	p.Kube.Store().Put(kube.KindStatefulSet, learnerSetName(jobID), &kube.StatefulSet{
 		Name: learnerSetName(jobID), Replicas: m.Learners,
 		Template: kube.PodSpec{
 			Demand:      m.LearnerDemand(),
@@ -150,17 +153,12 @@ func (p *Platform) deployJob(jobID string, m Manifest) error {
 			Type:        PodTypeLearner,
 		},
 	})
-	return nil
 }
 
-// jobMount is a small holder used during deployment.
-type jobMount struct{ bucket string }
-
-// rollbackJob deletes every deployed object of a job, releasing
-// resources so a fresh deployment (or nothing) remains — "there should
-// not be an inactive job component with allocated resources (i.e. a
-// zombie)" (§3.3).
-func (p *Platform) rollbackJob(jobID string) {
+// releaseJob deletes every deployed object of a job and its NFS volume
+// — "there should not be an inactive job component with allocated
+// resources (i.e. a zombie)" (§3.3).
+func (p *Platform) releaseJob(jobID string) {
 	st := p.Kube.Store()
 	st.Delete(kube.KindStatefulSet, learnerSetName(jobID))
 	st.Delete(kube.KindDeployment, helperDeployName(jobID))
@@ -169,17 +167,23 @@ func (p *Platform) rollbackJob(jobID string) {
 		p.NFS.Release(res.volume)
 		p.dropResources(jobID)
 	}
-	// Clear any stale coordination state so the next deployment starts
-	// clean (but keep the control key: HALT/TERMINATE must survive).
+}
+
+// rollbackJob undoes a partial deployment so a fresh one starts clean:
+// the deployed objects and the stale coordination state go, the control
+// key stays — HALT/TERMINATE must survive a redeploy.
+func (p *Platform) rollbackJob(jobID string) {
+	p.releaseJob(jobID)
 	p.Etcd.DeletePrefix(keyJobPrefix(jobID) + "learners/") //nolint:errcheck
 	p.Etcd.Delete(keyDone(jobID))                          //nolint:errcheck
 }
 
 // teardownJob removes all traces of a finished job: kube objects, the
-// NFS volume and its etcd subtree ("a DL job's data is erased after it
-// terminates", §3.2). MongoDB keeps the status history.
+// NFS volume and its whole etcd subtree in one delete ("a DL job's data
+// is erased after it terminates", §3.2). MongoDB keeps the status
+// history.
 func (p *Platform) teardownJob(jobID string) {
-	p.rollbackJob(jobID)
+	p.releaseJob(jobID)
 	p.Etcd.DeletePrefix(keyJobPrefix(jobID)) //nolint:errcheck
 }
 
@@ -273,19 +277,7 @@ func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, d
 					return 0, false // retry once the store answers
 				}
 				*halted = false
-				st := p.Kube.Store()
-				st.Put(kube.KindStatefulSet, learnerSetName(jobID), &kube.StatefulSet{
-					Name: learnerSetName(jobID), Replicas: m.Learners,
-					Template: kube.PodSpec{
-						Demand:      m.LearnerDemand(),
-						GPUType:     string(m.GPUType),
-						JobID:       jobID,
-						GangSize:    m.Learners,
-						Runtime:     runtimeLearner,
-						RuntimeArgs: map[string]string{"job": jobID},
-						Type:        PodTypeLearner,
-					},
-				})
+				p.putLearnerSet(jobID, m)
 			}
 		}
 	}
@@ -342,11 +334,9 @@ func (p *Platform) aggregateLearnerStatus(jobID string, learners int) (JobStatus
 			st = StatusProcessing
 		case "STORING", "COMPLETED":
 			st = StatusStoring
-		case "FAILED":
-			// Failure is surfaced through the done key with its exit
-			// code; ignore here.
-			continue
 		default:
+			// FAILED included: failure is surfaced through the done key
+			// with its exit code.
 			continue
 		}
 		seen++

@@ -13,8 +13,9 @@ import (
 // job's NFS volume with the learners:
 //
 //   - load-data: validates access to the training data,
-//   - controller: reads learner status/exit files from the volume and
-//     records them in etcd, detecting completion and failure,
+//   - controller: reads learner status/exit files from the volume,
+//     mirrors each status change into etcd and folds the exit codes into
+//     the job's one done key (completion or the first failure),
 //   - log-collector: tails learner stdout into the Training Metrics
 //     Service,
 //   - store-results: copies collected logs/results to the user's
@@ -45,7 +46,6 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 			<-ctx.Stop
 			return 137
 		}
-		res.volume.WriteFile("helper/data-ready", []byte("1")) //nolint:errcheck
 	}
 
 	lastStatus := make(map[int]string)
@@ -63,7 +63,7 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	ticker := p.clock.NewTicker(p.cfg.PollInterval * 10)
 	defer ticker.Stop()
 	for {
-		// controller: mirror learner volume files into etcd.
+		// controller: mirror learner statuses into etcd, collect exits.
 		for ord := 0; ord < m.Learners; ord++ {
 			statusPath := fmt.Sprintf("learners/%d/status", ord)
 			if data, err := res.volume.ReadFile(statusPath); err == nil {
@@ -75,10 +75,8 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 			exitPath := fmt.Sprintf("learners/%d/exit", ord)
 			if _, seen := exitSeen[ord]; !seen {
 				if data, err := res.volume.ReadFile(exitPath); err == nil {
-					code, convErr := strconv.Atoi(strings.TrimSpace(string(data)))
-					if convErr == nil {
+					if code, err := strconv.Atoi(strings.TrimSpace(string(data))); err == nil {
 						exitSeen[ord] = code
-						p.tracedPut(jobID, keyLearnerExit(jobID, ord), data) //nolint:errcheck
 					}
 				}
 			}
@@ -143,15 +141,10 @@ func (p *Platform) collectLogs(jobID string, ord int, res *jobResources, offsets
 // storeResults copies the job's collected logs to the result bucket —
 // the store-results container's final act.
 func (p *Platform) storeResults(jobID string, m Manifest) {
-	bucket := m.ResultBucket
-	if bucket == "" {
-		bucket = "ffdl-results"
-	}
 	var sb strings.Builder
 	for _, line := range p.Metrics.Logs(jobID) {
 		sb.WriteString(line.Text)
 		sb.WriteByte('\n')
 	}
-	p.Store.EnsureBucket(bucket)
-	p.Store.Put(bucket, jobID+"/logs/training.log", []byte(sb.String())) //nolint:errcheck
+	p.Store.Put(m.ResultBucket, jobID+"/logs/training.log", []byte(sb.String())) //nolint:errcheck
 }

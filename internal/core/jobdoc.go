@@ -136,7 +136,7 @@ func (p *Platform) setJobStatus(jobID string, to JobStatus, msg string) error {
 	now := p.clock.Now()
 	err = p.mongoDo(func() error {
 		return p.Jobs.UpdateOne(mongo.Filter{"_id": jobID}, mongo.Update{
-			Set: mongo.Doc{"status": string(to), "updated": now.Format(time.RFC3339Nano)},
+			Set: mongo.Doc{"status": string(to)},
 			Push: map[string]any{"history": map[string]any{
 				"status": string(to), "time": now.Format(time.RFC3339Nano), "message": msg,
 			}},

@@ -29,10 +29,13 @@ func newLCMReplica(p *Platform, index int) (*lcmReplica, error) {
 		return nil, err
 	}
 	if index == 0 {
-		// One logical recovery loop: re-launch Guardians for PENDING
-		// jobs whose deployment hand-off was lost (API crash between
-		// persist and deploy). Every replica could run this safely —
-		// guardian creation is idempotent — but one keeps logs quiet.
+		// One logical deploy loop: it launches a Guardian for every
+		// PENDING event on the status bus — the one deploy hand-off, from
+		// the API or the tenant dispatcher alike — and re-launches those
+		// a scan finds missing. Every replica could run this safely —
+		// guardian creation is idempotent — but one keeps logs quiet. It
+		// is a platform goroutine, so it outlives this replica's RPC
+		// server crashing and restarting.
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -44,7 +47,6 @@ func newLCMReplica(p *Platform, index int) (*lcmReplica, error) {
 
 func (l *lcmReplica) listen() error {
 	srv := rpc.NewServer()
-	srv.Register("LCM.Deploy", JobArgs{}, l.handleDeploy)
 	srv.Register("LCM.Halt", JobArgs{}, l.handleControl(controlHalt))
 	srv.Register("LCM.Resume", JobArgs{}, l.handleControl(controlResume))
 	srv.Register("LCM.Terminate", JobArgs{}, l.handleTerminate)
@@ -57,24 +59,17 @@ func (l *lcmReplica) listen() error {
 	return nil
 }
 
-// handleDeploy creates the job's Guardian: "The LCM simply instantiates
+// ensureGuardian creates the job's Guardian: "The LCM simply instantiates
 // this delegate called the Guardian with all the metadata of the DL
-// job ... a K8S Job ... a very quick single step process" (§3.3).
-func (l *lcmReplica) handleDeploy(_ context.Context, arg any) (any, error) {
-	req := arg.(JobArgs)
-	return nil, l.ensureGuardian(req.JobID)
-}
-
-func (l *lcmReplica) ensureGuardian(jobID string) error {
-	doc, err := l.p.findJob(jobID)
-	if err != nil {
-		return fmt.Errorf("core: deploy unknown job %s: %w", jobID, err)
-	}
+// job ... a K8S Job ... a very quick single step process" (§3.3). Its
+// callers hold evidence the job is admitted and live — a PENDING bus
+// event or a recovery-scan hit — so only resurrection re-reads it.
+func (l *lcmReplica) ensureGuardian(jobID string) {
 	name := guardianJobName(jobID)
 	if obj, exists := l.p.Kube.Store().Get(kube.KindJob, name); exists {
 		j, ok := obj.(*kube.Job)
 		if !ok || !j.Failed {
-			return nil // idempotent: the guardian is alive (or finished)
+			return // idempotent: the guardian is alive (or finished)
 		}
 		// The guardian burned through its restart budget — a sustained
 		// crash loop (chaos node/pod kills, a long store outage at pod
@@ -83,9 +78,9 @@ func (l *lcmReplica) ensureGuardian(jobID string) error {
 		// guardian with a fresh Job object rather than strand the job;
 		// its steps are idempotent and roll back (§3.3), so a fresh
 		// incarnation is always safe.
-		rec := docToRecord(doc)
-		if rec.Status.Terminal() || rec.Status == StatusHalted || rec.Status == StatusQueued {
-			return nil
+		status, err := l.p.jobStatus(jobID)
+		if err != nil || status.Terminal() || status == StatusHalted || status == StatusQueued {
+			return // a failed read is retried by the next scan
 		}
 		l.p.Kube.Store().Delete(kube.KindJob, name)
 		l.p.Metrics.Inc("lcm.guardian_resurrections")
@@ -109,7 +104,6 @@ func (l *lcmReplica) ensureGuardian(jobID string) error {
 	if l.p.Tracer != nil {
 		l.p.Tracer.Sub(jobID, "lcm.deploy", deployStart, l.p.clock.Now())
 	}
-	return nil
 }
 
 // handleControl writes HALT/RESUME to the job's etcd control key, where
@@ -148,14 +142,16 @@ func (l *lcmReplica) handleTerminate(_ context.Context, arg any) (any, error) {
 	return nil, err
 }
 
-// recoveryLoop re-deploys admitted jobs that have no Guardian. This is
-// the "in the case of a failure that necessitates that the entire job
-// be restarted, information stored in MongoDB can be used readily
-// without the need for user intervention" path (§3.2). It wakes on the
-// job-status event bus — a submitted job's PENDING event arrives the
-// moment the API persists it — and only falls back to scanning MongoDB
-// on a slow safety tick, covering bus drops and jobs submitted before
-// this replica started.
+// recoveryLoop deploys admitted jobs that have no Guardian. It wakes on
+// the job-status event bus — a job's PENDING event arrives the moment
+// the API (open admission) or the tenant dispatcher (tenancy) persists
+// it, and that event is the deploy hand-off; nothing calls the LCM to
+// deploy. Behind it a slow safety tick scans MongoDB, covering bus drops
+// and jobs persisted before this loop subscribed: a dropped event costs
+// one tick (PollInterval*10), never the job. The scan is also the "in
+// the case of a failure that necessitates that the entire job be
+// restarted, information stored in MongoDB can be used readily without
+// the need for user intervention" path (§3.2).
 //
 // On a durable (DataDir) platform the scan covers every admitted,
 // non-terminal, non-HALTED status, not just PENDING: on a cold process
@@ -192,7 +188,7 @@ func (l *lcmReplica) recoveryLoop() {
 			for _, d := range docs {
 				id, _ := d["_id"].(string)
 				if id != "" {
-					l.ensureGuardian(id) //nolint:errcheck // retried next wake
+					l.ensureGuardian(id)
 				}
 			}
 		}
@@ -204,7 +200,7 @@ func (l *lcmReplica) recoveryLoop() {
 			return
 		case ev := <-events:
 			if ev.Status == StatusPending {
-				l.ensureGuardian(ev.JobID) //nolint:errcheck // safety tick retries
+				l.ensureGuardian(ev.JobID)
 			}
 		case <-ticker.C:
 			scan()

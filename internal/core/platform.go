@@ -32,6 +32,13 @@ const (
 	ServiceLCM = "ffdl-lcm"
 )
 
+// Replication factors of the control plane.
+const (
+	apiReplicas  = 2
+	lcmReplicas  = 2
+	etcdReplicas = 3
+)
+
 // Config parameterizes a Platform.
 type Config struct {
 	// Clock drives everything; defaults to wall clock.
@@ -39,16 +46,9 @@ type Config struct {
 	// Seed makes the platform deterministic where randomness is used.
 	Seed int64
 
-	// Replication factors. Defaults: 2 API, 2 LCM, 3 etcd.
-	APIReplicas  int
-	LCMReplicas  int
-	EtcdReplicas int
-
 	// GangScheduling enables the BSA gang scheduler (on by default, as
-	// in production FfDL); Pack chooses packing placement for non-gang
-	// pods (default true).
+	// in production FfDL).
 	GangScheduling *bool
-	Pack           *bool
 
 	// StartDelay gives the container start latency per pod type; the
 	// defaults are milliseconds for fast tests. Table 3 configures
@@ -87,12 +87,8 @@ type Config struct {
 	// free-tier and over-quota work for starved in-quota requests. The
 	// dispatcher's admission controller tracks its cluster budget from
 	// kube node capacity. Nil leaves submission open: every valid job
-	// goes straight to the LCM as PENDING.
+	// is persisted as PENDING, which the LCM deploys.
 	Tenancy *TenancyConfig
-
-	// StorageBandwidth throttles the object store (bytes/sec aggregate);
-	// 0 = unthrottled.
-	StorageBandwidth float64
 
 	// DataDir, when set, roots the platform's durable logs: the mongo
 	// oplog, the status bus's replay window, and per-job learner logs
@@ -127,22 +123,9 @@ func (c *Config) defaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.APIReplicas <= 0 {
-		c.APIReplicas = 2
-	}
-	if c.LCMReplicas <= 0 {
-		c.LCMReplicas = 2
-	}
-	if c.EtcdReplicas <= 0 {
-		c.EtcdReplicas = 3
-	}
 	if c.GangScheduling == nil {
 		t := true
 		c.GangScheduling = &t
-	}
-	if c.Pack == nil {
-		t := true
-		c.Pack = &t
 	}
 	if c.StartDelay == nil {
 		c.StartDelay = func(podType string) time.Duration {
@@ -269,7 +252,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 
 	etcdCluster, err := etcd.NewCluster(etcd.Options{
-		Replicas: cfg.EtcdReplicas,
+		Replicas: etcdReplicas,
 		Clock:    cfg.Clock,
 		Seed:     cfg.Seed + 1,
 		// Watch failure detection is a safety net like every other
@@ -324,7 +307,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	metrics.obs = instruments
 	metrics.clock = cfg.Clock
 
-	store := objstore.New(objstore.Config{Clock: cfg.Clock, AggregateBandwidth: cfg.StorageBandwidth})
+	store := objstore.New(objstore.Config{Clock: cfg.Clock})
 	prov := nfs.NewProvisioner(cfg.Clock, rng.Stream(2))
 	// Platform tests run with fast provisioning; the §4 load-dependent
 	// behaviour is exercised explicitly by chaos tests.
@@ -332,17 +315,13 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	prov.LoadPenalty = 0
 
 	var gang sched.GangPolicy
-	var podPolicy sched.PodPolicy = sched.Spread{}
-	if *cfg.Pack {
-		podPolicy = sched.Pack{}
-	}
 	if *cfg.GangScheduling {
 		gang = sched.NewBSA(rng.Stream(3))
 	}
 	kubeCluster := kube.NewCluster(kube.Config{
 		Clock:             cfg.Clock,
 		RNG:               rng.Stream(4),
-		PodPolicy:         podPolicy,
+		PodPolicy:         sched.Pack{},
 		GangPolicy:        gang,
 		StartDelay:        cfg.StartDelay,
 		SchedulerInterval: cfg.SchedulerInterval,
@@ -384,7 +363,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		}
 	}
 
-	for i := 0; i < cfg.APIReplicas; i++ {
+	for i := 0; i < apiReplicas; i++ {
 		a, err := newAPIReplica(p, i)
 		if err != nil {
 			p.Stop()
@@ -392,7 +371,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		}
 		p.apis = append(p.apis, a)
 	}
-	for i := 0; i < cfg.LCMReplicas; i++ {
+	for i := 0; i < lcmReplicas; i++ {
 		l, err := newLCMReplica(p, i)
 		if err != nil {
 			p.Stop()
@@ -563,9 +542,6 @@ func (p *Platform) tracedPut(jobID, key string, val []byte) (uint64, error) {
 func keyJobPrefix(jobID string) string { return "jobs/" + jobID + "/" }
 func keyLearnerStatus(jobID string, ord int) string {
 	return fmt.Sprintf("jobs/%s/learners/%d/status", jobID, ord)
-}
-func keyLearnerExit(jobID string, ord int) string {
-	return fmt.Sprintf("jobs/%s/learners/%d/exit", jobID, ord)
 }
 func keyControl(jobID string) string { return "jobs/" + jobID + "/control" }
 func keyDone(jobID string) string    { return "jobs/" + jobID + "/done" }

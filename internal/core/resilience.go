@@ -19,7 +19,7 @@ import (
 //   mongo        core → metadata store (reads/writes that can see a
 //                primary failover; the breaker drives degraded mode)
 //   etcd         core → coordination store (guardian/LCM control keys)
-//   api_lcm      API replica → LCM (deploy hand-off, control verbs)
+//   api_lcm      API replica → LCM (control verbs)
 //   dispatch_lcm tenant dispatcher → LCM (preempt/resume signals)
 //   client       external client → API replicas
 //
@@ -113,10 +113,10 @@ func newResilienceHub(cfg *Config, instruments *obs.Registry) *resilienceHub {
 			Attempts: 4,
 			Backoff:  backoff,
 			Classify: rpc.ClassifyRPC,
-			// Deploy/control verbs are idempotent (guardian creation
-			// no-ops if it exists; control keys are level-triggered), so
-			// a maybe-executed call is safe to re-issue — and the
-			// deadline rescues calls wedged on a dropped request frame.
+			// Control verbs are idempotent (control keys are
+			// level-triggered), so a maybe-executed call is safe to
+			// re-issue — and the deadline rescues calls wedged on a
+			// dropped request frame.
 			RetryAmbiguous: true,
 			Deadline:       pi * 10,
 			Breaker:        &resilience.BreakerConfig{Threshold: 5, OpenFor: pi * 8},

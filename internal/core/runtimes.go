@@ -31,10 +31,6 @@ func (p *Platform) runLearner(ctx *kube.PodContext) int {
 		return 1 // job torn down while this pod was starting
 	}
 	m := res.manifest
-	resultBucket := m.ResultBucket
-	if resultBucket == "" {
-		resultBucket = "ffdl-results"
-	}
 	proc := learner.New(learner.Spec{
 		JobID:             jobID,
 		Ordinal:           ordinal,
@@ -52,7 +48,7 @@ func (p *Platform) runLearner(ctx *kube.PodContext) int {
 		DataBucket:        m.DataBucket,
 		DataPrefix:        m.DataPrefix,
 		ResultStore:       p.Store,
-		ResultBucket:      resultBucket,
+		ResultBucket:      m.ResultBucket,
 		Clock:             p.clock,
 		TimeCompression:   p.cfg.TimeCompression,
 		RendezvousTimeout: p.cfg.RendezvousTimeout,

@@ -492,3 +492,31 @@ func TestStoreCopiesAtBoundaries(t *testing.T) {
 		t.Fatal("store shares memory with reader")
 	}
 }
+
+// TestStoreEventsKeepNewest pins the event ring's bound: past 2N records
+// (by a few, so the ring's head is mid-slice) Events returns the newest
+// N, oldest first.
+func TestStoreEventsKeepNewest(t *testing.T) {
+	s := NewStore()
+	const total = 2*maxEvents + 5
+	const first = total - maxEvents // the oldest event still held
+	for i := 0; i < total; i++ {
+		reason := "Even"
+		if i%2 == 1 {
+			reason = "Odd"
+		}
+		s.RecordEvent(Event{Reason: reason, Object: fmt.Sprint(i)})
+	}
+	evs := s.Events("")
+	if len(evs) != maxEvents {
+		t.Fatalf("Events = %d, want the newest %d", len(evs), maxEvents)
+	}
+	for i, ev := range evs {
+		if want := fmt.Sprint(first + i); ev.Object != want {
+			t.Fatalf("event %d is #%s, want #%s", i, ev.Object, want)
+		}
+	}
+	if odd := s.Events("Odd"); len(odd) != maxEvents/2 || odd[0].Object != fmt.Sprint(first) {
+		t.Fatalf("filtered Events = %d starting at #%s, want %d from #%d", len(odd), odd[0].Object, maxEvents/2, first)
+	}
+}

@@ -36,7 +36,10 @@ type Store struct {
 	watchers []*storeWatcher
 	nextW    int
 	nextUID  uint64
-	events   []Event
+	// events is a ring of the newest maxEvents cluster events; once full,
+	// eventHead indexes the oldest.
+	events    []Event
+	eventHead int
 	// rev counts store mutations; every WatchEvent carries the revision
 	// of the mutation it reports, so a consumer that folds events into
 	// an incremental view can audit "am I current?" by comparing its
@@ -230,20 +233,31 @@ func (s *Store) notifyLocked(ev WatchEvent) {
 	}
 }
 
-// RecordEvent appends a cluster event (FailedScheduling, Killing, ...).
+// maxEvents bounds the recorded cluster events: every pod records two on
+// the per-job path, so an unbounded list grows with the run.
+const maxEvents = 4096
+
+// RecordEvent records a cluster event (FailedScheduling, Killing, ...),
+// overwriting the oldest once maxEvents are held.
 func (s *Store) RecordEvent(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, ev)
+	if len(s.events) < maxEvents {
+		s.events = append(s.events, ev)
+		return
+	}
+	s.events[s.eventHead] = ev
+	s.eventHead = (s.eventHead + 1) % maxEvents
 }
 
-// Events returns a copy of all recorded events, optionally filtered by
-// reason.
+// Events returns a copy of the recorded events (the newest maxEvents),
+// oldest first, optionally filtered by reason.
 func (s *Store) Events(reason string) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Event, 0, len(s.events))
-	for _, ev := range s.events {
+	for i := range s.events {
+		ev := s.events[(s.eventHead+i)%len(s.events)]
 		if reason == "" || ev.Reason == reason {
 			out = append(out, ev)
 		}

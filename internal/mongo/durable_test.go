@@ -281,3 +281,69 @@ func TestDurableChangeStreamResumesBySeq(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedOplogAppendIsNotAcknowledged pins "acknowledged ⇒ durable"
+// at the store: once the oplog's segment store fails a write (a
+// FaultStore crash point), Insert, UpdateOne and DeleteOne must return
+// ErrUnavailable instead of acknowledging a write that recovery cannot
+// see — and a reopen holds exactly the acknowledged writes.
+func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
+	insertAll := func(c *Collection, n int) (acked []string, refused string, err error) {
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("j-%03d", i)
+			if _, err := c.Insert(Doc{"_id": id, "status": "PENDING"}); err != nil {
+				return acked, id, err
+			}
+			acked = append(acked, id)
+		}
+		return acked, "", nil
+	}
+	// Measure the journal of 20 inserts, then crash halfway through it.
+	probe := commitlog.NewFaultStore(commitlog.NewMemStore(), -1)
+	db, err := Open(probe, Options{Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := insertAll(db.C("jobs"), 20); err != nil {
+		t.Fatal(err)
+	}
+
+	inner := commitlog.NewMemStore()
+	db, err = Open(commitlog.NewFaultStore(inner, probe.Written()/2), Options{Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.C("jobs")
+	acked, refused, err := insertAll(c, 20)
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("insert past the crash point: err = %v after %d acknowledged, want ErrUnavailable", err, len(acked))
+	}
+	if len(acked) == 0 {
+		t.Fatal("crash point hit before any insert was acknowledged")
+	}
+	if _, err := c.FindOne(Filter{"_id": refused}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused insert left a document behind: err = %v", err)
+	}
+	if err := c.UpdateOne(Filter{"_id": acked[0]}, Update{Set: Doc{"status": "DEPLOYING"}}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("update on a dead oplog: err = %v, want ErrUnavailable", err)
+	}
+	if err := c.DeleteOne(Filter{"_id": acked[0]}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("delete on a dead oplog: err = %v, want ErrUnavailable", err)
+	}
+
+	// Restart: exactly the acknowledged writes are there.
+	db2, err := Open(inner, Options{Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := db2.C("jobs")
+	if c2.Len() != len(acked) {
+		t.Fatalf("recovered %d docs, want the %d acknowledged", c2.Len(), len(acked))
+	}
+	for _, id := range acked {
+		d, err := c2.FindOne(Filter{"_id": id})
+		if err != nil || d["status"] != "PENDING" {
+			t.Fatalf("acknowledged %s after restart: doc %v, err %v", id, d, err)
+		}
+	}
+}

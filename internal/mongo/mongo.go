@@ -431,12 +431,13 @@ var (
 	// ErrDuplicateID reports an insert with an existing _id.
 	ErrDuplicateID = errors.New("mongo: duplicate _id")
 	// ErrUnavailable reports that the primary is (simulated) down — a
-	// failover window injected by SetUnavailable. Erroring operations
-	// (FindOne, Insert, Update*, Upsert, DeleteOne) surface it; Find and
-	// Count, which have no error channel, return empty results, which is
-	// safe for their level-triggered consumers (they re-read on the next
-	// pass). Callers classify it as transient and retry under a
-	// resilience policy.
+	// failover window injected by SetUnavailable — or that the oplog
+	// store refused a write, which is then not acknowledged. Erroring
+	// operations (FindOne, Insert, Update*, Upsert, DeleteOne) surface
+	// it; Find and Count, which have no error channel, return empty
+	// results, which is safe for their level-triggered consumers (they
+	// re-read on the next pass). Callers classify it as transient and
+	// retry under a resilience policy.
 	ErrUnavailable = errors.New("mongo: primary unavailable")
 )
 
@@ -517,12 +518,15 @@ func (c *Collection) Insert(d Doc) (string, error) {
 	if _, exists := c.docs[id]; exists {
 		return "", fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
-	c.docs[id] = stored
-	c.indexAddLocked(stored, id)
 	// Oplog entries carry copy-on-write views: O(top-level fields), not
 	// O(document) — the store's update discipline keeps the shared
-	// nested values immutable.
-	c.db.logOp(op{Kind: "insert", Coll: c.name, Doc: stored.Clone()})
+	// nested values immutable. The entry is logged first: an insert the
+	// oplog refused is not acknowledged and leaves no document behind.
+	if err := c.db.logOp(op{Kind: "insert", Coll: c.name, Doc: stored.Clone()}); err != nil {
+		return "", err
+	}
+	c.docs[id] = stored
+	c.indexAddLocked(stored, id)
 	return id, nil
 }
 
@@ -683,7 +687,12 @@ func (c *Collection) update(f Filter, u Update, limit int) (int, error) {
 		u.apply(d)
 		d["_id"] = id // _id is immutable
 		c.indexAddLocked(d, id)
-		c.db.logOp(op{Kind: "update", Coll: c.name, Doc: d.Clone()})
+		if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: d.Clone()}); err != nil {
+			// Not acknowledged. The in-memory image is ahead of a log that
+			// is dead for good (commitlog.ErrDead is sticky); recovery
+			// converges on the log.
+			return n, err
+		}
 		n++
 		if limit > 0 && n >= limit {
 			break
@@ -714,7 +723,10 @@ func (c *Collection) DeleteOne(f Filter) error {
 	if c.db.Unavailable() {
 		return ErrUnavailable
 	}
-	n := c.delete(f, 1)
+	n, err := c.delete(f, 1)
+	if err != nil {
+		return err
+	}
 	if n == 0 {
 		return ErrNotFound
 	}
@@ -723,10 +735,11 @@ func (c *Collection) DeleteOne(f Filter) error {
 
 // DeleteMany removes all matching documents, returning the count.
 func (c *Collection) DeleteMany(f Filter) int {
-	return c.delete(f, 0)
+	n, _ := c.delete(f, 0) // no error channel: a refused delete stays in place, uncounted
+	return n
 }
 
-func (c *Collection) delete(f Filter, limit int) int {
+func (c *Collection) delete(f Filter, limit int) (int, error) {
 	defer c.db.opEnd(c.db.opStart())
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -739,15 +752,17 @@ func (c *Collection) delete(f Filter, limit int) int {
 		if !ok || !cf.matches(d) {
 			continue
 		}
+		if err := c.db.logOp(op{Kind: "delete", Coll: c.name, ID: id}); err != nil {
+			return n, err
+		}
 		c.indexRemoveLocked(d, id)
 		delete(c.docs, id)
-		c.db.logOp(op{Kind: "delete", Coll: c.name, ID: id})
 		n++
 		if limit > 0 && n >= limit {
 			break
 		}
 	}
-	return n
+	return n, nil
 }
 
 // Len returns the number of documents.
@@ -1012,12 +1027,15 @@ func (db *DB) C(name string) *Collection {
 	return c
 }
 
-// logOp appends an oplog entry and fans it out to subscribers.
-func (db *DB) logOp(o op) {
+// logOp appends an oplog entry and fans it out to subscribers. A write
+// the oplog did not take must not be acknowledged — it would not survive
+// a restart — so a failed append is returned as ErrUnavailable: callers
+// retry, trip their breaker and shed, as for any other store outage.
+func (db *DB) logOp(o op) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return
+		return nil
 	}
 	id := o.ID
 	if id == "" && o.Doc != nil {
@@ -1030,19 +1048,21 @@ func (db *DB) logOp(o op) {
 	// durable oplog encodes it into the payload instead, so the bytes on
 	// disk are self-contained.
 	o.Seq = db.oplog.NextOffset()
+	var err error
 	if db.persist {
-		payload, err := encodeOp(nil, o)
-		if err != nil {
+		var payload []byte
+		if payload, err = encodeOp(nil, o); err != nil {
 			// A value outside the codec's tagged set is a type-contract
 			// violation by the writer, not an I/O condition; dropping the
 			// entry would silently lose the write at recovery.
 			panic(fmt.Sprintf("mongo: durable oplog entry for %s/%s: %v", o.Coll, id, err))
 		}
-		if _, err := db.oplog.Append(o.Coll+"\x00"+id, payload); err != nil {
-			return // store failed; never half-publish
-		}
-	} else if _, err := db.oplog.AppendValue(o.Coll+"\x00"+id, o); err != nil {
-		return // unreachable on a MemStore; never half-publish
+		_, err = db.oplog.Append(o.Coll+"\x00"+id, payload)
+	} else {
+		_, err = db.oplog.AppendValue(o.Coll+"\x00"+id, o)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: oplog append: %v", ErrUnavailable, err) // never half-publish
 	}
 	db.opSeq = o.Seq
 	if db.feedDrops > 0 {
@@ -1051,7 +1071,7 @@ func (db *DB) logOp(o op) {
 		// they detect the Seq gap and refill, exactly as for a slow-
 		// subscriber drop below.
 		db.feedDrops--
-		return
+		return nil
 	}
 	for _, ch := range db.subs {
 		select {
@@ -1062,6 +1082,7 @@ func (db *DB) logOp(o op) {
 			// collections, which remain the source of truth.
 		}
 	}
+	return nil
 }
 
 // OplogLen returns the current oplog sequence number.
