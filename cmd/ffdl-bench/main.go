@@ -50,9 +50,8 @@ func main() {
 		throughput = flag.Bool("throughput", false, "run the control-plane throughput experiment (submissions, etcd proposals, mongo ops and codec round-trips per second)")
 		tpSubs     = flag.Int("tp-submitters", 0, "concurrent submitters for -throughput (0 = default 64)")
 		tpJobs     = flag.Int("tp-jobs", 0, "total submissions for -throughput (0 = default 2x submitters)")
-		clog       = flag.Bool("commitlog", false, "run the commit-log experiment (crash torture smoke + replay-vs-resync retention cost)")
-		clCrash    = flag.Int("cl-crash", 0, "crash points for -commitlog's torture half (0 = default 40)")
-		clEvents   = flag.Int("cl-events", 0, "published transitions for -commitlog's retention half (0 = default 4000)")
+		clog       = flag.Bool("commitlog", false, "run the commit-log experiment (crash torture smoke)")
+		clCrash    = flag.Int("cl-crash", 0, "crash points for -commitlog (0 = default 40)")
 		recovery   = flag.Bool("recovery", false, "run the restart-the-world recovery experiment (FileStore DataDir vs the MemStore ablation)")
 		rcJobs     = flag.Int("rc-jobs", 0, "jobs completed before the restart for -recovery (0 = default 3)")
 		rcChurn    = flag.Int("rc-churn", 0, "floor-raising oplog churn for -recovery (0 = default 3000)")
@@ -87,7 +86,7 @@ func main() {
 		payload["throughput"] = runThroughput(*tpSubs, *tpJobs, *seed)
 	}
 	if *clog {
-		payload["commitlog"] = runCommitlog(*clCrash, *clEvents, *seed)
+		payload["commitlog"] = runCommitlog(*clCrash, *seed)
 	}
 	if *recovery {
 		payload["recovery"] = runRecovery(*rcJobs, *rcChurn, *seed)
@@ -262,14 +261,12 @@ func runThroughput(submitters, jobs int, seed int64) expt.ThroughputResult {
 	return res
 }
 
-// runCommitlog runs the commit-log pair (crash torture smoke +
-// replay-vs-resync retention cost), prints the table, and returns the
-// raw results for the BENCH json artifact. Any torture violation is
-// fatal: the event substrate's durability contract is broken.
-func runCommitlog(crashPoints, events int, seed int64) expt.CommitlogResult {
-	res, err := expt.CommitlogRun(expt.CommitlogConfig{
-		TortureCrashPoints: crashPoints, Events: events, Seed: seed,
-	})
+// runCommitlog runs the commit-log crash torture smoke, prints the
+// table, and returns the raw result for the BENCH json artifact. Any
+// torture violation is fatal: the event substrate's durability contract
+// is broken.
+func runCommitlog(crashPoints int, seed int64) expt.CommitlogResult {
+	res, err := expt.CommitlogRun(expt.CommitlogConfig{TortureCrashPoints: crashPoints, Seed: seed})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffdl-bench: commitlog: %v\n", err)
 		os.Exit(1)

@@ -80,11 +80,11 @@
 //
 // # Durability
 //
-// With Config.DataDir set (ffdl-server -data-dir), the metadata oplog,
-// the status-bus replay window and per-job learner logs live in
-// file-backed commit logs under that directory, so watch resume
-// tokens, WatchStatus replay and FollowLogsFrom offsets survive a
-// full process restart: stop the platform, boot a new one with the
+// With Config.DataDir set (ffdl-server -data-dir), the metadata oplog
+// and per-job learner logs live in file-backed commit logs under that
+// directory, so job documents with their status history, WatchStatus
+// resume points and FollowLogsFrom offsets survive a full process
+// restart: stop the platform, boot a new one with the
 // same DataDir, and clients resume where they left off. Empty means
 // in-memory (tests, benchmarks). See docs/architecture.md
 // ("Durability") for the layout and recovery contract.

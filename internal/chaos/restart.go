@@ -13,8 +13,8 @@ import (
 // components inside a live process; a process restart instead loses
 // every in-memory substrate at once (kube state, etcd coordination,
 // the object store, the RPC registry, all in-flight goroutines) and
-// keeps only what core.Config.DataDir persisted: the mongo oplog, the
-// status bus's replay window, and per-job learner logs.
+// keeps only what core.Config.DataDir persisted: the mongo oplog and
+// per-job learner logs.
 //
 // Provision re-creates the external world — worker nodes, seeded
 // dataset buckets — the way an operator's bootstrap would after a real

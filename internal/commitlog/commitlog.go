@@ -2,9 +2,8 @@
 // append-only log of (offset, key, payload) records split into bounded
 // segments, with key-compaction of sealed segments, offset-addressed
 // readers, and a persisted consumer-offset map — one retention
-// mechanism instead of the three bespoke in-memory rings it replaced
-// (the etcd watch-history ring, the status-bus buffers, and the mongo
-// oplog's silent half-drop at 64k entries).
+// mechanism under the etcd watch history, the mongo oplog and the
+// learner logs.
 //
 // Durability is pluggable through SegmentStore: the simulation runs on
 // MemStore, FileStore persists segments on disk, and FaultStore wraps

@@ -28,11 +28,10 @@ type JobArgs struct{ JobID string }
 
 // StatusReply returns status and history. QueuePos is the job's 1-based
 // position in the tenant dispatch queue while Status is QUEUED (0
-// otherwise, or when tenancy is disabled). Degraded marks a reply served
-// from the status bus's replay window while the metadata store is
-// unavailable: Status and History are the latest transitions the bus
-// retains (History may be truncated at the front), and QueuePos is
-// unavailable.
+// otherwise, or when tenancy is disabled). Degraded marks a reply the
+// metadata store did not answer: Status and History come from the job
+// document's newest image in the store's oplog — the complete history as
+// of the last acknowledged write — and QueuePos is unavailable.
 type StatusReply struct {
 	JobID    string
 	Status   JobStatus
@@ -274,7 +273,7 @@ var errTenancyDisabled = errors.New("core: tenancy is not enabled on this platfo
 
 func (a *apiReplica) handleStatus(_ context.Context, arg any) (any, error) {
 	req := arg.(JobArgs)
-	reply, _, err := a.p.statusHistory(req.JobID, 1)
+	reply, err := a.p.statusHistory(req.JobID, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -290,35 +289,32 @@ func (a *apiReplica) handleStatus(_ context.Context, arg any) (any, error) {
 }
 
 // statusHistory reads a job's current status and its history from Seq
-// fromSeq on. It is the one place that knows where that history lives
-// and in which order to ask: the bus log when it proves a complete
-// answer (ReplayJob's contiguity rule; replayed=true, no MongoDB read),
-// MongoDB — the source of truth — behind it, and when MongoDB does not
-// answer, whatever the log retains. Only that last answer may have
-// holes; it is flagged Degraded, as is a replay while the store's
-// breaker is not closed. Store answers such as not-found are errors.
-func (p *Platform) statusHistory(jobID string, fromSeq int) (reply StatusReply, replayed bool, err error) {
-	evs, contiguous := p.bus.ReplayJob(jobID, fromSeq)
-	if !contiguous {
-		doc, err := p.findJob(jobID)
-		if err == nil {
-			rec := docToRecord(doc)
-			return StatusReply{JobID: jobID, Status: rec.Status, History: rec.History[min(fromSeq-1, len(rec.History)):]}, false, nil
-		}
+// fromSeq on, from the job document: MongoDB by _id, or, when MongoDB
+// does not answer, the document's newest image in the oplog, flagged
+// Degraded. Either way the history is complete up to the last
+// acknowledged write. A degraded reply with no History means the oplog
+// retains nothing for the job. Store answers such as not-found are
+// errors.
+func (p *Platform) statusHistory(jobID string, fromSeq int) (StatusReply, error) {
+	doc, err := p.findJob(jobID)
+	degraded := false
+	if err != nil {
 		if !mongoOutageErr(err) {
-			return StatusReply{}, false, fmt.Errorf("core: job %s: %w", jobID, err)
+			return StatusReply{}, fmt.Errorf("core: job %s: %w", jobID, err)
 		}
-		evs = p.bus.Retained(jobID, fromSeq)
+		var ok bool
+		if doc, ok = p.Jobs.OplogImage(jobID); !ok {
+			return StatusReply{JobID: jobID, Degraded: true}, nil
+		}
+		degraded = true
 	}
-	reply = StatusReply{
+	rec := docToRecord(doc)
+	return StatusReply{
 		JobID:    jobID,
-		History:  make([]StatusEntry, 0, len(evs)),
-		Degraded: !contiguous || p.res.mongo.BreakerState() != resilience.BreakerClosed,
-	}
-	for _, ev := range evs {
-		reply.Status, reply.History = ev.Status, append(reply.History, ev.Entry)
-	}
-	return reply, contiguous, nil
+		Status:   rec.Status,
+		History:  rec.History[min(fromSeq-1, len(rec.History)):],
+		Degraded: degraded,
+	}, nil
 }
 
 func (a *apiReplica) handleList(_ context.Context, arg any) (any, error) {
@@ -449,10 +445,18 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 	if err := refill(); err != nil || !req.Follow {
 		return err
 	}
+	// Safety tick, as on the watch stream: a dropped tail has no later
+	// line to reveal the gap.
+	ticker := a.p.clock.NewTicker(a.p.cfg.PollInterval * 10)
+	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
+		case <-ticker.C:
+			if err := refill(); err != nil {
+				return err
+			}
 		case l, ok := <-live:
 			if !ok {
 				return nil
@@ -492,37 +496,27 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 	// fill streams everything statusHistory holds from next on: the
 	// initial backlog, and the recovery path for any bus shortfall (gap,
 	// dropped terminal event). done=true ends the stream at a terminal
-	// status.
-	fill := func() (replayed, done bool, err error) {
-		h, replayed, err := a.p.statusHistory(req.JobID, next)
+	// status. A degraded fill is as complete as a healthy one; only a job
+	// the oplog retains nothing for leaves the stream on live events and
+	// the safety tick.
+	fill := func() (done bool, err error) {
+		h, err := a.p.statusHistory(req.JobID, next)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
-		if h.Degraded && !replayed {
-			// The metadata store did not answer, and what the log retains
-			// may have holes. The stream survives on live bus events alone
-			// — the Seq cursor keeps delivery exactly-once — and the
-			// safety tick retries the fill once the store heals.
+		if h.Degraded {
 			a.p.Metrics.Inc("watch.degraded_refills")
-			return false, false, nil
 		}
 		for _, e := range h.History {
 			if err := send(StatusItem{Seq: next, Entry: e}); err != nil {
-				return replayed, false, err
+				return false, err
 			}
 			next++
 		}
-		return replayed, h.Status.Terminal(), nil
+		return h.Status.Terminal(), nil
 	}
-	// A watcher whose resume point is still in the bus's commit log
-	// opens with no MongoDB read.
-	replayed, done, err := fill()
-	if replayed {
-		a.p.Metrics.Inc("watch.replays")
-	} else {
-		a.p.Metrics.Inc("watch.refills")
-	}
-	if err != nil || done {
+	a.p.Metrics.Inc("watch.refills")
+	if done, err := fill(); err != nil || done {
 		return err
 	}
 	// Safety tick: the bus drops events for slow subscribers, and a
@@ -535,7 +529,7 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 		case <-ctx.Done():
 			return nil
 		case <-ticker.C:
-			if _, done, err := fill(); err != nil || done {
+			if done, err := fill(); err != nil || done {
 				return err
 			}
 		case ev, ok := <-live:
@@ -547,9 +541,9 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 			}
 			if ev.Seq > next {
 				// Gap: the bus dropped events for us. The event that
-				// revealed the gap was logged, after its MongoDB write,
-				// before it was fanned out, so the fill includes it.
-				if _, done, err := fill(); err != nil || done {
+				// revealed the gap was published after its MongoDB write,
+				// so the fill includes it.
+				if done, err := fill(); err != nil || done {
 					return err
 				}
 				continue

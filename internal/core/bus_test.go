@@ -8,82 +8,6 @@ import (
 	"time"
 )
 
-// publishJob publishes a whole six-transition lifecycle for jobID.
-func publishJob(b *statusBus, jobID string) {
-	for seq, st := range []JobStatus{StatusPending, StatusDeploying, StatusDownloading,
-		StatusProcessing, StatusStoring, StatusCompleted} {
-		b.Publish(StatusEvent{JobID: jobID, Seq: seq + 1, Status: st, Entry: StatusEntry{Status: st}})
-	}
-}
-
-// TestReplayJobCostFollowsTheJobNotTheLog pins the cost of the fill on a
-// full bus log (all 8 sealed segments in place, thousands of records
-// appended): a replay
-// allocates in proportion to the events it returns, a read of a job the
-// log can no longer answer for allocates nothing, and the tracking map
-// that makes both true stays bounded by what is replayable rather than
-// by how many jobs ever finished.
-func TestReplayJobCostFollowsTheJobNotTheLog(t *testing.T) {
-	b := newMemBus(t)
-	const jobs = 1000 // 6000 publishes, 23 segments sealed
-	for i := 0; i < jobs; i++ {
-		publishJob(b, fmt.Sprintf("job-%04d", i))
-	}
-	if n := b.log.SegmentCount(); n != 8+1 {
-		t.Fatalf("bus log has %d segments, want all 8 sealed ones and the active one", n)
-	}
-	if n := len(b.first); n > busSegmentRecords {
-		t.Fatalf("bus tracks %d jobs after %d finished; tracking must follow the replayable window, not the job count", n, jobs)
-	}
-
-	newest := fmt.Sprintf("job-%04d", jobs-1)
-	evs, contiguous := b.ReplayJob(newest, 1)
-	if !contiguous || len(evs) != 6 {
-		t.Fatalf("ReplayJob(newest, 1) = %d events, contiguous=%v; want 6, true", len(evs), contiguous)
-	}
-	// 6 events grow a slice 1→2→4→8: four allocations, however long the log.
-	if a := testing.AllocsPerRun(50, func() { b.ReplayJob(newest, 1) }); a > 6 {
-		t.Fatalf("ReplayJob of a 6-event job on a %d-record log allocates %.0f times, want <= 6", b.log.Len(), a)
-	}
-
-	// A job finished long ago: compaction kept only its terminal event.
-	// The healthy read must learn that from the map, not from the log.
-	if evs, contiguous := b.ReplayJob("job-0000", 1); contiguous || len(evs) != 0 {
-		t.Fatalf("ReplayJob(compacted job) = %d events, contiguous=%v; want an untracked miss", len(evs), contiguous)
-	}
-	if a := testing.AllocsPerRun(50, func() { b.ReplayJob("job-0000", 1) }); a != 0 {
-		t.Fatalf("ReplayJob of an untracked job allocates %.0f times, want 0", a)
-	}
-	// The degraded read still finds what compaction left of it.
-	if evs := b.Retained("job-0000", 1); len(evs) != 1 || evs[0].Status != StatusCompleted {
-		t.Fatalf("Retained(compacted job) = %+v, want its terminal event", evs)
-	}
-}
-
-// TestReplayJobTracksLongRunningJob: a job whose early transitions were
-// compacted away is tracked again from its next transition on, so a
-// reconnecting watcher resumes from the log while a from-the-start read
-// is (correctly) sent to MongoDB.
-func TestReplayJobTracksLongRunningJob(t *testing.T) {
-	b := newMemBus(t)
-	b.Publish(StatusEvent{JobID: "long", Seq: 1, Status: StatusPending})
-	b.Publish(StatusEvent{JobID: "long", Seq: 2, Status: StatusDeploying})
-	for i := 0; i < 100; i++ { // seal and compact the segment holding Seq 1-2
-		publishJob(b, fmt.Sprintf("churn-%03d", i))
-	}
-	if _, contiguous := b.ReplayJob("long", 1); contiguous {
-		t.Fatal("ReplayJob(long, 1) claims completeness after Seq 1 was compacted away")
-	}
-	b.Publish(StatusEvent{JobID: "long", Seq: 3, Status: StatusProcessing})
-	b.Publish(StatusEvent{JobID: "long", Seq: 4, Status: StatusStoring})
-	if evs, contiguous := b.ReplayJob("long", 3); !contiguous || len(evs) != 2 {
-		t.Fatalf("ReplayJob(long, 3) = %d events, contiguous=%v; want 2, true", len(evs), contiguous)
-	}
-	if _, contiguous := b.ReplayJob("long", 1); contiguous {
-		t.Fatal("ReplayJob(long, 1) claims completeness across the compacted front")
-	}
-}
-
 // TestStreamLogsCancelRacesAppendLog pins the log fan-out against its
 // subscribers' cancels: a cancel edits the subscriber slice in place and
 // closes the channel, so a fan-out outside the service lock could send

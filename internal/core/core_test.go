@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/etcd"
 	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/perf"
@@ -631,16 +630,6 @@ func TestWatchStatusDeliversTransitionsInOrderUnderAPICrash(t *testing.T) {
 	}
 }
 
-// newMemBus opens a status bus on a fresh MemStore for bus-only tests.
-func newMemBus(t *testing.T) *statusBus {
-	t.Helper()
-	b, err := newStatusBus(commitlog.NewMemStore(), false, nil, nil)
-	if err != nil {
-		t.Fatalf("newStatusBus: %v", err)
-	}
-	return b
-}
-
 // TestEventDrivenControlPlanePollIndependence is the acceptance test for
 // the event-driven refactor: with every control-loop interval cranked to
 // 100ms on a simulated clock, a 2-learner job must still complete with
@@ -701,88 +690,10 @@ func TestEventDrivenControlPlanePollIndependence(t *testing.T) {
 	}
 }
 
-// TestStatusBusReplayJob pins the bus's commit-log replay contract:
-// ReplayJob reports contiguous only for a provably complete suffix (led
-// by exactly fromSeq, no hole) — the watch path streams such a replay
-// as-is, so "almost complete" would silently gap a watcher. The events
-// themselves come back either way, for degraded mode's status read.
-func TestStatusBusReplayJob(t *testing.T) {
-	b := newMemBus(t)
-	for seq := 1; seq <= 5; seq++ {
-		b.Publish(StatusEvent{JobID: "a", Seq: seq, Status: StatusDeploying})
-	}
-	b.Publish(StatusEvent{JobID: "other", Seq: 1, Status: StatusPending})
-
-	evs, ok := b.ReplayJob("a", 2)
-	if !ok || len(evs) != 4 {
-		t.Fatalf("ReplayJob(a, 2) = %d events, ok=%v; want 4, true", len(evs), ok)
-	}
-	for i, ev := range evs {
-		if ev.Seq != i+2 {
-			t.Fatalf("replayed Seq[%d] = %d, want %d", i, ev.Seq, i+2)
-		}
-	}
-	if _, ok := b.ReplayJob("a", 6); ok {
-		t.Fatal("ReplayJob past the log's tail must not claim completeness")
-	}
-	if _, ok := b.ReplayJob("nosuchjob", 1); ok {
-		t.Fatal("ReplayJob of an unknown job must fall back to refill")
-	}
-	// A hole in the retained sequence (as key-compaction leaves behind)
-	// must disqualify the replay even though events >= fromSeq exist.
-	b2 := newMemBus(t)
-	b2.Publish(StatusEvent{JobID: "j", Seq: 1, Status: StatusPending})
-	b2.Publish(StatusEvent{JobID: "j", Seq: 3, Status: StatusDeploying}) // 2 never published
-	evs, ok = b2.ReplayJob("j", 1)
-	if ok {
-		t.Fatal("ReplayJob across a Seq hole must not claim completeness")
-	}
-	if len(evs) != 2 || evs[1].Seq != 3 {
-		t.Fatalf("ReplayJob across a Seq hole = %+v, want both retained events", evs)
-	}
-}
-
-// TestWatchReplaysFromBusLog pins the watch fast path: a watcher whose
-// resume point is still retained in the bus's commit log is served by
-// replay (watch.replays) without touching MongoDB (watch.refills).
-func TestWatchReplaysFromBusLog(t *testing.T) {
-	p := newTestPlatform(t, nil)
-	c := p.Client()
-	jobID, err := c.Submit(context.Background(), testManifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitStatus(t, c, jobID, StatusCompleted, 20*time.Second)
-
-	// A fresh watch from Seq 1 on the completed job: every transition is
-	// still in the bus log, so the whole history must come from replay.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ch, stop, err := c.WatchStatus(ctx, jobID)
-	if err != nil {
-		t.Fatalf("WatchStatus: %v", err)
-	}
-	defer stop()
-	var got []StatusEntry
-	for e := range ch {
-		got = append(got, e)
-	}
-	reply, err := c.Status(context.Background(), jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(reply.History) {
-		t.Fatalf("replayed %d transitions, history has %d", len(got), len(reply.History))
-	}
-	if n := p.Obs.CounterValue("watch.replays"); n < 1 {
-		t.Fatalf("watch.replays = %d, want >= 1 (watch did not use the bus log)", n)
-	}
-}
-
-// TestWatchRefillsWhenLogCold pins the fallback: a job whose
-// transitions never passed through this process's bus (committed by
-// "another replica" straight to MongoDB) cannot be replayed and must be
-// refilled from the durable history.
+// TestWatchRefillsWhenLogCold pins the watch backlog's source: a job
+// whose transitions never passed through this process's bus (committed
+// by "another replica" straight to MongoDB) is refilled from the durable
+// history.
 func TestWatchRefillsWhenLogCold(t *testing.T) {
 	p := newTestPlatform(t, nil)
 	c := p.Client()
@@ -898,14 +809,15 @@ func TestLogsFromOffset(t *testing.T) {
 	}
 }
 
-// TestFollowLogsRefillsOverflowGap pins the follow stream's gap rule: a
-// follower that drains slower than the job logs overflows its 256-line
-// live buffer, and the lines AppendLog dropped must be refilled from
-// the job's log when the next live line reveals the gap.
-func TestFollowLogsRefillsOverflowGap(t *testing.T) {
-	p := newTestPlatform(t, nil)
+// followOverflow starts a follow stream on a fresh job, stalls it on
+// its one backlog line while burst more lines are logged — more than
+// the 256-line live buffer holds, so AppendLog drops the tail of the
+// burst — and then lets it drain. recv checks that the stream delivers
+// every offset through upTo, in order; stop ends the stream.
+func followOverflow(t *testing.T, p *Platform, burst int) (appendLines func(int), recv func(upTo uint64), stop func()) {
+	t.Helper()
 	const jobID = "gap-job"
-	appendLines := func(n int) {
+	appendLines = func(n int) {
 		for i := 0; i < n; i++ {
 			p.Metrics.AppendLog(LogLine{JobID: jobID, Text: "line"})
 		}
@@ -914,7 +826,7 @@ func TestFollowLogsRefillsOverflowGap(t *testing.T) {
 
 	entered := make(chan struct{})
 	gate := make(chan struct{})
-	got := make(chan uint64, 1024) // holds every offset sent (602), so send never blocks past the gate
+	got := make(chan uint64, 1024) // holds every offset sent, so send never blocks past the gate
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -932,12 +844,11 @@ func TestFollowLogsRefillsOverflowGap(t *testing.T) {
 		})
 	}()
 	<-entered
-	const burst = 600 // > the 256-line buffer: the tail of it is dropped
 	appendLines(burst)
 	close(gate)
 
 	next := uint64(0)
-	recv := func(upTo uint64) {
+	recv = func(upTo uint64) {
 		t.Helper()
 		for next <= upTo {
 			select {
@@ -951,13 +862,39 @@ func TestFollowLogsRefillsOverflowGap(t *testing.T) {
 			}
 		}
 	}
+	stop = func() {
+		t.Helper()
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("handleLogs: %v", err)
+		}
+	}
+	return appendLines, recv, stop
+}
+
+// TestFollowLogsRefillsOverflowGap pins the follow stream's gap rule: a
+// follower that drains slower than the job logs overflows its 256-line
+// live buffer, and the lines AppendLog dropped must be refilled from
+// the job's log when the next live line reveals the gap.
+func TestFollowLogsRefillsOverflowGap(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	const burst = 600
+	appendLines, recv, stop := followOverflow(t, p, burst)
 	recv(256) // the backlog line and what the buffer held
 	appendLines(1)
 	recv(burst + 1) // the dropped lines, then the one that revealed them
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("handleLogs: %v", err)
-	}
+	stop()
+}
+
+// TestFollowLogsRefillsDroppedTail pins the follow stream's safety
+// tick: when the lines AppendLog dropped are the last the job logs, no
+// later line reveals the gap, and the tick must refill them.
+func TestFollowLogsRefillsDroppedTail(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	const burst = 600
+	_, recv, stop := followOverflow(t, p, burst)
+	recv(burst) // the backlog line and the whole burst, nothing after it
+	stop()
 }
 
 // TestJobTrafficOnce pins what a job's life writes and who hands it to

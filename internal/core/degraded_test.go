@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,8 +13,8 @@ import (
 
 // TestDegradedModeServesReadsShedsSubmits is the end-to-end pin for
 // graceful degradation (ISSUE acceptance): with the metadata store's
-// breaker open, status and watch reads serve from the status bus's
-// replay window (flagged Degraded) and submissions are shed with a
+// breaker open, status and watch reads serve from the job document's
+// image in the oplog (flagged Degraded) and submissions are shed with a
 // retryable ErrDegraded — then everything recovers once the store heals
 // and the breaker's open window elapses.
 func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
@@ -20,8 +22,7 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 	c := p.Client()
 	ctx := context.Background()
 
-	// A job completes while the store is healthy, seeding the bus's
-	// replay window with its full history.
+	// A job completes while the store is healthy.
 	jobID, err := c.Submit(ctx, testManifest())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -45,7 +46,7 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 		t.Fatalf("shed submit error = %v, want degraded", err)
 	}
 
-	// Status reads serve the retained history, flagged Degraded.
+	// Status reads serve the oplog image's history, flagged Degraded.
 	reply, err := c.Status(ctx, jobID)
 	if err != nil {
 		t.Fatalf("degraded status read failed: %v", err)
@@ -60,14 +61,14 @@ func TestDegradedModeServesReadsShedsSubmits(t *testing.T) {
 		t.Fatal("degraded status reply carries no history")
 	}
 
-	// List has no replay window to fall back on: it must say so with the
+	// List has no oplog image to fall back on: it must say so with the
 	// retryable error, never answer "no jobs".
 	if recs, err := c.List(ctx, "alice"); !IsDegraded(err) {
 		t.Fatalf("List during the outage = %d jobs, err %v; want the degraded-retryable error", len(recs), err)
 	}
 
-	// Watch reads work too: the stream replays the bus's commit-log
-	// window (no MongoDB read) in order through the terminal entry.
+	// Watch reads work too: the stream fills from the same oplog image,
+	// in order through the terminal entry.
 	wch, wcancel, err := c.WatchStatus(ctx, jobID)
 	if err != nil {
 		t.Fatalf("degraded WatchStatus: %v", err)
@@ -163,5 +164,83 @@ func TestDeadOplogShedsSubmissions(t *testing.T) {
 		if _, err := p2.Jobs.FindOne(mongo.Filter{"_id": jobID}); err != nil {
 			t.Fatalf("acknowledged job %s after restart: %v", jobID, err)
 		}
+	}
+}
+
+// TestDegradedStatusServesFullHistory pins where a degraded status read
+// comes from: the job document's newest image in the oplog, which holds
+// the whole history however many transitions other jobs published since.
+// A read from a key-compacted window of recent transitions would return
+// the job's terminal entry alone.
+func TestDegradedStatusServesFullHistory(t *testing.T) {
+	p := newTestPlatform(t, func(c *Config) {
+		c.TimeCompression = 0
+		c.StartDelay = func(string) time.Duration { return 0 }
+	})
+	p.NFS.BaseLatency = 0
+	if err := p.Store.Put("datasets", "tiny/shard-0", make([]byte, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	c := p.Client()
+	ctx := context.Background()
+	jobID, _, err := watchOneJob(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 8 segments of 256 transitions from further jobs.
+	var published atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for published.Load() < 8*256 {
+				_, got, err := watchOneJob(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				published.Add(int64(len(got)))
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	recs, err := c.List(ctx, "")
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	var want []StatusEntry
+	for _, rec := range recs {
+		if rec.ID == jobID {
+			want = rec.History
+		}
+	}
+	if len(want) < 3 {
+		t.Fatalf("%s: List history = %+v, want a whole lifecycle", jobID, want)
+	}
+
+	p.Mongo.SetUnavailable(true)
+	reply, err := c.Status(ctx, jobID)
+	if err != nil {
+		t.Fatalf("degraded Status: %v", err)
+	}
+	if !reply.Degraded {
+		t.Fatal("status reply during the outage not flagged Degraded")
+	}
+	if len(reply.History) != len(want) {
+		t.Fatalf("degraded history has %d entries, List had %d: %+v", len(reply.History), len(want), reply.History)
+	}
+	for i, h := range want {
+		got := reply.History[i]
+		if got.Status != h.Status || !got.Time.Equal(h.Time) || got.Message != h.Message {
+			t.Fatalf("degraded history entry %d = %+v, List had %+v", i+1, got, h)
+		}
+	}
+	if reply.Status != want[len(want)-1].Status {
+		t.Fatalf("degraded status = %s, want %s", reply.Status, want[len(want)-1].Status)
 	}
 }

@@ -12,12 +12,11 @@ import (
 )
 
 // Durable-log plumbing: where each platform log lives under
-// Config.DataDir, and the payload codecs for the records that must
-// outlive the process. The DataDir layout is one commitlog.FileStore
+// Config.DataDir, and the payload codec for the learner log lines that
+// must outlive the process. The DataDir layout is one commitlog.FileStore
 // directory per log:
 //
 //	<DataDir>/mongo-oplog/            the metadata store's oplog
-//	<DataDir>/status-bus/             the status bus's replay window
 //	<DataDir>/learner-logs/<jobID>/   one log per job's learner lines
 //
 // With DataDir unset every log rides a MemStore and nothing survives
@@ -30,7 +29,6 @@ import (
 // Log directory names under DataDir.
 const (
 	dirMongoOplog  = "mongo-oplog"
-	dirStatusBus   = "status-bus"
 	dirLearnerLogs = "learner-logs"
 )
 
@@ -71,55 +69,13 @@ func hasLogDir(dataDir, name string) bool {
 	return err == nil && st.IsDir()
 }
 
-// Payload codecs. Like the mongo oplog codec, these carry no checksum
-// of their own: commit-log record frames already CRC their payloads.
+// Learner log line codec. Like the mongo oplog codec, it carries no
+// checksum of its own: commit-log record frames already CRC their
+// payloads.
 
 var errDurableShort = errors.New("core: truncated durable record payload")
 
 const maxDurableLen = 1 << 26
-
-// encodeStatusEvent appends the durable form of a bus event.
-func encodeStatusEvent(dst []byte, ev StatusEvent) []byte {
-	dst = appendDurableString(dst, ev.JobID)
-	dst = binary.AppendVarint(dst, int64(ev.Seq))
-	dst = appendDurableString(dst, string(ev.Status))
-	dst = appendDurableString(dst, string(ev.Entry.Status))
-	dst = binary.AppendVarint(dst, ev.Entry.Time.UnixNano())
-	return appendDurableString(dst, ev.Entry.Message)
-}
-
-// decodeStatusEvent parses one durable bus event.
-func decodeStatusEvent(data []byte) (StatusEvent, error) {
-	r := durableReader{buf: data}
-	var ev StatusEvent
-	var err error
-	if ev.JobID, err = r.str(); err != nil {
-		return StatusEvent{}, err
-	}
-	seq, err := r.varint()
-	if err != nil {
-		return StatusEvent{}, err
-	}
-	ev.Seq = int(seq)
-	s, err := r.str()
-	if err != nil {
-		return StatusEvent{}, err
-	}
-	ev.Status = JobStatus(s)
-	if s, err = r.str(); err != nil {
-		return StatusEvent{}, err
-	}
-	ev.Entry.Status = JobStatus(s)
-	ns, err := r.varint()
-	if err != nil {
-		return StatusEvent{}, err
-	}
-	ev.Entry.Time = time.Unix(0, ns)
-	if ev.Entry.Message, err = r.str(); err != nil {
-		return StatusEvent{}, err
-	}
-	return ev, r.done()
-}
 
 // encodeLogLine appends the durable form of a learner log line.
 func encodeLogLine(dst []byte, line LogLine) []byte {

@@ -91,12 +91,11 @@ type Config struct {
 	Tenancy *TenancyConfig
 
 	// DataDir, when set, roots the platform's durable logs: the mongo
-	// oplog, the status bus's replay window, and per-job learner logs
-	// each open a commitlog.FileStore directory under it (see
-	// durable.go for the layout) and are recovered on boot — job
-	// documents, status history, log offsets, consumer cursors and
-	// retained floors all survive a full process restart. Empty (the
-	// default) keeps every log in memory.
+	// oplog and per-job learner logs each open a commitlog.FileStore
+	// directory under it (see durable.go for the layout) and are
+	// recovered on boot — job documents with their status history, log
+	// offsets, consumer cursors and retained floors all survive a full
+	// process restart. Empty (the default) keeps every log in memory.
 	DataDir string
 
 	// StoreWrapper, when non-nil, wraps each durable log's segment
@@ -292,15 +291,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		}
 	}
 
-	busStore, err := openLogStore(cfg.DataDir, dirStatusBus, cfg.StoreWrapper)
-	if err != nil {
-		return nil, err
-	}
-	bus, err := newStatusBus(busStore, cfg.DataDir != "", instruments, cfg.Clock)
-	if err != nil {
-		return nil, err
-	}
-
 	metrics := NewMetricsService(registry)
 	metrics.dataDir = cfg.DataDir
 	metrics.storeWrap = cfg.StoreWrapper
@@ -347,7 +337,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		Tracer:    tracer,
 		Registry:  rpc.NewRegistry(),
 		res:       newResilienceHub(&cfg, instruments),
-		bus:       bus,
+		bus:       &statusBus{subs: make(map[int]*busSub)},
 		resources: make(map[string]*jobResources),
 		jobSeq:    jobSeq,
 		stopCh:    make(chan struct{}),

@@ -30,9 +30,10 @@ import (
 // mode: the metadata store's breaker is open, so submissions are shed
 // instead of queued behind a dead dependency. The error is retryable —
 // clients should back off and resubmit (the HTTP gateway maps it to
-// 503 + Retry-After). Status and watch reads keep working from the
-// status bus's replay window while degraded; a List, or a Status the
-// window holds nothing for, sheds with this error too.
+// 503 + Retry-After). Status and watch reads keep working while
+// degraded, from the job document's newest image in the metadata
+// store's oplog; a List, or a Status for a job the oplog retains
+// nothing for, sheds with this error too.
 var ErrDegraded = errors.New("core: degraded mode: metadata store unavailable, retry later")
 
 // IsDegraded reports whether err is (or wraps) ErrDegraded. Application
@@ -172,7 +173,7 @@ func (p *Platform) findJob(jobID string) (mongo.Doc, error) {
 
 // Degraded reports whether the platform is in degraded mode (the
 // metadata store's breaker is open): submissions are shed, status and
-// watch reads serve from the status bus's replay window.
+// watch reads serve from the job documents' images in the oplog.
 func (p *Platform) Degraded() bool { return !p.res.mongo.Ready() }
 
 // mongoOutageErr reports whether err means "the metadata store did not

@@ -123,7 +123,7 @@ func nodeCapacityChanged(ev kube.WatchEvent) bool {
 	return prev.Capacity.GPUs != next.Capacity.GPUs
 }
 
-// tenancyStatusPump translates status-bus events into dispatcher notes.
+// tenancyStatusPump translates status bus events into dispatcher notes.
 func (p *Platform) tenancyStatusPump(events <-chan StatusEvent) {
 	for {
 		select {

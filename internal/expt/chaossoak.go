@@ -528,7 +528,7 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 		arm.rpcFaults = faults.Stats()
 
 		// Forced mongo outage: the acceptance pin that status reads keep
-		// working from the replay window while submissions shed with a
+		// working from the oplog image while submissions shed with a
 		// retryable error.
 		p.Mongo.SetUnavailable(true)
 		if _, err := c.Submit(ctx, manifest(users[0], 990)); err == nil {
@@ -585,8 +585,7 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 	}
 
 	// The durable history is read through List, which only MongoDB can
-	// answer: Status may be served by the same bus log that fed the
-	// watch streams under test.
+	// answer: a Status read may come from the oplog image instead.
 	durable := make(map[string]core.JobRecord, len(jobIDs))
 	recs, err := c.List(ctx, "")
 	if err != nil {

@@ -2,47 +2,25 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
-	"time"
 
 	"github.com/ffdl/ffdl/internal/commitlog"
 )
 
-// The commitlog experiment: the repo's own measurement of the event
-// substrate. It has two halves:
-//
-//  1. A crash/compaction torture smoke — commitlog.Torture run at CI
-//     scale, so a durability regression (torn-tail mishandling, offset
-//     reuse, a consumer cursor drifting off its acked commit) fails the
-//     gate with a named invariant, not a flaky downstream test.
-//
-//  2. A replay-vs-resync retention micro-bench: the cost model behind
-//     the status bus's commit log. A watcher that disconnects and
-//     reconnects either replays its job's missed transitions from the
-//     retained log (cost = the gap) or falls back to re-reading the
-//     job's full durable record (cost = the whole history). The
-//     ablation arm has no retained log and pays the refill on every
-//     reconnect — the pre-commitlog behavior.
+// The commitlog experiment: a crash/compaction torture smoke —
+// commitlog.Torture run at CI scale, so a durability regression
+// (torn-tail mishandling, offset reuse, a consumer cursor drifting off
+// its acked commit) fails the gate with a named invariant, not a flaky
+// downstream test.
 
 // CommitlogConfig parameterizes one -commitlog run.
 type CommitlogConfig struct {
-	// TortureOps / TortureCrashPoints size the torture half (defaults
+	// TortureOps / TortureCrashPoints size the torture run (defaults
 	// 300 appends, 40 crash points — the full 200+ suite runs in `go
 	// test ./internal/commitlog`).
 	TortureOps         int
 	TortureCrashPoints int
-	// Events is the number of status transitions published across Jobs
-	// in the retention half. Defaults 4000 over 64 jobs.
-	Events int
-	Jobs   int
-	// Reconnects is how many disconnect/reconnect samples to take,
-	// spread uniformly through the publish stream. Default 400.
-	Reconnects int
-	// MaxLag is the largest gap (in a job's transitions) a disconnected
-	// watcher accumulates before reconnecting. Default 12.
-	MaxLag int
-	Seed   int64
+	Seed               int64
 }
 
 func (c *CommitlogConfig) defaults() {
@@ -52,49 +30,17 @@ func (c *CommitlogConfig) defaults() {
 	if c.TortureCrashPoints <= 0 {
 		c.TortureCrashPoints = 40
 	}
-	if c.Events <= 0 {
-		c.Events = 4000
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = 64
-	}
-	if c.Reconnects <= 0 {
-		c.Reconnects = 400
-	}
-	if c.MaxLag <= 0 {
-		c.MaxLag = 12
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
 
-// RetentionArm reports one arm of the replay-vs-resync comparison.
-type RetentionArm struct {
-	ReplayLog  bool `json:"replay_log"`
-	Events     int  `json:"events"`
-	Reconnects int  `json:"reconnects"`
-	// Replays counts reconnects served from the retained log; Resyncs
-	// counts those that fell back to the durable record.
-	Replays int `json:"replays"`
-	Resyncs int `json:"resyncs"`
-	// RecordsReplayed / RecordsRefilled are the delivered-record costs
-	// of each path: a replay delivers only the gap, a refill re-reads
-	// the job's entire history.
-	RecordsReplayed int `json:"records_replayed"`
-	RecordsRefilled int `json:"records_refilled"`
-	// RecordsPerReconnect is the average read cost of one reconnect.
-	RecordsPerReconnect float64 `json:"records_per_reconnect"`
-	WallSeconds         float64 `json:"wall_seconds"`
-}
-
 // CommitlogResult is the full -commitlog payload.
 type CommitlogResult struct {
-	Torture   commitlog.TortureResult `json:"torture"`
-	Retention []RetentionArm          `json:"retention"`
+	Torture commitlog.TortureResult `json:"torture"`
 }
 
-// CommitlogRun runs both halves.
+// CommitlogRun runs the torture smoke in a scratch directory.
 func CommitlogRun(cfg CommitlogConfig) (CommitlogResult, error) {
 	cfg.defaults()
 	dir, err := os.MkdirTemp("", "commitlog-torture-")
@@ -111,128 +57,17 @@ func CommitlogRun(cfg CommitlogConfig) (CommitlogResult, error) {
 	if err != nil {
 		return CommitlogResult{}, err
 	}
-	res := CommitlogResult{Torture: torture}
-	for _, withLog := range []bool{true, false} {
-		arm, err := retentionArm(cfg, withLog)
-		if err != nil {
-			return res, err
-		}
-		res.Retention = append(res.Retention, arm)
-	}
-	return res, nil
-}
-
-// retentionArm publishes the transition stream and samples reconnects
-// against either the retained commit log (withLog) or the always-refill
-// ablation.
-func retentionArm(cfg CommitlogConfig, withLog bool) (RetentionArm, error) {
-	arm := RetentionArm{ReplayLog: withLog, Events: cfg.Events}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Same shape as the status bus's log: keyed by job, compacting,
-	// bounded retention.
-	l, err := commitlog.Open(commitlog.NewMemStore(), commitlog.Options{
-		SegmentRecords: 256,
-		Compact:        true,
-		MaxSegments:    8,
-	})
-	if err != nil {
-		return arm, err
-	}
-	// seqs[j] is job j's durable history length — what a refill re-reads.
-	seqs := make([]int, cfg.Jobs)
-	every := cfg.Events / cfg.Reconnects
-	if every < 1 {
-		every = 1
-	}
-	start := time.Now()
-	for i := 0; i < cfg.Events; i++ {
-		job := rng.Intn(cfg.Jobs)
-		seqs[job]++
-		if _, err := l.AppendValue(fmt.Sprintf("job-%03d", job), seqs[job]); err != nil {
-			return arm, err
-		}
-		if i%every != every-1 {
-			continue
-		}
-		// One watcher reconnects, MaxLag-ish transitions behind its job.
-		j := rng.Intn(cfg.Jobs)
-		if seqs[j] == 0 {
-			continue
-		}
-		lag := 1 + rng.Intn(cfg.MaxLag)
-		from := seqs[j] - lag
-		if from < 1 {
-			from = 1
-		}
-		arm.Reconnects++
-		var gap int
-		served := false
-		if withLog {
-			gap, served = replayGap(l, fmt.Sprintf("job-%03d", j), from, seqs[j])
-		}
-		if served {
-			arm.Replays++
-			arm.RecordsReplayed += gap
-		} else {
-			// Refill: re-read the job's whole durable history.
-			arm.Resyncs++
-			arm.RecordsRefilled += seqs[j]
-		}
-	}
-	arm.WallSeconds = time.Since(start).Seconds()
-	if arm.Reconnects > 0 {
-		arm.RecordsPerReconnect = float64(arm.RecordsReplayed+arm.RecordsRefilled) / float64(arm.Reconnects)
-	}
-	return arm, nil
-}
-
-// replayGap checks the retained log can serve job transitions [from,
-// tail] contiguously — the statusBus.ReplayJob completeness rule — and
-// returns the gap size.
-func replayGap(l *commitlog.Log, key string, from, tail int) (int, bool) {
-	last := from - 1
-	for _, rec := range l.Records(0) {
-		if rec.Key != key {
-			continue
-		}
-		seq, isInt := rec.Value.(int)
-		if !isInt || seq <= last {
-			continue
-		}
-		if seq != last+1 {
-			return 0, false
-		}
-		last = seq
-	}
-	if last < tail {
-		return 0, false
-	}
-	return last - (from - 1), last >= from
+	return CommitlogResult{Torture: torture}, nil
 }
 
 // RenderCommitlog formats an already-computed result.
 func RenderCommitlog(res CommitlogResult) *Table {
-	t := &Table{
-		Title: "Commit log: crash torture + replay-vs-resync retention cost",
-		Header: []string{"Arm", "Events", "Reconnects", "Replays", "Resyncs",
-			"Replayed", "Refilled", "Records/reconnect"},
+	return &Table{
+		Title:  "Commit log: crash torture",
+		Header: []string{"Crash points", "Violations", "Recovered min", "Recovered max"},
+		Rows: [][]string{{
+			fmt.Sprintf("%d", res.Torture.CrashPoints), fmt.Sprintf("%d", len(res.Torture.Violations)),
+			fmt.Sprintf("%d", res.Torture.RecoveredMin), fmt.Sprintf("%d", res.Torture.RecoveredMax),
+		}},
 	}
-	name := map[bool]string{true: "replay log", false: "no log (ablation)"}
-	for _, a := range res.Retention {
-		t.Rows = append(t.Rows, []string{
-			name[a.ReplayLog], fmt.Sprintf("%d", a.Events),
-			fmt.Sprintf("%d", a.Reconnects), fmt.Sprintf("%d", a.Replays),
-			fmt.Sprintf("%d", a.Resyncs), fmt.Sprintf("%d", a.RecordsReplayed),
-			fmt.Sprintf("%d", a.RecordsRefilled), fmt.Sprintf("%.1f", a.RecordsPerReconnect),
-		})
-	}
-	caption := fmt.Sprintf("Torture: %d crash points, %d violations (recovered %d-%d records).",
-		res.Torture.CrashPoints, len(res.Torture.Violations),
-		res.Torture.RecoveredMin, res.Torture.RecoveredMax)
-	if len(res.Retention) == 2 {
-		caption += fmt.Sprintf(" Retention: %.1f records/reconnect with the replay log vs %.1f without.",
-			res.Retention[0].RecordsPerReconnect, res.Retention[1].RecordsPerReconnect)
-	}
-	t.Caption = caption
-	return t
 }

@@ -23,10 +23,9 @@ import (
 //   - reopen latency (NewPlatform + recovery replay, wall clock)
 //   - how much state came back (jobs, oplog ops, learner-log lines)
 //   - whether saved log cursors survived byte-exact
-//   - replay vs resync on the read paths: WatchStatus reconnects served
-//     from the recovered bus log (watch.replays) vs MongoDB refills
-//     (watch.refills), and whether a pre-floor change-stream resume gets
-//     its explicit resync marker
+//   - the reopened read paths: WatchStatus reconnects refilled from the
+//     recovered job documents (watch.refills), and whether a pre-floor
+//     change-stream resume gets its explicit resync marker
 //
 // The MemStore arm is the ablation: same workload, no DataDir, so the
 // restart erases everything — the baseline that shows what the
@@ -85,8 +84,7 @@ type RecoveryArm struct {
 	// byte-exact (one was saved per job).
 	CursorsPreserved int `json:"cursors_preserved"`
 
-	// Replay vs resync on the reopened read paths.
-	WatchReplays int64 `json:"watch_replays"`
+	// The reopened read paths.
 	WatchRefills int64 `json:"watch_refills"`
 	// ResyncEvents counts change streams (one probe per arm, resumed
 	// from seq 1) whose first delivery was the explicit resync marker —
@@ -236,7 +234,7 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 		}
 	}
 
-	// Replay-vs-resync probes. A change stream resumed from seq 1: on
+	// Read-path probes. A change stream resumed from seq 1: on
 	// the FileStore arm the recovered floor rose past it (churn sealed
 	// and compacted segments), so the first delivery must be the
 	// explicit resync marker; the fresh MemStore arm has no history and
@@ -251,8 +249,8 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	}
 	cs.Cancel()
 
-	// One WatchStatus reconnect per recovered job: with the bus's replay
-	// window recovered these are served from the log (watch.replays),
+	// One WatchStatus reconnect per recovered job: with the oplog
+	// recovered these refill from the job documents (watch.refills),
 	// without it the jobs are gone and there is nothing to watch.
 	client2 := p2.Client()
 	for _, id := range jobIDs {
@@ -264,11 +262,7 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 		}
 		stop()
 	}
-	// One consistent registry snapshot instead of torn per-name reads:
-	// both counters reflect the same instant.
-	counters := p2.Obs.CounterValues()
-	arm.WatchReplays = counters["watch.replays"]
-	arm.WatchRefills = counters["watch.refills"]
+	arm.WatchRefills = p2.Obs.CounterValue("watch.refills")
 
 	arm.WallSeconds = time.Since(wallStart).Seconds()
 	return arm, nil
@@ -279,7 +273,7 @@ func RenderRecovery(res RecoveryResult) *Table {
 	t := &Table{
 		Title: "Restart-the-world recovery: FileStore DataDir vs the MemStore ablation",
 		Header: []string{"FileStore", "Reopen (ms)", "Jobs back", "Oplog ops", "Log lines",
-			"Cursors", "Replays", "Refills", "Resyncs", "Floor"},
+			"Cursors", "Refills", "Resyncs", "Floor"},
 	}
 	for _, a := range res.Arms {
 		t.Rows = append(t.Rows, []string{
@@ -288,7 +282,7 @@ func RenderRecovery(res RecoveryResult) *Table {
 			fmt.Sprintf("%d", a.RecoveredOps),
 			fmt.Sprintf("%d", a.RecoveredLogLines),
 			fmt.Sprintf("%d/%d", a.CursorsPreserved, res.Jobs),
-			fmt.Sprintf("%d", a.WatchReplays), fmt.Sprintf("%d", a.WatchRefills),
+			fmt.Sprintf("%d", a.WatchRefills),
 			fmt.Sprintf("%d", a.ResyncEvents), fmt.Sprintf("%d", a.OplogFloor),
 		})
 	}

@@ -347,3 +347,51 @@ func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
 		}
 	}
 }
+
+// TestOplogImage pins the oplog-image read: the newest post-image of a
+// document, keyed by collection and _id, answered while the primary is
+// unavailable and after a reopen; a deleted or never-written document
+// is absent.
+func TestOplogImage(t *testing.T) {
+	dir := t.TempDir()
+	db := openFileDB(t, dir)
+	jobs := db.C("jobs")
+	if _, err := jobs.Insert(Doc{"_id": "a", "status": "PENDING", "history": []any{"PENDING"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jobs.UpdateOne(Filter{"_id": "a"}, Update{Set: Doc{"status": "RUNNING"}, Push: map[string]any{"history": "RUNNING"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jobs.Insert(Doc{"_id": "gone"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jobs.DeleteOne(Filter{"_id": "gone"}); err != nil {
+		t.Fatal(err)
+	}
+	// Same _id, other collection, written last: the key is per collection.
+	if _, err := db.C("tenants").Insert(Doc{"_id": "a", "status": "OTHER"}); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(db *DB, when string) {
+		t.Helper()
+		jobs := db.C("jobs")
+		d, ok := jobs.OplogImage("a")
+		if !ok || d["status"] != "RUNNING" || !reflect.DeepEqual(d["history"], []any{"PENDING", "RUNNING"}) {
+			t.Fatalf("%s: OplogImage(a) = %v, %v; want the updated image", when, d, ok)
+		}
+		if d, ok := jobs.OplogImage("gone"); ok {
+			t.Fatalf("%s: OplogImage of a deleted doc = %v, want absent", when, d)
+		}
+		if d, ok := jobs.OplogImage("never"); ok {
+			t.Fatalf("%s: OplogImage of an unwritten doc = %v, want absent", when, d)
+		}
+	}
+	check(db, "healthy")
+	db.SetUnavailable(true)
+	if _, err := jobs.FindOne(Filter{"_id": "a"}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("FindOne during the outage: err = %v, want ErrUnavailable", err)
+	}
+	check(db, "unavailable")
+	check(openFileDB(t, dir), "reopened")
+}

@@ -565,11 +565,50 @@ func (c *Collection) FindOne(f Filter) (Doc, error) {
 	if c.db.Unavailable() {
 		return nil, ErrUnavailable
 	}
+	if id, ok := f["_id"].(string); ok && len(f) == 1 {
+		// A primary-key lookup — every status transition and status read
+		// is one — reads the map: no filter to compile, nothing to sort.
+		defer c.db.opEnd(c.db.opStart())
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		if d, found := c.docs[id]; found {
+			return d.Clone(), nil
+		}
+		return nil, ErrNotFound
+	}
 	docs := c.Find(f, FindOpts{Limit: 1})
 	if len(docs) == 0 {
 		return nil, ErrNotFound
 	}
 	return docs[0], nil
+}
+
+// OplogImage returns document id's newest post-image as the retained
+// oplog holds it — a copy-on-write view, like FindOne's — without
+// touching the collection. It answers even while SetUnavailable is on,
+// modelling a read from a caught-up secondary. ok is false when the
+// newest retained op on id is a delete, or when no op on id is
+// retained. Insert and update entries carry full post-images, so only
+// the last match is decoded.
+func (c *Collection) OplogImage(id string) (Doc, bool) {
+	defer c.db.opEnd(c.db.opStart())
+	key := c.name + "\x00" + id
+	var last commitlog.Record
+	found := false
+	c.db.oplog.Scan(0, func(rec commitlog.Record) bool {
+		if rec.Key == key {
+			last, found = rec, true // record payloads are never rewritten in place
+		}
+		return true
+	})
+	if !found {
+		return nil, false
+	}
+	o, ok := recOp(last)
+	if !ok || o.Doc == nil {
+		return nil, false // a delete, or an undecodable record
+	}
+	return o.Doc.Clone(), true
 }
 
 // FindOpts shape Find results.
@@ -798,7 +837,6 @@ type DB struct {
 	opSeq   uint64
 	subs    map[int]chan op
 	nextSub int
-	closed  bool
 	// persist encodes every oplog entry into its record payload (see
 	// opcodec.go) so the log's durable bytes are self-contained; set for
 	// FileStore-backed databases, off for the MemStore default where ops
@@ -1034,9 +1072,6 @@ func (db *DB) C(name string) *Collection {
 func (db *DB) logOp(o op) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return nil
-	}
 	id := o.ID
 	if id == "" && o.Doc != nil {
 		id, _ = o.Doc["_id"].(string)

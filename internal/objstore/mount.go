@@ -12,8 +12,7 @@ import (
 // caches them so they can be reused across training epochs and jobs"
 // (§3.7). Chunks fetched from the object store are kept in a shared LRU
 // cache, so the second epoch of a training run — and other jobs reading
-// the same dataset — hit memory instead of the (bandwidth-limited)
-// storage backend.
+// the same dataset — hit memory instead of the storage backend.
 type Mount struct {
 	svc    *Service
 	bucket string

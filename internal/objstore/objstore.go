@@ -3,8 +3,6 @@
 // models the pieces of behaviour the paper's evaluation depends on:
 //
 //   - bucket/object CRUD with streaming reads,
-//   - a shared-bandwidth model, so hundreds of concurrent jobs contend
-//     for storage throughput exactly as in the §5.5 heavy-load scale test,
 //   - an s3fs-like mount driver that exposes objects as files with
 //     on-demand chunk streaming and an LRU cache reused across training
 //     epochs and jobs (§3.7 "Mounted object store").
@@ -48,7 +46,6 @@ type Service struct {
 	mu      sync.RWMutex
 	buckets map[string]*bucket
 	clock   sim.Clock
-	limiter *BandwidthLimiter
 
 	uploads map[string]*multipart
 	nextUp  int
@@ -75,12 +72,8 @@ type multipart struct {
 
 // Config configures a Service.
 type Config struct {
-	// Clock is used for timestamps and bandwidth throttling delays.
-	// Defaults to the wall clock.
+	// Clock is used for timestamps. Defaults to the wall clock.
 	Clock sim.Clock
-	// AggregateBandwidth is the total storage throughput in bytes/sec
-	// shared by all concurrent transfers; 0 disables throttling.
-	AggregateBandwidth float64
 }
 
 // New returns an empty Service.
@@ -88,20 +81,12 @@ func New(cfg Config) *Service {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.NewRealClock()
 	}
-	var lim *BandwidthLimiter
-	if cfg.AggregateBandwidth > 0 {
-		lim = NewBandwidthLimiter(cfg.Clock, cfg.AggregateBandwidth)
-	}
 	return &Service{
 		buckets: make(map[string]*bucket),
 		clock:   cfg.Clock,
-		limiter: lim,
 		uploads: make(map[string]*multipart),
 	}
 }
-
-// Limiter exposes the shared bandwidth limiter (nil when unthrottled).
-func (s *Service) Limiter() *BandwidthLimiter { return s.limiter }
 
 // CreateBucket makes a new bucket.
 func (s *Service) CreateBucket(name string) error {
@@ -134,11 +119,8 @@ func (s *Service) DeleteBucket(name string) error {
 	return nil
 }
 
-// Put stores an object, applying the bandwidth model to the transfer.
+// Put stores an object.
 func (s *Service) Put(bucketName, key string, data []byte) error {
-	if s.limiter != nil {
-		s.limiter.Transfer(int64(len(data)))
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
@@ -172,9 +154,6 @@ func (s *Service) Get(bucketName, key string) ([]byte, error) {
 	out := make([]byte, len(o.data))
 	copy(out, o.data)
 	s.mu.RUnlock()
-	if s.limiter != nil {
-		s.limiter.Transfer(int64(len(out)))
-	}
 	s.mu.Lock()
 	s.bytesOut += int64(len(out))
 	s.mu.Unlock()
@@ -206,9 +185,6 @@ func (s *Service) GetRange(bucketName, key string, off, n int64) ([]byte, error)
 	out := make([]byte, end-off)
 	copy(out, o.data[off:end])
 	s.mu.RUnlock()
-	if s.limiter != nil {
-		s.limiter.Transfer(int64(len(out)))
-	}
 	s.mu.Lock()
 	s.bytesOut += int64(len(out))
 	s.mu.Unlock()
@@ -280,9 +256,6 @@ func (s *Service) InitiateMultipart(bucketName, key string) (string, error) {
 
 // UploadPart stores one part (parts are 1-indexed, any order).
 func (s *Service) UploadPart(uploadID string, partNum int, data []byte) error {
-	if s.limiter != nil {
-		s.limiter.Transfer(int64(len(data)))
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	up, ok := s.uploads[uploadID]
@@ -347,7 +320,7 @@ func hashBytes(b []byte) uint32 {
 	return h
 }
 
-// Reader streams an object in chunks through the bandwidth model.
+// Reader streams an object in chunks.
 type Reader struct {
 	svc         *Service
 	bucket, key string
@@ -382,67 +355,4 @@ func (r *Reader) Read(p []byte) (int, error) {
 	n := copy(p, data)
 	r.off += int64(n)
 	return n, nil
-}
-
-// BandwidthLimiter models an aggregate-throughput storage/network
-// backend: the more concurrent transfers, the slower each one goes. This
-// is the mechanism behind Figure 5's observation that V100 jobs starting
-// at peak load degrade 51% while earlier K80 batches degrade 6-8%.
-type BandwidthLimiter struct {
-	mu        sync.Mutex
-	clock     sim.Clock
-	bandwidth float64 // bytes/sec aggregate
-	active    int
-	peak      int
-}
-
-// NewBandwidthLimiter returns a limiter over the given aggregate
-// bandwidth in bytes/sec.
-func NewBandwidthLimiter(clock sim.Clock, bandwidth float64) *BandwidthLimiter {
-	return &BandwidthLimiter{clock: clock, bandwidth: bandwidth}
-}
-
-// Transfer blocks for the modeled duration of moving size bytes given
-// current contention.
-func (l *BandwidthLimiter) Transfer(size int64) {
-	d := l.Begin(size)
-	l.clock.Sleep(d)
-	l.End()
-}
-
-// Begin registers a transfer and returns its modeled duration; callers
-// must pair it with End. Split form lets discrete-event simulations
-// schedule the completion instead of sleeping.
-func (l *BandwidthLimiter) Begin(size int64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.active++
-	if l.active > l.peak {
-		l.peak = l.active
-	}
-	share := l.bandwidth / float64(l.active)
-	return time.Duration(float64(size) / share * float64(time.Second))
-}
-
-// End deregisters a transfer.
-func (l *BandwidthLimiter) End() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.active > 0 {
-		l.active--
-	}
-}
-
-// Active returns the number of in-flight transfers.
-func (l *BandwidthLimiter) Active() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.active
-}
-
-// Peak returns the maximum concurrent transfers observed.
-func (l *BandwidthLimiter) Peak() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.peak
 }

@@ -7,9 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"github.com/ffdl/ffdl/internal/sim"
 )
 
 func newSvc() *Service {
@@ -148,27 +145,6 @@ func TestReaderStreams(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("streamed data mismatch")
-	}
-}
-
-func TestBandwidthContention(t *testing.T) {
-	clock := sim.NewFakeClock(time.Unix(0, 0))
-	lim := NewBandwidthLimiter(clock, 100) // 100 B/s aggregate
-	// Solo transfer of 100 bytes: 1s.
-	if d := lim.Begin(100); d != time.Second {
-		t.Fatalf("solo duration = %v, want 1s", d)
-	}
-	// Second concurrent transfer sees half bandwidth: 2s for 100 bytes.
-	if d := lim.Begin(100); d != 2*time.Second {
-		t.Fatalf("contended duration = %v, want 2s", d)
-	}
-	lim.End()
-	lim.End()
-	if lim.Peak() != 2 {
-		t.Fatalf("peak = %d", lim.Peak())
-	}
-	if lim.Active() != 0 {
-		t.Fatalf("active = %d", lim.Active())
 	}
 }
 

@@ -170,7 +170,7 @@ func TestHistogramMerge(t *testing.T) {
 // _total suffix, cumulative histogram buckets.
 func TestPromGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("watch.replays").Add(3)
+	r.Counter("watch.refills").Add(3)
 	r.Counter("api.crashes").Inc()
 	r.Gauge("sched.queue_depth").Set(7)
 	h := r.HistogramWith("etcd.batch_size", []float64{1, 4, 16})
@@ -184,8 +184,8 @@ func TestPromGolden(t *testing.T) {
 	want := strings.Join([]string{
 		"# TYPE ffdl_api_crashes_total counter",
 		"ffdl_api_crashes_total 1",
-		"# TYPE ffdl_watch_replays_total counter",
-		"ffdl_watch_replays_total 3",
+		"# TYPE ffdl_watch_refills_total counter",
+		"ffdl_watch_refills_total 3",
 		"# TYPE ffdl_kube_pods_bound gauge",
 		"ffdl_kube_pods_bound 12",
 		"# TYPE ffdl_sched_queue_depth gauge",
