@@ -65,47 +65,19 @@ fuzz-smoke:
 	$(GO) test -run=xxx -fuzz=FuzzSegmentRecordRoundtrip -fuzztime=10s ./internal/commitlog
 	$(GO) test -run=xxx -fuzz=FuzzOffsetMapDecode -fuzztime=10s ./internal/commitlog
 
-# Experiment smoke: one small run of each of the repo's own experiments,
-# one row per experiment — "<name> <ffdl-bench args>" — each emitting the
-# BENCH json artifact CI uploads (bench-<name>.json):
-#
-#   sched       scheduler scale sweep
-#   watch       watch churn: resyncs per snapshot restore
-#   tenant      multi-tenant queue delay + preemption (with vs without)
-#   throughput  control-plane throughput: submissions, etcd proposals,
-#               mongo ops and codec round-trips per second
-#   commitlog   crash-torture smoke (any invariant violation fails)
-#   recovery    restart-the-world reopen latency + what survives,
-#               FileStore DataDir vs MemStore
-#   obs         observability gate: interleaved instrumented-vs-DisableObs
-#               pairs; fails if the median overhead exceeds the 5% budget
-#   chaos       chaos gate: calm arm, then every fault injector concurrent,
-#               with hard invariants and a chaos-vs-calm latency SLO
-#
-# ffdl-bench writes the artifact before a failing gate exits 1, and the
-# loop runs every row before reporting, so a red run keeps all eight
-# artifacts as evidence.
-EXPT_SMOKE := \
-	"sched -sched-scale -sched-nodes 200,400" \
-	"watch -watch-churn -churn-jobs 200 -churn-cycles 2" \
-	"tenant -tenant -tenant-iters 2" \
-	"throughput -throughput -tp-submitters 32 -tp-jobs 64" \
-	"commitlog -commitlog -cl-crash 40" \
-	"recovery -recovery -rc-jobs 2 -rc-churn 3000" \
-	"obs -obs-overhead -obs-submitters 16 -obs-jobs 32 -obs-pairs 3" \
-	"chaos -chaos-soak -soak-users 2 -soak-jobs 2 -soak-nodes 3"
-
+# Experiment smoke: every row of the experiment registry (internal/expt;
+# `go run ./cmd/ffdl-bench -list` prints it) at its smoke size, each
+# writing the bench-<name>.json artifact CI uploads. The gated rows —
+# obs (overhead within 5%), chaos (zero invariant violations),
+# commitlog (zero torture violations) — fail the target, but only after
+# every row has run and written its artifact, so a red run keeps all
+# the evidence.
 expt-smoke:
-	@failed=""; \
-	for row in $(EXPT_SMOKE); do \
-		set -- $$row; name=$$1; shift; \
-		echo "== expt-smoke $$name: ffdl-bench $$* -json bench-$$name.json"; \
-		$(GO) run ./cmd/ffdl-bench "$$@" -json bench-$$name.json || failed="$$failed $$name"; \
-	done; \
-	if [ -n "$$failed" ]; then echo "expt-smoke: FAILED:$$failed"; exit 1; fi
+	$(GO) run ./cmd/ffdl-bench -smoke -out .
 
 # Docs drift gate: README.md must mention every example, and
-# docs/architecture.md must cover every internal package, and the watch
+# docs/architecture.md must cover every internal package and list every
+# experiment registry row (as a "| `<name>` |" table row), and the watch
 # protocol spec must exist, cover all four watch layers, and be linked
 # from the architecture doc and the README. The negative list is the
 # other direction: names of retired options must not linger in the docs.
@@ -113,7 +85,12 @@ docs-check:
 	@test -f README.md || { echo "README.md missing"; exit 1; }
 	@test -f docs/architecture.md || { echo "docs/architecture.md missing"; exit 1; }
 	@test -f docs/watch-protocol.md || { echo "docs/watch-protocol.md missing"; exit 1; }
-	@ok=1; \
+	@names=$$($(GO) run ./cmd/ffdl-bench -list | cut -f1); \
+	[ -n "$$names" ] || { echo "docs-check: ffdl-bench -list printed no experiments"; exit 1; }; \
+	ok=1; \
+	for name in $$names; do \
+		grep -qF "| \`$$name\` |" docs/architecture.md || { echo "docs/architecture.md does not list experiment '$$name'"; ok=0; }; \
+	done; \
 	for d in examples/*/; do \
 		name=$$(basename $$d); \
 		grep -q "examples/$$name" README.md || { echo "README.md does not mention examples/$$name"; ok=0; }; \
@@ -128,13 +105,13 @@ docs-check:
 	for anchor in Durability DataDir mongo-oplog learner-logs "Recovery on open"; do \
 		grep -q "$$anchor" docs/architecture.md || { echo "docs/architecture.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for anchor in Observability "subsystem.name" "/v1/metrics" "/v1/jobs/{id}/trace" DisableObs "obs-overhead"; do \
+	for anchor in Observability "subsystem.name" "/v1/metrics" "/v1/jobs/{id}/trace" DisableObs; do \
 		grep -q "$$anchor" docs/architecture.md || { echo "docs/architecture.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters; do \
 		if grep -n "$$gone" README.md docs/*.md; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \

@@ -74,9 +74,9 @@
 // starved in-quota job preempts: free-tier and over-quota victims are
 // checkpointed and halted through the normal HALT path, requeued at
 // the head, and resumed from their checkpoints when capacity frees.
-// Client.Status reports QUEUED jobs' queue position;
-// ffdl-bench -tenant measures queue delays and preemptions under a
-// mixed free/paid workload.
+// Client.Status reports QUEUED jobs' queue position; `ffdl-bench
+// tenant` measures queue delays and preemptions under a mixed
+// free/paid workload.
 //
 // # Durability
 //

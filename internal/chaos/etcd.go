@@ -11,9 +11,8 @@ import (
 // EtcdInjector drives coordination-layer chaos against an etcd cluster:
 // replica outages long enough to force snapshot-restore rejoins, and
 // leader failovers that force every watch stream to re-attach. It is
-// the etcd counterpart of Injector, built for the watch-churn
-// experiment's resyncs-per-restore measurement (docs/watch-protocol.md
-// describes the contract under attack).
+// the etcd counterpart of Injector, used by the chaos soak
+// (docs/watch-protocol.md describes the contract under attack).
 type EtcdInjector struct {
 	c *etcd.Cluster
 	// Timeout bounds each convergence wait, measured on the cluster's

@@ -22,8 +22,8 @@ import (
 //     past everything the lost suffix had assigned.
 //
 // It is exported (rather than living in a _test file) so the
-// expt-smoke CI gate and the ffdl-bench retention experiment can run
-// it outside `go test`.
+// experiment registry's commitlog row (`ffdl-bench commitlog`, gated in
+// CI by `make expt-smoke`) can run it outside `go test`.
 
 // TortureConfig parameterizes a torture run.
 type TortureConfig struct {

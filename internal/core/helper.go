@@ -59,7 +59,10 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	// is bounded and drops under burst; a scan is level-triggered and
 	// always converges). The watch channel closes when the volume is
 	// released at teardown; by then the pod is being killed via Stop.
+	// Each helper incarnation unsubscribes on exit, so restarts do not
+	// pile watchers onto the volume.
 	writes := res.volume.Watch()
+	defer res.volume.Unwatch(writes)
 	ticker := p.clock.NewTicker(p.cfg.PollInterval * 10)
 	defer ticker.Stop()
 	for {

@@ -123,7 +123,7 @@ type Cluster struct {
 	// wake can never race ahead of the lease existing in any replica.
 	leaseCh chan struct{}
 
-	// Stats counters for the throughput experiment.
+	// Stats counters (Cluster.Stats).
 	statCommands atomic.Uint64 // client commands proposed
 	statEntries  atomic.Uint64 // Raft entries proposed (batch envelopes)
 	statMaxBatch atomic.Uint64 // largest commands-per-entry batch seen
@@ -709,8 +709,8 @@ func (c *Cluster) Leader() int { return c.leaderIndex() }
 func (c *Cluster) Clock() sim.Clock { return c.opts.Clock }
 
 // SnapshotRestores returns the total number of snapshot restores applied
-// across all replicas — the denominator of the watch-churn experiment's
-// resyncs-per-restore metric.
+// across all replicas — the count chaos runs report as snapshot-restore
+// rejoins.
 func (c *Cluster) SnapshotRestores() uint64 {
 	var n uint64
 	for _, st := range c.states {
@@ -723,7 +723,8 @@ func (c *Cluster) SnapshotRestores() uint64 {
 func (c *Cluster) Replicas() int { return len(c.nodes) }
 
 // ClusterStats reports proposal and replication traffic totals since
-// boot — the throughput experiment's batching-efficacy accounting.
+// boot — the batching-efficacy accounting behind the platform's etcd.*
+// gauges.
 type ClusterStats struct {
 	// Commands is the number of client commands proposed.
 	Commands uint64

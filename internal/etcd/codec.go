@@ -4,17 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 )
-
-// mallocs reads the global malloc counter for BenchCodec's
-// allocs-per-op accounting (the non-testing analogue of ReportAllocs).
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
 
 // Hand-rolled binary codec for replicated commands — the wire format of
 // every Raft entry. Profiling pinned per-entry gob encode/decode as the
@@ -282,42 +273,4 @@ func decodeCommand(data []byte, cmd *command) error {
 // total over command values, so encoding cannot fail.
 func encodeEntry(cmd *command) []byte {
 	return encodeCommand(make([]byte, 0, commandSize(cmd)), cmd)
-}
-
-// CodecStats reports the codec microbenchmark used by the throughput
-// experiment's JSON artifact: round-trips per second and allocations
-// per encode+decode of a representative Put command.
-type CodecStats struct {
-	CmdsPerSec  float64 `json:"cmds_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// BenchCodec measures the entry codec over iters encode+decode
-// round-trips of a representative Put command, without needing the
-// testing package — ffdl-bench calls it to put the codec microstage
-// into bench-throughput.json.
-func BenchCodec(iters int) CodecStats {
-	if iters <= 0 {
-		iters = 1 << 14
-	}
-	cmd := command{
-		Op: opPut, Key: "jobs/tp-000/status", Value: []byte("PROCESSING"),
-		ReqID: 12345,
-	}
-	var scratch command
-	m0 := mallocs()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := decodeCommand(encodeEntry(&cmd), &scratch); err != nil {
-			panic(err) // cannot fail: the codec round-trips every command
-		}
-	}
-	wall := time.Since(start).Seconds()
-	m1 := mallocs()
-	var st CodecStats
-	if wall > 0 {
-		st.CmdsPerSec = float64(iters) / wall
-	}
-	st.AllocsPerOp = float64(m1-m0) / float64(iters)
-	return st
 }

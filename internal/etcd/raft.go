@@ -164,8 +164,7 @@ type node struct {
 
 	votes map[int]bool
 
-	// Replication traffic counters (under mu), exposed via Cluster.Stats
-	// for the throughput experiment.
+	// Replication traffic counters (under mu), exposed via Cluster.Stats.
 	msgsSent    uint64
 	entriesSent uint64
 
@@ -735,7 +734,7 @@ func (n *node) leaderTerm() (bool, uint64) {
 }
 
 // trafficStats returns the append/snapshot messages and log entries this
-// node has shipped, for the throughput experiment's fan-out accounting.
+// node has shipped, for Cluster.Stats' fan-out accounting.
 func (n *node) trafficStats() (msgs, entries uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

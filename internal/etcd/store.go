@@ -137,8 +137,8 @@ type storeState struct {
 	revIdx      []revOff
 	histCap     int
 	compactRevs int
-	// restores counts snapshot restores applied to this replica, for the
-	// watch-churn experiment's resyncs-per-restore metric.
+	// restores counts snapshot restores applied to this replica
+	// (Cluster.SnapshotRestores).
 	restores uint64
 
 	// applySig is closed and replaced after each applied Raft entry —

@@ -252,8 +252,7 @@ func (a soakArm) prefixed(arm string) []string {
 // injector-stat collection (the etcd churn goroutine outlives the body's
 // reads) lands in the returned value.
 func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) {
-	fc := sim.NewFakeClock(time.Unix(0, 0))
-	fc.StartAutoAdvance(cfg.SettleWall)
+	pcfg, fc := simConfig(cfg.Seed, cfg.SettleWall)
 	defer fc.StopAutoAdvance()
 
 	var quotas []tenant.Record
@@ -265,29 +264,15 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 		quotas = append(quotas, tenant.Record{User: users[i], Tier: sched.TierPaid, GPUs: cfg.Nodes * 4})
 	}
 
-	p, err := core.NewPlatform(core.Config{
-		Clock: fc,
-		Seed:  cfg.Seed,
-		// Stretched safety-net intervals, as in the multi-tenant
-		// experiment: the control plane is event-driven, so these only
-		// bound recovery from dropped events, and stretching them keeps
-		// the FakeClock event count (wall time) low over a multi-hour
-		// virtual horizon. The resilience policies scale their backoff,
-		// breaker and deadline windows off PollInterval, so chaos
-		// recovery behavior stretches coherently with everything else.
-		PollInterval:      30 * time.Second,
-		SchedulerInterval: time.Minute,
-		ResyncInterval:    time.Minute,
-		HeartbeatInterval: 2 * time.Minute,
-		NodeGracePeriod:   10 * time.Minute,
-		RendezvousTimeout: time.Hour,
-		// 60 keeps one job's training at ~15 virtual minutes — well
-		// under the injectors' disruption intervals, so jobs make
-		// progress between faults while still spending most of their
-		// lifetime exposed to them.
-		TimeCompression: 60,
-		Tenancy:         &core.TenancyConfig{Quotas: quotas},
-	})
+	// The resilience policies scale their backoff, breaker and deadline
+	// windows off the stretched PollInterval, so chaos recovery behavior
+	// stretches coherently with everything else. A TimeCompression of 60
+	// keeps one job's training at ~15 virtual minutes — well under the
+	// injectors' disruption intervals, so jobs make progress between
+	// faults while still spending most of their lifetime exposed to them.
+	pcfg.TimeCompression = 60
+	pcfg.Tenancy = &core.TenancyConfig{Quotas: quotas}
+	p, err := core.NewPlatform(pcfg)
 	if err != nil {
 		return arm, err
 	}

@@ -7,7 +7,7 @@ import (
 
 // TestChaosSoak runs a scaled-down soak — both arms, every injector —
 // and requires zero invariant violations. This is the same harness
-// `ffdl-bench -chaos-soak` gates CI with, just smaller.
+// `ffdl-bench chaos` gates CI with, just smaller.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is seconds-long; skipped in -short")

@@ -319,19 +319,33 @@ func TestFigure8SubPercentMonthly(t *testing.T) {
 	}
 }
 
+// TestRenderersProduceTables checks the registry: row names are unique
+// and every row is described, and every model row — each paper table
+// and figure except Table 3, which boots a platform — renders a
+// non-empty table at its smoke size.
 func TestRenderersProduceTables(t *testing.T) {
-	tables := []*Table{
-		Table1Render(), Table2Render(), Table4Render(), Table5Render(),
-		Table6Render(), Table7Render(), Figure5Render(),
-		Figure4Render(5, 1),
-		Figure3Render(trace.Config{Days: 5, Seed: 2}),
-		Table8Render(10, 3), Figure6Render(10, 3),
-		Figure7Render(30, 3), Figure8Render(150, 3),
-	}
-	for _, tb := range tables {
-		s := tb.String()
-		if !strings.Contains(s, tb.Title) || len(tb.Rows) == 0 {
-			t.Errorf("table %q rendered empty", tb.Title)
+	seen := map[string]bool{}
+	for _, e := range Registry() {
+		if e.Name == "" || seen[e.Name] {
+			t.Fatalf("registry row name %q is empty or repeated", e.Name)
 		}
+		seen[e.Name] = true
+		if e.Desc == "" || strings.Contains(e.Desc, "\n") {
+			t.Errorf("row %s: description %q is not one line", e.Name, e.Desc)
+		}
+		paper := strings.HasPrefix(e.Name, "table") || strings.HasPrefix(e.Name, "fig")
+		if !paper || e.Name == "table3" {
+			continue
+		}
+		_, tb, err := e.Run(true, Options{Seed: 3})
+		if err != nil {
+			t.Fatalf("row %s: %v", e.Name, err)
+		}
+		if tb == nil || len(tb.Rows) == 0 || !strings.Contains(tb.String(), tb.Title) {
+			t.Errorf("row %s rendered an empty table", e.Name)
+		}
+	}
+	if len(seen) != 20 {
+		t.Errorf("registry has %d rows, want 20: tables 1-8, figures 3-8 and six repo experiments", len(seen))
 	}
 }

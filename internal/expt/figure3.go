@@ -203,10 +203,3 @@ func Figure3Render(cfg trace.Config) *Table {
 		MeanQueuedPct(res.QueuedPctSpread), MeanQueuedPct(res.QueuedPctPack), ratio)
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,7 +8,6 @@ import (
 	"github.com/ffdl/ffdl/internal/core"
 	"github.com/ffdl/ffdl/internal/perf"
 	"github.com/ffdl/ffdl/internal/sched"
-	"github.com/ffdl/ffdl/internal/sim"
 	"github.com/ffdl/ffdl/internal/tenant"
 )
 
@@ -135,8 +134,7 @@ func MultiTenant(cfg MultiTenantConfig) (MultiTenantResult, error) {
 	}
 	wallStart := time.Now()
 
-	fc := sim.NewFakeClock(time.Unix(0, 0))
-	fc.StartAutoAdvance(cfg.SettleWall)
+	pcfg, fc := simConfig(cfg.Seed, cfg.SettleWall)
 	defer fc.StopAutoAdvance()
 
 	var quotas []tenant.Record
@@ -151,28 +149,15 @@ func MultiTenant(cfg MultiTenantConfig) (MultiTenantResult, error) {
 		quotas = append(quotas, tenant.Record{User: paidUsers[i], Tier: sched.TierPaid, GPUs: cfg.PaidQuota})
 	}
 
-	p, err := core.NewPlatform(core.Config{
-		Clock: fc,
-		Seed:  cfg.Seed,
-		// The control plane is event-driven; every ticker below is a
-		// resync safety net, so on a multi-hour virtual horizon they are
-		// stretched way out to keep the FakeClock event count (and thus
-		// wall time) low without touching any latency that matters.
-		PollInterval:      30 * time.Second,
-		SchedulerInterval: time.Minute,
-		ResyncInterval:    time.Minute,
-		HeartbeatInterval: 2 * time.Minute,
-		NodeGracePeriod:   10 * time.Minute,
-		RendezvousTimeout: time.Hour,
-		// Each modeled training second costs 600 virtual clock seconds,
-		// so one iteration is minutes of virtual time and queue delays
-		// land on the scale of Fig. 3's 15-minute threshold.
-		TimeCompression: 600,
-		Tenancy: &core.TenancyConfig{
-			Quotas:            quotas,
-			DisablePreemption: cfg.DisablePreemption,
-		},
-	})
+	// Each modeled training second costs 600 virtual clock seconds, so
+	// one iteration is minutes of virtual time and queue delays land on
+	// the scale of Fig. 3's 15-minute threshold.
+	pcfg.TimeCompression = 600
+	pcfg.Tenancy = &core.TenancyConfig{
+		Quotas:            quotas,
+		DisablePreemption: cfg.DisablePreemption,
+	}
+	p, err := core.NewPlatform(pcfg)
 	if err != nil {
 		return res, err
 	}
@@ -282,19 +267,6 @@ func MultiTenant(cfg MultiTenantConfig) (MultiTenantResult, error) {
 	res.VirtualMinutes = fc.Since(virtualStart).Minutes()
 	res.WallSeconds = time.Since(wallStart).Seconds()
 	return res, nil
-}
-
-// MultiTenantCompare runs the preemption-enabled configuration and the
-// no-preemption ablation over the identical workload.
-func MultiTenantCompare(cfg MultiTenantConfig) (with, without MultiTenantResult, err error) {
-	cfg.DisablePreemption = false
-	with, err = MultiTenant(cfg)
-	if err != nil {
-		return with, without, err
-	}
-	cfg.DisablePreemption = true
-	without, err = MultiTenant(cfg)
-	return with, without, err
 }
 
 // RenderMultiTenant formats results as a table.

@@ -7,7 +7,7 @@ import "testing"
 // both arms, the median ratio is a real number, and the instrumented
 // arm's final snapshot actually recorded hot-path observations — the
 // comparison would be vacuous otherwise. The 5%-budget verdict itself
-// is pinned by `make expt-smoke` / `ffdl-bench -obs-overhead` at CI
+// is pinned by `make expt-smoke` / `ffdl-bench obs` at CI
 // scale; an in-test throughput threshold would flake on a loaded
 // machine.
 func TestObsOverheadGateShape(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"github.com/ffdl/ffdl/internal/core"
 	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/perf"
-	"github.com/ffdl/ffdl/internal/sim"
 )
 
 // The recovery experiment: what a restart-the-world actually costs, and
@@ -131,27 +130,15 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 		dataDir = dir
 	}
 
-	fc := sim.NewFakeClock(time.Unix(0, 0))
-	fc.StartAutoAdvance(cfg.SettleWall)
+	pcfg, fc := simConfig(cfg.Seed, cfg.SettleWall)
 	defer fc.StopAutoAdvance()
-
-	pcfg := core.Config{
-		Clock:   fc,
-		Seed:    cfg.Seed,
-		DataDir: dataDir,
-		// Stretch the resync safety nets so the measurement sees
-		// event-driven recovery, not poll overhead (throughput.go's
-		// reasoning), except PollInterval: the LCM recovery scan rides
-		// it, and redeploy-after-restart is part of what recovery means.
-		PollInterval:      50 * time.Millisecond,
-		SchedulerInterval: time.Minute,
-		ResyncInterval:    time.Minute,
-		HeartbeatInterval: 2 * time.Minute,
-		NodeGracePeriod:   10 * time.Minute,
-		RendezvousTimeout: time.Hour,
-		TimeCompression:   0, // training is instantaneous; durability is the workload
-		StartDelay:        func(string) time.Duration { return 0 },
-	}
+	pcfg.DataDir = dataDir
+	// The measurement sees event-driven recovery, not poll overhead,
+	// except through PollInterval: the LCM recovery scan rides it, and
+	// redeploy-after-restart is part of what recovery means.
+	pcfg.PollInterval = 50 * time.Millisecond
+	pcfg.TimeCompression = 0 // training is instantaneous; durability is the workload
+	pcfg.StartDelay = func(string) time.Duration { return 0 }
 	provision := func(p *core.Platform) error {
 		nodes := (cfg.Jobs+3)/4 + 1
 		for i := 0; i < nodes; i++ {

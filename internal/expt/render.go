@@ -1,7 +1,11 @@
 // Package expt regenerates every table and figure in the paper's
-// evaluation (§5). Each experiment returns typed rows/series plus a
-// formatted table so cmd/ffdl-bench and the bench harness print output
-// directly comparable with the paper.
+// evaluation (§5) and runs the repo's own experiments and CI gates
+// (scheduler scale, tenancy, commit-log torture, restart recovery,
+// observability overhead, chaos soak). Each experiment returns typed
+// results plus a formatted Table directly comparable with the paper.
+// Registry lists them all, one row each; cmd/ffdl-bench is a loop over
+// it. Rates and per-layer costs are not measured here: that is the
+// real-clock benchmark's job (bench/).
 package expt
 
 import (

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -227,7 +228,11 @@ func SchedulerScale(cfg SchedScaleConfig) SchedScaleResult {
 // SchedulerScaleSweep runs the experiment at several cluster sizes with
 // an otherwise identical workload, which is how sublinearity is
 // demonstrated: same gangs, growing fleet, flat nodes-examined-per-pass.
+// A zero base.Gangs sizes the workload to the smallest cluster.
 func SchedulerScaleSweep(sizes []int, base SchedScaleConfig) []SchedScaleResult {
+	if base.Gangs <= 0 && len(sizes) > 0 {
+		base.Gangs = slices.Min(sizes) / 2
+	}
 	out := make([]SchedScaleResult, 0, len(sizes))
 	for _, n := range sizes {
 		cfg := base

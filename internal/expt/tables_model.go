@@ -63,7 +63,7 @@ func Table1Render() *Table {
 		Caption: "Paper reports 0.32%-5.35% across these configurations; " +
 			"shape preserved: overhead grows with distribution, stays < ~5.5%.",
 	}
-	for _, r := range Table1Rows() {
+	for _, r := range Table1() {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%s/%s", r.Model, r.Framework),
 			fmt.Sprintf("%dL x %dGPU/L", r.Learners, r.GPUsPerL),
@@ -72,9 +72,6 @@ func Table1Render() *Table {
 	}
 	return t
 }
-
-// Table1Rows is an alias of Table1 kept for readable call sites.
-func Table1Rows() []Table1Row { return Table1() }
 
 // --- Table 2: FfDL vs NVIDIA DGX-1 ---
 

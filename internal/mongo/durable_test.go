@@ -286,7 +286,8 @@ func TestDurableChangeStreamResumesBySeq(t *testing.T) {
 // at the store: once the oplog's segment store fails a write (a
 // FaultStore crash point), Insert, UpdateOne and DeleteOne must return
 // ErrUnavailable instead of acknowledging a write that recovery cannot
-// see — and a reopen holds exactly the acknowledged writes.
+// see, the refused write must leave the in-memory document as it was,
+// and a reopen holds exactly the acknowledged writes.
 func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
 	insertAll := func(c *Collection, n int) (acked []string, refused string, err error) {
 		for i := 0; i < n; i++ {
@@ -329,6 +330,10 @@ func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
 	}
 	if err := c.DeleteOne(Filter{"_id": acked[0]}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("delete on a dead oplog: err = %v, want ErrUnavailable", err)
+	}
+	// Neither refused write left a trace in memory.
+	if d, err := c.FindOne(Filter{"_id": acked[0]}); err != nil || d["status"] != "PENDING" {
+		t.Fatalf("after a refused update and delete: doc %v, err %v, want status PENDING", d, err)
 	}
 
 	// Restart: exactly the acknowledged writes are there.

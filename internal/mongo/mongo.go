@@ -432,12 +432,13 @@ var (
 	ErrDuplicateID = errors.New("mongo: duplicate _id")
 	// ErrUnavailable reports that the primary is (simulated) down — a
 	// failover window injected by SetUnavailable — or that the oplog
-	// store refused a write, which is then not acknowledged. Erroring
-	// operations (FindOne, Insert, Update*, Upsert, DeleteOne) surface
-	// it; Find and Count, which have no error channel, return empty
-	// results, which is safe for their level-triggered consumers (they
-	// re-read on the next pass). Callers classify it as transient and
-	// retry under a resilience policy.
+	// store refused a write. A refused write is not acknowledged and
+	// leaves no trace: an insert, update or delete the oplog did not
+	// take changes no document. Erroring operations (FindOne, Insert,
+	// Update*, Upsert, DeleteOne) surface it; Find and Count, which have
+	// no error channel, return empty results, which is safe for their
+	// level-triggered consumers (they re-read on the next pass). Callers
+	// classify it as transient and retry under a resilience policy.
 	ErrUnavailable = errors.New("mongo: primary unavailable")
 )
 
@@ -722,16 +723,20 @@ func (c *Collection) update(f Filter, u Update, limit int) (int, error) {
 		if !ok || !cf.matches(d) {
 			continue
 		}
-		c.indexRemoveLocked(d, id)
-		u.apply(d)
-		d["_id"] = id // _id is immutable
-		c.indexAddLocked(d, id)
-		if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: d.Clone()}); err != nil {
-			// Not acknowledged. The in-memory image is ahead of a log that
-			// is dead for good (commitlog.ErrDead is sticky); recovery
-			// converges on the log.
+		// The update builds the next version in a copy-on-write view, which
+		// is also the oplog entry; only a logged version is installed, so
+		// an update the oplog refused is not acknowledged and leaves the
+		// stored document as it was. The stored map is never written in
+		// place, so the oplog entry and the document may share it.
+		next := d.Clone()
+		u.apply(next)
+		next["_id"] = id // _id is immutable
+		if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: next}); err != nil {
 			return n, err
 		}
+		c.indexRemoveLocked(d, id)
+		c.docs[id] = next
+		c.indexAddLocked(next, id)
 		n++
 		if limit > 0 && n >= limit {
 			break

@@ -10,6 +10,7 @@ package nfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,12 +122,28 @@ func (v *Volume) List(prefix string) []string {
 
 // Watch returns a channel that receives the path of every subsequent
 // write; the controller uses it to react promptly to learner exits.
+// Delivery never blocks a writer: a full channel misses the path. The
+// channel closes on Unwatch or when the volume is released.
 func (v *Volume) Watch() <-chan string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	ch := make(chan string, 64)
 	v.watchers = append(v.watchers, ch)
 	return ch
+}
+
+// Unwatch unsubscribes and closes a channel Watch returned. It is a
+// no-op for a channel already closed by Unwatch or Release.
+func (v *Volume) Unwatch(ch <-chan string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for i, w := range v.watchers {
+		if w == ch {
+			close(w)
+			v.watchers = slices.Delete(v.watchers, i, i+1)
+			return
+		}
+	}
 }
 
 // Provisioner creates and releases per-job volumes with load-dependent

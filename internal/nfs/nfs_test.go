@@ -107,6 +107,70 @@ func TestReleaseInvalidatesVolume(t *testing.T) {
 	}
 }
 
+// TestUnwatchLeavesNoWatcher pins the unsubscribe contract a restarting
+// helper relies on: Watch/Unwatch cycles leave no watcher behind, an
+// unwatched channel is closed and receives nothing further, and
+// Unwatch after Release is a no-op rather than a second close.
+func TestUnwatchLeavesNoWatcher(t *testing.T) {
+	p := fastProvisioner()
+	v, err := p.Provision("job1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Learners keep writing while helper incarnations come and go.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := v.AppendFile("learners/0/stdout.log", []byte("x\n")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		ch := v.Watch()
+		v.Unwatch(ch)
+		for range ch { // drains what arrived before Unwatch, then ends
+		}
+	}
+	close(stop)
+	wg.Wait()
+	v.mu.Lock()
+	n := len(v.watchers)
+	v.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d watchers left after 100 Watch/Unwatch cycles", n)
+	}
+
+	// Writes after Unwatch neither block nor reach the old channel, and
+	// a live watcher still hears them.
+	gone, live := v.Watch(), v.Watch()
+	v.Unwatch(gone)
+	for i := 0; i < 200; i++ { // more than a channel's buffer
+		if err := v.WriteFile("learners/0/status", []byte("RUNNING")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if path, open := <-gone; open {
+		t.Fatalf("unwatched channel received %q", path)
+	}
+	if path := <-live; path != "learners/0/status" {
+		t.Fatalf("live watcher got %q", path)
+	}
+
+	p.Release(v)
+	v.Unwatch(live) // already closed by Release: must not panic
+	v.Unwatch(gone)
+}
+
 func TestProvisionLatencyGrowsWithLoad(t *testing.T) {
 	clock := sim.NewFakeClock(time.Unix(0, 0))
 	clock.StartAutoAdvance(200 * time.Microsecond)
