@@ -54,7 +54,7 @@ func main() {
 		p100    = flag.Int("p100", 0, "number of 4-GPU P100 nodes")
 		v100    = flag.Int("v100", 0, "number of 4-GPU V100 nodes")
 		speedup = flag.Float64("time-compression", 1e-3, "modeled-seconds to real-seconds factor for training")
-		dataDir = flag.String("data-dir", "", "persist the metadata oplog and learner logs under this directory (empty = in-memory only); restarting with the same directory recovers jobs, logs and consumer cursors")
+		dataDir = flag.String("data-dir", "", "persist the metadata oplog and learner logs under this directory (empty = in-memory only); restarting with the same directory recovers jobs and logs")
 		tenancy = flag.Bool("tenancy", false, "enable the multi-tenant subsystem (queued admission + preemption)")
 		quotas  = flag.String("quotas", "", "seed tenant quotas, user:tier:gpus[,...] (implies -tenancy)")
 	)

@@ -19,8 +19,8 @@ import (
 // Provision re-creates the external world — worker nodes, seeded
 // dataset buckets — the way an operator's bootstrap would after a real
 // machine restart. Everything else must come back from the durable
-// logs: job documents and status history, log offsets, consumer
-// cursors, and the retained floors that decide replay vs resync.
+// logs: job documents and status history, log offsets, and the
+// retained floors that decide replay vs resync.
 type ProcessRestart struct {
 	cfg       core.Config
 	provision func(*core.Platform) error

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,8 +71,7 @@ func waitFor(t *testing.T, c *core.Client, jobID string, want core.JobStatus, ti
 
 // TestRestartTheWorldDurability is the headline cold-restart test: the
 // entire platform is torn down mid-workload — one job COMPLETED with a
-// follower holding a saved log offset and a durable consumer cursor,
-// one job mid-PROCESSING, churn deep enough that the oplog's retained
+// follower holding a saved log offset, one job mid-PROCESSING, churn deep enough that the oplog's retained
 // floor rose — and reopened from the same DataDir. Resume tokens,
 // learner-log offsets and oplog floors must all survive: FollowLogsFrom
 // resumes at the exact saved offset with no duplicate or missing lines,
@@ -105,12 +107,9 @@ func TestRestartTheWorldDurability(t *testing.T) {
 	}
 
 	// A follower consumed half of A's log: its resume token is the first
-	// unconsumed offset, persisted as a durable consumer cursor.
+	// unconsumed offset, which the follower itself holds.
 	mid := len(linesA) / 2
 	savedNext := linesA[mid].Offset
-	if err := p.Metrics.CommitLogCursor(jobA, "cli-follower", savedNext); err != nil {
-		t.Fatalf("CommitLogCursor: %v", err)
-	}
 
 	// Churn a scratch collection hard enough that oplog compaction (and
 	// the reopen after it) raises the retained floor above seq 1.
@@ -213,11 +212,6 @@ func TestRestartTheWorldDurability(t *testing.T) {
 		if linesA2[i].Offset != linesA[i].Offset || linesA2[i].Text != linesA[i].Text {
 			t.Fatalf("job A line %d diverged after restart: %+v vs %+v", i, linesA2[i], linesA[i])
 		}
-	}
-
-	// The durable consumer cursor survived exactly.
-	if next, ok := p2.Metrics.LogCursor(jobA, "cli-follower"); !ok || next != savedNext {
-		t.Fatalf("recovered cursor = (%d, %v), want (%d, true)", next, ok, savedNext)
 	}
 
 	// FollowLogsFrom resumes at the exact saved offset: no duplicate, no
@@ -343,7 +337,8 @@ func TestRestartTheWorldDurability(t *testing.T) {
 	}
 
 	// The oplog is the one durable copy of job status history: DataDir
-	// holds it and the learner logs, nothing else.
+	// holds it and the learner logs, nothing else — and a log directory
+	// holds segments and nothing else.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -355,14 +350,22 @@ func TestRestartTheWorldDurability(t *testing.T) {
 	if want := []string{"learner-logs", "mongo-oplog"}; !slices.Equal(names, want) {
 		t.Fatalf("DataDir holds %v, want %v", names, want)
 	}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() && !strings.HasSuffix(path, ".seg") {
+			return fmt.Errorf("DataDir holds non-segment file %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRestartTornTailLearnerLog reuses commitlog.FaultStore corruption
 // injection under the real DataDir file layout: a byte of a learner-log
 // segment frame is flipped at write time, the platform restarts, and
-// recovery must keep exactly the strict prefix before the torn frame —
-// with the durable consumer cursor intact and no recovered offset ever
-// reassigned.
+// recovery must keep exactly the strict prefix before the torn frame,
+// with no recovered offset ever reassigned.
 func TestRestartTornTailLearnerLog(t *testing.T) {
 	dir := t.TempDir()
 	const jobID = "jobX"
@@ -374,11 +377,11 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 		if name != "learner-logs/"+jobID {
 			return s
 		}
-		fs := commitlog.NewFaultStore(s, -1) // never crash; corruption only
+		f := commitlog.NewFaultStore(s, -1) // never crash; corruption only
 		mu.Lock()
-		fault = fs
+		fault = f
 		mu.Unlock()
-		return fs
+		return f
 	}
 
 	p, err := core.NewPlatform(cfg)
@@ -392,14 +395,9 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 		}
 	}()
 
-	// 50 intact lines, then a durable cursor at offset 31 (lines 1..30
-	// consumed).
+	// 50 intact lines.
 	for i := 1; i <= 50; i++ {
 		p.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: fmt.Sprintf("line-%03d", i)})
-	}
-	const savedCursor = 31
-	if err := p.Metrics.CommitLogCursor(jobID, "reader", savedCursor); err != nil {
-		t.Fatal(err)
 	}
 
 	// Corrupt a byte 10 positions into the NEXT write: line 51's frame is
@@ -440,11 +438,6 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 		}
 	}
 
-	// The consumer cursor survived exactly.
-	if next, ok := p2.Metrics.LogCursor(jobID, "reader"); !ok || next != savedCursor {
-		t.Fatalf("recovered cursor = (%d, %v), want (%d, true)", next, ok, savedCursor)
-	}
-
 	// No recovered offset is ever reassigned: a fresh append lands past
 	// the recovered tail.
 	p2.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: "post-recovery"})
@@ -453,9 +446,6 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 	if fresh.Text != "post-recovery" || fresh.Offset <= lines[len(lines)-1].Offset {
 		t.Fatalf("post-recovery append got offset %d, want > %d (no reuse of recovered offsets)",
 			fresh.Offset, lines[len(lines)-1].Offset)
-	}
-	if fresh.Offset <= savedCursor {
-		t.Fatalf("post-recovery offset %d at or below the acked cursor %d", fresh.Offset, savedCursor)
 	}
 }
 

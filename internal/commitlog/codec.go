@@ -7,12 +7,10 @@ import (
 	"hash/crc32"
 )
 
-// Wire layout. The commit log's durable unit is the record frame; the
-// consumer-offset map is persisted as commit frames appended to an
-// offsets log. Both follow the platform's wire discipline (PR 6):
-// length-prefixed binary with bounded prefixes, and corrupt or
-// truncated input always surfaces as an error — never a panic — pinned
-// by FuzzSegmentRecordRoundtrip and FuzzOffsetMapDecode.
+// Wire layout. The commit log's durable unit is the record frame. It
+// follows the platform's wire discipline: length-prefixed binary with
+// bounded prefixes, and corrupt or truncated input always surfaces
+// as an error — never a panic — pinned by FuzzSegmentRecordRoundtrip.
 //
 // Record frame (segment files are a concatenation of these):
 //
@@ -24,25 +22,11 @@ import (
 // records were dropped. The trailing CRC is what makes a torn tail
 // detectable: recovery scans frames sequentially and truncates at the
 // first frame whose bytes are incomplete or whose checksum fails.
-//
-// Offset-map commit frame (offsets log files are a concatenation):
-//
-//	offMagic | uvarint generation | uvarint entryCount |
-//	entryCount x (uvarint nameLen | name | uvarint next) |
-//	crc32(IEEE, all prior bytes) LE
-//
-// Commits are appended, never rewritten in place: recovery takes the
-// valid frame with the highest generation and ignores a torn tail, so
-// a crash mid-commit falls back to the previous durable commit instead
-// of corrupting every consumer's resume point.
-const (
-	recMagic = 0xC1
-	offMagic = 0xC2
-)
+const recMagic = 0xC1
 
-// maxFrameLen bounds any single length prefix (key, payload, entry
-// count) so a corrupt frame cannot demand an absurd allocation before
-// the corruption is noticed.
+// maxFrameLen bounds any single length prefix (key, payload) so a
+// corrupt frame cannot demand an absurd allocation before the
+// corruption is noticed.
 const maxFrameLen = 1 << 26
 
 // Codec errors. ErrTruncated specifically marks input that ends
@@ -154,73 +138,6 @@ func (r *frameReader) decodeRecordFrame() (Record, error) {
 	return rec, nil
 }
 
-// appendOffsetsFrame appends one encoded offset-map commit frame. The
-// entries slice must be pre-sorted by name for deterministic bytes.
-func appendOffsetsFrame(dst []byte, generation uint64, entries []offsetEntry) []byte {
-	start := len(dst)
-	dst = append(dst, offMagic)
-	dst = binary.AppendUvarint(dst, generation)
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		dst = binary.AppendUvarint(dst, uint64(len(e.name)))
-		dst = append(dst, e.name...)
-		dst = binary.AppendUvarint(dst, e.next)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
-	return dst
-}
-
-// offsetEntry is one consumer's persisted cursor: next is the offset of
-// the first record the consumer has NOT processed.
-type offsetEntry struct {
-	name string
-	next uint64
-}
-
-// decodeOffsetsFrame decodes one offset-map commit frame at the
-// reader's position.
-func (r *frameReader) decodeOffsetsFrame() (gen uint64, entries []offsetEntry, err error) {
-	start := r.off
-	magic, err := r.byte_()
-	if err != nil {
-		return 0, nil, err
-	}
-	if magic != offMagic {
-		return 0, nil, fmt.Errorf("%w: bad offsets magic 0x%02x", ErrCorrupt, magic)
-	}
-	if gen, err = r.uvarint(); err != nil {
-		return 0, nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > maxFrameLen {
-		return 0, nil, ErrCorrupt
-	}
-	// Each entry is at least 2 bytes; cheap sanity bound before
-	// allocating for a corrupt count.
-	if n > uint64(len(r.buf)) {
-		return 0, nil, ErrTruncated
-	}
-	entries = make([]offsetEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		name, err := r.bytes()
-		if err != nil {
-			return 0, nil, err
-		}
-		next, err := r.uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		entries = append(entries, offsetEntry{name: string(name), next: next})
-	}
-	if err := r.checkCRC(start); err != nil {
-		return 0, nil, err
-	}
-	return gen, entries, nil
-}
-
 // decodeSegment decodes every intact record frame in data, returning
 // the records plus the byte length of the valid prefix. A torn or
 // corrupt tail is reported through tornErr (nil when the whole buffer
@@ -237,25 +154,4 @@ func decodeSegment(data []byte) (recs []Record, validLen int, tornErr error) {
 		validLen = r.off
 	}
 	return recs, validLen, nil
-}
-
-// decodeOffsetsLog scans a buffer of concatenated commit frames and
-// returns the entries of the valid frame with the highest generation
-// (nil if none), ignoring a torn tail. The boolean reports whether any
-// valid frame was found.
-func decodeOffsetsLog(data []byte) ([]offsetEntry, uint64, bool) {
-	r := frameReader{buf: data}
-	var best []offsetEntry
-	var bestGen uint64
-	found := false
-	for r.off < len(data) {
-		gen, entries, err := r.decodeOffsetsFrame()
-		if err != nil {
-			break // torn/corrupt tail: earlier commits stand
-		}
-		if !found || gen >= bestGen {
-			best, bestGen, found = entries, gen, true
-		}
-	}
-	return best, bestGen, found
 }

@@ -1,9 +1,10 @@
 // Package commitlog is the platform's universal event substrate: an
 // append-only log of (offset, key, payload) records split into bounded
-// segments, with key-compaction of sealed segments, offset-addressed
-// readers, and a persisted consumer-offset map — one retention
-// mechanism under the etcd watch history, the mongo oplog and the
-// learner logs.
+// segments, with key-compaction of sealed segments and offset-addressed
+// reads — one retention mechanism under the etcd watch history, the
+// mongo oplog and the learner logs. A log holds no consumer state:
+// resume positions are offsets the reader keeps (a change-stream Seq,
+// a LogLine.Offset), checked against OldestOffset.
 //
 // Durability is pluggable through SegmentStore: the simulation runs on
 // MemStore, FileStore persists segments on disk, and FaultStore wraps
@@ -14,18 +15,13 @@
 //
 // Guarantees (pinned by the torture and property tests):
 //
-//   - Offsets are unique and strictly increasing, never reused — even
-//     across a crash that loses a suffix of the log (Open resumes
-//     allocation past every persisted consumer cursor).
+//   - Offsets are unique and strictly increasing: Open resumes
+//     allocation past the last recovered record, so no recovered offset
+//     is ever reassigned. The offsets of a torn tail are minted again.
 //   - A recovered log is a prefix of what was appended: a torn tail is
 //     truncated, nothing mid-log is silently dropped.
-//   - A consumer cursor persisted with Commit is recovered as the
-//     newest fully-durable commit; replaying from it re-reads exactly
-//     the records the consumer had not yet processed.
 //   - Key-compaction of sealed segments preserves the latest record of
-//     every key, and never drops a record at or past the floor of the
-//     registered consumers' cursors — a live consumer's position is
-//     never compacted out from under it.
+//     every key.
 package commitlog
 
 import (
@@ -67,20 +63,14 @@ type Options struct {
 	// bytes (default 1 MiB).
 	SegmentBytes int64
 	// Compact key-compacts segments as they seal: records superseded
-	// by a later record with the same key are dropped, except at or
-	// past the registered-consumer floor.
+	// by a later record with the same key are dropped.
 	Compact bool
 	// MaxSegments bounds the sealed-segment count. With Compact, the
 	// two oldest sealed segments are merged (no records lost beyond
 	// compaction's latest-per-key rule); without it, the oldest
-	// segment is dropped entirely — but never past a registered
-	// consumer's cursor. 0 = unbounded (the owner trims explicitly via
-	// TruncateBefore).
+	// segment is dropped entirely. 0 = unbounded (the owner trims
+	// explicitly via TruncateBefore).
 	MaxSegments int
-	// OffsetsRewriteEvery bounds the offsets log: after this many
-	// appended commit frames it is rewritten to a single frame
-	// (default 256).
-	OffsetsRewriteEvery int
 	// Obs, when non-nil, wires the log into the platform's metrics
 	// registry: append latency ("commitlog.append"), compaction runs
 	// ("commitlog.compactions") and compacted-away records
@@ -99,24 +89,12 @@ func (o *Options) defaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
 	}
-	if o.OffsetsRewriteEvery <= 0 {
-		o.OffsetsRewriteEvery = 256
-	}
 }
 
-// Log errors.
-var (
-	// ErrEnd reports a reader caught up with the log's end.
-	ErrEnd = errors.New("commitlog: end of log")
-	// ErrTruncatedBefore reports a read below the retention floor: the
-	// records were truncated and the consumer must resync from current
-	// state instead of replaying.
-	ErrTruncatedBefore = errors.New("commitlog: offset truncated from log")
-	// ErrDead reports an append or commit after a store write failed;
-	// the log is read-only from the first failed write (the in-memory
-	// index never runs ahead of the store).
-	ErrDead = errors.New("commitlog: store failed; log is read-only")
-)
+// ErrDead reports an append after a store write failed; the log is
+// read-only from the first failed write (the in-memory index never
+// runs ahead of the store).
+var ErrDead = errors.New("commitlog: store failed; log is read-only")
 
 // segment is one bounded run of records. recs hold the decoded index;
 // bytes mirrors the store-side encoded size.
@@ -147,10 +125,6 @@ type Log struct {
 	next     uint64     // next offset to assign
 	records  int        // retained record count across segments
 
-	consumers map[string]uint64 // consumer -> next unprocessed offset
-	offGen    uint64            // generation of the last offsets commit
-	offFrames int               // frames appended since last rewrite
-
 	encBuf []byte // reused frame-encode scratch
 	dead   error  // first store failure; log is read-only after
 
@@ -172,18 +146,15 @@ func (l *Log) unlock() { l.mu.Unlock() }
 // Open replays store into a ready Log. A torn tail on the newest
 // segment (or, after corruption, any segment) is truncated — in the
 // store too — and every segment after a torn one is discarded, so the
-// recovered log is always a clean prefix. Consumer cursors come from
-// the newest fully-valid offsets commit; offset allocation resumes
-// past both the last record and every recovered cursor, so offsets are
-// never reused for different records.
+// recovered log is always a clean prefix. Offset allocation resumes
+// past the last recovered record.
 func Open(store SegmentStore, opts Options) (*Log, error) {
 	opts.defaults()
 	l := &Log{
-		store:     store,
-		opts:      opts,
-		oldest:    opts.FirstOffset,
-		next:      opts.FirstOffset,
-		consumers: make(map[string]uint64),
+		store:  store,
+		opts:   opts,
+		oldest: opts.FirstOffset,
+		next:   opts.FirstOffset,
 	}
 	if opts.Obs != nil {
 		l.obsAppend = opts.Obs.Histogram("commitlog.append")
@@ -238,22 +209,6 @@ func Open(store SegmentStore, opts Options) (*Log, error) {
 	l.segments = kept
 	if len(l.segments) > 0 {
 		l.oldest = l.segments[0].recs[0].Offset
-	}
-	offData, err := store.LoadOffsets()
-	if err != nil {
-		return nil, fmt.Errorf("commitlog: open: offsets: %w", err)
-	}
-	if entries, gen, ok := decodeOffsetsLog(offData); ok {
-		l.offGen = gen
-		for _, e := range entries {
-			l.consumers[e.name] = e.next
-			// Never hand out an offset a consumer already accounts
-			// for: records past the recovered log end that a consumer
-			// had consumed must not be re-minted with new contents.
-			if e.next > l.next {
-				l.next = e.next
-			}
-		}
 	}
 	// Always roll a fresh active segment at the resume offset: every
 	// recovered segment stays sealed, so a reopened log never appends
@@ -330,19 +285,6 @@ func (l *Log) append(key string, payload []byte, value any) (uint64, error) {
 	return off, nil
 }
 
-// consumerFloorLocked returns the smallest registered consumer cursor
-// (ok=false with no consumers).
-func (l *Log) consumerFloorLocked() (uint64, bool) {
-	first := true
-	var floor uint64
-	for _, next := range l.consumers {
-		if first || next < floor {
-			floor, first = next, false
-		}
-	}
-	return floor, !first
-}
-
 // maintainLocked enforces compaction and the segment-count bound after
 // a seal. Store failures poison the log like any other write failure.
 func (l *Log) maintainLocked() {
@@ -350,8 +292,7 @@ func (l *Log) maintainLocked() {
 		return
 	}
 	if l.opts.Compact && len(l.segments) >= 2 {
-		// Compact the segment that just sealed.
-		l.compactSegmentsLocked(len(l.segments)-2, len(l.segments)-1)
+		l.compactSealedLocked()
 	}
 	if l.opts.MaxSegments <= 0 {
 		return
@@ -386,57 +327,42 @@ func (l *Log) latestPerKeyLocked() map[string]uint64 {
 	return latest
 }
 
-// compactableLocked reports whether rec may be dropped by compaction:
-// superseded by a newer record with the same key, and strictly below
-// every registered consumer's cursor.
-func (l *Log) compactableLocked(rec Record, latest map[string]uint64) bool {
-	if rec.Key == "" {
-		return false
-	}
-	if latest[rec.Key] <= rec.Offset {
-		return false
-	}
-	if floor, ok := l.consumerFloorLocked(); ok && rec.Offset >= floor {
-		return false
-	}
-	return true
+// compactable reports whether rec may be dropped by compaction:
+// superseded by a newer record with the same key.
+func compactable(rec Record, latest map[string]uint64) bool {
+	return rec.Key != "" && latest[rec.Key] > rec.Offset
 }
 
-// compactSegmentsLocked key-compacts the sealed segments in [from,to).
-func (l *Log) compactSegmentsLocked(from, to int) {
+// compactSealedLocked key-compacts the segment that just sealed (the
+// one before the fresh active segment).
+func (l *Log) compactSealedLocked() {
+	seg := l.segments[len(l.segments)-2]
 	latest := l.latestPerKeyLocked()
-	for i := from; i < to; i++ {
-		seg := l.segments[i]
-		if !seg.sealed {
-			continue
+	kept := seg.recs[:0:0]
+	for _, r := range seg.recs {
+		if !compactable(r, latest) {
+			kept = append(kept, r)
 		}
-		kept := seg.recs[:0:0]
-		for _, r := range seg.recs {
-			if !l.compactableLocked(r, latest) {
-				kept = append(kept, r)
-			}
-		}
-		if len(kept) == len(seg.recs) {
-			continue
-		}
-		l.obsCompactions.Inc()
-		l.obsCompacted.Add(int64(len(seg.recs) - len(kept)))
-		l.statCompactedRecords += uint64(len(seg.recs) - len(kept))
-		l.records -= len(seg.recs) - len(kept)
-		data := encodeRecords(kept)
-		if err := l.store.Rewrite(seg.base, data); err != nil {
-			l.dead = fmt.Errorf("%w: %v", ErrDead, err)
-			return
-		}
-		seg.recs = kept
-		seg.bytes = int64(len(data))
 	}
+	if len(kept) == len(seg.recs) {
+		return
+	}
+	l.obsCompactions.Inc()
+	l.obsCompacted.Add(int64(len(seg.recs) - len(kept)))
+	l.statCompactedRecords += uint64(len(seg.recs) - len(kept))
+	l.records -= len(seg.recs) - len(kept)
+	data := encodeRecords(kept)
+	if err := l.store.Rewrite(seg.base, data); err != nil {
+		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
+		return
+	}
+	seg.recs = kept
+	seg.bytes = int64(len(data))
 }
 
 // mergeOldestLocked folds the second-oldest sealed segment into the
 // oldest, compacting as it merges, so the old region of the log stays
-// bounded by key cardinality (plus the consumer pin) rather than
-// growing with write volume.
+// bounded by key cardinality rather than growing with write volume.
 func (l *Log) mergeOldestLocked() bool {
 	if len(l.segments) < 3 { // need two sealed + active
 		return false
@@ -448,12 +374,12 @@ func (l *Log) mergeOldestLocked() bool {
 	latest := l.latestPerKeyLocked()
 	merged := make([]Record, 0, len(a.recs)+len(b.recs))
 	for _, r := range a.recs {
-		if !l.compactableLocked(r, latest) {
+		if !compactable(r, latest) {
 			merged = append(merged, r)
 		}
 	}
 	for _, r := range b.recs {
-		if !l.compactableLocked(r, latest) {
+		if !compactable(r, latest) {
 			merged = append(merged, r)
 		}
 	}
@@ -474,17 +400,13 @@ func (l *Log) mergeOldestLocked() bool {
 	return true
 }
 
-// dropOldestLocked removes the oldest sealed segment entirely, unless
-// a registered consumer still needs one of its records.
+// dropOldestLocked removes the oldest sealed segment entirely.
 func (l *Log) dropOldestLocked() bool {
 	if len(l.segments) < 2 {
 		return false
 	}
 	seg := l.segments[0]
 	if last, ok := seg.lastOffset(); ok {
-		if floor, hasFloor := l.consumerFloorLocked(); hasFloor && last >= floor {
-			return false // a live consumer would lose unseen records
-		}
 		l.oldest = last + 1
 	}
 	if err := l.store.Remove(seg.base); err != nil {
@@ -547,96 +469,9 @@ func (l *Log) TruncateBefore(offset uint64) error {
 	return nil
 }
 
-// Compact key-compacts every sealed segment now (the per-seal pass
-// runs automatically; this is for owners that want an explicit sweep).
-func (l *Log) Compact() error {
-	l.lock()
-	defer l.unlock()
-	if l.dead != nil {
-		return l.dead
-	}
-	l.compactSegmentsLocked(0, len(l.segments))
-	return l.dead
-}
-
-// Commit durably persists a consumer's cursor: next is the offset of
-// the first record the consumer has not processed. The first Commit
-// registers the consumer, which from then on pins compaction and
-// retention at or past its cursor.
-func (l *Log) Commit(consumer string, next uint64) error {
-	l.lock()
-	defer l.unlock()
-	if l.dead != nil {
-		return l.dead
-	}
-	l.consumers[consumer] = next
-	return l.persistOffsetsLocked()
-}
-
-// Forget durably removes a consumer's cursor, releasing its pin.
-func (l *Log) Forget(consumer string) error {
-	l.lock()
-	defer l.unlock()
-	if _, ok := l.consumers[consumer]; !ok {
-		return nil
-	}
-	if l.dead != nil {
-		return l.dead
-	}
-	delete(l.consumers, consumer)
-	return l.persistOffsetsLocked()
-}
-
-func (l *Log) persistOffsetsLocked() error {
-	l.offGen++
-	entries := make([]offsetEntry, 0, len(l.consumers))
-	for name, next := range l.consumers {
-		entries = append(entries, offsetEntry{name: name, next: next})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	frame := appendOffsetsFrame(nil, l.offGen, entries)
-	if l.offFrames+1 >= l.opts.OffsetsRewriteEvery {
-		if err := l.store.RewriteOffsets(frame); err != nil {
-			l.dead = fmt.Errorf("%w: %v", ErrDead, err)
-			return l.dead
-		}
-		l.offFrames = 0
-		return nil
-	}
-	n, err := l.store.AppendOffsets(frame)
-	if err != nil || n < len(frame) {
-		if err == nil {
-			err = fmt.Errorf("commitlog: short offsets append")
-		}
-		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
-		return l.dead
-	}
-	l.offFrames++
-	return nil
-}
-
-// Committed returns a consumer's persisted cursor.
-func (l *Log) Committed(consumer string) (uint64, bool) {
-	l.lock()
-	defer l.unlock()
-	next, ok := l.consumers[consumer]
-	return next, ok
-}
-
-// Consumers returns the registered consumer names (sorted).
-func (l *Log) Consumers() []string {
-	l.lock()
-	defer l.unlock()
-	out := make([]string, 0, len(l.consumers))
-	for name := range l.consumers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // OldestOffset returns the retention floor: the smallest offset that
-// can still be read (reading below it returns ErrTruncatedBefore).
+// can still be read. A reader resuming below it has missed records and
+// must resync from current state instead of replaying.
 func (l *Log) OldestOffset() uint64 {
 	l.lock()
 	defer l.unlock()
@@ -673,24 +508,15 @@ func (l *Log) CompactedRecords() uint64 {
 }
 
 // Get returns the record at exactly offset.
-func (l *Log) Get(offset uint64) (Record, bool) {
-	l.lock()
-	defer l.unlock()
-	rec, _, ok := l.atOrAfterLocked(offset)
-	if !ok || rec.Offset != offset {
+func (l *Log) Get(offset uint64) (rec Record, ok bool) {
+	l.Scan(offset, func(r Record) bool {
+		rec, ok = r, r.Offset == offset
+		return false
+	})
+	if !ok {
 		return Record{}, false
 	}
 	return rec, true
-}
-
-// atOrAfterLocked returns the first record with Offset >= offset, its
-// successor offset, and whether one exists.
-func (l *Log) atOrAfterLocked(offset uint64) (rec Record, succ uint64, ok bool) {
-	l.scanLocked(offset, func(r Record) bool {
-		rec, succ, ok = r, r.Offset+1, true
-		return false
-	})
-	return rec, succ, ok
 }
 
 // Scan calls fn on every retained record with Offset >= from, in offset
@@ -732,42 +558,3 @@ func (l *Log) Records(from uint64) []Record {
 	})
 	return out
 }
-
-// ReadFrom returns a reader positioned at offset. A reader is a
-// cursor, not a snapshot: it observes appends made after it was
-// created, skips compaction holes, and reports ErrTruncatedBefore if
-// retention overtakes it (the consumer's cue to resync from current
-// state rather than replay).
-func (l *Log) ReadFrom(offset uint64) *Reader {
-	return &Reader{l: l, next: offset}
-}
-
-// Reader iterates records in offset order.
-type Reader struct {
-	l    *Log
-	next uint64
-}
-
-// Next returns the next retained record, ErrEnd at the log's end, or
-// ErrTruncatedBefore when the reader's position has fallen below the
-// retention floor.
-func (r *Reader) Next() (Record, error) {
-	r.l.lock()
-	defer r.l.unlock()
-	if r.next < r.l.oldest {
-		return Record{}, ErrTruncatedBefore
-	}
-	rec, succ, ok := r.l.atOrAfterLocked(r.next)
-	if !ok {
-		return Record{}, ErrEnd
-	}
-	r.next = succ
-	return rec, nil
-}
-
-// Offset returns the reader's position: the offset the next Next call
-// reads from.
-func (r *Reader) Offset() uint64 { return r.next }
-
-// Seek repositions the reader.
-func (r *Reader) Seek(offset uint64) { r.next = offset }

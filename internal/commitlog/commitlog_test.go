@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 )
 
 func mustAppend(t *testing.T, l *Log, key string, payload []byte) uint64 {
@@ -37,24 +39,14 @@ func TestAppendReadBasics(t *testing.T) {
 	if _, ok := l.Get(10); ok {
 		t.Fatal("Get(10) past end should miss")
 	}
-	r := l.ReadFrom(0)
-	for i := 0; i < 10; i++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
-		}
+	recs := l.Records(0)
+	if len(recs) != 10 {
+		t.Fatalf("Records(0) = %d records, want 10", len(recs))
+	}
+	for i, rec := range recs {
 		if rec.Offset != uint64(i) {
 			t.Fatalf("read offset %d, want %d", rec.Offset, i)
 		}
-	}
-	if _, err := r.Next(); !errors.Is(err, ErrEnd) {
-		t.Fatalf("Next at end: %v, want ErrEnd", err)
-	}
-	// A reader is a cursor, not a snapshot: it sees later appends.
-	mustAppend(t, l, "k0", []byte("v10"))
-	rec, err := r.Next()
-	if err != nil || rec.Offset != 10 {
-		t.Fatalf("Next after append: %+v, %v", rec, err)
 	}
 }
 
@@ -90,8 +82,7 @@ func TestSegmentSealing(t *testing.T) {
 
 // TestReadsRightAfterRoll pins the segment search on a log whose active
 // segment is empty — the state every seal and every reopen leaves
-// behind: point reads, readers and scans must still find the sealed
-// records.
+// behind: point reads and scans must still find the sealed records.
 func TestReadsRightAfterRoll(t *testing.T) {
 	for _, full := range []int{1, 2, 3} { // sealed segments before the empty active one
 		l, err := Open(NewMemStore(), Options{SegmentRecords: 4})
@@ -105,9 +96,6 @@ func TestReadsRightAfterRoll(t *testing.T) {
 		for off := uint64(0); off < n; off++ {
 			if rec, ok := l.Get(off); !ok || rec.Offset != off {
 				t.Fatalf("%d full segments: Get(%d) = %+v, %v", full, off, rec, ok)
-			}
-			if rec, err := l.ReadFrom(off).Next(); err != nil || rec.Offset != off {
-				t.Fatalf("%d full segments: ReadFrom(%d).Next = %+v, %v", full, off, rec, err)
 			}
 		}
 		if recs := l.Records(2); uint64(len(recs)) != n-2 || recs[0].Offset != 2 {
@@ -168,7 +156,7 @@ func TestValueRidesMemory(t *testing.T) {
 	}
 }
 
-func TestReopenRecoversRecordsAndConsumers(t *testing.T) {
+func TestReopenRecoversRecords(t *testing.T) {
 	store := NewMemStore()
 	l, err := Open(store, Options{SegmentRecords: 4})
 	if err != nil {
@@ -176,9 +164,6 @@ func TestReopenRecoversRecordsAndConsumers(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := l.Commit("watcher", 6); err != nil {
-		t.Fatalf("Commit: %v", err)
 	}
 
 	r, err := Open(store, Options{SegmentRecords: 4})
@@ -191,13 +176,9 @@ func TestReopenRecoversRecordsAndConsumers(t *testing.T) {
 	if got := r.NextOffset(); got != 10 {
 		t.Fatalf("reopened NextOffset = %d, want 10", got)
 	}
-	cur, ok := r.Committed("watcher")
-	if !ok || cur != 6 {
-		t.Fatalf("Committed = %d, %v; want 6, true", cur, ok)
-	}
-	recs := r.Records(cur)
+	recs := r.Records(6)
 	if len(recs) != 4 || recs[0].Offset != 6 {
-		t.Fatalf("replay from cursor: %d records from %d", len(recs), recs[0].Offset)
+		t.Fatalf("replay from offset 6: %d records from %d", len(recs), recs[0].Offset)
 	}
 	// Payloads survived the store round trip.
 	if string(recs[0].Payload) != "v6" {
@@ -206,24 +187,27 @@ func TestReopenRecoversRecordsAndConsumers(t *testing.T) {
 }
 
 func TestReopenNeverReusesOffsets(t *testing.T) {
-	// A consumer's persisted cursor can point past the durable records
-	// (e.g. the newest segment was lost): reopened allocation must skip
-	// past it so an already-consumed offset is never re-minted.
+	// Compaction and segment merges leave holes, so the retained record
+	// count says nothing about the next offset: a reopened log must
+	// resume allocation past its last record.
 	store := NewMemStore()
-	l, err := Open(store, Options{})
+	opts := Options{SegmentRecords: 4, Compact: true, MaxSegments: 2}
+	l, err := Open(store, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	mustAppend(t, l, "k", []byte("v"))
-	if err := l.Commit("c", 40); err != nil {
-		t.Fatalf("Commit: %v", err)
+	for i := 0; i < 40; i++ {
+		mustAppend(t, l, fmt.Sprintf("k%d", i%3), []byte{byte(i)})
 	}
-	r, err := Open(store, Options{})
+	if l.Len() >= 40 {
+		t.Fatalf("Len = %d: compaction never dropped a record", l.Len())
+	}
+	r, err := Open(store, opts)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if off, _ := r.Append("k", []byte("w")); off < 40 {
-		t.Fatalf("offset %d reused below persisted cursor 40", off)
+	if off := mustAppend(t, r, "k", []byte("w")); off != 40 {
+		t.Fatalf("post-reopen append minted offset %d, want 40", off)
 	}
 }
 
@@ -245,50 +229,14 @@ func TestTruncateBefore(t *testing.T) {
 	if got := l.Len(); got != 6 {
 		t.Fatalf("Len = %d, want 6", got)
 	}
-	r := l.ReadFrom(3)
-	if _, err := r.Next(); !errors.Is(err, ErrTruncatedBefore) {
-		t.Fatalf("read below floor: %v, want ErrTruncatedBefore", err)
+	if _, ok := l.Get(3); ok {
+		t.Fatal("Get(3) below the floor should miss")
 	}
-	r.Seek(6)
-	rec, err := r.Next()
-	if err != nil || rec.Offset != 6 {
-		t.Fatalf("read at floor: %+v, %v", rec, err)
+	if rec, ok := l.Get(6); !ok || rec.Offset != 6 {
+		t.Fatalf("Get(6) at the floor = %+v, %v", rec, ok)
 	}
 	if recs := l.Records(0); recs[0].Offset != 6 {
 		t.Fatalf("Records(0) starts at %d, want 6", recs[0].Offset)
-	}
-}
-
-func TestRetentionDropRespectsConsumerFloor(t *testing.T) {
-	l, err := Open(NewMemStore(), Options{SegmentRecords: 2, MaxSegments: 2})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := l.Commit("slow", 0); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		mustAppend(t, l, "", []byte{byte(i)})
-	}
-	// The slow consumer pins offset 0: nothing may be dropped.
-	if got := l.OldestOffset(); got != 0 {
-		t.Fatalf("OldestOffset = %d, want 0 (pinned)", got)
-	}
-	if got := l.Len(); got != 20 {
-		t.Fatalf("Len = %d, want 20 (pinned)", got)
-	}
-	// Release the pin: retention resumes at the next seal.
-	if err := l.Forget("slow"); err != nil {
-		t.Fatalf("Forget: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		mustAppend(t, l, "", []byte{byte(i)})
-	}
-	if got := l.OldestOffset(); got == 0 {
-		t.Fatal("retention still pinned after Forget")
-	}
-	if got := l.SegmentCount(); got > 3 {
-		t.Fatalf("SegmentCount = %d, want <= 3", got)
 	}
 }
 
@@ -316,10 +264,9 @@ func TestCompactionKeepsLatestPerKey(t *testing.T) {
 	}
 }
 
-// TestCompactionProperty is the satellite property test: a compacted
-// log's latest-value-per-key equals an uncompacted twin's, and no
-// record at or past a registered consumer's cursor is ever compacted
-// out.
+// TestCompactionProperty is the twin-log property test: a compacted
+// log's latest-value-per-key equals an uncompacted twin's, and every
+// record the compacted log retains is the twin's record verbatim.
 func TestCompactionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	compacted, err := Open(NewMemStore(), Options{SegmentRecords: 8, Compact: true, MaxSegments: 3})
@@ -330,7 +277,6 @@ func TestCompactionProperty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open plain: %v", err)
 	}
-	var floor uint64
 	for i := 0; i < 600; i++ {
 		key := fmt.Sprintf("key-%d", rng.Intn(12))
 		payload := []byte(fmt.Sprintf("payload-%d", i))
@@ -344,16 +290,6 @@ func TestCompactionProperty(t *testing.T) {
 		}
 		if offC != offP {
 			t.Fatalf("offset divergence: %d vs %d", offC, offP)
-		}
-		// A consumer trails the head, committing (monotonically)
-		// forward now and then.
-		if rng.Intn(20) == 0 {
-			if lag := uint64(rng.Intn(30)); lag <= offC && offC-lag > floor {
-				floor = offC - lag
-				if err := compacted.Commit("trailing", floor); err != nil {
-					t.Fatalf("Commit: %v", err)
-				}
-			}
 		}
 	}
 
@@ -379,20 +315,11 @@ func TestCompactionProperty(t *testing.T) {
 		}
 	}
 
-	// The consumer floor only moves up, and compaction only drops
-	// records strictly below it — so every record at or past the final
-	// floor must still be readable, verbatim.
-	have := make(map[uint64][]byte)
-	for _, r := range compacted.Records(floor) {
-		have[r.Offset] = r.Payload
-	}
-	for _, r := range plain.Records(floor) {
-		got, ok := have[r.Offset]
-		if !ok {
-			t.Fatalf("record %d (>= consumer floor %d) compacted out", r.Offset, floor)
-		}
-		if !bytes.Equal(got, r.Payload) {
-			t.Fatalf("record %d payload diverged after compaction", r.Offset)
+	for _, c := range compacted.Records(0) {
+		p, ok := plain.Get(c.Offset)
+		if !ok || p.Key != c.Key || !bytes.Equal(p.Payload, c.Payload) {
+			t.Fatalf("retained record %d (%q,%q) is not the twin's (%q,%q)",
+				c.Offset, c.Key, c.Payload, p.Key, p.Payload)
 		}
 	}
 
@@ -428,32 +355,6 @@ func TestCompactedReopenMatches(t *testing.T) {
 		if before[i].Offset != after[i].Offset || !bytes.Equal(before[i].Payload, after[i].Payload) {
 			t.Fatalf("record %d diverged across reopen", i)
 		}
-	}
-}
-
-func TestOffsetsLogRewriteBound(t *testing.T) {
-	store := NewMemStore()
-	l, err := Open(store, Options{OffsetsRewriteEvery: 8})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := l.Commit("c", uint64(i)); err != nil {
-			t.Fatalf("Commit: %v", err)
-		}
-	}
-	data, _ := store.LoadOffsets()
-	// 100 commits at rewrite-every-8 leaves at most 8 frames on disk.
-	oneFrame := len(appendOffsetsFrame(nil, 99, []offsetEntry{{name: "c", next: 99}}))
-	if len(data) > 8*oneFrame {
-		t.Fatalf("offsets log %d bytes, want <= %d (rewrite bound)", len(data), 8*oneFrame)
-	}
-	r, err := Open(store, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if cur, ok := r.Committed("c"); !ok || cur != 99 {
-		t.Fatalf("recovered cursor %d, %v; want 99", cur, ok)
 	}
 }
 
@@ -506,9 +407,6 @@ func TestDeadLogAfterStoreFailure(t *testing.T) {
 	if _, err := l.Append("k", []byte("v")); !errors.Is(err, ErrDead) {
 		t.Fatalf("append stays dead: %v", err)
 	}
-	if err := l.Commit("c", 1); !errors.Is(err, ErrDead) {
-		t.Fatalf("commit on dead log: %v, want ErrDead", err)
-	}
 }
 
 func TestFileStoreRoundtrip(t *testing.T) {
@@ -524,9 +422,6 @@ func TestFileStoreRoundtrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if err := l.Commit("c", 7); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
 	fs2, err := OpenFileStore(dir)
 	if err != nil {
 		t.Fatalf("reopen store: %v", err)
@@ -538,11 +433,119 @@ func TestFileStoreRoundtrip(t *testing.T) {
 	if got := r.Len(); got != 10 {
 		t.Fatalf("reopened Len = %d, want 10", got)
 	}
-	if cur, ok := r.Committed("c"); !ok || cur != 7 {
-		t.Fatalf("recovered cursor %d, %v; want 7", cur, ok)
-	}
 	if rec, ok := r.Get(9); !ok || string(rec.Payload) != "v9" {
 		t.Fatalf("Get(9) = %+v, %v", rec, ok)
+	}
+}
+
+// TestFileStoreConcurrentChurn runs parallel appenders and readers
+// against one FileStore-backed log — the -race exercise for the durable
+// configuration the platform actually runs (segment roll and seal-time
+// compaction interleaving with reads). Correctness checks are the log's
+// own invariants: strictly increasing offsets per reader pass, and a
+// reopen that agrees with the final in-memory state.
+func TestFileStoreConcurrentChurn(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatalf("OpenFileStore: %v", err)
+	}
+	opts := Options{SegmentRecords: 32, Compact: true}
+	l, err := Open(fs, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+
+	const (
+		appenders   = 4
+		perAppender = 200
+	)
+	var appendWG, churnWG sync.WaitGroup
+	errCh := make(chan error, appenders+2)
+	for a := 0; a < appenders; a++ {
+		appendWG.Add(1)
+		go func(a int) {
+			defer appendWG.Done()
+			for i := 0; i < perAppender; i++ {
+				key := fmt.Sprintf("k%d", (a*perAppender+i)%8)
+				if _, err := l.Append(key, []byte(fmt.Sprintf("a%d-%d", a, i))); err != nil {
+					errCh <- fmt.Errorf("appender %d: %w", a, err)
+					return
+				}
+			}
+		}(a)
+	}
+	stop := make(chan struct{})
+	// Readers: every observed pass must be strictly increasing.
+	for r := 0; r < 2; r++ {
+		churnWG.Add(1)
+		go func() {
+			defer churnWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				last := uint64(0)
+				seen := false
+				for _, rec := range l.Records(0) {
+					if seen && rec.Offset <= last {
+						errCh <- fmt.Errorf("reader saw offsets %d then %d", last, rec.Offset)
+						return
+					}
+					last, seen = rec.Offset, true
+				}
+			}
+		}()
+	}
+	// Wait for the appenders, then wind the churn down.
+	appendersDone := make(chan struct{})
+	go func() {
+		appendWG.Wait()
+		close(appendersDone)
+	}()
+	select {
+	case err := <-errCh:
+		close(stop)
+		churnWG.Wait()
+		t.Fatal(err)
+	case <-time.After(60 * time.Second):
+		close(stop)
+		churnWG.Wait()
+		t.Fatal("concurrent churn did not finish in 60s")
+	case <-appendersDone:
+	}
+	close(stop)
+	churnWG.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+
+	// The reopened log must agree with the final in-memory state.
+	before := l.Records(0)
+	next := l.NextOffset()
+	fs2, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	r, err := Open(fs2, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	after := r.Records(0)
+	if len(after) != len(before) {
+		t.Fatalf("reopen: %d records, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if before[i].Offset != after[i].Offset || string(before[i].Payload) != string(after[i].Payload) {
+			t.Fatalf("record %d diverged across reopen: %d vs %d", i, before[i].Offset, after[i].Offset)
+		}
+	}
+	if got := r.NextOffset(); got != next {
+		t.Fatalf("reopened NextOffset = %d, want %d", got, next)
 	}
 }
 
@@ -558,7 +561,6 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		if recs, _, tornErr := decodeSegment(data); len(data) > 0 && tornErr == nil && len(recs) == 0 {
 			t.Fatalf("case %d: garbage decoded cleanly", i)
 		}
-		decodeOffsetsLog(data) // must not panic
 	}
 	// A frame claiming an absurd payload length errors without allocating.
 	huge := appendRecordFrame(nil, 1, "k", nil)

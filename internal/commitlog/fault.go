@@ -13,11 +13,11 @@ var ErrCrashed = errors.New("commitlog: injected crash")
 
 // FaultStore wraps a SegmentStore with crash and corruption injection
 // for the torture suite. Its crash model is a linear write-order
-// journal: every byte handed to Append/AppendOffsets is assigned a
+// journal: every byte handed to Append is assigned a
 // global sequence number in write order; a crash at byte N makes all
 // bytes with sequence < N durable, tears the write containing N
 // (its prefix lands, the rest is lost), and loses everything after.
-// Atomic operations (Rewrite, RewriteOffsets, Create, Remove) either
+// Atomic operations (Rewrite, Create, Remove) either
 // happen entirely before the crash point or not at all — they model
 // temp-file-plus-rename, charging their full byte cost to the journal.
 //
@@ -118,9 +118,6 @@ func (f *FaultStore) Segments() ([]uint64, error) { return f.inner.Segments() }
 // Load implements SegmentStore.
 func (f *FaultStore) Load(base uint64) ([]byte, error) { return f.inner.Load(base) }
 
-// LoadOffsets implements SegmentStore.
-func (f *FaultStore) LoadOffsets() ([]byte, error) { return f.inner.LoadOffsets() }
-
 // Create implements SegmentStore; atomic, zero-cost in the journal.
 func (f *FaultStore) Create(base uint64) error {
 	f.mu.Lock()
@@ -147,22 +144,6 @@ func (f *FaultStore) Append(base uint64, data []byte) (int, error) {
 	return n, err
 }
 
-// AppendOffsets implements SegmentStore with torn-write injection.
-func (f *FaultStore) AppendOffsets(data []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	durable, crashed := f.admit(data)
-	var n int
-	var err error
-	if len(durable) > 0 {
-		n, err = f.inner.AppendOffsets(durable)
-	}
-	if crashed {
-		return n, ErrCrashed
-	}
-	return n, err
-}
-
 // Rewrite implements SegmentStore; all-or-nothing.
 func (f *FaultStore) Rewrite(base uint64, data []byte) error {
 	f.mu.Lock()
@@ -171,16 +152,6 @@ func (f *FaultStore) Rewrite(base uint64, data []byte) error {
 		return ErrCrashed
 	}
 	return f.inner.Rewrite(base, data)
-}
-
-// RewriteOffsets implements SegmentStore; all-or-nothing.
-func (f *FaultStore) RewriteOffsets(data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.admitAtomic(int64(len(data))) {
-		return ErrCrashed
-	}
-	return f.inner.RewriteOffsets(data)
 }
 
 // Remove implements SegmentStore; atomic, zero-cost in the journal.

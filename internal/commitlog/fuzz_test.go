@@ -44,36 +44,3 @@ func FuzzSegmentRecordRoundtrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzOffsetMapDecode feeds arbitrary bytes through the consumer-offset
-// log decoder: never a panic, and any recovered commit must survive a
-// re-encode/decode round trip (this is the path every consumer's resume
-// point takes across a restart).
-func FuzzOffsetMapDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(appendOffsetsFrame(nil, 1, nil))
-	f.Add(appendOffsetsFrame(nil, 3, []offsetEntry{{name: "watch", next: 42}}))
-	multi := appendOffsetsFrame(nil, 1, []offsetEntry{{name: "a", next: 1}})
-	multi = appendOffsetsFrame(multi, 2, []offsetEntry{{name: "a", next: 9}, {name: "b", next: 3}})
-	f.Add(multi)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, gen, found := decodeOffsetsLog(data)
-		if !found {
-			if len(entries) != 0 {
-				t.Fatal("entries without found")
-			}
-			return
-		}
-		reenc := appendOffsetsFrame(nil, gen, entries)
-		entries2, gen2, found2 := decodeOffsetsLog(reenc)
-		if !found2 || gen2 != gen || len(entries2) != len(entries) {
-			t.Fatalf("roundtrip: gen %d/%d, %d/%d entries, found=%v",
-				gen, gen2, len(entries), len(entries2), found2)
-		}
-		for i := range entries {
-			if entries[i] != entries2[i] {
-				t.Fatalf("roundtrip: entry %d diverged: %+v vs %+v", i, entries[i], entries2[i])
-			}
-		}
-	})
-}

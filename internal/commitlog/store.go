@@ -12,8 +12,7 @@ import (
 )
 
 // SegmentStore is the durability layer under a Log: a set of segment
-// byte streams named by base offset, plus an append-only offsets log
-// for consumer-cursor commits. The Log keeps the decoded record index
+// byte streams named by base offset. The Log keeps the decoded record index
 // in memory and calls the store write-through, so a store is only read
 // back at Open (recovery).
 //
@@ -23,9 +22,9 @@ import (
 // containing it is torn, everything after is lost" — depends on it).
 //
 // Append may perform a partial write: it returns the bytes actually
-// written along with the error. Rewrite and RewriteOffsets are
-// atomic: they either fully replace the target or leave it untouched
-// (the file store stages into a temp file and renames).
+// written along with the error. Rewrite is atomic: it either fully
+// replaces the segment or leaves it untouched (the file store stages
+// into a temp file and renames).
 type SegmentStore interface {
 	// Segments lists existing segment base offsets, ascending.
 	Segments() ([]uint64, error)
@@ -39,13 +38,6 @@ type SegmentStore interface {
 	Rewrite(base uint64, data []byte) error
 	// Remove deletes segment base (retention).
 	Remove(base uint64) error
-	// AppendOffsets appends one offset-map commit frame.
-	AppendOffsets(data []byte) (int, error)
-	// LoadOffsets returns the offsets log's full contents.
-	LoadOffsets() ([]byte, error)
-	// RewriteOffsets atomically replaces the offsets log (shrinking it
-	// to a single frame once it accumulates dead commits).
-	RewriteOffsets(data []byte) error
 }
 
 // ErrNoSegment reports access to a segment the store does not hold.
@@ -58,7 +50,6 @@ var ErrNoSegment = errors.New("commitlog: no such segment")
 type MemStore struct {
 	mu       sync.Mutex
 	segments map[uint64][]byte
-	offsets  []byte
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -129,43 +120,17 @@ func (m *MemStore) Remove(base uint64) error {
 	return nil
 }
 
-// AppendOffsets implements SegmentStore.
-func (m *MemStore) AppendOffsets(data []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.offsets = append(m.offsets, data...)
-	return len(data), nil
-}
-
-// LoadOffsets implements SegmentStore.
-func (m *MemStore) LoadOffsets() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]byte(nil), m.offsets...), nil
-}
-
-// RewriteOffsets implements SegmentStore.
-func (m *MemStore) RewriteOffsets(data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.offsets = append([]byte(nil), data...)
-	return nil
-}
-
 // FileStore is the file-backed SegmentStore: one "<base>.seg" file per
-// segment plus an "offsets.log" of commit frames, all in one
-// directory. It is the durability arm the crash torture suite drives
-// (wrapped in a FaultStore); recovery semantics — torn-tail
-// truncation, last-valid-commit offset recovery — live in Open, which
-// reads the store back.
+// segment, all in one directory. It is the durability arm the crash
+// torture suite drives (wrapped in a FaultStore); recovery semantics —
+// torn-tail truncation — live in Open, which reads the store back.
 type FileStore struct {
 	dir string
 }
 
 const (
-	segSuffix   = ".seg"
-	tmpSuffix   = ".tmp"
-	offsetsName = "offsets.log"
+	segSuffix = ".seg"
+	tmpSuffix = ".tmp"
 )
 
 // OpenFileStore opens (creating if needed) a file store rooted at dir.
@@ -221,8 +186,12 @@ func (f *FileStore) Create(base uint64) error {
 	return file.Close()
 }
 
-// appendFile appends data to path, returning bytes written.
-func appendFile(path string, data []byte) (int, error) {
+// Append implements SegmentStore.
+func (f *FileStore) Append(base uint64, data []byte) (int, error) {
+	path := f.segPath(base)
+	if _, err := os.Stat(path); err != nil {
+		return 0, fmt.Errorf("%w: %d", ErrNoSegment, base)
+	}
 	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, err
@@ -234,14 +203,6 @@ func appendFile(path string, data []byte) (int, error) {
 	return n, err
 }
 
-// Append implements SegmentStore.
-func (f *FileStore) Append(base uint64, data []byte) (int, error) {
-	if _, err := os.Stat(f.segPath(base)); err != nil {
-		return 0, fmt.Errorf("%w: %d", ErrNoSegment, base)
-	}
-	return appendFile(f.segPath(base), data)
-}
-
 // Load implements SegmentStore.
 func (f *FileStore) Load(base uint64) ([]byte, error) {
 	data, err := os.ReadFile(f.segPath(base))
@@ -251,21 +212,18 @@ func (f *FileStore) Load(base uint64) ([]byte, error) {
 	return data, err
 }
 
-// rewriteFile atomically replaces path via a temp file + rename.
-func rewriteFile(path string, data []byte) error {
+// Rewrite implements SegmentStore: the new contents are staged in a
+// temp file and renamed over the segment.
+func (f *FileStore) Rewrite(base uint64, data []byte) error {
+	path := f.segPath(base)
+	if _, err := os.Stat(path); err != nil {
+		return fmt.Errorf("%w: %d", ErrNoSegment, base)
+	}
 	tmp := path + tmpSuffix
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// Rewrite implements SegmentStore.
-func (f *FileStore) Rewrite(base uint64, data []byte) error {
-	if _, err := os.Stat(f.segPath(base)); err != nil {
-		return fmt.Errorf("%w: %d", ErrNoSegment, base)
-	}
-	return rewriteFile(f.segPath(base), data)
 }
 
 // Remove implements SegmentStore.
@@ -275,23 +233,4 @@ func (f *FileStore) Remove(base uint64) error {
 		return nil
 	}
 	return err
-}
-
-// AppendOffsets implements SegmentStore.
-func (f *FileStore) AppendOffsets(data []byte) (int, error) {
-	return appendFile(filepath.Join(f.dir, offsetsName), data)
-}
-
-// LoadOffsets implements SegmentStore.
-func (f *FileStore) LoadOffsets() ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(f.dir, offsetsName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	return data, err
-}
-
-// RewriteOffsets implements SegmentStore.
-func (f *FileStore) RewriteOffsets(data []byte) error {
-	return rewriteFile(filepath.Join(f.dir, offsetsName), data)
 }

@@ -37,7 +37,7 @@ func TestTortureCrashPoints(t *testing.T) {
 
 // TestTortureWithCorruption re-runs a slice of the suite with bit-flips
 // injected shortly before each crash point: recovery must still produce
-// a clean prefix and a fully-acknowledged consumer cursor.
+// a clean prefix and never reuse a recovered offset.
 func TestTortureWithCorruption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture suite skipped in -short")

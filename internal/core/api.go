@@ -117,7 +117,7 @@ type apiReplica struct {
 
 func newAPIReplica(p *Platform, index int) (*apiReplica, error) {
 	a := &apiReplica{p: p, index: index, lcm: rpc.NewBalancer(p.Registry, ServiceLCM)}
-	a.lcm.Use(p.res.apiLCM)
+	a.lcm.Use(p.res.lcm)
 	if err := a.listen(); err != nil {
 		return nil, err
 	}

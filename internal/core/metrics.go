@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -51,7 +50,7 @@ type MetricsService struct {
 	// is set: each job's log then lives in its own FileStore directory
 	// (<DataDir>/learner-logs/<jobID>), lines are encoded into record
 	// payloads, and a reopened service lazily reopens existing dirs —
-	// so offsets and consumer cursors survive a process restart.
+	// so offsets survive a process restart.
 	dataDir   string
 	storeWrap StoreWrapper
 }
@@ -141,52 +140,6 @@ func (m *MetricsService) AppendLog(line LogLine) {
 	}
 }
 
-// CommitLogCursor durably records a consumer's cursor on a job's log:
-// next is the offset of the first line the consumer has not yet
-// processed. The cursor rides the commit log's consumer-offset map, so
-// on a DataDir platform it survives a full process restart (LogCursor
-// recovers it) and pins retention — unconsumed lines are never trimmed
-// out from under a registered consumer.
-func (m *MetricsService) CommitLogCursor(jobID, consumer string, next uint64) error {
-	m.mu.Lock()
-	l, err := m.jobLogLocked(jobID)
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return l.Commit(consumer, next)
-}
-
-// LogCursor returns a consumer's recorded cursor on a job's log
-// (ok=false when the consumer or job is unknown).
-func (m *MetricsService) LogCursor(jobID, consumer string) (uint64, bool) {
-	m.mu.Lock()
-	l := m.jobLogForReadLocked(jobID)
-	m.mu.Unlock()
-	if l == nil {
-		return 0, false
-	}
-	return l.Committed(consumer)
-}
-
-// linesFrom decodes a job's retained lines with Offset >= from.
-func (m *MetricsService) linesFrom(jobID string, from uint64) []LogLine {
-	m.mu.Lock()
-	l := m.jobLogForReadLocked(jobID)
-	m.mu.Unlock()
-	if l == nil {
-		return nil
-	}
-	recs := l.Records(from)
-	out := make([]LogLine, 0, len(recs))
-	for _, rec := range recs {
-		if line, isLine := logLineRec(rec); isLine {
-			out = append(out, line)
-		}
-	}
-	return out
-}
-
 // logLineRec extracts the LogLine a log record carries: the in-memory
 // Value on the MemStore path, decoded from the durable payload
 // otherwise (records recovered from a reopened store carry no Value).
@@ -203,23 +156,23 @@ func logLineRec(rec commitlog.Record) (LogLine, bool) {
 
 // Logs returns all lines for a job (copy).
 func (m *MetricsService) Logs(jobID string) []LogLine {
-	return m.linesFrom(jobID, 0)
+	return m.LogsFrom(jobID, 0)
 }
 
 // LogsFrom returns a job's lines with Offset >= from — the resumable
 // read path under API.Logs.
 func (m *MetricsService) LogsFrom(jobID string, from uint64) []LogLine {
-	return m.linesFrom(jobID, from)
-}
-
-// SearchLogs returns a job's lines containing the substring — the
-// "indexed ... for easy debugging" query path.
-func (m *MetricsService) SearchLogs(jobID, substr string) []LogLine {
-	all := m.linesFrom(jobID, 0)
-	var out []LogLine
-	for _, l := range all {
-		if strings.Contains(l.Text, substr) {
-			out = append(out, l)
+	m.mu.Lock()
+	l := m.jobLogForReadLocked(jobID)
+	m.mu.Unlock()
+	if l == nil {
+		return nil
+	}
+	recs := l.Records(from)
+	out := make([]LogLine, 0, len(recs))
+	for _, rec := range recs {
+		if line, isLine := logLineRec(rec); isLine {
+			out = append(out, line)
 		}
 	}
 	return out

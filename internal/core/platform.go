@@ -94,8 +94,8 @@ type Config struct {
 	// oplog and per-job learner logs each open a commitlog.FileStore
 	// directory under it (see durable.go for the layout) and are
 	// recovered on boot — job documents with their status history, log
-	// offsets, consumer cursors and retained floors all survive a full
-	// process restart. Empty (the default) keeps every log in memory.
+	// offsets and retained floors all survive a full process restart.
+	// Empty (the default) keeps every log in memory.
 	DataDir string
 
 	// StoreWrapper, when non-nil, wraps each durable log's segment

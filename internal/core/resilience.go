@@ -16,12 +16,12 @@ import (
 // cross-subsystem dependency edge, shared by every caller of that edge
 // so each dependency has exactly one breaker. The edges:
 //
-//   mongo        core → metadata store (reads/writes that can see a
-//                primary failover; the breaker drives degraded mode)
-//   etcd         core → coordination store (guardian/LCM control keys)
-//   api_lcm      API replica → LCM (control verbs)
-//   dispatch_lcm tenant dispatcher → LCM (preempt/resume signals)
-//   client       external client → API replicas
+//   mongo   core → metadata store (reads/writes that can see a
+//           primary failover; the breaker drives degraded mode)
+//   etcd    core → coordination store (guardian/LCM control keys)
+//   lcm     API replicas and the tenant dispatcher → LCM (control
+//           verbs, preempt/resume signals)
+//   client  external client → API replicas
 //
 // All policies run on the platform clock, so retry schedules, breaker
 // open windows and deadlines are exact virtual time under FakeClock.
@@ -52,11 +52,10 @@ func IsDegraded(err error) bool {
 
 // resilienceHub holds the platform's per-edge policies.
 type resilienceHub struct {
-	mongo       *resilience.Policy
-	etcd        *resilience.Policy
-	apiLCM      *resilience.Policy
-	dispatchLCM *resilience.Policy
-	client      *resilience.Policy
+	mongo  *resilience.Policy
+	etcd   *resilience.Policy
+	lcm    *resilience.Policy
+	client *resilience.Policy
 }
 
 // classifyMongo buckets metadata-store errors: ErrUnavailable is the
@@ -108,33 +107,21 @@ func newResilienceHub(cfg *Config, instruments *obs.Registry) *resilienceHub {
 			Obs:            instruments,
 			Seed:           cfg.Seed + 102,
 		}),
-		apiLCM: resilience.NewPolicy(resilience.Options{
-			Name:     "api_lcm",
+		lcm: resilience.NewPolicy(resilience.Options{
+			Name:     "lcm",
 			Clock:    cfg.Clock,
 			Attempts: 4,
 			Backoff:  backoff,
 			Classify: rpc.ClassifyRPC,
-			// Control verbs are idempotent (control keys are
-			// level-triggered), so a maybe-executed call is safe to
-			// re-issue — and the deadline rescues calls wedged on a
-			// dropped request frame.
+			// Control verbs and preempt/resume signals are idempotent
+			// (control keys are level-triggered), so a maybe-executed
+			// call is safe to re-issue — and the deadline rescues calls
+			// wedged on a dropped request frame.
 			RetryAmbiguous: true,
 			Deadline:       pi * 10,
 			Breaker:        &resilience.BreakerConfig{Threshold: 5, OpenFor: pi * 8},
 			Obs:            instruments,
 			Seed:           cfg.Seed + 103,
-		}),
-		dispatchLCM: resilience.NewPolicy(resilience.Options{
-			Name:           "dispatch_lcm",
-			Clock:          cfg.Clock,
-			Attempts:       4,
-			Backoff:        backoff,
-			Classify:       rpc.ClassifyRPC,
-			RetryAmbiguous: true, // halt/resume are level-triggered; resync re-issues
-			Deadline:       pi * 10,
-			Breaker:        &resilience.BreakerConfig{Threshold: 5, OpenFor: pi * 8},
-			Obs:            instruments,
-			Seed:           cfg.Seed + 104,
 		}),
 		client: resilience.NewPolicy(resilience.Options{
 			Name:     "client_api",

@@ -183,13 +183,13 @@ func (p *Platform) clearPreempted(jobID string) {
 }
 
 // newDispatchBalancer builds the dispatcher's LCM balancer with the
-// dispatcher→lcm resilience policy installed: preempt/resume signals
-// retry transient LCM failures with backoff, and a dead LCM trips the
-// edge's breaker so dispatch passes shed instead of piling goroutines
+// lcm resilience policy installed: preempt/resume signals retry
+// transient LCM failures with backoff, and a dead LCM trips the edge's
+// one breaker so dispatch passes shed instead of piling goroutines
 // behind it.
 func newDispatchBalancer(p *Platform) *rpc.Balancer {
 	b := rpc.NewBalancer(p.Registry, ServiceLCM)
-	b.Use(p.res.dispatchLCM)
+	b.Use(p.res.lcm)
 	return b
 }
 

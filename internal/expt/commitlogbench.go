@@ -9,9 +9,8 @@ import (
 
 // The commitlog experiment: a crash/compaction torture smoke —
 // commitlog.Torture run at CI scale, so a durability regression
-// (torn-tail mishandling, offset reuse, a consumer cursor drifting off
-// its acked commit) fails the gate with a named invariant, not a flaky
-// downstream test. The full 200+ crash-point suite runs in `go test
+// (torn-tail mishandling, offset reuse) fails the gate with a named
+// invariant, not a flaky downstream test. The full 200+ crash-point suite runs in `go test
 // ./internal/commitlog`.
 
 // CommitlogRun runs the torture smoke in a scratch directory; cfg.Dir

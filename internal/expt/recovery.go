@@ -14,14 +14,13 @@ import (
 
 // The recovery experiment: what a restart-the-world actually costs, and
 // what survives it. Each arm builds the same durable state — a batch of
-// completed jobs with learner logs and saved follower cursors, plus
+// completed jobs with learner logs, plus
 // enough single-key churn to seal and compact oplog segments — then
 // tears the whole platform down with chaos.ProcessRestart and measures
 // the reopened generation:
 //
 //   - reopen latency (NewPlatform + recovery replay, wall clock)
 //   - how much state came back (jobs, oplog ops, learner-log lines)
-//   - whether saved log cursors survived byte-exact
 //   - the reopened read paths: WatchStatus reconnects refilled from the
 //     recovered job documents (watch.refills), and whether a pre-floor
 //     change-stream resume gets its explicit resync marker
@@ -79,9 +78,6 @@ type RecoveryArm struct {
 	RecoveredJobs     int    `json:"recovered_jobs"`
 	RecoveredOps      uint64 `json:"recovered_ops"`
 	RecoveredLogLines int    `json:"recovered_log_lines"`
-	// CursorsPreserved counts saved follower cursors that came back
-	// byte-exact (one was saved per job).
-	CursorsPreserved int `json:"cursors_preserved"`
 
 	// The reopened read paths.
 	WatchRefills int64 `json:"watch_refills"`
@@ -157,10 +153,9 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
-	// Drive the workload: Jobs jobs to COMPLETED, a saved follower
-	// cursor halfway into each job's log, then the floor-raising churn.
+	// Drive the workload: Jobs jobs to COMPLETED, then the
+	// floor-raising churn.
 	jobIDs := make([]string, 0, cfg.Jobs)
-	savedCursors := make(map[string]uint64, cfg.Jobs)
 	for j := 0; j < cfg.Jobs; j++ {
 		id, err := client.Submit(ctx, core.Manifest{
 			Name: fmt.Sprintf("rc-%d", j), User: "bench",
@@ -175,21 +170,13 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 		}
 		jobIDs = append(jobIDs, id)
 	}
-	var logLines int
 	for _, id := range jobIDs {
 		if st, err := client.WaitForStatus(ctx, id, core.StatusCompleted, time.Minute); err != nil || st != core.StatusCompleted {
 			return arm, fmt.Errorf("job %s ended %s, err=%v", id, st, err)
 		}
-		lines, err := client.Logs(ctx, id)
-		if err != nil || len(lines) == 0 {
+		if lines, err := client.Logs(ctx, id); err != nil || len(lines) == 0 {
 			return arm, fmt.Errorf("job %s logs: %d lines, err=%v", id, len(lines), err)
 		}
-		logLines += len(lines)
-		next := lines[len(lines)/2].Offset
-		if err := p.Metrics.CommitLogCursor(id, "bench-follower", next); err != nil {
-			return arm, err
-		}
-		savedCursors[id] = next
 	}
 	scratch := p.Mongo.C("scratch")
 	if _, err := scratch.Insert(mongo.Doc{"_id": "doc", "n": 0}); err != nil {
@@ -216,9 +203,6 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	arm.RecoveredJobs = p2.Jobs.Count(mongo.Filter{"status": string(core.StatusCompleted)})
 	for _, id := range jobIDs {
 		arm.RecoveredLogLines += len(p2.Metrics.Logs(id))
-		if next, ok := p2.Metrics.LogCursor(id, "bench-follower"); ok && next == savedCursors[id] {
-			arm.CursorsPreserved++
-		}
 	}
 
 	// Read-path probes. A change stream resumed from seq 1: on
@@ -260,7 +244,7 @@ func RenderRecovery(res RecoveryResult) *Table {
 	t := &Table{
 		Title: "Restart-the-world recovery: FileStore DataDir vs the MemStore ablation",
 		Header: []string{"FileStore", "Reopen (ms)", "Jobs back", "Oplog ops", "Log lines",
-			"Cursors", "Refills", "Resyncs", "Floor"},
+			"Refills", "Resyncs", "Floor"},
 	}
 	for _, a := range res.Arms {
 		t.Rows = append(t.Rows, []string{
@@ -268,7 +252,6 @@ func RenderRecovery(res RecoveryResult) *Table {
 			fmt.Sprintf("%d/%d", a.RecoveredJobs, res.Jobs),
 			fmt.Sprintf("%d", a.RecoveredOps),
 			fmt.Sprintf("%d", a.RecoveredLogLines),
-			fmt.Sprintf("%d/%d", a.CursorsPreserved, res.Jobs),
 			fmt.Sprintf("%d", a.WatchRefills),
 			fmt.Sprintf("%d", a.ResyncEvents), fmt.Sprintf("%d", a.OplogFloor),
 		})
@@ -278,10 +261,10 @@ func RenderRecovery(res RecoveryResult) *Table {
 		t.Caption = fmt.Sprintf(
 			"A full process restart erases the MemStore platform (%d jobs, %d oplog ops back); "+
 				"the FileStore DataDir brings back %d/%d jobs, %d oplog ops and %d log lines in %.1fms, "+
-				"with %d/%d follower cursors intact and stale change-stream resumes flagged by %d explicit resync marker(s).",
+				"with stale change-stream resumes flagged by %d explicit resync marker(s).",
 			mem.RecoveredJobs, mem.RecoveredOps,
 			file.RecoveredJobs, res.Jobs, file.RecoveredOps, file.RecoveredLogLines,
-			file.ReopenMillis, file.CursorsPreserved, res.Jobs, file.ResyncEvents)
+			file.ReopenMillis, file.ResyncEvents)
 	}
 	return t
 }
