@@ -34,7 +34,9 @@ func nodeName(i int) string { return string(rune('a'+i)) + "-node" }
 
 // TestEtcdInjectorOutageForcesSnapshotRestoreAndFailover exercises the
 // coordination-layer injector: an outage with enough churn makes the
-// victim rejoin via snapshot, and ForceLeader lands leadership on it.
+// victim rejoin via snapshot. A watch resuming against a forced,
+// snapshot-restored leader is etcd's own
+// TestWatchReplaysAgainstSnapshotRestoredLeader.
 func TestEtcdInjectorOutageForcesSnapshotRestoreAndFailover(t *testing.T) {
 	c, err := etcd.NewCluster(etcd.Options{
 		Replicas: 3, Seed: 11, SnapshotThreshold: 16, TickInterval: 2 * time.Millisecond,
@@ -60,15 +62,9 @@ func TestEtcdInjectorOutageForcesSnapshotRestoreAndFailover(t *testing.T) {
 	if !restored {
 		t.Fatal("outage churn past the snapshot threshold did not force a restore")
 	}
-	if !in.ForceLeader(victim, write(1)) {
-		t.Fatalf("leadership never landed on the restored replica %d", victim)
-	}
-	if l := c.Leader(); l != victim {
-		t.Fatalf("leader = %d, want restored replica %d", l, victim)
-	}
-	outages, failovers, restores := in.Stats()
-	if outages != 1 || restores < 1 || failovers < 1 {
-		t.Fatalf("stats = %d outages / %d failovers / %d restores", outages, failovers, restores)
+	outages, restores := in.Stats()
+	if outages != 1 || restores < 1 {
+		t.Fatalf("stats = %d outages / %d restores", outages, restores)
 	}
 }
 

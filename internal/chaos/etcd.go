@@ -9,8 +9,7 @@ import (
 )
 
 // EtcdInjector drives coordination-layer chaos against an etcd cluster:
-// replica outages long enough to force snapshot-restore rejoins, and
-// leader failovers that force every watch stream to re-attach. It is
+// replica outages long enough to force snapshot-restore rejoins. It is
 // the etcd counterpart of Injector, used by the chaos soak
 // (docs/watch-protocol.md describes the contract under attack).
 type EtcdInjector struct {
@@ -22,10 +21,9 @@ type EtcdInjector struct {
 
 	clock sim.Clock
 
-	mu        sync.Mutex
-	outages   int64
-	failovers int64
-	restores  uint64
+	mu       sync.Mutex
+	outages  int64
+	restores uint64
 }
 
 // NewEtcdInjector returns an injector bound to a cluster, pacing its
@@ -38,12 +36,12 @@ func NewEtcdInjector(c *etcd.Cluster) *EtcdInjector {
 	return &EtcdInjector{c: c, Timeout: 10 * time.Second, clock: clock}
 }
 
-// Stats reports (outage cycles, forced failovers, snapshot restores
-// observed during outage cycles).
-func (in *EtcdInjector) Stats() (outages, failovers int64, restores uint64) {
+// Stats reports (outage cycles, snapshot restores observed during
+// outage cycles).
+func (in *EtcdInjector) Stats() (outages int64, restores uint64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.outages, in.failovers, in.restores
+	return in.outages, in.restores
 }
 
 // OutageCycle cuts one non-leader replica off, runs churn while it is
@@ -78,44 +76,4 @@ func (in *EtcdInjector) OutageCycle(churn func()) (victim int, restored bool) {
 func (in *EtcdInjector) converged(victim int) bool {
 	l := in.c.Leader()
 	return l >= 0 && l != victim && in.c.StateEqual(victim, l)
-}
-
-// ForceLeader bounces leadership until target leads, so that watch
-// streams (which attach to the leader) must resume against it. Each
-// bounce isolates the current leader, runs stale — a write that keeps
-// the cut replica's log behind so it cannot immediately reclaim the
-// term — and heals it. It reports whether target took leadership within
-// the timeout.
-func (in *EtcdInjector) ForceLeader(target int, stale func()) bool {
-	deadline := in.clock.Now().Add(in.Timeout)
-	for {
-		cur := in.c.Leader()
-		switch {
-		case cur == target:
-			return true
-		case in.clock.Now().After(deadline):
-			return false
-		case cur < 0:
-			in.clock.Sleep(2 * time.Millisecond)
-			continue
-		}
-		in.c.Isolate(cur, true)
-		stale() // commits on the majority side, staling cur's log
-		// Evaluate the election while cur is still cut off: Leader()
-		// ignores isolated replicas, so a healed node's stale
-		// leadership claim cannot be misread as the outcome here.
-		for in.c.Leader() < 0 && in.clock.Now().Before(deadline) {
-			in.clock.Sleep(2 * time.Millisecond)
-		}
-		in.c.Isolate(cur, false)
-		// The healed replica still claims its old term until the real
-		// leader's first contact demotes it; wait that claim out so the
-		// next evaluation (and the caller) read the true leader.
-		for in.c.Leader() == cur && in.clock.Now().Before(deadline) {
-			in.clock.Sleep(2 * time.Millisecond)
-		}
-		in.mu.Lock()
-		in.failovers++
-		in.mu.Unlock()
-	}
 }

@@ -11,8 +11,7 @@ import (
 // MongoInjector drives document-store chaos against a mongo.DB: primary
 // failover windows (erroring ops return mongo.ErrUnavailable until the
 // window heals), dropped change-feed batches (writes commit but live
-// subscribers see a Seq gap and must refill), and a frozen/laggy
-// secondary cycling between stalled and caught-up. It is the mongo
+// subscribers see a Seq gap and must refill). It is the mongo
 // counterpart of Injector/EtcdInjector: the platform's resilience layer
 // (and the core API's degraded mode) are what is under attack.
 type MongoInjector struct {
@@ -31,18 +30,11 @@ type MongoInjector struct {
 	// FeedDropBatch is the number of consecutive committed writes whose
 	// fan-out each drop suppresses. Defaults to 4.
 	FeedDropBatch int
-	// FreezeMTBF is the mean time between secondary freeze/thaw cycles;
-	// zero disables the secondary entirely (no replica is attached).
-	FreezeMTBF time.Duration
-	// FreezeDuration is the mean length of one freeze. Defaults to 100ms.
-	FreezeDuration time.Duration
 
 	mu        sync.Mutex
 	rng       *sim.RNG
 	failovers int64
 	feedDrops int64
-	freezes   int64
-	secondary *mongo.Secondary
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
 	stopOnce  sync.Once
@@ -61,7 +53,6 @@ func NewMongoInjector(db *mongo.DB, clock sim.Clock, rng *sim.RNG) *MongoInjecto
 		rng:              rng,
 		FailoverDuration: 100 * time.Millisecond,
 		FeedDropBatch:    4,
-		FreezeDuration:   100 * time.Millisecond,
 		stopCh:           make(chan struct{}),
 	}
 }
@@ -70,22 +61,13 @@ func NewMongoInjector(db *mongo.DB, clock sim.Clock, rng *sim.RNG) *MongoInjecto
 type MongoStats struct {
 	Failovers int64 `json:"failovers"`
 	FeedDrops int64 `json:"feed_drops"`
-	Freezes   int64 `json:"freezes"`
 }
 
 // Stats reports cumulative injected-fault counts.
 func (in *MongoInjector) Stats() MongoStats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return MongoStats{Failovers: in.failovers, FeedDrops: in.feedDrops, Freezes: in.freezes}
-}
-
-// Secondary returns the injector-managed replica (nil unless FreezeMTBF
-// enabled one), for tests that want to compare its catch-up state.
-func (in *MongoInjector) Secondary() *mongo.Secondary {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.secondary
+	return MongoStats{Failovers: in.failovers, FeedDrops: in.feedDrops}
 }
 
 // Start launches the fault loops.
@@ -105,33 +87,14 @@ func (in *MongoInjector) Start() {
 				in.feedDropLoop()
 			}()
 		}
-		if in.FreezeMTBF > 0 {
-			in.mu.Lock()
-			in.secondary = in.db.StartSecondary()
-			in.mu.Unlock()
-			in.wg.Add(1)
-			go func() {
-				defer in.wg.Done()
-				in.freezeLoop()
-			}()
-		}
 	})
 }
 
-// Stop halts injection, healing any open failover window, thawing the
-// secondary and detaching it.
+// Stop halts injection, healing any open failover window.
 func (in *MongoInjector) Stop() {
 	in.stopOnce.Do(func() { close(in.stopCh) })
 	in.wg.Wait()
 	in.db.SetUnavailable(false)
-	in.mu.Lock()
-	sec := in.secondary
-	in.secondary = nil
-	in.mu.Unlock()
-	if sec != nil {
-		sec.Freeze(false)
-		sec.Stop()
-	}
 }
 
 // draw returns an exponential wait with the given mean, serialized on
@@ -181,26 +144,5 @@ func (in *MongoInjector) feedDropLoop() {
 		in.mu.Lock()
 		in.feedDrops++
 		in.mu.Unlock()
-	}
-}
-
-// freezeLoop cycles the managed secondary between frozen and caught-up.
-func (in *MongoInjector) freezeLoop() {
-	in.mu.Lock()
-	sec := in.secondary
-	in.mu.Unlock()
-	for {
-		if !in.sleep(in.draw(in.FreezeMTBF)) {
-			return
-		}
-		sec.Freeze(true)
-		in.mu.Lock()
-		in.freezes++
-		in.mu.Unlock()
-		thawed := in.sleep(in.draw(in.FreezeDuration))
-		sec.Freeze(false)
-		if !thawed {
-			return
-		}
 	}
 }

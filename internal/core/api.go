@@ -107,25 +107,24 @@ type TraceReply struct{ Trace obs.Trace }
 // replica is an RPC server registered into the shared Registry, with
 // crash/restart modeling for Table 3.
 type apiReplica struct {
-	p     *Platform
-	index int
-	lcm   *rpc.Balancer
-
-	srv  *rpc.Server
-	addr string
+	*replica
+	lcm *rpc.Balancer
 }
 
 func newAPIReplica(p *Platform, index int) (*apiReplica, error) {
-	a := &apiReplica{p: p, index: index, lcm: rpc.NewBalancer(p.Registry, ServiceLCM)}
+	a := &apiReplica{lcm: rpc.NewBalancer(p.Registry, ServiceLCM)}
+	a.replica = &replica{
+		p: p, index: index, kind: "api", service: ServiceAPI,
+		delay: p.cfg.APIRestartDelay, routes: a.routes,
+	}
 	a.lcm.Use(p.res.lcm)
-	if err := a.listen(); err != nil {
+	if err := a.start(); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-func (a *apiReplica) listen() error {
-	srv := rpc.NewServer()
+func (a *apiReplica) routes(srv *rpc.Server) {
 	srv.Register("API.Submit", SubmitArgs{}, a.handleSubmit)
 	srv.Register("API.Status", JobArgs{}, a.handleStatus)
 	srv.Register("API.List", ListArgs{}, a.handleList)
@@ -139,13 +138,6 @@ func (a *apiReplica) listen() error {
 	srv.Register("API.Trace", JobArgs{}, a.handleTrace)
 	srv.RegisterStream("API.Logs", LogsArgs{}, a.handleLogs)
 	srv.RegisterStream("API.Watch", WatchArgs{}, a.handleWatch)
-	addr, err := srv.Listen()
-	if err != nil {
-		return fmt.Errorf("core: api replica %d: %w", a.index, err)
-	}
-	a.srv, a.addr = srv, addr
-	a.p.Registry.Add(ServiceAPI, addr)
-	return nil
 }
 
 // handleSubmit stores metadata durably BEFORE acknowledging: "the API
@@ -557,33 +549,6 @@ func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) er
 			}
 		}
 	}
-}
-
-// crashAndRestart models a replica crash: the server drops all
-// connections, deregisters, then comes back after the configured
-// restart delay (Table 3: API 3-5s).
-func (a *apiReplica) crashAndRestart() {
-	a.p.Registry.Remove(ServiceAPI, a.addr)
-	a.srv.Close()
-	a.p.Metrics.Inc("api.crashes")
-	a.p.wg.Add(1)
-	go func() {
-		defer a.p.wg.Done()
-		a.p.clock.Sleep(a.p.cfg.APIRestartDelay)
-		select {
-		case <-a.p.stopCh:
-			return
-		default:
-		}
-		if err := a.listen(); err == nil {
-			a.p.Metrics.Inc("api.restarts")
-		}
-	}()
-}
-
-func (a *apiReplica) stop() {
-	a.p.Registry.Remove(ServiceAPI, a.addr)
-	a.srv.Close()
 }
 
 // Client is the typed client for the FfDL API (the CLI in Fig. 1 talks

@@ -292,6 +292,42 @@ func TestAPIReplicaCrashDoesNotInterruptService(t *testing.T) {
 	}
 }
 
+// TestRepeatedReplicaCrashesKeepOneServerEach crashes an API and an LCM
+// replica 20 times, 5 ms apart — about one restart delay — so crashes
+// land both on a serving replica and on one whose restart is pending
+// or in flight. Every crash that took a replica down must be matched by
+// one restart, and each replica must end with exactly one registered
+// server. Under -race it also pins that a crash and a restart never
+// touch a replica's server and address unguarded.
+func TestRepeatedReplicaCrashesKeepOneServerEach(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	for i := 0; i < 20; i++ {
+		p.CrashAPI(0)
+		p.CrashLCM(0)
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	settled := func() bool {
+		return len(p.Registry.Lookup(ServiceAPI)) == apiReplicas &&
+			len(p.Registry.Lookup(ServiceLCM)) == lcmReplicas &&
+			p.Obs.CounterValue("api.restarts") == p.Obs.CounterValue("api.crashes") &&
+			p.Obs.CounterValue("lcm.restarts") == p.Obs.CounterValue("lcm.crashes")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !settled() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after crashes settled: api %v, lcm %v; api crashes/restarts %d/%d, lcm %d/%d",
+				p.Registry.Lookup(ServiceAPI), p.Registry.Lookup(ServiceLCM),
+				p.Obs.CounterValue("api.crashes"), p.Obs.CounterValue("api.restarts"),
+				p.Obs.CounterValue("lcm.crashes"), p.Obs.CounterValue("lcm.restarts"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := p.Client().List(context.Background(), ""); err != nil {
+		t.Fatalf("List after repeated crashes: %v", err)
+	}
+}
+
 func TestSubmissionSurvivesLCMOutage(t *testing.T) {
 	p := newTestPlatform(t, nil)
 	c := p.Client()

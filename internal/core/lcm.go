@@ -15,17 +15,15 @@ import (
 // for the job from submission to completion or failure" (§3.3), but it
 // delegates the multi-step deployment to a per-job Guardian (a K8s Job)
 // so the LCM itself stays stateless and crash-tolerant.
-type lcmReplica struct {
-	p     *Platform
-	index int
-
-	srv  *rpc.Server
-	addr string
-}
+type lcmReplica struct{ *replica }
 
 func newLCMReplica(p *Platform, index int) (*lcmReplica, error) {
-	l := &lcmReplica{p: p, index: index}
-	if err := l.listen(); err != nil {
+	l := &lcmReplica{}
+	l.replica = &replica{
+		p: p, index: index, kind: "lcm", service: ServiceLCM,
+		delay: p.cfg.LCMRestartDelay, routes: l.routes,
+	}
+	if err := l.start(); err != nil {
 		return nil, err
 	}
 	if index == 0 {
@@ -45,18 +43,10 @@ func newLCMReplica(p *Platform, index int) (*lcmReplica, error) {
 	return l, nil
 }
 
-func (l *lcmReplica) listen() error {
-	srv := rpc.NewServer()
+func (l *lcmReplica) routes(srv *rpc.Server) {
 	srv.Register("LCM.Halt", JobArgs{}, l.handleControl(controlHalt))
 	srv.Register("LCM.Resume", JobArgs{}, l.handleControl(controlResume))
 	srv.Register("LCM.Terminate", JobArgs{}, l.handleTerminate)
-	addr, err := srv.Listen()
-	if err != nil {
-		return fmt.Errorf("core: lcm replica %d: %w", l.index, err)
-	}
-	l.srv, l.addr = srv, addr
-	l.p.Registry.Add(ServiceLCM, addr)
-	return nil
 }
 
 // ensureGuardian creates the job's Guardian: "The LCM simply instantiates
@@ -206,31 +196,6 @@ func (l *lcmReplica) recoveryLoop() {
 			scan()
 		}
 	}
-}
-
-// crashAndRestart models an LCM replica crash (Table 3: LCM 4-6s).
-func (l *lcmReplica) crashAndRestart() {
-	l.p.Registry.Remove(ServiceLCM, l.addr)
-	l.srv.Close()
-	l.p.Metrics.Inc("lcm.crashes")
-	l.p.wg.Add(1)
-	go func() {
-		defer l.p.wg.Done()
-		l.p.clock.Sleep(l.p.cfg.LCMRestartDelay)
-		select {
-		case <-l.p.stopCh:
-			return
-		default:
-		}
-		if err := l.listen(); err == nil {
-			l.p.Metrics.Inc("lcm.restarts")
-		}
-	}()
-}
-
-func (l *lcmReplica) stop() {
-	l.p.Registry.Remove(ServiceLCM, l.addr)
-	l.srv.Close()
 }
 
 // manifestGang converts a manifest to the scheduler's gang shape for

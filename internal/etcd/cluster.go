@@ -599,16 +599,6 @@ func (c *Cluster) Revoke(id int64) error {
 	return err
 }
 
-// CompareAndSwap puts value under key iff the key's current ModRevision
-// equals expectRev (0 means the key must not exist). It reports whether
-// the swap happened.
-func (c *Cluster) CompareAndSwap(key string, expectRev uint64, value []byte) (bool, error) {
-	res, err := c.propose(&command{
-		Op: opTxnPut, Key: key, Value: value, CmpKey: key, CmpRev: expectRev,
-	})
-	return res.ok, err
-}
-
 // Get returns the value for key from the leader's replica.
 func (c *Cluster) Get(key string) (KV, bool, error) {
 	st, err := c.leaderState()

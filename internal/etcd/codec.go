@@ -21,7 +21,7 @@ import (
 // uvarint-length-prefixed):
 //
 //	cmdMagic | op | ReqID | Key | Value | Lease | TTL | flags |
-//	CmpKey | CmpRev | RequestBy [| batch count | sub-commands...]
+//	RequestBy [| batch count | sub-commands...]
 //
 // The leading cmdMagic byte (0xE7) is the format tag: Raft entries are
 // never read back from disk, so this is the only entry format that
@@ -83,9 +83,6 @@ func appendCommandBody(dst []byte, cmd *command) []byte {
 		flags |= flagPrefix
 	}
 	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(cmd.CmpKey)))
-	dst = append(dst, cmd.CmpKey...)
-	dst = binary.AppendUvarint(dst, cmd.CmpRev)
 	dst = binary.AppendVarint(dst, int64(cmd.RequestBy))
 	return dst
 }
@@ -93,7 +90,7 @@ func appendCommandBody(dst []byte, cmd *command) []byte {
 // commandSize returns an upper bound on the encoded size of cmd, so
 // encode buffers can be allocated exactly once.
 func commandSize(cmd *command) int {
-	// 1 magic + ~10 bytes per varint field (8 fields) + string/byte
+	// 1 magic + ~10 bytes per varint field (7 fields) + string/byte
 	// payloads; generous per-field bound beats a second pass.
 	n := 1 + commandBodySize(cmd)
 	if cmd.Op == opBatch {
@@ -106,7 +103,7 @@ func commandSize(cmd *command) int {
 }
 
 func commandBodySize(cmd *command) int {
-	return 8*binary.MaxVarintLen64 + 1 + len(cmd.Key) + len(cmd.Value) + len(cmd.CmpKey)
+	return 7*binary.MaxVarintLen64 + 1 + len(cmd.Key) + len(cmd.Value)
 }
 
 // cmdReader walks an encoded command buffer.
@@ -201,14 +198,6 @@ func (r *cmdReader) decodeCommandBody(cmd *command, topLevel bool) error {
 		return err
 	}
 	cmd.Prefix = flags&flagPrefix != 0
-	cmpKey, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	cmd.CmpKey = string(cmpKey)
-	if cmd.CmpRev, err = r.uvarint(); err != nil {
-		return err
-	}
 	reqBy, err := r.varint()
 	if err != nil {
 		return err

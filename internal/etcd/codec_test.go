@@ -12,8 +12,8 @@ import (
 // batches as equal (the codec canonicalizes empties to nil).
 func commandEqual(a, b *command) bool {
 	if a.Op != b.Op || a.Key != b.Key || a.Lease != b.Lease ||
-		a.TTL != b.TTL || a.Prefix != b.Prefix || a.CmpKey != b.CmpKey ||
-		a.CmpRev != b.CmpRev || a.ReqID != b.ReqID || a.RequestBy != b.RequestBy {
+		a.TTL != b.TTL || a.Prefix != b.Prefix || a.ReqID != b.ReqID ||
+		a.RequestBy != b.RequestBy {
 		return false
 	}
 	if !bytes.Equal(a.Value, b.Value) {
@@ -38,7 +38,7 @@ func codecCases() []command {
 		{Op: opGrantLease, TTL: 30 * time.Second, ReqID: 4},
 		{Op: opRevokeLease, Lease: -9, ReqID: 5},
 		{Op: opKeepAlive, Lease: 12, ReqID: 6},
-		{Op: opTxnPut, Key: "a", Value: []byte{0, 1, 2}, CmpKey: "a", CmpRev: 99, ReqID: 8, RequestBy: 2},
+		{Op: opPut, Key: "a", Value: []byte{0, 1, 2}, ReqID: 8, RequestBy: 2},
 		{Op: opExpireLease, Lease: 1, ReqID: 9},
 		{Op: opBatch, Batch: []command{
 			{Op: opPut, Key: "b/1", Value: []byte("v1"), ReqID: 10},
@@ -172,18 +172,17 @@ func TestCommandCodecBatchScratchReuse(t *testing.T) {
 //     and errors whenever the first byte is not cmdMagic (a gob-encoded
 //     command is seeded as one such payload).
 func FuzzCommandCodecRoundtrip(f *testing.F) {
-	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), int64(0), int64(0), false, "", uint64(0), uint64(7), 0, uint8(0), uint(0))
-	f.Add(uint8(opTxnPut), "a", []byte{1, 2}, int64(3), int64(4), true, "cmp", uint64(5), uint64(6), 1, uint8(3), uint(2))
-	f.Add(uint8(opBatch), "", []byte(nil), int64(0), int64(0), false, "", uint64(0), uint64(0), 0, uint8(5), uint(9))
+	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), int64(0), int64(0), false, uint64(7), 0, uint8(0), uint(0))
+	f.Add(uint8(opDelete), "a", []byte{1, 2}, int64(3), int64(4), true, uint64(6), 1, uint8(3), uint(2))
+	f.Add(uint8(opBatch), "", []byte(nil), int64(0), int64(0), false, uint64(0), 0, uint8(5), uint(9))
 	f.Add(uint8(opPut), "gob", gobCommand(f, &command{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7}),
-		int64(0), int64(0), false, "", uint64(0), uint64(1), 0, uint8(0), uint(0))
-	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, int64(0), int64(0), false, "", uint64(0), uint64(2), 0, uint8(0), uint(0))
+		int64(0), int64(0), false, uint64(1), 0, uint8(0), uint(0))
+	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, int64(0), int64(0), false, uint64(2), 0, uint8(0), uint(0))
 	f.Fuzz(func(t *testing.T, op uint8, key string, value []byte, lease, ttl int64,
-		prefix bool, cmpKey string, cmpRev, reqID uint64, requestBy int, batchN uint8, cut uint) {
+		prefix bool, reqID uint64, requestBy int, batchN uint8, cut uint) {
 		want := command{
 			Op: cmdOp(op), Key: key, Value: value, Lease: lease,
-			TTL: time.Duration(ttl), Prefix: prefix, CmpKey: cmpKey,
-			CmpRev: cmpRev, ReqID: reqID, RequestBy: requestBy,
+			TTL: time.Duration(ttl), Prefix: prefix, ReqID: reqID, RequestBy: requestBy,
 		}
 		if want.Op == opBatch {
 			// Envelopes hold non-batch sub-commands (nesting is rejected

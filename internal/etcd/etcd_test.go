@@ -96,37 +96,6 @@ func TestDeleteAndPrefix(t *testing.T) {
 	}
 }
 
-func TestCompareAndSwap(t *testing.T) {
-	c := newTestCluster(t, Options{})
-	// Create-if-absent.
-	ok, err := c.CompareAndSwap("lock", 0, []byte("owner1"))
-	if err != nil || !ok {
-		t.Fatalf("CAS create: ok=%v err=%v", ok, err)
-	}
-	// Second create-if-absent must fail.
-	ok, err = c.CompareAndSwap("lock", 0, []byte("owner2"))
-	if err != nil || ok {
-		t.Fatalf("CAS duplicate create succeeded")
-	}
-	kv, _, err := c.Get("lock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(kv.Value) != "owner1" {
-		t.Fatalf("lock owner = %q, want owner1", kv.Value)
-	}
-	// Swap at current revision succeeds.
-	ok, err = c.CompareAndSwap("lock", kv.ModRevision, []byte("owner2"))
-	if err != nil || !ok {
-		t.Fatalf("CAS update: ok=%v err=%v", ok, err)
-	}
-	// Stale revision fails.
-	ok, err = c.CompareAndSwap("lock", kv.ModRevision, []byte("owner3"))
-	if err != nil || ok {
-		t.Fatal("stale CAS succeeded")
-	}
-}
-
 func TestWatchKey(t *testing.T) {
 	c := newTestCluster(t, Options{})
 	ws, err := c.Watch("status", false, 0)

@@ -69,8 +69,6 @@ type command struct {
 	Lease     int64
 	TTL       time.Duration
 	Prefix    bool
-	CmpKey    string // txn: key whose ModRevision is compared
-	CmpRev    uint64 // txn: expected ModRevision (0 = must not exist)
 	ReqID     uint64 // for client response matching
 	RequestBy int    // proposing node
 	// Batch is the group-commit envelope payload (Op == opBatch): the
@@ -87,13 +85,12 @@ const (
 	opGrantLease
 	opRevokeLease
 	opKeepAlive
-	opTxnPut // put iff CmpKey's ModRevision == CmpRev
 )
 
 // result is the outcome of applying a command.
 type result struct {
 	rev     uint64
-	ok      bool // txn comparison outcome
+	ok      bool // the op took effect (a delete: some key existed)
 	leaseID int64
 	err     error
 }
@@ -251,18 +248,6 @@ func (s *storeState) applyLocked(c *command) result {
 		}
 		l.deadline = s.now().Add(l.ttl)
 		return result{ok: true, rev: s.rev, leaseID: l.id}
-	case opTxnPut:
-		cur, exists := s.kv[c.CmpKey]
-		var curRev uint64
-		if exists {
-			curRev = cur.ModRevision
-		}
-		if curRev != c.CmpRev {
-			return result{ok: false, rev: s.rev}
-		}
-		r := s.putLocked(c.Key, c.Value, c.Lease)
-		r.ok = true
-		return r
 	case opExpireLease:
 		return s.revokeLeaseLocked(c.Lease, EventExpire)
 	default:

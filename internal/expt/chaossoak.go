@@ -309,8 +309,6 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 		mongoIn.FailoverDuration = 30 * time.Second
 		mongoIn.FeedDropMTBF = 5 * time.Minute
 		mongoIn.FeedDropBatch = 3
-		mongoIn.FreezeMTBF = 6 * time.Minute
-		mongoIn.FreezeDuration = time.Minute
 		mongoIn.Start()
 
 		faults = rpc.NewFaults(fc, cfg.Seed+12)
@@ -366,7 +364,7 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 			}
 		}()
 		defer func() {
-			outages, _, restores := etcdIn.Stats()
+			outages, restores := etcdIn.Stats()
 			arm.etcdOutages = outages
 			arm.etcdRestores = restores
 		}()

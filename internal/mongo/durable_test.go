@@ -35,6 +35,7 @@ func TestOpCodecRoundtrip(t *testing.T) {
 			"none":    nil,
 		}},
 		{Seq: 99, Kind: "update", Coll: "tenants", Doc: Doc{"_id": "t-1", "quota": float64(12)}},
+		// No document: the layout still carries the ID field and a nil Doc.
 		{Seq: 100, Kind: "delete", Coll: "jobs", ID: "training-000001"},
 	}
 	for _, want := range ops {
@@ -117,22 +118,24 @@ func TestOpenRecoversCollections(t *testing.T) {
 	if err := jobs.UpdateOne(Filter{"_id": id1}, Update{Set: Doc{"status": "COMPLETED"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jobs.DeleteOne(Filter{"_id": id2}); err != nil {
+	if err := jobs.UpdateOne(Filter{"_id": id2}, Update{Set: Doc{"status": "FAILED"}}); err != nil {
 		t.Fatal(err)
 	}
 	seqBefore := db.OplogLen()
 
 	db2 := openFileDB(t, dir)
 	jobs2 := db2.C("jobs")
-	if got := jobs2.Len(); got != 1 {
-		t.Fatalf("recovered %d docs, want 1", got)
+	if got := jobs2.Len(); got != 2 {
+		t.Fatalf("recovered %d docs, want 2", got)
 	}
-	d, err := jobs2.FindOne(Filter{"_id": id1})
-	if err != nil {
-		t.Fatalf("recovered doc missing: %v", err)
-	}
-	if d["status"] != "COMPLETED" {
-		t.Fatalf("recovered status %v, want COMPLETED (update post-image lost)", d["status"])
+	for id, want := range map[string]string{id1: "COMPLETED", id2: "FAILED"} {
+		d, err := jobs2.FindOne(Filter{"_id": id})
+		if err != nil {
+			t.Fatalf("recovered doc %s missing: %v", id, err)
+		}
+		if d["status"] != want {
+			t.Fatalf("recovered %s status %v, want %s (update post-image lost)", id, d["status"], want)
+		}
 	}
 	if got := db2.OplogLen(); got != seqBefore {
 		t.Fatalf("recovered OplogLen %d, want %d", got, seqBefore)
@@ -284,7 +287,7 @@ func TestDurableChangeStreamResumesBySeq(t *testing.T) {
 
 // TestRefusedOplogAppendIsNotAcknowledged pins "acknowledged ⇒ durable"
 // at the store: once the oplog's segment store fails a write (a
-// FaultStore crash point), Insert, UpdateOne and DeleteOne must return
+// FaultStore crash point), Insert and UpdateOne must return
 // ErrUnavailable instead of acknowledging a write that recovery cannot
 // see, the refused write must leave the in-memory document as it was,
 // and a reopen holds exactly the acknowledged writes.
@@ -328,12 +331,9 @@ func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
 	if err := c.UpdateOne(Filter{"_id": acked[0]}, Update{Set: Doc{"status": "DEPLOYING"}}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("update on a dead oplog: err = %v, want ErrUnavailable", err)
 	}
-	if err := c.DeleteOne(Filter{"_id": acked[0]}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("delete on a dead oplog: err = %v, want ErrUnavailable", err)
-	}
-	// Neither refused write left a trace in memory.
+	// The refused update left no trace in memory.
 	if d, err := c.FindOne(Filter{"_id": acked[0]}); err != nil || d["status"] != "PENDING" {
-		t.Fatalf("after a refused update and delete: doc %v, err %v, want status PENDING", d, err)
+		t.Fatalf("after a refused update: doc %v, err %v, want status PENDING", d, err)
 	}
 
 	// Restart: exactly the acknowledged writes are there.
@@ -355,8 +355,7 @@ func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
 
 // TestOplogImage pins the oplog-image read: the newest post-image of a
 // document, keyed by collection and _id, answered while the primary is
-// unavailable and after a reopen; a deleted or never-written document
-// is absent.
+// unavailable and after a reopen; a never-written document is absent.
 func TestOplogImage(t *testing.T) {
 	dir := t.TempDir()
 	db := openFileDB(t, dir)
@@ -365,12 +364,6 @@ func TestOplogImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := jobs.UpdateOne(Filter{"_id": "a"}, Update{Set: Doc{"status": "RUNNING"}, Push: map[string]any{"history": "RUNNING"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jobs.Insert(Doc{"_id": "gone"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jobs.DeleteOne(Filter{"_id": "gone"}); err != nil {
 		t.Fatal(err)
 	}
 	// Same _id, other collection, written last: the key is per collection.
@@ -384,9 +377,6 @@ func TestOplogImage(t *testing.T) {
 		d, ok := jobs.OplogImage("a")
 		if !ok || d["status"] != "RUNNING" || !reflect.DeepEqual(d["history"], []any{"PENDING", "RUNNING"}) {
 			t.Fatalf("%s: OplogImage(a) = %v, %v; want the updated image", when, d, ok)
-		}
-		if d, ok := jobs.OplogImage("gone"); ok {
-			t.Fatalf("%s: OplogImage of a deleted doc = %v, want absent", when, d)
 		}
 		if d, ok := jobs.OplogImage("never"); ok {
 			t.Fatalf("%s: OplogImage of an unwritten doc = %v, want absent", when, d)

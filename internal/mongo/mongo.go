@@ -1,10 +1,12 @@
 // Package mongo implements the metadata store FfDL keeps job documents
 // in: a MongoDB-like in-process document database with collections,
-// filter/update operators, secondary indexes, and oplog-based
-// primary→secondary replication. The paper stores job metadata,
-// identifiers, resource requirements, user ids, status history and other
-// long-lived business artifacts here (§3.2); the API surface below covers
-// exactly that usage.
+// equality filters, set/push updates, hash indexes, an oplog that feeds
+// change streams, and reads of a document's newest oplog image — the
+// model of a read from a caught-up secondary (Collection.OplogImage).
+// The paper stores job metadata, identifiers, resource requirements,
+// user ids, status history and other long-lived business artifacts here
+// (§3.2); the API surface below covers exactly that usage: documents are
+// inserted, read, updated and upserted, never deleted.
 package mongo
 
 import (
@@ -26,10 +28,10 @@ import (
 //
 // # Copy-on-write semantics
 //
-// Documents handed out by reads (Find, FindOne, change-stream events,
-// oplog replication) are copy-on-write views: the top-level map is a
-// private copy, but nested documents and slices are SHARED with the
-// store. The mutation rules callers must follow:
+// Documents handed out by reads (Find, FindOne, OplogImage, change-stream
+// events) are copy-on-write views: the top-level map is a private copy,
+// but nested documents and slices are SHARED with the store. The
+// mutation rules callers must follow:
 //
 //   - Top-level fields of a returned Doc may be freely assigned.
 //   - Nested values (anything below the top level) are read-only; a
@@ -216,151 +218,39 @@ func equal(a, b any) bool {
 	return a == b
 }
 
-// Filter is a query: field path → condition. A condition is either a
-// literal (equality) or an Op.
+// Filter is a query: field path → value. A document matches when every
+// path is present and equal to its value (numeric widths compare equal:
+// int 2 matches float64 2).
 type Filter map[string]any
 
-// Op is a comparison operator condition.
-type Op struct {
-	Kind  OpKind
-	Value any
-	List  []any // for OpIn
-}
-
-// OpKind enumerates filter operators.
-type OpKind int
-
-// Filter operators.
-const (
-	OpEq OpKind = iota + 1
-	OpNe
-	OpGt
-	OpGte
-	OpLt
-	OpLte
-	OpIn
-	OpExists
-)
-
-// Gt builds a $gt condition.
-func Gt(v any) Op { return Op{Kind: OpGt, Value: v} }
-
-// Gte builds a $gte condition.
-func Gte(v any) Op { return Op{Kind: OpGte, Value: v} }
-
-// Lt builds a $lt condition.
-func Lt(v any) Op { return Op{Kind: OpLt, Value: v} }
-
-// Lte builds a $lte condition.
-func Lte(v any) Op { return Op{Kind: OpLte, Value: v} }
-
-// Ne builds a $ne condition.
-func Ne(v any) Op { return Op{Kind: OpNe, Value: v} }
-
-// In builds an $in condition.
-func In(vs ...any) Op { return Op{Kind: OpIn, List: vs} }
-
-// Exists builds an $exists condition.
-func Exists(want bool) Op { return Op{Kind: OpExists, Value: want} }
-
-// compiledCond is one filter condition with its field path pre-split
-// and its operator dispatch resolved to a closure, so evaluating a
-// candidate document costs only the lookupParts walk plus one indirect
-// call — no per-candidate strings.Split, no per-candidate type switch.
+// compiledCond is one filter condition with its field path pre-split,
+// so evaluating a candidate document costs only the lookupParts walk —
+// no per-candidate strings.Split.
 type compiledCond struct {
 	parts []string
-	match func(got any, present bool) bool
+	value any
 }
 
 // compiledFilter is a Filter compiled for repeated evaluation. Find,
-// Count, update and delete compile each query once and run the
-// compiled form against every candidate.
+// Count and UpdateOne compile each query once and run the compiled form
+// against every candidate. The tests pin it against an interpreted
+// oracle (interpretedMatch in mongo_test.go).
 type compiledFilter []compiledCond
 
-// compile pre-splits every field path and resolves each condition's
-// operator up front.
+// compile pre-splits every field path.
 func (f Filter) compile() compiledFilter {
 	cf := make(compiledFilter, 0, len(f))
-	for path, cond := range f {
-		cf = append(cf, compiledCond{
-			parts: strings.Split(path, "."),
-			match: compileCond(cond),
-		})
+	for path, v := range f {
+		cf = append(cf, compiledCond{parts: strings.Split(path, "."), value: v})
 	}
 	return cf
-}
-
-// compileCond resolves one condition (literal equality or an Op) to a
-// match closure. The tests pin its behavior against an interpreted
-// oracle (interpretedMatch in mongo_test.go).
-func compileCond(cond any) func(got any, present bool) bool {
-	op, isOp := cond.(Op)
-	if !isOp {
-		return func(got any, present bool) bool { return present && equal(got, cond) }
-	}
-	switch op.Kind {
-	case OpExists:
-		want, _ := op.Value.(bool)
-		return func(_ any, present bool) bool { return present == want }
-	case OpEq:
-		v := op.Value
-		return func(got any, present bool) bool { return present && equal(got, v) }
-	case OpNe:
-		v := op.Value
-		return func(got any, present bool) bool { return !present || !equal(got, v) }
-	case OpIn:
-		list := op.List
-		return func(got any, present bool) bool {
-			if !present {
-				return false
-			}
-			for _, v := range list {
-				if equal(got, v) {
-					return true
-				}
-			}
-			return false
-		}
-	case OpGt, OpGte, OpLt, OpLte:
-		kind, v := op.Kind, op.Value
-		return func(got any, present bool) bool {
-			if !present {
-				return false
-			}
-			c, ok := compare(got, v)
-			if !ok {
-				return false
-			}
-			switch kind {
-			case OpGt:
-				return c > 0
-			case OpGte:
-				return c >= 0
-			case OpLt:
-				return c < 0
-			default:
-				return c <= 0
-			}
-		}
-	default:
-		// Unknown operator: mirror Matches, which requires the field to
-		// be present and comparable and then matches vacuously.
-		v := op.Value
-		return func(got any, present bool) bool {
-			if !present {
-				return false
-			}
-			_, ok := compare(got, v)
-			return ok
-		}
-	}
 }
 
 // matches reports whether doc satisfies the compiled filter.
 func (cf compiledFilter) matches(d Doc) bool {
 	for i := range cf {
 		got, present := lookupParts(d, cf[i].parts)
-		if !cf[i].match(got, present) {
+		if !present || !equal(got, cf[i].value) {
 			return false
 		}
 	}
@@ -371,12 +261,8 @@ func (cf compiledFilter) matches(d Doc) bool {
 type Update struct {
 	// Set assigns field paths.
 	Set Doc
-	// Inc increments numeric fields.
-	Inc map[string]float64
 	// Push appends to array fields.
 	Push map[string]any
-	// Unset removes field paths.
-	Unset []string
 }
 
 // apply mutates d under the store's copy-on-write discipline: d's
@@ -394,33 +280,10 @@ func (u Update) apply(d Doc) {
 	for k, v := range u.Set {
 		setPathCOW(d, k, cloneValue(v))
 	}
-	for k, delta := range u.Inc {
-		cur, _ := lookupPath(d, k)
-		f, _ := toFloat(cur)
-		setPathCOW(d, k, f+delta)
-	}
 	for k, v := range u.Push {
 		cur, _ := lookupPath(d, k)
 		arr, _ := cur.([]any)
 		setPathCOW(d, k, append(arr, cloneValue(v)))
-	}
-	for _, k := range u.Unset {
-		parts := strings.Split(k, ".")
-		cur := d
-		okPath := true
-		for _, p := range parts[:len(parts)-1] {
-			next, ok := asDoc(cur[p])
-			if !ok {
-				okPath = false
-				break
-			}
-			next = next.Clone()
-			cur[p] = next
-			cur = next
-		}
-		if okPath {
-			delete(cur, parts[len(parts)-1])
-		}
 	}
 }
 
@@ -433,12 +296,12 @@ var (
 	// ErrUnavailable reports that the primary is (simulated) down — a
 	// failover window injected by SetUnavailable — or that the oplog
 	// store refused a write. A refused write is not acknowledged and
-	// leaves no trace: an insert, update or delete the oplog did not
-	// take changes no document. Erroring operations (FindOne, Insert,
-	// Update*, Upsert, DeleteOne) surface it; Find and Count, which have
-	// no error channel, return empty results, which is safe for their
-	// level-triggered consumers (they re-read on the next pass). Callers
-	// classify it as transient and retry under a resilience policy.
+	// leaves no trace: an insert or update the oplog did not take changes
+	// no document. Erroring operations (FindOne, Insert, UpdateOne,
+	// Upsert) surface it; Find and Count, which have no error channel,
+	// return empty results, which is safe for their level-triggered
+	// consumers (they re-read on the next pass). Callers classify it as
+	// transient and retry under a resilience policy.
 	ErrUnavailable = errors.New("mongo: primary unavailable")
 )
 
@@ -532,9 +395,9 @@ func (c *Collection) Insert(d Doc) (string, error) {
 }
 
 // candidatesLocked returns ids potentially matching the filter: the
-// primary key directly for an _id equality (the hottest query shape —
-// every status transition reads by _id), a hash index when an equality
-// condition over an indexed field exists, and a full scan otherwise.
+// primary key directly for an _id filter (the hottest query shape —
+// every status transition reads by _id), a hash index when the filter
+// names an indexed field, and a full scan otherwise.
 func (c *Collection) candidatesLocked(f Filter) []string {
 	if id, ok := f["_id"].(string); ok {
 		if _, exists := c.docs[id]; exists {
@@ -542,12 +405,9 @@ func (c *Collection) candidatesLocked(f Filter) []string {
 		}
 		return nil
 	}
-	for field, cond := range f {
-		if _, isOp := cond.(Op); isOp {
-			continue
-		}
+	for field, v := range f {
 		if idx, ok := c.indexes[field]; ok {
-			ids := idx[fmt.Sprint(cond)]
+			ids := idx[fmt.Sprint(v)]
 			out := make([]string, len(ids))
 			copy(out, ids)
 			return out
@@ -577,7 +437,7 @@ func (c *Collection) FindOne(f Filter) (Doc, error) {
 		}
 		return nil, ErrNotFound
 	}
-	docs := c.Find(f, FindOpts{Limit: 1})
+	docs := c.Find(f, FindOpts{})
 	if len(docs) == 0 {
 		return nil, ErrNotFound
 	}
@@ -586,11 +446,12 @@ func (c *Collection) FindOne(f Filter) (Doc, error) {
 
 // OplogImage returns document id's newest post-image as the retained
 // oplog holds it — a copy-on-write view, like FindOne's — without
-// touching the collection. It answers even while SetUnavailable is on,
-// modelling a read from a caught-up secondary. ok is false when the
-// newest retained op on id is a delete, or when no op on id is
-// retained. Insert and update entries carry full post-images, so only
-// the last match is decoded.
+// touching the collection. It is the package's one model of a read from
+// a caught-up secondary (§3.2 replicates MongoDB for availability): it
+// answers even while SetUnavailable is on, and degraded status reads
+// use it. ok is false when no op on id is retained. Every entry is an
+// insert or update carrying a full post-image, so only the last match
+// is decoded.
 func (c *Collection) OplogImage(id string) (Doc, bool) {
 	defer c.db.opEnd(c.db.opStart())
 	key := c.name + "\x00" + id
@@ -607,28 +468,23 @@ func (c *Collection) OplogImage(id string) (Doc, bool) {
 	}
 	o, ok := recOp(last)
 	if !ok || o.Doc == nil {
-		return nil, false // a delete, or an undecodable record
+		return nil, false // an undecodable record
 	}
 	return o.Doc.Clone(), true
 }
 
 // FindOpts shape Find results.
 type FindOpts struct {
-	// SortBy is a field path; empty sorts by _id.
+	// SortBy is a field path, sorted ascending; empty sorts by _id.
 	SortBy string
-	// Desc reverses the sort.
-	Desc bool
-	// Limit bounds the result count; 0 = unlimited.
-	Limit int
 }
 
-// Find returns copy-on-write views of all matching documents (see the
-// Doc mutation rules) — nil, never an empty slice, while the primary is
-// unavailable, which is how callers that must not mistake an outage for
-// "no documents" tell the two apart. Matching and sorting run against
-// the stored documents under the read lock — an indexed-equality query
-// with a sort and a Limit never materializes the losers; only the
-// surviving window is cloned.
+// Find returns copy-on-write views of all matching documents in SortBy
+// order (see the Doc mutation rules) — nil, never an empty slice, while
+// the primary is unavailable, which is how callers that must not
+// mistake an outage for "no documents" tell the two apart. Matching and
+// sorting run against the stored documents under the read lock; only
+// the sorted result is cloned.
 func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	defer c.db.opEnd(c.db.opStart())
 	if c.db.Unavailable() {
@@ -657,14 +513,8 @@ func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 		if !ok {
 			cmp = strings.Compare(fmt.Sprint(vi), fmt.Sprint(vj))
 		}
-		if opts.Desc {
-			return cmp > 0
-		}
 		return cmp < 0
 	})
-	if opts.Limit > 0 && len(matched) > opts.Limit {
-		matched = matched[:opts.Limit]
-	}
 	out := make([]Doc, len(matched))
 	for i, d := range matched {
 		out[i] = d.Clone()
@@ -689,35 +539,18 @@ func (c *Collection) Count(f Filter) int {
 	return n
 }
 
-// UpdateOne applies an update to the first matching document.
+// UpdateOne applies an update to the first matching document in _id
+// order.
 func (c *Collection) UpdateOne(f Filter, u Update) error {
-	n, err := c.update(f, u, 1)
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return ErrNotFound
-	}
-	return nil
-}
-
-// UpdateMany applies an update to all matching documents, returning the
-// count updated.
-func (c *Collection) UpdateMany(f Filter, u Update) (int, error) {
-	return c.update(f, u, 0)
-}
-
-func (c *Collection) update(f Filter, u Update, limit int) (int, error) {
 	defer c.db.opEnd(c.db.opStart())
 	if c.db.Unavailable() {
-		return 0, ErrUnavailable
+		return ErrUnavailable
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := c.candidatesLocked(f)
 	sort.Strings(ids)
 	cf := f.compile()
-	n := 0
 	for _, id := range ids {
 		d, ok := c.docs[id]
 		if !ok || !cf.matches(d) {
@@ -732,81 +565,29 @@ func (c *Collection) update(f Filter, u Update, limit int) (int, error) {
 		u.apply(next)
 		next["_id"] = id // _id is immutable
 		if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: next}); err != nil {
-			return n, err
+			return err
 		}
 		c.indexRemoveLocked(d, id)
 		c.docs[id] = next
 		c.indexAddLocked(next, id)
-		n++
-		if limit > 0 && n >= limit {
-			break
-		}
+		return nil
 	}
-	return n, nil
+	return ErrNotFound
 }
 
 // Upsert updates the first match or inserts a new document from the
-// filter's equality fields plus the update's Set fields.
+// filter's fields plus the update.
 func (c *Collection) Upsert(f Filter, u Update) error {
 	if err := c.UpdateOne(f, u); err == nil || !errors.Is(err, ErrNotFound) {
 		return err
 	}
 	d := Doc{}
 	for k, v := range f {
-		if _, isOp := v.(Op); !isOp {
-			setPath(d, k, v)
-		}
+		setPath(d, k, v)
 	}
 	u.apply(d)
 	_, err := c.Insert(d)
 	return err
-}
-
-// DeleteOne removes the first matching document.
-func (c *Collection) DeleteOne(f Filter) error {
-	if c.db.Unavailable() {
-		return ErrUnavailable
-	}
-	n, err := c.delete(f, 1)
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return ErrNotFound
-	}
-	return nil
-}
-
-// DeleteMany removes all matching documents, returning the count.
-func (c *Collection) DeleteMany(f Filter) int {
-	n, _ := c.delete(f, 0) // no error channel: a refused delete stays in place, uncounted
-	return n
-}
-
-func (c *Collection) delete(f Filter, limit int) (int, error) {
-	defer c.db.opEnd(c.db.opStart())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := c.candidatesLocked(f)
-	sort.Strings(ids)
-	cf := f.compile()
-	n := 0
-	for _, id := range ids {
-		d, ok := c.docs[id]
-		if !ok || !cf.matches(d) {
-			continue
-		}
-		if err := c.db.logOp(op{Kind: "delete", Coll: c.name, ID: id}); err != nil {
-			return n, err
-		}
-		c.indexRemoveLocked(d, id)
-		delete(c.docs, id)
-		n++
-		if limit > 0 && n >= limit {
-			break
-		}
-	}
-	return n, nil
 }
 
 // Len returns the number of documents.
@@ -816,7 +597,9 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// op is an oplog entry replicated to secondaries.
+// op is one oplog entry: an insert or update carrying the document's
+// full post-image, whose _id keys the entry. ID is a field of the
+// durable layout (opcodec.go) that nothing fills.
 type op struct {
 	Seq  uint64
 	Kind string
@@ -825,8 +608,8 @@ type op struct {
 	ID   string
 }
 
-// DB is a database: named collections plus an oplog that feeds both
-// secondary replication and change streams (Watch). The oplog rides the
+// DB is a database: named collections plus an oplog that feeds change
+// streams (Watch) and oplog-image reads (Collection.OplogImage). The oplog rides the
 // platform's commit log (internal/commitlog): entries are records keyed
 // by collection and _id, sequence numbers are log offsets, and
 // retention drops whole sealed segments off the tail — so a slow
@@ -998,29 +781,19 @@ func Open(store commitlog.SegmentStore, opts Options) (*DB, error) {
 // applyRecovered replays one recovered oplog entry into the collections
 // during Open — without re-logging it (it is already in the log).
 func (db *DB) applyRecovered(o op) {
-	c := db.C(o.Coll)
-	switch o.Kind {
-	case "insert", "update":
-		id, _ := o.Doc["_id"].(string)
-		if id == "" {
-			return
-		}
-		c.mu.Lock()
-		if old, ok := c.docs[id]; ok {
-			c.indexRemoveLocked(old, id)
-		}
-		c.docs[id] = o.Doc
-		c.indexAddLocked(o.Doc, id)
-		c.bumpSeqLocked(id)
-		c.mu.Unlock()
-	case "delete":
-		c.mu.Lock()
-		if old, ok := c.docs[o.ID]; ok {
-			c.indexRemoveLocked(old, o.ID)
-			delete(c.docs, o.ID)
-		}
-		c.mu.Unlock()
+	id, _ := o.Doc["_id"].(string)
+	if (o.Kind != "insert" && o.Kind != "update") || id == "" {
+		return
 	}
+	c := db.C(o.Coll)
+	c.mu.Lock()
+	if old, ok := c.docs[id]; ok {
+		c.indexRemoveLocked(old, id)
+	}
+	c.docs[id] = o.Doc
+	c.indexAddLocked(o.Doc, id)
+	c.bumpSeqLocked(id)
+	c.mu.Unlock()
 }
 
 // bumpSeqLocked advances the auto-id sequence past a recovered id of
@@ -1077,10 +850,7 @@ func (db *DB) C(name string) *Collection {
 func (db *DB) logOp(o op) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	id := o.ID
-	if id == "" && o.Doc != nil {
-		id, _ = o.Doc["_id"].(string)
-	}
+	id, _ := o.Doc["_id"].(string)
 	// The op is keyed by collection+_id; its Seq is the record's offset,
 	// minted up front so the stored value carries it — db.mu serializes
 	// appends, so NextOffset is exact. On the MemStore hot path the op
@@ -1117,9 +887,9 @@ func (db *DB) logOp(o op) error {
 		select {
 		case ch <- o:
 		default:
-			// Slow subscriber: drop. Secondaries and change-stream
-			// consumers detect the Seq gap and recover from the
-			// collections, which remain the source of truth.
+			// Slow subscriber: drop. Change-stream consumers detect
+			// the Seq gap and recover from the collections, which
+			// remain the source of truth.
 		}
 	}
 	return nil
@@ -1174,12 +944,11 @@ type ChangeEvent struct {
 	// way the consumer re-reads the collection, which remains the
 	// source of truth.
 	Seq  uint64
-	Kind string // "insert", "update", "delete" or "resync"
+	Kind string // "insert", "update" or "resync"
 	Coll string
-	// Doc is the full post-image for inserts and updates (nil for
-	// deletes). It is a copy-on-write view the consumer may retain;
-	// nested values are read-only (DeepClone before mutating — see the
-	// Doc mutation rules).
+	// Doc is the full post-image (nil on a resync marker). It is a
+	// copy-on-write view the consumer may retain; nested values are
+	// read-only (DeepClone before mutating — see the Doc mutation rules).
 	Doc Doc
 	// ID is the _id of the affected document.
 	ID string
@@ -1254,12 +1023,10 @@ func (db *DB) Watch(coll string, fromSeq uint64) *ChangeStream {
 			if coll != "" && o.Coll != coll {
 				return true
 			}
-			ev := ChangeEvent{Seq: o.Seq, Kind: o.Kind, Coll: o.Coll, ID: o.ID}
+			ev := ChangeEvent{Seq: o.Seq, Kind: o.Kind, Coll: o.Coll}
 			if o.Doc != nil {
 				ev.Doc = o.Doc.Clone()
-				if ev.ID == "" {
-					ev.ID, _ = o.Doc["_id"].(string)
-				}
+				ev.ID, _ = o.Doc["_id"].(string)
 			}
 			select {
 			case cs.ch <- ev:
@@ -1285,118 +1052,4 @@ func (db *DB) Watch(coll string, fromSeq uint64) *ChangeStream {
 		}
 	}()
 	return cs
-}
-
-// Secondary is a read-only replica fed by the primary's oplog, used by
-// availability tests: when the primary "crashes", reads continue from a
-// secondary (the paper replicates MongoDB for high availability, §3.2).
-//
-// Read-only is a hard contract, not a convention: replicated documents
-// are copy-on-write views sharing nested containers (including array
-// backing storage) with the primary, so a write issued through C()'s
-// Collection — always a replication-divergence bug — would now mutate
-// state the primary's live documents reference. Treat C() exactly like
-// a Find result: nested values are read-only; DeepClone to mutate.
-type Secondary struct {
-	db      *DB
-	src     *DB
-	subID   int
-	applied uint64
-	mu      sync.Mutex
-	frozen  bool
-	pending []op
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// StartSecondary attaches a replica and begins streaming ops into it.
-func (db *DB) StartSecondary() *Secondary {
-	ch := make(chan op, 1024)
-	id, backlog, _ := db.addSub(ch, 0)
-
-	s := &Secondary{db: NewDB(), src: db, subID: id, stop: make(chan struct{}), done: make(chan struct{})}
-	for _, o := range backlog {
-		s.applyOp(o)
-	}
-	go func() {
-		defer close(s.done)
-		for {
-			select {
-			case <-s.stop:
-				return
-			case o := <-ch:
-				s.applyOp(o)
-			}
-		}
-	}()
-	return s
-}
-
-func (s *Secondary) applyOp(o op) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frozen {
-		// Frozen/laggy replica: buffer in arrival order; Freeze(false)
-		// drains under this same lock, so a live op racing the thaw can
-		// never apply ahead of the buffered backlog.
-		s.pending = append(s.pending, o)
-		return
-	}
-	s.applyLocked(o)
-}
-
-// Freeze halts (on=true) or resumes (on=false) replication. While
-// frozen, incoming ops buffer in order; thawing drains them before any
-// newer live op applies. Chaos uses it to model a frozen or lagging
-// secondary.
-func (s *Secondary) Freeze(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.frozen = on
-	if !on {
-		for _, o := range s.pending {
-			s.applyLocked(o)
-		}
-		s.pending = nil
-	}
-}
-
-func (s *Secondary) applyLocked(o op) {
-	if o.Seq != 0 && o.Seq <= s.applied {
-		return
-	}
-	c := s.db.C(o.Coll)
-	switch o.Kind {
-	case "insert", "update":
-		id, _ := o.Doc["_id"].(string)
-		c.mu.Lock()
-		c.docs[id] = o.Doc.Clone()
-		c.mu.Unlock()
-	case "delete":
-		c.mu.Lock()
-		delete(c.docs, o.ID)
-		c.mu.Unlock()
-	}
-	if o.Seq > s.applied {
-		s.applied = o.Seq
-	}
-}
-
-// C exposes read access to a replicated collection. Write methods on
-// the returned Collection must not be used — see the Secondary
-// read-only contract.
-func (s *Secondary) C(name string) *Collection { return s.db.C(name) }
-
-// Applied returns the highest oplog sequence applied.
-func (s *Secondary) Applied() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
-}
-
-// Stop detaches the replica.
-func (s *Secondary) Stop() {
-	s.src.removeSub(s.subID)
-	close(s.stop)
-	<-s.done
 }

@@ -1,18 +1,17 @@
 // Package objstore implements the cloud object storage service FfDL
 // streams training data from and persists checkpoints/results to. It
-// models the pieces of behaviour the paper's evaluation depends on:
+// models the pieces of behaviour the platform exercises:
 //
-//   - bucket/object CRUD with streaming reads,
+//   - buckets the platform ensures exist, and object put, ranged get,
+//     head and prefix list (learners list checkpoints to resume, §3.8),
 //   - an s3fs-like mount driver that exposes objects as files with
 //     on-demand chunk streaming and an LRU cache reused across training
 //     epochs and jobs (§3.7 "Mounted object store").
 package objstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -27,10 +26,6 @@ var (
 	ErrNoBucket = errors.New("objstore: bucket not found")
 	// ErrNoObject reports a read of a missing object.
 	ErrNoObject = errors.New("objstore: object not found")
-	// ErrBucketExists reports a duplicate bucket creation.
-	ErrBucketExists = errors.New("objstore: bucket already exists")
-	// ErrNoUpload reports an operation on an unknown multipart upload.
-	ErrNoUpload = errors.New("objstore: multipart upload not found")
 )
 
 // Object is a stored blob with metadata.
@@ -47,9 +42,6 @@ type Service struct {
 	buckets map[string]*bucket
 	clock   sim.Clock
 
-	uploads map[string]*multipart
-	nextUp  int
-
 	// Stats.
 	bytesIn  int64
 	bytesOut int64
@@ -63,11 +55,6 @@ type blob struct {
 	data     []byte
 	modified time.Time
 	etag     string
-}
-
-type multipart struct {
-	bucket, key string
-	parts       map[int][]byte
 }
 
 // Config configures a Service.
@@ -84,19 +71,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		buckets: make(map[string]*bucket),
 		clock:   cfg.Clock,
-		uploads: make(map[string]*multipart),
 	}
-}
-
-// CreateBucket makes a new bucket.
-func (s *Service) CreateBucket(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.buckets[name]; ok {
-		return fmt.Errorf("%w: %s", ErrBucketExists, name)
-	}
-	s.buckets[name] = &bucket{objects: make(map[string]*blob)}
-	return nil
 }
 
 // EnsureBucket creates the bucket if absent.
@@ -106,17 +81,6 @@ func (s *Service) EnsureBucket(name string) {
 	if _, ok := s.buckets[name]; !ok {
 		s.buckets[name] = &bucket{objects: make(map[string]*blob)}
 	}
-}
-
-// DeleteBucket removes a bucket and its contents.
-func (s *Service) DeleteBucket(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.buckets[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoBucket, name)
-	}
-	delete(s.buckets, name)
-	return nil
 }
 
 // Put stores an object.
@@ -226,83 +190,6 @@ func (s *Service) List(bucketName, prefix string) ([]Object, error) {
 	return out, nil
 }
 
-// Delete removes an object; deleting a missing object is a no-op, as in
-// S3.
-func (s *Service) Delete(bucketName, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoBucket, bucketName)
-	}
-	delete(b.objects, key)
-	return nil
-}
-
-// InitiateMultipart starts a multipart upload and returns its id. The
-// paper's lessons-learned notes object stores lack append (§4); multipart
-// is the idiom large results use instead.
-func (s *Service) InitiateMultipart(bucketName, key string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.buckets[bucketName]; !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoBucket, bucketName)
-	}
-	s.nextUp++
-	id := fmt.Sprintf("upload-%06d", s.nextUp)
-	s.uploads[id] = &multipart{bucket: bucketName, key: key, parts: make(map[int][]byte)}
-	return id, nil
-}
-
-// UploadPart stores one part (parts are 1-indexed, any order).
-func (s *Service) UploadPart(uploadID string, partNum int, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	up, ok := s.uploads[uploadID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoUpload, uploadID)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	up.parts[partNum] = cp
-	return nil
-}
-
-// CompleteMultipart assembles the parts in index order into the final
-// object.
-func (s *Service) CompleteMultipart(uploadID string) error {
-	s.mu.Lock()
-	up, ok := s.uploads[uploadID]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoUpload, uploadID)
-	}
-	delete(s.uploads, uploadID)
-	nums := make([]int, 0, len(up.parts))
-	for n := range up.parts {
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
-	var buf bytes.Buffer
-	for _, n := range nums {
-		buf.Write(up.parts[n])
-	}
-	b, ok := s.buckets[up.bucket]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoBucket, up.bucket)
-	}
-	data := buf.Bytes()
-	b.objects[up.key] = &blob{
-		data:     data,
-		modified: s.clock.Now(),
-		etag:     fmt.Sprintf("%08x-%d", hashBytes(data), len(data)),
-	}
-	s.bytesIn += int64(len(data))
-	s.mu.Unlock()
-	return nil
-}
-
 // Stats reports cumulative transfer volumes.
 func (s *Service) Stats() (bytesIn, bytesOut int64) {
 	s.mu.RLock()
@@ -318,41 +205,4 @@ func hashBytes(b []byte) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// Reader streams an object in chunks.
-type Reader struct {
-	svc         *Service
-	bucket, key string
-	off, size   int64
-	chunk       int64
-}
-
-// NewReader opens a streaming reader over an object.
-func (s *Service) NewReader(bucketName, key string) (*Reader, error) {
-	meta, err := s.Head(bucketName, key)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{svc: s, bucket: bucketName, key: key, size: meta.Size, chunk: 1 << 20}, nil
-}
-
-var _ io.Reader = (*Reader)(nil)
-
-// Read implements io.Reader.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.off >= r.size {
-		return 0, io.EOF
-	}
-	want := int64(len(p))
-	if want > r.chunk {
-		want = r.chunk
-	}
-	data, err := r.svc.GetRange(r.bucket, r.key, r.off, want)
-	if err != nil {
-		return 0, err
-	}
-	n := copy(p, data)
-	r.off += int64(n)
-	return n, nil
 }

