@@ -29,10 +29,14 @@ test:
 # the commit log (mongo oplog recovery, etcd watch history), the
 # observability registry every hot path hammers concurrently, and the
 # fault-injection + retry/breaker layers whose whole job is to mutate
-# shared state from injector goroutines.
+# shared state from injector goroutines. The experiments run without
+# -short: TestChaosSoak skips under it, and its exactly-once watch and
+# strictly-increasing log-offset invariants drive both streams' resume
+# loop through API replica crashes and RPC faults.
 race:
 	$(GO) vet ./internal/tenant/... ./internal/sched/... ./internal/commitlog/... ./internal/core/... ./internal/mongo/... ./internal/etcd/... ./internal/obs/... ./internal/chaos/... ./internal/resilience/...
 	$(GO) test -race -short ./internal/tenant/... ./internal/sched/... ./internal/commitlog/... ./internal/core/... ./internal/mongo/... ./internal/etcd/... ./internal/obs/... ./internal/chaos/... ./internal/resilience/...
+	$(GO) test -race ./internal/expt/...
 
 # Coverage artifact: a whole-repo coverprofile plus the per-function
 # summary CI uploads (cover.out, cover.txt).
@@ -110,7 +114,7 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs; do \
 		if grep -n "$$gone" README.md docs/*.md; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \

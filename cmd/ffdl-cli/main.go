@@ -47,7 +47,9 @@ func main() {
 		follow := fs.Bool("follow", false, "stream status transitions until the job terminates")
 		fs.Parse(rest[1:]) //nolint:errcheck
 		if *follow {
-			followStatus(*server + "/v1/jobs/" + rest[0] + "/watch")
+			followNDJSON(*server+"/v1/jobs/"+rest[0]+"/watch", func(e ffdl.StatusEntry) {
+				fmt.Printf("%s %-12s %s\n", e.Time.Format("15:04:05.000"), e.Status, e.Message)
+			})
 			return
 		}
 		status(*server + "/v1/jobs/" + rest[0])
@@ -65,7 +67,12 @@ func main() {
 		fs.Parse(rest[1:]) //nolint:errcheck
 		url := *server + "/v1/jobs/" + rest[0] + "/logs"
 		if *follow {
-			followLogs(fmt.Sprintf("%s?follow=1&from=%d", url, *from))
+			// Each line is prefixed with its commit-log offset, the resume
+			// token: rerun with -from <last offset + 1> after a disconnect
+			// to pick up exactly where the stream left off.
+			followNDJSON(fmt.Sprintf("%s?follow=1&from=%d", url, *from), func(l ffdl.LogLine) {
+				fmt.Printf("%8d %s learner-%d %s\n", l.Offset, l.Time.Format("15:04:05.000"), l.Learner, l.Text)
+			})
 			return
 		}
 		if *search != "" {
@@ -305,9 +312,9 @@ func status(url string) {
 	fmt.Println(string(out))
 }
 
-// followStatus streams the job's status transitions (NDJSON) and prints
-// each as it arrives; the server ends the stream at a terminal status.
-func followStatus(url string) {
+// followNDJSON shows each item of an NDJSON stream response as it
+// arrives, until the server ends the stream.
+func followNDJSON[T any](url string, show func(T)) {
 	resp, err := http.Get(url)
 	if err != nil {
 		die(err)
@@ -319,41 +326,14 @@ func followStatus(url string) {
 	}
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var e ffdl.StatusEntry
-		if err := dec.Decode(&e); err != nil {
+		var v T
+		if err := dec.Decode(&v); err != nil {
 			if err == io.EOF {
 				return
 			}
 			die(err)
 		}
-		fmt.Printf("%s %-12s %s\n", e.Time.Format("15:04:05.000"), e.Status, e.Message)
-	}
-}
-
-// followLogs streams a job's learner log lines (NDJSON) and prints
-// each as it arrives, prefixed with its commit-log offset — the resume
-// token: rerun with -from <last offset + 1> after a disconnect to pick
-// up exactly where the stream left off.
-func followLogs(url string) {
-	resp, err := http.Get(url)
-	if err != nil {
-		die(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		prettyPrint(resp.Body)
-		os.Exit(1)
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var l ffdl.LogLine
-		if err := dec.Decode(&l); err != nil {
-			if err == io.EOF {
-				return
-			}
-			die(err)
-		}
-		fmt.Printf("%8d %s learner-%d %s\n", l.Offset, l.Time.Format("15:04:05.000"), l.Learner, l.Text)
+		show(v)
 	}
 }
 

@@ -156,16 +156,10 @@ func main() {
 				return
 			}
 			defer cancel()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			flusher, _ := w.(http.Flusher)
-			enc := json.NewEncoder(w)
+			writeLine := ndjson(w)
 			for e := range ch {
-				if err := enc.Encode(e); err != nil {
+				if !writeLine(e) {
 					return
-				}
-				if flusher != nil {
-					flusher.Flush()
 				}
 			}
 			return
@@ -214,14 +208,9 @@ func main() {
 					}
 					from = v
 				}
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				flusher, _ := w.(http.Flusher)
-				enc := json.NewEncoder(w)
+				writeLine := ndjson(w)
 				client.FollowLogsFrom(r.Context(), jobID, from, func(l ffdl.LogLine) { //nolint:errcheck
-					if enc.Encode(l) == nil && flusher != nil {
-						flusher.Flush()
-					}
+					writeLine(l)
 				})
 				return
 			}
@@ -362,6 +351,25 @@ func main() {
 	fmt.Printf("ffdl-server listening on http://%s (GPUs: %d K80-node, %d P100-node, %d V100-node; dataset bucket \"datasets\" prefix \"demo/\"; tenancy %v)\n",
 		*listen, *k80, *p100, *v100, cfg.Tenancy != nil)
 	log.Fatal(http.ListenAndServe(*listen, mux))
+}
+
+// ndjson starts a 200 NDJSON stream response and returns its line
+// writer, which flushes each line to the client as it is written and
+// reports whether the write succeeded.
+func ndjson(w http.ResponseWriter) func(v any) bool {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	return func(v any) bool {
+		if err := enc.Encode(v); err != nil {
+			return false
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
 }
 
 // tenantWire is the JSON shape of a tenant record on the REST surface.

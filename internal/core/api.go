@@ -217,12 +217,10 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 	// Announce the new job on the status bus: the tenant dispatcher (for
 	// QUEUED), the LCM recovery loop (for PENDING) and any WatchStatus
 	// subscriber wake immediately.
-	a.p.bus.Publish(StatusEvent{
-		JobID:  jobID,
-		Seq:    1,
-		Status: status,
-		Entry:  StatusEntry{Status: status, Time: now, Message: message},
-	})
+	a.p.bus.publish(jobID, StatusEvent{JobID: jobID, StatusItem: StatusItem{
+		Seq:   1,
+		Entry: StatusEntry{Status: status, Time: now, Message: message},
+	}})
 	return SubmitReply{JobID: jobID}, nil
 }
 
@@ -403,152 +401,53 @@ func (a *apiReplica) control(verb string) rpc.Handler {
 
 // handleLogs streams a job's collected logs; with Follow it keeps
 // streaming live lines ("Reliable streaming of logs from the job,
-// irrespective of the stage it is in", §2).
+// irrespective of the stage it is in", §2) through the follow protocol,
+// filling from the job's commit log.
 func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) error) error {
 	req := arg.(LogsArgs)
-	var live <-chan LogLine
-	var cancel func()
-	if req.Follow {
-		// Subscribe before draining the backlog so no line is missed.
-		live, cancel = a.p.Metrics.StreamLogs(req.JobID)
-		defer cancel()
-	}
-	// next is the first undelivered line offset: the backlog/live seam
-	// and any lines buffered on both sides dedup by offset, not by
-	// counting.
-	next := req.FromOffset
-	deliver := func(l LogLine) error {
-		next = l.Offset + 1
+	sendLine := func(l LogLine) error {
 		if req.Search != "" && !strings.Contains(l.Text, req.Search) {
 			return nil
 		}
 		return send(LogItem{Line: l})
 	}
-	// refill delivers everything the job's log holds from next on: the
-	// backlog, and the recovery path for a gap in the live stream.
-	refill := func() error {
-		for _, l := range a.p.Metrics.LogsFrom(req.JobID, next) {
-			if err := deliver(l); err != nil {
+	if !req.Follow {
+		for _, l := range a.p.Metrics.LogsFrom(req.JobID, req.FromOffset) {
+			if err := sendLine(l); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := refill(); err != nil || !req.Follow {
-		return err
-	}
-	// Safety tick, as on the watch stream: a dropped tail has no later
-	// line to reveal the gap.
-	ticker := a.p.clock.NewTicker(a.p.cfg.PollInterval * 10)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-			if err := refill(); err != nil {
-				return err
-			}
-		case l, ok := <-live:
-			if !ok {
-				return nil
-			}
-			var err error
-			switch {
-			case l.Offset < next: // already sent from the backlog
-			case l.Offset > next:
-				// Gap: our buffer was full and AppendLog dropped lines. A
-				// line is logged before it is fanned out, so the refill
-				// includes the one that revealed the gap.
-				err = refill()
-			default:
-				err = deliver(l)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
+	return follow(ctx, a.p, a.p.Metrics.live, req.JobID, req.FromOffset,
+		func(from uint64) ([]LogLine, error) { return a.p.Metrics.LogsFrom(req.JobID, from), nil },
+		sendLine)
 }
 
-// handleWatch streams a job's status transitions in history order. The
-// bus subscription is taken before the backlog is read, so no
-// transition can fall between backlog and live stream; any bus gap
-// (slow subscriber, dropped event) is refilled from statusHistory. The
-// stream ends once the job reaches a terminal status.
+// handleWatch streams a job's status transitions in history order
+// through the follow protocol, filling from statusHistory, and ends the
+// stream at a terminal status. A degraded fill is as complete as a
+// healthy one; only a job the oplog retains nothing for leaves the
+// stream on live events and the safety tick.
 func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) error) error {
 	req := arg.(WatchArgs)
-	next := req.FromSeq
-	if next < 1 {
-		next = 1
-	}
-	live, cancel := a.p.bus.Subscribe(req.JobID, 64)
-	defer cancel()
-
-	// fill streams everything statusHistory holds from next on: the
-	// initial backlog, and the recovery path for any bus shortfall (gap,
-	// dropped terminal event). done=true ends the stream at a terminal
-	// status. A degraded fill is as complete as a healthy one; only a job
-	// the oplog retains nothing for leaves the stream on live events and
-	// the safety tick.
-	fill := func() (done bool, err error) {
-		h, err := a.p.statusHistory(req.JobID, next)
-		if err != nil {
-			return false, err
-		}
-		if h.Degraded {
-			a.p.Metrics.Inc("watch.degraded_refills")
-		}
-		for _, e := range h.History {
-			if err := send(StatusItem{Seq: next, Entry: e}); err != nil {
-				return false, err
-			}
-			next++
-		}
-		return h.Status.Terminal(), nil
-	}
 	a.p.Metrics.Inc("watch.refills")
-	if done, err := fill(); err != nil || done {
-		return err
-	}
-	// Safety tick: the bus drops events for slow subscribers, and a
-	// dropped *terminal* event has no successor to reveal the gap, so
-	// the stream must periodically reconcile against the history.
-	ticker := a.p.clock.NewTicker(a.p.cfg.PollInterval * 10)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-			if done, err := fill(); err != nil || done {
-				return err
+	return follow(ctx, a.p, a.p.bus, req.JobID, uint64(max(req.FromSeq, 1)),
+		func(from uint64) ([]StatusEvent, error) {
+			h, err := a.p.statusHistory(req.JobID, int(from))
+			if err != nil {
+				return nil, err
 			}
-		case ev, ok := <-live:
-			if !ok {
-				return nil
+			if h.Degraded {
+				a.p.Metrics.Inc("watch.degraded_refills")
 			}
-			if ev.Seq < next {
-				continue // already sent from the backlog
+			evs := make([]StatusEvent, len(h.History))
+			for i, e := range h.History {
+				evs[i] = StatusEvent{JobID: req.JobID, StatusItem: StatusItem{Seq: int(from) + i, Entry: e}}
 			}
-			if ev.Seq > next {
-				// Gap: the bus dropped events for us. The event that
-				// revealed the gap was published after its MongoDB write,
-				// so the fill includes it.
-				if done, err := fill(); err != nil || done {
-					return err
-				}
-				continue
-			}
-			if err := send(StatusItem{Seq: ev.Seq, Entry: ev.Entry}); err != nil {
-				return err
-			}
-			next++
-			if ev.Status.Terminal() {
-				return nil
-			}
-		}
-	}
+			return evs, nil
+		},
+		func(ev StatusEvent) error { return send(ev.StatusItem) })
 }
 
 // Client is the typed client for the FfDL API (the CLI in Fig. 1 talks
@@ -710,49 +609,15 @@ func (c *Client) FollowLogs(ctx context.Context, jobID string, fn func(LogLine))
 // with Offset >= from are delivered. This is the CLI's end-to-end
 // resume path — a follower that remembers the last printed offset can
 // reconnect after its own restart, not just the replica's, without
-// gaps or duplicates.
+// gaps or duplicates. It returns nil once ctx ends.
 func (c *Client) FollowLogsFrom(ctx context.Context, jobID string, from uint64, fn func(LogLine)) error {
-	next := from
-	for {
-		sr, err := c.api.Stream(ctx, "API.Logs", LogsArgs{JobID: jobID, Follow: true, FromOffset: next})
-		if err == nil {
-			err = c.forwardLogs(sr, &next, fn)
-			sr.Close()
-			if err == nil {
-				return nil // server ended the stream or ctx fired
-			}
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		// Replica crashed or stream broke: back off briefly, then
-		// resume from the first undelivered offset.
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-c.clock.After(watchRetryDelay):
-		}
-	}
-}
-
-// forwardLogs pumps one stream connection into fn, de-duplicating by
-// line offset. A nil return means the stream ended cleanly.
-func (c *Client) forwardLogs(sr *rpc.StreamReader, next *uint64, fn func(LogLine)) error {
-	for {
-		var item LogItem
-		err := sr.Recv(&item)
-		if errors.Is(err, rpc.ErrStreamDone) || errors.Is(err, rpc.ErrCanceled) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if item.Line.Offset < *next {
-			continue // duplicate across a reconnect
-		}
-		*next = item.Line.Offset + 1
-		fn(item.Line)
-	}
+	resume(ctx, c, "API.Logs", func(next uint64) any {
+		return LogsArgs{JobID: jobID, Follow: true, FromOffset: next}
+	}, from, func(it LogItem) bool {
+		fn(it.Line)
+		return true
+	})
+	return nil
 }
 
 // watchRetryDelay paces stream reconnects after an API replica crash.
@@ -776,99 +641,56 @@ func (c *Client) WatchStatus(ctx context.Context, jobID string) (<-chan StatusEn
 	if _, err := c.Status(ctx, jobID); err != nil {
 		return nil, nil, err
 	}
+	ch, cancel := c.watchFrom(ctx, jobID, 1)
+	return ch, cancel, nil
+}
+
+// watchFrom runs a status watch's resume loop from Seq from.
+func (c *Client) watchFrom(ctx context.Context, jobID string, from int) (<-chan StatusEntry, func()) {
 	wctx, cancel := context.WithCancel(ctx)
+	// 16 holds a whole job history, so a consumer that reads in bursts
+	// does not hold the stream up.
 	out := make(chan StatusEntry, 16)
 	go func() {
 		defer close(out)
-		next := 1
-		for {
-			sr, err := c.api.Stream(wctx, "API.Watch", WatchArgs{JobID: jobID, FromSeq: next})
-			if err == nil {
-				var terminal bool
-				terminal, err = c.forwardWatch(wctx, sr, &next, out)
-				sr.Close()
-				if terminal {
-					return
-				}
-			}
-			if wctx.Err() != nil {
-				return
-			}
-			// Replica crashed or stream broke: back off briefly, then
-			// resume from the first undelivered transition.
+		resume(wctx, c, "API.Watch", func(next uint64) any {
+			return WatchArgs{JobID: jobID, FromSeq: int(next)}
+		}, uint64(from), func(it StatusItem) bool {
 			select {
+			case out <- it.Entry:
+				return true
 			case <-wctx.Done():
-				return
-			case <-c.clock.After(watchRetryDelay):
+				return false
 			}
-		}
+		})
 	}()
-	return out, cancel, nil
-}
-
-// forwardWatch pumps one stream connection into out, de-duplicating by
-// sequence. It reports whether a terminal transition was delivered.
-func (c *Client) forwardWatch(ctx context.Context, sr *rpc.StreamReader, next *int, out chan<- StatusEntry) (bool, error) {
-	for {
-		var item StatusItem
-		err := sr.Recv(&item)
-		if errors.Is(err, rpc.ErrStreamDone) || errors.Is(err, rpc.ErrCanceled) {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		if item.Seq < *next {
-			continue // duplicate across a reconnect
-		}
-		select {
-		case out <- item.Entry:
-			*next = item.Seq + 1
-		case <-ctx.Done():
-			return false, nil
-		}
-		if item.Entry.Status.Terminal() {
-			return true, nil
-		}
-	}
+	return out, cancel
 }
 
 // WaitForStatus blocks until the job's *current* status reaches the
 // target (or any terminal status), returning the final observed
 // status; past transitions the job has already moved beyond do not
-// satisfy the wait. It rides the WatchStatus event stream, so reaction
-// time is bounded by status propagation, not a poll interval; poll is
-// only used as the fallback cadence (on the client's clock, never the
-// wall clock) when the watch stream cannot be established.
+// satisfy the wait. It rides a status watch opened just past the
+// history its status read returned, so reaction time is bounded by
+// status propagation, not a poll interval; poll is only used as the
+// fallback cadence (on the client's clock, never the wall clock) when
+// the status read fails.
 func (c *Client) WaitForStatus(ctx context.Context, jobID string, target JobStatus, poll time.Duration) (JobStatus, error) {
 	if reply, err := c.Status(ctx, jobID); err == nil {
 		if reply.Status == target || reply.Status.Terminal() {
 			return reply.Status, nil
 		}
-		ch, cancel, werr := c.WatchStatus(ctx, jobID)
-		if werr == nil {
-			defer cancel()
-			// The stream replays the full history; skip what the
-			// status read above already covered so only genuinely new
-			// transitions are judged. A transition racing the two
-			// calls lands at an index >= skip and is still seen.
-			skip := len(reply.History)
-			for e := range ch {
-				if skip > 0 {
-					skip--
-					continue
-				}
-				if e.Status == target || e.Status.Terminal() {
-					return e.Status, nil
-				}
+		// A transition racing the status read lands past its history and
+		// is still seen. The watch closes only after a terminal entry or
+		// once ctx ends.
+		ch, cancel := c.watchFrom(ctx, jobID, len(reply.History)+1)
+		defer cancel()
+		for e := range ch {
+			if e.Status == target || e.Status.Terminal() {
+				return e.Status, nil
 			}
-			if ctx.Err() != nil {
-				return "", ctx.Err()
-			}
-			// Channel closed without a decisive transition (should not
-			// happen: streams end only at terminal); fall through to
-			// polling.
 		}
+		return "", ctx.Err()
 	}
 	for {
 		reply, err := c.Status(ctx, jobID)

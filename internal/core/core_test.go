@@ -845,94 +845,6 @@ func TestLogsFromOffset(t *testing.T) {
 	}
 }
 
-// followOverflow starts a follow stream on a fresh job, stalls it on
-// its one backlog line while burst more lines are logged — more than
-// the 256-line live buffer holds, so AppendLog drops the tail of the
-// burst — and then lets it drain. recv checks that the stream delivers
-// every offset through upTo, in order; stop ends the stream.
-func followOverflow(t *testing.T, p *Platform, burst int) (appendLines func(int), recv func(upTo uint64), stop func()) {
-	t.Helper()
-	const jobID = "gap-job"
-	appendLines = func(n int) {
-		for i := 0; i < n; i++ {
-			p.Metrics.AppendLog(LogLine{JobID: jobID, Text: "line"})
-		}
-	}
-	appendLines(1)
-
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	got := make(chan uint64, 1024) // holds every offset sent, so send never blocks past the gate
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		first := true
-		done <- p.apis[0].handleLogs(ctx, LogsArgs{JobID: jobID, Follow: true}, func(item any) error {
-			if first {
-				// Blocking on the backlog line proves the live
-				// subscription exists, and stalls the drain.
-				first = false
-				close(entered)
-				<-gate
-			}
-			got <- item.(LogItem).Line.Offset
-			return nil
-		})
-	}()
-	<-entered
-	appendLines(burst)
-	close(gate)
-
-	next := uint64(0)
-	recv = func(upTo uint64) {
-		t.Helper()
-		for next <= upTo {
-			select {
-			case off := <-got:
-				if off != next {
-					t.Fatalf("follower got offset %d, want %d", off, next)
-				}
-				next++
-			case <-time.After(5 * time.Second):
-				t.Fatalf("follower stalled at offset %d, want through %d", next, upTo)
-			}
-		}
-	}
-	stop = func() {
-		t.Helper()
-		cancel()
-		if err := <-done; err != nil {
-			t.Fatalf("handleLogs: %v", err)
-		}
-	}
-	return appendLines, recv, stop
-}
-
-// TestFollowLogsRefillsOverflowGap pins the follow stream's gap rule: a
-// follower that drains slower than the job logs overflows its 256-line
-// live buffer, and the lines AppendLog dropped must be refilled from
-// the job's log when the next live line reveals the gap.
-func TestFollowLogsRefillsOverflowGap(t *testing.T) {
-	p := newTestPlatform(t, nil)
-	const burst = 600
-	appendLines, recv, stop := followOverflow(t, p, burst)
-	recv(256) // the backlog line and what the buffer held
-	appendLines(1)
-	recv(burst + 1) // the dropped lines, then the one that revealed them
-	stop()
-}
-
-// TestFollowLogsRefillsDroppedTail pins the follow stream's safety
-// tick: when the lines AppendLog dropped are the last the job logs, no
-// later line reveals the gap, and the tick must refill them.
-func TestFollowLogsRefillsDroppedTail(t *testing.T) {
-	p := newTestPlatform(t, nil)
-	const burst = 600
-	_, recv, stop := followOverflow(t, p, burst)
-	recv(burst) // the backlog line and the whole burst, nothing after it
-	stop()
-}
-
 // TestJobTrafficOnce pins what a job's life writes and who hands it to
 // whom: the helper mirrors no exit codes into etcd, teardown is one
 // prefix delete that leaves nothing behind, the PENDING bus event is

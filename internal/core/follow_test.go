@@ -1,0 +1,340 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/ffdl/ffdl/internal/mongo"
+)
+
+// TestStreamLogsCancelRacesAppendLog pins the learner-log fan-out against
+// its subscribers' cancels: a cancel edits the subscriber slice in place,
+// closes the channel and may forget the job's key, so a publish outside
+// the fan-out's lock could send on a closed channel (a panic even under
+// select/default) or read a slice being shifted under it. Run under
+// -race.
+func TestStreamLogsCancelRacesAppendLog(t *testing.T) {
+	m := NewMetricsService(nil)
+	stop := make(chan struct{})
+	appender := make(chan struct{})
+	go func() {
+		defer close(appender)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.AppendLog(LogLine{JobID: "j", Text: "line"})
+			}
+		}
+	}()
+	var followers sync.WaitGroup
+	for f := 0; f < 4; f++ {
+		followers.Add(1)
+		go func() {
+			defer followers.Done()
+			for i := 0; i < 2000; i++ {
+				_, cancel := m.live.subscribe("j", m.live.buf)
+				cancel()
+			}
+		}()
+	}
+	followers.Wait()
+	close(stop)
+	<-appender
+}
+
+// TestFollowForgetsEveryJob pins the fan-outs' cleanup: a follow that
+// ends leaves no key behind, so a process that follows many jobs over
+// its life does not grow either fan-out.
+func TestFollowForgetsEveryJob(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // each follow subscribes, fills, and then sees ctx done
+	send := func(any) error { return nil }
+	for i := 0; i < 1000; i++ {
+		jobID := fmt.Sprintf("followed-%d", i)
+		if err := p.apis[0].handleLogs(ctx, LogsArgs{JobID: jobID, Follow: true}, send); err != nil {
+			t.Fatalf("handleLogs(%s): %v", jobID, err)
+		}
+		// No such job: the watch's first fill fails after it subscribed.
+		if err := p.apis[0].handleWatch(ctx, WatchArgs{JobID: jobID}, send); err == nil {
+			t.Fatalf("handleWatch(%s) on a job with no document succeeded", jobID)
+		}
+	}
+	if n := jobKeys(p.Metrics.live); n != 0 {
+		t.Fatalf("learner-log fan-out holds %d job keys after every follow ended", n)
+	}
+	if n := jobKeys(p.bus); n != 0 {
+		t.Fatalf("status bus holds %d job keys after every watch ended", n)
+	}
+}
+
+// jobKeys counts the per-job keys a fan-out holds; "" (every job) is
+// the LCM's and the tenancy pump's.
+func jobKeys[T any](f *fanout[T]) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.subs)
+	if _, ok := f.subs[""]; ok {
+		n--
+	}
+	return n
+}
+
+// followedStream drives one stream of the follow protocol from a test.
+// open writes the stream's one backlog item, at position first, and
+// returns add, which writes n more items to the durable copy and
+// publishes each on the fan-out (the last one ending the stream when end
+// is set and the stream has ending items), and serve, the API handler.
+type followedStream struct {
+	first uint64
+	buf   int  // the follower's subscription buffer
+	ends  bool // the stream ends at an item, not only with ctx
+	open  func(t *testing.T, p *Platform) (add func(n int, end bool), serve func(ctx context.Context, send func(any) error) error)
+}
+
+var (
+	logsStream = followedStream{first: 0, buf: 256, open: func(t *testing.T, p *Platform) (func(int, bool), func(context.Context, func(any) error) error) {
+		const jobID = "gap-job"
+		add := func(n int, _ bool) {
+			for i := 0; i < n; i++ {
+				p.Metrics.AppendLog(LogLine{JobID: jobID, Text: "line"})
+			}
+		}
+		add(1, false)
+		return add, func(ctx context.Context, send func(any) error) error {
+			return p.apis[0].handleLogs(ctx, LogsArgs{JobID: jobID, Follow: true}, send)
+		}
+	}}
+	watchStream = followedStream{first: 1, buf: 64, ends: true, open: func(t *testing.T, p *Platform) (func(int, bool), func(context.Context, func(any) error) error) {
+		// The history is written straight to the job document, as another
+		// replica would, in statuses the LCM's recovery scan skips.
+		const jobID = "training-gap"
+		entry := func(st JobStatus) map[string]any {
+			return map[string]any{"status": string(st), "time": p.clock.Now().Format(time.RFC3339Nano), "message": "m"}
+		}
+		if _, err := p.Jobs.Insert(mongo.Doc{
+			"_id": jobID, "name": "gap", "user": "carol",
+			"status": string(StatusQueued), "history": []any{entry(StatusQueued)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		seq := 1
+		add := func(n int, end bool) {
+			for i := 0; i < n; i++ {
+				st := StatusHalted
+				if end && i == n-1 {
+					st = StatusCompleted
+				}
+				if err := p.Jobs.UpdateOne(mongo.Filter{"_id": jobID}, mongo.Update{
+					Set: mongo.Doc{"status": string(st)}, Push: map[string]any{"history": entry(st)},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				seq++
+				p.bus.publish(jobID, StatusEvent{JobID: jobID, StatusItem: StatusItem{Seq: seq, Entry: StatusEntry{Status: st}}})
+			}
+		}
+		return add, func(ctx context.Context, send func(any) error) error {
+			return p.apis[0].handleWatch(ctx, WatchArgs{JobID: jobID}, send)
+		}
+	}}
+)
+
+// The four tests below run both streams through the follower's
+// adversarial schedule, one body for both (testFollowRefill): the stream
+// stalls on its backlog item while a burst three times its buffer is
+// published, so the fan-out drops most of the burst. Every position
+// arrives exactly once, in order, and a watch ends at its terminal item.
+
+// TestFollowLogsRefillsOverflowGap pins the gap rule on a log follow:
+// the follower drains what its buffer held, and one more line then
+// reveals the gap; the safety tick is a minute away, so only the gap
+// rule can fill it.
+func TestFollowLogsRefillsOverflowGap(t *testing.T) { testFollowRefill(t, logsStream, false) }
+
+// TestFollowLogsRefillsDroppedTail pins the safety tick on a log follow:
+// no line follows the burst, so the tick must deliver the dropped tail.
+func TestFollowLogsRefillsDroppedTail(t *testing.T) { testFollowRefill(t, logsStream, true) }
+
+// TestWatchRefillsOverflowGap is the gap case on a status watch.
+func TestWatchRefillsOverflowGap(t *testing.T) { testFollowRefill(t, watchStream, false) }
+
+// TestWatchRefillsDroppedTerminal is the tail case on a status watch:
+// the dropped tail ends in the terminal event, which the tick must
+// deliver before the stream ends.
+func TestWatchRefillsDroppedTerminal(t *testing.T) { testFollowRefill(t, watchStream, true) }
+
+// testFollowRefill runs s through the schedule. In the gap case (tail
+// unset) the safety tick is set a minute away.
+func testFollowRefill(t *testing.T, s followedStream, tail bool) {
+	p := newTestPlatform(t, func(c *Config) {
+		if !tail {
+			c.PollInterval = time.Minute
+		}
+	})
+	add, serve := s.open(t, p)
+	burst := 3 * s.buf
+	entered, gate := make(chan struct{}), make(chan struct{})
+	got := make(chan uint64, 2*burst) // every position sent, so send never blocks past the gate
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		first := true
+		done <- serve(ctx, func(item any) error {
+			if first {
+				// Blocking on the backlog item proves the subscription
+				// exists, and stalls the drain.
+				first = false
+				close(entered)
+				<-gate
+			}
+			got <- item.(streamItem).position()
+			return nil
+		})
+	}()
+	<-entered
+	add(burst, tail)
+	close(gate)
+
+	next := s.first
+	recv := func(upTo uint64) {
+		t.Helper()
+		for ; next <= upTo; next++ {
+			select {
+			case pos := <-got:
+				if pos != next {
+					t.Fatalf("follower sent position %d, want %d", pos, next)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("follower stalled at position %d, want through %d", next, upTo)
+			}
+		}
+	}
+	last := s.first + uint64(burst)
+	if !tail {
+		recv(s.first + uint64(s.buf)) // the backlog item and what the buffer held
+		add(1, true)
+		last++
+	}
+	recv(last)
+	if !s.ends {
+		cancel()
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("follower: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("stream did not end after position %d", last)
+	}
+	select {
+	case pos := <-got:
+		t.Fatalf("follower sent position %d past the last, %d", pos, last)
+	default:
+	}
+}
+
+// TestWatchDeliversEveryFastJob pins the "lost wake-up on the watch
+// path" lead of bench/README.md: jobs that finish about a millisecond
+// after submit, every ticker stretched so no safety tick can rescue a
+// stream that missed an event. Every WatchStatus must deliver the full
+// history, in order, and close on the terminal entry.
+func TestWatchDeliversEveryFastJob(t *testing.T) {
+	jobs := 600
+	if testing.Short() {
+		jobs = 150
+	}
+	p := newTestPlatform(t, func(c *Config) {
+		c.PollInterval = 30 * time.Second
+		c.SchedulerInterval = time.Minute
+		c.ResyncInterval = time.Minute
+		c.HeartbeatInterval = 2 * time.Minute
+		c.NodeGracePeriod = 10 * time.Minute
+		c.TimeCompression = 0
+		c.StartDelay = func(string) time.Duration { return 0 }
+		c.DataDir = t.TempDir() // the lead was seen on the durable arm
+	})
+	p.NFS.BaseLatency = 0
+	if err := p.Store.Put("datasets", "tiny/shard-0", make([]byte, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	c := p.Client()
+
+	const clients = 2 // closed loop, as in the benchmark that met the hang
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		watched = map[string][]StatusEntry{}
+	)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < jobs/clients; i++ {
+				jobID, got, err := watchOneJob(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				watched[jobID] = got
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// The watch equals the history MongoDB holds, entry for entry.
+	recs, err := c.List(context.Background(), "")
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	if len(recs) != len(watched) {
+		t.Fatalf("List holds %d jobs, %d were watched", len(recs), len(watched))
+	}
+	for _, rec := range recs {
+		got := watched[rec.ID]
+		if len(got) != len(rec.History) {
+			t.Fatalf("%s: watch delivered %d transitions, history has %d", rec.ID, len(got), len(rec.History))
+		}
+		for i, h := range rec.History {
+			if got[i].Status != h.Status || !got[i].Time.Equal(h.Time) {
+				t.Fatalf("%s: transition %d is %s on the watch, %s in history", rec.ID, i+1, got[i].Status, h.Status)
+			}
+		}
+	}
+}
+
+// watchOneJob submits a job and watches it to its terminal entry.
+func watchOneJob(c *Client) (string, []StatusEntry, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	m := testManifest()
+	m.DataPrefix, m.Iterations, m.CheckpointEvery = "tiny/", 2, 0
+	jobID, err := c.Submit(ctx, m)
+	if err != nil {
+		return "", nil, fmt.Errorf("Submit: %w", err)
+	}
+	ch, stop, err := c.WatchStatus(ctx, jobID)
+	if err != nil {
+		return "", nil, fmt.Errorf("WatchStatus(%s): %w", jobID, err)
+	}
+	defer stop()
+	var got []StatusEntry
+	for e := range ch {
+		got = append(got, e)
+	}
+	if len(got) == 0 || !got[len(got)-1].Status.Terminal() {
+		return "", nil, fmt.Errorf("%s: watch closed after %d entries without a terminal one (lost wake-up): %+v", jobID, len(got), got)
+	}
+	return jobID, got, nil
+}

@@ -149,12 +149,10 @@ func (p *Platform) setJobStatus(jobID string, to JobStatus, msg string) error {
 	if hist, ok := doc["history"].([]any); ok {
 		seq = len(hist) + 1
 	}
-	p.bus.Publish(StatusEvent{
-		JobID:  jobID,
-		Seq:    seq,
-		Status: to,
-		Entry:  StatusEntry{Status: to, Time: now, Message: msg},
-	})
+	p.bus.publish(jobID, StatusEvent{JobID: jobID, StatusItem: StatusItem{
+		Seq:   seq,
+		Entry: StatusEntry{Status: to, Time: now, Message: msg},
+	}})
 	// Trace the transition with the same clock read the history entry
 	// was written with, so the root span's duration equals the job's
 	// submit→terminal wall time exactly.

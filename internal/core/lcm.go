@@ -162,7 +162,7 @@ func (l *lcmReplica) handleTerminate(_ context.Context, arg any) (any, error) {
 // (sustained chaos kill loops) is gone for good, and only this scan
 // (via ensureGuardian's resurrection path) brings it back.
 func (l *lcmReplica) recoveryLoop() {
-	events, cancel := l.p.bus.Subscribe("", 256)
+	events, cancel := l.p.bus.subscribe("", 256)
 	defer cancel()
 	ticker := l.p.clock.NewTicker(l.p.cfg.PollInterval * 10)
 	defer ticker.Stop()
@@ -189,7 +189,7 @@ func (l *lcmReplica) recoveryLoop() {
 		case <-l.p.stopCh:
 			return
 		case ev := <-events:
-			if ev.Status == StatusPending {
+			if ev.Entry.Status == StatusPending {
 				l.ensureGuardian(ev.JobID)
 			}
 		case <-ticker.C:

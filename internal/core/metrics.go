@@ -39,8 +39,9 @@ type MetricsService struct {
 	// instruments under the dotted subsystem.name convention, so the
 	// same counters appear on the GET /v1/metrics scrape; Inc is the
 	// write side, readers go to the registry (Platform.Obs).
-	reg  *obs.Registry
-	subs map[string][]chan LogLine
+	reg *obs.Registry
+	// live fans each appended line out to the job's log follows.
+	live *fanout[LogLine]
 	// obs/clock wire hot-path instrumentation into each job's commit
 	// log as it opens (append latency, compaction counters); obs is nil
 	// when the platform runs the DisableObs ablation.
@@ -64,7 +65,9 @@ func NewMetricsService(reg *obs.Registry) *MetricsService {
 	return &MetricsService{
 		logs: make(map[string]*commitlog.Log),
 		reg:  reg,
-		subs: make(map[string][]chan LogLine),
+		// A follow may fall 256 lines behind before it refills from
+		// the job's log.
+		live: newFanout[LogLine](256),
 	}
 }
 
@@ -110,9 +113,8 @@ func (m *MetricsService) jobLogForReadLocked(jobID string) *commitlog.Log {
 }
 
 // AppendLog ingests one log line, assigns its offset, and fans it out
-// to streamers. The fan-out stays under m.mu: a StreamLogs cancel edits
-// the subscriber slice in place and closes the channel under the same
-// lock, so a send can never race either.
+// to follows. The fan-out stays under m.mu, which mints the offsets, so
+// live lines reach every follow in offset order.
 func (m *MetricsService) AppendLog(line LogLine) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -132,12 +134,7 @@ func (m *MetricsService) AppendLog(line LogLine) {
 	if err != nil {
 		return // never half-publish
 	}
-	for _, ch := range m.subs[line.JobID] {
-		select {
-		case ch <- line:
-		default:
-		}
-	}
+	m.live.publish(line.JobID, line)
 }
 
 // logLineRec extracts the LogLine a log record carries: the in-memory
@@ -176,26 +173,6 @@ func (m *MetricsService) LogsFrom(jobID string, from uint64) []LogLine {
 		}
 	}
 	return out
-}
-
-// StreamLogs subscribes to a job's live log stream.
-func (m *MetricsService) StreamLogs(jobID string) (<-chan LogLine, func()) {
-	ch := make(chan LogLine, 256)
-	m.mu.Lock()
-	m.subs[jobID] = append(m.subs[jobID], ch)
-	m.mu.Unlock()
-	return ch, func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		subs := m.subs[jobID]
-		for i, c := range subs {
-			if c == ch {
-				m.subs[jobID] = append(subs[:i], subs[i+1:]...)
-				close(ch)
-				return
-			}
-		}
-	}
 }
 
 // Inc bumps a named counter ("api.restarts", "guardian.rollbacks", ...).

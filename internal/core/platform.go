@@ -216,9 +216,10 @@ type Platform struct {
 	Admission  *sched.Admission
 
 	// bus fans out job status transitions to in-process subscribers
-	// (LCM recovery, API WatchStatus streams); statusMu serializes
-	// status writes so bus sequence numbers match MongoDB history.
-	bus      *statusBus
+	// (LCM recovery, tenancy, API WatchStatus streams); statusMu
+	// serializes status writes so bus sequence numbers match MongoDB
+	// history.
+	bus      *fanout[StatusEvent]
 	statusMu sync.Mutex
 
 	mu        sync.Mutex
@@ -323,21 +324,23 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	})
 
 	p := &Platform{
-		cfg:       cfg,
-		clock:     cfg.Clock,
-		rng:       rng,
-		Kube:      kubeCluster,
-		Etcd:      etcdCluster,
-		Mongo:     db,
-		Jobs:      jobs,
-		Store:     store,
-		NFS:       prov,
-		Metrics:   metrics,
-		Obs:       registry,
-		Tracer:    tracer,
-		Registry:  rpc.NewRegistry(),
-		res:       newResilienceHub(&cfg, instruments),
-		bus:       &statusBus{subs: make(map[int]*busSub)},
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		rng:      rng,
+		Kube:     kubeCluster,
+		Etcd:     etcdCluster,
+		Mongo:    db,
+		Jobs:     jobs,
+		Store:    store,
+		NFS:      prov,
+		Metrics:  metrics,
+		Obs:      registry,
+		Tracer:   tracer,
+		Registry: rpc.NewRegistry(),
+		res:      newResilienceHub(&cfg, instruments),
+		// A watch may fall 64 transitions, about ten job lifetimes,
+		// behind before it refills from MongoDB.
+		bus:       newFanout[StatusEvent](64),
 		resources: make(map[string]*jobResources),
 		jobSeq:    jobSeq,
 		stopCh:    make(chan struct{}),

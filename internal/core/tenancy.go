@@ -66,7 +66,7 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 	// RESUMED restores footprints, terminal transitions release and
 	// free the budget. Every status writer of the platform publishes
 	// on this bus, so this stays correct multi-replica.
-	events, cancel := p.bus.Subscribe("", 256)
+	events, cancel := p.bus.subscribe("", 256)
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -133,19 +133,19 @@ func (p *Platform) tenancyStatusPump(events <-chan StatusEvent) {
 			if !ok {
 				return
 			}
-			switch {
-			case ev.Status == StatusQueued:
+			switch st := ev.Entry.Status; {
+			case st == StatusQueued:
 				if j, err := p.tenantJob(ev.JobID); err == nil {
 					p.Dispatcher.NoteQueued(j)
 				}
-			case ev.Status == StatusHalted:
+			case st == StatusHalted:
 				p.Dispatcher.NoteHalted(ev.JobID)
-			case ev.Status == StatusResumed:
+			case st == StatusResumed:
 				p.clearPreempted(ev.JobID)
 				if j, err := p.tenantJob(ev.JobID); err == nil {
 					p.Dispatcher.NoteResumed(j)
 				}
-			case ev.Status.Terminal():
+			case st.Terminal():
 				p.clearPreempted(ev.JobID)
 				p.Dispatcher.NoteTerminal(ev.JobID)
 			}
