@@ -23,13 +23,14 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race gate for the concurrency-heavy paths: the tenant dispatcher and
-# the scheduler/admission package it drives, the event substrate (every
-# subsystem appends to commit logs under concurrent readers), the core
-# platform that fans its events out, the durable stores layered on
-# the commit log (mongo oplog recovery, etcd watch history), the
-# observability registry every hot path hammers concurrently, and the
-# fault-injection + retry/breaker layers whose whole job is to mutate
-# shared state from injector goroutines. The experiments run without
+# the scheduler/admission package it drives, the event substrate (the
+# oplog and learner logs append under concurrent readers), the core
+# platform that fans its events out, the durable store layered on the
+# commit log (mongo oplog recovery), etcd's watch history and
+# group-commit proposer, the observability registry every hot path
+# hammers concurrently, and the fault-injection + retry/breaker layers
+# whose whole job is to mutate shared state from injector goroutines.
+# The experiments run without
 # -short: TestChaosSoak skips under it, and its exactly-once watch and
 # strictly-increasing log-offset invariants drive both streams' resume
 # loop through API replica crashes and RPC faults.
@@ -102,7 +103,7 @@ docs-check:
 		pkg=$$(basename $$d); \
 		grep -q "internal/$$pkg" docs/architecture.md || { echo "docs/architecture.md does not cover internal/$$pkg"; ok=0; }; \
 	done; \
-	for anchor in WatchStream "Store.Watch" "status bus" WatchStatus CompactRevisions TakeDropped "change feed" EventResync Dispatcher commitlog OplogImage FollowLogs "retained floor" DataDir "survive a process restart"; do \
+	for anchor in WatchStream "Store.Watch" "status bus" WatchStatus TakeDropped "change feed" EventResync Dispatcher commitlog OplogImage FollowLogs "retained floor" DataDir "survive a process restart"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
 	for anchor in Durability DataDir mongo-oplog learner-logs "Recovery on open"; do \
@@ -114,7 +115,7 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset"; do \
 		if grep -n "$$gone" README.md docs/*.md; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \

@@ -1,10 +1,10 @@
-// Package commitlog is the platform's universal event substrate: an
+// Package commitlog is the platform's durable log substrate: an
 // append-only log of (offset, key, payload) records split into bounded
 // segments, with key-compaction of sealed segments and offset-addressed
-// reads — one retention mechanism under the etcd watch history, the
-// mongo oplog and the learner logs. A log holds no consumer state:
-// resume positions are offsets the reader keeps (a change-stream Seq,
-// a LogLine.Offset), checked against OldestOffset.
+// reads — one retention mechanism under the mongo oplog and the learner
+// logs. A log holds no consumer state: resume positions are offsets the
+// reader keeps (a change-stream Seq, a LogLine.Offset), checked against
+// OldestOffset.
 //
 // Durability is pluggable through SegmentStore: the simulation runs on
 // MemStore, FileStore persists segments on disk, and FaultStore wraps
@@ -68,8 +68,7 @@ type Options struct {
 	// MaxSegments bounds the sealed-segment count. With Compact, the
 	// two oldest sealed segments are merged (no records lost beyond
 	// compaction's latest-per-key rule); without it, the oldest
-	// segment is dropped entirely. 0 = unbounded (the owner trims
-	// explicitly via TruncateBefore).
+	// segment is dropped entirely. 0 = unbounded.
 	MaxSegments int
 	// Obs, when non-nil, wires the log into the platform's metrics
 	// registry: append latency ("commitlog.append"), compaction runs
@@ -123,7 +122,6 @@ type Log struct {
 	segments []*segment // ascending base; last is active
 	oldest   uint64     // logical retention floor (first readable offset)
 	next     uint64     // next offset to assign
-	records  int        // retained record count across segments
 
 	encBuf []byte // reused frame-encode scratch
 	dead   error  // first store failure; log is read-only after
@@ -134,10 +132,6 @@ type Log struct {
 	obsCompactions *obs.Counter
 	obsCompacted   *obs.Counter
 	clock          sim.Clock
-
-	// Counters for the retention bench and tests.
-	statCompactedRecords uint64 // records dropped by key-compaction
-	statDroppedSegments  uint64 // segments dropped by retention
 }
 
 func (l *Log) lock()   { l.mu.Lock() }
@@ -195,7 +189,6 @@ func Open(store SegmentStore, opts Options) (*Log, error) {
 		if last, ok := seg.lastOffset(); ok && last >= l.next {
 			l.next = last + 1
 		}
-		l.records += len(recs)
 	}
 	// Drop empty segments from the index (fresh actives and crash
 	// leftovers hold no records); a later roll landing on the same
@@ -274,7 +267,6 @@ func (l *Log) append(key string, payload []byte, value any) (uint64, error) {
 	}
 	active.recs = append(active.recs, rec)
 	active.bytes += int64(len(l.encBuf))
-	l.records++
 	l.next = off + 1
 	if len(active.recs) >= l.opts.SegmentRecords || active.bytes >= l.opts.SegmentBytes {
 		if err := l.rollLocked(); err != nil {
@@ -349,8 +341,6 @@ func (l *Log) compactSealedLocked() {
 	}
 	l.obsCompactions.Inc()
 	l.obsCompacted.Add(int64(len(seg.recs) - len(kept)))
-	l.statCompactedRecords += uint64(len(seg.recs) - len(kept))
-	l.records -= len(seg.recs) - len(kept)
 	data := encodeRecords(kept)
 	if err := l.store.Rewrite(seg.base, data); err != nil {
 		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
@@ -383,8 +373,6 @@ func (l *Log) mergeOldestLocked() bool {
 			merged = append(merged, r)
 		}
 	}
-	l.statCompactedRecords += uint64(len(a.recs) + len(b.recs) - len(merged))
-	l.records -= len(a.recs) + len(b.recs) - len(merged)
 	data := encodeRecords(merged)
 	if err := l.store.Rewrite(a.base, data); err != nil {
 		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
@@ -413,8 +401,6 @@ func (l *Log) dropOldestLocked() bool {
 		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
 		return false
 	}
-	l.records -= len(seg.recs)
-	l.statDroppedSegments++
 	l.segments = l.segments[1:]
 	return true
 }
@@ -427,46 +413,6 @@ func encodeRecords(recs []Record) []byte {
 		data = appendRecordFrame(data, r.Offset, r.Key, r.Payload)
 	}
 	return data
-}
-
-// TruncateBefore raises the retention floor to offset: records below
-// it become unreadable immediately, and whole segments below it are
-// removed from the store. Returns the new floor (which may be lower
-// than requested only if the log is empty).
-func (l *Log) TruncateBefore(offset uint64) error {
-	l.lock()
-	defer l.unlock()
-	if offset > l.next {
-		offset = l.next
-	}
-	if offset <= l.oldest {
-		return nil
-	}
-	l.oldest = offset
-	for len(l.segments) > 1 {
-		seg := l.segments[0]
-		last, ok := seg.lastOffset()
-		if ok && last >= offset {
-			break
-		}
-		if err := l.store.Remove(seg.base); err != nil {
-			l.dead = fmt.Errorf("%w: %v", ErrDead, err)
-			return l.dead
-		}
-		l.records -= len(seg.recs)
-		l.statDroppedSegments++
-		l.segments = l.segments[1:]
-	}
-	// Trim the boundary segment's in-memory index; its store bytes are
-	// reclaimed when the whole segment ages out (physical removal is
-	// segment-granular, logical truncation is exact).
-	seg := l.segments[0]
-	cut := sort.Search(len(seg.recs), func(i int) bool { return seg.recs[i].Offset >= offset })
-	if cut > 0 {
-		l.records -= cut
-		seg.recs = seg.recs[cut:]
-	}
-	return nil
 }
 
 // OldestOffset returns the retention floor: the smallest offset that
@@ -483,40 +429,6 @@ func (l *Log) NextOffset() uint64 {
 	l.lock()
 	defer l.unlock()
 	return l.next
-}
-
-// Len returns the retained record count.
-func (l *Log) Len() int {
-	l.lock()
-	defer l.unlock()
-	return l.records
-}
-
-// SegmentCount returns the number of segments (including the active
-// one).
-func (l *Log) SegmentCount() int {
-	l.lock()
-	defer l.unlock()
-	return len(l.segments)
-}
-
-// CompactedRecords returns how many records key-compaction dropped.
-func (l *Log) CompactedRecords() uint64 {
-	l.lock()
-	defer l.unlock()
-	return l.statCompactedRecords
-}
-
-// Get returns the record at exactly offset.
-func (l *Log) Get(offset uint64) (rec Record, ok bool) {
-	l.Scan(offset, func(r Record) bool {
-		rec, ok = r, r.Offset == offset
-		return false
-	})
-	if !ok {
-		return Record{}, false
-	}
-	return rec, true
 }
 
 // Scan calls fn on every retained record with Offset >= from, in offset

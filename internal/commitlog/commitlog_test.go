@@ -19,6 +19,15 @@ func mustAppend(t *testing.T, l *Log, key string, payload []byte) uint64 {
 	return off
 }
 
+// recordAt returns the retained record at exactly offset.
+func recordAt(l *Log, offset uint64) (rec Record, ok bool) {
+	l.Scan(offset, func(r Record) bool {
+		rec, ok = r, r.Offset == offset
+		return false
+	})
+	return rec, ok
+}
+
 func TestAppendReadBasics(t *testing.T) {
 	l, err := Open(NewMemStore(), Options{})
 	if err != nil {
@@ -33,11 +42,11 @@ func TestAppendReadBasics(t *testing.T) {
 	if got := l.NextOffset(); got != 10 {
 		t.Fatalf("NextOffset = %d, want 10", got)
 	}
-	if rec, ok := l.Get(4); !ok || string(rec.Payload) != "v4" || rec.Key != "k1" {
-		t.Fatalf("Get(4) = %+v, %v", rec, ok)
+	if rec, ok := recordAt(l, 4); !ok || string(rec.Payload) != "v4" || rec.Key != "k1" {
+		t.Fatalf("recordAt(4) = %+v, %v", rec, ok)
 	}
-	if _, ok := l.Get(10); ok {
-		t.Fatal("Get(10) past end should miss")
+	if _, ok := recordAt(l, 10); ok {
+		t.Fatal("recordAt(10) past end should miss")
 	}
 	recs := l.Records(0)
 	if len(recs) != 10 {
@@ -64,7 +73,8 @@ func TestFirstOffset(t *testing.T) {
 }
 
 func TestSegmentSealing(t *testing.T) {
-	l, err := Open(NewMemStore(), Options{SegmentRecords: 4})
+	store := NewMemStore()
+	l, err := Open(store, Options{SegmentRecords: 4})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -72,11 +82,11 @@ func TestSegmentSealing(t *testing.T) {
 		mustAppend(t, l, "", []byte{byte(i)})
 	}
 	// 9 records at 4/segment: two sealed + active holding one.
-	if got := l.SegmentCount(); got != 3 {
-		t.Fatalf("SegmentCount = %d, want 3", got)
+	if bases, _ := store.Segments(); len(bases) != 3 {
+		t.Fatalf("store holds %d segments, want 3", len(bases))
 	}
-	if got := l.Len(); got != 9 {
-		t.Fatalf("Len = %d, want 9", got)
+	if got := len(l.Records(0)); got != 9 {
+		t.Fatalf("retained %d records, want 9", got)
 	}
 }
 
@@ -94,8 +104,8 @@ func TestReadsRightAfterRoll(t *testing.T) {
 			mustAppend(t, l, "", []byte{byte(i)})
 		}
 		for off := uint64(0); off < n; off++ {
-			if rec, ok := l.Get(off); !ok || rec.Offset != off {
-				t.Fatalf("%d full segments: Get(%d) = %+v, %v", full, off, rec, ok)
+			if rec, ok := recordAt(l, off); !ok || rec.Offset != off {
+				t.Fatalf("%d full segments: recordAt(%d) = %+v, %v", full, off, rec, ok)
 			}
 		}
 		if recs := l.Records(2); uint64(len(recs)) != n-2 || recs[0].Offset != 2 {
@@ -147,9 +157,9 @@ func TestValueRidesMemory(t *testing.T) {
 	if _, err := l.AppendValue("k", ev{N: 7}); err != nil {
 		t.Fatalf("AppendValue: %v", err)
 	}
-	rec, ok := l.Get(0)
+	rec, ok := recordAt(l, 0)
 	if !ok {
-		t.Fatal("Get(0) missed")
+		t.Fatal("recordAt(0) missed")
 	}
 	if v, ok := rec.Value.(ev); !ok || v.N != 7 {
 		t.Fatalf("Value = %#v, want ev{7}", rec.Value)
@@ -170,8 +180,8 @@ func TestReopenRecoversRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := r.Len(); got != 10 {
-		t.Fatalf("reopened Len = %d, want 10", got)
+	if got := len(r.Records(0)); got != 10 {
+		t.Fatalf("reopened log holds %d records, want 10", got)
 	}
 	if got := r.NextOffset(); got != 10 {
 		t.Fatalf("reopened NextOffset = %d, want 10", got)
@@ -199,8 +209,8 @@ func TestReopenNeverReusesOffsets(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%d", i%3), []byte{byte(i)})
 	}
-	if l.Len() >= 40 {
-		t.Fatalf("Len = %d: compaction never dropped a record", l.Len())
+	if n := len(l.Records(0)); n >= 40 {
+		t.Fatalf("retained %d records: compaction never dropped one", n)
 	}
 	r, err := Open(store, opts)
 	if err != nil {
@@ -208,35 +218,6 @@ func TestReopenNeverReusesOffsets(t *testing.T) {
 	}
 	if off := mustAppend(t, r, "k", []byte("w")); off != 40 {
 		t.Fatalf("post-reopen append minted offset %d, want 40", off)
-	}
-}
-
-func TestTruncateBefore(t *testing.T) {
-	l, err := Open(NewMemStore(), Options{SegmentRecords: 4})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for i := 0; i < 12; i++ {
-		mustAppend(t, l, "", []byte{byte(i)})
-	}
-	if err := l.TruncateBefore(6); err != nil {
-		t.Fatalf("TruncateBefore: %v", err)
-	}
-	if got := l.OldestOffset(); got != 6 {
-		t.Fatalf("OldestOffset = %d, want 6", got)
-	}
-	// Logical truncation is exact even mid-segment.
-	if got := l.Len(); got != 6 {
-		t.Fatalf("Len = %d, want 6", got)
-	}
-	if _, ok := l.Get(3); ok {
-		t.Fatal("Get(3) below the floor should miss")
-	}
-	if rec, ok := l.Get(6); !ok || rec.Offset != 6 {
-		t.Fatalf("Get(6) at the floor = %+v, %v", rec, ok)
-	}
-	if recs := l.Records(0); recs[0].Offset != 6 {
-		t.Fatalf("Records(0) starts at %d, want 6", recs[0].Offset)
 	}
 }
 
@@ -248,7 +229,7 @@ func TestCompactionKeepsLatestPerKey(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%d", i%3), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if l.CompactedRecords() == 0 {
+	if len(l.Records(0)) == 16 {
 		t.Fatal("compaction never fired")
 	}
 	// Latest record of each key must be retained with its payload.
@@ -316,18 +297,15 @@ func TestCompactionProperty(t *testing.T) {
 	}
 
 	for _, c := range compacted.Records(0) {
-		p, ok := plain.Get(c.Offset)
+		p, ok := recordAt(plain, c.Offset)
 		if !ok || p.Key != c.Key || !bytes.Equal(p.Payload, c.Payload) {
 			t.Fatalf("retained record %d (%q,%q) is not the twin's (%q,%q)",
 				c.Offset, c.Key, c.Payload, p.Key, p.Payload)
 		}
 	}
 
-	if compacted.CompactedRecords() == 0 {
-		t.Fatal("property run never exercised compaction")
-	}
-	if compacted.Len() >= plain.Len() {
-		t.Fatalf("compacted log (%d) not smaller than plain (%d)", compacted.Len(), plain.Len())
+	if nc, np := len(compacted.Records(0)), len(plain.Records(0)); nc >= np {
+		t.Fatalf("compacted log (%d) not smaller than plain (%d): compaction never ran", nc, np)
 	}
 }
 
@@ -378,7 +356,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := r.Len(); got != 4 {
+	if got := len(r.Records(0)); got != 4 {
 		t.Fatalf("recovered %d records, want 4 (torn tail truncated)", got)
 	}
 	// The store-side tail was truncated too.
@@ -430,11 +408,11 @@ func TestFileStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen log: %v", err)
 	}
-	if got := r.Len(); got != 10 {
-		t.Fatalf("reopened Len = %d, want 10", got)
+	if got := len(r.Records(0)); got != 10 {
+		t.Fatalf("reopened log holds %d records, want 10", got)
 	}
-	if rec, ok := r.Get(9); !ok || string(rec.Payload) != "v9" {
-		t.Fatalf("Get(9) = %+v, %v", rec, ok)
+	if rec, ok := recordAt(r, 9); !ok || string(rec.Payload) != "v9" {
+		t.Fatalf("recordAt(9) = %+v, %v", rec, ok)
 	}
 }
 

@@ -43,8 +43,8 @@ type SegmentStore interface {
 // ErrNoSegment reports access to a segment the store does not hold.
 var ErrNoSegment = errors.New("commitlog: no such segment")
 
-// MemStore is the in-memory SegmentStore the simulation runs on: the
-// etcd watch history, status bus and mongo oplog logs all ride it.
+// MemStore is the in-memory SegmentStore the simulation runs on: with
+// no DataDir, the mongo oplog and the learner logs ride it.
 // It is safe for concurrent use, though the owning Log serializes
 // writes anyway.
 type MemStore struct {

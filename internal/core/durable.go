@@ -20,11 +20,12 @@ import (
 //	<DataDir>/learner-logs/<jobID>/   one log per job's learner lines
 //
 // With DataDir unset every log rides a MemStore and nothing survives
-// the process — the simulation default. The etcd watch history keeps
-// its Raft-snapshot persistence and is intentionally not in DataDir:
-// the coordination state it indexes (learner keys, control verbs) is
-// itself rebuilt from scratch on a cold restart, so durable watch
-// offsets would resume into a world that no longer matches them.
+// the process — the simulation default. The etcd watch history is not
+// a log here: it persists only inside Raft snapshots and is
+// intentionally not in DataDir. The coordination state it indexes
+// (learner keys, control verbs) is itself rebuilt from scratch on a
+// cold restart, so durable watch revisions would resume into a world
+// that no longer matches them.
 
 // Log directory names under DataDir.
 const (

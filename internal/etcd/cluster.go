@@ -30,19 +30,6 @@ type Options struct {
 	// ProposalTimeout bounds how long a client call waits for commit.
 	// Defaults to 5s.
 	ProposalTimeout time.Duration
-	// WatchHistory is the hard cap on retained watch events per replica
-	// — the memory bound on the event log. A watcher resuming past the
-	// retained window (see CompactRevisions) gets an EventResync instead
-	// of a replay; it never sees a silent gap. Defaults to 1024.
-	// See docs/watch-protocol.md ("etcd WatchStream" layer).
-	WatchHistory int
-	// CompactRevisions is the revision-based retention window for the
-	// watch event log: events older than the last CompactRevisions
-	// revisions are compacted away even while the WatchHistory entry cap
-	// has room, and the retained log is persisted inside Raft snapshots
-	// so Watch(fromRevision) replays across snapshot restore and leader
-	// failover without forcing a resync. Defaults to 4096.
-	CompactRevisions int
 	// WatchHealthInterval is the per-stream failure-detection tick: how
 	// often an attached WatchStream audits its source replica for
 	// isolation, stuckness or buffer overflow. It bounds failover
@@ -76,12 +63,6 @@ func (o *Options) defaults() {
 	if o.ProposalTimeout <= 0 {
 		o.ProposalTimeout = 5 * time.Second
 	}
-	if o.WatchHistory <= 0 {
-		o.WatchHistory = 1024
-	}
-	if o.CompactRevisions <= 0 {
-		o.CompactRevisions = 4096
-	}
 	if o.WatchHealthInterval <= 0 {
 		o.WatchHealthInterval = o.TickInterval * 4
 	}
@@ -102,7 +83,6 @@ type Cluster struct {
 	lastRev atomic.Uint64 // highest revision returned to any client
 	mu      sync.Mutex
 	waiters map[uint64]chan result
-	applied map[uint64]result // request dedup cache (mirrors leader's view)
 
 	// Group commit: propose() enqueues commands here and the batch loop
 	// drains the queue into one batch envelope per Raft entry, so K
@@ -157,7 +137,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		opts:      opts,
 		transport: newMemTransport(),
 		waiters:   make(map[uint64]chan result),
-		applied:   make(map[uint64]result),
 		batchCh:   make(chan struct{}, 1),
 		leaderSig: make(chan struct{}),
 		leaseCh:   make(chan struct{}, 1),
@@ -173,7 +152,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	rng := sim.NewRNG(opts.Seed)
 	for i := 0; i < opts.Replicas; i++ {
-		st := newStoreState(opts.Clock.Now, opts.WatchHistory, opts.CompactRevisions)
+		st := newStoreState(opts.Clock.Now)
 		cfg := Config{
 			ID: i, Peers: peers,
 			SnapshotThreshold: opts.SnapshotThreshold,
@@ -253,9 +232,6 @@ func (c *Cluster) applyOne(st *storeState, cmd *command) {
 		}
 	}
 	c.mu.Lock()
-	if _, ok := c.applied[cmd.ReqID]; !ok {
-		c.applied[cmd.ReqID] = res
-	}
 	w := c.waiters[cmd.ReqID]
 	delete(c.waiters, cmd.ReqID)
 	c.mu.Unlock()
@@ -529,19 +505,18 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 			c.noteRev(res.rev)
 			return res, res.err
 		case <-t.C:
-			// Check for dedup-applied result (another replica applied
-			// and the waiter raced), then re-enqueue: leadership may
-			// have moved before commit.
+			// Re-enqueue below: leadership may have moved before commit.
 		case <-c.stopCh:
 			t.Stop()
 			return result{}, ErrStopped
 		}
-		c.mu.Lock()
-		res, done := c.applied[cmd.ReqID]
-		c.mu.Unlock()
-		if done {
+		// The first apply delivers to ch; one that landed as the timer
+		// fired spares the re-proposal.
+		select {
+		case res := <-ch:
 			c.noteRev(res.rev)
 			return res, res.err
+		default:
 		}
 		if clk.Now().After(deadline) {
 			return result{}, ErrTimeout

@@ -456,8 +456,8 @@ func (n *node) sendAppendLocked(to int) {
 		return
 	}
 	from := n.sendFrom(to)
-	prevIdx := from - 1
-	prevTerm, ok := n.termAt(prevIdx)
+	prevIndex := from - 1
+	prevTerm, ok := n.termAt(prevIndex)
 	if !ok {
 		// Frontier compacted away since the last send: fall back to the
 		// snapshot path on the next heartbeat.
@@ -467,10 +467,10 @@ func (n *node) sendAppendLocked(to int) {
 	entries := n.entriesFrom(from)
 	// An empty append doubles as heartbeat and as a probe of the
 	// pipeline frontier: if an in-flight append was lost, the follower
-	// rejects prevIdx and the leader backs up and re-ships.
+	// rejects prevIndex and the leader backs up and re-ships.
 	n.transport.Send(&Message{
 		Kind: MsgAppend, From: n.id, To: to, Term: n.currentTerm,
-		PrevLogIndex: prevIdx, PrevLogTerm: prevTerm,
+		PrevLogIndex: prevIndex, PrevLogTerm: prevTerm,
 		Entries: entries, LeaderCommit: n.commitIndex,
 	})
 	n.msgsSent++

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/ffdl/ffdl/internal/commitlog"
 )
 
 // KV is a key-value pair with MVCC metadata.
@@ -118,22 +116,14 @@ type storeState struct {
 	now        func() time.Time
 	appliedReq map[uint64]result
 
-	// hist retains recent events so a resuming watcher can replay from a
-	// revision instead of re-listing. It rides the platform's commit
-	// log (internal/commitlog): events append as records whose
-	// in-memory Value is the Event, and revIdx maps each revision to
-	// its first log offset so trims and replays land on revision
-	// boundaries (multi-key deletes emit several events at one
-	// revision; splitting them would corrupt a replay). Retention is
-	// revision-window-based (compactRevs) with histCap as the hard
-	// entry-count bound, enforced with TruncateBefore. A resume older
-	// than the retained floor gets a resync instead. The retained log
-	// rides along in Raft snapshots, so replay survives snapshot
-	// restore and leader failover.
-	hist        *commitlog.Log
-	revIdx      []revOff
-	histCap     int
-	compactRevs int
+	// hist retains recent events, oldest first, so a resuming watcher
+	// can replay from a revision instead of re-listing; a resume older
+	// than hist[0] gets a resync instead. hist[0] always starts a
+	// revision (multi-key deletes emit several events at one revision;
+	// splitting them would corrupt a replay). The slice rides along in
+	// Raft snapshots, so replay survives snapshot restore and leader
+	// failover.
+	hist []Event
 	// restores counts snapshot restores applied to this replica
 	// (Cluster.SnapshotRestores).
 	restores uint64
@@ -157,35 +147,19 @@ type watcher struct {
 	overflowed bool
 }
 
-// revOff maps a revision to the log offset of its first event.
-type revOff struct {
-	rev uint64
-	off uint64
-}
+// watchHistory is the retention floor of a replica's watch history:
+// once that many events exist, at least watchHistory are retained, and
+// at most twice that (unless one revision alone emits more).
+const watchHistory = 1024
 
-// newHistLog opens the in-memory event log watch history rides on.
-// Compaction stays off: replay completeness within the retained window
-// is the whole point, so retention is explicit TruncateBefore at
-// revision boundaries rather than latest-per-key.
-func newHistLog() *commitlog.Log {
-	l, err := commitlog.Open(commitlog.NewMemStore(), commitlog.Options{SegmentRecords: 512})
-	if err != nil {
-		panic(fmt.Sprintf("etcd: hist log open on empty store cannot fail: %v", err))
-	}
-	return l
-}
-
-func newStoreState(now func() time.Time, histCap, compactRevs int) *storeState {
+func newStoreState(now func() time.Time) *storeState {
 	return &storeState{
-		kv:          make(map[string]KV),
-		leases:      make(map[int64]*leaseRec),
-		watchers:    make(map[int]*watcher),
-		now:         now,
-		appliedReq:  make(map[uint64]result),
-		hist:        newHistLog(),
-		histCap:     histCap,
-		compactRevs: compactRevs,
-		applySig:    make(chan struct{}),
+		kv:         make(map[string]KV),
+		leases:     make(map[int64]*leaseRec),
+		watchers:   make(map[int]*watcher),
+		now:        now,
+		appliedReq: make(map[uint64]result),
+		applySig:   make(chan struct{}),
 	}
 }
 
@@ -357,76 +331,34 @@ func (w *watcher) matches(key string) bool {
 	return key == w.key
 }
 
-// appendHistLocked records an event and compacts the log: events older
-// than the CompactRevisions window are dropped, and the WatchHistory
-// entry cap bounds memory. Trims happen at revision boundaries so
-// replay never starts mid-revision.
+// appendHistLocked records an event in place. Once the history holds
+// 2*watchHistory events, the newest watchHistory are copied down, the
+// cut moved back to the start of its revision; steady-state appends
+// therefore allocate nothing.
 func (s *storeState) appendHistLocked(ev Event) {
-	if s.histCap <= 0 {
+	s.hist = append(s.hist, ev)
+	if len(s.hist) < 2*watchHistory {
 		return
 	}
-	off, err := s.hist.AppendValue(ev.KV.Key, ev)
-	if err != nil {
-		return // unreachable on a MemStore
+	cut := len(s.hist) - watchHistory
+	for cut > 0 && s.hist[cut-1].Revision == s.hist[cut].Revision {
+		cut--
 	}
-	if n := len(s.revIdx); n == 0 || s.revIdx[n-1].rev != ev.Revision {
-		s.revIdx = append(s.revIdx, revOff{rev: ev.Revision, off: off})
-	}
-	s.compactHistLocked()
-}
-
-// compactHistLocked trims the event log to the revision window and the
-// entry cap. Both cuts land on revision boundaries (multi-key deletes
-// emit several events at one revision; splitting them would corrupt a
-// replay). Retained record counts are plain offset arithmetic: the
-// history log never key-compacts, so offsets are contiguous.
-func (s *storeState) compactHistLocked() {
-	oldest, next := s.hist.OldestOffset(), s.hist.NextOffset()
-	cutOff := oldest
-	if s.rev > uint64(s.compactRevs) {
-		floor := s.rev - uint64(s.compactRevs)
-		// First revision past the window's floor; everything below its
-		// offset is outside the replay window.
-		i := sort.Search(len(s.revIdx), func(i int) bool { return s.revIdx[i].rev > floor })
-		if i < len(s.revIdx) {
-			cutOff = s.revIdx[i].off
-		} else if len(s.revIdx) > 0 {
-			cutOff = next // whole retained log is below the floor
-		}
-	}
-	if retained := next - cutOff; retained > uint64(s.histCap) {
-		target := next - uint64(s.histCap)
-		// Round the cap cut up to the next revision boundary.
-		i := sort.Search(len(s.revIdx), func(i int) bool { return s.revIdx[i].off >= target })
-		if i < len(s.revIdx) {
-			cutOff = s.revIdx[i].off
-		} else {
-			cutOff = next
-		}
-	}
-	if cutOff <= oldest {
-		return
-	}
-	if err := s.hist.TruncateBefore(cutOff); err != nil {
-		return // unreachable on a MemStore
-	}
-	j := sort.Search(len(s.revIdx), func(i int) bool { return s.revIdx[i].off >= cutOff })
-	s.revIdx = append(s.revIdx[:0], s.revIdx[j:]...)
+	n := copy(s.hist, s.hist[cut:])
+	clear(s.hist[n:])
+	s.hist = s.hist[:n]
 }
 
 // histReplayLocked returns the retained events with Revision >= fromRev
 // that match w, or ok=false when fromRev predates the retained floor
 // (the caller resyncs from current state instead).
 func (s *storeState) histReplayLocked(w *watcher, fromRev uint64) (backlog []Event, ok bool) {
-	if len(s.revIdx) == 0 || s.revIdx[0].rev > fromRev {
+	if len(s.hist) == 0 || s.hist[0].Revision > fromRev {
 		return nil, false
 	}
-	i := sort.Search(len(s.revIdx), func(i int) bool { return s.revIdx[i].rev >= fromRev })
-	if i == len(s.revIdx) {
-		return nil, true // fromRev is past every retained event: nothing to replay
-	}
-	for _, rec := range s.hist.Records(s.revIdx[i].off) {
-		if ev, isEv := rec.Value.(Event); isEv && ev.Revision >= fromRev && w.matches(ev.KV.Key) {
+	i := sort.Search(len(s.hist), func(i int) bool { return s.hist[i].Revision >= fromRev })
+	for _, ev := range s.hist[i:] {
+		if w.matches(ev.KV.Key) {
 			backlog = append(backlog, ev)
 		}
 	}
@@ -560,15 +492,9 @@ func (s *storeState) snapshot() []byte {
 		snap.Applied = append(snap.Applied, id)
 	}
 	sort.Slice(snap.Applied, func(i, j int) bool { return snap.Applied[i] < snap.Applied[j] })
-	// The compacted event log rides along so a replica rebuilt from
-	// this snapshot can still replay watches from old revisions. The
-	// snapshot carries decoded events, not log segments — the gob
-	// format predates the commit-log port and stays unchanged.
-	for _, rec := range s.hist.Records(0) {
-		if ev, ok := rec.Value.(Event); ok {
-			snap.Hist = append(snap.Hist, ev)
-		}
-	}
+	// The watch history rides along so a replica rebuilt from this
+	// snapshot can still replay watches from old revisions.
+	snap.Hist = s.hist
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		panic(fmt.Sprintf("etcd: snapshot encode: %v", err)) // cannot fail for these types
 	}
@@ -600,23 +526,10 @@ func (s *storeState) restore(data []byte) {
 	for _, id := range snap.Applied {
 		s.appliedReq[id] = result{}
 	}
-	// Adopt the snapshot's persisted event log: a watcher resuming
-	// against this freshly-restored replica replays from its revision
-	// instead of resyncing. The replica re-appends into a fresh commit
-	// log — offsets are replica-local, revisions are the resume tokens
-	// that survive the restore.
-	s.hist = newHistLog()
-	s.revIdx = s.revIdx[:0]
-	for _, ev := range snap.Hist {
-		off, err := s.hist.AppendValue(ev.KV.Key, ev)
-		if err != nil {
-			break // unreachable on a MemStore
-		}
-		if n := len(s.revIdx); n == 0 || s.revIdx[n-1].rev != ev.Revision {
-			s.revIdx = append(s.revIdx, revOff{rev: ev.Revision, off: off})
-		}
-	}
-	s.compactHistLocked()
+	// Adopt the snapshot's watch history: a watcher resuming against
+	// this freshly-restored replica replays from its revision instead of
+	// resyncing.
+	s.hist = snap.Hist
 	s.restores++
 }
 
@@ -633,8 +546,7 @@ type storeSnapshot struct {
 	NextLease int64
 	Leases    []leaseSnapshot
 	Applied   []uint64
-	// Hist is the compacted watch event log (empty when history
-	// persistence is disabled).
+	// Hist is the replica's watch history, oldest first.
 	Hist []Event
 }
 

@@ -1,9 +1,6 @@
 package etcd
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // WatchStream is a resumable, fault-tolerant event stream over a key or
 // prefix. It is the watch primitive the control plane builds on (§3.3,
@@ -15,12 +12,12 @@ import (
 //   - The stream survives leader changes and replica crashes: it tracks
 //     the last delivered revision and re-attaches to a live replica,
 //     replaying the gap from the replica's retained event history.
-//   - Replay works across snapshot restore: each replica's retained
-//     event log (Options.CompactRevisions window, Options.WatchHistory
-//     cap) is persisted inside Raft snapshots, so a stream re-attaching
-//     to a freshly-restored replica still replays rather than resyncs.
+//   - Replay works across snapshot restore: each replica's watch
+//     history (at least the last 1024 events) is persisted inside Raft
+//     snapshots, so a stream re-attaching to a freshly-restored replica
+//     still replays rather than resyncs.
 //   - Buffers are bounded. If the consumer falls so far behind that the
-//     gap cannot be replayed (history compacted), the stream delivers an
+//     gap cannot be replayed (history trimmed), the stream delivers an
 //     EventResync marker followed by the current state under the watched
 //     key/prefix as EventPut events, then continues live. Consumers may
 //     therefore miss intermediate transitions but always converge on
@@ -38,8 +35,6 @@ type WatchStream struct {
 	ch       chan Event
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	lastRev  atomic.Uint64
-	resyncs  atomic.Uint64
 }
 
 // attachment is one live registration of a stream on a replica.
@@ -56,15 +51,6 @@ func (ws *WatchStream) Events() <-chan Event { return ws.ch }
 
 // Cancel releases the stream; the Events channel is closed.
 func (ws *WatchStream) Cancel() { ws.stopOnce.Do(func() { close(ws.stopCh) }) }
-
-// LastRevision returns the revision of the last delivered event, for
-// callers that persist their own resume cursor.
-func (ws *WatchStream) LastRevision() uint64 { return ws.lastRev.Load() }
-
-// Resyncs returns how many EventResync markers this stream has
-// delivered — i.e. how often its consumer lost replayability and had to
-// converge from synthesized current state.
-func (ws *WatchStream) Resyncs() uint64 { return ws.resyncs.Load() }
 
 // Watch streams events for key (prefix=false) or every key under it
 // (prefix=true), starting at fromRevision (0 = events after the watch is
@@ -211,13 +197,9 @@ func (ws *WatchStream) sourceStuck(src int, cur, last uint64) bool {
 func (ws *WatchStream) deliver(ev Event, fromRev *uint64) bool {
 	select {
 	case ws.ch <- ev:
-		if ev.Type == EventResync {
-			ws.resyncs.Add(1)
-		}
 		if ev.Revision >= *fromRev {
 			*fromRev = ev.Revision + 1
 		}
-		ws.lastRev.Store(ev.Revision)
 		return true
 	case <-ws.stopCh:
 		return false
