@@ -2,15 +2,16 @@ package commitlog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"github.com/ffdl/ffdl/internal/codec"
 )
 
 // Wire layout. The commit log's durable unit is the record frame. It
-// follows the platform's wire discipline: length-prefixed binary with
-// bounded prefixes, and corrupt or truncated input always surfaces
-// as an error — never a panic — pinned by FuzzSegmentRecordRoundtrip.
+// follows the platform's wire discipline (internal/codec: bounded
+// length prefixes, codec.ErrTruncated/ErrCorrupt on bad input, never a
+// panic — pinned by FuzzSegmentRecordRoundtrip).
 //
 // Record frame (segment files are a concatenation of these):
 //
@@ -21,121 +22,59 @@ import (
 // compaction rewrites sealed segments with holes where superseded
 // records were dropped. The trailing CRC is what makes a torn tail
 // detectable: recovery scans frames sequentially and truncates at the
-// first frame whose bytes are incomplete or whose checksum fails.
+// first frame whose bytes are incomplete (codec.ErrTruncated) or whose
+// checksum fails (codec.ErrCorrupt).
 const recMagic = 0xC1
-
-// maxFrameLen bounds any single length prefix (key, payload) so a
-// corrupt frame cannot demand an absurd allocation before the
-// corruption is noticed.
-const maxFrameLen = 1 << 26
-
-// Codec errors. ErrTruncated specifically marks input that ends
-// mid-frame — recovery treats it (and CRC mismatch) as the torn tail.
-var (
-	ErrTruncated = errors.New("commitlog: truncated frame")
-	ErrCorrupt   = errors.New("commitlog: corrupt frame")
-)
 
 // appendRecordFrame appends the encoded frame for rec to dst.
 func appendRecordFrame(dst []byte, offset uint64, key string, payload []byte) []byte {
 	start := len(dst)
 	dst = append(dst, recMagic)
 	dst = binary.AppendUvarint(dst, offset)
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
+	dst = codec.AppendString(dst, key)
+	dst = codec.AppendBytes(dst, payload)
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 	return dst
 }
 
-// frameReader walks a buffer of concatenated frames.
-type frameReader struct {
-	buf []byte
-	off int
-}
-
-func (r *frameReader) byte_() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, ErrTruncated
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-// bytes returns a length-prefixed field ALIASING the underlying buffer.
-func (r *frameReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
+// decodeRecordFrame decodes the record frame at the start of data and
+// returns it with the frame's length. Key and payload are copied
+// (segment buffers are recycled by compaction; decoded records must not
+// alias them).
+func decodeRecordFrame(data []byte) (Record, int, error) {
+	r := codec.NewReader(data)
+	magic, err := r.Byte()
 	if err != nil {
-		return nil, err
-	}
-	if n > maxFrameLen {
-		return nil, ErrCorrupt
-	}
-	if uint64(len(r.buf)-r.off) < n {
-		return nil, ErrTruncated
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-// checkCRC verifies the trailing checksum over buf[start:r.off] and
-// consumes it.
-func (r *frameReader) checkCRC(start int) error {
-	if len(r.buf)-r.off < 4 {
-		return ErrTruncated
-	}
-	want := binary.LittleEndian.Uint32(r.buf[r.off:])
-	if crc32.ChecksumIEEE(r.buf[start:r.off]) != want {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	r.off += 4
-	return nil
-}
-
-// decodeRecordFrame decodes one record frame at the reader's position.
-// Key and payload are copied (segment buffers are recycled by
-// compaction; decoded records must not alias them).
-func (r *frameReader) decodeRecordFrame() (Record, error) {
-	start := r.off
-	magic, err := r.byte_()
-	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	if magic != recMagic {
-		return Record{}, fmt.Errorf("%w: bad record magic 0x%02x", ErrCorrupt, magic)
+		return Record{}, 0, fmt.Errorf("%w: bad record magic 0x%02x", codec.ErrCorrupt, magic)
 	}
 	var rec Record
-	if rec.Offset, err = r.uvarint(); err != nil {
-		return Record{}, err
+	if rec.Offset, err = r.Uvarint(); err != nil {
+		return Record{}, 0, err
 	}
-	key, err := r.bytes()
+	key, err := r.Bytes()
 	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
-	payload, err := r.bytes()
+	payload, err := r.Bytes()
 	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
-	if err := r.checkCRC(start); err != nil {
-		return Record{}, err
+	sum := crc32.ChecksumIEEE(data[:r.Off()])
+	crc, err := r.Fixed(4)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	if binary.LittleEndian.Uint32(crc) != sum {
+		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", codec.ErrCorrupt)
 	}
 	rec.Key = string(key)
 	if len(payload) > 0 {
 		rec.Payload = append([]byte(nil), payload...)
 	}
-	return rec, nil
+	return rec, r.Off(), nil
 }
 
 // decodeSegment decodes every intact record frame in data, returning
@@ -144,14 +83,13 @@ func (r *frameReader) decodeRecordFrame() (Record, error) {
 // parsed) — callers recovering from a crash truncate to validLen;
 // callers reading a buffer that must be whole treat tornErr as fatal.
 func decodeSegment(data []byte) (recs []Record, validLen int, tornErr error) {
-	r := frameReader{buf: data}
-	for r.off < len(data) {
-		rec, err := r.decodeRecordFrame()
+	for validLen < len(data) {
+		rec, n, err := decodeRecordFrame(data[validLen:])
 		if err != nil {
 			return recs, validLen, err
 		}
 		recs = append(recs, rec)
-		validLen = r.off
+		validLen += n
 	}
 	return recs, validLen, nil
 }

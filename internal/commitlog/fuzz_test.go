@@ -2,8 +2,46 @@ package commitlog
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"testing"
+
+	"github.com/ffdl/ffdl/internal/codec"
 )
+
+// TestRecordFrameGoldenBytes pins the segment file layout byte for
+// byte: a keyed frame with a payload, then an empty one.
+func TestRecordFrameGoldenBytes(t *testing.T) {
+	data := appendRecordFrame(nil, 300, "job-1", []byte("payload"))
+	data = appendRecordFrame(data, 301, "", nil)
+	const want = "c1ac02056a6f622d31077061796c6f6164248ef859c1ad020000c023d2ae"
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("segment bytes changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSegmentTornTailErrors pins how recovery tells a torn tail: a
+// frame cut short is codec.ErrTruncated, a flipped byte inside a whole
+// frame is codec.ErrCorrupt, and both keep the intact prefix.
+func TestSegmentTornTailErrors(t *testing.T) {
+	first := appendRecordFrame(nil, 1, "a", []byte("x"))
+	data := appendRecordFrame(append([]byte(nil), first...), 2, "b", []byte("y"))
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-5] ^= 0xFF // the second payload byte
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"cut", data[:len(data)-1], codec.ErrTruncated},
+		{"flipped", flipped, codec.ErrCorrupt},
+	} {
+		recs, validLen, err := decodeSegment(tc.data)
+		if !errors.Is(err, tc.want) || len(recs) != 1 || validLen != len(first) {
+			t.Fatalf("%s: %d records, validLen %d, err %v; want 1, %d, %v", tc.name, len(recs), validLen, err, len(first), tc.want)
+		}
+	}
+}
 
 // FuzzSegmentRecordRoundtrip feeds arbitrary bytes through the segment
 // decoder: it must never panic, and whatever it accepts must survive a

@@ -159,7 +159,7 @@ func tortureOne(cfg *TortureConfig, ref *tortureRef, dir string, crashAt int64, 
 	}
 	fault := NewFaultStore(fs, crashAt)
 	if cfg.Corrupt && crashAt > 2 {
-		back := 1 + rng.Int63n(min64(40, crashAt-1))
+		back := 1 + rng.Int63n(min(40, crashAt-1))
 		fault.CorruptAt(crashAt-back, 0x80|byte(rng.Intn(0x80)))
 	}
 	// A crash during the very first segment create can legally fail
@@ -212,11 +212,4 @@ func endOffset(recs []Record) uint64 {
 		return 0
 	}
 	return recs[len(recs)-1].Offset
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,18 +2,18 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
+	"github.com/ffdl/ffdl/internal/codec"
 	"github.com/ffdl/ffdl/internal/commitlog"
 )
 
 // Durable-log plumbing: where each platform log lives under
-// Config.DataDir, and the payload codec for the learner log lines that
-// must outlive the process. The DataDir layout is one commitlog.FileStore
+// Config.DataDir, and the payload codec (on internal/codec's shared
+// reader) for the learner log lines that must outlive the process. The DataDir layout is one commitlog.FileStore
 // directory per log:
 //
 //	<DataDir>/mongo-oplog/            the metadata store's oplog
@@ -70,95 +70,44 @@ func hasLogDir(dataDir, name string) bool {
 	return err == nil && st.IsDir()
 }
 
-// Learner log line codec. Like the mongo oplog codec, it carries no
-// checksum of its own: commit-log record frames already CRC their
-// payloads.
-
-var errDurableShort = errors.New("core: truncated durable record payload")
-
-const maxDurableLen = 1 << 26
+// Learner log line codec. The payload follows internal/codec's wire
+// rules; like the mongo oplog codec it carries no checksum of its own
+// (commit-log record frames already CRC their payloads). Layout:
+//
+//	JobID | Learner | Offset | Time (unix ns) | Text
 
 // encodeLogLine appends the durable form of a learner log line.
 func encodeLogLine(dst []byte, line LogLine) []byte {
-	dst = appendDurableString(dst, line.JobID)
+	dst = codec.AppendString(dst, line.JobID)
 	dst = binary.AppendVarint(dst, int64(line.Learner))
 	dst = binary.AppendUvarint(dst, line.Offset)
 	dst = binary.AppendVarint(dst, line.Time.UnixNano())
-	return appendDurableString(dst, line.Text)
+	return codec.AppendString(dst, line.Text)
 }
 
 // decodeLogLine parses one durable learner log line.
 func decodeLogLine(data []byte) (LogLine, error) {
-	r := durableReader{buf: data}
+	r := codec.NewReader(data)
 	var line LogLine
 	var err error
-	if line.JobID, err = r.str(); err != nil {
+	if line.JobID, err = r.String(); err != nil {
 		return LogLine{}, err
 	}
-	learner, err := r.varint()
+	learner, err := r.Varint()
 	if err != nil {
 		return LogLine{}, err
 	}
 	line.Learner = int(learner)
-	if line.Offset, err = r.uvarint(); err != nil {
+	if line.Offset, err = r.Uvarint(); err != nil {
 		return LogLine{}, err
 	}
-	ns, err := r.varint()
+	ns, err := r.Varint()
 	if err != nil {
 		return LogLine{}, err
 	}
 	line.Time = time.Unix(0, ns)
-	if line.Text, err = r.str(); err != nil {
+	if line.Text, err = r.String(); err != nil {
 		return LogLine{}, err
 	}
-	return line, r.done()
-}
-
-func appendDurableString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// durableReader is a bounds-checked cursor over an encoded payload.
-type durableReader struct {
-	buf []byte
-	off int
-}
-
-func (r *durableReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, errDurableShort
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *durableReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, errDurableShort
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *durableReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxDurableLen || r.off+int(n) > len(r.buf) {
-		return "", errDurableShort
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *durableReader) done() error {
-	if r.off != len(r.buf) {
-		return fmt.Errorf("core: %d trailing bytes after durable payload", len(r.buf)-r.off)
-	}
-	return nil
+	return line, r.Done()
 }

@@ -2,9 +2,10 @@ package etcd
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/codec"
 )
 
 // Hand-rolled binary codec for replicated commands — the wire format of
@@ -17,8 +18,8 @@ import (
 // pooled) and near-zero allocations on decode (values alias the entry
 // buffer; only key strings are materialized).
 //
-// Layout (all integers varint/uvarint, strings and byte slices
-// uvarint-length-prefixed):
+// Layout (integers, length prefixes and decode errors follow
+// internal/codec):
 //
 //	cmdMagic | op | ReqID | Key | Value | Lease | TTL | flags |
 //	RequestBy [| batch count | sub-commands...]
@@ -36,18 +37,6 @@ import (
 // layout (no magic byte). Nesting is a single level: an opBatch inside
 // a batch is rejected on decode, bounding recursion on corrupt input.
 const cmdMagic = 0xE7
-
-// Decode errors. Corrupt or truncated input always surfaces as an
-// error — never a panic — pinned by FuzzCommandCodecRoundtrip.
-var (
-	errCodecTruncated = errors.New("etcd: codec: truncated input")
-	errCodecCorrupt   = errors.New("etcd: codec: corrupt input")
-)
-
-// maxCodecLen bounds any single length prefix (key, value, batch
-// count) so a corrupt entry cannot demand an absurd allocation before
-// the truncation is noticed.
-const maxCodecLen = 1 << 26
 
 // commandFlag bits.
 const flagPrefix = 1 << 0
@@ -72,10 +61,8 @@ func encodeCommand(dst []byte, cmd *command) []byte {
 func appendCommandBody(dst []byte, cmd *command) []byte {
 	dst = binary.AppendUvarint(dst, uint64(cmd.Op))
 	dst = binary.AppendUvarint(dst, cmd.ReqID)
-	dst = binary.AppendUvarint(dst, uint64(len(cmd.Key)))
-	dst = append(dst, cmd.Key...)
-	dst = binary.AppendUvarint(dst, uint64(len(cmd.Value)))
-	dst = append(dst, cmd.Value...)
+	dst = codec.AppendString(dst, cmd.Key)
+	dst = codec.AppendBytes(dst, cmd.Value)
 	dst = binary.AppendVarint(dst, cmd.Lease)
 	dst = binary.AppendVarint(dst, int64(cmd.TTL))
 	var flags byte
@@ -106,77 +93,27 @@ func commandBodySize(cmd *command) int {
 	return 7*binary.MaxVarintLen64 + 1 + len(cmd.Key) + len(cmd.Value)
 }
 
-// cmdReader walks an encoded command buffer.
-type cmdReader struct {
-	buf []byte
-	off int
-}
-
-func (r *cmdReader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, errCodecTruncated
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *cmdReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, errCodecTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *cmdReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, errCodecTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-// bytes returns a length-prefixed byte field ALIASING the underlying
-// buffer — zero-copy, safe because Raft entries are immutable and the
-// state machine copies values it retains (putLocked).
-func (r *cmdReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxCodecLen {
-		return nil, errCodecCorrupt
-	}
-	if uint64(len(r.buf)-r.off) < n {
-		return nil, errCodecTruncated
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
 // decodeCommandBody decodes one field-layout block into cmd.
-func (r *cmdReader) decodeCommandBody(cmd *command, topLevel bool) error {
-	op, err := r.uvarint()
+func decodeCommandBody(r *codec.Reader, cmd *command, topLevel bool) error {
+	op, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
 	cmd.Op = cmdOp(op)
 	if cmd.Op == opBatch && !topLevel {
-		return fmt.Errorf("%w: nested batch envelope", errCodecCorrupt)
+		return fmt.Errorf("%w: nested batch envelope", codec.ErrCorrupt)
 	}
-	if cmd.ReqID, err = r.uvarint(); err != nil {
+	if cmd.ReqID, err = r.Uvarint(); err != nil {
 		return err
 	}
-	key, err := r.bytes()
+	key, err := r.Bytes()
 	if err != nil {
 		return err
 	}
 	cmd.Key = string(key)
-	val, err := r.bytes()
+	// The value aliases the entry buffer: Raft entries are immutable and
+	// the state machine copies values it retains (putLocked).
+	val, err := r.Bytes()
 	if err != nil {
 		return err
 	}
@@ -185,20 +122,20 @@ func (r *cmdReader) decodeCommandBody(cmd *command, topLevel bool) error {
 	} else {
 		cmd.Value = val
 	}
-	if cmd.Lease, err = r.varint(); err != nil {
+	if cmd.Lease, err = r.Varint(); err != nil {
 		return err
 	}
-	ttl, err := r.varint()
+	ttl, err := r.Varint()
 	if err != nil {
 		return err
 	}
 	cmd.TTL = time.Duration(ttl)
-	flags, err := r.byte()
+	flags, err := r.Byte()
 	if err != nil {
 		return err
 	}
 	cmd.Prefix = flags&flagPrefix != 0
-	reqBy, err := r.varint()
+	reqBy, err := r.Varint()
 	if err != nil {
 		return err
 	}
@@ -212,15 +149,16 @@ func (r *cmdReader) decodeCommandBody(cmd *command, topLevel bool) error {
 // per-replica scratch command, so steady-state decode allocates only
 // key strings). A leading byte other than cmdMagic is corrupt input.
 func decodeCommand(data []byte, cmd *command) error {
-	if len(data) == 0 {
-		return errCodecTruncated
+	r := codec.NewReader(data)
+	magic, err := r.Byte()
+	if err != nil {
+		return err
 	}
-	if data[0] != cmdMagic {
-		return fmt.Errorf("%w: leading byte %#x is not the command magic", errCodecCorrupt, data[0])
+	if magic != cmdMagic {
+		return fmt.Errorf("%w: leading byte %#x is not the command magic", codec.ErrCorrupt, magic)
 	}
-	r := cmdReader{buf: data, off: 1}
 	scratch := cmd.Batch[:0]
-	if err := r.decodeCommandBody(cmd, true); err != nil {
+	if err := decodeCommandBody(&r, cmd, true); err != nil {
 		return err
 	}
 	// Retain the caller's Batch backing array across single-command
@@ -228,33 +166,22 @@ func decodeCommand(data []byte, cmd *command) error {
 	// reuse it.
 	cmd.Batch = scratch
 	if cmd.Op == opBatch {
-		n, err := r.uvarint()
+		n, err := r.Count()
 		if err != nil {
 			return err
 		}
-		if n > maxCodecLen {
-			return errCodecCorrupt
-		}
-		// Each sub-command is at least ~12 bytes; cheap sanity bound
-		// before allocating.
-		if n > uint64(len(data)) {
-			return errCodecTruncated
-		}
-		if uint64(cap(scratch)) >= n {
+		if cap(scratch) >= n {
 			cmd.Batch = scratch[:n]
 		} else {
 			cmd.Batch = make([]command, n)
 		}
 		for i := range cmd.Batch {
-			if err := r.decodeCommandBody(&cmd.Batch[i], false); err != nil {
+			if err := decodeCommandBody(&r, &cmd.Batch[i], false); err != nil {
 				return err
 			}
 		}
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", errCodecCorrupt, len(data)-r.off)
-	}
-	return nil
+	return r.Done()
 }
 
 // encodeEntry serializes one proposal (a single command or a batch

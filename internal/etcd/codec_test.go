@@ -3,9 +3,12 @@ package etcd
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/codec"
 )
 
 // commandEqual compares commands treating nil and empty byte slices /
@@ -62,6 +65,21 @@ func TestCommandCodecRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCommandCodecGoldenBytes pins the entry layout byte for byte: a
+// batch envelope holding a Put, a prefix Delete and a GrantLease.
+func TestCommandCodecGoldenBytes(t *testing.T) {
+	cmd := command{Op: opBatch, ReqID: 300, Batch: []command{
+		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), Lease: -2, ReqID: 7, RequestBy: 3},
+		{Op: opDelete, Key: "jobs/", Prefix: true, ReqID: 1 << 40},
+		{Op: opGrantLease, TTL: 30 * time.Second, ReqID: 9},
+	}}
+	const want = "e762ac020000000000000301070d6a6f62732f782f7374617475730a50524f43455353494e47030000060280808080802005" +
+		"6a6f62732f0000000100030900000080b09dc2df010000"
+	if got := hex.EncodeToString(encodeEntry(&cmd)); got != want {
+		t.Fatalf("entry bytes changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 // gobCommand returns cmd in the seed's gob entry encoding, the one
 // foreign format a log could ever have held.
 func gobCommand(t testing.TB, cmd *command) []byte {
@@ -75,13 +93,13 @@ func gobCommand(t testing.TB, cmd *command) []byte {
 
 // TestCommandCodecRejectsForeignEntries pins that the binary layout is
 // the only entry format: a gob-encoded command, and any entry whose
-// first byte is not cmdMagic, decode to errCodecCorrupt — never a
+// first byte is not cmdMagic, decode to codec.ErrCorrupt — never a
 // panic, never a half-filled command.
 func TestCommandCodecRejectsForeignEntries(t *testing.T) {
 	var scratch command
 	for _, want := range codecCases() {
-		if err := decodeCommand(gobCommand(t, &want), &scratch); !errors.Is(err, errCodecCorrupt) {
-			t.Fatalf("gob-encoded %+v: err = %v, want errCodecCorrupt", want, err)
+		if err := decodeCommand(gobCommand(t, &want), &scratch); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("gob-encoded %+v: err = %v, want codec.ErrCorrupt", want, err)
 		}
 	}
 	valid := encodeCommand(nil, &command{Op: opPut, Key: "k", Value: []byte("v"), ReqID: 1})
@@ -90,8 +108,8 @@ func TestCommandCodecRejectsForeignEntries(t *testing.T) {
 			continue
 		}
 		data := append([]byte{byte(b)}, valid[1:]...)
-		if err := decodeCommand(data, &scratch); !errors.Is(err, errCodecCorrupt) {
-			t.Fatalf("leading byte %#x: err = %v, want errCodecCorrupt", b, err)
+		if err := decodeCommand(data, &scratch); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("leading byte %#x: err = %v, want codec.ErrCorrupt", b, err)
 		}
 	}
 }

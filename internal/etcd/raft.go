@@ -589,7 +589,7 @@ func (n *node) handleAppendLocked(m *Message) {
 		}
 	}
 	if m.LeaderCommit > n.commitIndex {
-		n.commitIndex = min64(m.LeaderCommit, n.lastIndex())
+		n.commitIndex = min(m.LeaderCommit, n.lastIndex())
 		n.applyCommittedLocked()
 	}
 	n.transport.Send(&Message{
@@ -747,11 +747,4 @@ func (n *node) appliedAtLeast(idx uint64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lastApplied >= idx
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

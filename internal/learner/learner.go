@@ -44,8 +44,6 @@ const (
 	readyPattern = "learners/%d/ready"
 	// LogFile accumulates stdout.
 	logPattern = "learners/%d/stdout.log"
-	// progressPattern records the iteration counter for monitoring.
-	progressPattern = "learners/%d/progress"
 )
 
 // Status strings written to the volume.
@@ -117,11 +115,10 @@ func New(spec Spec) *Process {
 }
 
 // path helpers
-func (p *Process) statusPath() string   { return fmt.Sprintf(statusPattern, p.spec.Ordinal) }
-func (p *Process) exitPath() string     { return fmt.Sprintf(exitPattern, p.spec.Ordinal) }
-func (p *Process) readyPath() string    { return fmt.Sprintf(readyPattern, p.spec.Ordinal) }
-func (p *Process) logPath() string      { return fmt.Sprintf(logPattern, p.spec.Ordinal) }
-func (p *Process) progressPath() string { return fmt.Sprintf(progressPattern, p.spec.Ordinal) }
+func (p *Process) statusPath() string { return fmt.Sprintf(statusPattern, p.spec.Ordinal) }
+func (p *Process) exitPath() string   { return fmt.Sprintf(exitPattern, p.spec.Ordinal) }
+func (p *Process) readyPath() string  { return fmt.Sprintf(readyPattern, p.spec.Ordinal) }
+func (p *Process) logPath() string    { return fmt.Sprintf(logPattern, p.spec.Ordinal) }
 
 func (p *Process) setStatus(s string) {
 	p.spec.Volume.WriteFile(p.statusPath(), []byte(s)) //nolint:errcheck // volume release races job teardown
@@ -267,7 +264,6 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 		if iter%logEvery == 0 || iter == p.spec.Iterations {
 			p.logf("iteration %d/%d loss=%.4f images/sec=%.1f",
 				iter, p.spec.Iterations, 4.0/float64(1+iter), thpt)
-			p.spec.Volume.WriteFile(p.progressPath(), []byte(strconv.Itoa(iter))) //nolint:errcheck
 		}
 		if p.spec.CheckpointEvery > 0 && iter%p.spec.CheckpointEvery == 0 && p.spec.Ordinal == 0 {
 			if err := p.checkpoint(iter); err != nil {
@@ -332,11 +328,4 @@ func (p *Process) checkpoint(iter int) error {
 // loaded).
 func (p *Process) modelBytes(iter int) []byte {
 	return []byte(fmt.Sprintf("model(%s@%d)", p.spec.JobID, iter))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package learner
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -225,19 +224,22 @@ func TestResumeFromLatestCheckpoint(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	// Progress file shows it trained 31..40, not from 1.
-	prog, err := f.vol.ReadFile("learners/0/progress")
+	logData, err := f.vol.ReadFile("learners/0/stdout.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := strconv.Atoi(string(prog))
-	if n != 40 {
-		t.Fatalf("final progress = %d", n)
-	}
+	log := string(logData)
 	// Log mentions the resume.
-	logData, _ := f.vol.ReadFile("learners/0/stdout.log")
-	if !strings.Contains(string(logData), "resuming from checkpoint at iteration 30") {
-		t.Fatalf("log missing resume line:\n%s", logData)
+	if !strings.Contains(log, "resuming from checkpoint at iteration 30") {
+		t.Fatalf("log missing resume line:\n%s", log)
+	}
+	// The iteration lines (one every 4) show it trained 31..40, not
+	// from 1.
+	for iter := 4; iter <= 40; iter += 4 {
+		line := fmt.Sprintf("iteration %d/40 ", iter)
+		if trained := iter > 30; strings.Contains(log, line) != trained {
+			t.Fatalf("log has %q = %v, want %v (resume trains 31..40 only):\n%s", line, !trained, trained, log)
+		}
 	}
 }
 

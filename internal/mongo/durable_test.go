@@ -1,13 +1,17 @@
 package mongo
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/ffdl/ffdl/internal/codec"
 	"github.com/ffdl/ffdl/internal/commitlog"
 )
 
@@ -97,6 +101,121 @@ func TestOpCodecCorruptInputErrors(t *testing.T) {
 			t.Fatalf("decodeOp accepted truncation at %d", cut)
 		}
 	}
+}
+
+// TestOpCodecGoldenBytes pins the oplog entry layout byte for byte:
+// one value of every tag (each document holds one key, so map order
+// cannot reorder the bytes), and a document-less op.
+func TestOpCodecGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		o    op
+		want string
+	}{
+		{op{Seq: 300, Kind: "update", Coll: "jobs", Doc: Doc{"v": []any{nil, "s", -3, int32(4), int64(-5), uint64(6),
+			float32(1.5), 2.5, true, false, Doc{"k": "x"}, []string{"a", "b"}}}},
+			"ac0206757064617465046a6f627300090101760a0c000101730205030804090506063fc00000074004000000000000080108000901016b0101780b0201610162"},
+		{op{Seq: 1, Kind: "delete", Coll: "c", ID: "id"}, "010664656c657465016302696400"},
+	} {
+		buf, err := encodeOp(nil, tc.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf); got != tc.want {
+			t.Fatalf("oplog bytes changed for %+v:\n got %s\nwant %s", tc.o, got, tc.want)
+		}
+	}
+}
+
+// nestedListOp returns an encoded op whose document nests depth
+// containers: the op document holds one list, nested depth-1 lists
+// deep, the innermost holding a nil.
+func nestedListOp(depth int) []byte {
+	buf := make([]byte, 0, 7+2*depth)
+	buf = append(buf, 0, 0, 0, 0)   // Seq, Kind, Coll, ID
+	buf = append(buf, opvDoc, 1, 0) // one field, empty key
+	for i := 1; i < depth; i++ {
+		buf = append(buf, opvList, 1)
+	}
+	return append(buf, opvNil)
+}
+
+// TestOpCodecRejectsDeepNesting pins the nesting cap on both sides of
+// the codec: a payload nested past maxOpDepth decodes to
+// codec.ErrCorrupt instead of recursing once per level (20M levels used
+// to overflow the stack and kill the process on recovery), and a
+// document that deep is refused at the write.
+func TestOpCodecRejectsDeepNesting(t *testing.T) {
+	if _, err := decodeOp(nestedListOp(maxOpDepth)); err != nil {
+		t.Fatalf("decode of %d nested containers: %v", maxOpDepth, err)
+	}
+	for _, depth := range []int{maxOpDepth + 1, 20_000_000} {
+		if _, err := decodeOp(nestedListOp(depth)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("decode of %d nested containers: err = %v, want codec.ErrCorrupt", depth, err)
+		}
+	}
+	var v any = "leaf"
+	for i := 1; i < maxOpDepth; i++ {
+		v = []any{v}
+	}
+	if _, err := encodeOp(nil, op{Kind: "insert", Coll: "c", Doc: Doc{"v": v}}); err != nil {
+		t.Fatalf("encode of a document nesting %d containers: %v", maxOpDepth, err)
+	}
+	if _, err := encodeOp(nil, op{Kind: "insert", Coll: "c", Doc: Doc{"v": []any{v}}}); !errors.Is(err, errOpEncType) {
+		t.Fatalf("encode of a document nesting %d containers: err = %v, want errOpEncType", maxOpDepth+1, err)
+	}
+}
+
+// FuzzOplogOpRoundtrip fuzzes the oplog codec three ways:
+//
+//  1. an op carrying one value of every tag, nested nest levels deep,
+//     round-trips with its dynamic types preserved — re-encoding the
+//     decoded op reproduces the bytes (every value carries its type
+//     tag) and, NaN aside, the op is DeepEqual; nesting past
+//     maxOpDepth is refused at encode;
+//  2. every proper prefix of the encoding errors;
+//  3. decoding arbitrary bytes never panics.
+func FuzzOplogOpRoundtrip(f *testing.F) {
+	f.Add(uint64(1), "insert", "jobs", "training-000001", "PENDING", int64(-7), 2.5, true, uint8(2), uint(3), []byte{})
+	f.Add(uint64(1<<40), "", "", "", "", int64(0), math.NaN(), false, uint8(0), uint(0), []byte{0, 0, 0, 0, opvDoc, 0})
+	f.Add(uint64(9), "update", "t", "", "x", int64(1), 0.0, false, uint8(62), uint(100), nestedListOp(maxOpDepth+1))
+	f.Add(uint64(9), "update", "t", "", "x", int64(1), 0.0, false, uint8(63), uint(0), []byte{0, 0, 0, 0, opvList, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, seq uint64, kind, coll, id, s string, i int64, fl float64, b bool, nest uint8, cut uint, raw []byte) {
+		var v any = []any{nil, s, int(i), int32(i), i, uint64(i), float32(fl), fl, b, []string{s, id}}
+		for k := 0; k < int(nest%80); k++ {
+			if k%2 == 0 {
+				v = Doc{s: v}
+			} else {
+				v = []any{v}
+			}
+		}
+		want := op{Seq: seq, Kind: kind, Coll: coll, ID: id, Doc: Doc{"v": v}}
+		data, err := encodeOp(nil, want)
+		if int(nest%80)+1 >= maxOpDepth {
+			if !errors.Is(err, errOpEncType) {
+				t.Fatalf("encode nested %d deep: err = %v, want errOpEncType", nest%80+1, err)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("encodeOp: %v", err)
+			}
+			got, err := decodeOp(data)
+			if err != nil {
+				t.Fatalf("decode(encode(x)): %v", err)
+			}
+			again, err := encodeOp(nil, got)
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("re-encode of decoded op differs (err %v):\n got %x\nwant %x", err, again, data)
+			}
+			if !math.IsNaN(fl) && !reflect.DeepEqual(got, want) {
+				t.Fatalf("roundtrip mismatch:\n got %#v\nwant %#v", got, want)
+			}
+			n := int(cut % uint(len(data)))
+			if _, err := decodeOp(data[:n]); err == nil {
+				t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(data))
+			}
+		}
+		decodeOp(raw) //nolint:errcheck // must not panic
+	})
 }
 
 // TestOpenRecoversCollections is the core durability contract: a

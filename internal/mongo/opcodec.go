@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/ffdl/ffdl/internal/codec"
 )
 
 // Oplog entry codec for durable (FileStore-backed) databases. MemStore
@@ -14,13 +16,18 @@ import (
 // (commitlog record frames already checksum payloads, so the codec
 // carries no CRC of its own).
 //
-// Layout: uvarint/varint integers, length-prefixed strings, and a
-// one-byte type tag per document value. Doc values round-trip with
-// their dynamic type preserved (int stays int, int64 stays int64, ...)
-// because readers downstream switch on those types (jobdoc's getI,
-// tenant quota docs). Value types outside the tagged set are rejected
-// at encode time — loudly, at the write — rather than silently
-// re-typed at recovery.
+// Layout (integers, length prefixes, bounds and decode errors follow
+// internal/codec):
+//
+//	Seq | Kind | Coll | ID | tagged Doc
+//
+// Every document value carries a one-byte type tag. Doc values
+// round-trip with their dynamic type preserved (int stays int, int64
+// stays int64, ...) because readers downstream switch on those types
+// (jobdoc's getI, tenant quota docs). Value types outside the tagged
+// set, and documents nested deeper than maxOpDepth, are rejected at
+// encode time — loudly, at the write — rather than silently dropped at
+// recovery.
 
 // Doc value type tags.
 const (
@@ -39,46 +46,45 @@ const (
 )
 
 var (
-	errOpShort   = errors.New("mongo: truncated oplog entry")
-	errOpTag     = errors.New("mongo: unknown oplog value tag")
-	errOpLen     = errors.New("mongo: oplog entry length out of range")
+	errOpTag     = fmt.Errorf("%w: mongo: unknown oplog value tag", codec.ErrCorrupt)
 	errOpEncType = errors.New("mongo: unencodable doc value type")
 )
 
-// maxOpLen bounds any single decoded length (matches the commit log's
-// frame bound).
-const maxOpLen = 1 << 26
+// maxOpDepth bounds document/list nesting (job documents nest at most
+// three levels), so a corrupt payload cannot drive the recursive
+// decoder into a stack overflow.
+const maxOpDepth = 64
 
 // encodeOp appends the durable form of o to dst.
 func encodeOp(dst []byte, o op) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, o.Seq)
-	dst = appendOpString(dst, o.Kind)
-	dst = appendOpString(dst, o.Coll)
-	dst = appendOpString(dst, o.ID)
+	dst = codec.AppendString(dst, o.Kind)
+	dst = codec.AppendString(dst, o.Coll)
+	dst = codec.AppendString(dst, o.ID)
 	if o.Doc == nil {
 		return append(dst, opvNil), nil
 	}
-	return appendOpDoc(dst, o.Doc)
+	return appendOpDoc(dst, o.Doc, 0)
 }
 
 // decodeOp parses one durable oplog entry.
 func decodeOp(data []byte) (op, error) {
-	r := opReader{buf: data}
+	r := codec.NewReader(data)
 	var o op
 	var err error
-	if o.Seq, err = r.uvarint(); err != nil {
+	if o.Seq, err = r.Uvarint(); err != nil {
 		return op{}, err
 	}
-	if o.Kind, err = r.str(); err != nil {
+	if o.Kind, err = r.String(); err != nil {
 		return op{}, err
 	}
-	if o.Coll, err = r.str(); err != nil {
+	if o.Coll, err = r.String(); err != nil {
 		return op{}, err
 	}
-	if o.ID, err = r.str(); err != nil {
+	if o.ID, err = r.String(); err != nil {
 		return op{}, err
 	}
-	v, err := r.value()
+	v, err := decodeOpValue(&r, 0)
 	if err != nil {
 		return op{}, err
 	}
@@ -89,24 +95,17 @@ func decodeOp(data []byte) (op, error) {
 		}
 		o.Doc = d
 	}
-	if r.off != len(r.buf) {
-		return op{}, fmt.Errorf("mongo: %d trailing bytes after oplog entry", len(r.buf)-r.off)
-	}
-	return o, nil
+	return o, r.Done()
 }
 
-func appendOpString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendOpValue appends one tagged document value.
-func appendOpValue(dst []byte, v any) ([]byte, error) {
+// appendOpValue appends one tagged document value nested inside depth
+// containers.
+func appendOpValue(dst []byte, v any, depth int) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, opvNil), nil
 	case string:
-		return appendOpString(append(dst, opvString), x), nil
+		return codec.AppendString(append(dst, opvString), x), nil
 	case int:
 		return binary.AppendVarint(append(dst, opvInt), int64(x)), nil
 	case int32:
@@ -128,15 +127,18 @@ func appendOpValue(dst []byte, v any) ([]byte, error) {
 		}
 		return append(dst, opvBool, b), nil
 	case Doc:
-		return appendOpDoc(dst, x)
+		return appendOpDoc(dst, x, depth)
 	case map[string]any:
-		return appendOpDoc(dst, Doc(x))
+		return appendOpDoc(dst, Doc(x), depth)
 	case []any:
+		if depth >= maxOpDepth {
+			return nil, fmt.Errorf("%w: nesting deeper than %d", errOpEncType, maxOpDepth)
+		}
 		dst = append(dst, opvList)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		var err error
 		for _, e := range x {
-			if dst, err = appendOpValue(dst, e); err != nil {
+			if dst, err = appendOpValue(dst, e, depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -145,7 +147,7 @@ func appendOpValue(dst []byte, v any) ([]byte, error) {
 		dst = append(dst, opvStrs)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		for _, s := range x {
-			dst = appendOpString(dst, s)
+			dst = codec.AppendString(dst, s)
 		}
 		return dst, nil
 	default:
@@ -153,157 +155,100 @@ func appendOpValue(dst []byte, v any) ([]byte, error) {
 	}
 }
 
-func appendOpDoc(dst []byte, d Doc) ([]byte, error) {
+func appendOpDoc(dst []byte, d Doc, depth int) ([]byte, error) {
+	if depth >= maxOpDepth {
+		return nil, fmt.Errorf("%w: nesting deeper than %d", errOpEncType, maxOpDepth)
+	}
 	dst = append(dst, opvDoc)
 	dst = binary.AppendUvarint(dst, uint64(len(d)))
 	var err error
 	for k, v := range d {
-		dst = appendOpString(dst, k)
-		if dst, err = appendOpValue(dst, v); err != nil {
+		dst = codec.AppendString(dst, k)
+		if dst, err = appendOpValue(dst, v, depth+1); err != nil {
 			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-// opReader is a bounds-checked cursor over an encoded op.
-type opReader struct {
-	buf []byte
-	off int
-}
-
-func (r *opReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, errOpShort
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *opReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, errOpShort
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *opReader) length() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > maxOpLen {
-		return 0, errOpLen
-	}
-	return int(v), nil
-}
-
-func (r *opReader) str() (string, error) {
-	n, err := r.length()
-	if err != nil {
-		return "", err
-	}
-	if r.off+n > len(r.buf) {
-		return "", errOpShort
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *opReader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, errOpShort
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *opReader) value() (any, error) {
-	tag, err := r.byte()
+// decodeOpValue decodes one tagged document value nested inside depth
+// containers.
+func decodeOpValue(r *codec.Reader, depth int) (any, error) {
+	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
+	}
+	if (tag == opvDoc || tag == opvList) && depth >= maxOpDepth {
+		return nil, fmt.Errorf("%w: oplog value nests deeper than %d", codec.ErrCorrupt, maxOpDepth)
 	}
 	switch tag {
 	case opvNil:
 		return nil, nil
 	case opvString:
-		return r.str()
+		return r.String()
 	case opvInt:
-		v, err := r.varint()
+		v, err := r.Varint()
 		return int(v), err
 	case opvInt32:
-		v, err := r.varint()
+		v, err := r.Varint()
 		return int32(v), err
 	case opvInt64:
-		return r.varint()
+		return r.Varint()
 	case opvUint64:
-		return r.uvarint()
+		return r.Uvarint()
 	case opvFloat32:
-		if r.off+4 > len(r.buf) {
-			return nil, errOpShort
+		b, err := r.Fixed(4)
+		if err != nil {
+			return nil, err
 		}
-		v := math.Float32frombits(binary.BigEndian.Uint32(r.buf[r.off:]))
-		r.off += 4
-		return v, nil
+		return math.Float32frombits(binary.BigEndian.Uint32(b)), nil
 	case opvFloat64:
-		if r.off+8 > len(r.buf) {
-			return nil, errOpShort
+		b, err := r.Fixed(8)
+		if err != nil {
+			return nil, err
 		}
-		v := math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.off:]))
-		r.off += 8
-		return v, nil
+		return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
 	case opvBool:
-		b, err := r.byte()
+		b, err := r.Byte()
 		return b != 0, err
 	case opvDoc:
-		n, err := r.length()
+		n, err := r.Count()
 		if err != nil {
 			return nil, err
 		}
 		d := make(Doc, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.String()
 			if err != nil {
 				return nil, err
 			}
-			v, err := r.value()
-			if err != nil {
+			if d[k], err = decodeOpValue(r, depth+1); err != nil {
 				return nil, err
 			}
-			d[k] = v
 		}
 		return d, nil
 	case opvList:
-		n, err := r.length()
+		n, err := r.Count()
 		if err != nil {
 			return nil, err
 		}
-		out := make([]any, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			v, err := r.value()
-			if err != nil {
+		out := make([]any, n)
+		for i := range out {
+			if out[i], err = decodeOpValue(r, depth+1); err != nil {
 				return nil, err
 			}
-			out = append(out, v)
 		}
 		return out, nil
 	case opvStrs:
-		n, err := r.length()
+		n, err := r.Count()
 		if err != nil {
 			return nil, err
 		}
-		out := make([]string, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			s, err := r.str()
-			if err != nil {
+		out := make([]string, n)
+		for i := range out {
+			if out[i], err = r.String(); err != nil {
 				return nil, err
 			}
-			out = append(out, s)
 		}
 		return out, nil
 	default:

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"github.com/ffdl/ffdl/internal/codec"
 )
 
 // frameKind discriminates wire frames.
@@ -69,7 +71,7 @@ const (
 
 	maxMethodLen = 1 << 12 // method names are short identifiers
 	maxErrLen    = 1 << 20
-	maxBodyLen   = 1 << 26
+	maxBodyLen   = codec.MaxLen
 )
 
 // Frame decode errors.
