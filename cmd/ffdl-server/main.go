@@ -317,6 +317,10 @@ func main() {
 				return
 			}
 			rec, _, err := client.Quota(ctx, user)
+			if ffdl.IsDegraded(err) {
+				fail(w, http.StatusServiceUnavailable, err)
+				return
+			}
 			if err != nil {
 				// New tenant: both fields are required.
 				if in.Tier == nil || in.GPUs == nil {

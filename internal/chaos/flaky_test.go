@@ -143,17 +143,14 @@ func TestCrashLoopNotDoubleRestored(t *testing.T) {
 	}
 }
 
-// TestMongoInjectorCyclesFaults drives both mongo fault loops
-// concurrently against a live DB with a writer, pinning that (a) every
-// fault class fires and (b) committed writes survive every failover
-// window.
+// TestMongoInjectorCyclesFaults drives the mongo failover loop against
+// a live DB with a writer, pinning that (a) failovers fire and (b)
+// committed writes survive every failover window.
 func TestMongoInjectorCyclesFaults(t *testing.T) {
 	db := mongo.NewDB()
 	in := NewMongoInjector(db, nil, sim.NewRNG(12))
 	in.FailoverMTBF = 10 * time.Millisecond
 	in.FailoverDuration = 3 * time.Millisecond
-	in.FeedDropMTBF = 10 * time.Millisecond
-	in.FeedDropBatch = 2
 	in.Start()
 
 	c := db.C("jobs")
@@ -161,7 +158,7 @@ func TestMongoInjectorCyclesFaults(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		st := in.Stats()
-		if st.Failovers >= 3 && st.FeedDrops >= 3 && inserted >= 50 {
+		if st.Failovers >= 3 && inserted >= 50 {
 			break
 		}
 		if _, err := c.Insert(mongo.Doc{"n": inserted}); err == nil {
@@ -170,8 +167,8 @@ func TestMongoInjectorCyclesFaults(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 	}
 	st := in.Stats()
-	if st.Failovers < 3 || st.FeedDrops < 3 {
-		t.Fatalf("fault loops did not all fire: %+v", st)
+	if st.Failovers < 3 {
+		t.Fatalf("failover loop did not fire: %+v", st)
 	}
 	if inserted < 50 {
 		t.Fatalf("only %d inserts landed under chaos", inserted)

@@ -9,11 +9,10 @@ import (
 )
 
 // MongoInjector drives document-store chaos against a mongo.DB: primary
-// failover windows (erroring ops return mongo.ErrUnavailable until the
-// window heals), dropped change-feed batches (writes commit but live
-// subscribers see a Seq gap and must refill). It is the mongo
-// counterpart of Injector/EtcdInjector: the platform's resilience layer
-// (and the core API's degraded mode) are what is under attack.
+// failover windows, in which erroring ops return mongo.ErrUnavailable
+// until the window heals. It is the mongo counterpart of
+// Injector/EtcdInjector: the platform's resilience layer (and the core
+// API's degraded mode) are what is under attack.
 type MongoInjector struct {
 	db    *mongo.DB
 	clock sim.Clock
@@ -24,17 +23,10 @@ type MongoInjector struct {
 	// FailoverDuration is the mean length of one unavailability window.
 	// Defaults to 100ms.
 	FailoverDuration time.Duration
-	// FeedDropMTBF is the mean time between dropped change-feed batches;
-	// zero disables them.
-	FeedDropMTBF time.Duration
-	// FeedDropBatch is the number of consecutive committed writes whose
-	// fan-out each drop suppresses. Defaults to 4.
-	FeedDropBatch int
 
 	mu        sync.Mutex
 	rng       *sim.RNG
 	failovers int64
-	feedDrops int64
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
 	stopOnce  sync.Once
@@ -42,7 +34,7 @@ type MongoInjector struct {
 }
 
 // NewMongoInjector returns an injector bound to a database, pacing its
-// fault loops on the given clock (nil = wall clock) and drawing from rng.
+// failover windows on the given clock (nil = wall clock) and drawing from rng.
 func NewMongoInjector(db *mongo.DB, clock sim.Clock, rng *sim.RNG) *MongoInjector {
 	if clock == nil {
 		clock = sim.NewRealClock()
@@ -52,7 +44,6 @@ func NewMongoInjector(db *mongo.DB, clock sim.Clock, rng *sim.RNG) *MongoInjecto
 		clock:            clock,
 		rng:              rng,
 		FailoverDuration: 100 * time.Millisecond,
-		FeedDropBatch:    4,
 		stopCh:           make(chan struct{}),
 	}
 }
@@ -60,17 +51,16 @@ func NewMongoInjector(db *mongo.DB, clock sim.Clock, rng *sim.RNG) *MongoInjecto
 // MongoStats counts injected faults.
 type MongoStats struct {
 	Failovers int64 `json:"failovers"`
-	FeedDrops int64 `json:"feed_drops"`
 }
 
 // Stats reports cumulative injected-fault counts.
 func (in *MongoInjector) Stats() MongoStats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return MongoStats{Failovers: in.failovers, FeedDrops: in.feedDrops}
+	return MongoStats{Failovers: in.failovers}
 }
 
-// Start launches the fault loops.
+// Start launches the failover loop.
 func (in *MongoInjector) Start() {
 	in.startOnce.Do(func() {
 		if in.FailoverMTBF > 0 {
@@ -78,13 +68,6 @@ func (in *MongoInjector) Start() {
 			go func() {
 				defer in.wg.Done()
 				in.failoverLoop()
-			}()
-		}
-		if in.FeedDropMTBF > 0 {
-			in.wg.Add(1)
-			go func() {
-				defer in.wg.Done()
-				in.feedDropLoop()
 			}()
 		}
 	})
@@ -130,19 +113,5 @@ func (in *MongoInjector) failoverLoop() {
 		if !healed {
 			return
 		}
-	}
-}
-
-// feedDropLoop periodically suppresses a batch of change-feed
-// deliveries.
-func (in *MongoInjector) feedDropLoop() {
-	for {
-		if !in.sleep(in.draw(in.FeedDropMTBF)) {
-			return
-		}
-		in.db.DropFeedNext(in.FeedDropBatch)
-		in.mu.Lock()
-		in.feedDrops++
-		in.mu.Unlock()
 	}
 }

@@ -60,13 +60,6 @@ func (f *FaultStore) Written() int64 {
 	return f.written
 }
 
-// Crashed reports whether the crash point has been hit.
-func (f *FaultStore) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead
-}
-
 // admit charges n bytes to the journal, returning how many of them
 // land durably and whether the crash fired. Corruption masks are
 // applied to the admitted prefix.

@@ -163,14 +163,13 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		// metadata read: a store outage here must shed retryably, not
 		// masquerade as "no tenant record".
 		var known bool
-		if err := a.p.mongoDo(func() error {
+		if err := a.p.tenantDo(func() error {
 			var err error
 			_, known, err = a.p.Tenants.Lookup(m.User)
 			return err
 		}); err != nil {
-			if mongoOutageErr(err) {
+			if errors.Is(err, ErrDegraded) {
 				a.p.Metrics.Inc("api.degraded_sheds")
-				return nil, degradedErr(err)
 			}
 			return nil, fmt.Errorf("core: tenant lookup: %w", err)
 		}
@@ -230,7 +229,15 @@ func (a *apiReplica) handleQuota(_ context.Context, arg any) (any, error) {
 	if a.p.Tenants == nil {
 		return nil, errTenancyDisabled
 	}
-	rec, ok := a.p.Tenants.Get(req.User)
+	var rec tenant.Record
+	var ok bool
+	if err := a.p.tenantDo(func() error {
+		var err error
+		rec, ok, err = a.p.Tenants.Lookup(req.User)
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	if !ok {
 		return nil, fmt.Errorf("core: no tenant record for %q", req.User)
 	}
@@ -238,16 +245,18 @@ func (a *apiReplica) handleQuota(_ context.Context, arg any) (any, error) {
 }
 
 // handleSetQuota installs or updates a tenant record. The write lands
-// in MongoDB first; dispatchers on every platform process observe it
-// through the tenants change feed.
+// in MongoDB first and then goes straight to this platform's
+// dispatcher; another process's dispatcher picks it up on its next
+// resync.
 func (a *apiReplica) handleSetQuota(_ context.Context, arg any) (any, error) {
 	req := arg.(SetTenantArgs)
 	if a.p.Tenants == nil {
 		return nil, errTenancyDisabled
 	}
-	if err := a.p.Tenants.Put(req.Tenant); err != nil {
+	if err := a.p.tenantDo(func() error { return a.p.Tenants.Put(req.Tenant) }); err != nil {
 		return nil, err
 	}
+	a.p.Dispatcher.SetQuota(req.Tenant)
 	return TenantReply{Tenant: req.Tenant}, nil
 }
 
@@ -256,7 +265,15 @@ func (a *apiReplica) handleTenants(_ context.Context, arg any) (any, error) {
 	if a.p.Tenants == nil {
 		return nil, errTenancyDisabled
 	}
-	return TenantsReply{Tenants: a.p.Tenants.List()}, nil
+	var recs []tenant.Record
+	if err := a.p.tenantDo(func() error {
+		var err error
+		recs, err = a.p.Tenants.List()
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return TenantsReply{Tenants: recs}, nil
 }
 
 var errTenancyDisabled = errors.New("core: tenancy is not enabled on this platform")
@@ -532,9 +549,8 @@ func (c *Client) Quota(ctx context.Context, user string) (tenant.Record, int, er
 }
 
 // SetQuota installs or updates a tenant record. The quota takes effect
-// for queued work as soon as the dispatcher observes the write on the
-// tenants change feed — raising a quota can trigger preemption on
-// behalf of a newly in-quota queued job.
+// for queued work as soon as the write commits — raising a quota can
+// trigger preemption on behalf of a newly in-quota queued job.
 func (c *Client) SetQuota(ctx context.Context, rec tenant.Record) error {
 	return c.api.Call(ctx, "API.SetQuota", SetTenantArgs{Tenant: rec}, nil)
 }

@@ -504,7 +504,6 @@ func (p *Platform) collectStats(set func(name string, v int64)) {
 		set("tenant.resumed", int64(ds.Resumed))
 		set("tenant.preempted", int64(ds.Preempted))
 		set("tenant.requeued", int64(ds.Requeued))
-		set("tenant.quota_events", int64(ds.QuotaEvents))
 		set("tenant.resyncs", int64(ds.Resyncs))
 		set("tenant.failed", int64(ds.Failed))
 		set("tenant.queue_depth", int64(d.QueueDepth()))

@@ -147,6 +147,17 @@ func (p *Platform) mongoDo(op func() error) error {
 	return p.res.mongo.Do(context.Background(), func(context.Context) error { return op() })
 }
 
+// tenantDo runs one tenant-registry operation under the mongo edge
+// policy. A store outage comes back as the retryable degraded error,
+// never as a verdict about the tenant.
+func (p *Platform) tenantDo(op func() error) error {
+	err := p.mongoDo(op)
+	if mongoOutageErr(err) {
+		return degradedErr(err)
+	}
+	return err
+}
+
 // findJob reads one job document through the mongo edge policy.
 func (p *Platform) findJob(jobID string) (mongo.Doc, error) {
 	var doc mongo.Doc

@@ -16,11 +16,11 @@ import (
 // This file wires the tenant subsystem (internal/tenant) into the
 // platform: the dispatcher's Backend over MongoDB/LCM, and the event
 // pumps that turn the platform's existing watch fabric into dispatcher
-// wake-ups — job status transitions from the status bus, cluster
-// capacity from the kube node watch, quota writes from the tenant
-// registry's change feed (consumed inside the dispatcher itself). Each
-// pump is an event path only; the dispatcher's resync tick re-reads the
-// durable stores, so a dropped event delays work, never loses it.
+// wake-ups — job status transitions from the status bus and cluster
+// capacity from the kube node watch; quota writes reach the dispatcher
+// straight from handleSetQuota. Each is an event path only; the
+// dispatcher's resync tick re-reads the durable stores, so a dropped
+// event delays work, never loses it.
 
 // startTenancy boots the registry, admission controller and dispatcher.
 func (p *Platform) startTenancy(tc *TenancyConfig) error {

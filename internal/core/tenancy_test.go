@@ -249,15 +249,47 @@ func TestQuotaAPIRoundTrip(t *testing.T) {
 	if err != nil || len(list) != 2 {
 		t.Fatalf("Tenants = %+v err=%v", list, err)
 	}
-	// The quota reaches the admission controller via the change feed.
-	waitUntil(t, "quota propagated", 5*time.Second, func() bool {
-		q, ok := p.Admission.Quota("bob")
-		return ok && q.GPUs == 2
-	})
+	// The quota reaches the admission controller with the write.
+	if q, ok := p.Admission.Quota("bob"); !ok || q.GPUs != 2 {
+		t.Fatalf("admission quota after SetQuota = %+v %v, want 2 GPUs", q, ok)
+	}
 	// And bob can now run a job end to end through the queue.
 	jobID, err := c.Submit(ctx, m)
 	if err != nil {
 		t.Fatalf("submit after quota: %v", err)
 	}
 	waitStatus(t, c, jobID, StatusCompleted, 30*time.Second)
+}
+
+// TestTenantCallsDegradeDuringOutage: with the metadata store down,
+// the tenant calls answer with the retryable degraded error — never
+// "no such tenant" or an empty list — and answer again after the heal.
+func TestTenantCallsDegradeDuringOutage(t *testing.T) {
+	p := newTestPlatform(t, func(c *Config) {
+		c.Tenancy = &TenancyConfig{
+			Quotas: []tenant.Record{{User: "alice", Tier: sched.TierPaid, GPUs: 4}},
+		}
+	})
+	c := p.Client()
+	ctx := context.Background()
+
+	p.Mongo.SetUnavailable(true)
+	if _, _, err := c.Quota(ctx, "alice"); !IsDegraded(err) {
+		t.Fatalf("Quota during the outage err = %v, want degraded", err)
+	}
+	if recs, err := c.Tenants(ctx); !IsDegraded(err) {
+		t.Fatalf("Tenants during the outage = %+v, err %v; want degraded", recs, err)
+	}
+	if err := c.SetQuota(ctx, tenant.Record{User: "bob", Tier: sched.TierFree, GPUs: 1}); !IsDegraded(err) {
+		t.Fatalf("SetQuota during the outage err = %v, want degraded", err)
+	}
+
+	p.Mongo.SetUnavailable(false)
+	waitUntil(t, "Quota answers after the heal", 5*time.Second, func() bool {
+		rec, _, err := c.Quota(ctx, "alice")
+		if err != nil && !IsDegraded(err) {
+			t.Fatalf("post-heal Quota failed non-degraded: %v", err)
+		}
+		return err == nil && rec.GPUs == 4
+	})
 }

@@ -22,11 +22,11 @@ import (
 // against a calm-arm baseline. This is the resilience layer's
 // integration gate — worker-node crash loops and pod kills
 // (chaos.Injector), etcd replica outages with snapshot-restore rejoins
-// (chaos.EtcdInjector), mongo primary failovers / dropped change-feed
-// batches / frozen secondaries (chaos.MongoInjector) and per-link RPC
-// drop/duplicate/delay faults (rpc.Faults) all overlap, while the
-// policies of internal/resilience (and the core API's degraded mode)
-// keep the platform's §2 dependability contract intact.
+// (chaos.EtcdInjector), mongo primary failovers (chaos.MongoInjector)
+// and per-link RPC drop/duplicate/delay faults (rpc.Faults) all
+// overlap, while the policies of internal/resilience (and the core
+// API's degraded mode) keep the platform's §2 dependability contract
+// intact.
 //
 // Hard invariants (any failure is a reported violation):
 //
@@ -307,8 +307,6 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 		mongoIn = chaos.NewMongoInjector(p.Mongo, fc, sim.NewRNG(cfg.Seed+11))
 		mongoIn.FailoverMTBF = 7 * time.Minute
 		mongoIn.FailoverDuration = 30 * time.Second
-		mongoIn.FeedDropMTBF = 5 * time.Minute
-		mongoIn.FeedDropBatch = 3
 		mongoIn.Start()
 
 		faults = rpc.NewFaults(fc, cfg.Seed+12)

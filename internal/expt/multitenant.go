@@ -231,27 +231,39 @@ func MultiTenant(cfg MultiTenantConfig) (MultiTenantResult, error) {
 	res.Resumes = st.Resumed
 	res.Dispatches = st.Dispatched
 
-	// Fig-3-style accounting over initial dispatch delays, by tier.
+	// Read before the history reads below, which advance the simulated
+	// clock.
+	res.VirtualMinutes = fc.Since(virtualStart).Minutes()
+
+	// Fig-3-style accounting over initial dispatch delays, by tier: each
+	// job's first PENDING entry (its admission) minus its QUEUED
+	// submission. Requeue delays after a preemption are preemption cost,
+	// not admission delay, and are not counted.
+	jobs, err := c.List(ctx, "")
+	if err != nil {
+		return res, fmt.Errorf("list jobs: %w", err)
+	}
 	freeJobs, paidJobs := 0, 0
 	var freeSum, paidSum time.Duration
-	for _, d := range p.Dispatcher.QueueDelays() {
-		if d.Resumed {
-			continue // requeue delays are preemption cost, not admission delay
+	for _, j := range jobs {
+		queued, ok := admissionDelay(j.History)
+		if !ok {
+			continue
 		}
-		if m := d.Queued.Minutes(); m > res.MaxDelayMin {
+		if m := queued.Minutes(); m > res.MaxDelayMin {
 			res.MaxDelayMin = m
 		}
-		switch tierOf[d.JobID] {
+		switch tierOf[j.ID] {
 		case sched.TierFree:
 			freeJobs++
-			freeSum += d.Queued
-			if d.Queued > 15*time.Minute {
+			freeSum += queued
+			if queued > 15*time.Minute {
 				res.QueuedOver15MinFree++
 			}
 		case sched.TierPaid:
 			paidJobs++
-			paidSum += d.Queued
-			if d.Queued > 15*time.Minute {
+			paidSum += queued
+			if queued > 15*time.Minute {
 				res.QueuedOver15MinPaid++
 			}
 		}
@@ -264,9 +276,20 @@ func MultiTenant(cfg MultiTenantConfig) (MultiTenantResult, error) {
 		res.QueuedPctPaid = 100 * float64(res.QueuedOver15MinPaid) / float64(paidJobs)
 		res.MeanDelayMinPaid = paidSum.Minutes() / float64(paidJobs)
 	}
-	res.VirtualMinutes = fc.Since(virtualStart).Minutes()
 	res.WallSeconds = time.Since(wallStart).Seconds()
 	return res, nil
+}
+
+// admissionDelay is how long a job waited between its QUEUED
+// submission (History[0]) and its first admission (its first PENDING
+// entry); false if it was never admitted.
+func admissionDelay(history []core.StatusEntry) (time.Duration, bool) {
+	for _, e := range history {
+		if e.Status == core.StatusPending {
+			return e.Time.Sub(history[0].Time), true
+		}
+	}
+	return 0, false
 }
 
 // RenderMultiTenant formats results as a table.

@@ -135,9 +135,6 @@ func (c *Cluster) reconcileAll() {
 // automatically by K8S, because learners are deployed as stateful sets",
 // §3.8).
 func (c *Cluster) reconcileStatefulSet(s *StatefulSet) {
-	if s.Paused {
-		return
-	}
 	for i := 0; i < s.Replicas; i++ {
 		name := fmtPodName(s.Name, i)
 		existing, ok := c.store.GetPod(name)
@@ -153,7 +150,6 @@ func (c *Cluster) reconcileStatefulSet(s *StatefulSet) {
 		}
 		pod := &Pod{
 			Name:   name,
-			Labels: cloneMap(s.Labels),
 			Owner:  OwnerRef{Kind: KindStatefulSet, Name: s.Name},
 			Spec:   s.Template,
 			Status: PodStatus{Phase: PodPending, Restarts: restarts},
@@ -178,9 +174,6 @@ func (c *Cluster) reconcileStatefulSet(s *StatefulSet) {
 
 // reconcileDeployment keeps Replicas non-terminated pods alive.
 func (c *Cluster) reconcileDeployment(d *Deployment) {
-	if d.Paused {
-		return
-	}
 	// Deployments use ordinal names too; recreation gives a fresh pod.
 	for i := 0; i < d.Replicas; i++ {
 		name := fmtPodName(d.Name, i)
@@ -195,7 +188,6 @@ func (c *Cluster) reconcileDeployment(d *Deployment) {
 		}
 		pod := &Pod{
 			Name:   name,
-			Labels: cloneMap(d.Labels),
 			Owner:  OwnerRef{Kind: KindDeployment, Name: d.Name},
 			Spec:   d.Template,
 			Status: PodStatus{Phase: PodPending, Restarts: restarts},
@@ -222,7 +214,6 @@ func (c *Cluster) reconcileJob(j *Job) {
 	if !ok {
 		pod := &Pod{
 			Name:   podName,
-			Labels: cloneMap(j.Labels),
 			Owner:  OwnerRef{Kind: KindJob, Name: j.Name},
 			Spec:   j.Template,
 			Status: PodStatus{Phase: PodPending},

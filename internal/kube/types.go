@@ -144,15 +144,11 @@ type StatefulSet struct {
 	Name     string
 	Replicas int
 	Template PodSpec
-	Labels   map[string]string
-	// Paused suspends reconciliation (used during teardown).
-	Paused bool
 }
 
 // Clone copies the set.
 func (s *StatefulSet) Clone() *StatefulSet {
 	c := *s
-	c.Labels = cloneMap(s.Labels)
 	c.Template.RuntimeArgs = cloneMap(s.Template.RuntimeArgs)
 	return &c
 }
@@ -163,14 +159,11 @@ type Deployment struct {
 	Name     string
 	Replicas int
 	Template PodSpec
-	Labels   map[string]string
-	Paused   bool
 }
 
 // Clone copies the deployment.
 func (d *Deployment) Clone() *Deployment {
 	c := *d
-	c.Labels = cloneMap(d.Labels)
 	c.Template.RuntimeArgs = cloneMap(d.Template.RuntimeArgs)
 	return &c
 }
@@ -182,7 +175,6 @@ type Job struct {
 	Name         string
 	Template     PodSpec
 	BackoffLimit int
-	Labels       map[string]string
 
 	// Status fields maintained by the controller.
 	Attempts  int
@@ -193,7 +185,6 @@ type Job struct {
 // Clone copies the job.
 func (j *Job) Clone() *Job {
 	c := *j
-	c.Labels = cloneMap(j.Labels)
 	c.Template.RuntimeArgs = cloneMap(j.Template.RuntimeArgs)
 	return &c
 }

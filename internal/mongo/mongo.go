@@ -637,11 +637,6 @@ type DB struct {
 	// unavailable simulates a primary failover window: erroring
 	// operations return ErrUnavailable while set. Guarded by mu.
 	unavailable bool
-	// feedDrops suppresses change-feed fan-out for the next N committed
-	// ops (the oplog itself still records them), modeling dropped
-	// change-stream batches: consumers detect the Seq gap and refill
-	// from the collections. Guarded by mu.
-	feedDrops int
 }
 
 // SetUnavailable toggles a simulated primary outage: while on, erroring
@@ -659,16 +654,6 @@ func (db *DB) Unavailable() bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.unavailable
-}
-
-// DropFeedNext suppresses change-feed fan-out for the next n committed
-// writes: the ops commit to the oplog but are not delivered to live
-// subscribers, modeling a dropped change-stream batch. Subscribers see
-// a Seq gap and recover via replay or refill.
-func (db *DB) DropFeedNext(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.feedDrops += n
 }
 
 // Options configures Open.
@@ -875,14 +860,6 @@ func (db *DB) logOp(o op) error {
 		return fmt.Errorf("%w: oplog append: %v", ErrUnavailable, err) // never half-publish
 	}
 	db.opSeq = o.Seq
-	if db.feedDrops > 0 {
-		// Injected change-feed batch drop: the op is committed (oplog and
-		// collections agree) but live subscribers never hear about it —
-		// they detect the Seq gap and refill, exactly as for a slow-
-		// subscriber drop below.
-		db.feedDrops--
-		return nil
-	}
 	for _, ch := range db.subs {
 		select {
 		case ch <- o:

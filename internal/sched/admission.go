@@ -157,6 +157,18 @@ func (a *Admission) Holds(jobID string) bool {
 	return ok
 }
 
+// Held returns the IDs of every job holding an admitted footprint, in
+// no particular order.
+func (a *Admission) Held() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ids := make([]string, 0, len(a.running))
+	for id := range a.running {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // Usage returns the GPUs currently held by a user's admitted jobs.
 func (a *Admission) Usage(user string) int {
 	a.mu.Lock()

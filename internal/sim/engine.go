@@ -57,8 +57,6 @@ type Engine struct {
 	now  time.Time
 	heap eventHeap
 	seq  uint64
-
-	processed uint64
 }
 
 // NewEngine returns an Engine whose virtual clock starts at origin.
@@ -68,9 +66,6 @@ func NewEngine(origin time.Time) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events waiting to fire.
 func (e *Engine) Pending() int { return len(e.heap) }
@@ -113,7 +108,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.heap).(*Event)
 	e.now = ev.At
-	e.processed++
 	ev.Fn()
 	return true
 }

@@ -81,24 +81,10 @@ type Stats struct {
 	// re-entered the queue after their checkpoint landed.
 	Preempted uint64
 	Requeued  uint64
-	// QuotaEvents counts registry change-feed deliveries; Resyncs
-	// counts safety-net ticks.
-	QuotaEvents uint64
-	Resyncs     uint64
+	// Resyncs counts safety-net ticks.
+	Resyncs uint64
 	// Failed counts queued jobs permanently rejected at dispatch.
 	Failed uint64
-}
-
-// Delay records one dispatch's queue-delay accounting (Fig. 3 counts
-// jobs queued beyond 15 minutes).
-type Delay struct {
-	JobID string
-	User  string
-	// Queued is how long the job waited between submission (or
-	// preemption requeue) and this dispatch.
-	Queued time.Duration
-	// Resumed marks a preemption victim's re-dispatch.
-	Resumed bool
 }
 
 // Config parameterizes a Dispatcher.
@@ -152,7 +138,6 @@ type Dispatcher struct {
 	// victims maps preempted jobs awaiting their HALTED transition to
 	// their durable view, so the requeue needs no store read.
 	victims map[string]Job
-	delays  []Delay
 	stats   Stats
 
 	// obsDelay is the registry queue-delay histogram; nil without
@@ -183,50 +168,14 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	return d
 }
 
-// Start seeds quotas from the registry, recovers queued work from the
-// durable store, and runs the dispatch loop until Stop.
+// Start recovers quotas and queued work from the durable stores and
+// runs the dispatch loop until Stop.
 func (d *Dispatcher) Start() {
-	var feed <-chan struct{}
-	var cancelFeed func()
-	if d.cfg.Registry != nil {
-		// Subscribe at the current oplog position before the seed read
-		// so no quota write falls between — a write racing the seam is
-		// delivered by the feed and read by Seed, and the overwrite is
-		// harmless (last write wins either way). Starting at Seq()
-		// rather than 0 avoids replaying the whole historical oplog.
-		cs := d.cfg.Registry.Watch(d.cfg.Registry.Seq())
-		cancelFeed = cs.Cancel
-		quotaCh := make(chan struct{}, 1)
-		feed = quotaCh
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for ev := range cs.Events() {
-				if ev.Doc == nil {
-					continue
-				}
-				if rec, ok := docToRecord(ev.Doc); ok {
-					d.adm.SetQuota(rec.Quota())
-					d.mu.Lock()
-					d.stats.QuotaEvents++
-					d.mu.Unlock()
-					select {
-					case quotaCh <- struct{}{}:
-					default:
-					}
-				}
-			}
-		}()
-		d.cfg.Registry.Seed(d.adm)
-	}
 	d.resync()
 
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		if cancelFeed != nil {
-			defer cancelFeed()
-		}
 		ticker := d.clock.NewTicker(d.cfg.ResyncInterval)
 		defer ticker.Stop()
 		for {
@@ -234,9 +183,6 @@ func (d *Dispatcher) Start() {
 			case <-d.stop:
 				return
 			case <-d.wake:
-				d.noteWake()
-				d.dispatch()
-			case <-feed:
 				d.noteWake()
 				d.dispatch()
 			case <-ticker.C:
@@ -315,6 +261,14 @@ func (d *Dispatcher) NoteResumed(j Job) {
 	}
 }
 
+// SetQuota installs a tenant's quota written through the API and wakes
+// the loop — a raised quota may make a starved head in-quota, which
+// preempts for it.
+func (d *Dispatcher) SetQuota(rec Record) {
+	d.adm.SetQuota(rec.Quota())
+	d.Wake()
+}
+
 // SetClusterGPUs updates the admission budget to the cluster's current
 // capacity (wired to kube node watch events) and wakes the loop —
 // added capacity may admit the head of the queue.
@@ -370,19 +324,10 @@ func (d *Dispatcher) Stats() Stats {
 	return d.stats
 }
 
-// QueueDelays returns the per-dispatch queue-delay records accumulated
-// so far (copy).
-func (d *Dispatcher) QueueDelays() []Delay {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Delay, len(d.delays))
-	copy(out, d.delays)
-	return out
-}
-
 // resync is the level-triggered safety net: re-read quotas, recover
-// queued work and victim state from the durable stores, then run a
-// pass. With the event paths healthy it finds nothing to fix.
+// queued work and victim state from the durable stores, release the
+// footprints of jobs that finished unseen, then run a pass. With the
+// event paths healthy it finds nothing to fix.
 func (d *Dispatcher) resync() {
 	if d.cfg.Registry != nil {
 		d.cfg.Registry.Seed(d.adm)
@@ -416,6 +361,15 @@ func (d *Dispatcher) resync() {
 		}
 	}
 	d.mu.Unlock()
+	// A terminal job whose bus event was lost still holds its footprint;
+	// release it so the capacity is not leaked forever. Halted jobs keep
+	// theirs: a victim admitted for resume stays HALTED until its resume
+	// lands.
+	for _, id := range d.adm.Held() {
+		if ph, err := d.cfg.Backend.Phase(id); err == nil && ph == PhaseTerminal {
+			d.adm.Release(id)
+		}
+	}
 	d.dispatch()
 }
 
@@ -594,17 +548,12 @@ func (d *Dispatcher) preemptForLocked(j Job) bool {
 	return true
 }
 
-// recordDispatchLocked appends queue-delay accounting for one dispatch.
+// recordDispatchLocked observes one dispatch's queue delay: from
+// submission for a first dispatch, from the requeue for a victim.
 func (d *Dispatcher) recordDispatchLocked(e *queuedEntry, resumed bool) {
 	queued := d.clock.Now().Sub(e.job.Submitted)
 	if resumed {
 		queued = d.clock.Now().Sub(e.enqueued)
 	}
-	d.delays = append(d.delays, Delay{
-		JobID:   e.job.ID,
-		User:    e.job.User,
-		Queued:  queued,
-		Resumed: resumed,
-	})
 	d.obsDelay.ObserveDuration(queued)
 }

@@ -13,20 +13,18 @@ import (
 // platform restart reconstructs the registry from the store.
 const Collection = "tenants"
 
-// Registry is the durable tenant store. Reads come from MongoDB; update
-// propagation rides the database's change feed (Watch), so every
-// process tailing the feed — each platform's dispatcher — observes a
-// quota write regardless of which API replica committed it, the same
-// multi-writer posture the status bus takes (docs/watch-protocol.md,
-// layer 3).
+// Registry is the durable tenant store. Reads come from MongoDB; the
+// API hands each quota write to its platform's dispatcher directly
+// (Dispatcher.SetQuota), and the dispatcher's resync tick re-reads the
+// collection, so a write committed through another process takes
+// effect within one resync interval.
 type Registry struct {
-	db   *mongo.DB
 	coll *mongo.Collection
 }
 
 // NewRegistry opens (creating if needed) the tenants collection.
 func NewRegistry(db *mongo.DB) *Registry {
-	return &Registry{db: db, coll: db.C(Collection)}
+	return &Registry{coll: db.C(Collection)}
 }
 
 // Put installs or updates a tenant record.
@@ -41,14 +39,6 @@ func (r *Registry) Put(rec Record) error {
 			"gpus": rec.GPUs,
 		},
 	})
-}
-
-// Get returns a tenant record. It swallows store errors — absent and
-// unreadable look the same; callers that must tell a store outage apart
-// from a missing record use Lookup.
-func (r *Registry) Get(user string) (Record, bool) {
-	rec, ok, _ := r.Lookup(user)
-	return rec, ok
 }
 
 // Lookup returns a tenant record, distinguishing "no such record"
@@ -67,35 +57,30 @@ func (r *Registry) Lookup(user string) (Record, bool, error) {
 	return rec, ok, nil
 }
 
-// List returns all tenant records, user-sorted.
-func (r *Registry) List() []Record {
+// List returns all tenant records, user-sorted. A store outage is
+// mongo.ErrUnavailable, never an empty list.
+func (r *Registry) List() ([]Record, error) {
+	// Find has no error return; nil, as opposed to empty, is how it says
+	// the primary is unavailable.
 	docs := r.coll.Find(mongo.Filter{}, mongo.FindOpts{SortBy: "_id"})
+	if docs == nil {
+		return nil, mongo.ErrUnavailable
+	}
 	out := make([]Record, 0, len(docs))
 	for _, d := range docs {
 		if rec, ok := docToRecord(d); ok {
 			out = append(out, rec)
 		}
 	}
-	return out
+	return out, nil
 }
-
-// Watch opens a change stream over the tenants collection starting
-// after oplog sequence fromSeq. The consumer contract is the
-// mongo.ChangeStream one: strictly increasing Seq, full post-images,
-// visible gaps — recover by re-reading List().
-func (r *Registry) Watch(fromSeq uint64) *mongo.ChangeStream {
-	return r.db.Watch(Collection, fromSeq)
-}
-
-// Seq returns the database's current oplog position, the natural
-// fromSeq for a Watch that should only see future writes.
-func (r *Registry) Seq() uint64 { return r.db.OplogLen() }
 
 // Seed installs every stored quota into an admission controller — the
-// level-triggered re-read the dispatcher runs at boot and on each
-// resync tick.
+// level-triggered re-read the dispatcher runs on each resync tick. An
+// outage installs nothing; the next tick re-reads.
 func (r *Registry) Seed(a *sched.Admission) {
-	for _, rec := range r.List() {
+	recs, _ := r.List()
+	for _, rec := range recs {
 		a.SetQuota(rec.Quota())
 	}
 }

@@ -1,7 +1,6 @@
 // Package tenant implements FfDL's multi-tenancy subsystem (§3.6): a
-// tenant registry — per-user tiers and GPU quotas persisted in MongoDB
-// and propagated through its change feed — and an event-driven
-// dispatcher that turns admission control from a synchronous submit-time
+// tenant registry — per-user tiers and GPU quotas persisted in
+// MongoDB — and an event-driven dispatcher that turns admission control from a synchronous submit-time
 // gate into a queue.
 //
 // With the subsystem enabled, a submission is never rejected for lack
@@ -20,11 +19,12 @@
 // The dispatcher is a level-triggered watch consumer in the sense of
 // docs/watch-protocol.md: it wakes on job status transitions (queued,
 // halted, resumed, terminal) from the platform's status bus, on quota
-// writes from the tenant registry's change feed, and on cluster
-// capacity changes from the kube store watch — and it pairs every wake
-// source with a slow resync tick that re-reads queued jobs, quotas and
-// victim phases from their durable stores, so a dropped event delays a
-// dispatch by at most one resync interval, never loses it.
+// writes the API hands it (SetQuota), and on cluster capacity changes
+// from the kube store watch — and it pairs every wake source with a
+// slow resync tick that re-reads queued jobs, quotas and victim phases
+// from their durable stores and releases the footprints of jobs that
+// finished unseen, so a dropped event delays a dispatch by at most one
+// resync interval, never loses it or leaks its GPUs.
 package tenant
 
 import (

@@ -1,12 +1,14 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/ffdl/ffdl/internal/mongo"
+	"github.com/ffdl/ffdl/internal/obs"
 	"github.com/ffdl/ffdl/internal/sched"
 )
 
@@ -145,15 +147,13 @@ func newTestDispatcher(t *testing.T, clusterGPUs int, quotas ...Record) (*Dispat
 		adm.SetQuota(q.Quota())
 	}
 	b := newFakeBackend()
-	d := NewDispatcher(Config{Backend: b, Admission: adm})
+	d := NewDispatcher(Config{Backend: b, Admission: adm, Obs: obs.NewRegistry()})
 	return d, b, adm
 }
 
-func TestRegistryPutGetListWatch(t *testing.T) {
+func TestRegistryPutLookupList(t *testing.T) {
 	db := mongo.NewDB()
 	r := NewRegistry(db)
-	cs := r.Watch(r.Seq())
-	defer cs.Cancel()
 
 	if err := r.Put(Record{User: "alice", Tier: sched.TierPaid, GPUs: 8}); err != nil {
 		t.Fatal(err)
@@ -171,37 +171,31 @@ func TestRegistryPutGetListWatch(t *testing.T) {
 		t.Fatal("bogus tier accepted")
 	}
 
-	rec, ok := r.Get("alice")
-	if !ok || rec.GPUs != 12 || rec.Tier != sched.TierPaid {
-		t.Fatalf("Get(alice) = %+v %v", rec, ok)
+	rec, ok, err := r.Lookup("alice")
+	if err != nil || !ok || rec.GPUs != 12 || rec.Tier != sched.TierPaid {
+		t.Fatalf("Lookup(alice) = %+v %v %v", rec, ok, err)
 	}
-	list := r.List()
-	if len(list) != 2 || list[0].User != "alice" || list[1].User != "bob" {
-		t.Fatalf("List = %+v", list)
+	if _, ok, err := r.Lookup("nobody"); ok || err != nil {
+		t.Fatalf("Lookup(nobody) = %v %v, want absent", ok, err)
 	}
-
-	// The change feed carries every accepted write, post-image included.
-	seen := 0
-	timeout := time.After(2 * time.Second)
-	for seen < 3 {
-		select {
-		case ev := <-cs.Events():
-			if ev.Doc == nil {
-				continue
-			}
-			if rec, ok := docToRecord(ev.Doc); !ok || rec.User == "" {
-				t.Fatalf("feed doc undecodable: %+v", ev.Doc)
-			}
-			seen++
-		case <-timeout:
-			t.Fatalf("change feed delivered %d/3 writes", seen)
-		}
+	list, err := r.List()
+	if err != nil || len(list) != 2 || list[0].User != "alice" || list[1].User != "bob" {
+		t.Fatalf("List = %+v %v", list, err)
 	}
 
 	adm := sched.NewAdmission(0)
 	r.Seed(adm)
 	if q, ok := adm.Quota("bob"); !ok || q.Tier != sched.TierFree || q.GPUs != 2 {
 		t.Fatalf("seeded quota = %+v %v", q, ok)
+	}
+
+	// An outage is an error, never an empty registry.
+	db.SetUnavailable(true)
+	if list, err := r.List(); !errors.Is(err, mongo.ErrUnavailable) {
+		t.Fatalf("List during outage = %+v %v, want ErrUnavailable", list, err)
+	}
+	if _, _, err := r.Lookup("alice"); !errors.Is(err, mongo.ErrUnavailable) {
+		t.Fatalf("Lookup during outage err = %v, want ErrUnavailable", err)
 	}
 }
 
@@ -310,9 +304,8 @@ func TestDispatcherPreemptsHaltsRequeuesAndResumes(t *testing.T) {
 	if st.Preempted != 1 || st.Requeued != 1 || st.Resumed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	delays := d.QueueDelays()
-	if len(delays) != 3 {
-		t.Fatalf("delays = %+v", delays)
+	if n := d.obsDelay.Count(); n != 3 {
+		t.Fatalf("tenant.queue_delay count = %d, want 3", n)
 	}
 }
 
@@ -386,8 +379,8 @@ func TestStaleQueuedEventDoesNotDoubleCount(t *testing.T) {
 	if st := d.Stats(); st.Dispatched != 1 {
 		t.Fatalf("stats.Dispatched = %d, want 1", st.Dispatched)
 	}
-	if delays := d.QueueDelays(); len(delays) != 1 {
-		t.Fatalf("delays = %+v, want a single record", delays)
+	if n := d.obsDelay.Count(); n != 1 {
+		t.Fatalf("tenant.queue_delay count = %d, want a single observation", n)
 	}
 	if d.QueueDepth() != 0 {
 		t.Fatalf("stale entry still queued")
@@ -415,6 +408,61 @@ func TestDispatcherResyncRecoversMissedEvents(t *testing.T) {
 	d.resync()
 	if len(b.resumed) != 1 || b.resumed[0] != "victim" {
 		t.Fatalf("resync did not resume the halted victim: %v", b.resumed)
+	}
+}
+
+// TestDispatcherResyncReleasesLostTerminalFootprint: a job that
+// finished without its terminal event reaching the dispatcher must not
+// hold its GPUs forever — the resync releases it, and the queued job
+// behind it dispatches in the same pass.
+func TestDispatcherResyncReleasesLostTerminalFootprint(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4, Record{User: "alice", Tier: sched.TierPaid, GPUs: 8})
+	t0 := time.Unix(0, 0)
+	j1 := job("j1", "alice", 4, t0)
+	b.add(j1)
+	d.NoteQueued(j1)
+	d.dispatch()
+	if len(b.dispatched) != 1 {
+		t.Fatalf("dispatched = %v, want [j1]", b.dispatched)
+	}
+	j2 := job("j2", "alice", 4, t0.Add(time.Second))
+	b.add(j2)
+	d.NoteQueued(j2)
+	d.dispatch()
+	if len(b.dispatched) != 1 {
+		t.Fatalf("j2 dispatched over a full budget: %v", b.dispatched)
+	}
+
+	// j1 finishes, but its terminal event is lost: no NoteTerminal.
+	b.mu.Lock()
+	b.phase["j1"] = PhaseTerminal
+	b.mu.Unlock()
+	d.resync()
+	if adm.Holds("j1") || adm.Usage("alice") != 4 {
+		t.Fatalf("after resync: Holds(j1)=%v usage=%d, want j1 released and j2 holding 4",
+			adm.Holds("j1"), adm.Usage("alice"))
+	}
+	if len(b.dispatched) != 2 || b.dispatched[1] != "j2" {
+		t.Fatalf("dispatched = %v, want j2 after the resync", b.dispatched)
+	}
+}
+
+// TestDispatcherResyncKeepsHaltedFootprint: a victim admitted for
+// resume stays HALTED until its resume lands, and must keep the
+// footprint it was admitted with across a resync.
+func TestDispatcherResyncKeepsHaltedFootprint(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4, Record{User: "alice", Tier: sched.TierPaid, GPUs: 4})
+	v := job("victim", "alice", 4, time.Unix(0, 0))
+	b.add(v)
+	b.mu.Lock()
+	b.phase["victim"] = PhaseHalted
+	b.mu.Unlock()
+	if _, err := adm.Admit(v.Gang); err != nil {
+		t.Fatal(err)
+	}
+	d.resync()
+	if !adm.Holds("victim") {
+		t.Fatal("resync released a halted job's footprint")
 	}
 }
 
@@ -454,20 +502,19 @@ func TestDispatcherLoopWakesOnQuotaWrite(t *testing.T) {
 	if n := len(b.halted); n != 0 {
 		t.Fatalf("over-quota head preempted: %v", b.halted)
 	}
-	// Raising the payer's quota makes the head in-quota; the registry
-	// change feed must wake the loop — the hour-long resync never fires
-	// here — and the dispatcher preempts the free job for it.
-	if err := r.Put(Record{User: "payer", Tier: sched.TierPaid, GPUs: 8}); err != nil {
+	// Raising the payer's quota makes the head in-quota; SetQuota must
+	// wake the loop — the hour-long resync never fires here — and the
+	// dispatcher preempts the free job for it.
+	raised := Record{User: "payer", Tier: sched.TierPaid, GPUs: 8}
+	if err := r.Put(raised); err != nil {
 		t.Fatal(err)
 	}
+	d.SetQuota(raised)
 	waitFor(t, "quota raise preempts and dispatches", func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		return len(b.halted) == 1 && len(b.dispatched) == 2
 	})
-	if d.Stats().QuotaEvents == 0 {
-		t.Fatal("quota event not counted")
-	}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
