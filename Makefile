@@ -97,7 +97,7 @@ docs-check:
 		pkg=$$(basename $$d); \
 		grep -q "internal/$$pkg" docs/architecture.md || { echo "docs/architecture.md does not cover internal/$$pkg"; ok=0; }; \
 	done; \
-	for anchor in WatchStream "Store.Watch" "status bus" WatchStatus TakeDropped "change feed" EventResync Dispatcher commitlog OplogImage FollowLogs "retained floor" DataDir "survive a process restart"; do \
+	for anchor in WatchStream "Store.Watch" "status bus" WatchStatus TakeDropped "change feed" EventResync Dispatcher commitlog OplogImage FollowLogs "retained floor" DataDir "survive a process restart" "Volume.Watch"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
 	for anchor in Durability DataDir mongo-oplog learner-logs "Recovery on open"; do \

@@ -55,16 +55,15 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 
 	// The controller wakes on volume writes — learners publish status,
 	// exit and log files there — so observations reach etcd at event
-	// latency. The slow ticker is a safety net (the volume watch buffer
-	// is bounded and drops under burst; a scan is level-triggered and
-	// always converges). The watch channel closes when the volume is
-	// released at teardown; by then the pod is being killed via Stop.
-	// Each helper incarnation unsubscribes on exit, so restarts do not
-	// pile watchers onto the volume.
+	// latency. The volume drops a notification only to a full watcher,
+	// whose buffer still holds one; the level-triggered scan after that
+	// receive sees the dropped write, so no ticker is needed. The watch
+	// channel closes when the volume is released at teardown; by then
+	// the pod is being killed via Stop. Each helper incarnation
+	// unsubscribes on exit, so restarts do not pile watchers onto the
+	// volume.
 	writes := res.volume.Watch()
 	defer res.volume.Unwatch(writes)
-	ticker := p.clock.NewTicker(p.cfg.PollInterval * 10)
-	defer ticker.Stop()
 	for {
 		// controller: mirror learner statuses into etcd, collect exits.
 		for ord := 0; ord < m.Learners; ord++ {
@@ -112,9 +111,8 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 		case _, ok := <-writes:
 			// Coalesce write bursts into one scan.
 			if !ok || sim.Coalesce(writes, nil) {
-				writes = nil // volume released; ticker + Stop remain
+				writes = nil // volume released; Stop remains
 			}
-		case <-ticker.C:
 		}
 	}
 }

@@ -222,7 +222,6 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 	// Phase 2: rendezvous with peers (synchronous data parallelism).
 	if p.spec.Learners > 1 {
 		p.setStatus(StatusWaiting)
-		p.spec.Volume.WriteFile(p.readyPath(), []byte("1")) //nolint:errcheck
 		if !p.waitForPeers(stop) {
 			select {
 			case <-stop:
@@ -287,30 +286,48 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 	return 0, false
 }
 
-// waitForPeers blocks until every gang member has written its ready
-// file. Returns false on timeout or kill.
+// waitForPeers announces this learner's arrival with its ready file and
+// blocks until every gang member has written one. It returns false on
+// timeout or kill.
+//
+// The wait is event-driven: it subscribes to the volume before writing
+// its own ready file, so no peer's write can fall between announcing and
+// waiting, and rescans the ready files after every notification. The
+// volume drops a notification only to a full watcher, whose buffer still
+// holds one the rescan after it covers, so no wake-up is lost and no
+// poll is needed. A closed channel means the volume was released; the
+// learner then waits only for stop or the timeout.
 func (p *Process) waitForPeers(stop <-chan struct{}) bool {
-	var deadline time.Time
+	vol := p.spec.Volume
+	writes := vol.Watch()
+	defer vol.Unwatch(writes)
+	vol.WriteFile(p.readyPath(), []byte("1")) //nolint:errcheck // a released volume has closed writes
+	var timeout <-chan time.Time
 	if p.spec.RendezvousTimeout > 0 {
-		deadline = p.spec.Clock.Now().Add(p.spec.RendezvousTimeout)
+		t := p.spec.Clock.NewTimer(p.spec.RendezvousTimeout)
+		defer t.Stop()
+		timeout = t.C
 	}
 	for {
 		ready := 0
 		for i := 0; i < p.spec.Learners; i++ {
-			if p.spec.Volume.Exists(fmt.Sprintf(readyPattern, i)) {
+			if vol.Exists(fmt.Sprintf(readyPattern, i)) {
 				ready++
 			}
 		}
 		if ready == p.spec.Learners {
 			return true
 		}
-		if !deadline.IsZero() && p.spec.Clock.Now().After(deadline) {
-			return false
-		}
 		select {
 		case <-stop:
 			return false
-		case <-p.spec.Clock.After(5 * time.Millisecond):
+		case <-timeout:
+			return false
+		case _, ok := <-writes:
+			// Coalesce write bursts into one scan.
+			if !ok || sim.Coalesce(writes, nil) {
+				writes = nil // volume released; stop and timeout remain
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package learner
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 )
 
 type fixture struct {
+	prov  *nfs.Provisioner
 	vol   *nfs.Volume
 	store *objstore.Service
 	mount *objstore.Mount
@@ -33,7 +35,7 @@ func newFixture(t *testing.T) *fixture {
 	if err := store.Put("data", "train/shard-0", make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{vol: vol, store: store, mount: store.NewMount("data", 64<<20)}
+	return &fixture{prov: prov, vol: vol, store: store, mount: store.NewMount("data", 64<<20)}
 }
 
 func (f *fixture) spec(ordinal, learners int) Spec {
@@ -49,6 +51,29 @@ func (f *fixture) spec(ordinal, learners int) Spec {
 	}
 }
 
+// waitVolume blocks until cond holds, rescanning after every write
+// notification from the volume, and fails the test if it does not hold
+// within d. Like the platform's consumers it relies on the volume
+// dropping a notification only to a full watcher.
+func waitVolume(t *testing.T, vol *nfs.Volume, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	writes := vol.Watch()
+	defer vol.Unwatch(writes)
+	deadline := time.NewTimer(d)
+	defer deadline.Stop()
+	for !cond() {
+		select {
+		case _, ok := <-writes:
+			if !ok {
+				t.Fatalf("volume released while waiting for %s", what)
+			}
+			sim.Coalesce(writes, nil)
+		case <-deadline.C:
+			t.Fatalf("%s: not within %v", what, d)
+		}
+	}
+}
+
 // runToExit runs a single learner and stops it once its exit file
 // appears (as the platform does after the controller observes
 // completion).
@@ -58,22 +83,43 @@ func runToExit(t *testing.T, p *Process, f *fixture, ordinal int) int {
 	done := make(chan int, 1)
 	go func() { done <- p.Run(stop) }()
 	exitPath := fmt.Sprintf("learners/%d/exit", ordinal)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.vol.Exists(exitPath) {
-			close(stop)
-			select {
-			case code := <-done:
-				return code
-			case <-time.After(2 * time.Second):
-				t.Fatal("learner did not exit after stop")
+	waitVolume(t, f.vol, 5*time.Second, "exit file", func() bool { return f.vol.Exists(exitPath) })
+	close(stop)
+	select {
+	case code := <-done:
+		return code
+	case <-time.After(2 * time.Second):
+		t.Fatal("learner did not exit after stop")
+		return -1
+	}
+}
+
+// runGang runs n learners of one gang with specs from mk, waits for
+// every exit file, stops them all and returns their exit codes.
+func runGang(t *testing.T, f *fixture, n int, mk func(ordinal int) Spec) []int {
+	t.Helper()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	codes := make([]int, n)
+	for i := 0; i < n; i++ {
+		p := New(mk(i))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = p.Run(stop)
+		}(i)
+	}
+	waitVolume(t, f.vol, 10*time.Second, "all exit files", func() bool {
+		for i := 0; i < n; i++ {
+			if !f.vol.Exists(fmt.Sprintf("learners/%d/exit", i)) {
+				return false
 			}
 		}
-		time.Sleep(time.Millisecond)
-	}
+		return true
+	})
 	close(stop)
-	t.Fatal("exit file never appeared")
-	return -1
+	wg.Wait()
+	return codes
 }
 
 func TestSingleLearnerLifecycle(t *testing.T) {
@@ -110,42 +156,105 @@ func TestSingleLearnerLifecycle(t *testing.T) {
 func TestDistributedRendezvousAndCompletion(t *testing.T) {
 	f := newFixture(t)
 	const n = 3
-	var wg sync.WaitGroup
-	stops := make([]chan struct{}, n)
-	codes := make([]int, n)
-	for i := 0; i < n; i++ {
-		stops[i] = make(chan struct{})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i] = New(f.spec(i, n)).Run(stops[i])
-		}(i)
-	}
-	// Wait for all exit files, then stop all.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ready := 0
-		for i := 0; i < n; i++ {
-			if f.vol.Exists(fmt.Sprintf("learners/%d/exit", i)) {
-				ready++
-			}
-		}
-		if ready == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("learners never all completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < n; i++ {
-		close(stops[i])
-	}
-	wg.Wait()
+	codes := runGang(t, f, n, func(i int) Spec { return f.spec(i, n) })
 	for i, c := range codes {
 		if c != 0 {
 			t.Fatalf("learner %d exit = %d", i, c)
 		}
+	}
+}
+
+// TestRendezvousNeedsNoClockAdvance pins that the rendezvous wakes on
+// volume writes alone: on a virtual clock nobody advances, a gang of
+// four still meets, and no learner leaves a timer behind (an unfired
+// timeout waiter would later pull an auto-advancing clock an hour
+// forward).
+func TestRendezvousNeedsNoClockAdvance(t *testing.T) {
+	f := newFixture(t)
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	const n = 4
+	codes := runGang(t, f, n, func(i int) Spec {
+		spec := f.spec(i, n)
+		spec.Clock = fc
+		spec.RendezvousTimeout = time.Hour
+		return spec
+	})
+	for i, c := range codes {
+		data, _ := f.vol.ReadFile(fmt.Sprintf("learners/%d/exit", i))
+		if c != 0 || string(data) != "0" {
+			t.Fatalf("learner %d exit = %d, exit file %q", i, c, data)
+		}
+	}
+	if w := fc.WaiterCount(); w != 0 {
+		t.Fatalf("%d clock waiters left behind", w)
+	}
+}
+
+// TestRendezvousSurvivesDroppedNotifications floods the volume with
+// unrelated writes while a gang of four meets, so each learner's watch
+// buffer overflows and drops notifications; the rescan after every
+// receive must still see every peer's ready file.
+func TestRendezvousSurvivesDroppedNotifications(t *testing.T) {
+	f := newFixture(t)
+	const n = 4
+	const minNoise = 640 // ten times a watcher's buffer
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // stops the writer if the gang fails the test
+	noise := make(chan int, 1)
+	go func() {
+		i := 0
+		for ; ; i++ {
+			select {
+			case <-ctx.Done():
+				if i >= minNoise {
+					noise <- i
+					return
+				}
+			default:
+			}
+			if err := f.vol.AppendFile(fmt.Sprintf("noise/%d", i), []byte("x")); err != nil {
+				t.Error(err)
+				noise <- i
+				return
+			}
+		}
+	}()
+	codes := runGang(t, f, n, func(i int) Spec {
+		spec := f.spec(i, n)
+		spec.RendezvousTimeout = 10 * time.Second
+		return spec
+	})
+	cancel()
+	if w := <-noise; w < minNoise {
+		t.Fatalf("only %d noise writes", w)
+	}
+	for i, c := range codes {
+		if c != 0 {
+			t.Fatalf("learner %d exit = %d", i, c)
+		}
+	}
+}
+
+// TestRendezvousOnReleasedVolumeWaitsForStop releases the volume under
+// a learner waiting for its missing peer: the closed watch must not
+// end the wait (or spin it), and stop still kills the learner promptly.
+func TestRendezvousOnReleasedVolumeWaitsForStop(t *testing.T) {
+	f := newFixture(t)
+	stop := make(chan struct{})
+	done := make(chan int, 1)
+	go func() { done <- New(f.spec(0, 2)).Run(stop) }()
+	waitVolume(t, f.vol, 5*time.Second, "ready file", func() bool { return f.vol.Exists("learners/0/ready") })
+	f.prov.Release(f.vol)
+	// A learner that took the release for a failed rendezvous would
+	// idle after it until stop and then report 2, not 137.
+	close(stop)
+	select {
+	case code := <-done:
+		if code != 137 {
+			t.Fatalf("exit = %d, want 137", code)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("learner did not return within 1s of stop")
 	}
 }
 
@@ -157,18 +266,11 @@ func TestRendezvousTimeoutWhenPeerMissing(t *testing.T) {
 	defer close(stop)
 	done := make(chan int, 1)
 	go func() { done <- New(spec).Run(stop) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.vol.Exists("learners/0/exit") {
-			data, _ := f.vol.ReadFile("learners/0/exit")
-			if string(data) != "2" {
-				t.Fatalf("exit file = %q, want 2 (rendezvous failure)", data)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
+	waitVolume(t, f.vol, 5*time.Second, "rendezvous give-up", func() bool { return f.vol.Exists("learners/0/exit") })
+	data, _ := f.vol.ReadFile("learners/0/exit")
+	if string(data) != "2" {
+		t.Fatalf("exit file = %q, want 2 (rendezvous failure)", data)
 	}
-	t.Fatal("learner never gave up on rendezvous")
 }
 
 func TestKillLeavesNoExitFile(t *testing.T) {
@@ -180,17 +282,10 @@ func TestKillLeavesNoExitFile(t *testing.T) {
 	done := make(chan int, 1)
 	go func() { done <- New(spec).Run(stop) }()
 	// Let it reach PROCESSING, then kill.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitVolume(t, f.vol, 5*time.Second, "PROCESSING", func() bool {
 		st, err := f.vol.ReadFile("learners/0/status")
-		if err == nil && string(st) == StatusProcessing {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never reached PROCESSING")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return err == nil && string(st) == StatusProcessing
+	})
 	close(stop)
 	select {
 	case code := <-done:

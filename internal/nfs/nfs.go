@@ -121,13 +121,20 @@ func (v *Volume) List(prefix string) []string {
 }
 
 // Watch returns a channel that receives the path of every subsequent
-// write; the controller uses it to react promptly to learner exits.
-// Delivery never blocks a writer: a full channel misses the path. The
-// channel closes on Unwatch or when the volume is released.
+// write. The helper's controller wakes on it to mirror learner status
+// and exits, and gang learners wake on it to rendezvous. Delivery never
+// blocks a writer: a full channel misses the path, so a consumer
+// rescans after every receive. The channel closes on Unwatch or when
+// the volume is released; on an already released volume it is returned
+// closed.
 func (v *Volume) Watch() <-chan string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	ch := make(chan string, 64)
+	if v.released {
+		close(ch)
+		return ch
+	}
 	v.watchers = append(v.watchers, ch)
 	return ch
 }

@@ -107,6 +107,35 @@ func TestReleaseInvalidatesVolume(t *testing.T) {
 	}
 }
 
+// TestWatchAfterReleaseIsClosed pins that a consumer subscribing after
+// teardown (a helper or learner still starting when the job is torn
+// down) sees the release at once instead of waiting on a channel that
+// never closes, and that the released volume keeps no watcher.
+func TestWatchAfterReleaseIsClosed(t *testing.T) {
+	p := fastProvisioner()
+	v, err := p.Provision("job1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(v)
+	ch := v.Watch()
+	select {
+	case _, open := <-ch:
+		if open {
+			t.Fatal("watch on a released volume delivered a path")
+		}
+	default:
+		t.Fatal("watch on a released volume returned an open channel")
+	}
+	v.mu.Lock()
+	n := len(v.watchers)
+	v.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("released volume registered %d watchers", n)
+	}
+	v.Unwatch(ch) // not registered: must not panic
+}
+
 // TestUnwatchLeavesNoWatcher pins the unsubscribe contract a restarting
 // helper relies on: Watch/Unwatch cycles leave no watcher behind, an
 // unwatched channel is closed and receives nothing further, and
