@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"github.com/ffdl/ffdl/internal/codec"
 )
@@ -25,6 +26,25 @@ import (
 // first frame whose bytes are incomplete (codec.ErrTruncated) or whose
 // checksum fails (codec.ErrCorrupt).
 const recMagic = 0xC1
+
+// frameLen returns the encoded size of a record frame, so a caller can
+// allocate it exactly once.
+func frameLen(offset uint64, key string, payload []byte) int {
+	return 1 + uvarintLen(offset) + uvarintLen(uint64(len(key))) + len(key) +
+		uvarintLen(uint64(len(payload))) + len(payload) + 4 // crc32
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// framePayload returns the payload of a just-encoded frame as a
+// subslice of it (nil when empty), capped short of the checksum.
+func framePayload(frame []byte, payloadLen int) []byte {
+	if payloadLen == 0 {
+		return nil
+	}
+	end := len(frame) - 4
+	return frame[end-payloadLen : end : end]
+}
 
 // appendRecordFrame appends the encoded frame for rec to dst.
 func appendRecordFrame(dst []byte, offset uint64, key string, payload []byte) []byte {

@@ -2,16 +2,18 @@
 // append-only log of (offset, key, payload) records split into bounded
 // segments, with key-compaction of sealed segments and offset-addressed
 // reads — one retention mechanism under the mongo oplog and the learner
-// logs. A log holds no consumer state: resume positions are offsets the
-// reader keeps (a change-stream Seq, a LogLine.Offset), checked against
-// OldestOffset.
+// logs. A record's one body is its encoded payload, so a log reads the
+// same whether it rides memory or disk. A log holds no consumer state:
+// resume positions are offsets the reader keeps (a change-stream Seq, a
+// LogLine.Offset), checked against OldestOffset.
 //
 // Durability is pluggable through SegmentStore: the simulation runs on
 // MemStore, FileStore persists segments on disk, and FaultStore wraps
 // either with crash/corruption injection for the torture suite
-// (Torture). The Log keeps a decoded in-memory index of every retained
-// record and writes through to the store, so reads never touch the
-// store; Open replays the store back, truncating any torn tail.
+// (Torture). The Log keeps an in-memory index of every retained record
+// — each payload a subslice of the frame handed to the store — and
+// writes through to the store, so reads never touch the store; Open
+// replays the store back, truncating any torn tail.
 //
 // Guarantees (pinned by the torture and property tests):
 //
@@ -36,18 +38,11 @@ import (
 
 // Record is one appended entry. Offset is assigned by the log; Key is
 // the compaction identity ("" = never superseded); Payload is the
-// durable body.
-//
-// Value is an optional in-memory companion the simulation's hot paths
-// use to skip payload codecs: it rides the in-memory index, is
-// returned by readers, but is NOT persisted — a log reopened from a
-// store sees only Payload. In-memory logs (MemStore) lose nothing;
-// file-backed logs should encode everything into Payload.
+// durable body, and the only one. Readers must not modify Payload.
 type Record struct {
 	Offset  uint64
 	Key     string
 	Payload []byte
-	Value   any
 }
 
 // Options parameterizes a Log.
@@ -120,11 +115,13 @@ type Log struct {
 	opts  Options
 
 	segments []*segment // ascending base; last is active
-	oldest   uint64     // logical retention floor (first readable offset)
+	oldest   uint64     // retention floor: first offset of the contiguous tail
 	next     uint64     // next offset to assign
+	// latest maps each key to its newest offset (Compact only): the
+	// compaction rule, kept as records land and rebuilt by Open.
+	latest map[string]uint64
 
-	encBuf []byte // reused frame-encode scratch
-	dead   error  // first store failure; log is read-only after
+	dead error // first store failure; log is read-only after
 
 	// Registry instrument handles, derived once at Open; all nil when
 	// Options.Obs is nil (nil instruments no-op for free).
@@ -149,6 +146,9 @@ func Open(store SegmentStore, opts Options) (*Log, error) {
 		opts:   opts,
 		oldest: opts.FirstOffset,
 		next:   opts.FirstOffset,
+	}
+	if opts.Compact {
+		l.latest = make(map[string]uint64)
 	}
 	if opts.Obs != nil {
 		l.obsAppend = opts.Obs.Histogram("commitlog.append")
@@ -200,8 +200,17 @@ func Open(store SegmentStore, opts Options) (*Log, error) {
 		}
 	}
 	l.segments = kept
-	if len(l.segments) > 0 {
-		l.oldest = l.segments[0].recs[0].Offset
+	// The floor sits past the last hole compaction, merge or retention
+	// left in the recovered offsets, where the live log had raised it.
+	expect := l.oldest
+	for _, seg := range l.segments {
+		for _, r := range seg.recs {
+			if r.Offset != expect {
+				l.oldest = r.Offset
+			}
+			expect = r.Offset + 1
+			l.noteLatestLocked(r)
+		}
 	}
 	// Always roll a fresh active segment at the resume offset: every
 	// recovered segment stays sealed, so a reopened log never appends
@@ -227,18 +236,9 @@ func (l *Log) rollLocked() error {
 }
 
 // Append appends a record and returns its offset. The payload is
-// copied; the key is retained as passed.
+// copied into the record's frame, so the caller may reuse it; the key
+// is retained as passed.
 func (l *Log) Append(key string, payload []byte) (uint64, error) {
-	return l.append(key, payload, nil)
-}
-
-// AppendValue appends a record whose body is the in-memory value
-// (payload stays empty on the wire — see Record.Value).
-func (l *Log) AppendValue(key string, value any) (uint64, error) {
-	return l.append(key, nil, value)
-}
-
-func (l *Log) append(key string, payload []byte, value any) (uint64, error) {
 	l.lock()
 	defer l.unlock()
 	if l.dead != nil {
@@ -249,24 +249,24 @@ func (l *Log) append(key string, payload []byte, value any) (uint64, error) {
 		defer func() { l.obsAppend.ObserveDuration(l.clock.Now().Sub(start)) }()
 	}
 	off := l.next
-	l.encBuf = appendRecordFrame(l.encBuf[:0], off, key, payload)
+	// One frame per record: the store may keep it, and the index keeps
+	// the payload as a subslice of it.
+	frame := appendRecordFrame(make([]byte, 0, frameLen(off, key, payload)), off, key, payload)
 	active := l.segments[len(l.segments)-1]
-	n, err := l.store.Append(active.base, l.encBuf)
-	if err != nil || n < len(l.encBuf) {
+	n, err := l.store.Append(active.base, frame)
+	if err != nil || n < len(frame) {
 		if err == nil {
-			err = fmt.Errorf("commitlog: short append (%d of %d bytes)", n, len(l.encBuf))
+			err = fmt.Errorf("commitlog: short append (%d of %d bytes)", n, len(frame))
 		}
 		// The record is not (fully) durable: poison the log rather
 		// than let the in-memory index diverge from the store.
 		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
 		return 0, l.dead
 	}
-	rec := Record{Offset: off, Key: key, Value: value}
-	if len(payload) > 0 {
-		rec.Payload = append([]byte(nil), payload...)
-	}
+	rec := Record{Offset: off, Key: key, Payload: framePayload(frame, len(payload))}
 	active.recs = append(active.recs, rec)
-	active.bytes += int64(len(l.encBuf))
+	active.bytes += int64(len(frame))
+	l.noteLatestLocked(rec)
 	l.next = off + 1
 	if len(active.recs) >= l.opts.SegmentRecords || active.bytes >= l.opts.SegmentBytes {
 		if err := l.rollLocked(); err != nil {
@@ -302,40 +302,35 @@ func (l *Log) maintainLocked() {
 	}
 }
 
-// latestPerKeyLocked builds the newest-offset-per-key view across the
-// whole retained log.
-func (l *Log) latestPerKeyLocked() map[string]uint64 {
-	latest := make(map[string]uint64)
-	for _, seg := range l.segments {
-		for _, r := range seg.recs {
-			if r.Key == "" {
-				continue
-			}
-			if cur, ok := latest[r.Key]; !ok || r.Offset > cur {
-				latest[r.Key] = r.Offset
-			}
-		}
+// noteLatestLocked records rec as its key's newest offset (records
+// arrive in offset order, at append and at Open).
+func (l *Log) noteLatestLocked(rec Record) {
+	if l.latest != nil && rec.Key != "" {
+		l.latest[rec.Key] = rec.Offset
 	}
-	return latest
 }
 
-// compactable reports whether rec may be dropped by compaction:
-// superseded by a newer record with the same key.
-func compactable(rec Record, latest map[string]uint64) bool {
-	return rec.Key != "" && latest[rec.Key] > rec.Offset
+// compactLocked appends to kept the records of recs that no newer
+// record with the same key supersedes. It also returns the offset just
+// past the newest record it dropped (0 when none): the floor the
+// contiguous retained tail now starts at, at the lowest.
+func (l *Log) compactLocked(kept, recs []Record) ([]Record, uint64) {
+	var floor uint64
+	for _, r := range recs {
+		if r.Key != "" && l.latest[r.Key] > r.Offset {
+			floor = r.Offset + 1
+			continue
+		}
+		kept = append(kept, r)
+	}
+	return kept, floor
 }
 
 // compactSealedLocked key-compacts the segment that just sealed (the
 // one before the fresh active segment).
 func (l *Log) compactSealedLocked() {
 	seg := l.segments[len(l.segments)-2]
-	latest := l.latestPerKeyLocked()
-	kept := seg.recs[:0:0]
-	for _, r := range seg.recs {
-		if !compactable(r, latest) {
-			kept = append(kept, r)
-		}
-	}
+	kept, floor := l.compactLocked(seg.recs[:0:0], seg.recs)
 	if len(kept) == len(seg.recs) {
 		return
 	}
@@ -348,6 +343,7 @@ func (l *Log) compactSealedLocked() {
 	}
 	seg.recs = kept
 	seg.bytes = int64(len(data))
+	l.oldest = max(l.oldest, floor)
 }
 
 // mergeOldestLocked folds the second-oldest sealed segment into the
@@ -361,18 +357,8 @@ func (l *Log) mergeOldestLocked() bool {
 	if !a.sealed || !b.sealed {
 		return false
 	}
-	latest := l.latestPerKeyLocked()
-	merged := make([]Record, 0, len(a.recs)+len(b.recs))
-	for _, r := range a.recs {
-		if !compactable(r, latest) {
-			merged = append(merged, r)
-		}
-	}
-	for _, r := range b.recs {
-		if !compactable(r, latest) {
-			merged = append(merged, r)
-		}
-	}
+	merged, floorA := l.compactLocked(make([]Record, 0, len(a.recs)+len(b.recs)), a.recs)
+	merged, floorB := l.compactLocked(merged, b.recs)
 	data := encodeRecords(merged)
 	if err := l.store.Rewrite(a.base, data); err != nil {
 		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
@@ -385,6 +371,7 @@ func (l *Log) mergeOldestLocked() bool {
 	a.recs = merged
 	a.bytes = int64(len(data))
 	l.segments = append(l.segments[:1], l.segments[2:]...)
+	l.oldest = max(l.oldest, floorA, floorB)
 	return true
 }
 
@@ -405,19 +392,25 @@ func (l *Log) dropOldestLocked() bool {
 	return true
 }
 
-// encodeRecords re-encodes records into fresh segment bytes (used by
-// compaction rewrites and merges).
+// encodeRecords re-encodes records into one fresh segment buffer for a
+// compaction rewrite or merge, and repoints their payloads into it.
 func encodeRecords(recs []Record) []byte {
-	var data []byte
+	size := 0
 	for _, r := range recs {
+		size += frameLen(r.Offset, r.Key, r.Payload)
+	}
+	data := make([]byte, 0, size)
+	for i, r := range recs {
 		data = appendRecordFrame(data, r.Offset, r.Key, r.Payload)
+		recs[i].Payload = framePayload(data, len(r.Payload))
 	}
 	return data
 }
 
-// OldestOffset returns the retention floor: the smallest offset that
-// can still be read. A reader resuming below it has missed records and
-// must resync from current state instead of replaying.
+// OldestOffset returns the retention floor: the first offset of the
+// contiguous retained tail (older records may survive below it, with
+// holes). A reader resuming below it has missed records and must
+// resync from current state instead of replaying.
 func (l *Log) OldestOffset() uint64 {
 	l.lock()
 	defer l.unlock()

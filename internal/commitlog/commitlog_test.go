@@ -148,24 +148,6 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestValueRidesMemory(t *testing.T) {
-	type ev struct{ N int }
-	l, err := Open(NewMemStore(), Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if _, err := l.AppendValue("k", ev{N: 7}); err != nil {
-		t.Fatalf("AppendValue: %v", err)
-	}
-	rec, ok := recordAt(l, 0)
-	if !ok {
-		t.Fatal("recordAt(0) missed")
-	}
-	if v, ok := rec.Value.(ev); !ok || v.N != 7 {
-		t.Fatalf("Value = %#v, want ev{7}", rec.Value)
-	}
-}
-
 func TestReopenRecoversRecords(t *testing.T) {
 	store := NewMemStore()
 	l, err := Open(store, Options{SegmentRecords: 4})
@@ -245,9 +227,27 @@ func TestCompactionKeepsLatestPerKey(t *testing.T) {
 	}
 }
 
+// checkContiguousTail fails unless the records from OldestOffset() run
+// without a hole to NextOffset()-1: the floor must count every record
+// compaction, merge or retention dropped.
+func checkContiguousTail(t *testing.T, l *Log) {
+	t.Helper()
+	want := l.OldestOffset()
+	for _, r := range l.Records(want) {
+		if r.Offset != want {
+			t.Fatalf("hole above the floor %d: offset %d where %d was due", l.OldestOffset(), r.Offset, want)
+		}
+		want++
+	}
+	if want != l.NextOffset() {
+		t.Fatalf("retained tail ends at %d, want NextOffset()-1 = %d", want-1, l.NextOffset()-1)
+	}
+}
+
 // TestCompactionProperty is the twin-log property test: a compacted
-// log's latest-value-per-key equals an uncompacted twin's, and every
-// record the compacted log retains is the twin's record verbatim.
+// log's latest-value-per-key equals an uncompacted twin's, every record
+// the compacted log retains is the twin's record verbatim, and after
+// every append the records from the floor run contiguously.
 func TestCompactionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	compacted, err := Open(NewMemStore(), Options{SegmentRecords: 8, Compact: true, MaxSegments: 3})
@@ -272,6 +272,10 @@ func TestCompactionProperty(t *testing.T) {
 		if offC != offP {
 			t.Fatalf("offset divergence: %d vs %d", offC, offP)
 		}
+		checkContiguousTail(t, compacted)
+	}
+	if compacted.OldestOffset() == 0 {
+		t.Fatal("compaction never raised the floor")
 	}
 
 	latest := func(recs []Record) map[string]Record {
@@ -334,6 +338,10 @@ func TestCompactedReopenMatches(t *testing.T) {
 			t.Fatalf("record %d diverged across reopen", i)
 		}
 	}
+	if r.OldestOffset() != l.OldestOffset() {
+		t.Fatalf("reopened floor %d, live floor %d", r.OldestOffset(), l.OldestOffset())
+	}
+	checkContiguousTail(t, r)
 }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {

@@ -25,6 +25,9 @@ import (
 // written along with the error. Rewrite is atomic: it either fully
 // replaces the segment or leaves it untouched (the file store stages
 // into a temp file and renames).
+//
+// A store may keep the slice it is handed to Append or Rewrite; the Log
+// never reuses or modifies one.
 type SegmentStore interface {
 	// Segments lists existing segment base offsets, ascending.
 	Segments() ([]uint64, error)
@@ -44,17 +47,19 @@ type SegmentStore interface {
 var ErrNoSegment = errors.New("commitlog: no such segment")
 
 // MemStore is the in-memory SegmentStore the simulation runs on: with
-// no DataDir, the mongo oplog and the learner logs ride it.
-// It is safe for concurrent use, though the owning Log serializes
-// writes anyway.
+// no DataDir, the mongo oplog and the learner logs ride it. A segment
+// is the list of slices it was handed — each append's frame, or one
+// rewrite — kept without a copy, so the bytes are shared with the Log's
+// index; Load concatenates them. It is safe for concurrent use, though
+// the owning Log serializes writes anyway.
 type MemStore struct {
 	mu       sync.Mutex
-	segments map[uint64][]byte
+	segments map[uint64][][]byte
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{segments: make(map[uint64][]byte)}
+	return &MemStore{segments: make(map[uint64][][]byte)}
 }
 
 // Segments implements SegmentStore.
@@ -86,7 +91,7 @@ func (m *MemStore) Append(base uint64, data []byte) (int, error) {
 	if _, ok := m.segments[base]; !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoSegment, base)
 	}
-	m.segments[base] = append(m.segments[base], data...)
+	m.segments[base] = append(m.segments[base], data)
 	return len(data), nil
 }
 
@@ -94,11 +99,15 @@ func (m *MemStore) Append(base uint64, data []byte) (int, error) {
 func (m *MemStore) Load(base uint64) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.segments[base]
+	chunks, ok := m.segments[base]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSegment, base)
 	}
-	return append([]byte(nil), data...), nil
+	var data []byte
+	for _, c := range chunks {
+		data = append(data, c...)
+	}
+	return data, nil
 }
 
 // Rewrite implements SegmentStore.
@@ -108,7 +117,7 @@ func (m *MemStore) Rewrite(base uint64, data []byte) error {
 	if _, ok := m.segments[base]; !ok {
 		return fmt.Errorf("%w: %d", ErrNoSegment, base)
 	}
-	m.segments[base] = append([]byte(nil), data...)
+	m.segments[base] = [][]byte{data}
 	return nil
 }
 

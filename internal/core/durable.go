@@ -13,8 +13,9 @@ import (
 
 // Durable-log plumbing: where each platform log lives under
 // Config.DataDir, and the payload codec (on internal/codec's shared
-// reader) for the learner log lines that must outlive the process. The DataDir layout is one commitlog.FileStore
-// directory per log:
+// reader) for learner log lines, which every job log stores, in memory
+// or on disk. The DataDir layout is one commitlog.FileStore directory
+// per log:
 //
 //	<DataDir>/mongo-oplog/            the metadata store's oplog
 //	<DataDir>/learner-logs/<jobID>/   one log per job's learner lines

@@ -49,11 +49,13 @@ type MetricsService struct {
 	clock sim.Clock
 	// dataDir/storeWrap are injected by NewPlatform when Config.DataDir
 	// is set: each job's log then lives in its own FileStore directory
-	// (<DataDir>/learner-logs/<jobID>), lines are encoded into record
-	// payloads, and a reopened service lazily reopens existing dirs —
-	// so offsets survive a process restart.
+	// (<DataDir>/learner-logs/<jobID>), and a reopened service lazily
+	// reopens existing dirs — so offsets survive a process restart.
 	dataDir   string
 	storeWrap StoreWrapper
+	// lineBuf is AppendLog's encode scratch, guarded by mu; the log
+	// copies each payload into its own frame.
+	lineBuf []byte
 }
 
 // NewMetricsService returns an empty service whose counters live in
@@ -123,30 +125,18 @@ func (m *MetricsService) AppendLog(line LogLine) {
 		m.reg.Counter("metrics.log_open_errors").Inc()
 		return
 	}
-	// Mint the offset up front so the stored value carries it (m.mu
+	// Mint the offset up front so the encoded line carries it (m.mu
 	// serializes appends per service, so NextOffset is exact).
 	line.Offset = l.NextOffset()
-	if m.dataDir != "" {
-		_, err = l.Append("", encodeLogLine(nil, line))
-	} else {
-		_, err = l.AppendValue("", line)
-	}
-	if err != nil {
+	m.lineBuf = encodeLogLine(m.lineBuf[:0], line)
+	if _, err = l.Append("", m.lineBuf); err != nil {
 		return // never half-publish
 	}
 	m.live.publish(line.JobID, line)
 }
 
-// logLineRec extracts the LogLine a log record carries: the in-memory
-// Value on the MemStore path, decoded from the durable payload
-// otherwise (records recovered from a reopened store carry no Value).
+// logLineRec decodes the LogLine a log record's payload carries.
 func logLineRec(rec commitlog.Record) (LogLine, bool) {
-	if line, ok := rec.Value.(LogLine); ok {
-		return line, true
-	}
-	if len(rec.Payload) == 0 {
-		return LogLine{}, false
-	}
 	line, err := decodeLogLine(rec.Payload)
 	return line, err == nil
 }

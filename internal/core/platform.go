@@ -95,7 +95,7 @@ type Config struct {
 	// directory under it (see durable.go for the layout) and are
 	// recovered on boot — job documents with their status history, log
 	// offsets and retained floors all survive a full process restart.
-	// Empty (the default) keeps every log in memory.
+	// Empty (the default) keeps every log in memory, in the same bytes.
 	DataDir string
 
 	// StoreWrapper, when non-nil, wraps each durable log's segment
@@ -269,8 +269,10 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The oplog runs the same codec and key-compaction in memory as on
+	// disk: only the store differs.
 	db, err := mongo.Open(oplogStore, mongo.Options{
-		Persist: cfg.DataDir != "",
+		Persist: true,
 		Obs:     instruments,
 		Clock:   cfg.Clock,
 	})

@@ -612,12 +612,13 @@ type op struct {
 // streams (Watch) and oplog-image reads (Collection.OplogImage). The oplog rides the
 // platform's commit log (internal/commitlog): entries are records keyed
 // by collection and _id, sequence numbers are log offsets, and
-// retention drops whole sealed segments off the tail — so a slow
-// ChangeStream either replays the contiguous retained history or is
-// told explicitly (a "resync" event) that its token fell below the
-// retained floor. The previous ring buffer instead discarded its older
-// half in place once it passed 64k entries, and a stale resume silently
-// started at the new floor.
+// retention (key-compaction, or dropping whole sealed segments) raises
+// the floor past every entry it drops — so a slow ChangeStream either
+// replays the contiguous retained history or is told explicitly (a
+// "resync" event) that its token fell below the retained floor. The
+// previous ring buffer instead discarded its older half in place once
+// it passed 64k entries, and a stale resume silently started at the new
+// floor.
 type DB struct {
 	mu      sync.Mutex
 	colls   map[string]*Collection
@@ -625,11 +626,9 @@ type DB struct {
 	opSeq   uint64
 	subs    map[int]chan op
 	nextSub int
-	// persist encodes every oplog entry into its record payload (see
-	// opcodec.go) so the log's durable bytes are self-contained; set for
-	// FileStore-backed databases, off for the MemStore default where ops
-	// ride the in-memory record Value.
-	persist bool
+	// encBuf is logOp's encode scratch, guarded by mu; the log copies
+	// each payload into its own frame.
+	encBuf []byte
 	// obsOp/clock time every collection operation into the platform's
 	// "mongo.op_latency" histogram; both nil on an uninstrumented DB.
 	obsOp *obs.Histogram
@@ -658,12 +657,12 @@ func (db *DB) Unavailable() bool {
 
 // Options configures Open.
 type Options struct {
-	// Persist makes the oplog's durable bytes self-contained: every
-	// entry is encoded into its record payload, and key-compaction is
-	// enabled so retention always keeps at least the newest op per
-	// document — which is what makes collections rebuildable from the
-	// retained log on reopen. Set it when the store outlives the
-	// process (FileStore); leave it off for MemStore.
+	// Persist selects the oplog's retention. Set, sealed segments are
+	// key-compacted, so retention always keeps at least the newest op
+	// per document — which is what makes collections rebuildable from
+	// the retained log on reopen. Unset, the oldest sealed segment is
+	// dropped past the bound. Either way every entry is encoded into its
+	// record payload (opcodec.go).
 	Persist bool
 	// Obs, when non-nil, times every collection operation into the
 	// "mongo.op_latency" histogram and instruments the oplog's commit
@@ -740,10 +739,9 @@ func Open(store commitlog.SegmentStore, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("mongo: open oplog: %w", err)
 	}
 	db := &DB{
-		colls:   make(map[string]*Collection),
-		oplog:   log,
-		subs:    make(map[int]chan op),
-		persist: opts.Persist,
+		colls: make(map[string]*Collection),
+		oplog: log,
+		subs:  make(map[int]chan op),
 	}
 	if opts.Obs != nil {
 		db.obsOp = opts.Obs.Histogram("mongo.op_latency")
@@ -794,21 +792,10 @@ func (c *Collection) bumpSeqLocked(id string) {
 	}
 }
 
-// recOp extracts the op a log record carries: the in-memory Value on
-// the MemStore hot path, decoded from the durable payload otherwise
-// (records recovered from a reopened store carry no Value).
+// recOp decodes the op a log record's payload carries.
 func recOp(rec commitlog.Record) (op, bool) {
-	if o, ok := rec.Value.(op); ok {
-		return o, true
-	}
-	if len(rec.Payload) == 0 {
-		return op{}, false
-	}
 	o, err := decodeOp(rec.Payload)
-	if err != nil {
-		return op{}, false
-	}
-	return o, true
+	return o, err == nil
 }
 
 // C returns (creating if needed) the named collection.
@@ -837,26 +824,18 @@ func (db *DB) logOp(o op) error {
 	defer db.mu.Unlock()
 	id, _ := o.Doc["_id"].(string)
 	// The op is keyed by collection+_id; its Seq is the record's offset,
-	// minted up front so the stored value carries it — db.mu serializes
-	// appends, so NextOffset is exact. On the MemStore hot path the op
-	// rides the record's in-memory Value and nothing crosses a codec; a
-	// durable oplog encodes it into the payload instead, so the bytes on
-	// disk are self-contained.
+	// minted up front so the encoded entry carries it — db.mu serializes
+	// appends, so NextOffset is exact. The payload is the op's only
+	// body, so the bytes in the store are self-contained.
 	o.Seq = db.oplog.NextOffset()
 	var err error
-	if db.persist {
-		var payload []byte
-		if payload, err = encodeOp(nil, o); err != nil {
-			// A value outside the codec's tagged set is a type-contract
-			// violation by the writer, not an I/O condition; dropping the
-			// entry would silently lose the write at recovery.
-			panic(fmt.Sprintf("mongo: durable oplog entry for %s/%s: %v", o.Coll, id, err))
-		}
-		_, err = db.oplog.Append(o.Coll+"\x00"+id, payload)
-	} else {
-		_, err = db.oplog.AppendValue(o.Coll+"\x00"+id, o)
+	if db.encBuf, err = encodeOp(db.encBuf[:0], o); err != nil {
+		// A value outside the codec's tagged set is a type-contract
+		// violation by the writer, not an I/O condition; dropping the
+		// entry would silently lose the write at recovery.
+		panic(fmt.Sprintf("mongo: oplog entry for %s/%s: %v", o.Coll, id, err))
 	}
-	if err != nil {
+	if _, err = db.oplog.Append(o.Coll+"\x00"+id, db.encBuf); err != nil {
 		return fmt.Errorf("%w: oplog append: %v", ErrUnavailable, err) // never half-publish
 	}
 	db.opSeq = o.Seq
@@ -879,25 +858,28 @@ func (db *DB) OplogLen() uint64 {
 	return db.opSeq
 }
 
-// OplogFloor returns the oldest retained oplog sequence number. A
-// resume token below it cannot replay; Watch signals such consumers
-// with an explicit "resync" event.
+// OplogFloor returns the first sequence number of the oplog's
+// contiguous retained tail: every entry from it on replays. A resume
+// token below it cannot replay; Watch signals such consumers with an
+// explicit "resync" event.
 func (db *DB) OplogFloor() uint64 {
 	return db.oplog.OldestOffset()
 }
 
 // addSub registers an oplog subscriber and returns its id plus the
-// retained backlog with Seq > fromSeq (held-lock snapshot, so backlog
-// and live feed are contiguous). truncated reports that fromSeq
-// predates the retained floor, so the backlog is NOT a contiguous
-// continuation of the consumer's history.
+// retained backlog with Seq > fromSeq, starting no lower than the floor
+// (held-lock snapshot, so backlog and live feed are contiguous).
+// truncated reports that fromSeq predates the retained floor, so the
+// backlog — the contiguous tail from the floor — is NOT a continuation
+// of the consumer's history.
 func (db *DB) addSub(ch chan op, fromSeq uint64) (id int, backlog []op, truncated bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.nextSub++
 	db.subs[db.nextSub] = ch
-	truncated = fromSeq > 0 && fromSeq+1 < db.oplog.OldestOffset()
-	for _, rec := range db.oplog.Records(fromSeq + 1) {
+	floor := db.oplog.OldestOffset()
+	truncated = fromSeq > 0 && fromSeq+1 < floor
+	for _, rec := range db.oplog.Records(max(fromSeq+1, floor)) {
 		if o, ok := recOp(rec); ok {
 			backlog = append(backlog, o)
 		}
@@ -958,11 +940,11 @@ func (cs *ChangeStream) Cancel() {
 }
 
 // Watch opens a change stream over one collection ("" = all), starting
-// after oplog sequence fromSeq (0 = from the beginning of the retained
-// oplog). If fromSeq > 0 predates the retained oplog, the stream's
-// first delivery is an explicit Kind "resync" event — the cue to
-// re-read the collection — followed by the contiguous retained history
-// from the floor; a stale resume is never a silent gap.
+// after oplog sequence fromSeq (0 = from the retained floor). If
+// fromSeq > 0 predates the floor, the stream's first delivery is an
+// explicit Kind "resync" event — the cue to re-read the collection —
+// followed by the contiguous retained history from the floor; a stale
+// resume is never a silent gap.
 func (db *DB) Watch(coll string, fromSeq uint64) *ChangeStream {
 	live := make(chan op, 1024)
 	id, backlog, truncated := db.addSub(live, fromSeq)

@@ -9,12 +9,11 @@ import (
 	"github.com/ffdl/ffdl/internal/codec"
 )
 
-// Oplog entry codec for durable (FileStore-backed) databases. MemStore
-// oplogs carry each op as the record's in-memory Value and never cross
-// a codec; a durable oplog must survive a process restart, so the op is
-// encoded into the record's payload instead and decoded on recovery
-// (commitlog record frames already checksum payloads, so the codec
-// carries no CRC of its own).
+// Oplog entry codec. Every op is encoded into its record's payload —
+// the record's only body, on a MemStore as on a FileStore — and decoded
+// by change-stream replays, oplog-image reads and recovery (commitlog
+// record frames already checksum payloads, so the codec carries no CRC
+// of its own).
 //
 // Layout (integers, length prefixes, bounds and decode errors follow
 // internal/codec):

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/commitlog"
 )
 
 // drainOne reads one change event or fails the test.
@@ -95,5 +97,65 @@ func TestWatchReplayWithinRetentionIsGapless(t *testing.T) {
 			t.Fatalf("replay gap: Seq %d follows %d", ev.Seq, prev)
 		}
 		prev = ev.Seq
+	}
+}
+
+// drainContiguous reads events until Seq last, failing on any event
+// that does not follow its predecessor by exactly one.
+func drainContiguous(t *testing.T, cs *ChangeStream, prev, last uint64) {
+	t.Helper()
+	for prev < last {
+		ev := drainOne(t, cs)
+		if ev.Kind == "resync" || ev.Seq != prev+1 {
+			t.Fatalf("silent gap: %s Seq %d follows %d", ev.Kind, ev.Seq, prev)
+		}
+		prev = ev.Seq
+	}
+}
+
+// TestCompactionHolesNeverReplaySilently pins the floor of a compacting
+// oplog: key-compaction leaves holes where superseded ops were, so the
+// floor is the first Seq of the contiguous retained tail, and a resume
+// below it gets a resync marker, never a replay that skips the holes.
+// The floor survives a reopen unchanged.
+func TestCompactionHolesNeverReplaySilently(t *testing.T) {
+	store := commitlog.NewMemStore()
+	db, err := Open(store, Options{Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.C("jobs")
+	if _, err := c.Insert(Doc{"_id": "doc", "n": 0}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3000; i++ {
+		if err := c.UpdateOne(Filter{"_id": "doc"}, Update{Set: Doc{"n": i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := db.OplogLen()
+	floor := db.OplogFloor()
+	if floor <= 1 {
+		t.Fatalf("floor %d after compaction dropped superseded ops", floor)
+	}
+
+	stale := db.Watch("", 1)
+	defer stale.Cancel()
+	first := drainOne(t, stale)
+	if first.Kind != "resync" {
+		t.Fatalf("first event after a resume into compaction holes: %s Seq %d, want resync", first.Kind, first.Seq)
+	}
+	drainContiguous(t, stale, first.Seq, last)
+
+	fresh := db.Watch("", floor-1)
+	defer fresh.Cancel()
+	drainContiguous(t, fresh, floor-1, last)
+
+	db2, err := Open(store, Options{Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.OplogFloor(); got != floor {
+		t.Fatalf("reopened floor %d, live floor %d", got, floor)
 	}
 }
