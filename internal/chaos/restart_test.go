@@ -463,7 +463,7 @@ func TestRestartEmptyDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := p2.Jobs.Len(); n != 0 {
+	if n := p2.Jobs.Count(nil); n != 0 {
 		t.Fatalf("empty DataDir recovered %d jobs", n)
 	}
 	if got := p2.Mongo.OplogLen(); got != 0 {

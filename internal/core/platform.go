@@ -392,9 +392,6 @@ func (p *Platform) Client() *Client {
 	return NewClient(p.Registry).WithClock(p.clock).WithResilience(p.res.client)
 }
 
-// Clock returns the platform clock.
-func (p *Platform) Clock() sim.Clock { return p.clock }
-
 // nextJobID mints a job identifier.
 func (p *Platform) nextJobID() string {
 	p.mu.Lock()

@@ -97,37 +97,6 @@ func TestBatchedProposalsSurviveLeaderFailover(t *testing.T) {
 	}
 }
 
-// TestLeaseArmRaceExpiryStillFires hammers the Grant→expiry window that
-// used to be racy (the expiry loop could check anyLeases before the
-// grant applied, then miss the Grant-side wake): every short lease must
-// still expire and delete its key. The arm now rides the apply path.
-func TestLeaseArmRaceExpiryStillFires(t *testing.T) {
-	c := newTestCluster(t, Options{})
-	const leases = 20
-	for i := 0; i < leases; i++ {
-		id, err := c.Grant(10 * time.Millisecond)
-		if err != nil {
-			t.Fatalf("Grant %d: %v", i, err)
-		}
-		key := fmt.Sprintf("lease/k%d", i)
-		if _, err := c.Put(key, []byte("x"), id); err != nil {
-			t.Fatal(err)
-		}
-		// Let the expiry loop drain back to its lease-free wait between
-		// grants so each iteration re-opens the arming window.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if _, ok, _ := c.Get(key); !ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("lease %d never expired", i)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-}
-
 // TestWaitLeaderHoldsNoPollingWaiter pins the event-driven satellite: a
 // WaitLeader call against a cluster that already has a leader returns
 // without arming any clock timer (measured indirectly — it must return

@@ -20,8 +20,8 @@ type Options struct {
 	// 50-100ms election timeouts — fast enough for tests, slow enough to
 	// be stable on loaded CI machines.
 	TickInterval time.Duration
-	// Clock supplies time for lease deadlines. Defaults to the wall
-	// clock.
+	// Clock supplies time for proposal deadlines and watch health
+	// ticks. Defaults to the wall clock.
 	Clock sim.Clock
 	// Seed makes election randomization deterministic in tests.
 	Seed int64
@@ -98,11 +98,6 @@ type Cluster struct {
 	leaderMu  sync.Mutex
 	leaderSig chan struct{}
 
-	// leaseCh wakes the lease-expiry loop when a lease grant is applied
-	// (buffered; non-blocking send). Armed from the apply path so the
-	// wake can never race ahead of the lease existing in any replica.
-	leaseCh chan struct{}
-
 	// Stats counters (Cluster.Stats).
 	statCommands atomic.Uint64 // client commands proposed
 	statEntries  atomic.Uint64 // Raft entries proposed (batch envelopes)
@@ -118,18 +113,6 @@ type Cluster struct {
 	wg      sync.WaitGroup
 }
 
-// anyLeases reports whether any replica's state machine tracks a live
-// lease (replicas converge via Raft; checking all sides errs toward
-// arming the expiry timer).
-func (c *Cluster) anyLeases() bool {
-	for _, st := range c.states {
-		if st.leaseCount() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NewCluster boots a Raft cluster and waits for a leader.
 func NewCluster(opts Options) (*Cluster, error) {
 	opts.defaults()
@@ -139,7 +122,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		waiters:   make(map[uint64]chan result),
 		batchCh:   make(chan struct{}, 1),
 		leaderSig: make(chan struct{}),
-		leaseCh:   make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 	}
 	if opts.Obs != nil {
@@ -152,7 +134,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	rng := sim.NewRNG(opts.Seed)
 	for i := 0; i < opts.Replicas; i++ {
-		st := newStoreState(opts.Clock.Now)
+		st := newStoreState()
 		cfg := Config{
 			ID: i, Peers: peers,
 			SnapshotThreshold: opts.SnapshotThreshold,
@@ -168,11 +150,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	for _, n := range c.nodes {
 		n.start(opts.TickInterval)
 	}
-	c.wg.Add(2)
-	go func() {
-		defer c.wg.Done()
-		c.leaseExpiryLoop()
-	}()
+	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		c.batchLoop()
@@ -220,17 +198,6 @@ func (c *Cluster) applier(st *storeState) applyFunc {
 // back to its waiter.
 func (c *Cluster) applyOne(st *storeState, cmd *command) {
 	res := st.apply(cmd)
-	if cmd.Op == opGrantLease && res.err == nil {
-		// Arm the expiry loop from the apply path: by the time the wake
-		// lands, the lease already exists in this replica's state, so
-		// the loop's anyLeases() re-check cannot race to a stale false
-		// and drop the only wake (the Grant-side arm used to run after
-		// propose returned, outside the apply ordering).
-		select {
-		case c.leaseCh <- struct{}{}:
-		default:
-		}
-	}
 	c.mu.Lock()
 	w := c.waiters[cmd.ReqID]
 	delete(c.waiters, cmd.ReqID)
@@ -239,39 +206,6 @@ func (c *Cluster) applyOne(st *storeState, cmd *command) {
 		select {
 		case w <- res:
 		default:
-		}
-	}
-}
-
-// leaseExpiryLoop revokes expired leases via consensus so all replicas
-// delete lease-bound keys identically. The loop is event-aware: it only
-// arms a clock timer while leases exist, waiting on the Grant signal
-// otherwise — a lease-free cluster holds no recurring virtual-clock
-// waiter, so an idle platform stays quiescent and simulated clocks can
-// jump freely instead of being throttled to TickInterval*4 steps.
-func (c *Cluster) leaseExpiryLoop() {
-	for {
-		if !c.anyLeases() {
-			select {
-			case <-c.stopCh:
-				return
-			case <-c.leaseCh:
-			}
-		}
-		t := c.opts.Clock.NewTimer(c.opts.TickInterval * 4)
-		select {
-		case <-c.stopCh:
-			t.Stop()
-			return
-		case <-t.C:
-			li := c.leaderIndex()
-			if li < 0 {
-				continue
-			}
-			for _, id := range c.states[li].expiredLeases() {
-				// Best-effort: a failed proposal retries next tick.
-				c.propose(&command{Op: opExpireLease, Lease: id}) //nolint:errcheck
-			}
 		}
 	}
 }
@@ -525,18 +459,18 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 	}
 }
 
-// opExpireLease revokes a lease due to TTL expiry (events surface as
-// EventExpire rather than EventDelete).
-const opExpireLease cmdOp = 99
-
 // opBatch marks a group-commit envelope: command.Batch carries the
 // drained proposal queue, replicated as one Raft entry and applied
 // in order.
 const opBatch cmdOp = 98
 
-// Put stores value under key, optionally bound to a lease.
+// Put stores value under key. Leases are not supported: a non-zero
+// lease is an error and writes nothing.
 func (c *Cluster) Put(key string, value []byte, lease int64) (uint64, error) {
-	res, err := c.propose(&command{Op: opPut, Key: key, Value: value, Lease: lease})
+	if lease != 0 {
+		return 0, fmt.Errorf("etcd: put %q: leases are not supported", key)
+	}
+	res, err := c.propose(&command{Op: opPut, Key: key, Value: value})
 	return res.rev, err
 }
 
@@ -552,26 +486,6 @@ func (c *Cluster) Delete(key string) (bool, error) {
 func (c *Cluster) DeletePrefix(prefix string) (bool, error) {
 	res, err := c.propose(&command{Op: opDelete, Key: prefix, Prefix: true})
 	return res.ok, err
-}
-
-// Grant creates a lease with the given TTL. The expiry loop (which
-// holds no timer while lease-free) is armed from the apply path, not
-// here: see applyOne.
-func (c *Cluster) Grant(ttl time.Duration) (int64, error) {
-	res, err := c.propose(&command{Op: opGrantLease, TTL: ttl})
-	return res.leaseID, err
-}
-
-// KeepAlive refreshes a lease's TTL.
-func (c *Cluster) KeepAlive(id int64) error {
-	_, err := c.propose(&command{Op: opKeepAlive, Lease: id})
-	return err
-}
-
-// Revoke deletes a lease and all keys bound to it.
-func (c *Cluster) Revoke(id int64) error {
-	_, err := c.propose(&command{Op: opRevokeLease, Lease: id})
-	return err
 }
 
 // Get returns the value for key from the leader's replica.
@@ -660,8 +574,8 @@ func (c *Cluster) Isolate(id int, on bool) {
 	c.notifyLeadership()
 }
 
-// CutLink severs or heals the link between two members.
-func (c *Cluster) CutLink(a, b int, on bool) {
+// cutLink severs or heals the link between two members.
+func (c *Cluster) cutLink(a, b int, on bool) {
 	c.transport.CutLink(a, b, on)
 	c.notifyLeadership()
 }

@@ -3,7 +3,6 @@ package etcd
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"github.com/ffdl/ffdl/internal/codec"
 )
@@ -21,8 +20,8 @@ import (
 // Layout (integers, length prefixes and decode errors follow
 // internal/codec):
 //
-//	cmdMagic | op | ReqID | Key | Value | Lease | TTL | flags |
-//	RequestBy [| batch count | sub-commands...]
+//	cmdMagic | op | ReqID | Key | Value | flags | RequestBy
+//	[| batch count | sub-commands...]
 //
 // The leading cmdMagic byte (0xE7) is the format tag: Raft entries are
 // never read back from disk, so this is the only entry format that
@@ -63,8 +62,6 @@ func appendCommandBody(dst []byte, cmd *command) []byte {
 	dst = binary.AppendUvarint(dst, cmd.ReqID)
 	dst = codec.AppendString(dst, cmd.Key)
 	dst = codec.AppendBytes(dst, cmd.Value)
-	dst = binary.AppendVarint(dst, cmd.Lease)
-	dst = binary.AppendVarint(dst, int64(cmd.TTL))
 	var flags byte
 	if cmd.Prefix {
 		flags |= flagPrefix
@@ -77,7 +74,7 @@ func appendCommandBody(dst []byte, cmd *command) []byte {
 // commandSize returns an upper bound on the encoded size of cmd, so
 // encode buffers can be allocated exactly once.
 func commandSize(cmd *command) int {
-	// 1 magic + ~10 bytes per varint field (7 fields) + string/byte
+	// 1 magic + ~10 bytes per varint field (5 fields) + string/byte
 	// payloads; generous per-field bound beats a second pass.
 	n := 1 + commandBodySize(cmd)
 	if cmd.Op == opBatch {
@@ -90,7 +87,7 @@ func commandSize(cmd *command) int {
 }
 
 func commandBodySize(cmd *command) int {
-	return 7*binary.MaxVarintLen64 + 1 + len(cmd.Key) + len(cmd.Value)
+	return 5*binary.MaxVarintLen64 + 1 + len(cmd.Key) + len(cmd.Value)
 }
 
 // decodeCommandBody decodes one field-layout block into cmd.
@@ -122,14 +119,6 @@ func decodeCommandBody(r *codec.Reader, cmd *command, topLevel bool) error {
 	} else {
 		cmd.Value = val
 	}
-	if cmd.Lease, err = r.Varint(); err != nil {
-		return err
-	}
-	ttl, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	cmd.TTL = time.Duration(ttl)
 	flags, err := r.Byte()
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/ffdl/ffdl/internal/codec"
 )
@@ -14,9 +13,8 @@ import (
 // commandEqual compares commands treating nil and empty byte slices /
 // batches as equal (the codec canonicalizes empties to nil).
 func commandEqual(a, b *command) bool {
-	if a.Op != b.Op || a.Key != b.Key || a.Lease != b.Lease ||
-		a.TTL != b.TTL || a.Prefix != b.Prefix || a.ReqID != b.ReqID ||
-		a.RequestBy != b.RequestBy {
+	if a.Op != b.Op || a.Key != b.Key || a.Prefix != b.Prefix ||
+		a.ReqID != b.ReqID || a.RequestBy != b.RequestBy {
 		return false
 	}
 	if !bytes.Equal(a.Value, b.Value) {
@@ -36,17 +34,14 @@ func commandEqual(a, b *command) bool {
 func codecCases() []command {
 	return []command{
 		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7},
-		{Op: opPut, Key: "k", Value: nil, Lease: 42, ReqID: 1<<64 - 1},
+		{Op: opPut, Key: "k", Value: nil, ReqID: 1<<64 - 1},
 		{Op: opDelete, Key: "jobs/", Prefix: true, ReqID: 3},
-		{Op: opGrantLease, TTL: 30 * time.Second, ReqID: 4},
-		{Op: opRevokeLease, Lease: -9, ReqID: 5},
-		{Op: opKeepAlive, Lease: 12, ReqID: 6},
+		{Op: opDelete, Key: "jobs/y/status", ReqID: 4, RequestBy: 1},
 		{Op: opPut, Key: "a", Value: []byte{0, 1, 2}, ReqID: 8, RequestBy: 2},
-		{Op: opExpireLease, Lease: 1, ReqID: 9},
 		{Op: opBatch, Batch: []command{
 			{Op: opPut, Key: "b/1", Value: []byte("v1"), ReqID: 10},
 			{Op: opDelete, Key: "b/2", ReqID: 11},
-			{Op: opGrantLease, TTL: time.Minute, ReqID: 12},
+			{Op: opDelete, Key: "b/", Prefix: true, ReqID: 12},
 		}},
 	}
 }
@@ -66,15 +61,15 @@ func TestCommandCodecRoundtrip(t *testing.T) {
 }
 
 // TestCommandCodecGoldenBytes pins the entry layout byte for byte: a
-// batch envelope holding a Put, a prefix Delete and a GrantLease.
+// batch envelope holding a Put, a prefix Delete and a plain Delete.
 func TestCommandCodecGoldenBytes(t *testing.T) {
 	cmd := command{Op: opBatch, ReqID: 300, Batch: []command{
-		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), Lease: -2, ReqID: 7, RequestBy: 3},
+		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7, RequestBy: 3},
 		{Op: opDelete, Key: "jobs/", Prefix: true, ReqID: 1 << 40},
-		{Op: opGrantLease, TTL: 30 * time.Second, ReqID: 9},
+		{Op: opDelete, Key: "jobs/x/done", ReqID: 9},
 	}}
-	const want = "e762ac020000000000000301070d6a6f62732f782f7374617475730a50524f43455353494e47030000060280808080802005" +
-		"6a6f62732f0000000100030900000080b09dc2df010000"
+	const want = "e762ac02000000000301070d6a6f62732f782f7374617475730a50524f43455353494e47000602808080808020056a6f6273" +
+		"2f00010002090b6a6f62732f782f646f6e65000000"
 	if got := hex.EncodeToString(encodeEntry(&cmd)); got != want {
 		t.Fatalf("entry bytes changed:\n got %s\nwant %s", got, want)
 	}
@@ -190,17 +185,17 @@ func TestCommandCodecBatchScratchReuse(t *testing.T) {
 //     and errors whenever the first byte is not cmdMagic (a gob-encoded
 //     command is seeded as one such payload).
 func FuzzCommandCodecRoundtrip(f *testing.F) {
-	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), int64(0), int64(0), false, uint64(7), 0, uint8(0), uint(0))
-	f.Add(uint8(opDelete), "a", []byte{1, 2}, int64(3), int64(4), true, uint64(6), 1, uint8(3), uint(2))
-	f.Add(uint8(opBatch), "", []byte(nil), int64(0), int64(0), false, uint64(0), 0, uint8(5), uint(9))
+	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), false, uint64(7), 0, uint8(0), uint(0))
+	f.Add(uint8(opDelete), "a", []byte{1, 2}, true, uint64(6), 1, uint8(3), uint(2))
+	f.Add(uint8(opBatch), "", []byte(nil), false, uint64(0), 0, uint8(5), uint(9))
 	f.Add(uint8(opPut), "gob", gobCommand(f, &command{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7}),
-		int64(0), int64(0), false, uint64(1), 0, uint8(0), uint(0))
-	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, int64(0), int64(0), false, uint64(2), 0, uint8(0), uint(0))
-	f.Fuzz(func(t *testing.T, op uint8, key string, value []byte, lease, ttl int64,
+		false, uint64(1), 0, uint8(0), uint(0))
+	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, false, uint64(2), 0, uint8(0), uint(0))
+	f.Fuzz(func(t *testing.T, op uint8, key string, value []byte,
 		prefix bool, reqID uint64, requestBy int, batchN uint8, cut uint) {
 		want := command{
-			Op: cmdOp(op), Key: key, Value: value, Lease: lease,
-			TTL: time.Duration(ttl), Prefix: prefix, ReqID: reqID, RequestBy: requestBy,
+			Op: cmdOp(op), Key: key, Value: value,
+			Prefix: prefix, ReqID: reqID, RequestBy: requestBy,
 		}
 		if want.Op == opBatch {
 			// Envelopes hold non-batch sub-commands (nesting is rejected

@@ -290,56 +290,39 @@ func TestWatchResumesAcrossLeaderFailover(t *testing.T) {
 	c.Isolate(old, false)
 }
 
-func TestLeaseExpiryDeletesKeys(t *testing.T) {
+// TestPutWithLeaseIsRejected: leases are not supported, so a Put that
+// names one fails and writes nothing — no revision, no watch event.
+func TestPutWithLeaseIsRejected(t *testing.T) {
 	c := newTestCluster(t, Options{})
-	id, err := c.Grant(50 * time.Millisecond)
+	rev, err := c.Put("k", []byte("a"), 0)
 	if err != nil {
-		t.Fatalf("Grant: %v", err)
-	}
-	if _, err := c.Put("ephemeral", []byte("x"), id); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := c.Watch("ephemeral", false, 0)
+	ws, err := c.Watch("k", false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Cancel()
-	select {
-	case ev := <-ws.Events():
-		if ev.Type != EventExpire {
-			t.Fatalf("event = %v, want EXPIRE", ev.Type)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("lease never expired")
+	if _, err := c.Put("k", []byte("leased"), 7); err == nil {
+		t.Fatal("Put with a lease succeeded")
 	}
-	if _, ok, _ := c.Get("ephemeral"); ok {
-		t.Fatal("key survived lease expiry")
-	}
-}
-
-func TestLeaseKeepAlivePreventsExpiry(t *testing.T) {
-	c := newTestCluster(t, Options{})
-	id, err := c.Grant(80 * time.Millisecond)
+	next, err := c.Put("k", []byte("c"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put("hb", []byte("alive"), id); err != nil {
-		t.Fatal(err)
+	if next != rev+1 {
+		t.Fatalf("revision after the rejected put = %d, want %d", next, rev+1)
 	}
-	for i := 0; i < 6; i++ {
-		time.Sleep(40 * time.Millisecond)
-		if err := c.KeepAlive(id); err != nil {
-			t.Fatalf("KeepAlive: %v", err)
+	select {
+	case ev := <-ws.Events():
+		if string(ev.KV.Value) != "c" || ev.Revision != next {
+			t.Fatalf("first event = %s %q @%d, want PUT \"c\" @%d", ev.Type, ev.KV.Value, ev.Revision, next)
 		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("no watch event for the accepted put")
 	}
-	if _, ok, _ := c.Get("hb"); !ok {
-		t.Fatal("key expired despite keepalives")
-	}
-	if err := c.Revoke(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := c.Get("hb"); ok {
-		t.Fatal("key survived revoke")
+	if kv, _, _ := c.Get("k"); string(kv.Value) != "c" {
+		t.Fatalf("value = %q, want \"c\"", kv.Value)
 	}
 }
 
@@ -382,7 +365,7 @@ func TestMinorityPartitionCannotCommit(t *testing.T) {
 	// Cut the leader from both followers: it must not commit new writes.
 	for i := 0; i < 3; i++ {
 		if i != leader {
-			c.CutLink(leader, i, true)
+			c.cutLink(leader, i, true)
 		}
 	}
 	time.Sleep(100 * time.Millisecond)
@@ -397,7 +380,7 @@ func TestMinorityPartitionCannotCommit(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		if i != leader {
-			c.CutLink(leader, i, false)
+			c.cutLink(leader, i, false)
 		}
 	}
 }
@@ -471,13 +454,13 @@ func TestLaggingFollowerCatchesUpViaSnapshot(t *testing.T) {
 // watcher resuming from an old revision gets the full replay backlog,
 // not a resync.
 func TestSnapshotRestorePreservesWatchHistory(t *testing.T) {
-	src := newStoreState(time.Now)
+	src := newStoreState()
 	var req uint64
 	for i := 0; i < 10; i++ {
 		req++
 		src.apply(&command{Op: opPut, Key: fmt.Sprintf("jobs/j/l%d", i), Value: []byte("S"), ReqID: req})
 	}
-	dst := newStoreState(time.Now)
+	dst := newStoreState()
 	dst.restore(src.snapshot())
 	if got := dst.restoreCount(); got != 1 {
 		t.Fatalf("restoreCount = %d, want 1", got)

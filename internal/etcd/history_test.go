@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // histModel is the oracle for the watch history: an independent model
@@ -16,9 +15,7 @@ import (
 // predicts, with no retention bound.
 type histModel struct {
 	rev    uint64
-	kv     map[string]int64 // key -> lease (0 = none)
-	leases map[int64]map[string]bool
-	nextL  int64
+	kv     map[string]bool
 	events []Event
 }
 
@@ -26,17 +23,8 @@ func (m *histModel) emit(typ EventType, key string, value []byte) {
 	m.events = append(m.events, Event{Type: typ, KV: KV{Key: key, Value: value}, Revision: m.rev})
 }
 
-func (m *histModel) put(key string, value []byte, lease int64) {
-	if lease != 0 && m.leases[lease] == nil {
-		return
-	}
-	if old, ok := m.kv[key]; ok && old != 0 && old != lease && m.leases[old] != nil {
-		delete(m.leases[old], key)
-	}
-	if lease != 0 {
-		m.leases[lease][key] = true
-	}
-	m.kv[key] = lease
+func (m *histModel) put(key string, value []byte) {
+	m.kv[key] = true
 	m.rev++
 	m.emit(EventPut, key, value)
 }
@@ -54,25 +42,8 @@ func (m *histModel) del(key string, prefix bool) {
 	sort.Strings(victims)
 	m.rev++
 	for _, k := range victims {
-		if l := m.kv[k]; l != 0 && m.leases[l] != nil {
-			delete(m.leases[l], k)
-		}
 		delete(m.kv, k)
 		m.emit(EventDelete, k, nil)
-	}
-}
-
-func (m *histModel) revoke(id int64, typ EventType) {
-	keys := make([]string, 0, len(m.leases[id]))
-	for k := range m.leases[id] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	delete(m.leases, id)
-	for _, k := range keys {
-		m.rev++
-		delete(m.kv, k)
-		m.emit(typ, k, nil)
 	}
 }
 
@@ -100,8 +71,7 @@ type histHarness struct {
 }
 
 func newHistHarness(t *testing.T) *histHarness {
-	return &histHarness{t: t, st: newStoreState(time.Now),
-		m: &histModel{kv: make(map[string]int64), leases: make(map[int64]map[string]bool)}}
+	return &histHarness{t: t, st: newStoreState(), m: &histModel{kv: make(map[string]bool)}}
 }
 
 func (h *histHarness) apply(c *command) {
@@ -110,22 +80,15 @@ func (h *histHarness) apply(c *command) {
 	h.st.apply(c)
 	switch c.Op {
 	case opPut:
-		h.m.put(c.Key, c.Value, c.Lease)
+		h.m.put(c.Key, c.Value)
 	case opDelete:
 		h.m.del(c.Key, c.Prefix)
-	case opGrantLease:
-		h.m.nextL++
-		h.m.leases[h.m.nextL] = make(map[string]bool)
-	case opRevokeLease:
-		h.m.revoke(c.Lease, EventDelete)
-	case opExpireLease:
-		h.m.revoke(c.Lease, EventExpire)
 	}
 	checkHistoryShape(h.t, h.st, h.m)
 }
 
-// TestWatchHistoryModel drives random Put, Delete, DeletePrefix and
-// lease grant/revoke/expire sequences through a storeState and an
+// TestWatchHistoryModel drives random Put, Delete and DeletePrefix
+// sequences through a storeState and an
 // unbounded oracle. The retained history must always be a suffix of the
 // oracle that starts a revision and, once watchHistory events exist,
 // holds at least that many; every fromRev in [1, rev] must replay the
@@ -138,30 +101,14 @@ func TestWatchHistoryModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			h := newHistHarness(t)
 			randKey := func() string { return fmt.Sprintf("%s%d", prefixes[rng.Intn(len(prefixes))], rng.Intn(16)) }
-			randLease := func() int64 {
-				if h.m.nextL == 0 {
-					return 0
-				}
-				return 1 + rng.Int63n(h.m.nextL) // may name a revoked lease: the op then fails
-			}
 			for i := 1; i <= 4000; i++ {
 				switch r := rng.Intn(100); {
-				case r < 55:
-					var lease int64
-					if rng.Intn(4) == 0 {
-						lease = randLease()
-					}
-					h.apply(&command{Op: opPut, Key: randKey(), Value: []byte(fmt.Sprint(i)), Lease: lease})
-				case r < 62:
+				case r < 67:
+					h.apply(&command{Op: opPut, Key: randKey(), Value: []byte(fmt.Sprint(i))})
+				case r < 76:
 					h.apply(&command{Op: opDelete, Key: randKey()})
-				case r < 82:
-					h.apply(&command{Op: opDelete, Key: prefixes[rng.Intn(len(prefixes))], Prefix: true})
-				case r < 88:
-					h.apply(&command{Op: opGrantLease, TTL: time.Hour})
-				case r < 94:
-					h.apply(&command{Op: opRevokeLease, Lease: randLease()})
 				default:
-					h.apply(&command{Op: opExpireLease, Lease: randLease()})
+					h.apply(&command{Op: opDelete, Key: prefixes[rng.Intn(len(prefixes))], Prefix: true})
 				}
 			}
 			checkReplay(t, h.st, h.m, prefixes[rng.Intn(len(prefixes))])
@@ -213,7 +160,7 @@ func checkHistoryShape(t *testing.T, st *storeState, m *histModel) {
 // st and on a replica restored from st's snapshot.
 func checkReplay(t *testing.T, st *storeState, m *histModel, prefix string) {
 	t.Helper()
-	restored := newStoreState(time.Now)
+	restored := newStoreState()
 	restored.restore(st.snapshot())
 	if !reflect.DeepEqual(restored.hist, st.hist) {
 		t.Fatalf("restored history differs from the snapshot source's")

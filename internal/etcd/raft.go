@@ -1,8 +1,9 @@
 // Package etcd implements the coordination store FfDL uses between the
 // Guardian/LCM and the per-job controller: a Raft-replicated key-value
-// store with revisions, leases (TTL'd keys) and per-key/prefix streaming
-// watches — the three etcd features the paper calls out as the reason it
-// was preferred over MongoDB for coordination (§3.2).
+// store with revisions and per-key/prefix streaming watches. The paper
+// (§3.2) also names leases among the reasons etcd was preferred over
+// MongoDB for coordination; nothing here uses them — jobs are recovered
+// from MongoDB by the LCM's scan — so the store does not implement them.
 //
 // The Raft implementation follows the Raft paper: randomized election
 // timeouts, log replication with consistency checks, commitment only of
@@ -114,9 +115,6 @@ type Config struct {
 	// (including self).
 	ID    int
 	Peers []int
-	// TickInterval is the logical clock period. Election timeouts are
-	// 10-20 ticks; heartbeats every 3 ticks.
-	TickInterval time.Duration
 	// SnapshotThreshold triggers log compaction once the log exceeds this
 	// many applied entries. Zero selects a default of 4096.
 	SnapshotThreshold int
@@ -223,7 +221,8 @@ func newNode(cfg Config, transport Transport, rng interface{ Intn(int) int }, ap
 	return n
 }
 
-// start launches the tick loop.
+// start launches the tick loop: tick is the logical clock period.
+// Election timeouts are 10-20 ticks; heartbeats every 3 ticks.
 func (n *node) start(tick time.Duration) {
 	n.tickWG.Add(1)
 	go func() {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // KV is a key-value pair with MVCC metadata.
@@ -17,7 +16,6 @@ type KV struct {
 	Value          []byte
 	CreateRevision uint64
 	ModRevision    uint64
-	Lease          int64
 }
 
 // EventType classifies watch events.
@@ -27,7 +25,6 @@ type EventType int
 const (
 	EventPut EventType = iota + 1
 	EventDelete
-	EventExpire // lease expiry; a special delete, surfaced distinctly
 	// EventResync marks a gap in the event stream: the watcher fell too
 	// far behind (or resumed past the retained history) and intermediate
 	// events were lost. It is followed by EventPut events synthesizing
@@ -42,8 +39,6 @@ func (t EventType) String() string {
 		return "PUT"
 	case EventDelete:
 		return "DELETE"
-	case EventExpire:
-		return "EXPIRE"
 	case EventResync:
 		return "RESYNC"
 	default:
@@ -64,8 +59,6 @@ type command struct {
 	Op        cmdOp
 	Key       string
 	Value     []byte
-	Lease     int64
-	TTL       time.Duration
 	Prefix    bool
 	ReqID     uint64 // for client response matching
 	RequestBy int    // proposing node
@@ -80,28 +73,16 @@ type cmdOp int
 const (
 	opPut cmdOp = iota + 1
 	opDelete
-	opGrantLease
-	opRevokeLease
-	opKeepAlive
 )
 
 // result is the outcome of applying a command.
 type result struct {
-	rev     uint64
-	ok      bool // the op took effect (a delete: some key existed)
-	leaseID int64
-	err     error
+	rev uint64
+	ok  bool // the op took effect (a delete: some key existed)
+	err error
 }
 
-// leaseRec tracks a granted lease.
-type leaseRec struct {
-	id       int64
-	ttl      time.Duration
-	deadline time.Time
-	keys     map[string]struct{}
-}
-
-// storeState is the replicated state machine: an MVCC map plus leases.
+// storeState is the replicated state machine: an MVCC map.
 // All mutations arrive through Raft apply, so replicas stay identical.
 // Request-ID deduplication makes application exactly-once even when a
 // client re-proposes across a leader change and both proposals commit.
@@ -109,11 +90,8 @@ type storeState struct {
 	mu         sync.Mutex
 	kv         map[string]KV
 	rev        uint64
-	leases     map[int64]*leaseRec
-	nextL      int64
 	watchers   map[int]*watcher
 	nextW      int
-	now        func() time.Time
 	appliedReq map[uint64]result
 
 	// hist retains recent events, oldest first, so a resuming watcher
@@ -152,12 +130,10 @@ type watcher struct {
 // at most twice that (unless one revision alone emits more).
 const watchHistory = 1024
 
-func newStoreState(now func() time.Time) *storeState {
+func newStoreState() *storeState {
 	return &storeState{
 		kv:         make(map[string]KV),
-		leases:     make(map[int64]*leaseRec),
 		watchers:   make(map[int]*watcher),
-		now:        now,
 		appliedReq: make(map[uint64]result),
 		applySig:   make(chan struct{}),
 	}
@@ -202,51 +178,20 @@ func (s *storeState) apply(c *command) result {
 func (s *storeState) applyLocked(c *command) result {
 	switch c.Op {
 	case opPut:
-		return s.putLocked(c.Key, c.Value, c.Lease)
+		return s.putLocked(c.Key, c.Value)
 	case opDelete:
-		return s.deleteLocked(c.Key, c.Prefix, EventDelete)
-	case opGrantLease:
-		s.nextL++
-		id := s.nextL
-		s.leases[id] = &leaseRec{
-			id: id, ttl: c.TTL, deadline: s.now().Add(c.TTL),
-			keys: make(map[string]struct{}),
-		}
-		return result{leaseID: id, ok: true, rev: s.rev}
-	case opRevokeLease:
-		return s.revokeLeaseLocked(c.Lease, EventDelete)
-	case opKeepAlive:
-		l, ok := s.leases[c.Lease]
-		if !ok {
-			return result{err: ErrLeaseNotFound}
-		}
-		l.deadline = s.now().Add(l.ttl)
-		return result{ok: true, rev: s.rev, leaseID: l.id}
-	case opExpireLease:
-		return s.revokeLeaseLocked(c.Lease, EventExpire)
+		return s.deleteLocked(c.Key, c.Prefix)
 	default:
 		return result{err: fmt.Errorf("etcd: unknown op %d", c.Op)}
 	}
 }
 
-func (s *storeState) putLocked(key string, value []byte, lease int64) result {
-	if lease != 0 {
-		l, ok := s.leases[lease]
-		if !ok {
-			return result{err: ErrLeaseNotFound}
-		}
-		l.keys[key] = struct{}{}
-	}
+func (s *storeState) putLocked(key string, value []byte) result {
 	s.rev++
 	old, existed := s.kv[key]
-	kv := KV{Key: key, Value: append([]byte(nil), value...), ModRevision: s.rev, Lease: lease}
+	kv := KV{Key: key, Value: append([]byte(nil), value...), ModRevision: s.rev}
 	if existed {
 		kv.CreateRevision = old.CreateRevision
-		if old.Lease != 0 && old.Lease != lease {
-			if l, ok := s.leases[old.Lease]; ok {
-				delete(l.keys, key)
-			}
-		}
 	} else {
 		kv.CreateRevision = s.rev
 	}
@@ -255,7 +200,7 @@ func (s *storeState) putLocked(key string, value []byte, lease int64) result {
 	return result{rev: s.rev, ok: true}
 }
 
-func (s *storeState) deleteLocked(key string, prefix bool, typ EventType) result {
+func (s *storeState) deleteLocked(key string, prefix bool) result {
 	var victims []string
 	if prefix {
 		for k := range s.kv {
@@ -272,33 +217,8 @@ func (s *storeState) deleteLocked(key string, prefix bool, typ EventType) result
 	}
 	s.rev++
 	for _, k := range victims {
-		old := s.kv[k]
 		delete(s.kv, k)
-		if old.Lease != 0 {
-			if l, ok := s.leases[old.Lease]; ok {
-				delete(l.keys, k)
-			}
-		}
-		s.notifyLocked(Event{Type: typ, KV: KV{Key: k, ModRevision: s.rev}, Revision: s.rev})
-	}
-	return result{rev: s.rev, ok: true}
-}
-
-func (s *storeState) revokeLeaseLocked(id int64, typ EventType) result {
-	l, ok := s.leases[id]
-	if !ok {
-		return result{err: ErrLeaseNotFound}
-	}
-	keys := make([]string, 0, len(l.keys))
-	for k := range l.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	delete(s.leases, id)
-	for _, k := range keys {
-		s.rev++
-		delete(s.kv, k)
-		s.notifyLocked(Event{Type: typ, KV: KV{Key: k, ModRevision: s.rev}, Revision: s.rev})
+		s.notifyLocked(Event{Type: EventDelete, KV: KV{Key: k, ModRevision: s.rev}, Revision: s.rev})
 	}
 	return result{rev: s.rev, ok: true}
 }
@@ -403,28 +323,6 @@ func (s *storeState) list(prefix string) []KV {
 	return out
 }
 
-// leaseCount returns the number of live leases.
-func (s *storeState) leaseCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.leases)
-}
-
-// expiredLeases returns lease IDs past their deadline.
-func (s *storeState) expiredLeases() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	var out []int64
-	for id, l := range s.leases {
-		if now.After(l.deadline) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // addWatcherFrom atomically registers a watcher and computes the backlog
 // of events the caller needs to catch up from fromRev (inclusive).
 // Holding the lock across both steps guarantees the backlog and the live
@@ -467,27 +365,18 @@ func (s *storeState) addWatcherFrom(key string, prefix bool, fromRev uint64, buf
 	}
 }
 
-// snapshot serializes the KV map and leases for Raft compaction.
+// snapshot serializes the KV map for Raft compaction.
 func (s *storeState) snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var buf bytes.Buffer
 	snap := storeSnapshot{
-		KVs: make([]KV, 0, len(s.kv)), Rev: s.rev, NextLease: s.nextL,
+		KVs: make([]KV, 0, len(s.kv)), Rev: s.rev,
 	}
 	for _, v := range s.kv {
 		snap.KVs = append(snap.KVs, v)
 	}
 	sort.Slice(snap.KVs, func(i, j int) bool { return snap.KVs[i].Key < snap.KVs[j].Key })
-	for _, l := range s.leases {
-		ls := leaseSnapshot{ID: l.id, TTL: l.ttl, Deadline: l.deadline}
-		for k := range l.keys {
-			ls.Keys = append(ls.Keys, k)
-		}
-		sort.Strings(ls.Keys)
-		snap.Leases = append(snap.Leases, ls)
-	}
-	sort.Slice(snap.Leases, func(i, j int) bool { return snap.Leases[i].ID < snap.Leases[j].ID })
 	for id := range s.appliedReq {
 		snap.Applied = append(snap.Applied, id)
 	}
@@ -513,15 +402,6 @@ func (s *storeState) restore(data []byte) {
 		s.kv[kv.Key] = kv
 	}
 	s.rev = snap.Rev
-	s.nextL = snap.NextLease
-	s.leases = make(map[int64]*leaseRec, len(snap.Leases))
-	for _, ls := range snap.Leases {
-		l := &leaseRec{id: ls.ID, ttl: ls.TTL, deadline: ls.Deadline, keys: make(map[string]struct{})}
-		for _, k := range ls.Keys {
-			l.keys[k] = struct{}{}
-		}
-		s.leases[l.id] = l
-	}
 	s.appliedReq = make(map[uint64]result, len(snap.Applied))
 	for _, id := range snap.Applied {
 		s.appliedReq[id] = result{}
@@ -541,27 +421,15 @@ func (s *storeState) restoreCount() uint64 {
 }
 
 type storeSnapshot struct {
-	KVs       []KV
-	Rev       uint64
-	NextLease int64
-	Leases    []leaseSnapshot
-	Applied   []uint64
+	KVs     []KV
+	Rev     uint64
+	Applied []uint64
 	// Hist is the replica's watch history, oldest first.
 	Hist []Event
 }
 
-type leaseSnapshot struct {
-	ID       int64
-	TTL      time.Duration
-	Deadline time.Time
-	Keys     []string
-}
-
 // Store errors.
 var (
-	// ErrLeaseNotFound reports an operation against an unknown or expired
-	// lease.
-	ErrLeaseNotFound = errors.New("etcd: lease not found")
 	// ErrTimeout reports that a proposal did not commit in time.
 	ErrTimeout = errors.New("etcd: proposal timed out")
 	// ErrStopped reports use of a stopped cluster.

@@ -221,8 +221,8 @@ func (c *Cluster) RestoreNode(name string) {
 	})
 }
 
-// CordonNode marks a node unschedulable (§5.5).
-func (c *Cluster) CordonNode(name string) {
+// cordonNode marks a node unschedulable (§5.5).
+func (c *Cluster) cordonNode(name string) {
 	c.store.UpdateNode(name, func(n *Node) { n.Cordoned = true })
 }
 

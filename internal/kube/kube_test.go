@@ -106,9 +106,9 @@ func TestUnschedulablePodEmitsFailedScheduling(t *testing.T) {
 		Spec: PodSpec{Demand: sched.Resources{GPUs: 4}, Type: "learner"},
 	})
 	waitFor(t, "FailedScheduling event", 3*time.Second, func() bool {
-		return len(c.Store().Events("FailedScheduling")) > 0
+		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
-	evs := c.Store().Events("FailedScheduling")
+	evs := c.Store().recordedEvents("FailedScheduling")
 	if evs[0].PodType != "learner" {
 		t.Fatalf("event pod type = %q", evs[0].PodType)
 	}
@@ -177,7 +177,7 @@ func TestSchedulerWakesOnFreedCapacity(t *testing.T) {
 	})
 	c.Store().PutPod(&Pod{Name: "waiter", Spec: PodSpec{Demand: gpuRes(1), Runtime: "quick"}})
 	waitFor(t, "FailedScheduling for waiter", 3*time.Second, func() bool {
-		return len(c.Store().Events("FailedScheduling")) > 0
+		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
 	c.KillPod("hog", "test")
 	waitFor(t, "waiter runs after capacity freed", 3*time.Second, func() bool {
@@ -295,7 +295,7 @@ func TestNodeCrashEvictsAndReschedules(t *testing.T) {
 
 	c.CrashNode(victim)
 	waitFor(t, "node NotReady", 3*time.Second, func() bool {
-		n, _ := c.Store().GetNode(victim)
+		n, _ := c.Store().getNode(victim)
 		return n != nil && !n.Ready
 	})
 	// Eviction + deployment controller must produce a running replacement
@@ -308,7 +308,7 @@ func TestNodeCrashEvictsAndReschedules(t *testing.T) {
 	if nodeFail == 0 || total < nodeFail {
 		t.Fatalf("deletion stats = %d/%d", nodeFail, total)
 	}
-	if len(c.Store().Events("NodeControllerEviction")) == 0 {
+	if len(c.Store().recordedEvents("NodeControllerEviction")) == 0 {
 		t.Fatal("no eviction events recorded")
 	}
 }
@@ -317,10 +317,10 @@ func TestCordonedNodeRejectsPods(t *testing.T) {
 	c := testCluster(t, Config{})
 	c.RegisterRuntime("block", blockUntilKilled)
 	c.AddNode("node0", "K80", gpuRes(4))
-	c.CordonNode("node0")
+	c.cordonNode("node0")
 	c.Store().PutPod(&Pod{Name: "p", Spec: PodSpec{Demand: gpuRes(1), Runtime: "block", Type: "learner"}})
 	waitFor(t, "FailedScheduling", 3*time.Second, func() bool {
-		return len(c.Store().Events("FailedScheduling")) > 0
+		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
 	p, _ := c.Store().GetPod("p")
 	if p.Status.Node != "" {
@@ -507,7 +507,7 @@ func TestStoreEventsKeepNewest(t *testing.T) {
 		}
 		s.RecordEvent(Event{Reason: reason, Object: fmt.Sprint(i)})
 	}
-	evs := s.Events("")
+	evs := s.recordedEvents("")
 	if len(evs) != maxEvents {
 		t.Fatalf("Events = %d, want the newest %d", len(evs), maxEvents)
 	}
@@ -516,7 +516,7 @@ func TestStoreEventsKeepNewest(t *testing.T) {
 			t.Fatalf("event %d is #%s, want #%s", i, ev.Object, want)
 		}
 	}
-	if odd := s.Events("Odd"); len(odd) != maxEvents/2 || odd[0].Object != fmt.Sprint(first) {
+	if odd := s.recordedEvents("Odd"); len(odd) != maxEvents/2 || odd[0].Object != fmt.Sprint(first) {
 		t.Fatalf("filtered Events = %d starting at #%s, want %d from #%d", len(odd), odd[0].Object, maxEvents/2, first)
 	}
 }

@@ -69,7 +69,7 @@ func TestHeartbeatsCauseNoSchedulerWork(t *testing.T) {
 		Spec: PodSpec{Demand: sched.Resources{GPUs: 64}, Type: "learner"},
 	})
 	waitFor(t, "FailedScheduling for hungry", 3*time.Second, func() bool {
-		return len(c.Store().Events("FailedScheduling")) > 0
+		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
 	base = c.SchedStats()
 	waitHeartbeats(t, c, base, 50)
@@ -102,7 +102,7 @@ func TestFreedWrongGPUTypeDoesNotWake(t *testing.T) {
 		Spec: PodSpec{Demand: gpuRes(1), GPUType: "V100", Type: "learner"},
 	})
 	waitFor(t, "FailedScheduling for v100-pod", 3*time.Second, func() bool {
-		return len(c.Store().Events("FailedScheduling")) > 0
+		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
 	base := c.SchedStats()
 	// Free K80 capacity: irrelevant to the V100 waiter.
@@ -141,7 +141,7 @@ func TestFreedCapacityWakesAndPlacesWaitingGang(t *testing.T) {
 		})
 	}
 	waitFor(t, "gang FailedScheduling", 3*time.Second, func() bool {
-		return len(c.Store().Events("FailedScheduling")) > 0
+		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
 	c.KillPod("hog", "test")
 	waitFor(t, "gang placed after capacity freed", 3*time.Second, func() bool {

@@ -250,9 +250,9 @@ func (s *Store) RecordEvent(ev Event) {
 	s.eventHead = (s.eventHead + 1) % maxEvents
 }
 
-// Events returns a copy of the recorded events (the newest maxEvents),
-// oldest first, optionally filtered by reason.
-func (s *Store) Events(reason string) []Event {
+// recordedEvents returns a copy of the recorded events (the newest
+// maxEvents), oldest first, optionally filtered by reason.
+func (s *Store) recordedEvents(reason string) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Event, 0, len(s.events))
@@ -289,8 +289,8 @@ func (s *Store) ListPods(prefix string) []*Pod {
 	return out
 }
 
-// GetNode returns a node copy.
-func (s *Store) GetNode(name string) (*Node, bool) {
+// getNode returns a node copy.
+func (s *Store) getNode(name string) (*Node, bool) {
 	obj, ok := s.Get(KindNode, name)
 	if !ok {
 		return nil, false

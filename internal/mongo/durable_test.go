@@ -244,7 +244,7 @@ func TestOpenRecoversCollections(t *testing.T) {
 
 	db2 := openFileDB(t, dir)
 	jobs2 := db2.C("jobs")
-	if got := jobs2.Len(); got != 2 {
+	if got := jobs2.size(); got != 2 {
 		t.Fatalf("recovered %d docs, want 2", got)
 	}
 	for id, want := range map[string]string{id1: "COMPLETED", id2: "FAILED"} {
@@ -305,7 +305,7 @@ func TestOpenTornOplogTail(t *testing.T) {
 
 	db2 := openFileDB(t, dir)
 	c2 := db2.C("items")
-	n := c2.Len()
+	n := c2.size()
 	if n == 0 || n > 20 {
 		t.Fatalf("recovered %d docs, want a non-empty strict prefix of 20", n)
 	}
@@ -374,7 +374,7 @@ func TestOpenEmptyStore(t *testing.T) {
 	if db.OplogLen() != 0 {
 		t.Fatalf("OplogLen = %d on empty store", db.OplogLen())
 	}
-	if db.C("x").Len() != 0 {
+	if db.C("x").size() != 0 {
 		t.Fatal("phantom docs in empty store")
 	}
 }
@@ -461,8 +461,8 @@ func TestRefusedOplogAppendIsNotAcknowledged(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := db2.C("jobs")
-	if c2.Len() != len(acked) {
-		t.Fatalf("recovered %d docs, want the %d acknowledged", c2.Len(), len(acked))
+	if c2.size() != len(acked) {
+		t.Fatalf("recovered %d docs, want the %d acknowledged", c2.size(), len(acked))
 	}
 	for _, id := range acked {
 		d, err := c2.FindOne(Filter{"_id": id})

@@ -316,9 +316,6 @@ type Collection struct {
 	db      *DB
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
 // EnsureIndex builds a hash index over a field path to accelerate
 // equality queries (the paper indexes job history by user/org).
 func (c *Collection) EnsureIndex(field string) {
@@ -590,8 +587,8 @@ func (c *Collection) Upsert(f Filter, u Update) error {
 	return err
 }
 
-// Len returns the number of documents.
-func (c *Collection) Len() int {
+// size returns the number of documents.
+func (c *Collection) size() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.docs)

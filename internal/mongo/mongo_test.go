@@ -153,8 +153,8 @@ func TestUpsert(t *testing.T) {
 	if err := c.Upsert(Filter{"user": "alice"}, Update{Set: Doc{"gpus": 8}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if c.size() != 1 {
+		t.Fatalf("len = %d, want 1", c.size())
 	}
 	d, _ := c.FindOne(Filter{"user": "alice"})
 	if g, _ := toFloat(d["gpus"]); g != 8 {
@@ -451,8 +451,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() != 400 {
-		t.Fatalf("len = %d, want 400", c.Len())
+	if c.size() != 400 {
+		t.Fatalf("len = %d, want 400", c.size())
 	}
 }
 

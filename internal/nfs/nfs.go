@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -106,20 +104,6 @@ func (v *Volume) Exists(path string) bool {
 	return ok && !v.released
 }
 
-// List returns all paths under a prefix, sorted.
-func (v *Volume) List(prefix string) []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var out []string
-	for p := range v.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Watch returns a channel that receives the path of every subsequent
 // write. The helper's controller wakes on it to mirror learner status
 // and exits, and gang learners wake on it to rendezvous. Delivery never
@@ -159,9 +143,8 @@ type Provisioner struct {
 	clock sim.Clock
 	rng   *sim.RNG
 
-	mu      sync.Mutex
-	volumes map[string]*Volume
-	nextID  int
+	mu     sync.Mutex
+	nextID int
 
 	// BaseLatency is the unloaded provisioning time; each concurrently
 	// provisioning request adds LoadPenalty. FailureThreshold is the
@@ -173,8 +156,6 @@ type Provisioner struct {
 	FailureSlope     float64
 
 	inflight int
-	failures int64
-	creates  int64
 }
 
 // NewProvisioner returns a Provisioner with the defaults observed in the
@@ -184,7 +165,6 @@ func NewProvisioner(clock sim.Clock, rng *sim.RNG) *Provisioner {
 	return &Provisioner{
 		clock:            clock,
 		rng:              rng,
-		volumes:          make(map[string]*Volume),
 		BaseLatency:      2 * time.Second,
 		LoadPenalty:      500 * time.Millisecond,
 		FailureThreshold: 20,
@@ -218,9 +198,6 @@ func (p *Provisioner) Provision(jobID string) (*Volume, error) {
 			return p.rng.Bernoulli(pFail)
 		}()
 		if failed {
-			p.mu.Lock()
-			p.failures++
-			p.mu.Unlock()
 			return nil, fmt.Errorf("%w: %d concurrent provisions", ErrProvisionFailed, inflight)
 		}
 	}
@@ -228,13 +205,10 @@ func (p *Provisioner) Provision(jobID string) (*Volume, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nextID++
-	p.creates++
-	v := &Volume{
+	return &Volume{
 		name:  fmt.Sprintf("pvc-%s-%04d", jobID, p.nextID),
 		files: make(map[string][]byte),
-	}
-	p.volumes[v.name] = v
-	return v, nil
+	}, nil
 }
 
 // Release frees a volume; subsequent operations on it fail.
@@ -249,21 +223,4 @@ func (p *Provisioner) Release(v *Volume) {
 	}
 	v.watchers = nil
 	v.mu.Unlock()
-	p.mu.Lock()
-	delete(p.volumes, v.name)
-	p.mu.Unlock()
-}
-
-// Stats reports provisioning outcomes.
-func (p *Provisioner) Stats() (creates, failures int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.creates, p.failures
-}
-
-// Active returns the number of live volumes.
-func (p *Provisioner) Active() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.volumes)
 }

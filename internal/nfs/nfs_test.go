@@ -56,12 +56,13 @@ func TestVolumeAppendAndList(t *testing.T) {
 	if string(data) != "line1\nline2\n" {
 		t.Fatalf("log = %q", data)
 	}
-	logs := v.List("logs/")
-	if len(logs) != 1 || logs[0] != "logs/learner0.log" {
-		t.Fatalf("list = %v", logs)
+	for _, path := range []string{"logs/learner0.log", "status/learner0"} {
+		if !v.Exists(path) {
+			t.Fatalf("%s missing", path)
+		}
 	}
-	if len(v.List("")) != 2 {
-		t.Fatalf("full list = %v", v.List(""))
+	if v.Exists("logs/learner1.log") {
+		t.Fatal("never-written file exists")
 	}
 }
 
@@ -101,9 +102,6 @@ func TestReleaseInvalidatesVolume(t *testing.T) {
 	}
 	if _, open := <-ch; open {
 		t.Fatal("watch channel not closed on release")
-	}
-	if p.Active() != 0 {
-		t.Fatalf("active = %d", p.Active())
 	}
 }
 
@@ -258,10 +256,6 @@ func TestProvisionFailsUnderHeavyLoad(t *testing.T) {
 	wg.Wait()
 	if failures == 0 {
 		t.Fatal("no provisioning failures despite saturation settings")
-	}
-	_, recorded := p.Stats()
-	if int(recorded) != failures {
-		t.Fatalf("stats failures = %d, observed %d", recorded, failures)
 	}
 }
 

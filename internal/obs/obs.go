@@ -135,14 +135,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Collector is a snapshot-time callback mirroring externally owned
 // state (a subsystem's Stats() struct) into gauges. Collectors run only
 // when Snapshot is taken, so they add zero hot-path cost.
@@ -243,27 +235,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	return c.Value()
 }
 
-// CounterValues returns all counters as one consistent-enough map: each
-// value is read atomically; the set of names is a single locked
-// snapshot. This is the one-registry-snapshot read path experiments use
-// instead of per-call CounterValue reads.
-func (r *Registry) CounterValues() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		names = append(names, c)
-	}
-	r.mu.Unlock()
-	out := make(map[string]int64, len(names))
-	for _, c := range names {
-		out[c.name] = c.Value()
-	}
-	return out
-}
-
 // CounterPoint / GaugePoint / HistogramPoint are the exported, codec-
 // friendly snapshot shapes (they cross the RPC wire in API.Metrics).
 type CounterPoint struct {
@@ -322,31 +293,6 @@ func (h HistogramPoint) Quantile(q float64) float64 {
 		}
 	}
 	return h.Bounds[len(h.Bounds)-1]
-}
-
-// Merge combines two snapshots of histograms with identical bucket
-// layouts (e.g. the same instrument scraped from several replicas).
-// ok is false when the layouts differ.
-func (h HistogramPoint) Merge(o HistogramPoint) (HistogramPoint, bool) {
-	if len(h.Bounds) != len(o.Bounds) {
-		return h, false
-	}
-	for i := range h.Bounds {
-		if h.Bounds[i] != o.Bounds[i] {
-			return h, false
-		}
-	}
-	out := HistogramPoint{
-		Name:   h.Name,
-		Bounds: append([]float64(nil), h.Bounds...),
-		Counts: make([]uint64, len(h.Counts)),
-		Count:  h.Count + o.Count,
-		Sum:    h.Sum + o.Sum,
-	}
-	for i := range h.Counts {
-		out.Counts[i] = h.Counts[i] + o.Counts[i]
-	}
-	return out, true
 }
 
 // Snapshot is a point-in-time view of every instrument, sorted by name

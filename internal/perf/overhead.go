@@ -110,16 +110,6 @@ func DGXGap(c Config) float64 {
 	return base
 }
 
-// SecondsPerEpoch returns the wall time for one pass over datasetImages
-// at the config's FfDL throughput.
-func SecondsPerEpoch(c Config, datasetImages int) float64 {
-	thpt := FfDLThroughput(c)
-	if thpt <= 0 {
-		return math.Inf(1)
-	}
-	return float64(datasetImages) / thpt
-}
-
 // InputBytesPerImage is the storage traffic per training image
 // (preprocessed ImageNet records average ≈110 KB).
 const InputBytesPerImage = 110 * 1024

@@ -159,19 +159,6 @@ func TestStorageBoundThroughput(t *testing.T) {
 	}
 }
 
-func TestSecondsPerEpoch(t *testing.T) {
-	c := Config{Model: ResNet50, Framework: TensorFlow, GPUType: V100, Learners: 1, GPUsPerL: 1, CPUThreads: 28}
-	s := SecondsPerEpoch(c, 1_300_000) // ImageNet1K
-	// ≈ 1.3M / ~345 img/s ≈ 3800s.
-	if s < 3000 || s > 5000 {
-		t.Fatalf("epoch seconds = %.0f, want ~3800", s)
-	}
-	bad := Config{Model: ResNet50, Framework: TensorFlow, GPUType: V100}
-	if got := SecondsPerEpoch(bad, 100); got <= 0 {
-		t.Fatalf("invalid config should give +Inf, got %f", got)
-	}
-}
-
 // Property: throughput is monotone in learners and GPUs (more hardware
 // is never slower in aggregate).
 func TestThroughputMonotoneProperty(t *testing.T) {

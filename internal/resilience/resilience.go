@@ -395,12 +395,9 @@ func NewPolicy(o Options) *Policy {
 	return p
 }
 
-// Name returns the policy's dependency-edge name.
-func (p *Policy) Name() string { return p.name }
-
-// BreakerState returns the breaker's current state (BreakerClosed for a
+// breakerState returns the breaker's current state (BreakerClosed for a
 // breaker-less policy).
-func (p *Policy) BreakerState() BreakerState {
+func (p *Policy) breakerState() BreakerState {
 	if p.brk == nil {
 		return BreakerClosed
 	}

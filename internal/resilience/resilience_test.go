@@ -135,7 +135,7 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
-	if got := p.BreakerState(); got != BreakerOpen {
+	if got := p.breakerState(); got != BreakerOpen {
 		t.Fatalf("state after threshold failures = %v, want open", got)
 	}
 	if reg.Counter("resilience.breaker_opens_mongo").Value() != 1 {
@@ -165,7 +165,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("breaker ready before OpenFor elapsed")
 	}
 	clock.Advance(time.Millisecond)
-	if got := p.BreakerState(); got != BreakerHalfOpen {
+	if got := p.breakerState(); got != BreakerHalfOpen {
 		t.Fatalf("state after OpenFor = %v, want half-open", got)
 	}
 
@@ -173,7 +173,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := p.Do(context.Background(), fail); !errors.Is(err, errBoom) {
 		t.Fatalf("probe: %v", err)
 	}
-	if got := p.BreakerState(); got != BreakerOpen {
+	if got := p.breakerState(); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
 	// ...and a successful probe after another window closes.
@@ -181,7 +181,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := p.Do(context.Background(), ok); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if got := p.BreakerState(); got != BreakerClosed {
+	if got := p.breakerState(); got != BreakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", got)
 	}
 	if reg.Snapshot().Gauge("resilience.breaker_state_mongo") != int64(BreakerClosed) {
@@ -204,7 +204,7 @@ func TestBreakerTerminalErrorsCountAsContact(t *testing.T) {
 	for _, cl := range seq {
 		_ = p.Do(context.Background(), func(context.Context) error { return Mark(errBoom, cl) })
 	}
-	if got := p.BreakerState(); got != BreakerClosed {
+	if got := p.breakerState(); got != BreakerClosed {
 		t.Fatalf("interleaved terminal errors tripped breaker: %v", got)
 	}
 }
@@ -318,7 +318,7 @@ func TestHalfOpenAdmitsSingleProbe(t *testing.T) {
 		t.Fatal("second concurrent probe admitted in half-open")
 	}
 	p.brk.record(false)
-	if got := p.BreakerState(); got != BreakerClosed {
+	if got := p.breakerState(); got != BreakerClosed {
 		t.Fatalf("state = %v, want closed", got)
 	}
 }

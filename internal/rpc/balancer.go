@@ -124,9 +124,6 @@ func NewBalancer(reg *Registry, service string) *Balancer {
 // failover. A nil policy restores the bare sweep.
 func (b *Balancer) Use(p *resilience.Policy) { b.policy.Store(p) }
 
-// Policy returns the installed resilience policy, if any.
-func (b *Balancer) Policy() *resilience.Policy { return b.policy.Load() }
-
 // conn returns a live connection to addr, dialing if needed.
 func (b *Balancer) conn(addr string) (*Conn, error) {
 	b.mu.Lock()

@@ -23,7 +23,7 @@ type LinkFault struct {
 }
 
 // Faults injects per-link faults into the client side of the RPC
-// transport, modeled on etcd.Cluster.CutLink: chaos code addresses a
+// transport, modeled on etcd's link cuts: chaos code addresses a
 // link by replica address and dials in drop/delay/duplicate mixes
 // without touching the server. Install with Registry.SetFaults; every
 // Balancer connection dialed through that registry applies the link's
@@ -58,16 +58,6 @@ func (f *Faults) SetLink(addr string, lf LinkFault) {
 		return
 	}
 	f.links[addr] = lf
-}
-
-// Cut fully severs (on=true) or heals (on=false) a link, the CutLink
-// idiom: every request frame to addr is dropped.
-func (f *Faults) Cut(addr string, on bool) {
-	if on {
-		f.SetLink(addr, LinkFault{Drop: 1})
-	} else {
-		f.SetLink(addr, LinkFault{})
-	}
 }
 
 // Heal clears every link fault.

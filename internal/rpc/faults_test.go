@@ -18,7 +18,7 @@ func TestFaultsDropRescuedByPolicyDeadline(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("echo", addr)
 	faults := NewFaults(nil, 1)
-	faults.Cut(addr, true)
+	faults.SetLink(addr, LinkFault{Drop: 1})
 	reg.SetFaults(faults)
 
 	b := NewBalancer(reg, "echo")
@@ -47,7 +47,7 @@ func TestFaultsDropRescuedByPolicyDeadline(t *testing.T) {
 	}
 
 	// Heal the link: the same balancer recovers.
-	faults.Cut(addr, false)
+	faults.SetLink(addr, LinkFault{})
 	if err := b.Call(context.Background(), "Echo", echoReq{Msg: "hi", N: 1}, &resp); err != nil {
 		t.Fatalf("healed link: %v", err)
 	}

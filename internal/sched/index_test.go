@@ -157,7 +157,7 @@ func TestCheckpointRollbackRestoresState(t *testing.T) {
 	if _, reason := cs.BestPacked(&PodSpec{Name: "p", Demand: Resources{GPUs: 1}}); reason != "" {
 		t.Fatalf("post-rollback query failed: %v", reason)
 	}
-	if cs.ExaminedNodes() == 0 {
+	if cs.examinedNodes() == 0 {
 		t.Fatal("examined counter not counting after rollback")
 	}
 }
@@ -207,7 +207,7 @@ func TestPackExaminesFewNodesOnLargeCluster(t *testing.T) {
 		}
 		cs.Assign(node, p.Demand)
 	}
-	examined := cs.ExaminedNodes()
+	examined := cs.examinedNodes()
 	if examined > 1000 {
 		t.Fatalf("100 pack placements on 2000 nodes examined %d nodes; index not pruning", examined)
 	}

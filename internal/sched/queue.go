@@ -55,8 +55,8 @@ func (q *Queue) Peek() *QueuedGang {
 	return q.items[0]
 }
 
-// Pop removes and returns the head, or nil.
-func (q *Queue) Pop() *QueuedGang {
+// pop removes and returns the head, or nil.
+func (q *Queue) pop() *QueuedGang {
 	if len(q.items) == 0 {
 		return nil
 	}

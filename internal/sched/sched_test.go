@@ -181,7 +181,7 @@ func TestQueueFCFSLargestGangTieBreak(t *testing.T) {
 	q.Push(gang("later", 8, 4), t0.Add(time.Second))
 	want := []string{"large", "small", "later"}
 	for _, w := range want {
-		got := q.Pop()
+		got := q.pop()
 		if got.Gang.JobID != w {
 			t.Fatalf("pop = %s, want %s", got.Gang.JobID, w)
 		}

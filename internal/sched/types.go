@@ -105,8 +105,6 @@ type Gang struct {
 	JobID string
 	// Pods lists every pod that must be co-scheduled.
 	Pods []PodSpec
-	// Priority orders preemption; higher is more important.
-	Priority int
 	// User owns the job, for quota accounting.
 	User string
 }
@@ -161,7 +159,7 @@ func (f *Failure) Error() string {
 // date by every mutation. All placement queries (FeasibleNodes,
 // Candidates, BestPacked) run against the index, so their cost scales
 // with the number of GPU-feasible candidates rather than cluster size.
-// ExaminedNodes counts the nodes those queries actually inspected,
+// TakeExamined counts the nodes those queries actually inspected,
 // which is the scheduler's primary scalability metric.
 //
 // For speculative placement (gang all-or-nothing attempts, BSA
@@ -368,13 +366,6 @@ func (cs *ClusterState) Rollback(mark int) {
 	cs.specDepth--
 }
 
-// Clone deep-copies the state, for callers that need a long-lived
-// scratch copy. Transient speculation should prefer
-// Checkpoint/Rollback, which does not rebuild the index.
-func (cs *ClusterState) Clone() *ClusterState {
-	return NewClusterState(cs.Nodes)
-}
-
 // TotalGPUs returns (free, capacity) GPU counts over schedulable nodes.
 func (cs *ClusterState) TotalGPUs() (free, capacity int) {
 	for _, n := range cs.Nodes {
@@ -387,9 +378,9 @@ func (cs *ClusterState) TotalGPUs() (free, capacity int) {
 	return free, capacity
 }
 
-// ExaminedNodes returns the cumulative count of nodes inspected by
+// examinedNodes returns the cumulative count of nodes inspected by
 // placement queries since construction (or the last TakeExamined).
-func (cs *ClusterState) ExaminedNodes() uint64 { return cs.examined }
+func (cs *ClusterState) examinedNodes() uint64 { return cs.examined }
 
 // TakeExamined returns the examined-node count and resets it, for
 // per-pass accounting.

@@ -304,8 +304,8 @@ func TestDispatcherPreemptsHaltsRequeuesAndResumes(t *testing.T) {
 	if st.Preempted != 1 || st.Requeued != 1 || st.Resumed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if n := d.obsDelay.Count(); n != 3 {
-		t.Fatalf("tenant.queue_delay count = %d, want 3", n)
+	if h, _ := d.cfg.Obs.Snapshot().Histogram("tenant.queue_delay"); h.Count != 3 {
+		t.Fatalf("tenant.queue_delay count = %d, want 3", h.Count)
 	}
 }
 
@@ -379,8 +379,8 @@ func TestStaleQueuedEventDoesNotDoubleCount(t *testing.T) {
 	if st := d.Stats(); st.Dispatched != 1 {
 		t.Fatalf("stats.Dispatched = %d, want 1", st.Dispatched)
 	}
-	if n := d.obsDelay.Count(); n != 1 {
-		t.Fatalf("tenant.queue_delay count = %d, want a single observation", n)
+	if h, _ := d.cfg.Obs.Snapshot().Histogram("tenant.queue_delay"); h.Count != 1 {
+		t.Fatalf("tenant.queue_delay count = %d, want a single observation", h.Count)
 	}
 	if d.QueueDepth() != 0 {
 		t.Fatalf("stale entry still queued")

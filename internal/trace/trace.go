@@ -29,9 +29,6 @@ type Job struct {
 	GPUType string
 }
 
-// TotalGPUs is the job's aggregate demand.
-func (j *Job) TotalGPUs() int { return j.Learners * j.GPUsPerLearner }
-
 // Config shapes a synthetic trace.
 type Config struct {
 	// Days is the trace length (the paper's is 60).
