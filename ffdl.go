@@ -81,7 +81,7 @@
 // # Durability
 //
 // With Config.DataDir set (ffdl-server -data-dir), the metadata oplog
-// and per-job learner logs live in file-backed commit logs under that
+// and the learner log live in file-backed commit logs under that
 // directory, so job documents with their status history, WatchStatus
 // resume points and FollowLogsFrom offsets survive a full process
 // restart: stop the platform, boot a new one with the

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/kube"
 )
 
 // TestPublicAPIEndToEnd exercises the facade exactly as the README
@@ -20,6 +22,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	client := p.Client()
 	ctx := context.Background()
+	// Subscribe before submitting, so every pod event of the job's
+	// teardown reaches the utilization check below.
+	pods := p.Kube.Store().Watch(kube.KindPod)
+	defer pods.Cancel()
 	jobID, err := client.Submit(ctx, Manifest{
 		Name: "train-vgg", User: "alice",
 		Framework: Caffe, Model: VGG16,
@@ -40,8 +46,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil || len(logs) == 0 {
 		t.Fatalf("logs: %d lines, err %v", len(logs), err)
 	}
-	alloc, capacity := p.GPUUtilization()
-	if alloc != 0 || capacity != 8 {
-		t.Fatalf("utilization = %d/%d, want 0/8", alloc, capacity)
+	// COMPLETED is recorded before teardown releases the pods: re-read
+	// utilization on each pod event until every GPU is free.
+	for {
+		alloc, capacity := p.GPUUtilization()
+		if alloc == 0 && capacity == 8 {
+			break
+		}
+		select {
+		case <-pods.Events():
+		case <-wctx.Done():
+			t.Fatalf("utilization = %d/%d, want 0/8", alloc, capacity)
+		}
 	}
 }

@@ -176,7 +176,7 @@ func TestMongoInjectorCyclesFaults(t *testing.T) {
 	in.Stop()
 	// Chaos stopped: the primary serves, every successful insert is
 	// still there.
-	if got := c.Count(mongo.Filter{}); got != inserted {
+	if got := len(c.Find(mongo.Filter{}, mongo.FindOpts{})); got != inserted {
 		t.Fatalf("primary has %d docs, want %d", got, inserted)
 	}
 }

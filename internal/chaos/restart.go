@@ -14,7 +14,7 @@ import (
 // every in-memory substrate at once (kube state, etcd coordination,
 // the object store, the RPC registry, all in-flight goroutines) and
 // keeps only what core.Config.DataDir persisted: the mongo oplog and
-// per-job learner logs.
+// the learner log.
 //
 // Provision re-creates the external world — worker nodes, seeded
 // dataset buckets — the way an operator's bootstrap would after a real

@@ -359,22 +359,42 @@ func TestRestartTheWorldDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Every job's lines share one learner log: learner-logs/ holds
+	// segments and no per-job subdirectory, and its segment count
+	// follows line volume (one per boot, one per 1024-record roll, one
+	// of slack for a roll racing the count), not the number of jobs.
+	segs, err := os.ReadDir(filepath.Join(dir, "learner-logs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range segs {
+		if !e.Type().IsRegular() || !strings.HasSuffix(e.Name(), ".seg") {
+			t.Fatalf("learner-logs/ holds %s, want only .seg files", e.Name())
+		}
+	}
+	total := len(p2.Metrics.Logs(jobA)) + len(p2.Metrics.Logs(jobB))
+	if len(segs) == 0 || len(segs) > 2+total/1024+1 {
+		t.Fatalf("learner-logs/ holds %d segments for %d lines, want 1..%d", len(segs), total, 2+total/1024+1)
+	}
 }
 
 // TestRestartTornTailLearnerLog reuses commitlog.FaultStore corruption
 // injection under the real DataDir file layout: a byte of a learner-log
 // segment frame is flipped at write time, the platform restarts, and
 // recovery must keep exactly the strict prefix before the torn frame,
-// with no recovered offset ever reassigned.
+// with no recovered offset ever reassigned. Every job's lines share the
+// one learner log, so the prefix holds across jobs: a second job's
+// lines that land after the tear are lost with it.
 func TestRestartTornTailLearnerLog(t *testing.T) {
 	dir := t.TempDir()
-	const jobID = "jobX"
+	const jobX, jobY = "jobX", "jobY"
 
 	var mu sync.Mutex
 	var fault *commitlog.FaultStore
 	cfg := restartConfig(dir)
 	cfg.StoreWrapper = func(name string, s commitlog.SegmentStore) commitlog.SegmentStore {
-		if name != "learner-logs/"+jobID {
+		if name != "learner-logs" {
 			return s
 		}
 		f := commitlog.NewFaultStore(s, -1) // never crash; corruption only
@@ -394,15 +414,21 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 			p.Stop()
 		}
 	}()
+	appendLine := func(p *core.Platform, jobID, text string) {
+		p.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: text})
+	}
 
-	// 50 intact lines.
+	// 50 intact lines of job X, with job Y's first 5 interleaved.
 	for i := 1; i <= 50; i++ {
-		p.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: fmt.Sprintf("line-%03d", i)})
+		appendLine(p, jobX, fmt.Sprintf("x-%03d", i))
+		if i%10 == 0 {
+			appendLine(p, jobY, fmt.Sprintf("y-%03d", i/10))
+		}
 	}
 
 	// Corrupt a byte 10 positions into the NEXT write: line 51's frame is
-	// torn on disk; 52..60 land after it in the same segment and are
-	// unreachable past the tear.
+	// torn on disk; everything after it in the log — X's 52..60 and Y's
+	// post-tear lines — is unreachable past the tear.
 	mu.Lock()
 	if fault == nil {
 		t.Fatal("StoreWrapper never saw the learner log store")
@@ -410,7 +436,11 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 	fault.CorruptAt(fault.Written()+10, 0xFF)
 	mu.Unlock()
 	for i := 51; i <= 60; i++ {
-		p.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: fmt.Sprintf("line-%03d", i)})
+		appendLine(p, jobX, fmt.Sprintf("x-%03d", i))
+		appendLine(p, jobY, fmt.Sprintf("y-post-%03d", i))
+	}
+	if n := len(p.Metrics.Logs(jobY)); n != 15 {
+		t.Fatalf("job Y holds %d lines before the restart, want 15", n)
 	}
 
 	p.Stop()
@@ -425,23 +455,29 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 	}
 	defer p2.Stop()
 
-	lines := p2.Metrics.Logs(jobID)
-	if len(lines) != 50 {
-		t.Fatalf("recovered %d lines, want exactly the 50 before the torn frame", len(lines))
-	}
-	for i, l := range lines {
-		// Learner-log offsets are 0-based (commitlog default FirstOffset).
-		wantText := fmt.Sprintf("line-%03d", i+1)
-		if l.Text != wantText || l.Offset != uint64(i) {
-			t.Fatalf("recovered line %d = (%d, %q), want (%d, %q) — not a strict prefix",
-				i, l.Offset, l.Text, i, wantText)
+	checkPrefix := func(jobID, format string, n int) []core.LogLine {
+		t.Helper()
+		lines := p2.Metrics.Logs(jobID)
+		if len(lines) != n {
+			t.Fatalf("recovered %d lines of %s, want exactly the %d before the torn frame", len(lines), jobID, n)
 		}
+		for i, l := range lines {
+			// Learner-log offsets are 0-based per job.
+			wantText := fmt.Sprintf(format, i+1)
+			if l.Text != wantText || l.Offset != uint64(i) {
+				t.Fatalf("recovered %s line %d = (%d, %q), want (%d, %q) — not a strict prefix",
+					jobID, i, l.Offset, l.Text, i, wantText)
+			}
+		}
+		return lines
 	}
+	lines := checkPrefix(jobX, "x-%03d", 50)
+	checkPrefix(jobY, "y-%03d", 5)
 
 	// No recovered offset is ever reassigned: a fresh append lands past
 	// the recovered tail.
-	p2.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: "post-recovery"})
-	all := p2.Metrics.Logs(jobID)
+	appendLine(p2, jobX, "post-recovery")
+	all := p2.Metrics.Logs(jobX)
 	fresh := all[len(all)-1]
 	if fresh.Text != "post-recovery" || fresh.Offset <= lines[len(lines)-1].Offset {
 		t.Fatalf("post-recovery append got offset %d, want > %d (no reuse of recovered offsets)",
@@ -463,7 +499,7 @@ func TestRestartEmptyDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := p2.Jobs.Count(nil); n != 0 {
+	if n := len(p2.Jobs.Find(nil, mongo.FindOpts{})); n != 0 {
 		t.Fatalf("empty DataDir recovered %d jobs", n)
 	}
 	if got := p2.Mongo.OplogLen(); got != 0 {

@@ -235,14 +235,14 @@ func (l *Log) rollLocked() error {
 	return nil
 }
 
-// Append appends a record and returns its offset. The payload is
-// copied into the record's frame, so the caller may reuse it; the key
-// is retained as passed.
-func (l *Log) Append(key string, payload []byte) (uint64, error) {
+// Append appends a record and returns it as the log stored it: its
+// offset, and its payload, a copy in the record's frame, so the caller
+// may reuse its own; the key is retained as passed.
+func (l *Log) Append(key string, payload []byte) (Record, error) {
 	l.lock()
 	defer l.unlock()
 	if l.dead != nil {
-		return 0, l.dead
+		return Record{}, l.dead
 	}
 	if l.obsAppend != nil {
 		start := l.clock.Now()
@@ -261,7 +261,7 @@ func (l *Log) Append(key string, payload []byte) (uint64, error) {
 		// The record is not (fully) durable: poison the log rather
 		// than let the in-memory index diverge from the store.
 		l.dead = fmt.Errorf("%w: %v", ErrDead, err)
-		return 0, l.dead
+		return Record{}, l.dead
 	}
 	rec := Record{Offset: off, Key: key, Payload: framePayload(frame, len(payload))}
 	active.recs = append(active.recs, rec)
@@ -270,11 +270,11 @@ func (l *Log) Append(key string, payload []byte) (uint64, error) {
 	l.next = off + 1
 	if len(active.recs) >= l.opts.SegmentRecords || active.bytes >= l.opts.SegmentBytes {
 		if err := l.rollLocked(); err != nil {
-			return off, err // the record itself is durable
+			return rec, err // the record itself is durable
 		}
 		l.maintainLocked()
 	}
-	return off, nil
+	return rec, nil
 }
 
 // maintainLocked enforces compaction and the segment-count bound after

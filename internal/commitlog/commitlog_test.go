@@ -10,13 +10,20 @@ import (
 	"time"
 )
 
+// mustAppend appends and checks that the returned record is the one
+// the log now holds at its offset.
 func mustAppend(t *testing.T, l *Log, key string, payload []byte) uint64 {
 	t.Helper()
-	off, err := l.Append(key, payload)
+	rec, err := l.Append(key, payload)
 	if err != nil {
 		t.Fatalf("Append(%q): %v", key, err)
 	}
-	return off
+	held, ok := recordAt(l, rec.Offset)
+	if !ok || rec.Key != key || !bytes.Equal(rec.Payload, payload) ||
+		held.Key != key || !bytes.Equal(held.Payload, payload) {
+		t.Fatalf("Append(%q) returned %+v, log holds %+v (found %v)", key, rec, held, ok)
+	}
+	return rec.Offset
 }
 
 // recordAt returns the retained record at exactly offset.
@@ -269,8 +276,8 @@ func TestCompactionProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("append plain: %v", err)
 		}
-		if offC != offP {
-			t.Fatalf("offset divergence: %d vs %d", offC, offP)
+		if offC.Offset != offP.Offset {
+			t.Fatalf("offset divergence: %d vs %d", offC.Offset, offP.Offset)
 		}
 		checkContiguousTail(t, compacted)
 	}
@@ -373,9 +380,9 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("store tail not cleaned: %d recs, %v", len(recs), tornErr)
 	}
 	// And recovery never appends into the recovered segment.
-	off, err := r.Append("k", []byte("post"))
-	if err != nil || off != 4 {
-		t.Fatalf("post-recovery append: %d, %v; want 4", off, err)
+	rec, err := r.Append("k", []byte("post"))
+	if err != nil || rec.Offset != 4 {
+		t.Fatalf("post-recovery append: %d, %v; want 4", rec.Offset, err)
 	}
 }
 

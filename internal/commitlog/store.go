@@ -47,7 +47,7 @@ type SegmentStore interface {
 var ErrNoSegment = errors.New("commitlog: no such segment")
 
 // MemStore is the in-memory SegmentStore the simulation runs on: with
-// no DataDir, the mongo oplog and the learner logs ride it. A segment
+// no DataDir, the mongo oplog and the learner log ride it. A segment
 // is the list of slices it was handed — each append's frame, or one
 // rewrite — kept without a copy, so the bytes are shared with the Log's
 // index; Load concatenates them. It is safe for concurrent use, though

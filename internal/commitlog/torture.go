@@ -197,11 +197,11 @@ func tortureOne(cfg *TortureConfig, ref *tortureRef, dir string, crashAt int64, 
 
 	// Invariant 2: no offset reuse — a post-recovery append mints an
 	// offset past the recovered end.
-	off, err := rl.Append("post-recovery", []byte("x"))
+	rec, err := rl.Append("post-recovery", []byte("x"))
 	if err != nil {
 		fail("post-recovery append: %v", err)
-	} else if len(recs) > 0 && off <= endOffset(recs) {
-		fail("offset %d reused (recovered end %d)", off, endOffset(recs))
+	} else if len(recs) > 0 && rec.Offset <= endOffset(recs) {
+		fail("offset %d reused (recovered end %d)", rec.Offset, endOffset(recs))
 	}
 	return len(recs), violations
 }

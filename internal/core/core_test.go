@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/etcd"
+	"github.com/ffdl/ffdl/internal/kube"
 	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/perf"
 	"github.com/ffdl/ffdl/internal/rpc"
@@ -414,13 +418,27 @@ func TestTerminatePendingAndRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, c, running, StatusProcessing, 20*time.Second)
+	// Subscribe before terminating, so every pod event of the teardown
+	// reaches the utilization check below.
+	pods := p.Kube.Store().Watch(kube.KindPod)
+	defer pods.Cancel()
 	if err := c.Terminate(context.Background(), running); err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, c, running, StatusCanceled, 20*time.Second)
-	alloc, _ := p.Kube.GPUUtilization()
-	if alloc != 0 {
-		t.Fatalf("terminated job still holds %d GPUs", alloc)
+	// CANCELED is recorded before teardown releases the pods: re-read
+	// utilization on each pod event until every GPU is free.
+	timeout := time.After(20 * time.Second)
+	for {
+		alloc, _ := p.Kube.GPUUtilization()
+		if alloc == 0 {
+			break
+		}
+		select {
+		case <-pods.Events():
+		case <-timeout:
+			t.Fatalf("terminated job still holds %d GPUs", alloc)
+		}
 	}
 }
 
@@ -819,23 +837,45 @@ func TestFollowLogsResumesAcrossAPICrash(t *testing.T) {
 	c.Terminate(context.Background(), jobID) //nolint:errcheck
 }
 
-// TestLogsFromOffset pins the resumable read path: LogsFrom returns
-// only lines at or past the requested offset, and offsets are assigned
-// contiguously at ingest.
+// openMetrics opens a MetricsService over a learner log on store.
+func openMetrics(t *testing.T, store commitlog.SegmentStore) *MetricsService {
+	t.Helper()
+	l, err := commitlog.Open(store, commitlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewMetricsService(l, nil)
+}
+
+// TestLogsFromOffset pins the resumable read path over the one learner
+// log: LogsFrom returns only lines at or past the requested offset, and
+// each job's offsets are assigned contiguously at ingest even while
+// jobs interleave in the log. A service reopened over the same store
+// serves the same lines, and each job's next append continues its own
+// count.
 func TestLogsFromOffset(t *testing.T) {
-	m := NewMetricsService(nil)
+	store := commitlog.NewMemStore()
+	m := openMetrics(t, store)
 	for i := 0; i < 10; i++ {
-		m.AppendLog(LogLine{JobID: "j", Learner: 1, Text: "line"})
-	}
-	all := m.Logs("j")
-	if len(all) != 10 {
-		t.Fatalf("Logs = %d lines, want 10", len(all))
-	}
-	for i, l := range all {
-		if l.Offset != uint64(i) {
-			t.Fatalf("line %d offset = %d, want %d", i, l.Offset, i)
+		m.AppendLog(LogLine{JobID: "j", Learner: 1, Time: time.Unix(0, int64(i)), Text: fmt.Sprintf("j-%d", i)})
+		if i%2 == 0 {
+			m.AppendLog(LogLine{JobID: "k", Learner: 0, Time: time.Unix(0, int64(i)), Text: fmt.Sprintf("k-%d", i/2)})
 		}
 	}
+	checkJob := func(m *MetricsService, jobID string, n int) []LogLine {
+		t.Helper()
+		all := m.Logs(jobID)
+		if len(all) != n {
+			t.Fatalf("Logs(%s) = %d lines, want %d", jobID, len(all), n)
+		}
+		for i, l := range all {
+			if l.JobID != jobID || l.Offset != uint64(i) || l.Text != fmt.Sprintf("%s-%d", jobID, i) {
+				t.Fatalf("%s line %d = (%s, %d, %q), want offset %d", jobID, i, l.JobID, l.Offset, l.Text, i)
+			}
+		}
+		return all
+	}
+	allJ, allK := checkJob(m, "j", 10), checkJob(m, "k", 5)
 	tail := m.LogsFrom("j", 7)
 	if len(tail) != 3 || tail[0].Offset != 7 {
 		t.Fatalf("LogsFrom(7) = %d lines starting at %d, want 3 from 7", len(tail), tail[0].Offset)
@@ -843,6 +883,21 @@ func TestLogsFromOffset(t *testing.T) {
 	if out := m.LogsFrom("j", 42); len(out) != 0 {
 		t.Fatalf("LogsFrom past the tail = %d lines, want 0", len(out))
 	}
+	if out := m.Logs("unknown"); len(out) != 0 {
+		t.Fatalf("Logs(unknown) = %d lines, want 0", len(out))
+	}
+
+	m2 := openMetrics(t, store)
+	if got := checkJob(m2, "j", 10); !reflect.DeepEqual(got, allJ) {
+		t.Fatalf("reopened j lines = %v, want %v", got, allJ)
+	}
+	if got := checkJob(m2, "k", 5); !reflect.DeepEqual(got, allK) {
+		t.Fatalf("reopened k lines = %v, want %v", got, allK)
+	}
+	m2.AppendLog(LogLine{JobID: "k", Text: "k-5"})
+	m2.AppendLog(LogLine{JobID: "j", Text: "j-10"})
+	checkJob(m2, "j", 11)
+	checkJob(m2, "k", 6)
 }
 
 // TestJobTrafficOnce pins what a job's life writes and who hands it to

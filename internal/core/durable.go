@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -13,12 +12,12 @@ import (
 
 // Durable-log plumbing: where each platform log lives under
 // Config.DataDir, and the payload codec (on internal/codec's shared
-// reader) for learner log lines, which every job log stores, in memory
-// or on disk. The DataDir layout is one commitlog.FileStore directory
-// per log:
+// reader) for learner log lines, which the learner log stores, in
+// memory or on disk. The DataDir layout is one commitlog.FileStore
+// directory per log, two in all, however many jobs run:
 //
-//	<DataDir>/mongo-oplog/            the metadata store's oplog
-//	<DataDir>/learner-logs/<jobID>/   one log per job's learner lines
+//	<DataDir>/mongo-oplog/    the metadata store's oplog
+//	<DataDir>/learner-logs/   every job's learner lines, interleaved
 //
 // With DataDir unset every log rides a MemStore and nothing survives
 // the process — the simulation default. The etcd watch history is not
@@ -35,10 +34,10 @@ const (
 )
 
 // StoreWrapper wraps a durable log's segment store as it opens. name is
-// the log's DataDir-relative directory ("mongo-oplog",
-// "learner-logs/<jobID>", ...). The chaos harness injects
-// commitlog.FaultStore corruption under the real file layout this way;
-// production configs leave it nil.
+// the log's DataDir-relative directory ("mongo-oplog" or
+// "learner-logs"). The chaos harness injects commitlog.FaultStore
+// corruption under the real file layout this way; production configs
+// leave it nil.
 type StoreWrapper func(name string, store commitlog.SegmentStore) commitlog.SegmentStore
 
 // openLogStore opens the segment store for the named log: a FileStore
@@ -58,17 +57,6 @@ func openLogStore(dataDir, name string, wrap StoreWrapper) (commitlog.SegmentSto
 		store = wrap(name, store)
 	}
 	return store, nil
-}
-
-// hasLogDir reports whether the named log already exists on disk —
-// read paths use it to reopen recovered logs lazily without littering
-// DataDir with empty directories for unknown names.
-func hasLogDir(dataDir, name string) bool {
-	if dataDir == "" {
-		return false
-	}
-	st, err := os.Stat(filepath.Join(dataDir, name))
-	return err == nil && st.IsDir()
 }
 
 // Learner log line codec. The payload follows internal/codec's wire

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/mongo"
 )
 
@@ -17,7 +18,7 @@ import (
 // select/default) or read a slice being shifted under it. Run under
 // -race.
 func TestStreamLogsCancelRacesAppendLog(t *testing.T) {
-	m := NewMetricsService(nil)
+	m := openMetrics(t, commitlog.NewMemStore())
 	stop := make(chan struct{})
 	appender := make(chan struct{})
 	go func() {

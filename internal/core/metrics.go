@@ -1,18 +1,17 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
+	"github.com/ffdl/ffdl/internal/codec"
 	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/obs"
-	"github.com/ffdl/ffdl/internal/sim"
 )
 
-// LogLine is one collected learner log line. Offset is its position in
-// the job's log — assigned by the Training Metrics Service at ingest,
-// strictly increasing per job — and doubles as the resume token for
+// LogLine is one collected learner log line. Offset is its position
+// among its job's lines — assigned by the Training Metrics Service at
+// ingest, 0, 1, 2, ... per job — and doubles as the resume token for
 // followers: a client that reconnects (or outlives an API replica
 // restart) asks for lines from its last offset + 1 and misses nothing.
 type LogLine struct {
@@ -28,12 +27,17 @@ type LogLine struct {
 // searchable index — the role ElasticSearch/Kibana plays in the paper's
 // deployment — and counts platform health metrics ("number of times
 // microservices fail and recover, and frequency of connectivity
-// issues"). Each job's log rides the platform's commit log
-// (internal/commitlog), which is what makes log streams offset-
-// addressable and resumable rather than count-deduplicated.
+// issues"). Every job's lines ride one commit log (internal/commitlog),
+// which is what makes log streams offset-addressable and resumable
+// rather than count-deduplicated.
 type MetricsService struct {
-	mu   sync.Mutex
-	logs map[string]*commitlog.Log // jobID -> line log
+	mu  sync.Mutex
+	log *commitlog.Log
+	// lines indexes the log's records by job, in append order. The
+	// records share the log's payload bytes. A line's Offset is its
+	// position here, so each job's offsets run 0, 1, 2, ... while the
+	// log's own offsets interleave jobs.
+	lines map[string][]commitlog.Record
 	// reg is the platform's unified metrics registry: the flat counter
 	// map the service historically kept now lives there as obs.Counter
 	// instruments under the dotted subsystem.name convention, so the
@@ -42,76 +46,35 @@ type MetricsService struct {
 	reg *obs.Registry
 	// live fans each appended line out to the job's log follows.
 	live *fanout[LogLine]
-	// obs/clock wire hot-path instrumentation into each job's commit
-	// log as it opens (append latency, compaction counters); obs is nil
-	// when the platform runs the DisableObs ablation.
-	obs   *obs.Registry
-	clock sim.Clock
-	// dataDir/storeWrap are injected by NewPlatform when Config.DataDir
-	// is set: each job's log then lives in its own FileStore directory
-	// (<DataDir>/learner-logs/<jobID>), and a reopened service lazily
-	// reopens existing dirs — so offsets survive a process restart.
-	dataDir   string
-	storeWrap StoreWrapper
 	// lineBuf is AppendLog's encode scratch, guarded by mu; the log
 	// copies each payload into its own frame.
 	lineBuf []byte
 }
 
-// NewMetricsService returns an empty service whose counters live in
-// the given registry (a private registry is created when nil).
-func NewMetricsService(reg *obs.Registry) *MetricsService {
+// NewMetricsService returns a service over the learner log l, indexing
+// the lines l already holds, whose counters live in the given registry
+// (a private registry is created when nil). A record whose JobID does
+// not decode is skipped.
+func NewMetricsService(l *commitlog.Log, reg *obs.Registry) *MetricsService {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &MetricsService{
-		logs: make(map[string]*commitlog.Log),
-		reg:  reg,
+	m := &MetricsService{
+		log:   l,
+		lines: make(map[string][]commitlog.Record),
+		reg:   reg,
 		// A follow may fall 256 lines behind before it refills from
 		// the job's log.
 		live: newFanout[LogLine](256),
 	}
-}
-
-// jobLogLocked returns (opening if needed) a job's line log. The error
-// path is real only in durable mode (a FileStore that cannot recover);
-// MemStore opens cannot fail.
-func (m *MetricsService) jobLogLocked(jobID string) (*commitlog.Log, error) {
-	if l, ok := m.logs[jobID]; ok {
-		return l, nil
-	}
-	store, err := openLogStore(m.dataDir, dirLearnerLogs+"/"+jobID, m.storeWrap)
-	if err != nil {
-		return nil, err
-	}
-	l, err := commitlog.Open(store, commitlog.Options{
-		SegmentRecords: 1024,
-		Obs:            m.obs,
-		Clock:          m.clock,
+	l.Scan(0, func(rec commitlog.Record) bool {
+		r := codec.NewReader(rec.Payload)
+		if jobID, err := r.Bytes(); err == nil {
+			m.lines[string(jobID)] = append(m.lines[string(jobID)], rec)
+		}
+		return true
 	})
-	if err != nil {
-		return nil, fmt.Errorf("core: open job log %s: %w", jobID, err)
-	}
-	m.logs[jobID] = l
-	return l, nil
-}
-
-// jobLogForReadLocked resolves a job's log for a read path: an already
-// open log, or a lazy reopen when the job's directory exists on disk
-// (a recovered platform serving pre-restart logs). Unknown jobs return
-// nil without littering DataDir with empty directories.
-func (m *MetricsService) jobLogForReadLocked(jobID string) *commitlog.Log {
-	if l, ok := m.logs[jobID]; ok {
-		return l
-	}
-	if !hasLogDir(m.dataDir, dirLearnerLogs+"/"+jobID) {
-		return nil
-	}
-	l, err := m.jobLogLocked(jobID)
-	if err != nil {
-		return nil
-	}
-	return l
+	return m
 }
 
 // AppendLog ingests one log line, assigns its offset, and fans it out
@@ -120,25 +83,15 @@ func (m *MetricsService) jobLogForReadLocked(jobID string) *commitlog.Log {
 func (m *MetricsService) AppendLog(line LogLine) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	l, err := m.jobLogLocked(line.JobID)
-	if err != nil {
-		m.reg.Counter("metrics.log_open_errors").Inc()
-		return
-	}
-	// Mint the offset up front so the encoded line carries it (m.mu
-	// serializes appends per service, so NextOffset is exact).
-	line.Offset = l.NextOffset()
+	recs := m.lines[line.JobID]
+	line.Offset = uint64(len(recs))
 	m.lineBuf = encodeLogLine(m.lineBuf[:0], line)
-	if _, err = l.Append("", m.lineBuf); err != nil {
+	rec, err := m.log.Append("", m.lineBuf)
+	if err != nil {
 		return // never half-publish
 	}
+	m.lines[line.JobID] = append(recs, rec)
 	m.live.publish(line.JobID, line)
-}
-
-// logLineRec decodes the LogLine a log record's payload carries.
-func logLineRec(rec commitlog.Record) (LogLine, bool) {
-	line, err := decodeLogLine(rec.Payload)
-	return line, err == nil
 }
 
 // Logs returns all lines for a job (copy).
@@ -150,15 +103,15 @@ func (m *MetricsService) Logs(jobID string) []LogLine {
 // read path under API.Logs.
 func (m *MetricsService) LogsFrom(jobID string, from uint64) []LogLine {
 	m.mu.Lock()
-	l := m.jobLogForReadLocked(jobID)
+	recs := m.lines[jobID]
 	m.mu.Unlock()
-	if l == nil {
+	if from >= uint64(len(recs)) {
 		return nil
 	}
-	recs := l.Records(from)
+	recs = recs[from:]
 	out := make([]LogLine, 0, len(recs))
 	for _, rec := range recs {
-		if line, isLine := logLineRec(rec); isLine {
+		if line, err := decodeLogLine(rec.Payload); err == nil {
 			out = append(out, line)
 		}
 	}

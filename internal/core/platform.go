@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/etcd"
 	"github.com/ffdl/ffdl/internal/kube"
 	"github.com/ffdl/ffdl/internal/mongo"
@@ -91,17 +92,18 @@ type Config struct {
 	Tenancy *TenancyConfig
 
 	// DataDir, when set, roots the platform's durable logs: the mongo
-	// oplog and per-job learner logs each open a commitlog.FileStore
+	// oplog and the learner log each open a commitlog.FileStore
 	// directory under it (see durable.go for the layout) and are
 	// recovered on boot — job documents with their status history, log
 	// offsets and retained floors all survive a full process restart.
 	// Empty (the default) keeps every log in memory, in the same bytes.
 	DataDir string
 
-	// StoreWrapper, when non-nil, wraps each durable log's segment
-	// store as it opens — the chaos harness's hook for injecting
-	// FaultStore crash/corruption under the real file layout. Leave nil
-	// in production configs.
+	// StoreWrapper, when non-nil, wraps the segment store of each of
+	// the platform's two logs as NewPlatform opens it, by its DataDir
+	// name ("mongo-oplog" or "learner-logs") — the chaos harness's hook
+	// for injecting FaultStore crash/corruption under the real file
+	// layout. Leave nil in production configs.
 	StoreWrapper StoreWrapper
 
 	// DisableObs strips the observability layer's hot-path cost — the
@@ -294,11 +296,15 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		}
 	}
 
-	metrics := NewMetricsService(registry)
-	metrics.dataDir = cfg.DataDir
-	metrics.storeWrap = cfg.StoreWrapper
-	metrics.obs = instruments
-	metrics.clock = cfg.Clock
+	learnerStore, err := openLogStore(cfg.DataDir, dirLearnerLogs, cfg.StoreWrapper)
+	if err != nil {
+		return nil, err
+	}
+	learnerLog, err := commitlog.Open(learnerStore, commitlog.Options{Obs: instruments, Clock: cfg.Clock})
+	if err != nil {
+		return nil, fmt.Errorf("core: open learner log: %w", err)
+	}
+	metrics := NewMetricsService(learnerLog, registry)
 
 	store := objstore.New(objstore.Config{Clock: cfg.Clock})
 	prov := nfs.NewProvisioner(cfg.Clock, rng.Stream(2))

@@ -200,7 +200,7 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	if fileStore && arm.RecoveredOps != preOps {
 		return arm, fmt.Errorf("recovered %d oplog ops, want %d", arm.RecoveredOps, preOps)
 	}
-	arm.RecoveredJobs = p2.Jobs.Count(mongo.Filter{"status": string(core.StatusCompleted)})
+	arm.RecoveredJobs = len(p2.Jobs.Find(mongo.Filter{"status": string(core.StatusCompleted)}, mongo.FindOpts{}))
 	for _, id := range jobIDs {
 		arm.RecoveredLogLines += len(p2.Metrics.Logs(id))
 	}

@@ -269,7 +269,7 @@ func TestOpenRecoversCollections(t *testing.T) {
 	}
 	// Indexes rebuilt over recovered docs.
 	jobs2.EnsureIndex("user")
-	if n := jobs2.Count(Filter{"user": "alice"}); n != 1 {
+	if n := len(jobs2.Find(Filter{"user": "alice"}, FindOpts{})); n != 1 {
 		t.Fatalf("indexed count = %d, want 1", n)
 	}
 }

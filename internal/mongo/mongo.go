@@ -519,23 +519,6 @@ func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	return out
 }
 
-// Count returns the number of matching documents.
-func (c *Collection) Count(f Filter) int {
-	if c.db.Unavailable() {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cf := f.compile()
-	n := 0
-	for _, id := range c.candidatesLocked(f) {
-		if d, ok := c.docs[id]; ok && cf.matches(d) {
-			n++
-		}
-	}
-	return n
-}
-
 // UpdateOne applies an update to the first matching document in _id
 // order.
 func (c *Collection) UpdateOne(f Filter, u Update) error {

@@ -62,7 +62,7 @@ func TestFilterOperators(t *testing.T) {
 		{"no-match", Filter{"gpus": 42}, 0},
 	}
 	for _, tc := range cases {
-		if got := c.Count(tc.f); got != tc.want {
+		if got := len(c.Find(tc.f, FindOpts{})); got != tc.want {
 			t.Errorf("%s: count = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestNestedFieldPaths(t *testing.T) {
 	if _, err := c.Insert(Doc{"_id": "j1", "status": Doc{"phase": "RUNNING", "retries": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Count(Filter{"status.phase": "RUNNING"}); n != 1 {
+	if n := len(c.Find(Filter{"status.phase": "RUNNING"}, FindOpts{})); n != 1 {
 		t.Fatalf("nested eq count = %d", n)
 	}
 	if err := c.UpdateOne(Filter{"_id": "j1"}, Update{Set: Doc{"status.phase": "FAILED"}}); err != nil {
@@ -203,21 +203,21 @@ func TestIndexEqualityMatchesScan(t *testing.T) {
 				want++
 			}
 		}
-		if got := c.Count(f); got != want {
+		if got := len(c.Find(f, FindOpts{})); got != want {
 			t.Fatalf("indexed count(u%d) = %d, want %d", u, got, want)
 		}
 	}
 	// The index must track updates.
-	u0, u1 := c.Count(Filter{"user": "u0"}), c.Count(Filter{"user": "u1"})
+	u0, u1 := len(c.Find(Filter{"user": "u0"}, FindOpts{})), len(c.Find(Filter{"user": "u1"}, FindOpts{}))
 	for _, d := range c.Find(Filter{"user": "u0"}, FindOpts{}) {
 		if err := c.UpdateOne(Filter{"_id": d["_id"]}, Update{Set: Doc{"user": "u1"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Count(Filter{"user": "u0"}); got != 0 {
+	if got := len(c.Find(Filter{"user": "u0"}, FindOpts{})); got != 0 {
 		t.Fatalf("count(u0) after reassign = %d", got)
 	}
-	if got := c.Count(Filter{"user": "u1"}); got != u0+u1 {
+	if got := len(c.Find(Filter{"user": "u1"}, FindOpts{})); got != u0+u1 {
 		t.Fatalf("count(u1) after reassign = %d, want %d", got, u0+u1)
 	}
 }
@@ -475,7 +475,7 @@ func TestFindMatchesNaiveScanProperty(t *testing.T) {
 					want++
 				}
 			}
-			if c.Count(Filter{"v": target}) != want {
+			if len(c.Find(Filter{"v": target}, FindOpts{})) != want {
 				return false
 			}
 		}

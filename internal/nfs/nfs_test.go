@@ -37,7 +37,7 @@ func TestVolumeReadWrite(t *testing.T) {
 	}
 }
 
-func TestVolumeAppendAndList(t *testing.T) {
+func TestVolumeAppendAndExists(t *testing.T) {
 	p := fastProvisioner()
 	v, err := p.Provision("job1")
 	if err != nil {

@@ -7,9 +7,9 @@
 //
 // Every instrument name is dotted "subsystem.name": the segment before
 // the first dot is the owning subsystem (etcd, sched, kube, tenant,
-// mongo, commitlog, rpc, api, lcm, guardian, watch, metrics, ...), the
-// remainder is the measurement, with underscores separating words
-// WITHIN the measurement ("etcd.propose_apply", "metrics.log_open_errors",
+// mongo, commitlog, rpc, api, lcm, guardian, watch, ...), the remainder
+// is the measurement, with underscores separating words WITHIN the
+// measurement ("etcd.propose_apply", "watch.degraded_refills",
 // "guardian.deploy_retries"). Dots never appear inside the measurement
 // part. The Prometheus exposition mangles names mechanically
 // ("etcd.propose_apply" -> "ffdl_etcd_propose_apply"), so the convention
