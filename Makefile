@@ -51,17 +51,20 @@ bench-smoke:
 bench-gate:
 	$(GO) run ./bench -workload all -seconds 1
 
-# Fuzz gate for the hand-rolled wire codecs: a short coverage-guided
-# run of each roundtrip fuzzer (etcd command entries, RPC frames,
-# commit-log segments, mongo oplog ops, learner log lines). Corrupt or
-# truncated input must error, never panic; go's fuzzer allows one
-# -fuzz target per invocation, hence one run each.
+# Fuzz gate for the hand-rolled wire codecs and the kube owner index: a
+# short coverage-guided run of each roundtrip fuzzer (etcd command
+# entries, RPC frames, commit-log segments, mongo oplog ops, learner log
+# lines) — corrupt or truncated input must error, never panic — and of
+# the owner index's op-sequence fuzzer, checked against the full-scan
+# oracle after every op. go's fuzzer allows one -fuzz target per
+# invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run=xxx -fuzz=FuzzCommandCodecRoundtrip -fuzztime=10s ./internal/etcd
 	$(GO) test -run=xxx -fuzz=FuzzFrameCodecRoundtrip -fuzztime=10s ./internal/rpc
 	$(GO) test -run=xxx -fuzz=FuzzSegmentRecordRoundtrip -fuzztime=10s ./internal/commitlog
 	$(GO) test -run=xxx -fuzz=FuzzOplogOpRoundtrip -fuzztime=10s ./internal/mongo
 	$(GO) test -run=xxx -fuzz=FuzzLogLineRoundtrip -fuzztime=10s ./internal/core
+	$(GO) test -run=xxx -fuzz=FuzzOwnerIndex -fuzztime=10s ./internal/kube
 
 # Experiment smoke: every row of the experiment registry (internal/expt;
 # `go run ./cmd/ffdl-bench -list` prints it) at its smoke size, each

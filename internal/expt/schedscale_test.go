@@ -5,9 +5,15 @@ import "testing"
 // TestSchedulerScaleSublinear pins the acceptance criterion of the
 // dirty-set + capacity-index work: with an identical gang workload, a
 // 4x larger cluster must not cost meaningfully more scheduler work per
-// pass — nodes-examined-per-pass stays roughly flat (sublinear), every
-// pod still places, and the run is carried by events rather than
-// resync full scans.
+// placement — nodes examined per placed pod stays roughly flat
+// (sublinear), every pod still places, and the run is carried by events
+// rather than resync full scans.
+//
+// The ratio is per placed pod, not per pass: how many pods one pass
+// places depends on how wall-clock event bursts coalesce, which a
+// loaded host moves, while the nodes a placement examines do not
+// depend on batching. A full-cluster scan per placement would still
+// show as ~4x.
 func TestSchedulerScaleSublinear(t *testing.T) {
 	base := SchedScaleConfig{Gangs: 60, Seed: 7}
 	results := SchedulerScaleSweep([]int{250, 1000}, base)
@@ -31,12 +37,13 @@ func TestSchedulerScaleSublinear(t *testing.T) {
 		}
 	}
 
-	ratio := large.NodesExaminedPerPass / small.NodesExaminedPerPass
+	perPod := func(r SchedScaleResult) float64 { return float64(r.NodesExamined) / float64(r.Placed) }
+	ratio := perPod(large) / perPod(small)
 	if ratio > 2 {
-		t.Fatalf("nodes-examined-per-pass grew %.2fx for 4x nodes (%.0f -> %.0f); want sublinear (<2x)",
-			ratio, small.NodesExaminedPerPass, large.NodesExaminedPerPass)
+		t.Fatalf("nodes-examined-per-placed-pod grew %.2fx for 4x nodes (%.0f -> %.0f); want sublinear (<2x)",
+			ratio, perPod(small), perPod(large))
 	}
-	t.Logf("4x nodes -> %.2fx examined/pass (%.0f -> %.0f), placement mean %.2fms -> %.2fms",
-		ratio, small.NodesExaminedPerPass, large.NodesExaminedPerPass,
+	t.Logf("4x nodes -> %.2fx examined/placed pod (%.0f -> %.0f), examined/pass %.0f -> %.0f, placement mean %.2fms -> %.2fms",
+		ratio, perPod(small), perPod(large), small.NodesExaminedPerPass, large.NodesExaminedPerPass,
 		small.MeanPlacementMs, large.MeanPlacementMs)
 }

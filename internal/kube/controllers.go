@@ -84,25 +84,31 @@ func controllerMark(ev WatchEvent, dirty map[ownerKey]struct{}) {
 		if ev.Type != WatchDeleted && !p.Terminated() {
 			return
 		}
-		switch p.Owner.Kind {
-		case KindStatefulSet, KindDeployment, KindJob:
+		if controllerKind(p.Owner.Kind) {
 			dirty[ownerKey{p.Owner.Kind, p.Owner.Name}] = struct{}{}
 		}
 	}
 }
 
+// controllerKind reports whether a pod owner of this kind is managed by
+// a controller here, and so is reconciled and garbage-collected.
+func controllerKind(kind string) bool {
+	switch kind {
+	case KindStatefulSet, KindDeployment, KindJob:
+		return true
+	}
+	return false
+}
+
 // reconcileDirty reconciles exactly the dirtied owners. A dirty owner
 // that no longer exists gets the event-path form of orphan collection:
-// cascade-delete its pods (pod names are owner-prefixed, so the
-// listing is per-owner, not cluster-wide).
+// cascade-delete its pods, read from the store's owner index.
 func (c *Cluster) reconcileDirty(dirty map[ownerKey]struct{}) {
 	for k := range dirty {
 		obj, ok := c.store.Get(k.kind, k.name)
 		if !ok {
-			for _, p := range c.store.ListPods(k.name + "-") {
-				if p.Owner.Kind == k.kind && p.Owner.Name == k.name {
-					c.DeletePod(p.Name, "OwnerDeleted")
-				}
+			for _, p := range c.store.PodsOf(k.kind, k.name) {
+				c.DeletePod(p.Name, "OwnerDeleted")
 			}
 			continue
 		}
@@ -162,10 +168,7 @@ func (c *Cluster) reconcileStatefulSet(s *StatefulSet) {
 		c.store.PutPod(pod)
 	}
 	// Scale down: remove excess ordinals.
-	for _, p := range c.store.ListPods(s.Name + "-") {
-		if p.Owner.Kind != KindStatefulSet || p.Owner.Name != s.Name {
-			continue
-		}
+	for _, p := range c.store.PodsOf(KindStatefulSet, s.Name) {
 		if ord, ok := ordinalOf(p.Name, s.Name); ok && ord >= s.Replicas {
 			c.DeletePod(p.Name, "ScaleDown")
 		}
@@ -194,10 +197,7 @@ func (c *Cluster) reconcileDeployment(d *Deployment) {
 		}
 		c.store.PutPod(pod)
 	}
-	for _, p := range c.store.ListPods(d.Name + "-") {
-		if p.Owner.Kind != KindDeployment || p.Owner.Name != d.Name {
-			continue
-		}
+	for _, p := range c.store.PodsOf(KindDeployment, d.Name) {
 		if ord, ok := ordinalOf(p.Name, d.Name); ok && ord >= d.Replicas {
 			c.DeletePod(p.Name, "ScaleDown")
 		}
@@ -239,17 +239,8 @@ func (c *Cluster) reconcileJob(j *Job) {
 // garbageCollectOrphans deletes pods whose owner object is gone
 // (cascade deletion).
 func (c *Cluster) garbageCollectOrphans() {
-	for _, p := range c.store.ListPods("") {
-		var exists bool
-		switch p.Owner.Kind {
-		case KindStatefulSet, KindDeployment, KindJob:
-			_, exists = c.store.Get(p.Owner.Kind, p.Owner.Name)
-		default:
-			exists = true // unowned pods are managed by their creator
-		}
-		if !exists {
-			c.DeletePod(p.Name, "OwnerDeleted")
-		}
+	for _, name := range c.store.orphanedPods() {
+		c.DeletePod(name, "OwnerDeleted")
 	}
 }
 

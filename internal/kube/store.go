@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,8 +32,13 @@ func cloneObject(obj any) any {
 // All reads return deep copies; all writes replace whole objects —
 // the same interaction model controllers have with a real API server.
 type Store struct {
-	mu       sync.RWMutex
-	objects  map[string]map[string]any // kind -> name -> object
+	mu      sync.RWMutex
+	objects map[string]map[string]any // kind -> name -> object
+	// owned indexes pod names by owner, each slice name-sorted and
+	// sharing its strings with the pod map's keys, so a controller's
+	// per-owner work never scans the pods of finished jobs. Put, Delete
+	// and UpdatePod keep it under mu.
+	owned    map[OwnerRef][]string
 	watchers []*storeWatcher
 	nextW    int
 	nextUID  uint64
@@ -70,7 +76,7 @@ const (
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{objects: make(map[string]map[string]any)}
+	return &Store{objects: make(map[string]map[string]any), owned: make(map[OwnerRef][]string)}
 }
 
 // Put creates or replaces an object. New pods default to the Pending
@@ -93,6 +99,13 @@ func (s *Store) Put(kind, name string, obj any) {
 	}
 	old, existed := m[name]
 	m[name] = cloneObject(obj)
+	if kind == KindPod {
+		if existed {
+			s.reownLocked(name, old.(*Pod).Owner, obj.(*Pod).Owner)
+		} else {
+			s.indexPodLocked(obj.(*Pod).Owner, name)
+		}
+	}
 	evType := WatchAdded
 	var prev any
 	if existed {
@@ -124,6 +137,9 @@ func (s *Store) Delete(kind, name string) bool {
 		return false
 	}
 	delete(m, name)
+	if kind == KindPod {
+		s.unindexPodLocked(old.(*Pod).Owner, name)
+	}
 	s.notifyLocked(WatchEvent{Type: WatchDeleted, Kind: kind, Name: name, Prev: cloneObject(old)})
 	return true
 }
@@ -289,6 +305,65 @@ func (s *Store) ListPods(prefix string) []*Pod {
 	return out
 }
 
+// PodsOf returns copies of the pods owned by (kind, name), name-sorted.
+// It reads the owner index, so its cost is the owner's pod count, not
+// the store's.
+func (s *Store) PodsOf(kind, name string) []*Pod {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	names := s.owned[OwnerRef{Kind: kind, Name: name}]
+	out := make([]*Pod, len(names))
+	for i, n := range names {
+		out[i] = s.objects[KindPod][n].(*Pod).Clone()
+	}
+	return out
+}
+
+// orphanedPods returns the names of pods whose controller owner object
+// no longer exists: one existence check per owner in the index, and no
+// pod is cloned.
+func (s *Store) orphanedPods() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []string
+	for o, names := range s.owned {
+		if !controllerKind(o.Kind) {
+			continue // unowned pods are managed by their creator
+		}
+		if _, ok := s.objects[o.Kind][o.Name]; !ok {
+			out = append(out, names...)
+		}
+	}
+	return out
+}
+
+func (s *Store) indexPodLocked(o OwnerRef, name string) {
+	names := s.owned[o]
+	if i, found := slices.BinarySearch(names, name); !found {
+		s.owned[o] = slices.Insert(names, i, name)
+	}
+}
+
+func (s *Store) unindexPodLocked(o OwnerRef, name string) {
+	names := s.owned[o]
+	i, found := slices.BinarySearch(names, name)
+	switch {
+	case !found:
+	case len(names) == 1:
+		delete(s.owned, o)
+	default:
+		s.owned[o] = slices.Delete(names, i, i+1)
+	}
+}
+
+// reownLocked moves a stored pod's index entry when its owner changed.
+func (s *Store) reownLocked(name string, from, to OwnerRef) {
+	if from != to {
+		s.unindexPodLocked(from, name)
+		s.indexPodLocked(to, name)
+	}
+}
+
 // getNode returns a node copy.
 func (s *Store) getNode(name string) (*Node, bool) {
 	obj, ok := s.Get(KindNode, name)
@@ -325,6 +400,7 @@ func (s *Store) UpdatePod(name string, fn func(*Pod)) bool {
 	p := obj.(*Pod)
 	prev := p.Clone()
 	fn(p)
+	s.reownLocked(name, prev.Owner, p.Owner)
 	s.notifyLocked(WatchEvent{Type: WatchModified, Kind: KindPod, Name: name, Object: p.Clone(), Prev: prev})
 	s.mu.Unlock()
 	return true

@@ -49,6 +49,10 @@ type Service struct {
 
 type bucket struct {
 	objects map[string]*blob
+	// dirs indexes keys by top-level directory ("<job>/"), each key
+	// sharing its bytes with the objects map's, so listing one job's
+	// checkpoints never scans every job's results. Put maintains it.
+	dirs map[string][]string
 }
 
 type blob struct {
@@ -79,7 +83,7 @@ func (s *Service) EnsureBucket(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.buckets[name]; !ok {
-		s.buckets[name] = &bucket{objects: make(map[string]*blob)}
+		s.buckets[name] = &bucket{objects: make(map[string]*blob), dirs: make(map[string][]string)}
 	}
 }
 
@@ -93,6 +97,11 @@ func (s *Service) Put(bucketName, key string, data []byte) error {
 	}
 	stored := make([]byte, len(data))
 	copy(stored, data)
+	if _, exists := b.objects[key]; !exists {
+		if i := strings.IndexByte(key, '/'); i >= 0 {
+			b.dirs[key[:i+1]] = append(b.dirs[key[:i+1]], key)
+		}
+	}
 	b.objects[key] = &blob{
 		data:     stored,
 		modified: s.clock.Now(),
@@ -172,7 +181,8 @@ func (s *Service) Head(bucketName, key string) (Object, error) {
 
 // List returns metadata for all objects under a key prefix, sorted by
 // key. FfDL's checkpoint recovery lists a bucket to find the latest
-// checkpoint (§3.8).
+// checkpoint (§3.8). A prefix containing '/' reads only its top-level
+// directory's keys; a prefix without one scans the bucket.
 func (s *Service) List(bucketName, prefix string) ([]Object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -181,9 +191,19 @@ func (s *Service) List(bucketName, prefix string) ([]Object, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoBucket, bucketName)
 	}
 	var out []Object
-	for k, o := range b.objects {
+	add := func(k string) {
 		if strings.HasPrefix(k, prefix) {
+			o := b.objects[k]
 			out = append(out, Object{Key: k, Size: int64(len(o.data)), Modified: o.modified, ETag: o.etag})
+		}
+	}
+	if i := strings.IndexByte(prefix, '/'); i >= 0 {
+		for _, k := range b.dirs[prefix[:i+1]] {
+			add(k)
+		}
+	} else {
+		for k := range b.objects {
+			add(k)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

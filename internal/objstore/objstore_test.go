@@ -3,6 +3,11 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -90,6 +95,92 @@ func TestListSortedByPrefix(t *testing.T) {
 	if objs[len(objs)-1].Key != "job1/ckpt-3" {
 		t.Fatalf("latest = %s", objs[len(objs)-1].Key)
 	}
+}
+
+// TestListDirectoryIndexMatchesScan checks List against a brute-force
+// prefix filter for prefixes that read the directory index (with '/')
+// and prefixes that scan (without), including re-Put keys and keys in
+// no directory.
+func TestListDirectoryIndexMatchesScan(t *testing.T) {
+	s := newSvc()
+	s.EnsureBucket("r")
+	keys := []string{"job1/checkpoints/0001", "job1/checkpoints/0002", "job1/model", "job10/checkpoints/0001",
+		"job2/checkpoints/0001", "job1/checkpoints/0001", "readme", "job1", "a/b/c/d"}
+	for _, k := range keys {
+		if err := s.Put("r", k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, prefix := range []string{"", "job", "job1", "job1/", "job1/checkpoints/", "job1/c", "job10/",
+		"job3/", "a/b/", "/", "readme"} {
+		var want []string
+		for _, k := range keys {
+			if strings.HasPrefix(k, prefix) && !slices.Contains(want, k) {
+				want = append(want, k)
+			}
+		}
+		sort.Strings(want)
+		objs, err := s.List("r", prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, o := range objs {
+			got = append(got, o.Key)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("List(%q) = %v, want %v", prefix, got, want)
+		}
+	}
+}
+
+// TestListCostIndependentOfOtherJobs pins the checkpoint listing by
+// counts: listing one job's checkpoints allocates the same with 10 or
+// 10,000 other jobs' results in the bucket.
+func TestListCostIndependentOfOtherJobs(t *testing.T) {
+	listing := func(otherJobs int) func() {
+		s := newSvc()
+		s.EnsureBucket("results")
+		for i := 0; i < otherJobs; i++ {
+			job := fmt.Sprintf("training-%06d", i)
+			for _, k := range []string{"/checkpoints/000100", "/model"} {
+				if err := s.Put("results", job+k, []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, k := range []string{"job/checkpoints/000100", "job/checkpoints/000200", "job/model"} {
+			if err := s.Put("results", k, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return func() {
+			if objs, _ := s.List("results", "job/checkpoints/"); len(objs) != 2 {
+				t.Fatalf("listed %d checkpoints, want 2", len(objs))
+			}
+		}
+	}
+	small, large := listing(10), listing(10_000)
+	if a, b := testing.AllocsPerRun(100, small), testing.AllocsPerRun(100, large); a != b {
+		t.Errorf("%v allocs with 10 other jobs, %v with 10,000", a, b)
+	}
+	if a, b := allocBytesPerRun(100, small), allocBytesPerRun(100, large); a != b {
+		t.Errorf("%d B/op with 10 other jobs, %d B/op with 10,000", a, b)
+	}
+}
+
+// allocBytesPerRun reports f's mean allocated bytes per call, measured
+// the way testing.AllocsPerRun measures allocation counts.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 func TestMountCacheHitsAcrossEpochs(t *testing.T) {
