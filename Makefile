@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race cover bench-smoke bench-gate fuzz-smoke expt-smoke docs-check deadsurface ci
+.PHONY: all fmt vet build test race cover bench-gate fuzz-smoke expt-smoke docs-check deadsurface ci
 
 all: build
 
@@ -37,12 +37,6 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tee cover.txt
 
-# Perf gate: one iteration of the Table 7 / Fig. 5 scale experiment and
-# of the scheduler scale experiment, so a regression that breaks or
-# grossly slows either benchmark path fails CI.
-bench-smoke:
-	$(GO) test -run=xxx -bench='BenchmarkTable7Figure5ScaleTest|BenchmarkSchedulerScale' -benchtime=1x .
-
 # Benchmark correctness gate: every workload of the wall-clock benchmark
 # (bench/, BENCHMARK.json) at a one-second size, judged only by its
 # correctness gate — every job COMPLETED with the history its watch
@@ -53,14 +47,16 @@ bench-gate:
 
 # Fuzz gate for the hand-rolled wire codecs and the kube owner index: a
 # short coverage-guided run of each roundtrip fuzzer (etcd command
-# entries, RPC frames, commit-log segments, mongo oplog ops, learner log
-# lines) — corrupt or truncated input must error, never panic — and of
+# entries, RPC frames and RPC message bodies, commit-log segments, mongo
+# oplog ops, learner log lines) — corrupt or truncated input must error,
+# never panic — and of
 # the owner index's op-sequence fuzzer, checked against the full-scan
 # oracle after every op. go's fuzzer allows one -fuzz target per
 # invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run=xxx -fuzz=FuzzCommandCodecRoundtrip -fuzztime=10s ./internal/etcd
 	$(GO) test -run=xxx -fuzz=FuzzFrameCodecRoundtrip -fuzztime=10s ./internal/rpc
+	$(GO) test -run=xxx -fuzz=FuzzBodyRoundtrip -fuzztime=10s ./internal/rpc
 	$(GO) test -run=xxx -fuzz=FuzzSegmentRecordRoundtrip -fuzztime=10s ./internal/commitlog
 	$(GO) test -run=xxx -fuzz=FuzzOplogOpRoundtrip -fuzztime=10s ./internal/mongo
 	$(GO) test -run=xxx -fuzz=FuzzLogLineRoundtrip -fuzztime=10s ./internal/core
@@ -112,7 +108,7 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>"; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke; do \
 		if grep -n "$$gone" README.md docs/*.md; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \
@@ -127,4 +123,4 @@ docs-check:
 deadsurface:
 	$(GO) run ./tools/deadsurface
 
-ci: fmt vet build test race bench-smoke bench-gate fuzz-smoke docs-check deadsurface
+ci: fmt vet build test race bench-gate fuzz-smoke docs-check deadsurface

@@ -1,7 +1,7 @@
-// Package codec is the platform's wire discipline for its durable
-// binary formats: Raft entries (etcd), commit-log record frames, mongo
-// oplog ops and learner log lines. Each format owns its layout; this
-// package owns the rules they share:
+// Package codec is the platform's wire discipline for its binary
+// formats: Raft entries (etcd), commit-log record frames, mongo oplog
+// ops, learner log lines and RPC message bodies. Each format owns its
+// layout; this package owns the rules they share:
 //
 //   - integers are uvarint/varint, strings and byte fields are
 //     uvarint-length-prefixed;

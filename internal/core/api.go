@@ -15,7 +15,9 @@ import (
 	"github.com/ffdl/ffdl/internal/tenant"
 )
 
-// RPC message types (gob-encoded).
+// RPC message types, encoded by internal/rpc's body codec: every field
+// is a bool, number, string, slice, pointer, struct or time.Time
+// (TestRPCMessageTypesRoundtrip sends each one through a server).
 
 // SubmitArgs submits a job.
 type SubmitArgs struct{ Manifest Manifest }

@@ -21,6 +21,7 @@ type Conn struct {
 	mu     sync.Mutex
 	nc     net.Conn
 	wbuf   []byte // reused frame-encode buffer, guarded by mu
+	body   []byte // reused body-encode buffer, guarded by mu
 	nextID uint64
 	calls  map[uint64]*call
 	closed bool
@@ -109,10 +110,6 @@ func (c *Conn) finish(id uint64, cl *call, err error) {
 }
 
 func (c *Conn) start(methodName string, arg any) (uint64, *call, error) {
-	body, err := encode(arg)
-	if err != nil {
-		return 0, nil, fmt.Errorf("rpc: encode %s argument: %w", methodName, err)
-	}
 	var drop, dup bool
 	if c.faults != nil {
 		if f := c.faults.Load(); f != nil {
@@ -127,6 +124,12 @@ func (c *Conn) start(methodName string, arg any) (uint64, *call, error) {
 	if c.closed {
 		c.mu.Unlock()
 		return 0, nil, ErrConnClosed
+	}
+	body, err := appendBody(c.body[:0], arg)
+	c.body = body
+	if err != nil {
+		c.mu.Unlock()
+		return 0, nil, fmt.Errorf("rpc: encode %s argument: %w", methodName, err)
 	}
 	c.nextID++
 	id := c.nextID
@@ -199,7 +202,7 @@ func (c *Conn) await(ctx context.Context, id uint64, cl *call, methodName string
 			default:
 			}
 			if reply != nil && len(body) > 0 {
-				if err := decodeInto(reply, body); err != nil {
+				if err := decodeBody(reply, body); err != nil {
 					return fmt.Errorf("rpc: decode %s reply: %w", methodName, err)
 				}
 			}
@@ -224,12 +227,18 @@ type StreamReader struct {
 	cl     *call
 	ctx    context.Context
 	method string
+	// ended is set once the call's terminal status (endErr, nil for a
+	// clean end) has arrived. The read loop queues every data frame
+	// before it, so items still in cl.data are delivered first.
+	ended  bool
+	endErr error
 	err    error
 	done   bool
 }
 
 // Recv decodes the next stream item into the pointer msg. It returns
-// ErrStreamDone once the server finishes the stream cleanly.
+// ErrStreamDone once the server finishes the stream cleanly. An item
+// that fails to decode is reported as an error; the stream goes on.
 func (r *StreamReader) Recv(msg any) error {
 	if r.done {
 		if r.err != nil {
@@ -237,40 +246,37 @@ func (r *StreamReader) Recv(msg any) error {
 		}
 		return ErrStreamDone
 	}
-	select {
-	case <-r.ctx.Done():
-		r.Close()
-		r.err = ErrCanceled
-		return r.err
-	case body := <-r.cl.data:
-		if msg != nil && len(body) > 0 {
-			if err := decodeInto(msg, body); err != nil {
-				return fmt.Errorf("rpc: decode %s stream item: %w", r.method, err)
-			}
-		}
-		return nil
-	case err := <-r.cl.done:
-		r.done = true
-		// Drain any data that raced with completion.
+	if !r.ended {
 		select {
+		case <-r.ctx.Done():
+			r.Close()
+			r.err = ErrCanceled
+			return r.err
 		case body := <-r.cl.data:
-			if msg != nil && len(body) > 0 {
-				if derr := decodeInto(msg, body); derr == nil {
-					// Re-arm terminal state for the next Recv.
-					r.done = false
-					go func() { r.cl.done <- err }()
-					return nil
-				}
-			}
-		default:
+			return r.decode(msg, body)
+		case err := <-r.cl.done:
+			r.ended, r.endErr = true, err
 		}
-		if err != nil {
-			r.err = err
-			return err
-		}
-		r.err = nil
-		return ErrStreamDone
 	}
+	select {
+	case body := <-r.cl.data:
+		return r.decode(msg, body)
+	default:
+	}
+	r.done, r.err = true, r.endErr
+	if r.err != nil {
+		return r.err
+	}
+	return ErrStreamDone
+}
+
+func (r *StreamReader) decode(msg any, body []byte) error {
+	if msg != nil && len(body) > 0 {
+		if err := decodeBody(msg, body); err != nil {
+			return fmt.Errorf("rpc: decode %s stream item: %w", r.method, err)
+		}
+	}
+	return nil
 }
 
 // Close abandons the stream.

@@ -377,7 +377,7 @@ func BenchmarkRPCRoundtrip(b *testing.B) {
 // every iteration is that worst case; before the fix about half of
 // them came back nil with an untouched reply.
 func TestCallKeepsReplyWhenEndRacesData(t *testing.T) {
-	body, err := encode(echoResp{Msg: "hi", N: 42})
+	body, err := appendBody(nil, echoResp{Msg: "hi", N: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,8 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -142,20 +139,39 @@ func (s *Server) Close() {
 }
 
 // connState tracks per-connection call cancellation and the reused
-// frame-encode buffer.
+// encode buffers.
 type connState struct {
 	mu     sync.Mutex
 	nc     net.Conn
 	wbuf   []byte // reused frame-encode buffer, guarded by mu
+	body   []byte // reused body-encode buffer, guarded by mu
 	cancel map[uint64]context.CancelFunc
 }
 
 func (cs *connState) send(f *frame) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	return cs.write(f)
+}
+
+// write encodes f into the reused frame buffer and writes it in one
+// syscall. Callers hold cs.mu.
+func (cs *connState) write(f *frame) error {
 	cs.wbuf = appendFrame(cs.wbuf[:0], f)
 	_, err := cs.nc.Write(cs.wbuf)
 	return err
+}
+
+// sendData encodes v into the reused body buffer and writes it as the
+// data frame of call f. It returns the encode error or the write error.
+func (cs *connState) sendData(f *frame, v any) error {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	var err error
+	if cs.body, err = appendBody(cs.body[:0], v); err != nil {
+		return fmt.Errorf("rpc: encode %s body: %w", f.Method, err)
+	}
+	return cs.write(&frame{Kind: frameData, ID: f.ID, Body: cs.body})
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -236,16 +252,13 @@ func (s *Server) dispatch(ctx context.Context, cs *connState, f *frame) {
 	}
 	if m.unary != nil {
 		reply, err := m.unary(ctx, arg)
+		if err == nil {
+			err = cs.sendData(f, reply)
+		}
 		if err != nil {
+			// After a write error this send fails too, harmlessly: the
+			// read loop is already seeing the connection go down.
 			fail(err)
-			return
-		}
-		body, err := encode(reply)
-		if err != nil {
-			fail(fmt.Errorf("rpc: encode %s reply: %w", f.Method, err))
-			return
-		}
-		if err := cs.send(&frame{Kind: frameData, ID: f.ID, Body: body}); err != nil {
 			return
 		}
 		cs.send(&frame{Kind: frameEnd, ID: f.ID}) //nolint:errcheck
@@ -255,11 +268,7 @@ func (s *Server) dispatch(ctx context.Context, cs *connState, f *frame) {
 		if err := ctx.Err(); err != nil {
 			return ErrCanceled
 		}
-		body, err := encode(msg)
-		if err != nil {
-			return fmt.Errorf("rpc: encode %s stream item: %w", f.Method, err)
-		}
-		return cs.send(&frame{Kind: frameData, ID: f.ID, Body: body})
+		return cs.sendData(f, msg)
 	}
 	if err := m.stream(ctx, arg, send); err != nil {
 		fail(err)
@@ -268,56 +277,23 @@ func (s *Server) dispatch(ctx context.Context, cs *connState, f *frame) {
 	cs.send(&frame{Kind: frameEnd, ID: f.ID}) //nolint:errcheck
 }
 
-// encBufs pools the per-message encode scratch buffers on both wire
-// directions (client argument encode, server reply/stream encode).
-// Buffer growth is the dominant per-message allocation; pooling keeps a
-// warmed buffer per P. The gob *encoders* themselves cannot be pooled
-// across messages: a gob stream transmits each type descriptor only
-// once per encoder, so a reused encoder would omit descriptors the
-// fresh per-message decoder on the other side has never seen. The
-// connection-level frame encoders (Conn.enc, connState.enc) are the
-// reused ones — they live as long as the connection, matching the
-// connection-level frame decoders.
-var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// encode gob-encodes a single concrete value. A nil value encodes to an
-// empty body, which decodes as a no-op on the receiving side.
-func encode(v any) ([]byte, error) {
-	if v == nil {
-		return nil, nil
-	}
-	buf := encBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).EncodeValue(reflect.ValueOf(v)); err != nil {
-		encBufs.Put(buf)
-		return nil, err
-	}
-	// The frame retains the body past this call, so hand back an
-	// exact-size copy and recycle the (grown) scratch buffer.
-	out := append([]byte(nil), buf.Bytes()...)
-	encBufs.Put(buf)
-	return out, nil
-}
-
-// decodeAs decodes body into a fresh value of type t and returns it as a
-// pointer-stripped interface matching how it was registered.
+// decodeAs decodes body into a fresh value of type t and returns it as
+// registered: a pointer for a pointer type, else the value. An empty
+// body (a nil argument) decodes to the zero value.
 func decodeAs(t reflect.Type, body []byte) (any, error) {
-	ptr := t.Kind() == reflect.Ptr
+	ptr := t.Kind() == reflect.Pointer
 	base := t
 	if ptr {
 		base = t.Elem()
 	}
 	v := reflect.New(base)
-	if err := gob.NewDecoder(bytes.NewReader(body)).DecodeValue(v); err != nil && err != io.EOF {
-		return nil, err
+	if len(body) > 0 {
+		if err := decodeBody(v.Interface(), body); err != nil {
+			return nil, err
+		}
 	}
 	if ptr {
 		return v.Interface(), nil
 	}
 	return v.Elem().Interface(), nil
-}
-
-// decodeInto decodes body into the pointer dst.
-func decodeInto(dst any, body []byte) error {
-	return gob.NewDecoder(bytes.NewReader(body)).DecodeValue(reflect.ValueOf(dst))
 }

@@ -6,10 +6,13 @@
 // microservice (the paper's Kubernetes "service" abstraction).
 //
 // Wire format: each connection carries length-prefixed binary frames in
-// both directions (see appendFrame/readFrame); frame BODIES remain
-// gob-encoded application messages, so the transport itself never needs
-// type registration. Requests are multiplexed by ID, so one connection
-// supports many concurrent in-flight calls, like HTTP/2 under gRPC.
+// both directions (see appendFrame/readFrame). A frame's body is one
+// application message in the descriptor-free body codec (body.go): a
+// shape fingerprint, then the value laid out by a plan compiled once
+// per Go type, so no message needs type registration and no frame
+// depends on an earlier one. Requests are multiplexed by ID, so one
+// connection supports many concurrent in-flight calls, like HTTP/2
+// under gRPC.
 package rpc
 
 import (
@@ -33,9 +36,9 @@ const (
 	frameCancel                      // client -> server: abandon call
 )
 
-// frame is the unit of transmission. Body holds a gob-encoded message
-// produced by the caller-side codec so the transport itself never needs
-// type registration.
+// frame is the unit of transmission. Body holds one message in the
+// body codec (appendBody/decodeBody); the frame layer treats it as
+// opaque bytes.
 type frame struct {
 	Kind   frameKind
 	ID     uint64

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"io"
 	"runtime"
 	"testing"
@@ -123,12 +122,12 @@ func TestFrameCodecAllocBudget(t *testing.T) {
 // TestRPCRoundtripAllocBudget guards the whole-process per-call
 // allocation count of a unary echo call (all goroutines: client body
 // encode + frame write, server read/dispatch/reply, client
-// read/decode). Most of the budget is the per-message gob BODY codec
-// (a fresh encoder/decoder per message rebuilds its engine) plus
-// goroutine and channel machinery — measured ~360 on an idle machine.
-// The frame layer itself contributes almost nothing (see
-// TestFrameCodecAllocBudget for the strict per-frame guard); with the
-// old per-frame gob framing this path measured noticeably higher.
+// read/decode). Bodies encode into per-connection buffers through a
+// plan compiled once per type, so what remains is the call's own
+// machinery — the call record and its channels, the dispatch goroutine
+// and its context, the frame Body copies, the decoded argument and
+// reply boxes. The frame layer itself contributes almost nothing (see
+// TestFrameCodecAllocBudget for the strict per-frame guard).
 func TestRPCRoundtripAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is load-sensitive")
@@ -160,8 +159,8 @@ func TestRPCRoundtripAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 450 {
-		t.Fatalf("unary call allocations = %.0f, budget 450", allocs)
+	if allocs > 64 {
+		t.Fatalf("unary call allocations = %.0f, budget 64", allocs)
 	}
 }
 
@@ -200,43 +199,22 @@ func FuzzFrameCodecRoundtrip(f *testing.F) {
 	})
 }
 
-// BenchmarkFrameRoundtrip compares per-frame transport cost — encode
-// into a (reused) buffer plus decode back out — for the hand-rolled
-// binary layout vs the gob framing it replaced.
+// BenchmarkFrameRoundtrip measures per-frame transport cost: encode
+// into a reused buffer plus decode back out.
 func BenchmarkFrameRoundtrip(b *testing.B) {
 	f := frame{Kind: frameCall, ID: 42, Method: "Scheduler.Assign",
 		Body: bytes.Repeat([]byte{0x01}, 256)}
-	b.Run("Binary", func(b *testing.B) {
-		var buf []byte
-		var got frame
-		rd := bytes.NewReader(nil)
-		br := bufio.NewReader(rd)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendFrame(buf[:0], &f)
-			rd.Reset(buf)
-			br.Reset(rd)
-			if err := readFrame(br, &got); err != nil {
-				b.Fatal(err)
-			}
+	var buf []byte
+	var got frame
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendFrame(buf[:0], &f)
+		rd.Reset(buf)
+		br.Reset(rd)
+		if err := readFrame(br, &got); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("Gob", func(b *testing.B) {
-		// The pre-codec shape: long-lived encoder/decoder per direction,
-		// reflective per-frame encode/decode (type descriptors ship only
-		// once, matching the old connection-lifetime gob streams).
-		var wire bytes.Buffer
-		enc := gob.NewEncoder(&wire)
-		dec := gob.NewDecoder(&wire)
-		var got frame
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(&f); err != nil {
-				b.Fatal(err)
-			}
-			if err := dec.Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
