@@ -82,8 +82,8 @@ func main() {
 	}
 
 	// The trained model landed in the results bucket.
-	if _, err := platform.Store.Get("ffdl-results", jobID+"/model/final.bin"); err == nil {
-		fmt.Printf("trained model stored at ffdl-results/%s/model/final.bin\n", jobID)
+	if obj, err := platform.Store.Head("ffdl-results", jobID+"/model/final.bin"); err == nil {
+		fmt.Printf("trained model stored at ffdl-results/%s (%d bytes)\n", obj.Key, obj.Size)
 	}
 }
 

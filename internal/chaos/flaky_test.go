@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -161,7 +162,7 @@ func TestMongoInjectorCyclesFaults(t *testing.T) {
 		if st.Failovers >= 3 && inserted >= 50 {
 			break
 		}
-		if _, err := c.Insert(mongo.Doc{"n": inserted}); err == nil {
+		if _, err := c.Insert(mongo.Doc{"_id": fmt.Sprintf("j%d", inserted), "n": inserted}); err == nil {
 			inserted++
 		}
 		time.Sleep(500 * time.Microsecond)

@@ -172,8 +172,8 @@ func TestRestartTheWorldDurability(t *testing.T) {
 		t.Fatalf("job B recovered as terminal %q — restart missed the mid-flight window", st)
 	}
 
-	// Oplog state survived: sequence resumed, floor rose past 1. The
-	// recovered length is never behind the pre-crash one, but p2's
+	// Oplog state survived: the sequence resumed (the floor's rise past
+	// 1 is checked by the pre-floor resume below). The recovered length is never behind the pre-crash one, but p2's
 	// recovery scan starts inside NewPlatform and may already have
 	// appended job B's re-deploy on top, so exactness is checked on the
 	// pre-crash tail instead: job B's last write still sits at its Seq.
@@ -185,9 +185,6 @@ func TestRestartTheWorldDurability(t *testing.T) {
 		t.Fatalf("recovered oplog tail = Seq %d (%s %s), want job B's pre-crash write at Seq %d", ev.Seq, ev.Kind, ev.ID, preOplogLen)
 	}
 	csTail.Cancel()
-	if floor := p2.Mongo.OplogFloor(); floor <= 1 {
-		t.Fatalf("recovered oplog floor = %d, want > 1 after churn", floor)
-	}
 
 	// Job A's record and full status history survived.
 	replyA, err := c2.Status(ctx, jobA)
@@ -255,7 +252,7 @@ func TestRestartTheWorldDurability(t *testing.T) {
 		select {
 		case ev := <-csB.Events():
 			if ev.Kind == "resync" {
-				t.Fatalf("retained-token resume delivered resync (floor %d, token %d)", p2.Mongo.OplogFloor(), seqBeforeB)
+				t.Fatalf("retained-token resume delivered resync (token %d)", seqBeforeB)
 			}
 			if ev.Seq <= last {
 				t.Fatalf("change stream Seq went backwards: %d after %d", ev.Seq, last)

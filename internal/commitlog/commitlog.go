@@ -52,11 +52,8 @@ type Options struct {
 	// historical 1-based sequence numbers.
 	FirstOffset uint64
 	// SegmentRecords seals the active segment after this many records
-	// (default 1024).
+	// (default 1024); a segment also seals at segmentBytes.
 	SegmentRecords int
-	// SegmentBytes seals the active segment after this many encoded
-	// bytes (default 1 MiB).
-	SegmentBytes int64
 	// Compact key-compacts segments as they seal: records superseded
 	// by a later record with the same key are dropped.
 	Compact bool
@@ -80,10 +77,11 @@ func (o *Options) defaults() {
 	if o.SegmentRecords <= 0 {
 		o.SegmentRecords = 1024
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
 }
+
+// segmentBytes seals the active segment after this many encoded bytes,
+// whatever its record count.
+const segmentBytes = 1 << 20
 
 // ErrDead reports an append after a store write failed; the log is
 // read-only from the first failed write (the in-memory index never
@@ -268,7 +266,7 @@ func (l *Log) Append(key string, payload []byte) (Record, error) {
 	active.bytes += int64(len(frame))
 	l.noteLatestLocked(rec)
 	l.next = off + 1
-	if len(active.recs) >= l.opts.SegmentRecords || active.bytes >= l.opts.SegmentBytes {
+	if len(active.recs) >= l.opts.SegmentRecords || active.bytes >= segmentBytes {
 		if err := l.rollLocked(); err != nil {
 			return rec, err // the record itself is durable
 		}

@@ -63,7 +63,7 @@ type tortureRef struct {
 
 // tortureOpts returns the log options every torture run uses.
 func tortureOpts(cfg *TortureConfig) Options {
-	return Options{SegmentRecords: cfg.SegmentRecords, SegmentBytes: 1 << 20}
+	return Options{SegmentRecords: cfg.SegmentRecords}
 }
 
 // runWorkload replays the deterministic workload against the log until

@@ -112,7 +112,7 @@ func TestSingleLearnerJobCompletes(t *testing.T) {
 		}
 	}
 	// Model stored in the default results bucket.
-	if _, err := p.Store.Get("ffdl-results", jobID+"/model/final.bin"); err != nil {
+	if _, err := p.Store.Head("ffdl-results", jobID+"/model/final.bin"); err != nil {
 		t.Fatalf("trained model missing: %v", err)
 	}
 	// Training logs collected and stored.
@@ -120,7 +120,7 @@ func TestSingleLearnerJobCompletes(t *testing.T) {
 	if err != nil || len(logs) == 0 {
 		t.Fatalf("logs = %d lines, err=%v", len(logs), err)
 	}
-	if _, err := p.Store.Get("ffdl-results", jobID+"/logs/training.log"); err != nil {
+	if _, err := p.Store.Head("ffdl-results", jobID+"/logs/training.log"); err != nil {
 		t.Fatalf("stored logs missing: %v", err)
 	}
 	// Job's etcd subtree erased after termination (§3.2).

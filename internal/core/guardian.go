@@ -18,6 +18,11 @@ import (
 // crash, and FfDL's dependability story reduces to "the Guardian's
 // steps are idempotent and roll back".
 
+// deployAttempts is the Guardian's rollback-retry budget: a failed
+// deployment is "repeated for a (configurable) number of times before
+// the Guardian gives up" (§3.3).
+const deployAttempts = 3
+
 // runGuardian is the Guardian pod's process.
 func (p *Platform) runGuardian(ctx *kube.PodContext) int {
 	jobID := ctx.Pod.Spec.RuntimeArgs["job"]
@@ -46,7 +51,7 @@ func (p *Platform) runGuardian(ctx *kube.PodContext) int {
 
 	// Deploy with bounded retries.
 	var deployErr error
-	for attempt := 1; attempt <= p.cfg.DeployAttempts; attempt++ {
+	for attempt := 1; attempt <= deployAttempts; attempt++ {
 		select {
 		case <-ctx.Stop:
 			return 137
@@ -60,7 +65,7 @@ func (p *Platform) runGuardian(ctx *kube.PodContext) int {
 		p.Metrics.Inc("guardian.deploy_retries")
 	}
 	if deployErr != nil {
-		if err := p.setJobStatus(jobID, StatusFailed, fmt.Sprintf("deployment failed after %d attempts: %v", p.cfg.DeployAttempts, deployErr)); err != nil && mongoOutageErr(err) {
+		if err := p.setJobStatus(jobID, StatusFailed, fmt.Sprintf("deployment failed after %d attempts: %v", deployAttempts, deployErr)); err != nil && mongoOutageErr(err) {
 			// The store did not answer, so the failure cannot be
 			// recorded — and a deploy that failed *because* of the
 			// outage (the DEPLOYING transition errors too) deserves a

@@ -38,16 +38,8 @@ func docToManifest(d mongo.Doc) Manifest {
 		return s
 	}
 	getI := func(k string) int {
-		switch v := d[k].(type) {
-		case int:
-			return v
-		case int64:
-			return int(v)
-		case float64:
-			return int(v)
-		default:
-			return 0
-		}
+		i, _ := d[k].(int)
+		return i
 	}
 	return Manifest{
 		Name:            getS("name"),
@@ -85,13 +77,8 @@ func docToRecord(d mongo.Doc) JobRecord {
 	}
 	if hist, ok := d["history"].([]any); ok {
 		for _, h := range hist {
-			var hd map[string]any
-			switch v := h.(type) {
-			case mongo.Doc:
-				hd = v
-			case map[string]any:
-				hd = v
-			default:
+			hd, ok := h.(mongo.Doc)
+			if !ok {
 				continue
 			}
 			entry := StatusEntry{}

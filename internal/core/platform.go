@@ -77,10 +77,6 @@ type Config struct {
 	ResyncInterval    time.Duration
 	HeartbeatInterval time.Duration
 	NodeGracePeriod   time.Duration
-	// DeployAttempts is the Guardian's rollback-retry budget ("repeated
-	// for a (configurable) number of times before the Guardian gives
-	// up", §3.3).
-	DeployAttempts int
 
 	// Tenancy, when non-nil, enables the multi-tenant subsystem
 	// (internal/tenant): submissions are persisted as QUEUED and an
@@ -150,9 +146,6 @@ func (c *Config) defaults() {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 3 * time.Millisecond
-	}
-	if c.DeployAttempts <= 0 {
-		c.DeployAttempts = 3
 	}
 	if c.RendezvousTimeout <= 0 {
 		c.RendezvousTimeout = 30 * time.Second

@@ -21,9 +21,8 @@ import (
 //
 //   - reopen latency (NewPlatform + recovery replay, wall clock)
 //   - how much state came back (jobs, oplog ops, learner-log lines)
-//   - the reopened read paths: WatchStatus reconnects refilled from the
-//     recovered job documents (watch.refills), and whether a pre-floor
-//     change-stream resume gets its explicit resync marker
+//   - the reopened read path: WatchStatus reconnects refilled from the
+//     recovered job documents (watch.refills)
 //
 // The MemStore arm is the ablation: same workload, no DataDir, so the
 // restart erases everything — the baseline that shows what the
@@ -35,8 +34,7 @@ type RecoveryConfig struct {
 	// Default 3.
 	Jobs int
 	// Churn is the number of single-key updates used to roll and compact
-	// oplog segments before the restart (the floor-raising workload).
-	// Default 3000.
+	// oplog segments before the restart. Default 3000.
 	Churn int
 	// Seed drives platform randomness.
 	Seed int64
@@ -79,14 +77,8 @@ type RecoveryArm struct {
 	RecoveredOps      uint64 `json:"recovered_ops"`
 	RecoveredLogLines int    `json:"recovered_log_lines"`
 
-	// The reopened read paths.
+	// The reopened read path.
 	WatchRefills int64 `json:"watch_refills"`
-	// ResyncEvents counts change streams (one probe per arm, resumed
-	// from seq 1) whose first delivery was the explicit resync marker —
-	// expected 1 on the FileStore arm, whose recovered floor rose past
-	// the probe's token.
-	ResyncEvents int    `json:"resync_events"`
-	OplogFloor   uint64 `json:"oplog_floor"`
 
 	WallSeconds float64 `json:"wall_seconds"`
 }
@@ -153,8 +145,7 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
-	// Drive the workload: Jobs jobs to COMPLETED, then the
-	// floor-raising churn.
+	// Drive the workload: Jobs jobs to COMPLETED, then the churn.
 	jobIDs := make([]string, 0, cfg.Jobs)
 	for j := 0; j < cfg.Jobs; j++ {
 		id, err := client.Submit(ctx, core.Manifest{
@@ -196,7 +187,6 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	}
 	arm.ReopenMillis = float64(r.ReopenLatency().Nanoseconds()) / 1e6
 	arm.RecoveredOps = p2.Mongo.OplogLen()
-	arm.OplogFloor = p2.Mongo.OplogFloor()
 	if fileStore && arm.RecoveredOps != preOps {
 		return arm, fmt.Errorf("recovered %d oplog ops, want %d", arm.RecoveredOps, preOps)
 	}
@@ -204,21 +194,6 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	for _, id := range jobIDs {
 		arm.RecoveredLogLines += len(p2.Metrics.Logs(id))
 	}
-
-	// Read-path probes. A change stream resumed from seq 1: on
-	// the FileStore arm the recovered floor rose past it (churn sealed
-	// and compacted segments), so the first delivery must be the
-	// explicit resync marker; the fresh MemStore arm has no history and
-	// delivers nothing.
-	cs := p2.Mongo.Watch("scratch", 1)
-	select {
-	case ev := <-cs.Events():
-		if ev.Kind == "resync" {
-			arm.ResyncEvents++
-		}
-	case <-time.After(200 * time.Millisecond):
-	}
-	cs.Cancel()
 
 	// One WatchStatus reconnect per recovered job: with the oplog
 	// recovered these refill from the job documents (watch.refills),
@@ -244,7 +219,7 @@ func RenderRecovery(res RecoveryResult) *Table {
 	t := &Table{
 		Title: "Restart-the-world recovery: FileStore DataDir vs the MemStore ablation",
 		Header: []string{"FileStore", "Reopen (ms)", "Jobs back", "Oplog ops", "Log lines",
-			"Refills", "Resyncs", "Floor"},
+			"Refills"},
 	}
 	for _, a := range res.Arms {
 		t.Rows = append(t.Rows, []string{
@@ -253,18 +228,16 @@ func RenderRecovery(res RecoveryResult) *Table {
 			fmt.Sprintf("%d", a.RecoveredOps),
 			fmt.Sprintf("%d", a.RecoveredLogLines),
 			fmt.Sprintf("%d", a.WatchRefills),
-			fmt.Sprintf("%d", a.ResyncEvents), fmt.Sprintf("%d", a.OplogFloor),
 		})
 	}
 	if len(res.Arms) == 2 && res.Arms[1].FileStore {
 		mem, file := res.Arms[0], res.Arms[1]
 		t.Caption = fmt.Sprintf(
 			"A full process restart erases the MemStore platform (%d jobs, %d oplog ops back); "+
-				"the FileStore DataDir brings back %d/%d jobs, %d oplog ops and %d log lines in %.1fms, "+
-				"with stale change-stream resumes flagged by %d explicit resync marker(s).",
+				"the FileStore DataDir brings back %d/%d jobs, %d oplog ops and %d log lines in %.1fms.",
 			mem.RecoveredJobs, mem.RecoveredOps,
 			file.RecoveredJobs, res.Jobs, file.RecoveredOps, file.RecoveredLogLines,
-			file.ReopenMillis, file.ResyncEvents)
+			file.ReopenMillis)
 	}
 	return t
 }

@@ -3,8 +3,7 @@ package expt
 import "testing"
 
 // TestRecoverySmoke pins the experiment's contract at a small size: the
-// FileStore arm brings every job and log line back across the restart
-// (with a stale change-stream resume flagged by an explicit resync),
+// FileStore arm brings every job and log line back across the restart,
 // while the MemStore ablation loses everything.
 func TestRecoverySmoke(t *testing.T) {
 	res, err := Recovery(RecoveryConfig{Jobs: 2, Churn: 3000, Seed: 1})
@@ -27,10 +26,6 @@ func TestRecoverySmoke(t *testing.T) {
 	}
 	if file.RecoveredOps <= uint64(res.Churn) {
 		t.Fatalf("filestore arm recovered %d oplog ops, want > churn %d", file.RecoveredOps, res.Churn)
-	}
-	if file.OplogFloor <= 1 || file.ResyncEvents != 1 {
-		t.Fatalf("filestore arm floor = %d, resyncs = %d; churn should have raised the floor and flagged the stale resume",
-			file.OplogFloor, file.ResyncEvents)
 	}
 	if file.ReopenMillis <= 0 {
 		t.Fatal("filestore arm reported no reopen latency")

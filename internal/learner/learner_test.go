@@ -138,7 +138,7 @@ func TestSingleLearnerLifecycle(t *testing.T) {
 		t.Fatalf("status = %q", st)
 	}
 	// Final model stored.
-	if _, err := f.store.Get("results", "job1/model/final.bin"); err != nil {
+	if _, err := f.store.Head("results", "job1/model/final.bin"); err != nil {
 		t.Fatalf("final model missing: %v", err)
 	}
 	// Logs emitted.

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,13 +31,12 @@ func TestOpCodecRoundtrip(t *testing.T) {
 	ops := []op{
 		{Seq: 1, Kind: "insert", Coll: "jobs", Doc: Doc{
 			"_id": "training-000001", "user": "alice", "iterations": 30,
-			"memory_mb": 4096, "lr": 0.125, "done": false,
-			"nested":  Doc{"a": int64(7), "b": "x"},
+			"memory_mb": 4096, "done": false,
+			"nested":  Doc{"a": -7, "b": "x"},
 			"history": []any{Doc{"status": "PENDING", "seq": 1}, Doc{"status": "COMPLETED"}},
-			"tags":    []string{"p1", "p2"},
 			"none":    nil,
 		}},
-		{Seq: 99, Kind: "update", Coll: "tenants", Doc: Doc{"_id": "t-1", "quota": float64(12)}},
+		{Seq: 99, Kind: "update", Coll: "tenants", Doc: Doc{"_id": "t-1", "gpus": 12}},
 		// No document: the layout still carries the ID field and a nil Doc.
 		{Seq: 100, Kind: "delete", Coll: "jobs", ID: "training-000001"},
 	}
@@ -58,8 +56,7 @@ func TestOpCodecRoundtrip(t *testing.T) {
 }
 
 func TestOpCodecPreservesDynamicTypes(t *testing.T) {
-	in := Doc{"_id": "x", "i": 5, "i32": int32(6), "i64": int64(7), "u": uint64(8),
-		"f32": float32(1.5), "f64": 2.5, "s": "str", "b": true}
+	in := Doc{"_id": "x", "i": 5, "neg": -1 << 40, "s": "str", "b": true}
 	buf, err := encodeOp(nil, op{Kind: "insert", Coll: "c", Doc: in})
 	if err != nil {
 		t.Fatal(err)
@@ -79,17 +76,30 @@ func TestOpCodecPreservesDynamicTypes(t *testing.T) {
 	}
 }
 
+// TestOpCodecRejectsUnknownTypes pins that a value outside Doc's value
+// model fails at the write: a struct, and each type whose tag is
+// retired. A map[string]any must have been stored as a Doc first.
 func TestOpCodecRejectsUnknownTypes(t *testing.T) {
 	type weird struct{ X int }
-	if _, err := encodeOp(nil, op{Kind: "insert", Coll: "c", Doc: Doc{"_id": "x", "w": weird{1}}}); err == nil {
-		t.Fatal("encodeOp accepted a struct value")
-	}
-	if !errors.Is(mustErr(encodeOp(nil, op{Kind: "insert", Coll: "c", Doc: Doc{"w": weird{}}})), errOpEncType) {
-		t.Fatal("want errOpEncType")
+	for _, v := range []any{weird{1}, int32(4), int64(-5), uint64(6), float32(1.5), 2.5,
+		[]string{"a"}, map[string]any{"k": "x"}, []any{"ok", int64(1)}} {
+		if _, err := encodeOp(nil, op{Kind: "insert", Coll: "c", Doc: Doc{"_id": "x", "w": v}}); !errors.Is(err, errOpEncType) {
+			t.Errorf("encode of a %T value: err = %v, want errOpEncType", v, err)
+		}
 	}
 }
 
-func mustErr(_ []byte, err error) error { return err }
+// TestOpCodecRetiredTagsAreCorrupt pins the decode side: the tags of
+// the retired value types (3–7, 11) and unassigned ones are
+// codec.ErrCorrupt, whatever follows them.
+func TestOpCodecRetiredTagsAreCorrupt(t *testing.T) {
+	for _, tag := range []byte{3, 4, 5, 6, 7, 11, 12, 0xff} {
+		data := []byte{0, 0, 0, 0, opvDoc, 1, 1, 'v', tag, 2, 'a', 'b', 0, 0, 0, 0, 0, 0, 0, 0}
+		if _, err := decodeOp(data); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("decode of tag %d: err = %v, want codec.ErrCorrupt", tag, err)
+		}
+	}
+}
 
 func TestOpCodecCorruptInputErrors(t *testing.T) {
 	buf, err := encodeOp(nil, op{Seq: 3, Kind: "insert", Coll: "jobs", Doc: Doc{"_id": "a", "n": 1}})
@@ -105,15 +115,16 @@ func TestOpCodecCorruptInputErrors(t *testing.T) {
 
 // TestOpCodecGoldenBytes pins the oplog entry layout byte for byte:
 // one value of every tag (each document holds one key, so map order
-// cannot reorder the bytes), and a document-less op.
+// cannot reorder the bytes), and a document-less op. The bytes are the
+// ones the codec wrote while it also had the now-retired tags, so an
+// oplog written then decodes unchanged.
 func TestOpCodecGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		o    op
 		want string
 	}{
-		{op{Seq: 300, Kind: "update", Coll: "jobs", Doc: Doc{"v": []any{nil, "s", -3, int32(4), int64(-5), uint64(6),
-			float32(1.5), 2.5, true, false, Doc{"k": "x"}, []string{"a", "b"}}}},
-			"ac0206757064617465046a6f627300090101760a0c000101730205030804090506063fc00000074004000000000000080108000901016b0101780b0201610162"},
+		{op{Seq: 300, Kind: "update", Coll: "jobs", Doc: Doc{"v": []any{nil, "s", -3, true, false, Doc{"k": "x"}}}},
+			"ac0206757064617465046a6f627300090101760a06000101730205080108000901016b010178"},
 		{op{Seq: 1, Kind: "delete", Coll: "c", ID: "id"}, "010664656c657465016302696400"},
 	} {
 		buf, err := encodeOp(nil, tc.o)
@@ -170,17 +181,17 @@ func TestOpCodecRejectsDeepNesting(t *testing.T) {
 //  1. an op carrying one value of every tag, nested nest levels deep,
 //     round-trips with its dynamic types preserved — re-encoding the
 //     decoded op reproduces the bytes (every value carries its type
-//     tag) and, NaN aside, the op is DeepEqual; nesting past
-//     maxOpDepth is refused at encode;
+//     tag) and the op is DeepEqual; nesting past maxOpDepth is refused
+//     at encode;
 //  2. every proper prefix of the encoding errors;
 //  3. decoding arbitrary bytes never panics.
 func FuzzOplogOpRoundtrip(f *testing.F) {
-	f.Add(uint64(1), "insert", "jobs", "training-000001", "PENDING", int64(-7), 2.5, true, uint8(2), uint(3), []byte{})
-	f.Add(uint64(1<<40), "", "", "", "", int64(0), math.NaN(), false, uint8(0), uint(0), []byte{0, 0, 0, 0, opvDoc, 0})
-	f.Add(uint64(9), "update", "t", "", "x", int64(1), 0.0, false, uint8(62), uint(100), nestedListOp(maxOpDepth+1))
-	f.Add(uint64(9), "update", "t", "", "x", int64(1), 0.0, false, uint8(63), uint(0), []byte{0, 0, 0, 0, opvList, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Fuzz(func(t *testing.T, seq uint64, kind, coll, id, s string, i int64, fl float64, b bool, nest uint8, cut uint, raw []byte) {
-		var v any = []any{nil, s, int(i), int32(i), i, uint64(i), float32(fl), fl, b, []string{s, id}}
+	f.Add(uint64(1), "insert", "jobs", "training-000001", "PENDING", int64(-7), true, uint8(2), uint(3), []byte{})
+	f.Add(uint64(1<<40), "", "", "", "", int64(0), false, uint8(0), uint(0), []byte{0, 0, 0, 0, opvDoc, 0})
+	f.Add(uint64(9), "update", "t", "", "x", int64(1), false, uint8(62), uint(100), nestedListOp(maxOpDepth+1))
+	f.Add(uint64(9), "update", "t", "", "x", int64(1), false, uint8(63), uint(0), []byte{0, 0, 0, 0, opvList, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, seq uint64, kind, coll, id, s string, i int64, b bool, nest uint8, cut uint, raw []byte) {
+		var v any = []any{nil, s, int(i), b}
 		for k := 0; k < int(nest%80); k++ {
 			if k%2 == 0 {
 				v = Doc{s: v}
@@ -206,7 +217,7 @@ func FuzzOplogOpRoundtrip(f *testing.F) {
 			if err != nil || !bytes.Equal(again, data) {
 				t.Fatalf("re-encode of decoded op differs (err %v):\n got %x\nwant %x", err, again, data)
 			}
-			if !math.IsNaN(fl) && !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("roundtrip mismatch:\n got %#v\nwant %#v", got, want)
 			}
 			n := int(cut % uint(len(data)))
@@ -219,18 +230,18 @@ func FuzzOplogOpRoundtrip(f *testing.F) {
 }
 
 // TestOpenRecoversCollections is the core durability contract: a
-// reopened database serves the same documents, resumes the op sequence,
-// and never re-mints a recovered auto-id.
+// reopened database serves the same documents and resumes the op
+// sequence.
 func TestOpenRecoversCollections(t *testing.T) {
 	dir := t.TempDir()
 	db := openFileDB(t, dir)
 	jobs := db.C("jobs")
 	jobs.EnsureIndex("user")
-	id1, err := jobs.Insert(Doc{"user": "alice", "status": "PENDING"})
+	id1, err := jobs.Insert(Doc{"_id": "j1", "user": "alice", "status": "PENDING"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := jobs.Insert(Doc{"user": "bob", "status": "PENDING"})
+	id2, err := jobs.Insert(Doc{"_id": "j2", "user": "bob", "status": "PENDING"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +270,9 @@ func TestOpenRecoversCollections(t *testing.T) {
 	if got := db2.OplogLen(); got != seqBefore {
 		t.Fatalf("recovered OplogLen %d, want %d", got, seqBefore)
 	}
-	// Auto-id sequence must advance past recovered ids.
-	id3, err := jobs2.Insert(Doc{"user": "carol"})
-	if err != nil {
-		t.Fatalf("post-recovery insert: %v", err)
-	}
-	if id3 == id1 || id3 == id2 {
-		t.Fatalf("post-recovery insert re-minted id %s", id3)
+	// A recovered id stays taken.
+	if _, err := jobs2.Insert(Doc{"_id": id1}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("post-recovery insert of a recovered id: err = %v, want ErrDuplicateID", err)
 	}
 	// Indexes rebuilt over recovered docs.
 	jobs2.EnsureIndex("user")
@@ -345,7 +352,7 @@ func TestReopenedFloorYieldsResync(t *testing.T) {
 	}
 
 	db2 := openFileDB(t, dir)
-	if floor := db2.OplogFloor(); floor <= 1 {
+	if floor := db2.oplog.OldestOffset(); floor <= 1 {
 		t.Fatalf("reopened floor = %d, want > 1 after compaction", floor)
 	}
 	cs := db2.Watch("churn", 1)
@@ -396,7 +403,7 @@ func TestDurableChangeStreamResumesBySeq(t *testing.T) {
 	for want := uint64(5); want <= 10; want++ {
 		ev := <-cs.Events()
 		if ev.Kind == "resync" {
-			t.Fatalf("unexpected resync for retained token (floor %d)", db2.OplogFloor())
+			t.Fatalf("unexpected resync for retained token (floor %d)", db2.oplog.OldestOffset())
 		}
 		if ev.Seq != want {
 			t.Fatalf("resumed Seq %d, want %d", ev.Seq, want)

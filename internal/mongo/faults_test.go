@@ -6,7 +6,7 @@ import (
 )
 
 // TestSetUnavailableGatesOps pins the failover-window contract: erroring
-// ops return ErrUnavailable, Find/Count return empty (level-triggered
+// ops return ErrUnavailable, Find returns empty (level-triggered
 // safe), and committed state is intact after heal.
 func TestSetUnavailableGatesOps(t *testing.T) {
 	db := NewDB()

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,8 +21,11 @@ import (
 	"github.com/ffdl/ffdl/internal/sim"
 )
 
-// Doc is a BSON-like document. Values should be gob-friendly primitives,
-// nested Docs, or slices thereof.
+// Doc is a document. Its values are strings, ints, bools, nil, nested
+// Docs and []any lists of those — the value types the oplog codec
+// (opcodec.go) stores; a write carrying any other type is refused. Every
+// document names its own string _id, and filters and updates address
+// top-level fields only.
 //
 // # Copy-on-write semantics
 //
@@ -36,8 +37,9 @@ import (
 //   - Top-level fields of a returned Doc may be freely assigned.
 //   - Nested values (anything below the top level) are read-only; a
 //     caller that needs to mutate them must DeepClone the Doc first.
-//   - All store-side mutations go through Update, which path-copies
-//     every nested container it touches, so a view taken before an
+//   - All store-side mutations go through Update, which replaces
+//     top-level values on a fresh copy of the top-level map and never
+//     writes a nested container in place, so a view taken before an
 //     update never observes it.
 //
 // This is what makes reads O(top-level fields) instead of O(document):
@@ -66,6 +68,7 @@ func (d Doc) DeepClone() Doc {
 	return out
 }
 
+// cloneValue deep-copies a value, storing a map[string]any as a Doc.
 func cloneValue(v any) any {
 	switch x := v.(type) {
 	case Doc:
@@ -78,197 +81,42 @@ func cloneValue(v any) any {
 			out[i] = cloneValue(e)
 		}
 		return out
-	case []string:
-		out := make([]string, len(x))
-		copy(out, x)
-		return out
 	default:
 		return v
 	}
 }
 
-// lookupPath resolves a dotted field path ("status.phase").
-func lookupPath(d Doc, path string) (any, bool) {
-	return lookupParts(d, strings.Split(path, "."))
-}
-
-// lookupParts resolves a pre-split field path — the allocation-free
-// form for hot loops (sort comparators call it O(n log n) times).
-func lookupParts(d Doc, parts []string) (any, bool) {
-	var cur any = d
-	for _, p := range parts {
-		m, ok := asDoc(cur)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[p]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-func asDoc(v any) (Doc, bool) {
-	switch x := v.(type) {
-	case Doc:
-		return x, true
-	case map[string]any:
-		return Doc(x), true
-	default:
-		return nil, false
-	}
-}
-
-// setPath writes a dotted field path, creating intermediate documents.
-func setPath(d Doc, path string, value any) {
-	parts := strings.Split(path, ".")
-	cur := d
-	for _, p := range parts[:len(parts)-1] {
-		next, ok := asDoc(cur[p])
-		if !ok {
-			next = Doc{}
-			cur[p] = next
-		}
-		cur = next
-	}
-	cur[parts[len(parts)-1]] = value
-}
-
-// setPathCOW writes a dotted field path like setPath, but path-copies
-// every intermediate document it descends through. Stored documents
-// share nested containers with copy-on-write reader views, so an
-// in-place write below the top level would leak into views taken
-// before the update; copying the spine keeps those views immutable.
-// Only the path is copied — siblings stay shared.
-func setPathCOW(d Doc, path string, value any) {
-	parts := strings.Split(path, ".")
-	cur := d
-	for _, p := range parts[:len(parts)-1] {
-		next, ok := asDoc(cur[p])
-		if !ok {
-			next = Doc{}
-		} else {
-			next = next.Clone()
-		}
-		cur[p] = next
-		cur = next
-	}
-	cur[parts[len(parts)-1]] = value
-}
-
-// compare orders two scalar values; ok=false when incomparable.
-func compare(a, b any) (int, bool) {
-	af, aok := toFloat(a)
-	bf, bok := toFloat(b)
-	if aok && bok {
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
-	as, aok := a.(string)
-	bs, bok := b.(string)
-	if aok && bok {
-		return strings.Compare(as, bs), true
-	}
-	ab, aok := a.(bool)
-	bb, bok := b.(bool)
-	if aok && bok {
-		switch {
-		case ab == bb:
-			return 0, true
-		case !ab:
-			return -1, true
-		default:
-			return 1, true
-		}
-	}
-	return 0, false
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int:
-		return float64(x), true
-	case int32:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	case float32:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
-	}
-}
-
-// equal reports semantic equality across numeric widths.
-func equal(a, b any) bool {
-	if c, ok := compare(a, b); ok {
-		return c == 0
-	}
-	return a == b
-}
-
-// Filter is a query: field path → value. A document matches when every
-// path is present and equal to its value (numeric widths compare equal:
-// int 2 matches float64 2).
+// Filter is an equality query: top-level field → value. A document
+// matches when every field is present and == its value. Only string,
+// int and bool values can match; a list or document value never does.
 type Filter map[string]any
 
-// compiledCond is one filter condition with its field path pre-split,
-// so evaluating a candidate document costs only the lookupParts walk —
-// no per-candidate strings.Split.
-type compiledCond struct {
-	parts []string
-	value any
-}
-
-// compiledFilter is a Filter compiled for repeated evaluation. Find,
-// Count and UpdateOne compile each query once and run the compiled form
-// against every candidate. The tests pin it against an interpreted
-// oracle (interpretedMatch in mongo_test.go).
-type compiledFilter []compiledCond
-
-// compile pre-splits every field path.
-func (f Filter) compile() compiledFilter {
-	cf := make(compiledFilter, 0, len(f))
-	for path, v := range f {
-		cf = append(cf, compiledCond{parts: strings.Split(path, "."), value: v})
-	}
-	return cf
-}
-
-// matches reports whether doc satisfies the compiled filter.
-func (cf compiledFilter) matches(d Doc) bool {
-	for i := range cf {
-		got, present := lookupParts(d, cf[i].parts)
-		if !present || !equal(got, cf[i].value) {
+// matches reports whether d satisfies the filter.
+func (f Filter) matches(d Doc) bool {
+	for k, want := range f {
+		switch want.(type) {
+		case string, int, bool:
+		default:
+			return false // == on a list or document would panic
+		}
+		if got, ok := d[k]; !ok || got != want {
 			return false
 		}
 	}
 	return true
 }
 
-// Update describes a mutation.
+// Update describes a mutation of top-level fields.
 type Update struct {
-	// Set assigns field paths.
+	// Set assigns fields.
 	Set Doc
 	// Push appends to array fields.
 	Push map[string]any
 }
 
-// apply mutates d under the store's copy-on-write discipline: d's
-// top-level map is private to the store, but nested containers may be
-// shared with reader views, so every write below the top level goes
-// through setPathCOW.
+// apply mutates d, the store's private copy of a document's top-level
+// map. Nested containers may be shared with reader views, so none is
+// written in place: Set replaces the top-level value.
 //
 // Push deliberately appends WITHOUT copying the array: versions of a
 // stored document form a linear history (writes are serialized per
@@ -278,12 +126,11 @@ type Update struct {
 // O(history).
 func (u Update) apply(d Doc) {
 	for k, v := range u.Set {
-		setPathCOW(d, k, cloneValue(v))
+		d[k] = cloneValue(v)
 	}
 	for k, v := range u.Push {
-		cur, _ := lookupPath(d, k)
-		arr, _ := cur.([]any)
-		setPathCOW(d, k, append(arr, cloneValue(v)))
+		arr, _ := d[k].([]any)
+		d[k] = append(arr, cloneValue(v))
 	}
 }
 
@@ -298,11 +145,13 @@ var (
 	// store refused a write. A refused write is not acknowledged and
 	// leaves no trace: an insert or update the oplog did not take changes
 	// no document. Erroring operations (FindOne, Insert, UpdateOne,
-	// Upsert) surface it; Find and Count, which have no error channel,
-	// return empty results, which is safe for their level-triggered
-	// consumers (they re-read on the next pass). Callers classify it as
-	// transient and retry under a resilience policy.
+	// Upsert) surface it; Find, which has no error channel, returns nil,
+	// which is safe for its level-triggered consumers (they re-read on
+	// the next pass). Callers classify it as transient and retry under a
+	// resilience policy.
 	ErrUnavailable = errors.New("mongo: primary unavailable")
+
+	errNoID = errors.New("mongo: document has no string _id")
 )
 
 // Collection is a set of documents keyed by _id with optional secondary
@@ -311,13 +160,13 @@ type Collection struct {
 	mu      sync.RWMutex
 	name    string
 	docs    map[string]Doc
-	indexes map[string]map[string][]string // field -> value-string -> ids
-	seq     uint64
+	indexes map[string]map[string][]string // field -> string value -> ids
 	db      *DB
 }
 
-// EnsureIndex builds a hash index over a field path to accelerate
-// equality queries (the paper indexes job history by user/org).
+// EnsureIndex builds a hash index over a field's string values to
+// accelerate equality queries (the paper indexes job history by
+// user/org).
 func (c *Collection) EnsureIndex(field string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -326,8 +175,7 @@ func (c *Collection) EnsureIndex(field string) {
 	}
 	idx := make(map[string][]string)
 	for id, d := range c.docs {
-		if v, ok := lookupPath(d, field); ok {
-			key := fmt.Sprint(v)
+		if key, ok := d[field].(string); ok {
 			idx[key] = append(idx[key], id)
 		}
 	}
@@ -336,8 +184,7 @@ func (c *Collection) EnsureIndex(field string) {
 
 func (c *Collection) indexAddLocked(d Doc, id string) {
 	for field, idx := range c.indexes {
-		if v, ok := lookupPath(d, field); ok {
-			key := fmt.Sprint(v)
+		if key, ok := d[field].(string); ok {
 			idx[key] = append(idx[key], id)
 		}
 	}
@@ -345,8 +192,7 @@ func (c *Collection) indexAddLocked(d Doc, id string) {
 
 func (c *Collection) indexRemoveLocked(d Doc, id string) {
 	for field, idx := range c.indexes {
-		if v, ok := lookupPath(d, field); ok {
-			key := fmt.Sprint(v)
+		if key, ok := d[field].(string); ok {
 			ids := idx[key]
 			for i, x := range ids {
 				if x == id {
@@ -358,43 +204,45 @@ func (c *Collection) indexRemoveLocked(d Doc, id string) {
 	}
 }
 
-// Insert stores a document, assigning _id when absent. It returns the
-// document id. The input is deep-copied: the store must never alias
-// caller-owned memory, or later caller mutations would corrupt the
-// copy-on-write views reads hand out.
+// Insert stores a document under its string _id, which it returns; a
+// document without one is refused. The input is deep-copied: the store
+// must never alias caller-owned memory, or later caller mutations would
+// corrupt the copy-on-write views reads hand out.
 func (c *Collection) Insert(d Doc) (string, error) {
 	defer c.db.opEnd(c.db.opStart())
 	if c.db.Unavailable() {
 		return "", ErrUnavailable
 	}
+	id, _ := d["_id"].(string)
+	if id == "" {
+		return "", errNoID
+	}
+	stored := d.DeepClone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	stored := d.DeepClone()
-	id, _ := stored["_id"].(string)
-	if id == "" {
-		c.seq++
-		id = fmt.Sprintf("%s-%06d", c.name, c.seq)
-		stored["_id"] = id
-	}
+	return id, c.insertLocked(id, stored)
+}
+
+// insertLocked installs a new document the store already owns.
+func (c *Collection) insertLocked(id string, stored Doc) error {
 	if _, exists := c.docs[id]; exists {
-		return "", fmt.Errorf("%w: %s", ErrDuplicateID, id)
+		return fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
-	// Oplog entries carry copy-on-write views: O(top-level fields), not
-	// O(document) — the store's update discipline keeps the shared
-	// nested values immutable. The entry is logged first: an insert the
-	// oplog refused is not acknowledged and leaves no document behind.
-	if err := c.db.logOp(op{Kind: "insert", Coll: c.name, Doc: stored.Clone()}); err != nil {
-		return "", err
+	// The entry is logged first: an insert the oplog refused is not
+	// acknowledged and leaves no document behind. Stored maps are never
+	// written in place, so the oplog entry and the document share one.
+	if err := c.db.logOp(op{Kind: "insert", Coll: c.name, Doc: stored}); err != nil {
+		return err
 	}
 	c.docs[id] = stored
 	c.indexAddLocked(stored, id)
-	return id, nil
+	return nil
 }
 
 // candidatesLocked returns ids potentially matching the filter: the
 // primary key directly for an _id filter (the hottest query shape —
 // every status transition reads by _id), a hash index when the filter
-// names an indexed field, and a full scan otherwise.
+// names an indexed field with a string value, and a full scan otherwise.
 func (c *Collection) candidatesLocked(f Filter) []string {
 	if id, ok := f["_id"].(string); ok {
 		if _, exists := c.docs[id]; exists {
@@ -403,8 +251,9 @@ func (c *Collection) candidatesLocked(f Filter) []string {
 		return nil
 	}
 	for field, v := range f {
-		if idx, ok := c.indexes[field]; ok {
-			ids := idx[fmt.Sprint(v)]
+		key, isStr := v.(string)
+		if idx, ok := c.indexes[field]; ok && isStr {
+			ids := idx[key]
 			out := make([]string, len(ids))
 			copy(out, ids)
 			return out
@@ -425,7 +274,7 @@ func (c *Collection) FindOne(f Filter) (Doc, error) {
 	}
 	if id, ok := f["_id"].(string); ok && len(f) == 1 {
 		// A primary-key lookup — every status transition and status read
-		// is one — reads the map: no filter to compile, nothing to sort.
+		// is one — reads the map: nothing to match, nothing to sort.
 		defer c.db.opEnd(c.db.opStart())
 		c.mu.RLock()
 		defer c.mu.RUnlock()
@@ -472,7 +321,8 @@ func (c *Collection) OplogImage(id string) (Doc, bool) {
 
 // FindOpts shape Find results.
 type FindOpts struct {
-	// SortBy is a field path, sorted ascending; empty sorts by _id.
+	// SortBy is a field whose string values order the results
+	// ascending; empty sorts by _id.
 	SortBy string
 }
 
@@ -490,11 +340,10 @@ func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	ids := c.candidatesLocked(f)
-	cf := f.compile()
 	matched := make([]Doc, 0, len(ids))
 	for _, id := range ids {
 		d, ok := c.docs[id]
-		if ok && cf.matches(d) {
+		if ok && f.matches(d) {
 			matched = append(matched, d)
 		}
 	}
@@ -502,15 +351,10 @@ func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	if sortBy == "" {
 		sortBy = "_id"
 	}
-	sortParts := strings.Split(sortBy, ".")
 	sort.SliceStable(matched, func(i, j int) bool {
-		vi, _ := lookupParts(matched[i], sortParts)
-		vj, _ := lookupParts(matched[j], sortParts)
-		cmp, ok := compare(vi, vj)
-		if !ok {
-			cmp = strings.Compare(fmt.Sprint(vi), fmt.Sprint(vj))
-		}
-		return cmp < 0
+		vi, _ := matched[i][sortBy].(string)
+		vj, _ := matched[j][sortBy].(string)
+		return vi < vj
 	})
 	out := make([]Doc, len(matched))
 	for i, d := range matched {
@@ -528,19 +372,21 @@ func (c *Collection) UpdateOne(f Filter, u Update) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.updateLocked(f, u)
+}
+
+func (c *Collection) updateLocked(f Filter, u Update) error {
 	ids := c.candidatesLocked(f)
 	sort.Strings(ids)
-	cf := f.compile()
 	for _, id := range ids {
 		d, ok := c.docs[id]
-		if !ok || !cf.matches(d) {
+		if !ok || !f.matches(d) {
 			continue
 		}
 		// The update builds the next version in a copy-on-write view, which
 		// is also the oplog entry; only a logged version is installed, so
 		// an update the oplog refused is not acknowledged and leaves the
-		// stored document as it was. The stored map is never written in
-		// place, so the oplog entry and the document may share it.
+		// stored document as it was.
 		next := d.Clone()
 		u.apply(next)
 		next["_id"] = id // _id is immutable
@@ -556,18 +402,26 @@ func (c *Collection) UpdateOne(f Filter, u Update) error {
 }
 
 // Upsert updates the first match or inserts a new document from the
-// filter's fields plus the update.
+// filter's fields plus the update, which between them must name its
+// _id. Both steps run under one hold of the collection lock, so
+// concurrent upserts of one new _id insert it once and update it after.
 func (c *Collection) Upsert(f Filter, u Update) error {
-	if err := c.UpdateOne(f, u); err == nil || !errors.Is(err, ErrNotFound) {
+	defer c.db.opEnd(c.db.opStart())
+	if c.db.Unavailable() {
+		return ErrUnavailable
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.updateLocked(f, u); !errors.Is(err, ErrNotFound) {
 		return err
 	}
-	d := Doc{}
-	for k, v := range f {
-		setPath(d, k, v)
-	}
+	d := Doc(f).DeepClone()
 	u.apply(d)
-	_, err := c.Insert(d)
-	return err
+	id, _ := d["_id"].(string)
+	if id == "" {
+		return errNoID
+	}
+	return c.insertLocked(id, d)
 }
 
 // size returns the number of documents.
@@ -619,9 +473,8 @@ type DB struct {
 }
 
 // SetUnavailable toggles a simulated primary outage: while on, erroring
-// operations return ErrUnavailable and Find/Count return empty results.
-// Committed state is untouched — this is a failover window, not a
-// crash.
+// operations return ErrUnavailable and Find returns nil. Committed
+// state is untouched — this is a failover window, not a crash.
 func (db *DB) SetUnavailable(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -699,9 +552,8 @@ func NewDB() *DB {
 // the store holds: collections are rebuilt by replaying the retained
 // oplog (key-compaction keeps at least the newest op per document, and
 // update entries carry full post-images, so the replay converges on the
-// latest committed state), the op sequence resumes past the last
-// persisted record, and per-collection auto-id sequences advance past
-// every recovered id. An empty store yields an empty database. A torn
+// latest committed state), and the op sequence resumes past the last
+// persisted record. An empty store yields an empty database. A torn
 // oplog tail — a crash mid-append — is truncated to the last valid
 // record by the commit log's own recovery; Open never fails on one.
 func Open(store commitlog.SegmentStore, opts Options) (*DB, error) {
@@ -755,21 +607,7 @@ func (db *DB) applyRecovered(o op) {
 	}
 	c.docs[id] = o.Doc
 	c.indexAddLocked(o.Doc, id)
-	c.bumpSeqLocked(id)
 	c.mu.Unlock()
-}
-
-// bumpSeqLocked advances the auto-id sequence past a recovered id of
-// the collection's own "<name>-%06d" form, so post-recovery inserts
-// never collide with recovered documents.
-func (c *Collection) bumpSeqLocked(id string) {
-	rest, ok := strings.CutPrefix(id, c.name+"-")
-	if !ok {
-		return
-	}
-	if n, err := strconv.ParseUint(rest, 10, 64); err == nil && n > c.seq {
-		c.seq = n
-	}
 }
 
 // recOp decodes the op a log record's payload carries.
@@ -836,14 +674,6 @@ func (db *DB) OplogLen() uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.opSeq
-}
-
-// OplogFloor returns the first sequence number of the oplog's
-// contiguous retained tail: every entry from it on replays. A resume
-// token below it cannot replay; Watch signals such consumers with an
-// explicit "resync" event.
-func (db *DB) OplogFloor() uint64 {
-	return db.oplog.OldestOffset()
 }
 
 // addSub registers an oplog subscriber and returns its id plus the

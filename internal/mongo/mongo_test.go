@@ -9,22 +9,30 @@ import (
 	"time"
 )
 
-func TestInsertAssignsID(t *testing.T) {
+// TestInsertWithoutIDFails pins that every document names its own _id:
+// an id-less Insert or Upsert errors and leaves no document and no
+// oplog record behind.
+func TestInsertWithoutIDFails(t *testing.T) {
 	db := NewDB()
 	jobs := db.C("jobs")
-	id, err := jobs.Insert(Doc{"user": "alice"})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := jobs.Insert(Doc{"user": "alice"}); !errors.Is(err, errNoID) {
+		t.Fatalf("id-less Insert: err = %v, want errNoID", err)
 	}
-	if id == "" {
-		t.Fatal("empty id")
+	if _, err := jobs.Insert(Doc{"_id": 7, "user": "alice"}); !errors.Is(err, errNoID) {
+		t.Fatalf("Insert with a non-string _id: err = %v, want errNoID", err)
 	}
-	d, err := jobs.FindOne(Filter{"_id": id})
-	if err != nil {
-		t.Fatal(err)
+	if err := jobs.Upsert(Filter{"user": "alice"}, Update{Set: Doc{"gpus": 4}}); !errors.Is(err, errNoID) {
+		t.Fatalf("id-less Upsert: err = %v, want errNoID", err)
 	}
-	if d["user"] != "alice" {
-		t.Fatalf("doc = %v", d)
+	if n, seq := jobs.size(), db.OplogLen(); n != 0 || seq != 0 {
+		t.Fatalf("refused writes left %d docs and %d oplog records", n, seq)
+	}
+	id, err := jobs.Insert(Doc{"_id": "j1", "user": "alice"})
+	if err != nil || id != "j1" {
+		t.Fatalf("Insert = %q, %v; want j1", id, err)
+	}
+	if d, err := jobs.FindOne(Filter{"_id": id}); err != nil || d["user"] != "alice" {
+		t.Fatalf("doc = %v, err = %v", d, err)
 	}
 }
 
@@ -54,7 +62,6 @@ func TestFilterOperators(t *testing.T) {
 		want int
 	}{
 		{"eq", Filter{"gpus": 3}, 1},
-		{"numeric-width", Filter{"gpus": 3.0}, 1},
 		{"combined", Filter{"user": "u0", "gpus": 4}, 1},
 		{"combined-disjoint", Filter{"user": "u1", "gpus": 4}, 0},
 		{"all", Filter{}, 10},
@@ -68,25 +75,38 @@ func TestFilterOperators(t *testing.T) {
 	}
 }
 
-func TestNestedFieldPaths(t *testing.T) {
+// TestFilterValueTypes pins the matcher's type rules: a filter value
+// matches only an equal value of the same type, and a list or document
+// value never matches — on an indexed field or not, and without the
+// panic Go's == raises on two lists.
+func TestFilterValueTypes(t *testing.T) {
 	db := NewDB()
 	c := db.C("jobs")
-	if _, err := c.Insert(Doc{"_id": "j1", "status": Doc{"phase": "RUNNING", "retries": 2}}); err != nil {
+	c.EnsureIndex("user")
+	hist := []any{Doc{"status": "PENDING"}}
+	if _, err := c.Insert(Doc{"_id": "j1", "user": "7", "n": 7, "history": hist, "cfg": Doc{"gpus": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(c.Find(Filter{"status.phase": "RUNNING"}, FindOpts{})); n != 1 {
-		t.Fatalf("nested eq count = %d", n)
-	}
-	if err := c.UpdateOne(Filter{"_id": "j1"}, Update{Set: Doc{"status.phase": "FAILED"}}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.FindOne(Filter{"_id": "j1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := lookupPath(d, "status.phase")
-	if !ok || v != "FAILED" {
-		t.Fatalf("status.phase = %v", v)
+	for _, tc := range []struct {
+		name string
+		f    Filter
+		want int
+	}{
+		{"string", Filter{"user": "7"}, 1},
+		{"int", Filter{"n": 7}, 1},
+		{"int-on-indexed-string-field", Filter{"user": 7}, 0},
+		{"string-on-int-field", Filter{"n": "7"}, 0},
+		{"int64-on-int-field", Filter{"n": int64(7)}, 0},
+		{"list-field", Filter{"history": hist}, 0},
+		{"list-field-empty", Filter{"history": []any{}}, 0},
+		{"document-field", Filter{"cfg": Doc{"gpus": 2}}, 0},
+	} {
+		if got := len(c.Find(tc.f, FindOpts{})); got != tc.want {
+			t.Errorf("%s: Find %v = %d docs, want %d", tc.name, tc.f, got, tc.want)
+		}
+		if err := c.UpdateOne(tc.f, Update{Set: Doc{"touched": true}}); (err == nil) != (tc.want == 1) {
+			t.Errorf("%s: UpdateOne err = %v, want a match: %v", tc.name, err, tc.want == 1)
+		}
 	}
 }
 
@@ -147,18 +167,60 @@ func TestUpdateCannotChangeID(t *testing.T) {
 func TestUpsert(t *testing.T) {
 	db := NewDB()
 	c := db.C("quota")
-	if err := c.Upsert(Filter{"user": "alice"}, Update{Set: Doc{"gpus": 4}}); err != nil {
+	if err := c.Upsert(Filter{"_id": "alice"}, Update{Set: Doc{"user": "alice", "gpus": 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Upsert(Filter{"user": "alice"}, Update{Set: Doc{"gpus": 8}}); err != nil {
+	if err := c.Upsert(Filter{"_id": "alice"}, Update{Set: Doc{"gpus": 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.size() != 1 {
 		t.Fatalf("len = %d, want 1", c.size())
 	}
 	d, _ := c.FindOne(Filter{"user": "alice"})
-	if g, _ := toFloat(d["gpus"]); g != 8 {
+	if g, _ := d["gpus"].(int); g != 8 {
 		t.Fatalf("gpus = %v", d["gpus"])
+	}
+}
+
+// TestUpsertConcurrentFreshIDs pins that an upsert of a new _id is one
+// atomic step: goroutines racing to upsert the same fresh ids must all
+// succeed, one inserting and the rest updating — never ErrDuplicateID
+// from an insert that lost the race to another.
+func TestUpsertConcurrentFreshIDs(t *testing.T) {
+	const ids, workers = 2000, 4
+	db := NewDB()
+	c := db.C("tenants")
+	start := make(chan struct{})
+	errs := make(chan error, ids*workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < ids; i++ {
+				id := fmt.Sprintf("user-%04d", i)
+				if err := c.Upsert(Filter{"_id": id}, Update{Set: Doc{"user": id, "gpus": w}}); err != nil {
+					errs <- err
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if failed == 0 {
+			t.Errorf("concurrent Upsert: %v", err)
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d concurrent upserts failed", failed, ids*workers)
+	}
+	if c.size() != ids {
+		t.Fatalf("len = %d, want %d", c.size(), ids)
 	}
 }
 
@@ -166,7 +228,7 @@ func TestFindSortLimit(t *testing.T) {
 	db := NewDB()
 	c := db.C("jobs")
 	for i := 0; i < 5; i++ {
-		if _, err := c.Insert(Doc{"_id": fmt.Sprintf("j%d", i), "submitted": 100 - i}); err != nil {
+		if _, err := c.Insert(Doc{"_id": fmt.Sprintf("j%d", i), "submitted": fmt.Sprintf("t%d", 9-i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +238,7 @@ func TestFindSortLimit(t *testing.T) {
 	}
 	for i, d := range docs {
 		if want := fmt.Sprintf("j%d", 4-i); d["_id"] != want {
-			t.Fatalf("docs[%d] = %v, want %s (ascending submitted)", i, d["_id"], want)
+			t.Fatalf("docs[%d] = %v, want %s (ascending submitted string)", i, d["_id"], want)
 		}
 	}
 	// No SortBy: _id order.
@@ -191,7 +253,7 @@ func TestIndexEqualityMatchesScan(t *testing.T) {
 	c := db.C("jobs")
 	c.EnsureIndex("user")
 	for i := 0; i < 100; i++ {
-		if _, err := c.Insert(Doc{"user": fmt.Sprintf("u%d", i%7), "n": i}); err != nil {
+		if _, err := c.Insert(Doc{"_id": fmt.Sprintf("j%03d", i), "user": fmt.Sprintf("u%d", i%7), "n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +261,7 @@ func TestIndexEqualityMatchesScan(t *testing.T) {
 		f := Filter{"user": fmt.Sprintf("u%d", u)}
 		want := 0
 		for _, d := range c.Find(Filter{}, FindOpts{}) {
-			if interpretedMatch(f, d) {
+			if d["user"] == f["user"] {
 				want++
 			}
 		}
@@ -233,11 +295,9 @@ func TestCloneIsolation(t *testing.T) {
 	d, _ := c.FindOne(Filter{"_id": "j1"})
 	d["status"] = "FAILED" // top-level: never visible to the store
 	mine := d.DeepClone()
-	cfg, _ := asDoc(mine["cfg"])
-	cfg["gpus"] = 99 // nested mutation on the deep copy
+	mine["cfg"].(Doc)["gpus"] = 99 // nested mutation on the deep copy
 	d2, _ := c.FindOne(Filter{"_id": "j1"})
-	cfg2, _ := asDoc(d2["cfg"])
-	if g, _ := toFloat(cfg2["gpus"]); g != 2 {
+	if g := d2["cfg"].(Doc)["gpus"]; g != 2 {
 		t.Fatal("stored document mutated through DeepClone")
 	}
 	if _, ok := d2["status"]; ok {
@@ -247,8 +307,8 @@ func TestCloneIsolation(t *testing.T) {
 
 // TestCOWViewImmuneToLaterUpdates pins the copy-on-write invariant: a
 // view taken before an update never observes it, even though nested
-// containers are shared — updates path-copy what they touch and
-// history pushes append beyond every handed-out length.
+// containers are shared — updates replace top-level values and history
+// pushes append beyond every handed-out length.
 func TestCOWViewImmuneToLaterUpdates(t *testing.T) {
 	db := NewDB()
 	c := db.C("jobs")
@@ -262,7 +322,7 @@ func TestCOWViewImmuneToLaterUpdates(t *testing.T) {
 	before, _ := c.FindOne(Filter{"_id": "j1"})
 	for i := 0; i < 32; i++ {
 		if err := c.UpdateOne(Filter{"_id": "j1"}, Update{
-			Set:  Doc{"status": "PROCESSING", "meta.cfg.gpus": 4 + i},
+			Set:  Doc{"status": "PROCESSING", "meta": Doc{"user": "alice", "cfg": Doc{"gpus": 4 + i}}},
 			Push: map[string]any{"history": Doc{"status": "PROCESSING", "i": i}},
 		}); err != nil {
 			t.Fatal(err)
@@ -271,10 +331,8 @@ func TestCOWViewImmuneToLaterUpdates(t *testing.T) {
 	if s, _ := before["status"].(string); s != "PENDING" {
 		t.Fatalf("view status = %q, want PENDING", s)
 	}
-	meta, _ := asDoc(before["meta"])
-	cfg, _ := asDoc(meta["cfg"])
-	if g, _ := toFloat(cfg["gpus"]); g != 2 {
-		t.Fatalf("view nested gpus = %v, want 2", cfg["gpus"])
+	if g := before["meta"].(Doc)["cfg"].(Doc)["gpus"]; g != 2 {
+		t.Fatalf("view nested gpus = %v, want 2", g)
 	}
 	hist, _ := before["history"].([]any)
 	if len(hist) != 1 {
@@ -457,25 +515,38 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // Property: Find with an equality filter returns exactly the documents a
-// naive scan would.
+// naive scan would — through the hash index (string values of the
+// indexed field "s") and through the full scan (int values of "v", and
+// ints on the indexed field, which the index does not hold).
 func TestFindMatchesNaiveScanProperty(t *testing.T) {
 	f := func(vals []uint8) bool {
 		db := NewDB()
 		c := db.C("x")
-		c.EnsureIndex("v")
+		c.EnsureIndex("s")
 		for i, v := range vals {
-			if _, err := c.Insert(Doc{"_id": fmt.Sprintf("d%d", i), "v": int(v % 8)}); err != nil {
+			d := Doc{"_id": fmt.Sprintf("d%d", i), "v": int(v % 8), "s": fmt.Sprint(v % 8)}
+			if v%5 == 0 {
+				d["s"] = int(v % 8)
+			}
+			if _, err := c.Insert(d); err != nil {
 				return false
 			}
 		}
 		for target := 0; target < 8; target++ {
-			want := 0
+			var wantV, wantS, wantSInt int
 			for _, v := range vals {
 				if int(v%8) == target {
-					want++
+					wantV++
+					if v%5 == 0 {
+						wantSInt++
+					} else {
+						wantS++
+					}
 				}
 			}
-			if len(c.Find(Filter{"v": target}, FindOpts{})) != want {
+			if len(c.Find(Filter{"v": target}, FindOpts{})) != wantV ||
+				len(c.Find(Filter{"s": fmt.Sprint(target)}, FindOpts{})) != wantS ||
+				len(c.Find(Filter{"s": target}, FindOpts{})) != wantSInt {
 				return false
 			}
 		}
@@ -484,54 +555,4 @@ func TestFindMatchesNaiveScanProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestCompiledFilterMatchesInterpreted pins that the compiled form the
-// query engine runs (Filter.compile) agrees with the interpretedMatch
-// oracle on dotted paths, missing fields, incomparable values and
-// numeric-width equality.
-func TestCompiledFilterMatchesInterpreted(t *testing.T) {
-	docs := []Doc{
-		{"_id": "a", "gpus": 2, "user": "u0", "status": Doc{"phase": "RUNNING", "retries": 2}},
-		{"_id": "b", "gpus": 7, "user": "u1", "status": Doc{"phase": "FAILED"}},
-		{"_id": "c", "user": "u0"},
-		{"_id": "d", "gpus": "not-a-number"},
-	}
-	filters := []Filter{
-		{},
-		{"gpus": 2},
-		{"gpus": 2.0},
-		{"gpus": int64(7)},
-		{"gpus": "not-a-number"},
-		{"gpus": "2"},
-		{"user": "u0"},
-		{"status.phase": "RUNNING"},
-		{"status.retries": 2.0, "user": "u0"},
-		{"status.phase": "RUNNING", "gpus": 7},
-		{"user.name": "u0"}, // descends through a non-document
-		{"missing.deep.path": 1},
-	}
-	for _, f := range filters {
-		cf := f.compile()
-		for _, d := range docs {
-			if got, want := cf.matches(d), interpretedMatch(f, d); got != want {
-				t.Errorf("filter %v on doc %v: compiled=%v interpreted=%v", f, d, got, want)
-			}
-		}
-	}
-}
-
-// interpretedMatch reports whether d satisfies f by walking the filter
-// directly, re-splitting every field path per call. It is the query
-// engine's original matcher, kept here as the independent oracle for
-// the compiled one (Filter.compile) and as the baseline of
-// BenchmarkMongoFindCompiledFilter.
-func interpretedMatch(f Filter, d Doc) bool {
-	for path, want := range f {
-		got, present := lookupPath(d, path)
-		if !present || !equal(got, want) {
-			return false
-		}
-	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/ffdl/ffdl/internal/codec"
 )
@@ -20,28 +19,23 @@ import (
 //
 //	Seq | Kind | Coll | ID | tagged Doc
 //
-// Every document value carries a one-byte type tag. Doc values
-// round-trip with their dynamic type preserved (int stays int, int64
-// stays int64, ...) because readers downstream switch on those types
-// (jobdoc's getI, tenant quota docs). Value types outside the tagged
-// set, and documents nested deeper than maxOpDepth, are rejected at
-// encode time — loudly, at the write — rather than silently dropped at
-// recovery.
+// Every document value carries a one-byte type tag, so an int decodes
+// as an int, not a wider integer — readers downstream switch on it
+// (jobdoc's getI, tenant quota docs). Value types outside the tagged set
+// (Doc's value model), and documents nested deeper than maxOpDepth, are
+// rejected at encode time — loudly, at the write — rather than silently
+// dropped at recovery.
 
-// Doc value type tags.
+// Doc value type tags. Tags 3–7 and 11 belonged to value types no write
+// stores (int32, int64, uint64, float32, float64, []string); they are
+// retired, and decoding one is codec.ErrCorrupt.
 const (
-	opvNil byte = iota
-	opvString
-	opvInt
-	opvInt32
-	opvInt64
-	opvUint64
-	opvFloat32
-	opvFloat64
-	opvBool
-	opvDoc
-	opvList // []any
-	opvStrs // []string
+	opvNil    byte = 0
+	opvString byte = 1
+	opvInt    byte = 2
+	opvBool   byte = 8
+	opvDoc    byte = 9
+	opvList   byte = 10 // []any
 )
 
 var (
@@ -107,18 +101,6 @@ func appendOpValue(dst []byte, v any, depth int) ([]byte, error) {
 		return codec.AppendString(append(dst, opvString), x), nil
 	case int:
 		return binary.AppendVarint(append(dst, opvInt), int64(x)), nil
-	case int32:
-		return binary.AppendVarint(append(dst, opvInt32), int64(x)), nil
-	case int64:
-		return binary.AppendVarint(append(dst, opvInt64), x), nil
-	case uint64:
-		return binary.AppendUvarint(append(dst, opvUint64), x), nil
-	case float32:
-		dst = append(dst, opvFloat32)
-		return binary.BigEndian.AppendUint32(dst, math.Float32bits(x)), nil
-	case float64:
-		dst = append(dst, opvFloat64)
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(x)), nil
 	case bool:
 		b := byte(0)
 		if x {
@@ -127,8 +109,6 @@ func appendOpValue(dst []byte, v any, depth int) ([]byte, error) {
 		return append(dst, opvBool, b), nil
 	case Doc:
 		return appendOpDoc(dst, x, depth)
-	case map[string]any:
-		return appendOpDoc(dst, Doc(x), depth)
 	case []any:
 		if depth >= maxOpDepth {
 			return nil, fmt.Errorf("%w: nesting deeper than %d", errOpEncType, maxOpDepth)
@@ -140,13 +120,6 @@ func appendOpValue(dst []byte, v any, depth int) ([]byte, error) {
 			if dst, err = appendOpValue(dst, e, depth+1); err != nil {
 				return nil, err
 			}
-		}
-		return dst, nil
-	case []string:
-		dst = append(dst, opvStrs)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		for _, s := range x {
-			dst = codec.AppendString(dst, s)
 		}
 		return dst, nil
 	default:
@@ -188,25 +161,6 @@ func decodeOpValue(r *codec.Reader, depth int) (any, error) {
 	case opvInt:
 		v, err := r.Varint()
 		return int(v), err
-	case opvInt32:
-		v, err := r.Varint()
-		return int32(v), err
-	case opvInt64:
-		return r.Varint()
-	case opvUint64:
-		return r.Uvarint()
-	case opvFloat32:
-		b, err := r.Fixed(4)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float32frombits(binary.BigEndian.Uint32(b)), nil
-	case opvFloat64:
-		b, err := r.Fixed(8)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
 	case opvBool:
 		b, err := r.Byte()
 		return b != 0, err
@@ -234,18 +188,6 @@ func decodeOpValue(r *codec.Reader, depth int) (any, error) {
 		out := make([]any, n)
 		for i := range out {
 			if out[i], err = decodeOpValue(r, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case opvStrs:
-		n, err := r.Count()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]string, n)
-		for i := range out {
-			if out[i], err = r.String(); err != nil {
 				return nil, err
 			}
 		}

@@ -43,7 +43,7 @@ func TestWatchResumeBelowRetainedFloorSignalsResync(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if floor := db.OplogFloor(); floor <= 1 {
+	if floor := db.oplog.OldestOffset(); floor <= 1 {
 		t.Fatalf("retention never trimmed: floor %d after %d writes", floor, writes)
 	}
 
@@ -134,7 +134,7 @@ func TestCompactionHolesNeverReplaySilently(t *testing.T) {
 		}
 	}
 	last := db.OplogLen()
-	floor := db.OplogFloor()
+	floor := db.oplog.OldestOffset()
 	if floor <= 1 {
 		t.Fatalf("floor %d after compaction dropped superseded ops", floor)
 	}
@@ -155,7 +155,7 @@ func TestCompactionHolesNeverReplaySilently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.OplogFloor(); got != floor {
+	if got := db2.oplog.OldestOffset(); got != floor {
 		t.Fatalf("reopened floor %d, live floor %d", got, floor)
 	}
 }

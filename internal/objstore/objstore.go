@@ -111,28 +111,6 @@ func (s *Service) Put(bucketName, key string, data []byte) error {
 	return nil
 }
 
-// Get returns a full object copy.
-func (s *Service) Get(bucketName, key string) ([]byte, error) {
-	s.mu.RLock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoBucket, bucketName)
-	}
-	o, ok := b.objects[key]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoObject, bucketName, key)
-	}
-	out := make([]byte, len(o.data))
-	copy(out, o.data)
-	s.mu.RUnlock()
-	s.mu.Lock()
-	s.bytesOut += int64(len(out))
-	s.mu.Unlock()
-	return out, nil
-}
-
 // GetRange returns object bytes [off, off+n); n < 0 means to the end.
 func (s *Service) GetRange(bucketName, key string, off, n int64) ([]byte, error) {
 	s.mu.RLock()

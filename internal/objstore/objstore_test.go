@@ -23,7 +23,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := s.Put("training", "data/shard1", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("training", "data/shard1")
+	got, err := s.GetRange("training", "data/shard1", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBucketLifecycle(t *testing.T) {
 	if err := s.Put("missing", "k", nil); !errors.Is(err, ErrNoBucket) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.Get("b", "nope"); !errors.Is(err, ErrNoObject) {
+	if _, err := s.GetRange("b", "nope", 0, -1); !errors.Is(err, ErrNoObject) {
 		t.Fatalf("err = %v", err)
 	}
 	// Re-ensuring an existing bucket keeps its objects.
@@ -46,7 +46,7 @@ func TestBucketLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.EnsureBucket("b")
-	if got, err := s.Get("b", "k"); err != nil || string(got) != "v" {
+	if got, err := s.GetRange("b", "k", 0, -1); err != nil || string(got) != "v" {
 		t.Fatalf("after re-ensure: %q, %v", got, err)
 	}
 }
@@ -256,7 +256,7 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Get("b", key); err != nil {
+				if _, err := s.GetRange("b", key, 0, -1); err != nil {
 					t.Error(err)
 					return
 				}

@@ -95,22 +95,9 @@ func docToRecord(d mongo.Doc) (Record, bool) {
 	if rec.User == "" {
 		return rec, false
 	}
-	switch v := d["tier"].(type) {
-	case int:
-		rec.Tier = sched.Tier(v)
-	case int64:
-		rec.Tier = sched.Tier(v)
-	case float64:
-		rec.Tier = sched.Tier(int(v))
-	}
-	switch v := d["gpus"].(type) {
-	case int:
-		rec.GPUs = v
-	case int64:
-		rec.GPUs = int(v)
-	case float64:
-		rec.GPUs = int(v)
-	}
+	tier, _ := d["tier"].(int)
+	rec.Tier = sched.Tier(tier)
+	rec.GPUs, _ = d["gpus"].(int)
 	return rec, true
 }
 
