@@ -66,9 +66,13 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	defer res.volume.Unwatch(writes)
 	for {
 		// controller: mirror learner statuses into etcd, collect exits.
+		// Mirroring stops once the done key is written: the Guardian then
+		// decides the job and deletes its etcd subtree, and a learner's
+		// final status (written after its exit file) mirrored past that
+		// delete would outlive the job.
 		for ord := 0; ord < m.Learners; ord++ {
 			statusPath := fmt.Sprintf("learners/%d/status", ord)
-			if data, err := res.volume.ReadFile(statusPath); err == nil {
+			if data, err := res.volume.ReadFile(statusPath); err == nil && !doneWritten {
 				if s := string(data); s != lastStatus[ord] {
 					lastStatus[ord] = s
 					p.tracedPut(jobID, keyLearnerStatus(jobID, ord), data) //nolint:errcheck

@@ -53,13 +53,17 @@ func (l *lcmReplica) routes(srv *rpc.Server) {
 // this delegate called the Guardian with all the metadata of the DL
 // job ... a K8S Job ... a very quick single step process" (§3.3). Its
 // callers hold evidence the job is admitted and live — a PENDING bus
-// event or a recovery-scan hit — so only resurrection re-reads it.
+// event or a recovery-scan hit — so only resurrection re-reads it. kube
+// deletes a Guardian's Job once its pod succeeds, so a caller whose
+// evidence went stale as the job finished creates a Guardian for a
+// terminal job: it finds the terminal status, tears down, exits 0 and
+// is deleted in turn.
 func (l *lcmReplica) ensureGuardian(jobID string) {
 	name := guardianJobName(jobID)
 	if obj, exists := l.p.Kube.Store().Get(kube.KindJob, name); exists {
 		j, ok := obj.(*kube.Job)
 		if !ok || !j.Failed {
-			return // idempotent: the guardian is alive (or finished)
+			return // idempotent: the guardian is alive
 		}
 		// The guardian burned through its restart budget — a sustained
 		// crash loop (chaos node/pod kills, a long store outage at pod
@@ -149,8 +153,9 @@ func (l *lcmReplica) handleTerminate(_ context.Context, arg any) (any, error) {
 // PROCESSING when the process died — they lost their Guardians with the
 // rest of the kube state, and only this scan brings them back. The
 // wider scan is idempotent — ensureGuardian no-ops while the job's
-// Guardian kube Job exists (kube keeps Job objects after success), and
-// setJobStatus admits re-entrant DEPLOYING from every scanned state.
+// Guardian kube Job exists, a Guardian raced by the job's end exits at
+// once (see ensureGuardian), and setJobStatus admits re-entrant
+// DEPLOYING from every scanned state.
 // HALTED stays excluded: a halted job resumes only on the user's RESUME
 // verb; QUEUED stays excluded: admission belongs to the tenant
 // dispatcher.

@@ -72,17 +72,25 @@ func (o *Options) defaults() {
 // committed commands to its own storeState replica. Client operations are
 // routed to the leader. Exactly-once application is guaranteed by
 // request-ID deduplication in the state machine, so a retried proposal
-// (e.g. across a leader change) never double-applies.
+// (e.g. across a leader change) never double-applies. The dedup table
+// holds only in-flight proposals: every entry carries the proposer's ack
+// floor, below which no request is still waiting (see storeState).
 type Cluster struct {
 	opts      Options
 	transport *memTransport
 	nodes     []*node
 	states    []*storeState
 
-	reqSeq  atomic.Uint64
 	lastRev atomic.Uint64 // highest revision returned to any client
 	mu      sync.Mutex
+	// reqSeq is the last minted ReqID. An ID is minted and registered in
+	// waiters under mu in one step, so ackFloor can never pass an ID
+	// that is minted but not yet waiting.
+	reqSeq  uint64
 	waiters map[uint64]chan result
+	// ackFloor caches the lowest ReqID that may still be waiting; see
+	// advanceFloor.
+	ackFloor uint64
 
 	// Group commit: propose() enqueues commands here and the batch loop
 	// drains the queue into one batch envelope per Raft entry, so K
@@ -181,6 +189,9 @@ func (c *Cluster) applier(st *storeState) applyFunc {
 		if err := decodeCommand(a.Data, scratch); err != nil {
 			return
 		}
+		// The floor covers the entry's own commands: one of them below it
+		// was answered or given up on before this entry was flushed.
+		st.raiseFloor(scratch.Floor)
 		if scratch.Op == opBatch {
 			for i := range scratch.Batch {
 				c.applyOne(st, &scratch.Batch[i])
@@ -316,8 +327,8 @@ func (c *Cluster) batchLoop() {
 }
 
 // flush encodes one drained queue into a single Raft entry — the
-// command itself for a batch of one, a batch envelope otherwise — and
-// proposes it to the leader.
+// command itself for a batch of one, a batch envelope otherwise —
+// stamped with the current ack floor, and proposes it to the leader.
 func (c *Cluster) flush(q []*command) {
 	c.obsBatch.Observe(float64(len(q)))
 	for n := uint64(len(q)); ; {
@@ -326,15 +337,36 @@ func (c *Cluster) flush(q []*command) {
 			break
 		}
 	}
+	floor := c.advanceFloor()
 	if len(q) == 1 {
-		c.proposeEntry(encodeEntry(q[0]))
+		one := *q[0]
+		one.Floor = floor
+		c.proposeEntry(encodeEntry(&one))
 		return
 	}
-	env := command{Op: opBatch, Batch: make([]command, len(q))}
+	env := command{Op: opBatch, Floor: floor, Batch: make([]command, len(q))}
 	for i, cmd := range q {
 		env.Batch[i] = *cmd
 	}
 	c.proposeEntry(encodeEntry(&env))
+}
+
+// advanceFloor returns the ack floor for the next entry: the lowest
+// ReqID still waiting, or reqSeq+1 when none is. Every ID below it was
+// answered — so it applied at an earlier, committed index — or its
+// proposer gave up. IDs are minted in order and a waiter never returns
+// once gone, so the cached floor only steps forward, over each ID once:
+// no scan of waiters per entry.
+func (c *Cluster) advanceFloor() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.ackFloor <= c.reqSeq {
+		if _, waiting := c.waiters[c.ackFloor]; waiting {
+			break
+		}
+		c.ackFloor++
+	}
+	return c.ackFloor
 }
 
 // proposeEntry hands one encoded entry to the current leader, parking
@@ -408,7 +440,6 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 	if c.stopped.Load() {
 		return result{}, ErrStopped
 	}
-	cmd.ReqID = c.reqSeq.Add(1)
 	c.statCommands.Add(1)
 	if c.obsPropose != nil {
 		start := c.opts.Clock.Now()
@@ -416,6 +447,8 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 	}
 	ch := make(chan result, 1)
 	c.mu.Lock()
+	c.reqSeq++
+	cmd.ReqID = c.reqSeq
 	c.waiters[cmd.ReqID] = ch
 	c.mu.Unlock()
 	defer func() {

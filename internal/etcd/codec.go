@@ -20,8 +20,11 @@ import (
 // Layout (integers, length prefixes and decode errors follow
 // internal/codec):
 //
-//	cmdMagic | op | ReqID | Key | Value | flags | RequestBy
+//	cmdMagic | Floor | op | ReqID | Key | Value | flags | RequestBy
 //	[| batch count | sub-commands...]
+//
+// Floor is the entry's ack floor (storeState.raiseFloor); an entry has
+// one, so it is written once, after the magic byte.
 //
 // The leading cmdMagic byte (0xE7) is the format tag: Raft entries are
 // never read back from disk, so this is the only entry format that
@@ -33,8 +36,9 @@ import (
 // cold-path).
 //
 // Sub-commands of an opBatch envelope are encoded with the same field
-// layout (no magic byte). Nesting is a single level: an opBatch inside
-// a batch is rejected on decode, bounding recursion on corrupt input.
+// layout (no magic byte, no floor). Nesting is a single level: an
+// opBatch inside a batch is rejected on decode, bounding recursion on
+// corrupt input.
 const cmdMagic = 0xE7
 
 // commandFlag bits.
@@ -45,6 +49,7 @@ const flagPrefix = 1 << 0
 // a single allocation.
 func encodeCommand(dst []byte, cmd *command) []byte {
 	dst = append(dst, cmdMagic)
+	dst = binary.AppendUvarint(dst, cmd.Floor)
 	dst = appendCommandBody(dst, cmd)
 	if cmd.Op == opBatch {
 		dst = binary.AppendUvarint(dst, uint64(len(cmd.Batch)))
@@ -74,9 +79,9 @@ func appendCommandBody(dst []byte, cmd *command) []byte {
 // commandSize returns an upper bound on the encoded size of cmd, so
 // encode buffers can be allocated exactly once.
 func commandSize(cmd *command) int {
-	// 1 magic + ~10 bytes per varint field (5 fields) + string/byte
-	// payloads; generous per-field bound beats a second pass.
-	n := 1 + commandBodySize(cmd)
+	// 1 magic + the floor + ~10 bytes per varint field (5 fields) +
+	// string/byte payloads; generous per-field bound beats a second pass.
+	n := 1 + binary.MaxVarintLen64 + commandBodySize(cmd)
 	if cmd.Op == opBatch {
 		n += binary.MaxVarintLen64
 		for i := range cmd.Batch {
@@ -129,6 +134,7 @@ func decodeCommandBody(r *codec.Reader, cmd *command, topLevel bool) error {
 		return err
 	}
 	cmd.RequestBy = int(reqBy)
+	cmd.Floor = 0
 	cmd.Batch = nil
 	return nil
 }
@@ -146,10 +152,15 @@ func decodeCommand(data []byte, cmd *command) error {
 	if magic != cmdMagic {
 		return fmt.Errorf("%w: leading byte %#x is not the command magic", codec.ErrCorrupt, magic)
 	}
+	floor, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
 	scratch := cmd.Batch[:0]
 	if err := decodeCommandBody(&r, cmd, true); err != nil {
 		return err
 	}
+	cmd.Floor = floor
 	// Retain the caller's Batch backing array across single-command
 	// decodes so a later batch decode into the same scratch struct can
 	// reuse it.

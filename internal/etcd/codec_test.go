@@ -14,7 +14,7 @@ import (
 // batches as equal (the codec canonicalizes empties to nil).
 func commandEqual(a, b *command) bool {
 	if a.Op != b.Op || a.Key != b.Key || a.Prefix != b.Prefix ||
-		a.ReqID != b.ReqID || a.RequestBy != b.RequestBy {
+		a.ReqID != b.ReqID || a.RequestBy != b.RequestBy || a.Floor != b.Floor {
 		return false
 	}
 	if !bytes.Equal(a.Value, b.Value) {
@@ -33,12 +33,12 @@ func commandEqual(a, b *command) bool {
 
 func codecCases() []command {
 	return []command{
-		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7},
-		{Op: opPut, Key: "k", Value: nil, ReqID: 1<<64 - 1},
+		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7, Floor: 5},
+		{Op: opPut, Key: "k", Value: nil, ReqID: 1<<64 - 1, Floor: 1<<64 - 1},
 		{Op: opDelete, Key: "jobs/", Prefix: true, ReqID: 3},
 		{Op: opDelete, Key: "jobs/y/status", ReqID: 4, RequestBy: 1},
 		{Op: opPut, Key: "a", Value: []byte{0, 1, 2}, ReqID: 8, RequestBy: 2},
-		{Op: opBatch, Batch: []command{
+		{Op: opBatch, Floor: 10, Batch: []command{
 			{Op: opPut, Key: "b/1", Value: []byte("v1"), ReqID: 10},
 			{Op: opDelete, Key: "b/2", ReqID: 11},
 			{Op: opDelete, Key: "b/", Prefix: true, ReqID: 12},
@@ -61,14 +61,15 @@ func TestCommandCodecRoundtrip(t *testing.T) {
 }
 
 // TestCommandCodecGoldenBytes pins the entry layout byte for byte: a
-// batch envelope holding a Put, a prefix Delete and a plain Delete.
+// batch envelope with ack floor 7 holding a Put, a prefix Delete and a
+// plain Delete.
 func TestCommandCodecGoldenBytes(t *testing.T) {
-	cmd := command{Op: opBatch, ReqID: 300, Batch: []command{
+	cmd := command{Op: opBatch, ReqID: 300, Floor: 7, Batch: []command{
 		{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7, RequestBy: 3},
 		{Op: opDelete, Key: "jobs/", Prefix: true, ReqID: 1 << 40},
 		{Op: opDelete, Key: "jobs/x/done", ReqID: 9},
 	}}
-	const want = "e762ac02000000000301070d6a6f62732f782f7374617475730a50524f43455353494e47000602808080808020056a6f6273" +
+	const want = "e70762ac02000000000301070d6a6f62732f782f7374617475730a50524f43455353494e47000602808080808020056a6f6273" +
 		"2f00010002090b6a6f62732f782f646f6e65000000"
 	if got := hex.EncodeToString(encodeEntry(&cmd)); got != want {
 		t.Fatalf("entry bytes changed:\n got %s\nwant %s", got, want)
@@ -177,32 +178,34 @@ func TestCommandCodecBatchScratchReuse(t *testing.T) {
 
 // FuzzCommandCodecRoundtrip fuzzes three properties at once:
 //
-//  1. decode(encode(x)) == x for a command built from the fuzz inputs
-//     (including a batch envelope when batchN > 0);
+//  1. decode(encode(x)) == x for a command built from the fuzz inputs,
+//     ack floor included (and a batch envelope when op is opBatch);
 //  2. decoding any proper prefix of the encoding errors — truncated
 //     entries never decode silently;
 //  3. decoding arbitrary bytes (the raw value payload) never panics,
 //     and errors whenever the first byte is not cmdMagic (a gob-encoded
 //     command is seeded as one such payload).
 func FuzzCommandCodecRoundtrip(f *testing.F) {
-	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), false, uint64(7), 0, uint8(0), uint(0))
-	f.Add(uint8(opDelete), "a", []byte{1, 2}, true, uint64(6), 1, uint8(3), uint(2))
-	f.Add(uint8(opBatch), "", []byte(nil), false, uint64(0), 0, uint8(5), uint(9))
+	f.Add(uint8(opPut), "jobs/x/status", []byte("PROCESSING"), false, uint64(7), uint64(5), 0, uint8(0), uint(0))
+	f.Add(uint8(opDelete), "a", []byte{1, 2}, true, uint64(6), uint64(1<<63), 1, uint8(3), uint(2))
+	f.Add(uint8(opBatch), "", []byte(nil), false, uint64(0), uint64(300), 0, uint8(5), uint(9))
 	f.Add(uint8(opPut), "gob", gobCommand(f, &command{Op: opPut, Key: "jobs/x/status", Value: []byte("PROCESSING"), ReqID: 7}),
-		false, uint64(1), 0, uint8(0), uint(0))
-	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, false, uint64(2), 0, uint8(0), uint(0))
+		false, uint64(1), uint64(0), 0, uint8(0), uint(0))
+	f.Add(uint8(opPut), "nomagic", []byte{0x00, 0xE7, 0x01}, false, uint64(2), uint64(2), 0, uint8(0), uint(0))
 	f.Fuzz(func(t *testing.T, op uint8, key string, value []byte,
-		prefix bool, reqID uint64, requestBy int, batchN uint8, cut uint) {
+		prefix bool, reqID, floor uint64, requestBy int, batchN uint8, cut uint) {
 		want := command{
 			Op: cmdOp(op), Key: key, Value: value,
-			Prefix: prefix, ReqID: reqID, RequestBy: requestBy,
+			Prefix: prefix, ReqID: reqID, RequestBy: requestBy, Floor: floor,
 		}
 		if want.Op == opBatch {
 			// Envelopes hold non-batch sub-commands (nesting is rejected
-			// by decode); synthesize a few from the same inputs.
+			// by decode) without a floor of their own; synthesize a few
+			// from the same inputs.
 			n := int(batchN%8) + 1
 			sub := want
 			sub.Op = opPut
+			sub.Floor = 0
 			for i := 0; i < n; i++ {
 				sub.ReqID = reqID + uint64(i)
 				want.Batch = append(want.Batch, sub)

@@ -62,6 +62,9 @@ type command struct {
 	Prefix    bool
 	ReqID     uint64 // for client response matching
 	RequestBy int    // proposing node
+	// Floor is the proposer's ack floor, carried by top-level commands
+	// only (an entry has one): see storeState.raiseFloor.
+	Floor uint64
 	// Batch is the group-commit envelope payload (Op == opBatch): the
 	// commands drained from the proposal queue, applied in order as one
 	// atomically-replicated Raft entry.
@@ -87,12 +90,16 @@ type result struct {
 // Request-ID deduplication makes application exactly-once even when a
 // client re-proposes across a leader change and both proposals commit.
 type storeState struct {
-	mu         sync.Mutex
-	kv         map[string]KV
-	rev        uint64
-	watchers   map[int]*watcher
-	nextW      int
+	mu       sync.Mutex
+	kv       map[string]KV
+	rev      uint64
+	watchers map[int]*watcher
+	nextW    int
+	// appliedReq caches the result of each applied command whose ReqID
+	// is at or above floor, the highest ack floor any applied entry
+	// carried: the dedup window holds only in-flight proposals.
 	appliedReq map[uint64]result
+	floor      uint64
 
 	// hist retains recent events, oldest first, so a resuming watcher
 	// can replay from a revision instead of re-listing; a resume older
@@ -157,13 +164,37 @@ func (s *storeState) signalApply() {
 	s.mu.Unlock()
 }
 
+// raiseFloor adopts an entry's ack floor — the client-session rule of
+// the Raft dissertation (Ongaro 2014, §6.3). Every ReqID below the floor
+// was answered, which means it applied at an earlier index, or its
+// proposer gave up; either way a later copy is a stale duplicate, so its
+// cached result can go. The floor rides in the replicated entry, so all
+// replicas prune and skip alike. The table is swept only when the floor
+// moves, and then holds only the previous window.
+func (s *storeState) raiseFloor(floor uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if floor <= s.floor {
+		return
+	}
+	s.floor = floor
+	for id := range s.appliedReq {
+		if id < floor {
+			delete(s.appliedReq, id)
+		}
+	}
+}
+
 // apply executes a replicated command; deterministic across replicas.
 // A command whose ReqID has already been applied returns the cached
-// result without mutating state.
+// result without mutating state, and one below the ack floor is skipped.
 func (s *storeState) apply(c *command) result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.ReqID != 0 {
+		if c.ReqID < s.floor {
+			return result{} // nobody waits for it any more
+		}
 		if prev, ok := s.appliedReq[c.ReqID]; ok {
 			return prev
 		}
@@ -371,7 +402,7 @@ func (s *storeState) snapshot() []byte {
 	defer s.mu.Unlock()
 	var buf bytes.Buffer
 	snap := storeSnapshot{
-		KVs: make([]KV, 0, len(s.kv)), Rev: s.rev,
+		KVs: make([]KV, 0, len(s.kv)), Rev: s.rev, Floor: s.floor,
 	}
 	for _, v := range s.kv {
 		snap.KVs = append(snap.KVs, v)
@@ -402,6 +433,7 @@ func (s *storeState) restore(data []byte) {
 		s.kv[kv.Key] = kv
 	}
 	s.rev = snap.Rev
+	s.floor = snap.Floor
 	s.appliedReq = make(map[uint64]result, len(snap.Applied))
 	for _, id := range snap.Applied {
 		s.appliedReq[id] = result{}
@@ -421,9 +453,12 @@ func (s *storeState) restoreCount() uint64 {
 }
 
 type storeSnapshot struct {
-	KVs     []KV
-	Rev     uint64
+	KVs []KV
+	Rev uint64
+	// Applied is the dedup window, every ID at or above Floor, so a
+	// restored replica rejects the same duplicates as the leader.
 	Applied []uint64
+	Floor   uint64
 	// Hist is the replica's watch history, oldest first.
 	Hist []Event
 }

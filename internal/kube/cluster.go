@@ -106,6 +106,9 @@ type Cluster struct {
 	// name, fresh UID) must never be able to overwrite — or be killed
 	// through — a dying predecessor's stop channel.
 	podStops map[uint64]*podStop
+	// started maps pod name -> UID of the incarnation kubeletStartLoop
+	// handed to a kubelet. Only that loop touches it while it runs.
+	started map[string]uint64
 
 	stopCh chan struct{}
 	// loopWG tracks the control loops (scheduler, controllers, node
@@ -140,6 +143,7 @@ func NewCluster(cfg Config) *Cluster {
 		runtimes: make(map[string]Runtime),
 		kubelets: make(map[string]*kubelet),
 		podStops: make(map[uint64]*podStop),
+		started:  make(map[string]uint64),
 		stopCh:   make(chan struct{}),
 	}
 	if cfg.Obs != nil {

@@ -205,8 +205,12 @@ func (c *Cluster) reconcileDeployment(d *Deployment) {
 }
 
 // reconcileJob drives a run-to-completion pod with restart backoff.
+// A Job whose pod succeeded is deleted with that pod at once —
+// Kubernetes' ttlSecondsAfterFinished: 0 — so a finished job leaves no
+// kube object behind. A Job that exhausted its backoff stays, marked
+// Failed: the LCM's resurrection path reads it.
 func (c *Cluster) reconcileJob(j *Job) {
-	if j.Succeeded || j.Failed {
+	if j.Failed {
 		return
 	}
 	podName := fmt.Sprintf("%s-attempt-%d", j.Name, j.Attempts)
@@ -223,7 +227,8 @@ func (c *Cluster) reconcileJob(j *Job) {
 	}
 	switch p.Status.Phase {
 	case PodSucceeded:
-		c.store.UpdateJob(j.Name, func(job *Job) { job.Succeeded = true })
+		c.store.Delete(KindJob, j.Name)
+		c.store.Delete(KindPod, podName)
 	case PodFailed:
 		if j.Attempts >= j.BackoffLimit {
 			c.store.UpdateJob(j.Name, func(job *Job) { job.Failed = true })

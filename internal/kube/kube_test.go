@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,12 +257,14 @@ func TestJobRestartsUntilBackoffLimit(t *testing.T) {
 	}
 }
 
+// TestJobSucceeds pins a Job's run to completion: a failed attempt is
+// retried, and once an attempt succeeds the Job and its pod are deleted
+// (ttlSecondsAfterFinished: 0).
 func TestJobSucceeds(t *testing.T) {
 	c := testCluster(t, Config{})
-	fails := 0
+	var runs atomic.Int32
 	c.RegisterRuntime("flaky", func(ctx *PodContext) int {
-		if fails < 1 {
-			fails++
+		if runs.Add(1) == 1 {
 			return 1
 		}
 		return 0
@@ -271,10 +274,13 @@ func TestJobSucceeds(t *testing.T) {
 		Name: "g", BackoffLimit: 3,
 		Template: PodSpec{Demand: sched.Resources{MilliCPU: 100}, Runtime: "flaky"},
 	})
-	waitFor(t, "job success after retry", 3*time.Second, func() bool {
-		obj, ok := c.Store().Get(KindJob, "g")
-		return ok && obj.(*Job).Succeeded
+	waitFor(t, "job and pod deleted after success", 3*time.Second, func() bool {
+		_, ok := c.Store().Get(KindJob, "g")
+		return !ok && len(c.Store().PodsOf(KindJob, "g")) == 0
 	})
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("job ran %d attempts, want 2 (one failure, one success)", n)
+	}
 }
 
 func TestNodeCrashEvictsAndReschedules(t *testing.T) {

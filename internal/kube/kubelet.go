@@ -107,47 +107,52 @@ func (k *kubelet) stop() {
 // kubeletStartLoop (on the cluster) watches for pods that are bound but
 // not yet started and hands them to their node's kubelet. A single loop
 // keeps goroutine count low at cluster sizes of hundreds of nodes.
+//
+// c.started remembers the UID of the incarnation handed to a kubelet,
+// so a recreated pod (same name, fresh UID) starts again while
+// duplicate watch events for one incarnation are ignored. A pod's
+// WatchDeleted drops its entry only when the stored UID is the deleted
+// pod's: a queued delete of a previous incarnation that arrives after
+// its replacement started leaves the replacement's entry alone, so it
+// cannot re-arm the name and double-start the replacement. The resync
+// tick prunes entries whose delete event the watch dropped.
 func (c *Cluster) kubeletStartLoop(events <-chan WatchEvent) {
 	ticker := c.cfg.Clock.NewTicker(c.cfg.ResyncInterval)
 	defer ticker.Stop()
-	// started maps pod name -> UID of the incarnation already handed to
-	// a kubelet, so a recreated pod (same name, fresh UID) starts again
-	// while duplicate watch events for one incarnation are ignored.
-	// Entries are pruned only on the resync tick, never on WatchDeleted:
-	// a queued Deleted event for the previous incarnation can arrive
-	// after its replacement was already started, and re-arming the name
-	// then would double-start the replacement.
-	started := make(map[string]uint64)
 	for {
 		select {
 		case <-c.stopCh:
 			return
 		case ev := <-events:
-			if p, ok := ev.Object.(*Pod); ok && ev.Type != WatchDeleted {
-				c.maybeStartPod(p, started)
+			if ev.Type == WatchDeleted {
+				if p, ok := ev.Prev.(*Pod); ok && c.started[p.Name] == p.UID {
+					delete(c.started, p.Name)
+				}
+			} else if p, ok := ev.Object.(*Pod); ok {
+				c.maybeStartPod(p)
 			}
 		case <-ticker.C:
 			pods := c.store.ListPods("")
 			live := make(map[string]bool, len(pods))
 			for _, p := range pods {
 				live[p.Name] = true
-				c.maybeStartPod(p, started)
+				c.maybeStartPod(p)
 			}
 			// Prune names with no pod object. Safe against recreation
 			// races because this loop is the only writer of started:
 			// any entry present here was recorded before the List above,
 			// so its pod (if still wanted) is in the snapshot.
-			for name := range started {
+			for name := range c.started {
 				if !live[name] {
-					delete(started, name)
+					delete(c.started, name)
 				}
 			}
 		}
 	}
 }
 
-func (c *Cluster) maybeStartPod(p *Pod, started map[string]uint64) {
-	if p.Status.Node == "" || p.Status.Phase != PodPending || started[p.Name] == p.UID {
+func (c *Cluster) maybeStartPod(p *Pod) {
+	if p.Status.Node == "" || p.Status.Phase != PodPending || c.started[p.Name] == p.UID {
 		return
 	}
 	c.mu.Lock()
@@ -156,7 +161,7 @@ func (c *Cluster) maybeStartPod(p *Pod, started map[string]uint64) {
 	if kl == nil || kl.isCrashed() {
 		return
 	}
-	started[p.Name] = p.UID
+	c.started[p.Name] = p.UID
 	kl.wg.Add(1)
 	go func(p *Pod) {
 		defer kl.wg.Done()

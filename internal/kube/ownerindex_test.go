@@ -101,17 +101,18 @@ func FuzzOwnerIndex(f *testing.F) {
 
 // idleCluster returns a cluster whose control loops never started, so a
 // test can drive one reconcile call and count exactly its allocations.
-// jobPods unrelated Job-owned pods stand in for finished jobs: kube
-// keeps every Guardian Job and its pod.
+// jobPods unrelated Job-owned pods stand in for finished jobs whose
+// Guardian kube keeps: a Job that exhausted its backoff stays, Failed,
+// with its last pod.
 func idleCluster(jobPods int) *Cluster {
 	cfg := Config{}
 	cfg.defaults()
 	c := &Cluster{cfg: cfg, store: NewStore(), podStops: make(map[uint64]*podStop)}
 	for i := 0; i < jobPods; i++ {
 		job := fmt.Sprintf("jobmonitor-training-%06d", i)
-		c.store.Put(KindJob, job, &Job{Name: job, Succeeded: true})
+		c.store.Put(KindJob, job, &Job{Name: job, Failed: true})
 		c.store.PutPod(&Pod{Name: job + "-attempt-0", Owner: OwnerRef{Kind: KindJob, Name: job},
-			Status: PodStatus{Phase: PodSucceeded}})
+			Status: PodStatus{Phase: PodFailed}})
 	}
 	return c
 }

@@ -176,10 +176,10 @@ type Job struct {
 	Template     PodSpec
 	BackoffLimit int
 
-	// Status fields maintained by the controller.
-	Attempts  int
-	Succeeded bool
-	Failed    bool
+	// Status fields maintained by the controller; a Job whose pod
+	// succeeds is deleted instead (reconcileJob).
+	Attempts int
+	Failed   bool
 }
 
 // Clone copies the job.
