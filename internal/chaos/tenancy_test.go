@@ -29,9 +29,6 @@ func TestPreemptionSurvivesLCMFailover(t *testing.T) {
 				{User: "freeloader", Tier: sched.TierFree, GPUs: 1},
 				{User: "payer", Tier: sched.TierPaid, GPUs: 8},
 			},
-			// Tight resync so the re-issued halt lands quickly after the
-			// LCM restart.
-			ResyncInterval: 10 * time.Millisecond,
 		},
 	})
 	if err != nil {

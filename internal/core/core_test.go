@@ -269,6 +269,44 @@ func TestGuardianCrashRollsBackAndRedeploys(t *testing.T) {
 	}
 }
 
+// TestGuardianRewatchesAcrossEtcdLeaderFailover isolates the etcd leader
+// while a job is PROCESSING. That closes the Guardian's watch, which was
+// registered on the old leader; the Guardian must re-watch on the new
+// one. The safety tick is 50s here, so a job that completes within the
+// test's deadline was driven by the re-watch.
+func TestGuardianRewatchesAcrossEtcdLeaderFailover(t *testing.T) {
+	p := newTestPlatform(t, func(c *Config) {
+		c.PollInterval = 5 * time.Second
+		c.TimeCompression = 5e-5
+	})
+	c := p.Client()
+	m := testManifest()
+	m.Iterations = 2000
+	jobID, err := c.Submit(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, c, jobID, StatusProcessing, 20*time.Second)
+
+	old := p.Etcd.Leader()
+	p.Etcd.Isolate(old, true)
+	defer p.Etcd.Isolate(old, false)
+	waitStatus(t, c, jobID, StatusCompleted, 20*time.Second)
+
+	reply, err := c.Status(context.Background(), jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []JobStatus{StatusPending, StatusDeploying, StatusDownloading, StatusProcessing, StatusStoring, StatusCompleted}
+	var got []JobStatus
+	for _, h := range reply.History {
+		got = append(got, h.Status)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("history = %v, want %v", got, want)
+	}
+}
+
 func TestAPIReplicaCrashDoesNotInterruptService(t *testing.T) {
 	p := newTestPlatform(t, nil)
 	c := p.Client()
@@ -937,7 +975,12 @@ func TestJobTrafficOnce(t *testing.T) {
 drain:
 	for {
 		select {
-		case ev := <-ws.Events():
+		case ev, ok := <-ws.Events():
+			if !ok {
+				// Closed by a leader change or an overflow: a write
+				// may be missing from what was read.
+				t.Fatalf("the jobs/ watch closed after %d puts", puts)
+			}
 			if ev.Type != etcd.EventPut {
 				continue
 			}

@@ -20,12 +20,10 @@ import (
 //	<DataDir>/learner-logs/   every job's learner lines, interleaved
 //
 // With DataDir unset every log rides a MemStore and nothing survives
-// the process — the simulation default. The etcd watch history is not
-// a log here: it persists only inside Raft snapshots and is
-// intentionally not in DataDir. The coordination state it indexes
-// (learner keys, control verbs) is itself rebuilt from scratch on a
-// cold restart, so durable watch revisions would resume into a world
-// that no longer matches them.
+// the process — the simulation default. etcd is intentionally not in
+// DataDir: its coordination state (learner keys, control verbs) is
+// rebuilt from scratch on a cold restart, and its watches are live
+// streams with nothing to resume.
 
 // Log directory names under DataDir.
 const (

@@ -198,9 +198,9 @@ func (p *Platform) teardownJob(jobID string) {
 // paper describes ("controllers record learner state in etcd and other
 // components watch those keys", §3.3/§3.8). The check itself is
 // level-triggered (it re-reads state rather than trusting event
-// payloads), so the watch stream's resync contract and a slow safety
-// tick both just mean "look again", and no event ordering subtlety can
-// wedge a job.
+// payloads), so an event, a closed stream and a slow safety tick all
+// just mean "look again", and no event ordering subtlety can wedge a
+// job.
 func (p *Platform) monitorJob(ctx *kube.PodContext, jobID string, m Manifest) int {
 	var ws *etcd.WatchStream
 	var events <-chan etcd.Event
@@ -238,7 +238,13 @@ func (p *Platform) monitorJob(ctx *kube.PodContext, jobID string, m Manifest) in
 		case _, ok := <-events:
 			// Coalesce the burst: one re-check covers all queued writes.
 			if !ok || sim.Coalesce(events, nil) {
-				events = nil // stream ended; ticker carries on
+				// The stream closed (leader change, overflow) and may
+				// have missed a write: re-watch before the re-check so
+				// none goes unread. A failed re-watch is retried on the
+				// ticker.
+				ws.Cancel()
+				ws, events = nil, nil
+				attach()
 			}
 		case <-ticker.C:
 			attach()

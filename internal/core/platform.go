@@ -160,10 +160,6 @@ type TenancyConfig struct {
 	// DisablePreemption keeps starved in-quota heads waiting instead of
 	// checkpointing victims (ablation; production FfDL preempts, §3.6).
 	DisablePreemption bool
-	// ResyncInterval overrides the dispatcher's safety-net tick
-	// (default PollInterval * 10). It bounds recovery from dropped
-	// events, never dispatch latency.
-	ResyncInterval time.Duration
 }
 
 // jobResources is the in-memory handle set for one deployed job.
@@ -250,11 +246,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		Replicas: etcdReplicas,
 		Clock:    cfg.Clock,
 		Seed:     cfg.Seed + 1,
-		// Watch failure detection is a safety net like every other
-		// resync tick, so it scales with the platform's poll interval
-		// (and stretches with it in long-virtual-horizon simulations).
-		WatchHealthInterval: cfg.PollInterval * 4,
-		Obs:                 instruments,
+		Obs:      instruments,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: boot etcd: %w", err)

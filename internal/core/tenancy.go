@@ -31,10 +31,6 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 		}
 	}
 	p.Admission = sched.NewAdmission(0)
-	resync := tc.ResyncInterval
-	if resync <= 0 {
-		resync = p.cfg.PollInterval * 10
-	}
 	var instruments *obs.Registry
 	if !p.cfg.DisableObs {
 		instruments = p.Obs
@@ -44,7 +40,7 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 		Backend:           &tenantBackend{p: p, lcm: newDispatchBalancer(p)},
 		Registry:          p.Tenants,
 		Admission:         p.Admission,
-		ResyncInterval:    resync,
+		ResyncInterval:    p.cfg.PollInterval * 10,
 		DisablePreemption: tc.DisablePreemption,
 		Obs:               instruments,
 	})

@@ -44,11 +44,10 @@ func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 	fc.StartAutoAdvance(15 * time.Millisecond)
 	t.Cleanup(fc.StopAutoAdvance)
 
-	resync := 300 * time.Second // dispatch must never wait for this
 	cfg := Config{
 		Clock:             fc,
 		Seed:              7,
-		PollInterval:      100 * time.Millisecond,
+		PollInterval:      30 * time.Second,
 		SchedulerInterval: 100 * time.Millisecond,
 		ResyncInterval:    100 * time.Millisecond,
 		RendezvousTimeout: 10 * time.Second,
@@ -56,9 +55,9 @@ func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 			Quotas: []tenant.Record{
 				{User: "alice", Tier: sched.TierPaid, GPUs: 4},
 			},
-			ResyncInterval: resync,
 		},
 	}
+	resync := cfg.PollInterval * 10 // the dispatcher's tick: dispatch must never wait for it
 	p, err := NewPlatform(cfg)
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)

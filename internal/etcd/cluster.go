@@ -20,8 +20,8 @@ type Options struct {
 	// 50-100ms election timeouts — fast enough for tests, slow enough to
 	// be stable on loaded CI machines.
 	TickInterval time.Duration
-	// Clock supplies time for proposal deadlines and watch health
-	// ticks. Defaults to the wall clock.
+	// Clock supplies time for proposal deadlines and safety-net
+	// timers. Defaults to the wall clock.
 	Clock sim.Clock
 	// Seed makes election randomization deterministic in tests.
 	Seed int64
@@ -30,13 +30,6 @@ type Options struct {
 	// ProposalTimeout bounds how long a client call waits for commit.
 	// Defaults to 5s.
 	ProposalTimeout time.Duration
-	// WatchHealthInterval is the per-stream failure-detection tick: how
-	// often an attached WatchStream audits its source replica for
-	// isolation, stuckness or buffer overflow. It bounds failover
-	// detection latency only — event delivery is pushed — so
-	// long-virtual-horizon simulations may stretch it freely. Defaults
-	// to TickInterval * 4.
-	WatchHealthInterval time.Duration
 	// Obs, when non-nil, wires the cluster into the platform's metrics
 	// registry: propose→apply latency ("etcd.propose_apply") and
 	// commands-per-entry batch sizes ("etcd.batch_size"). Nil leaves the
@@ -62,9 +55,6 @@ func (o *Options) defaults() {
 	}
 	if o.ProposalTimeout <= 0 {
 		o.ProposalTimeout = 5 * time.Second
-	}
-	if o.WatchHealthInterval <= 0 {
-		o.WatchHealthInterval = o.TickInterval * 4
 	}
 }
 
@@ -101,8 +91,8 @@ type Cluster struct {
 
 	// leaderSig is closed and replaced whenever any node gains or sheds
 	// leadership (or the topology changes): the event-driven wake for
-	// WaitLeader and the batch loop. A cluster with a stable leader
-	// holds no polling waiter.
+	// WaitLeader, the batch loop and watchLoop. A cluster with a stable
+	// leader holds no polling waiter.
 	leaderMu  sync.Mutex
 	leaderSig chan struct{}
 
@@ -158,10 +148,14 @@ func NewCluster(opts Options) (*Cluster, error) {
 	for _, n := range c.nodes {
 		n.start(opts.TickInterval)
 	}
-	c.wg.Add(1)
+	c.wg.Add(2)
 	go func() {
 		defer c.wg.Done()
 		c.batchLoop()
+	}()
+	go func() {
+		defer c.wg.Done()
+		c.watchLoop()
 	}()
 	if _, err := c.WaitLeader(10 * time.Second); err != nil {
 		c.Stop()
@@ -240,7 +234,8 @@ func (c *Cluster) leaderIndex() int {
 }
 
 // notifyLeadership broadcasts a leadership / topology change to every
-// event-driven waiter (WaitLeader, the batch loop, leaderState).
+// event-driven waiter (WaitLeader, the batch loop, leaderState,
+// watchLoop).
 func (c *Cluster) notifyLeadership() {
 	c.leaderMu.Lock()
 	close(c.leaderSig)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/sim"
 )
 
 func newTestCluster(t *testing.T, opts Options) *Cluster {
@@ -159,135 +161,144 @@ func TestWatchPrefixStreamsAll(t *testing.T) {
 	}
 }
 
-// TestWatchFromRevisionReplays proves a watcher can resume from an old
-// revision and receive the missed events from the retained history.
-func TestWatchFromRevisionReplays(t *testing.T) {
-	c := newTestCluster(t, Options{})
-	var first uint64
-	for i := 0; i < 5; i++ {
-		rev, err := c.Put(fmt.Sprintf("jobs/j/l%d", i), []byte("S"), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == 0 {
-			first = rev
-		}
-	}
-	ws, err := c.Watch("jobs/j/", true, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ws.Cancel()
-	for i := 0; i < 5; i++ {
-		select {
-		case ev := <-ws.Events():
-			want := fmt.Sprintf("jobs/j/l%d", i)
-			if ev.Type != EventPut || ev.KV.Key != want {
-				t.Fatalf("replayed event %d = %+v, want PUT %s", i, ev, want)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("missing replayed event %d", i)
-		}
-	}
-}
-
-// TestWatchCompactedHistoryResyncs proves the overflow→resync contract:
-// resuming past the retained history window yields an EventResync marker
-// followed by the current state, not a silent gap.
-func TestWatchCompactedHistoryResyncs(t *testing.T) {
-	c := newTestCluster(t, Options{})
-	const puts = 2100 // past 2*watchHistory, a multiple of the 5 keys
-	for i := 0; i < puts; i++ {
-		if _, err := c.Put(fmt.Sprintf("k%02d", i%5), []byte(fmt.Sprintf("v%d", i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ws, err := c.Watch("k", true, 1) // revision 1 is long compacted
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ws.Cancel()
-	select {
-	case ev := <-ws.Events():
-		if ev.Type != EventResync {
-			t.Fatalf("first event = %v, want RESYNC", ev.Type)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no resync event")
-	}
-	seen := make(map[string]string)
-	for len(seen) < 5 {
-		select {
-		case ev := <-ws.Events():
-			if ev.Type != EventPut {
-				t.Fatalf("post-resync event = %+v", ev)
-			}
-			seen[ev.KV.Key] = string(ev.KV.Value)
-		case <-time.After(2 * time.Second):
-			t.Fatalf("resync delivered only %d/5 keys", len(seen))
-		}
-	}
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		if v := seen[k]; v != fmt.Sprintf("v%d", puts-5+i) {
-			t.Fatalf("resync state %s = %q", k, v)
-		}
-	}
-}
-
-// TestWatchResumesAcrossLeaderFailover is the dependability heart of the
-// event-driven control plane: a prefix watch keeps delivering every
-// event, in revision order without duplicates, while the replica it was
-// attached to is isolated and leadership moves.
-func TestWatchResumesAcrossLeaderFailover(t *testing.T) {
+// TestWatchClosesWhenLeaderIsolated: a stream is trusted only while its
+// replica leads. Isolating the leader closes the stream; a re-watch
+// registers on the new leader and sees the next write.
+func TestWatchClosesWhenLeaderIsolated(t *testing.T) {
 	c := newTestCluster(t, Options{Replicas: 3})
 	ws, err := c.Watch("jobs/", true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Cancel()
+	rev, err := c.Put("jobs/j/l0", []byte("S"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, ok := nextEvent(t, ws); !ok || ev.Revision != rev {
+		t.Fatalf("first event %+v (open=%v), want revision %d", ev, ok, rev)
+	}
 
-	var wantRevs []uint64
-	put := func(i int) {
-		rev, err := c.Put(fmt.Sprintf("jobs/j/l%d", i), []byte("S"), 0)
-		if err != nil {
-			t.Fatalf("Put %d: %v", i, err)
-		}
-		wantRevs = append(wantRevs, rev)
-	}
-	for i := 0; i < 3; i++ {
-		put(i)
-	}
-	// Kill the replica the watch is attached to (the leader at
-	// registration time) and keep writing through the new leader.
 	old := c.Leader()
 	c.Isolate(old, true)
-	for i := 3; i < 10; i++ {
-		put(i)
+	defer c.Isolate(old, false)
+	if ev, ok := nextEvent(t, ws); ok {
+		t.Fatalf("event %+v after the leader was isolated, want a close", ev)
 	}
 
-	var got []uint64
-	timeout := time.After(10 * time.Second)
-	for len(got) < len(wantRevs) {
-		select {
-		case ev, ok := <-ws.Events():
-			if !ok {
-				t.Fatalf("stream closed after %d/%d events", len(got), len(wantRevs))
-			}
-			if ev.Type == EventResync {
-				t.Fatal("failover forced a resync; history replay expected")
-			}
-			got = append(got, ev.Revision)
-		case <-timeout:
-			t.Fatalf("delivered %d/%d events across failover", len(got), len(wantRevs))
+	ws2, err := c.Watch("jobs/", true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Cancel()
+	if c.states[old] == ws2.st {
+		t.Fatal("re-watch registered on the isolated replica")
+	}
+	rev, err = c.Put("jobs/j/l1", []byte("S"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, ok := nextEvent(t, ws2); !ok || ev.Revision != rev || ev.KV.Key != "jobs/j/l1" {
+		t.Fatalf("re-watch got %+v (open=%v), want PUT jobs/j/l1 @%d", ev, ok, rev)
+	}
+}
+
+// nextEvent receives from ws, failing the test if nothing (not even a
+// close) arrives within 5s.
+func nextEvent(t *testing.T, ws *WatchStream) (Event, bool) {
+	t.Helper()
+	select {
+	case ev, ok := <-ws.Events():
+		return ev, ok
+	case <-time.After(5 * time.Second):
+		t.Fatal("no event or close within 5s")
+		return Event{}, false
+	}
+}
+
+// TestWatchOverflowClosesStream: a consumer that falls a full buffer
+// behind gets every buffered event, in revision order, then a close —
+// never a silent gap.
+func TestWatchOverflowClosesStream(t *testing.T) {
+	c := newTestCluster(t, Options{})
+	ws, err := c.Watch("k", false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Cancel()
+	var revs []uint64
+	for i := 0; i <= watchBuffer; i++ {
+		rev, err := c.Put("k", []byte(fmt.Sprint(i)), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		revs = append(revs, rev)
+	}
+	var got []uint64
+	for ev := range ws.Events() {
+		got = append(got, ev.Revision)
+	}
+	if len(got) != watchBuffer {
+		t.Fatalf("delivered %d events before the close, want %d", len(got), watchBuffer)
 	}
 	for i, rev := range got {
-		if rev != wantRevs[i] {
-			t.Fatalf("event %d revision = %d, want %d (got %v want %v)", i, rev, wantRevs[i], got, wantRevs)
+		if rev != revs[i] {
+			t.Fatalf("event %d at revision %d, want %d", i, rev, revs[i])
 		}
 	}
-	c.Isolate(old, false)
+}
+
+// TestWatchFromRevisionIsRejected: a stream cannot resume from a
+// revision, so a non-zero fromRevision errors and registers nothing.
+func TestWatchFromRevisionIsRejected(t *testing.T) {
+	c := newTestCluster(t, Options{})
+	rev, err := c.Put("k", []byte("v"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws, err := c.Watch("k", false, rev); err == nil {
+		ws.Cancel()
+		t.Fatal("Watch from a revision succeeded")
+	}
+	for i, st := range c.states {
+		st.mu.Lock()
+		n := len(st.watchers)
+		st.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("replica %d holds %d watchers after the rejected watch", i, n)
+		}
+	}
+}
+
+// TestWatchesAddNoTimer: a stream is a registration, not a goroutine
+// with a health ticker, so K open watches leave the clock's waiter count
+// where it was; Cancel and cluster stop close them.
+func TestWatchesAddNoTimer(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	c := newTestCluster(t, Options{Clock: fc})
+	base := fc.WaiterCount()
+	var streams []*WatchStream
+	for i := 0; i < 8; i++ {
+		ws, err := c.Watch(fmt.Sprintf("jobs/j%d/", i), true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, ws)
+	}
+	time.Sleep(20 * time.Millisecond) // let any per-stream goroutine arm its timer
+	if n := fc.WaiterCount(); n != base {
+		t.Fatalf("8 open watches hold %d clock waiters, want %d", n, base)
+	}
+	streams[0].Cancel()
+	if _, ok := nextEvent(t, streams[0]); ok {
+		t.Fatal("cancelled stream delivered an event")
+	}
+	c.Stop()
+	for _, ws := range streams[1:] {
+		if _, ok := nextEvent(t, ws); ok {
+			t.Fatal("stream delivered an event after cluster stop")
+		}
+	}
 }
 
 // TestPutWithLeaseIsRejected: leases are not supported, so a Put that
@@ -446,118 +457,6 @@ func TestLaggingFollowerCatchesUpViaSnapshot(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("follower did not catch up via snapshot")
-}
-
-// TestSnapshotRestorePreservesWatchHistory pins the durable-history half
-// of the watch contract at the state-machine level: a replica rebuilt
-// from a snapshot adopts the snapshot's compacted event log, so a
-// watcher resuming from an old revision gets the full replay backlog,
-// not a resync.
-func TestSnapshotRestorePreservesWatchHistory(t *testing.T) {
-	src := newStoreState()
-	var req uint64
-	for i := 0; i < 10; i++ {
-		req++
-		src.apply(&command{Op: opPut, Key: fmt.Sprintf("jobs/j/l%d", i), Value: []byte("S"), ReqID: req})
-	}
-	dst := newStoreState()
-	dst.restore(src.snapshot())
-	if got := dst.restoreCount(); got != 1 {
-		t.Fatalf("restoreCount = %d, want 1", got)
-	}
-	if dst.revision() != src.revision() {
-		t.Fatalf("restored revision = %d, want %d", dst.revision(), src.revision())
-	}
-	_, backlog, cancel := dst.addWatcherFrom("jobs/j/", true, 1, 64)
-	defer cancel()
-	if len(backlog) != 10 {
-		t.Fatalf("replay backlog = %d events, want 10", len(backlog))
-	}
-	for i, ev := range backlog {
-		if ev.Type != EventPut || ev.Revision != uint64(i+1) {
-			t.Fatalf("backlog[%d] = %+v, want PUT at revision %d", i, ev, i+1)
-		}
-	}
-}
-
-// TestWatchReplaysAgainstSnapshotRestoredLeader is the acceptance pin
-// for durable watch history: a replica that rejoined via InstallSnapshot
-// is forced to become leader (the replica watches attach to), and a
-// watcher resuming from the beginning of history replays every event in
-// revision order with no EventResync.
-func TestWatchReplaysAgainstSnapshotRestoredLeader(t *testing.T) {
-	c := newTestCluster(t, Options{Replicas: 3, SnapshotThreshold: 32})
-	leader := c.Leader()
-	follower := (leader + 1) % 3
-	c.Isolate(follower, true)
-	var wantRevs []uint64
-	for i := 0; i < 120; i++ {
-		rev, err := c.Put(fmt.Sprintf("jobs/j/l%d", i%10), []byte("S"), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRevs = append(wantRevs, rev)
-	}
-	c.Isolate(follower, false)
-	// The healed follower is too far behind the compacted log, so it
-	// must catch up via a snapshot — which now carries the event log.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.states[follower].restoreCount() < 1 ||
-		c.states[follower].revision() < wantRevs[len(wantRevs)-1] {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never restored from snapshot (restores=%d rev=%d)",
-				c.states[follower].restoreCount(), c.states[follower].revision())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.SnapshotRestores() < 1 {
-		t.Fatal("SnapshotRestores did not count the install")
-	}
-	// Bounce leadership until the restored replica leads. The write made
-	// while the old leader is cut keeps its log stale so it cannot
-	// immediately win the term back.
-	deadline = time.Now().Add(15 * time.Second)
-	for c.Leader() != follower {
-		if time.Now().After(deadline) {
-			t.Fatal("restored replica never became leader")
-		}
-		cur := c.Leader()
-		if cur < 0 || cur == follower {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		c.Isolate(cur, true)
-		if _, err := c.Put("bounce", []byte("x"), 0); err != nil {
-			t.Fatalf("bounce write: %v", err)
-		}
-		c.Isolate(cur, false)
-	}
-	ws, err := c.Watch("jobs/j/", true, wantRevs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ws.Cancel()
-	var got []uint64
-	timeout := time.After(10 * time.Second)
-	for len(got) < len(wantRevs) {
-		select {
-		case ev, ok := <-ws.Events():
-			if !ok {
-				t.Fatalf("stream closed after %d/%d events", len(got), len(wantRevs))
-			}
-			if ev.Type == EventResync {
-				t.Fatal("resume against restored replica forced a resync; persisted-log replay expected")
-			}
-			got = append(got, ev.Revision)
-		case <-timeout:
-			t.Fatalf("replayed %d/%d events", len(got), len(wantRevs))
-		}
-	}
-	for i, rev := range got {
-		if rev != wantRevs[i] {
-			t.Fatalf("event %d revision = %d, want %d", i, rev, wantRevs[i])
-		}
-	}
 }
 
 func TestSingleNodeCluster(t *testing.T) {

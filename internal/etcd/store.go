@@ -25,12 +25,6 @@ type EventType int
 const (
 	EventPut EventType = iota + 1
 	EventDelete
-	// EventResync marks a gap in the event stream: the watcher fell too
-	// far behind (or resumed past the retained history) and intermediate
-	// events were lost. It is followed by EventPut events synthesizing
-	// the current state under the watched key/prefix; consumers that
-	// track deletions must re-list on seeing it.
-	EventResync
 )
 
 func (t EventType) String() string {
@@ -39,15 +33,15 @@ func (t EventType) String() string {
 		return "PUT"
 	case EventDelete:
 		return "DELETE"
-	case EventResync:
-		return "RESYNC"
 	default:
 		return "UNKNOWN"
 	}
 }
 
-// Event is delivered to watchers on every mutation under their key or
-// prefix.
+// Event is delivered live to watchers on every mutation under their
+// key or prefix: a put carries the key's new KV, a delete the key and
+// the deleting revision. Several deletes of one DeletePrefix share a
+// revision.
 type Event struct {
 	Type     EventType
 	KV       KV
@@ -101,14 +95,6 @@ type storeState struct {
 	appliedReq map[uint64]result
 	floor      uint64
 
-	// hist retains recent events, oldest first, so a resuming watcher
-	// can replay from a revision instead of re-listing; a resume older
-	// than hist[0] gets a resync instead. hist[0] always starts a
-	// revision (multi-key deletes emit several events at one revision;
-	// splitting them would corrupt a replay). The slice rides along in
-	// Raft snapshots, so replay survives snapshot restore and leader
-	// failover.
-	hist []Event
 	// restores counts snapshot restores applied to this replica
 	// (Cluster.SnapshotRestores).
 	restores uint64
@@ -119,23 +105,15 @@ type storeState struct {
 	applySig chan struct{}
 }
 
-// watcher receives events for a key or prefix.
+// watcher receives events for a key or prefix. Its channel is closed,
+// under the store lock, when the watcher is removed.
 type watcher struct {
 	id     int
 	key    string
 	prefix bool
 	ch     chan Event
 	closed bool
-	// overflowed is set when an event could not be buffered; the owning
-	// WatchStream notices and re-registers from its last revision,
-	// getting a replay or resync instead of a silent gap.
-	overflowed bool
 }
-
-// watchHistory is the retention floor of a replica's watch history:
-// once that many events exist, at least watchHistory are retained, and
-// at most twice that (unless one revision alone emits more).
-const watchHistory = 1024
 
 func newStoreState() *storeState {
 	return &storeState{
@@ -255,22 +233,16 @@ func (s *storeState) deleteLocked(key string, prefix bool) result {
 }
 
 func (s *storeState) notifyLocked(ev Event) {
-	s.appendHistLocked(ev)
 	for _, w := range s.watchers {
-		if w.closed {
-			continue
-		}
 		if !w.matches(ev.KV.Key) {
 			continue
 		}
 		select {
 		case w.ch <- ev:
 		default:
-			// Slow watcher: drop the event and mark the gap. The watch
-			// stream layer re-registers from its last delivered revision
-			// (replay from history, or resync if compacted), so no
-			// consumer ever sees a silent hole.
-			w.overflowed = true
+			// Slow watcher: close it rather than drop the event, so the
+			// consumer sees the gap as the end of its stream.
+			s.removeWatcherLocked(w)
 		}
 	}
 }
@@ -280,49 +252,6 @@ func (w *watcher) matches(key string) bool {
 		return strings.HasPrefix(key, w.key)
 	}
 	return key == w.key
-}
-
-// appendHistLocked records an event in place. Once the history holds
-// 2*watchHistory events, the newest watchHistory are copied down, the
-// cut moved back to the start of its revision; steady-state appends
-// therefore allocate nothing.
-func (s *storeState) appendHistLocked(ev Event) {
-	s.hist = append(s.hist, ev)
-	if len(s.hist) < 2*watchHistory {
-		return
-	}
-	cut := len(s.hist) - watchHistory
-	for cut > 0 && s.hist[cut-1].Revision == s.hist[cut].Revision {
-		cut--
-	}
-	n := copy(s.hist, s.hist[cut:])
-	clear(s.hist[n:])
-	s.hist = s.hist[:n]
-}
-
-// histReplayLocked returns the retained events with Revision >= fromRev
-// that match w, or ok=false when fromRev predates the retained floor
-// (the caller resyncs from current state instead).
-func (s *storeState) histReplayLocked(w *watcher, fromRev uint64) (backlog []Event, ok bool) {
-	if len(s.hist) == 0 || s.hist[0].Revision > fromRev {
-		return nil, false
-	}
-	i := sort.Search(len(s.hist), func(i int) bool { return s.hist[i].Revision >= fromRev })
-	for _, ev := range s.hist[i:] {
-		if w.matches(ev.KV.Key) {
-			backlog = append(backlog, ev)
-		}
-	}
-	return backlog, true
-}
-
-// overflowOf reports and clears a watcher's overflow flag.
-func (s *storeState) overflowOf(w *watcher) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ov := w.overflowed
-	w.overflowed = false
-	return ov
 }
 
 // revision returns the replica's current revision.
@@ -354,45 +283,38 @@ func (s *storeState) list(prefix string) []KV {
 	return out
 }
 
-// addWatcherFrom atomically registers a watcher and computes the backlog
-// of events the caller needs to catch up from fromRev (inclusive).
-// Holding the lock across both steps guarantees the backlog and the live
-// stream are gap-free and non-overlapping. If fromRev predates the
-// retained history, the backlog is instead an EventResync marker followed
-// by the current state synthesized as puts.
-func (s *storeState) addWatcherFrom(key string, prefix bool, fromRev uint64, buf int) (*watcher, []Event, func()) {
+// addWatcher registers a watcher that receives every later event
+// under key (or, with prefix, every key under it).
+func (s *storeState) addWatcher(key string, prefix bool, buf int) *watcher {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextW++
 	w := &watcher{id: s.nextW, key: key, prefix: prefix, ch: make(chan Event, buf)}
 	s.watchers[w.id] = w
+	return w
+}
 
-	var backlog []Event
-	if fromRev > 0 && fromRev <= s.rev {
-		replay, replayable := s.histReplayLocked(w, fromRev)
-		if replayable {
-			backlog = replay
-		} else {
-			// Compacted past fromRev: resync from current state.
-			backlog = append(backlog, Event{Type: EventResync, Revision: s.rev})
-			for k, kv := range s.kv {
-				if w.matches(k) {
-					backlog = append(backlog, Event{Type: EventPut, KV: kv, Revision: kv.ModRevision})
-				}
-			}
-			sort.Slice(backlog[1:], func(i, j int) bool {
-				return backlog[1+i].KV.Key < backlog[1+j].KV.Key
-			})
-		}
+// removeWatcher unregisters w and closes its channel; idempotent.
+func (s *storeState) removeWatcher(w *watcher) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.removeWatcherLocked(w)
+}
+
+func (s *storeState) removeWatcherLocked(w *watcher) {
+	if !w.closed {
+		w.closed = true
+		delete(s.watchers, w.id)
+		close(w.ch)
 	}
-	return w, backlog, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !w.closed {
-			w.closed = true
-			delete(s.watchers, w.id)
-			close(w.ch)
-		}
+}
+
+// closeWatchers removes every watcher of this replica.
+func (s *storeState) closeWatchers() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range s.watchers {
+		s.removeWatcherLocked(w)
 	}
 }
 
@@ -412,9 +334,6 @@ func (s *storeState) snapshot() []byte {
 		snap.Applied = append(snap.Applied, id)
 	}
 	sort.Slice(snap.Applied, func(i, j int) bool { return snap.Applied[i] < snap.Applied[j] })
-	// The watch history rides along so a replica rebuilt from this
-	// snapshot can still replay watches from old revisions.
-	snap.Hist = s.hist
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		panic(fmt.Sprintf("etcd: snapshot encode: %v", err)) // cannot fail for these types
 	}
@@ -438,10 +357,6 @@ func (s *storeState) restore(data []byte) {
 	for _, id := range snap.Applied {
 		s.appliedReq[id] = result{}
 	}
-	// Adopt the snapshot's watch history: a watcher resuming against
-	// this freshly-restored replica replays from its revision instead of
-	// resyncing.
-	s.hist = snap.Hist
 	s.restores++
 }
 
@@ -459,8 +374,6 @@ type storeSnapshot struct {
 	// restored replica rejects the same duplicates as the leader.
 	Applied []uint64
 	Floor   uint64
-	// Hist is the replica's watch history, oldest first.
-	Hist []Event
 }
 
 // Store errors.

@@ -1,7 +1,7 @@
 package kube
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -435,7 +435,9 @@ func (c *Cluster) recordEvent(evType EventType, reason, kind, object, podType, m
 	})
 }
 
-// fmtPodName builds controller-owned pod names.
+// fmtPodName builds controller-owned pod names. It concatenates rather
+// than calling fmt.Sprintf, whose pooled printer allocates on a pool
+// miss, so a reconcile allocates the same on every run.
 func fmtPodName(owner string, ordinal int) string {
-	return fmt.Sprintf("%s-%d", owner, ordinal)
+	return owner + "-" + strconv.Itoa(ordinal)
 }
