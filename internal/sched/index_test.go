@@ -176,7 +176,7 @@ func TestCandidatesLimitIsFullestFirst(t *testing.T) {
 			cs.Assign(fmt.Sprintf("n%d", i), Resources{GPUs: 1})
 		}
 	}
-	got, _ := cs.Candidates(&PodSpec{Name: "p", Demand: Resources{GPUs: 1}}, 3)
+	got, _ := cs.Candidates(nil, &PodSpec{Name: "p", Demand: Resources{GPUs: 1}}, 3)
 	if len(got) != 3 {
 		t.Fatalf("candidates = %d, want 3", len(got))
 	}

@@ -132,9 +132,10 @@ func (g GreedyGang) PlaceGang(gang *Gang, cs *ClusterState) ([]Assignment, *Fail
 	defer cs.Rollback(mark)
 	// Place large pods first: best-fit-decreasing reduces failure on
 	// tight clusters.
-	order := podOrder(gang)
-	out := make([]Assignment, 0, len(gang.Pods))
-	for _, i := range order {
+	// Each assignment lands in its pod's slot, so the output keeps the
+	// gang's declared pod order.
+	out := make([]Assignment, len(gang.Pods))
+	for _, i := range podOrder(gang) {
 		p := &gang.Pods[i]
 		nodeName, fail := g.Pod.PlacePod(p, cs)
 		if fail != nil {
@@ -142,9 +143,8 @@ func (g GreedyGang) PlaceGang(gang *Gang, cs *ClusterState) ([]Assignment, *Fail
 			return nil, fail
 		}
 		cs.Assign(nodeName, p.Demand)
-		out = append(out, Assignment{Pod: p.Name, Node: nodeName})
+		out[i] = Assignment{Pod: p.Name, Node: nodeName}
 	}
-	sortAssignments(gang, out)
 	return out, nil
 }
 
@@ -158,13 +158,4 @@ func podOrder(g *Gang) []int {
 		return g.Pods[order[a]].Demand.GPUs > g.Pods[order[b]].Demand.GPUs
 	})
 	return order
-}
-
-// sortAssignments restores the gang's declared pod order in the output.
-func sortAssignments(g *Gang, as []Assignment) {
-	pos := make(map[string]int, len(g.Pods))
-	for i, p := range g.Pods {
-		pos[p.Name] = i
-	}
-	sort.SliceStable(as, func(i, j int) bool { return pos[as[i].Pod] < pos[as[j].Pod] })
 }

@@ -411,15 +411,17 @@ func (cs *ClusterState) eachRelevantType(p *PodSpec, fn func(*typeIndex) bool) {
 // failure reason across nodes (the predicate breakdown the paper
 // extracts from FailedScheduling logs).
 func (cs *ClusterState) FeasibleNodes(p *PodSpec) ([]*Node, FailureReason) {
-	return cs.Candidates(p, 0)
+	return cs.Candidates(nil, p, 0)
 }
 
 // Candidates is FeasibleNodes with an optional per-GPU-type limit:
 // limit > 0 stops collecting after that many feasible nodes per type,
 // without touching the (emptier) remainder of the index. Sampling
 // schedulers use it to bound work per placement step on huge clusters.
-func (cs *ClusterState) Candidates(p *PodSpec, limit int) ([]*Node, FailureReason) {
-	var out []*Node
+// The candidates are appended to dst, so a caller that passes its own
+// buffer back in (dst[:0]) scans without allocating.
+func (cs *ClusterState) Candidates(dst []*Node, p *PodSpec, limit int) ([]*Node, FailureReason) {
+	out := dst
 	matching, gpuOK := 0, 0
 	cs.eachRelevantType(p, func(ti *typeIndex) bool {
 		matching += len(ti.ordered)
@@ -439,10 +441,10 @@ func (cs *ClusterState) Candidates(p *PodSpec, limit int) ([]*Node, FailureReaso
 		}
 		return true
 	})
-	if len(out) > 0 {
+	if len(out) > len(dst) {
 		return out, ""
 	}
-	return nil, cs.dominantReason(p, matching, gpuOK)
+	return out, cs.dominantReason(p, matching, gpuOK)
 }
 
 // BestPacked returns the pack-preferred feasible node. Each type index
