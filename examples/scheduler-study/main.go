@@ -27,11 +27,6 @@ func run(gang bool) {
 		GangScheduling:  &gang,
 		TimeCompression: 1, // jobs effectively run "forever" for this snapshot
 		Seed:            1,
-		// A slow scheduling pass lets all four jobs' pods accumulate in
-		// the queue before placement, like the paper's concurrent
-		// submission; the stock scheduler then binds them in shuffled
-		// (nondeterministic) order.
-		SchedulerInterval: 250 * time.Millisecond,
 	}
 	platform, err := ffdl.New(cfg)
 	if err != nil {

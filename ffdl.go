@@ -39,8 +39,9 @@
 // etcd-watch architecture (§3.3, §3.8): components record state and
 // other components watch it, so reaction latency is bounded by event
 // propagation, not by any poll interval, and an idle platform goes
-// quiescent. Ticker loops remain only as slow resync safety nets. The
-// watch chain end to end:
+// quiescent. The tickers that remain are heartbeats, the node
+// controller's grace check and a few safety ticks over durable stores;
+// no kube control loop keeps one. The watch chain end to end:
 //
 //   - learners write status/exit files to the job's shared NFS volume;
 //     the helper's controller container wakes on volume writes and
@@ -58,11 +59,12 @@
 //     history sequence number across API replica crashes so every
 //     transition is delivered exactly once, in order.
 //
-// The etcd watch primitive underneath (internal/etcd.Cluster.Watch)
-// survives leader failover by revision-based resume, and bounds all
-// buffers: a watcher that falls too far behind receives an explicit
-// resync (current state) rather than a silent gap, so consumers can
-// miss events safely.
+// Neither watch underneath — the etcd watch (internal/etcd.Cluster.Watch)
+// nor the kube store watch (internal/kube.Store.Watch) — replays or
+// drops silently. Each bounds its buffer and closes the stream when it
+// breaks: on overflow, and for etcd on leader failover. The close is
+// the gap signal: the consumer re-watches, then re-reads the state the
+// stream guards, so consumers can miss events safely.
 //
 // # Multi-tenancy
 //

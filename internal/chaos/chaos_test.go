@@ -14,8 +14,6 @@ import (
 func testCluster(t *testing.T) *kube.Cluster {
 	t.Helper()
 	c := kube.NewCluster(kube.Config{
-		SchedulerInterval: time.Millisecond,
-		ResyncInterval:    2 * time.Millisecond,
 		HeartbeatInterval: 3 * time.Millisecond,
 		NodeGracePeriod:   20 * time.Millisecond,
 	})

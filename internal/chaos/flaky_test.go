@@ -15,7 +15,8 @@ import (
 // class the package godoc advertises: one node crash-loops repeatedly
 // (each crash superseding the pending restore) while a deployment's pods
 // must land and stay on healthy nodes, and the scheduler's incremental
-// dirty-set view stays consistent with the store throughout.
+// dirty-set view stays consistent with the store throughout: after the
+// loop, the free GPUs fill exactly.
 func TestFlakyNodeCrashLoopReschedulesElsewhere(t *testing.T) {
 	c := testCluster(t)
 	c.Store().Put(kube.KindDeployment, "svc", &kube.Deployment{
@@ -86,20 +87,28 @@ func TestFlakyNodeCrashLoopReschedulesElsewhere(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// The scheduler's incremental view must still reconcile cleanly:
-	// subsequent resync audits prove the dirty-set consistent with the
-	// store (no phantom capacity from the crash-looped node).
-	before := c.SchedStats()
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		st := c.SchedStats()
-		if st.AuditsClean > before.AuditsClean {
-			break
+	// The scheduler's incremental view must still match the store: the
+	// 14 GPUs left free must take exactly 14 more one-GPU pods, and no
+	// node may run more GPUs than it has. A view that lost capacity
+	// leaves pods pending; one that kept phantom capacity overcommits a
+	// node.
+	for i := 0; i < 14; i++ {
+		c.Store().PutPod(&kube.Pod{
+			Name: fmt.Sprintf("fill-%02d", i),
+			Spec: kube.PodSpec{Demand: sched.Resources{MilliCPU: 100, MemoryMB: 64, GPUs: 1}, Runtime: "block"},
+		})
+	}
+	waitRunning(16, "")
+	used := make(map[string]int)
+	for _, p := range c.Store().ListPods("") {
+		if !p.Terminated() && p.Status.Node != "" {
+			used[p.Status.Node] += p.Spec.Demand.GPUs
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no clean scheduler audit after crash-loop: %+v", st)
+	}
+	for node, gpus := range used {
+		if gpus > 4 {
+			t.Fatalf("node %s runs %d GPUs of pods, has 4", node, gpus)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -743,8 +743,6 @@ func TestEventDrivenControlPlanePollIndependence(t *testing.T) {
 		Clock:             fc,
 		Seed:              11,
 		PollInterval:      100 * time.Millisecond,
-		SchedulerInterval: 100 * time.Millisecond,
-		ResyncInterval:    100 * time.Millisecond,
 		RendezvousTimeout: 10 * time.Second,
 	}
 	p, err := NewPlatform(cfg)

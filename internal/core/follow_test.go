@@ -254,8 +254,6 @@ func TestWatchDeliversEveryFastJob(t *testing.T) {
 	}
 	p := newTestPlatform(t, func(c *Config) {
 		c.PollInterval = 30 * time.Second
-		c.SchedulerInterval = time.Minute
-		c.ResyncInterval = time.Minute
 		c.HeartbeatInterval = 2 * time.Minute
 		c.NodeGracePeriod = 10 * time.Minute
 		c.TimeCompression = 0

@@ -68,13 +68,14 @@ type Config struct {
 
 	// PollInterval is the platform-internal control loop period.
 	PollInterval time.Duration
-	// SchedulerInterval / ResyncInterval / HeartbeatInterval /
-	// NodeGracePeriod tune the kube control loops (defaulted by
-	// internal/kube when zero). Long-virtual-horizon experiments on a
-	// simulated clock stretch all of them so periodic safety nets do
-	// not dominate the event count.
+	// SchedulerInterval is ignored; ROADMAP 1a deletes it.
 	SchedulerInterval time.Duration
-	ResyncInterval    time.Duration
+	// ResyncInterval is ignored; ROADMAP 1a deletes it.
+	ResyncInterval time.Duration
+	// HeartbeatInterval / NodeGracePeriod tune the kubelet heartbeat
+	// and the node controller (defaulted by internal/kube when zero).
+	// Long-virtual-horizon experiments on a simulated clock stretch
+	// them so periodic heartbeats do not dominate the event count.
 	HeartbeatInterval time.Duration
 	NodeGracePeriod   time.Duration
 
@@ -308,8 +309,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		PodPolicy:         sched.Pack{},
 		GangPolicy:        gang,
 		StartDelay:        cfg.StartDelay,
-		SchedulerInterval: cfg.SchedulerInterval,
-		ResyncInterval:    cfg.ResyncInterval,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		NodeGracePeriod:   cfg.NodeGracePeriod,
 		Obs:               instruments,
@@ -466,9 +465,6 @@ func (p *Platform) collectStats(set func(name string, v int64)) {
 	set("sched.pods_bound", int64(ss.PodsBound))
 	set("sched.events_seen", int64(ss.EventsSeen))
 	set("sched.events_ignored", int64(ss.EventsIgnored))
-	set("sched.events_dropped", int64(ss.EventsDropped))
-	set("sched.resyncs_skipped", int64(ss.ResyncsSkipped))
-	set("sched.audits_clean", int64(ss.AuditsClean))
 	set("sched.spread_full_scans", int64(ss.SpreadFullScans))
 
 	es := p.Etcd.Stats()

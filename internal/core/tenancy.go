@@ -18,9 +18,10 @@ import (
 // pumps that turn the platform's existing watch fabric into dispatcher
 // wake-ups — job status transitions from the status bus and cluster
 // capacity from the kube node watch; quota writes reach the dispatcher
-// straight from handleSetQuota. Each is an event path only; the
+// straight from handleSetQuota. Each is an event path only: the
 // dispatcher's resync tick re-reads the durable stores, so a dropped
-// event delays work, never loses it.
+// status event delays work, never loses it, and the capacity pump
+// re-reads capacity when its node watch closes.
 
 // startTenancy boots the registry, admission controller and dispatcher.
 func (p *Platform) startTenancy(tc *TenancyConfig) error {
@@ -50,12 +51,10 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 	// same store watch the scheduler's freed-capacity wake rides).
 	// Heartbeat-only node updates are filtered out by the capacity
 	// comparison below.
-	nodeWatch := p.Kube.Store().Watch(kube.KindNode)
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		defer nodeWatch.Cancel()
-		p.nodeCapacityLoop(nodeWatch)
+		p.nodeCapacityLoop()
 	}()
 
 	// Status pump: QUEUED enqueues, HALTED releases/requeues victims,
@@ -75,7 +74,11 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 }
 
 // nodeCapacityLoop folds node watch events into the admission budget.
-func (p *Platform) nodeCapacityLoop(w *kube.StoreWatch) {
+// It keeps no ticker: when the watch closes on overflow it re-watches,
+// then re-reads capacity.
+func (p *Platform) nodeCapacityLoop() {
+	w := p.Kube.Store().Watch(kube.KindNode)
+	defer func() { w.Cancel() }()
 	apply := func() {
 		_, capacity := p.Kube.GPUUtilization()
 		if capacity == 0 {
@@ -86,23 +89,16 @@ func (p *Platform) nodeCapacityLoop(w *kube.StoreWatch) {
 		p.Dispatcher.SetClusterGPUs(capacity)
 	}
 	apply()
-	// Slow safety tick: node events are low-churn, but a dropped one
-	// would otherwise leave the budget stale indefinitely.
-	ticker := p.clock.NewTicker(p.cfg.PollInterval * 20)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-p.stopCh:
 			return
 		case ev, ok := <-w.Events():
 			if !ok {
-				return
-			}
-			if !nodeCapacityChanged(ev) {
+				w = p.Kube.Store().Watch(kube.KindNode)
+			} else if !nodeCapacityChanged(ev) {
 				continue // heartbeat or status-only churn
 			}
-			apply()
-		case <-ticker.C:
 			apply()
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ffdl/ffdl/internal/kube"
 	"github.com/ffdl/ffdl/internal/sched"
 	"github.com/ffdl/ffdl/internal/sim"
 	"github.com/ffdl/ffdl/internal/tenant"
@@ -48,8 +49,6 @@ func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 		Clock:             fc,
 		Seed:              7,
 		PollInterval:      30 * time.Second,
-		SchedulerInterval: 100 * time.Millisecond,
-		ResyncInterval:    100 * time.Millisecond,
 		RendezvousTimeout: 10 * time.Second,
 		Tenancy: &TenancyConfig{
 			Quotas: []tenant.Record{
@@ -291,4 +290,30 @@ func TestTenantCallsDegradeDuringOutage(t *testing.T) {
 		}
 		return err == nil && rec.GPUs == 4
 	})
+}
+
+// TestCapacityPumpAddsNoWaiter: the tenancy capacity pump follows node
+// capacity on its watch alone, holding no clock waiter.
+func TestCapacityPumpAddsNoWaiter(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	adm := sched.NewAdmission(0)
+	p := &Platform{
+		Kube:       kube.NewCluster(kube.Config{Clock: fc}),
+		Dispatcher: tenant.NewDispatcher(tenant.Config{Clock: fc, Admission: adm}), // not started: no ticker
+		stopCh:     make(chan struct{}),
+	}
+	t.Cleanup(p.Kube.Stop)
+	p.Kube.AddNode("node0", "K80", sched.Resources{MilliCPU: 16000, MemoryMB: 96000, GPUs: 4})
+	const kubeWaiters = 2 // node0's heartbeat and the node controller
+	waitUntil(t, "kube timers", 3*time.Second, func() bool { return fc.WaiterCount() == kubeWaiters })
+
+	done := make(chan struct{})
+	go func() { defer close(done); p.nodeCapacityLoop() }()
+	t.Cleanup(func() { close(p.stopCh); <-done })
+	waitUntil(t, "budget from node0", 3*time.Second, func() bool { return adm.ClusterCap() == 4 })
+	p.Kube.Store().UpdateNode("node0", func(n *kube.Node) { n.Capacity.GPUs = 8 })
+	waitUntil(t, "budget after the resize", 3*time.Second, func() bool { return adm.ClusterCap() == 8 })
+	if n := fc.WaiterCount(); n != kubeWaiters {
+		t.Fatalf("%d clock waiters with the pump running, want the kube's %d", n, kubeWaiters)
+	}
 }

@@ -169,10 +169,10 @@ func violations(vs []string) error {
 // simConfig is the platform every FakeClock experiment boots: a
 // FakeClock that auto-advances after settle of wall-clock quiet, and
 // every ticker stretched. The control plane is event-driven, so the
-// tickers are resync safety nets that only bound recovery from dropped
-// events; stretching them keeps the FakeClock event count — and so the
-// wall time — low over a long virtual horizon without touching any
-// latency that matters. The caller stops the clock's auto-advance.
+// tickers are safety nets and heartbeats that no job waits for;
+// stretching them keeps the FakeClock event count — and so the wall
+// time — low over a long virtual horizon without touching any latency
+// that matters. The caller stops the clock's auto-advance.
 func simConfig(seed int64, settle time.Duration) (core.Config, *sim.FakeClock) {
 	fc := sim.NewFakeClock(time.Unix(0, 0))
 	fc.StartAutoAdvance(settle)
@@ -180,8 +180,6 @@ func simConfig(seed int64, settle time.Duration) (core.Config, *sim.FakeClock) {
 		Clock:             fc,
 		Seed:              seed,
 		PollInterval:      30 * time.Second,
-		SchedulerInterval: time.Minute,
-		ResyncInterval:    time.Minute,
 		HeartbeatInterval: 2 * time.Minute,
 		NodeGracePeriod:   10 * time.Minute,
 		RendezvousTimeout: time.Hour,

@@ -115,14 +115,9 @@ func SchedulerScale(cfg SchedScaleConfig) SchedScaleResult {
 	cfg.defaults()
 	rng := sim.NewRNG(cfg.Seed)
 	c := kube.NewCluster(kube.Config{
-		RNG:        rng.Stream(1),
-		PodPolicy:  sched.Pack{},
-		GangPolicy: &sched.BSA{Samples: 8, Theta: 4, CandidateCap: 64, RNG: rng.Stream(2)},
-		// Long resync intervals: the run must be carried by the
-		// dirty-set event path, with the safety nets ticking at most a
-		// handful of times.
-		SchedulerInterval: 2 * time.Second,
-		ResyncInterval:    time.Second,
+		RNG:               rng.Stream(1),
+		PodPolicy:         sched.Pack{},
+		GangPolicy:        &sched.BSA{Samples: 8, Theta: 4, CandidateCap: 64, RNG: rng.Stream(2)},
 		HeartbeatInterval: 250 * time.Millisecond,
 		NodeGracePeriod:   time.Minute,
 		StartDelay:        func(string) time.Duration { return 0 },

@@ -71,11 +71,6 @@ func Table3(trials int) ([]Table3Row, error) {
 		LCMRestartDelay: time.Duration(4.8 * float64(time.Second) / table3Scale),
 		TimeCompression: 1e-4,
 		PollInterval:    time.Millisecond,
-		// Production K8s reacts sub-second; at 1000x compression the
-		// control loops must run at ~1ms or they dominate the
-		// measurement.
-		SchedulerInterval: time.Millisecond,
-		ResyncInterval:    time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

@@ -43,9 +43,9 @@ type Config struct {
 	PodPolicy sched.PodPolicy
 	// GangPolicy, when non-nil, places gang pods atomically.
 	GangPolicy sched.GangPolicy
-	// SchedulerInterval is the scheduling loop period. Default 5ms.
+	// SchedulerInterval is ignored; ROADMAP 1a deletes it.
 	SchedulerInterval time.Duration
-	// ResyncInterval is the controller reconcile period. Default 10ms.
+	// ResyncInterval is ignored; ROADMAP 1a deletes it.
 	ResyncInterval time.Duration
 	// HeartbeatInterval is the kubelet heartbeat period. Default 20ms.
 	HeartbeatInterval time.Duration
@@ -77,12 +77,6 @@ func (c *Config) defaults() {
 	if c.PodPolicy == nil {
 		c.PodPolicy = sched.Spread{}
 	}
-	if c.SchedulerInterval <= 0 {
-		c.SchedulerInterval = 5 * time.Millisecond
-	}
-	if c.ResyncInterval <= 0 {
-		c.ResyncInterval = 10 * time.Millisecond
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 20 * time.Millisecond
 	}
@@ -109,6 +103,8 @@ type Cluster struct {
 	// started maps pod name -> UID of the incarnation kubeletStartLoop
 	// handed to a kubelet. Only that loop touches it while it runs.
 	started map[string]uint64
+	// relist asks kubeletStartLoop to relist pods (RestoreNode).
+	relist chan struct{}
 
 	stopCh chan struct{}
 	// loopWG tracks the control loops (scheduler, controllers, node
@@ -136,6 +132,27 @@ type Cluster struct {
 
 // NewCluster boots an orchestrator with no nodes.
 func NewCluster(cfg Config) *Cluster {
+	c := newCluster(cfg)
+	// Subscribe every control loop's watch before any loop goroutine
+	// starts: a store write made right after NewCluster returns is then
+	// guaranteed to reach all loops. (Without this, the scheduler's
+	// initial resync could bind a pod before the kubelet host loop had
+	// subscribed, and nothing would ever deliver the bind event.) Each
+	// loop owns its watch from here: it re-watches on a close and
+	// cancels the current one on exit.
+	schedWatch := c.store.Watch("")
+	ctrlWatch := c.store.Watch("")
+	kubeletWatch := c.store.Watch(KindPod)
+	c.loopWG.Add(4)
+	go func() { defer c.loopWG.Done(); c.schedulerLoop(schedWatch) }()
+	go func() { defer c.loopWG.Done(); c.controllerLoop(ctrlWatch) }()
+	go func() { defer c.loopWG.Done(); c.nodeControllerLoop() }()
+	go func() { defer c.loopWG.Done(); c.kubeletStartLoop(kubeletWatch) }()
+	return c
+}
+
+// newCluster builds a cluster whose control loops are not running.
+func newCluster(cfg Config) *Cluster {
 	cfg.defaults()
 	c := &Cluster{
 		cfg:      cfg,
@@ -144,6 +161,7 @@ func NewCluster(cfg Config) *Cluster {
 		kubelets: make(map[string]*kubelet),
 		podStops: make(map[uint64]*podStop),
 		started:  make(map[string]uint64),
+		relist:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
 	if cfg.Obs != nil {
@@ -151,19 +169,6 @@ func NewCluster(cfg Config) *Cluster {
 		c.obsPassNodes = cfg.Obs.HistogramWith("sched.pass_nodes", obs.CountBuckets)
 		c.obsReconcile = cfg.Obs.Histogram("kube.reconcile")
 	}
-	// Subscribe every control loop's watch before any loop goroutine
-	// starts: a store write made right after NewCluster returns is then
-	// guaranteed to reach all loops. (Without this, the scheduler's
-	// initial resync could bind a pod before the kubelet host loop had
-	// subscribed, and the bind event would be lost until its resync.)
-	schedWatch := c.store.Watch("")
-	ctrlWatch := c.store.Watch("")
-	kubeletWatch := c.store.Watch(KindPod)
-	c.loopWG.Add(4)
-	go func() { defer c.loopWG.Done(); defer schedWatch.Cancel(); c.schedulerLoop(schedWatch) }()
-	go func() { defer c.loopWG.Done(); defer ctrlWatch.Cancel(); c.controllerLoop(ctrlWatch) }()
-	go func() { defer c.loopWG.Done(); c.nodeControllerLoop() }()
-	go func() { defer c.loopWG.Done(); defer kubeletWatch.Cancel(); c.kubeletStartLoop(kubeletWatch.Events()) }()
 	return c
 }
 
@@ -186,17 +191,18 @@ func (c *Cluster) runtime(name string) Runtime {
 	return c.runtimes[name]
 }
 
-// AddNode registers a machine and starts its kubelet.
+// AddNode registers a machine and starts its kubelet. The kubelet is
+// registered before the node is published, so a pod bound to the node
+// finds it when its bind event reaches the start loop.
 func (c *Cluster) AddNode(name, gpuType string, capacity sched.Resources) {
-	now := c.cfg.Clock.Now()
-	c.store.PutNode(&Node{
-		Name: name, GPUType: gpuType, Capacity: capacity,
-		Ready: true, LastHeartbeat: now,
-	})
 	kl := newKubelet(c, name)
 	c.mu.Lock()
 	c.kubelets[name] = kl
 	c.mu.Unlock()
+	c.store.PutNode(&Node{
+		Name: name, GPUType: gpuType, Capacity: capacity,
+		Ready: true, LastHeartbeat: c.cfg.Clock.Now(),
+	})
 	kl.start()
 }
 
@@ -211,13 +217,18 @@ func (c *Cluster) CrashNode(name string) {
 	}
 }
 
-// RestoreNode brings a crashed machine back.
+// RestoreNode brings a crashed machine back; the kubelet start loop
+// then relists, so pods bound to the node while it was down start.
 func (c *Cluster) RestoreNode(name string) {
 	c.mu.Lock()
 	kl := c.kubelets[name]
 	c.mu.Unlock()
 	if kl != nil {
 		kl.restore()
+		select {
+		case c.relist <- struct{}{}:
+		default: // a relist is already pending
+		}
 	}
 	c.store.UpdateNode(name, func(n *Node) {
 		n.Ready = true

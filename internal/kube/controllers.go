@@ -14,33 +14,31 @@ import (
 // touch dirty and only those are reconciled (an owner-change event
 // dirties the owner itself; a pod termination/deletion dirties the
 // pod's owner), so reconcile work scales with churn, not with the
-// number of objects in the cluster. The resync tick — and any wake
-// whose watcher dropped events, which may have dirtied owners never
-// seen — falls back to a full reconcileAll pass (which also
-// garbage-collects orphans), the same conditional-rebuild treatment
-// the scheduler got in PR 3. This is what restarts crashed learners
-// (stateful sets), helper pods (deployments) and Guardians (jobs)
-// automatically — the recovery machinery Table 3 measures.
+// number of objects in the cluster. When the watch closes — its buffer
+// overflowed, so events that dirtied unseen owners may be lost — the
+// loop re-watches and falls back to a full reconcileAll pass (which
+// also garbage-collects orphans). This is what restarts crashed
+// learners (stateful sets), helper pods (deployments) and Guardians
+// (jobs) automatically — the recovery machinery Table 3 measures.
 func (c *Cluster) controllerLoop(watch *StoreWatch) {
-	events := watch.Events()
-	ticker := c.cfg.Clock.NewTicker(c.cfg.ResyncInterval)
-	defer ticker.Stop()
+	defer func() { watch.Cancel() }()
 	for {
 		dirty := make(map[ownerKey]struct{})
 		full := false
 		select {
 		case <-c.stopCh:
 			return
-		case ev := <-events:
-			controllerMark(ev, dirty)
-			sim.Coalesce(events, func(ev WatchEvent) { // coalesce event bursts
+		case ev, ok := <-watch.Events():
+			full = !ok
+			if ok {
 				controllerMark(ev, dirty)
-			})
-		case <-ticker.C:
-			full = true // resync safety net (also garbage-collects)
+				full = sim.Coalesce(watch.Events(), func(ev WatchEvent) { // coalesce event bursts
+					controllerMark(ev, dirty)
+				})
+			}
 		}
-		if watch.TakeDropped() > 0 {
-			full = true
+		if full {
+			watch = c.store.Watch("")
 		}
 		var recStart time.Time
 		if c.obsReconcile != nil && (full || len(dirty) > 0) {

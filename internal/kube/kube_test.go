@@ -12,12 +12,6 @@ import (
 
 func testCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	if cfg.SchedulerInterval == 0 {
-		cfg.SchedulerInterval = time.Millisecond
-	}
-	if cfg.ResyncInterval == 0 {
-		cfg.ResyncInterval = 2 * time.Millisecond
-	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 5 * time.Millisecond
 	}
@@ -139,14 +133,10 @@ func TestSchedulerHonorsGPUType(t *testing.T) {
 }
 
 // TestSchedulerWakesOnPodAddWithoutTick proves the scheduler is
-// event-driven: with the interval ticker effectively disabled (1 hour),
-// a freshly created pod must still be bound and run promptly, woken by
-// the store watch alone.
+// event-driven: it keeps no ticker, so a freshly created pod must be
+// bound and run promptly, woken by the store watch alone.
 func TestSchedulerWakesOnPodAddWithoutTick(t *testing.T) {
-	c := testCluster(t, Config{
-		SchedulerInterval: time.Hour,
-		ResyncInterval:    time.Hour,
-	})
+	c := testCluster(t, Config{})
 	c.RegisterRuntime("quick", completeAfter(time.Millisecond))
 	c.AddNode("node0", "K80", gpuRes(4))
 	start := time.Now()
@@ -164,10 +154,7 @@ func TestSchedulerWakesOnPodAddWithoutTick(t *testing.T) {
 // bound as soon as the blocking pod terminates — driven by the
 // termination watch event, not a scheduler tick.
 func TestSchedulerWakesOnFreedCapacity(t *testing.T) {
-	c := testCluster(t, Config{
-		SchedulerInterval: time.Hour,
-		ResyncInterval:    time.Hour,
-	})
+	c := testCluster(t, Config{})
 	c.RegisterRuntime("block", blockUntilKilled)
 	c.RegisterRuntime("quick", completeAfter(time.Millisecond))
 	c.AddNode("node0", "K80", gpuRes(1))

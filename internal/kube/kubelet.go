@@ -114,39 +114,52 @@ func (k *kubelet) stop() {
 // WatchDeleted drops its entry only when the stored UID is the deleted
 // pod's: a queued delete of a previous incarnation that arrives after
 // its replacement started leaves the replacement's entry alone, so it
-// cannot re-arm the name and double-start the replacement. The resync
-// tick prunes entries whose delete event the watch dropped.
-func (c *Cluster) kubeletStartLoop(events <-chan WatchEvent) {
-	ticker := c.cfg.Clock.NewTicker(c.cfg.ResyncInterval)
-	defer ticker.Stop()
+// cannot re-arm the name and double-start the replacement.
+//
+// The loop relists — starts every bound, unstarted pod and prunes
+// entries with no pod — when its watch closes on overflow (after
+// re-watching) and when RestoreNode brings a kubelet back, as a real
+// kubelet syncs its pods on restart: a pod bound while its kubelet was
+// crashed has no later event to start it.
+func (c *Cluster) kubeletStartLoop(watch *StoreWatch) {
+	defer func() { watch.Cancel() }()
 	for {
 		select {
 		case <-c.stopCh:
 			return
-		case ev := <-events:
-			if ev.Type == WatchDeleted {
+		case ev, ok := <-watch.Events():
+			if !ok {
+				watch = c.store.Watch(KindPod)
+				c.relistPods()
+			} else if ev.Type == WatchDeleted {
 				if p, ok := ev.Prev.(*Pod); ok && c.started[p.Name] == p.UID {
 					delete(c.started, p.Name)
 				}
 			} else if p, ok := ev.Object.(*Pod); ok {
 				c.maybeStartPod(p)
 			}
-		case <-ticker.C:
-			pods := c.store.ListPods("")
-			live := make(map[string]bool, len(pods))
-			for _, p := range pods {
-				live[p.Name] = true
-				c.maybeStartPod(p)
-			}
-			// Prune names with no pod object. Safe against recreation
-			// races because this loop is the only writer of started:
-			// any entry present here was recorded before the List above,
-			// so its pod (if still wanted) is in the snapshot.
-			for name := range c.started {
-				if !live[name] {
-					delete(c.started, name)
-				}
-			}
+		case <-c.relist:
+			c.relistPods()
+		}
+	}
+}
+
+// relistPods starts every bound, unstarted pod and prunes started
+// entries whose pod is gone.
+func (c *Cluster) relistPods() {
+	pods := c.store.ListPods("")
+	live := make(map[string]bool, len(pods))
+	for _, p := range pods {
+		live[p.Name] = true
+		c.maybeStartPod(p)
+	}
+	// Prune names with no pod object. Safe against recreation races
+	// because the start loop is the only writer of started: any entry
+	// present here was recorded before the List above, so its pod (if
+	// still wanted) is in the snapshot.
+	for name := range c.started {
+		if !live[name] {
+			delete(c.started, name)
 		}
 	}
 }

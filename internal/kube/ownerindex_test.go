@@ -105,9 +105,7 @@ func FuzzOwnerIndex(f *testing.F) {
 // Guardian kube keeps: a Job that exhausted its backoff stays, Failed,
 // with its last pod.
 func idleCluster(jobPods int) *Cluster {
-	cfg := Config{}
-	cfg.defaults()
-	c := &Cluster{cfg: cfg, store: NewStore(), podStops: make(map[uint64]*podStop)}
+	c := newCluster(Config{})
 	for i := 0; i < jobPods; i++ {
 		job := fmt.Sprintf("jobmonitor-training-%06d", i)
 		c.store.Put(KindJob, job, &Job{Name: job, Failed: true})

@@ -17,8 +17,8 @@ type SchedStats struct {
 	// pods against the cluster view.
 	Passes uint64
 	// FullScans counts full-cluster view rebuilds: one at boot plus one
-	// per resync tick (the safety net against dropped watch events).
-	// Event-driven operation between ticks never re-lists the store.
+	// per close of the scheduler's watch (a buffer overflow). Event-driven
+	// operation never re-lists the store otherwise.
 	FullScans uint64
 	// NodesExamined is the cumulative number of nodes placement queries
 	// inspected across all passes. Dividing by Passes gives the
@@ -31,19 +31,6 @@ type SchedStats struct {
 	// (heartbeat-only node updates above all).
 	EventsSeen    uint64
 	EventsIgnored uint64
-	// EventsDropped is the cumulative count of store watch events the
-	// scheduler's watcher dropped under backpressure, harvested from
-	// the store at each resync. A nonzero harvest is the only thing
-	// that makes the resync tick rebuild the view.
-	EventsDropped uint64
-	// ResyncsSkipped counts resync ticks that found zero dropped events
-	// and therefore skipped the full-store rebuild, running only the
-	// cheap revision audit. On a healthy cluster every tick lands here.
-	ResyncsSkipped uint64
-	// AuditsClean counts skipped resyncs whose revision audit proved
-	// the incremental view current (last folded event revision ==
-	// store revision, nothing in flight).
-	AuditsClean uint64
 	// SpreadFullScans counts placement queries answered by the Spread
 	// policy. Spread examines every feasible candidate: its score mixes
 	// CPU and GPU equally, so the pack-ordered capacity index cannot
@@ -69,15 +56,10 @@ type SchedStats struct {
 // discarded at the event filter, so on a large cluster an idle or
 // fully-waiting scheduler does zero work per heartbeat.
 //
-// The SchedulerInterval ticker survives as the slow resync safety net,
-// but it is conditional: only dropped watch events can make the
-// incremental view drift, so a tick first harvests the watcher's
-// dropped-events counter (StoreWatch.TakeDropped) and rebuilds from a
-// full listing (SchedStats.FullScans) only when it is nonzero. A tick
-// with zero drops is reduced to a cheap revision audit — compare the
-// last folded event revision against Store.Revision() — and counted in
-// SchedStats.ResyncsSkipped. On a healthy cluster the safety net
-// therefore costs O(1) per tick, not O(cluster).
+// The loop keeps no ticker. Only a lost event can make the incremental
+// view drift, and the store never loses one silently: it closes a watch
+// whose buffer overflows. On that close the loop re-watches, then
+// rebuilds the view from a full listing (SchedStats.FullScans).
 //
 // Without a GangPolicy the pass behaves like the stock Kubernetes
 // scheduler — "it considers each of the learner pods individually"
@@ -85,23 +67,28 @@ type SchedStats struct {
 // placements and temporarily deadlocked learners. With a GangPolicy,
 // pods carrying gang information are bound all-or-nothing.
 func (c *Cluster) schedulerLoop(watch *StoreWatch) {
-	ticker := c.cfg.Clock.NewTicker(c.cfg.SchedulerInterval)
-	defer ticker.Stop()
-	s := &schedCore{c: c, watch: watch}
+	defer func() { watch.Cancel() }()
+	s := &schedCore{c: c}
 	s.resync()
 	c.publishSchedStats(&s.stats)
 	for {
 		select {
 		case <-c.stopCh:
 			return
-		case ev := <-watch.Events():
-			s.observe(ev)
-			// Coalesce the burst: drain whatever is queued so one pass
-			// covers it all.
-			sim.Coalesce(watch.Events(), s.observe)
-			s.maybePass()
-		case <-ticker.C:
-			s.resyncTick()
+		case ev, ok := <-watch.Events():
+			closed := !ok
+			if ok {
+				s.observe(ev)
+				// Coalesce the burst: drain whatever is queued so one
+				// pass covers it all.
+				closed = sim.Coalesce(watch.Events(), s.observe)
+			}
+			if closed {
+				watch = c.store.Watch("")
+				s.resync()
+			} else {
+				s.maybePass()
+			}
 		}
 		c.publishSchedStats(&s.stats)
 	}
@@ -122,13 +109,7 @@ type assignInfo struct {
 // the dirty-set bookkeeping. It is confined to the scheduler goroutine.
 type schedCore struct {
 	c     *Cluster
-	watch *StoreWatch
 	state *sched.ClusterState
-
-	// lastRev is the highest store revision folded into the view, the
-	// cursor the conditional resync's audit compares against
-	// Store.Revision().
-	lastRev uint64
 
 	// pending holds unbound, non-terminated pods by name.
 	pending map[string]*Pod
@@ -155,9 +136,6 @@ type schedCore struct {
 // observe folds one store event into the view.
 func (s *schedCore) observe(ev WatchEvent) {
 	s.stats.EventsSeen++
-	if ev.Rev > s.lastRev {
-		s.lastRev = ev.Rev
-	}
 	switch ev.Kind {
 	case KindPod:
 		s.observePod(ev)
@@ -217,8 +195,8 @@ func (s *schedCore) observeNode(ev WatchEvent) {
 	}
 	sn := s.state.Node(n.Name)
 	if sn == nil {
-		// New machine: all capacity free. (A bound pod racing ahead of
-		// the node's Add event is corrected by the next resync.)
+		// New machine: all capacity free. Events arrive in store
+		// order, so any binding to it arrives after this event.
 		s.state.AddNode(&sched.Node{
 			Name: n.Name, GPUType: n.GPUType, Capacity: n.Capacity,
 			Free: n.Capacity, Unschedulable: !n.Schedulable(),
@@ -254,7 +232,7 @@ func (s *schedCore) observeNode(ev WatchEvent) {
 }
 
 // mirrorAssign charges a bound pod to the view (no-op when the view
-// already reflects it — our own bind, or a pre-resync'd binding).
+// already reflects it — our own bind, or a binding a relist charged).
 func (s *schedCore) mirrorAssign(p *Pod) {
 	if _, ok := s.assigned[p.UID]; ok {
 		return
@@ -373,44 +351,17 @@ func (s *schedCore) runPass() {
 	}
 }
 
-// resyncTick is the conditional safety net: it rebuilds the view only
-// when the watcher actually dropped events; otherwise it audits the
-// incremental view's currency by revision and does no per-node work.
-func (s *schedCore) resyncTick() {
-	// Fold whatever is already queued first, so drops are judged against
-	// a drained channel and the audit compares like with like.
-	sim.Coalesce(s.watch.Events(), s.observe)
-	if s.watch.Dropped() > 0 {
-		s.resync()
-		return
-	}
-	s.stats.ResyncsSkipped++
-	// Audit: with zero drops the view is exactly the fold of delivered
-	// events. A store revision ahead of the cursor only means events are
-	// still in flight — they will arrive; nothing was lost.
-	if s.c.store.Revision() == s.lastRev {
-		s.stats.AuditsClean++
-	}
-	// The drain above may have consumed wake-worthy events (a select
-	// race can route them to the tick instead of the event case), so
-	// the skip path must still evaluate them — skipping the rebuild
-	// must never skip scheduling.
-	s.maybePass()
-}
-
-// resync rebuilds the whole view from a store listing — the safety net
-// against watch events dropped under backpressure — and runs a full
-// pass if anything is pending.
+// resync rebuilds the whole view from a store listing — at boot and
+// after the watch closed — and runs a full pass if anything is
+// pending. The caller has already re-watched, so no mutation after the
+// listing goes unseen.
 func (s *schedCore) resync() {
 	s.stats.FullScans++
-	// Harvest-and-clear the dropped counter before listing: the rebuild
-	// subsumes those gaps, while a drop landing mid-rebuild stays
-	// counted for the next tick.
-	s.stats.EventsDropped += s.watch.TakeDropped()
 	c := s.c
-	// Conservative currency cursor: the listing below reflects at least
-	// every mutation up to this revision.
-	s.lastRev = c.store.Revision()
+	// Pods before nodes: a pod in the listing is bound to a node that
+	// existed before the node listing, and a node added after it arrives
+	// as an event ahead of any binding to it.
+	pods := c.store.ListPods("")
 	state := sched.NewClusterState(nil)
 	for _, n := range c.store.ListNodes() {
 		state.AddNode(&sched.Node{
@@ -424,7 +375,7 @@ func (s *schedCore) resync() {
 	s.boundByGang = make(map[string]int)
 	s.newPending = false
 	s.freedTypes = nil
-	for _, p := range c.store.ListPods("") {
+	for _, p := range pods {
 		switch {
 		case p.Terminated():
 		case p.Status.Node == "":

@@ -9,13 +9,11 @@ import (
 	"github.com/ffdl/ffdl/internal/sim"
 )
 
-// dirtySetCluster builds a cluster whose resync safety nets are
-// effectively disabled, so any scheduler work observed is driven purely
-// by the dirty-set event path.
+// dirtySetCluster builds a cluster whose node controller never evicts,
+// so any scheduler work observed is driven purely by the dirty-set
+// event path.
 func dirtySetCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	cfg.SchedulerInterval = time.Hour
-	cfg.ResyncInterval = time.Hour
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = time.Millisecond
 	}
@@ -123,7 +121,7 @@ func TestFreedWrongGPUTypeDoesNotWake(t *testing.T) {
 
 // TestFreedCapacityWakesAndPlacesWaitingGang is the regression guard
 // for the dirty-set: a whole gang waiting for space must still be woken
-// and placed the moment matching capacity frees, with resync disabled.
+// and placed the moment matching capacity frees.
 func TestFreedCapacityWakesAndPlacesWaitingGang(t *testing.T) {
 	c := dirtySetCluster(t, Config{GangPolicy: sched.NewBSA(sim.NewRNG(5))})
 	c.RegisterRuntime("block", blockUntilKilled)
@@ -149,125 +147,6 @@ func TestFreedCapacityWakesAndPlacesWaitingGang(t *testing.T) {
 		b, _ := c.Store().GetPod("gang-l1")
 		return a != nil && b != nil && a.Status.Node != "" && b.Status.Node != ""
 	})
-}
-
-// TestStoreWatchDroppedCounter pins the backpressure accounting: an
-// overflowing watcher buffer increments the per-watcher dropped counter,
-// and the resync harvest (TakeDropped) clears it.
-func TestStoreWatchDroppedCounter(t *testing.T) {
-	s := NewStore()
-	w := s.Watch(KindNode)
-	defer w.Cancel()
-	for i := 0; i < 600; i++ {
-		s.PutNode(&Node{Name: fmt.Sprintf("n%d", i%4), Ready: true})
-	}
-	d := w.Dropped()
-	if d == 0 {
-		t.Fatal("overflowing the watch buffer did not increment the dropped counter")
-	}
-	if taken := w.TakeDropped(); taken != d {
-		t.Fatalf("TakeDropped = %d, want %d", taken, d)
-	}
-	if w.Dropped() != 0 {
-		t.Fatal("TakeDropped did not clear the dropped counter")
-	}
-}
-
-// TestResyncTickSkipsRebuildWithoutDrops pins the conditional resync at
-// the cluster level: with zero dropped events, resync ticks run only the
-// revision audit — FullScans stays at the boot scan while ResyncsSkipped
-// grows and the audit proves the view current.
-func TestResyncTickSkipsRebuildWithoutDrops(t *testing.T) {
-	cfg := Config{
-		SchedulerInterval: 2 * time.Millisecond,
-		ResyncInterval:    time.Hour,
-		HeartbeatInterval: time.Hour,
-		NodeGracePeriod:   time.Hour,
-	}
-	c := NewCluster(cfg)
-	t.Cleanup(c.Stop)
-	c.AddNode("node0", "K80", gpuRes(4))
-	waitFor(t, "resync ticks audited", 3*time.Second, func() bool {
-		st := c.SchedStats()
-		return st.ResyncsSkipped >= 5 && st.AuditsClean >= 1
-	})
-	st := c.SchedStats()
-	if st.FullScans != 1 {
-		t.Fatalf("FullScans = %d, want 1 (boot only): ticks without drops must not rebuild", st.FullScans)
-	}
-	if st.EventsDropped != 0 {
-		t.Fatalf("EventsDropped = %d with an idle watcher", st.EventsDropped)
-	}
-}
-
-// TestDroppedEventsForceRebuildThenClear drives a schedCore directly:
-// watcher overflow makes the next resync tick rebuild the view (and
-// harvest the counter); the tick after, with no further drops, is
-// audit-only.
-func TestDroppedEventsForceRebuildThenClear(t *testing.T) {
-	c := dirtySetCluster(t, Config{HeartbeatInterval: time.Hour})
-	c.AddNode("node0", "K80", gpuRes(2))
-	w := c.Store().Watch("")
-	defer w.Cancel()
-	s := &schedCore{c: c, watch: w}
-	s.resync()
-	if s.stats.FullScans != 1 {
-		t.Fatalf("boot FullScans = %d", s.stats.FullScans)
-	}
-	// Overflow this watcher: more mutations than its buffer, unconsumed.
-	for i := 0; i < 600; i++ {
-		c.Store().UpdateNode("node0", func(n *Node) {
-			n.LastHeartbeat = n.LastHeartbeat.Add(time.Millisecond)
-		})
-	}
-	if w.Dropped() == 0 {
-		t.Fatal("watch buffer never overflowed")
-	}
-	s.resyncTick()
-	if s.stats.FullScans != 2 {
-		t.Fatalf("dropped events did not force a rebuild (FullScans=%d)", s.stats.FullScans)
-	}
-	if s.stats.EventsDropped == 0 {
-		t.Fatal("rebuild did not account the harvested drops")
-	}
-	if w.Dropped() != 0 {
-		t.Fatal("rebuild did not clear the watcher's dropped counter")
-	}
-	s.resyncTick()
-	if s.stats.FullScans != 2 {
-		t.Fatal("drop-free tick rebuilt the view")
-	}
-	if s.stats.ResyncsSkipped != 1 || s.stats.AuditsClean != 1 {
-		t.Fatalf("drop-free tick skipped=%d clean=%d, want 1/1",
-			s.stats.ResyncsSkipped, s.stats.AuditsClean)
-	}
-}
-
-// TestResyncTickRunsPassForDrainedEvents: a select race can route a
-// wake-worthy event to the resync tick instead of the event case; the
-// tick's drop-free skip path must still evaluate what it drained — a
-// skipped rebuild must never mean a skipped scheduling pass.
-func TestResyncTickRunsPassForDrainedEvents(t *testing.T) {
-	c := dirtySetCluster(t, Config{HeartbeatInterval: time.Hour})
-	c.AddNode("node0", "K80", gpuRes(2))
-	w := c.Store().Watch("")
-	defer w.Cancel()
-	s := &schedCore{c: c, watch: w}
-	s.resync()
-	base := s.stats.Passes
-	// The pod-add event lands in this watcher's queue synchronously.
-	c.Store().PutPod(&Pod{
-		Name: "hungry",
-		Spec: PodSpec{Demand: sched.Resources{GPUs: 64}, Type: "learner"},
-	})
-	s.resyncTick()
-	if s.stats.FullScans != 1 {
-		t.Fatalf("drop-free tick rebuilt the view (FullScans=%d)", s.stats.FullScans)
-	}
-	if s.stats.Passes != base+1 {
-		t.Fatalf("tick drained a new-pod event without scheduling a pass (Passes=%d, want %d)",
-			s.stats.Passes, base+1)
-	}
 }
 
 // TestSchedStatsCountBindings sanity-checks the published counters.

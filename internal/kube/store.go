@@ -40,29 +40,23 @@ type Store struct {
 	// and UpdatePod keep it under mu.
 	owned    map[OwnerRef][]string
 	watchers []*storeWatcher
-	nextW    int
 	nextUID  uint64
 	// events is a ring of the newest maxEvents cluster events; once full,
 	// eventHead indexes the oldest.
 	events    []Event
 	eventHead int
-	// rev counts store mutations; every WatchEvent carries the revision
-	// of the mutation it reports, so a consumer that folds events into
-	// an incremental view can audit "am I current?" by comparing its
-	// last folded revision against Revision().
-	rev uint64
 }
 
 type storeWatcher struct {
-	id     int
-	kind   string // "" = all kinds
-	ch     chan WatchEvent
-	closed bool
-	// dropped counts events discarded because this watcher's buffer was
-	// full — the signal that its consumer's incremental view may have
-	// drifted and needs a resync rebuild. Read via StoreWatch.
-	dropped uint64
+	kind string // "" = all kinds
+	ch   chan WatchEvent
 }
+
+// watchBuffer is a watcher's event buffer: room for the bursts a
+// consumer coalesces between passes, so only a consumer stalled behind
+// a burst overflows it. The first event that does not fit closes the
+// watch, which costs that consumer one relist.
+const watchBuffer = 512
 
 // Object kinds.
 const (
@@ -164,10 +158,10 @@ func (s *Store) List(kind, prefix string) []any {
 }
 
 // StoreWatch is one subscription to the store's event stream. Delivery
-// is best-effort per watcher: an event that cannot be buffered is
-// dropped and counted (Dropped), never blocked on — which is why every
-// consumer pairs its watch with a level-triggered resync safety net.
-// See docs/watch-protocol.md ("kube store watch" layer).
+// never blocks a writer: the first event that does not fit the
+// watcher's buffer closes the channel instead, and the close is the gap
+// signal — the consumer re-watches, then relists. See
+// docs/watch-protocol.md (layer 2).
 type StoreWatch struct {
 	s *Store
 	w *storeWatcher
@@ -176,41 +170,15 @@ type StoreWatch struct {
 // Events returns the subscription's delivery channel.
 func (sw *StoreWatch) Events() <-chan WatchEvent { return sw.w.ch }
 
-// Dropped returns the number of events discarded for this watcher since
-// the last TakeDropped. Nonzero means the consumer's incremental view
-// may have silently drifted and must be rebuilt from a full listing.
-func (sw *StoreWatch) Dropped() uint64 {
-	sw.s.mu.RLock()
-	defer sw.s.mu.RUnlock()
-	return sw.w.dropped
-}
-
-// TakeDropped returns the dropped-events count and clears it; consumers
-// call it at the start of a resync rebuild (the rebuild subsumes the
-// counted gaps, while drops that land mid-rebuild stay counted for the
-// next tick).
-func (sw *StoreWatch) TakeDropped() uint64 {
-	sw.s.mu.Lock()
-	defer sw.s.mu.Unlock()
-	d := sw.w.dropped
-	sw.w.dropped = 0
-	return d
-}
-
-// Cancel releases the watcher and closes its channel.
+// Cancel releases the watcher and closes its channel. After the store
+// has closed the watch on overflow it does nothing.
 func (sw *StoreWatch) Cancel() {
 	s := sw.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, x := range s.watchers {
-		if x.id == sw.w.id {
-			s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
-			if !x.closed {
-				x.closed = true
-				close(x.ch)
-			}
-			return
-		}
+	if i := slices.Index(s.watchers, sw.w); i >= 0 {
+		s.watchers = slices.Delete(s.watchers, i, i+1)
+		close(sw.w.ch)
 	}
 }
 
@@ -218,34 +186,26 @@ func (sw *StoreWatch) Cancel() {
 func (s *Store) Watch(kind string) *StoreWatch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextW++
-	w := &storeWatcher{id: s.nextW, kind: kind, ch: make(chan WatchEvent, 512)}
+	w := &storeWatcher{kind: kind, ch: make(chan WatchEvent, watchBuffer)}
 	s.watchers = append(s.watchers, w)
 	return &StoreWatch{s: s, w: w}
 }
 
-// Revision returns the store's mutation counter (the revision carried
-// by the latest WatchEvent).
-func (s *Store) Revision() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rev
-}
-
 func (s *Store) notifyLocked(ev WatchEvent) {
-	s.rev++
-	ev.Rev = s.rev
-	for _, w := range s.watchers {
-		if w.closed || (w.kind != "" && w.kind != ev.Kind) {
-			continue
+	for i := 0; i < len(s.watchers); {
+		w := s.watchers[i]
+		if w.kind == "" || w.kind == ev.Kind {
+			select {
+			case w.ch <- ev:
+			default:
+				// Full buffer: close the watch rather than leave a gap
+				// its consumer cannot see.
+				close(w.ch)
+				s.watchers = slices.Delete(s.watchers, i, i+1)
+				continue
+			}
 		}
-		select {
-		case w.ch <- ev:
-		default:
-			// Slow watcher: drop the event and count the gap so the
-			// consumer's next resync tick knows its view drifted.
-			w.dropped++
-		}
+		i++
 	}
 }
 

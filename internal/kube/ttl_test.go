@@ -12,11 +12,11 @@ import (
 // TestFinishedJobsLeaveNoKubeObjects pins by counts that a finished Job
 // costs kube nothing: after 200 Guardian-shaped Jobs run to success, the
 // store holds no Job and no pod of theirs, and the kubelet start loop
-// remembers only live pods. The resync tick is stretched past the test, so
-// neither the orphan sweep nor the start loop's resync prune does the
-// work: the success path and the delete events must.
+// remembers only live pods. No watch overflows, so neither the orphan
+// sweep nor the start loop's relist prune does the work: the success
+// path and the delete events must.
 func TestFinishedJobsLeaveNoKubeObjects(t *testing.T) {
-	c := testCluster(t, Config{ResyncInterval: time.Hour})
+	c := testCluster(t, Config{})
 	c.RegisterRuntime("done", func(*PodContext) int { return 0 })
 	c.AddNode("node0", "K80", gpuRes(8))
 	const jobs, wave = 200, 20
@@ -49,23 +49,16 @@ func TestFinishedJobsLeaveNoKubeObjects(t *testing.T) {
 
 // TestKubeletIgnoresLateDeleteOfOldIncarnation pins the start loop's
 // UID guard: when the delete event of a pod's previous incarnation
-// arrives after its replacement was started (the resync tick can start
-// the replacement while that event is still queued), the replacement's
+// arrives after its replacement was started (a relist can start the
+// replacement while that event is still queued), the replacement's
 // start record stays, so a further event for the replacement does not
 // hand it to a kubelet again. The replacement's own delete then drops
 // the record.
 func TestKubeletIgnoresLateDeleteOfOldIncarnation(t *testing.T) {
 	var dispatches atomic.Int32 // runPod's first step reads the start delay
-	cfg := Config{
-		ResyncInterval: time.Hour, // no resync tick: events alone drive the loop
-		StartDelay:     func(string) time.Duration { dispatches.Add(1); return 0 },
-	}
-	cfg.defaults()
-	c := &Cluster{
-		cfg: cfg, store: NewStore(), stopCh: make(chan struct{}),
-		runtimes: make(map[string]Runtime), kubelets: make(map[string]*kubelet),
-		podStops: make(map[uint64]*podStop), started: make(map[string]uint64),
-	}
+	c := newCluster(Config{
+		StartDelay: func(string) time.Duration { dispatches.Add(1); return 0 },
+	})
 	c.RegisterRuntime("block", blockUntilKilled)
 	kl := newKubelet(c, "node0")
 	c.kubelets["node0"] = kl
@@ -77,7 +70,8 @@ func TestKubeletIgnoresLateDeleteOfOldIncarnation(t *testing.T) {
 
 	events := make(chan WatchEvent) // unbuffered: each send waits for the previous event's handling
 	done := make(chan struct{})
-	go func() { defer close(done); c.kubeletStartLoop(events) }()
+	watch := &StoreWatch{s: c.store, w: &storeWatcher{kind: KindPod, ch: events}}
+	go func() { defer close(done); c.kubeletStartLoop(watch) }()
 	for _, ev := range []WatchEvent{
 		{Type: WatchModified, Kind: KindPod, Name: repl.Name, Object: repl}, // replacement started
 		{Type: WatchDeleted, Kind: KindPod, Name: old.Name, Prev: old},      // the old incarnation's late delete

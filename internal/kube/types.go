@@ -230,21 +230,14 @@ const (
 	WatchDeleted
 )
 
-// WatchEvent notifies a watcher of an object change. Delivery is
-// best-effort per watcher: a full buffer drops the event and increments
-// the watcher's dropped counter (StoreWatch.Dropped), so consumers are
-// level-triggered — any event may be missing, and every consumer must
-// be able to converge from a resync listing alone. The normative
-// statement of this contract is docs/watch-protocol.md.
+// WatchEvent notifies a watcher of an object change. A watcher receives
+// every event in store order until its buffer overflows, which closes
+// its channel; consumers re-watch, then converge from a listing. The
+// normative statement of this contract is docs/watch-protocol.md.
 type WatchEvent struct {
 	Type WatchEventType
 	Kind string
 	Name string
-	// Rev is the store revision of the mutation this event reports
-	// (monotonically increasing, one per mutation). Consumers folding
-	// events into incremental views use it to audit currency against
-	// Store.Revision().
-	Rev uint64
 	// Object is a deep copy of the object after the change (nil for
 	// deletes).
 	Object any
