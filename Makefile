@@ -79,8 +79,8 @@ expt-smoke:
 # experiment registry row (as a "| `<name>` |" table row), and the watch
 # protocol spec must exist, cover all four watch layers, and be linked
 # from the architecture doc and the README. The negative list is the
-# other direction: names of retired options must not linger in the docs
-# or in the package doc (ffdl.go).
+# other direction: names of retired options must not linger in the docs,
+# the examples' READMEs or the package doc (ffdl.go).
 docs-check:
 	@test -f README.md || { echo "README.md missing"; exit 1; }
 	@test -f docs/architecture.md || { echo "docs/architecture.md missing"; exit 1; }
@@ -111,8 +111,8 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume"; do \
-		if grep -n "$$gone" README.md docs/*.md ffdl.go; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only; do \
+		if grep -n "$$gone" README.md docs/*.md examples/*/README.md ffdl.go; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \
 	grep -q "watch-protocol.md" README.md || { echo "README.md does not link watch-protocol.md"; ok=0; }; \

@@ -32,9 +32,9 @@ func nodeName(i int) string { return string(rune('a'+i)) + "-node" }
 
 // TestEtcdInjectorOutageForcesSnapshotRestoreAndFailover exercises the
 // coordination-layer injector: an outage with enough churn makes the
-// victim rejoin via snapshot. A watch resuming against a forced,
-// snapshot-restored leader is etcd's own
-// TestWatchReplaysAgainstSnapshotRestoredLeader.
+// victim rejoin via snapshot. What a watch does across such a failover
+// — it closes, and its consumer re-watches — is pinned by etcd's own
+// TestWatchClosesWhenLeaderIsolated.
 func TestEtcdInjectorOutageForcesSnapshotRestoreAndFailover(t *testing.T) {
 	c, err := etcd.NewCluster(etcd.Options{
 		Replicas: 3, Seed: 11, SnapshotThreshold: 16, TickInterval: 2 * time.Millisecond,
@@ -83,7 +83,7 @@ func TestNodeCrashLoopInjectsAndRecovers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	in.Stop()
-	// After Stop, every node must be restored (heartbeating resumes).
+	// After Stop, every node must be restored (lease renewals resume).
 	deadline = time.Now().Add(3 * time.Second)
 	for {
 		ready := 0

@@ -72,10 +72,10 @@ type Config struct {
 	SchedulerInterval time.Duration
 	// ResyncInterval is ignored; ROADMAP 1a deletes it.
 	ResyncInterval time.Duration
-	// HeartbeatInterval / NodeGracePeriod tune the kubelet heartbeat
-	// and the node controller (defaulted by internal/kube when zero).
-	// Long-virtual-horizon experiments on a simulated clock stretch
-	// them so periodic heartbeats do not dominate the event count.
+	// HeartbeatInterval / NodeGracePeriod tune the kubelets' lease
+	// renewals and the node controller (defaulted by internal/kube when
+	// zero). Long-virtual-horizon experiments on a simulated clock
+	// stretch them so their tickers do not dominate the timer firings.
 	HeartbeatInterval time.Duration
 	NodeGracePeriod   time.Duration
 

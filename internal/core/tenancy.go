@@ -46,11 +46,10 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 		Obs:               instruments,
 	})
 
-	// Cluster capacity pump: the admission budget tracks total GPU
-	// capacity, updated from node add/remove/resize watch events (the
-	// same store watch the scheduler's freed-capacity wake rides).
-	// Heartbeat-only node updates are filtered out by the capacity
-	// comparison below.
+	// Cluster capacity pump: the admission budget tracks schedulable GPU
+	// capacity, recomputed on every node watch event — add, remove,
+	// resize, cordon, Ready flip. Node leases are not store objects, so
+	// a healthy cluster sends the pump no event.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -93,26 +92,13 @@ func (p *Platform) nodeCapacityLoop() {
 		select {
 		case <-p.stopCh:
 			return
-		case ev, ok := <-w.Events():
+		case _, ok := <-w.Events():
 			if !ok {
 				w = p.Kube.Store().Watch(kube.KindNode)
-			} else if !nodeCapacityChanged(ev) {
-				continue // heartbeat or status-only churn
 			}
 			apply()
 		}
 	}
-}
-
-// nodeCapacityChanged reports whether a node event can move total GPU
-// capacity.
-func nodeCapacityChanged(ev kube.WatchEvent) bool {
-	prev, _ := ev.Prev.(*kube.Node)
-	next, _ := ev.Object.(*kube.Node)
-	if prev == nil || next == nil {
-		return true // add or delete
-	}
-	return prev.Capacity.GPUs != next.Capacity.GPUs
 }
 
 // tenancyStatusPump translates status bus events into dispatcher notes.

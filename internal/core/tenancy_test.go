@@ -304,7 +304,7 @@ func TestCapacityPumpAddsNoWaiter(t *testing.T) {
 	}
 	t.Cleanup(p.Kube.Stop)
 	p.Kube.AddNode("node0", "K80", sched.Resources{MilliCPU: 16000, MemoryMB: 96000, GPUs: 4})
-	const kubeWaiters = 2 // node0's heartbeat and the node controller
+	const kubeWaiters = 2 // node0's lease renewal and the node controller
 	waitUntil(t, "kube timers", 3*time.Second, func() bool { return fc.WaiterCount() == kubeWaiters })
 
 	done := make(chan struct{})
@@ -316,4 +316,28 @@ func TestCapacityPumpAddsNoWaiter(t *testing.T) {
 	if n := fc.WaiterCount(); n != kubeWaiters {
 		t.Fatalf("%d clock waiters with the pump running, want the kube's %d", n, kubeWaiters)
 	}
+}
+
+// TestCapacityPumpFollowsNodeReadiness: the admission budget counts
+// schedulable GPUs, so a node whose lease expires leaves it and comes
+// back when the node is Ready again.
+func TestCapacityPumpFollowsNodeReadiness(t *testing.T) {
+	adm := sched.NewAdmission(0)
+	p := &Platform{
+		Kube:       kube.NewCluster(kube.Config{}),
+		Dispatcher: tenant.NewDispatcher(tenant.Config{Admission: adm}), // not started: no ticker
+		stopCh:     make(chan struct{}),
+	}
+	t.Cleanup(p.Kube.Stop)
+	for _, name := range []string{"node0", "node1"} {
+		p.Kube.AddNode(name, "K80", sched.Resources{MilliCPU: 16000, MemoryMB: 96000, GPUs: 4})
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); p.nodeCapacityLoop() }()
+	t.Cleanup(func() { close(p.stopCh); <-done })
+	waitUntil(t, "budget from both nodes", 3*time.Second, func() bool { return adm.ClusterCap() == 8 })
+	p.Kube.CrashNode("node1")
+	waitUntil(t, "budget without the crashed node", 3*time.Second, func() bool { return adm.ClusterCap() == 4 })
+	p.Kube.RestoreNode("node1")
+	waitUntil(t, "budget after the restore", 3*time.Second, func() bool { return adm.ClusterCap() == 8 })
 }

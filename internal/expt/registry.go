@@ -169,7 +169,7 @@ func violations(vs []string) error {
 // simConfig is the platform every FakeClock experiment boots: a
 // FakeClock that auto-advances after settle of wall-clock quiet, and
 // every ticker stretched. The control plane is event-driven, so the
-// tickers are safety nets and heartbeats that no job waits for;
+// tickers are safety nets and lease renewals that no job waits for;
 // stretching them keeps the FakeClock event count — and so the wall
 // time — low over a long virtual horizon without touching any latency
 // that matters. The caller stops the clock's auto-advance.

@@ -260,7 +260,7 @@ func RenderSchedScale(results []SchedScaleResult) *Table {
 		first, last := results[0], results[len(results)-1]
 		if first.NodesExaminedPerPass > 0 && first.Nodes > 0 {
 			t.Caption = fmt.Sprintf(
-				"%dx more nodes -> %.1fx nodes-examined-per-pass (sublinear; heartbeats filtered: %d of %d events).",
+				"%dx more nodes -> %.1fx nodes-examined-per-pass (sublinear; controller-object and unchanged-node events dropped at the wake filter: %d of %d).",
 				last.Nodes/first.Nodes, last.NodesExaminedPerPass/first.NodesExaminedPerPass,
 				last.EventsIgnored, last.EventsSeen)
 		}

@@ -47,10 +47,11 @@ type Config struct {
 	SchedulerInterval time.Duration
 	// ResyncInterval is ignored; ROADMAP 1a deletes it.
 	ResyncInterval time.Duration
-	// HeartbeatInterval is the kubelet heartbeat period. Default 20ms.
+	// HeartbeatInterval is the period at which a kubelet renews its
+	// node's lease. Default 20ms.
 	HeartbeatInterval time.Duration
-	// NodeGracePeriod is how stale a heartbeat may be before the node is
-	// marked NotReady and its pods evicted. Default 100ms.
+	// NodeGracePeriod is how stale a node's lease may be before the node
+	// is marked NotReady and its pods evicted. Default 100ms.
 	NodeGracePeriod time.Duration
 	// StartDelay returns the container start latency for a pod type
 	// (image pull + volume bind + container create). The Table 3
@@ -199,14 +200,11 @@ func (c *Cluster) AddNode(name, gpuType string, capacity sched.Resources) {
 	c.mu.Lock()
 	c.kubelets[name] = kl
 	c.mu.Unlock()
-	c.store.PutNode(&Node{
-		Name: name, GPUType: gpuType, Capacity: capacity,
-		Ready: true, LastHeartbeat: c.cfg.Clock.Now(),
-	})
+	c.store.PutNode(&Node{Name: name, GPUType: gpuType, Capacity: capacity, Ready: true})
 	kl.start()
 }
 
-// CrashNode simulates a machine failure: the kubelet halts (heartbeats
+// CrashNode simulates a machine failure: the kubelet halts (renewals
 // stop, processes die). The node controller will notice and evict.
 func (c *Cluster) CrashNode(name string) {
 	c.mu.Lock()
@@ -217,8 +215,9 @@ func (c *Cluster) CrashNode(name string) {
 	}
 }
 
-// RestoreNode brings a crashed machine back; the kubelet start loop
-// then relists, so pods bound to the node while it was down start.
+// RestoreNode brings a crashed machine back: its kubelet renews the
+// lease, so the node controller's next tick makes it Ready, and the
+// start loop relists, so pods bound to it while it was down start.
 func (c *Cluster) RestoreNode(name string) {
 	c.mu.Lock()
 	kl := c.kubelets[name]
@@ -230,10 +229,17 @@ func (c *Cluster) RestoreNode(name string) {
 		default: // a relist is already pending
 		}
 	}
-	c.store.UpdateNode(name, func(n *Node) {
-		n.Ready = true
-		n.LastHeartbeat = c.cfg.Clock.Now()
-	})
+}
+
+// kubeletList returns the kubelets, read under the cluster lock.
+func (c *Cluster) kubeletList() []*kubelet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kls := make([]*kubelet, 0, len(c.kubelets))
+	for _, kl := range c.kubelets {
+		kls = append(kls, kl)
+	}
+	return kls
 }
 
 // cordonNode marks a node unschedulable (§5.5).
@@ -384,15 +390,9 @@ func (c *Cluster) Stop() {
 	// dispatched onto a kubelet, so the kubelet WaitGroups below are
 	// final.
 	c.loopWG.Wait()
-	c.mu.Lock()
-	kls := make([]*kubelet, 0, len(c.kubelets))
-	for _, kl := range c.kubelets {
-		kls = append(kls, kl)
-	}
-	c.mu.Unlock()
 	// Kubelets own their pods' stop channels: stopping them closes every
 	// running pod's channel exactly once and unregisters it.
-	for _, kl := range kls {
+	for _, kl := range c.kubeletList() {
 		kl.stop()
 	}
 	// Anything left was registered but never picked up by a kubelet.

@@ -63,9 +63,8 @@ type ownerKey struct {
 
 // controllerMark folds one watch event into the dirty-owner set:
 // owner-object changes dirty that owner, pod terminations/deletions
-// dirty the pod's owner. Node heartbeats and pod phase progress mark
-// nothing — they would otherwise make the loop reconcile at the
-// heartbeat rate.
+// dirty the pod's owner. Node updates and pod phase progress mark
+// nothing: no controller here acts on them.
 func controllerMark(ev WatchEvent, dirty map[ownerKey]struct{}) {
 	switch ev.Kind {
 	case KindStatefulSet, KindDeployment, KindJob:
@@ -247,11 +246,11 @@ func (c *Cluster) garbageCollectOrphans() {
 	}
 }
 
-// nodeControllerLoop watches node heartbeats: nodes silent past the
-// grace period become NotReady and their pods are deleted by the
-// eviction logic — the paper's NodeControllerEviction behaviour: "when
-// worker nodes became NotReady, [Kubernetes] would delete all pods
-// running on the worker" (§5.6).
+// nodeControllerLoop reads the kubelets' node leases: nodes whose lease
+// is older than the grace period become NotReady and their pods are
+// deleted by the eviction logic — the paper's NodeControllerEviction
+// behaviour: "when worker nodes became NotReady, [Kubernetes] would
+// delete all pods running on the worker" (§5.6).
 func (c *Cluster) nodeControllerLoop() {
 	ticker := c.cfg.Clock.NewTicker(c.cfg.NodeGracePeriod / 2)
 	defer ticker.Stop()
@@ -265,17 +264,23 @@ func (c *Cluster) nodeControllerLoop() {
 	}
 }
 
+// checkNodes judges every node by its lease. It writes the store only
+// to flip Ready — off on a stale lease, on again on a fresh one — and
+// to evict a NotReady node's pods: a healthy node costs a lease read.
 func (c *Cluster) checkNodes() {
 	now := c.cfg.Clock.Now()
-	for _, n := range c.store.ListNodes() {
-		stale := now.Sub(n.LastHeartbeat) > c.cfg.NodeGracePeriod
-		if n.Ready && stale {
-			c.store.UpdateNode(n.Name, func(node *Node) { node.Ready = false })
-			c.recordEvent(EventWarning, "NodeNotReady", KindNode, n.Name, "",
-				"node stopped heartbeating")
+	for _, kl := range c.kubeletList() {
+		stale := now.Sub(time.Unix(0, kl.lease.Load())) > c.cfg.NodeGracePeriod
+		if kl.ready == stale {
+			kl.ready = !stale
+			c.store.UpdateNode(kl.node, func(n *Node) { n.Ready = !stale })
+			if stale {
+				c.recordEvent(EventWarning, "NodeNotReady", KindNode, kl.node, "",
+					"node lease expired")
+			}
 		}
-		if !n.Ready || stale {
-			c.evictNodePods(n.Name)
+		if !kl.ready {
+			c.evictNodePods(kl.node)
 		}
 	}
 }

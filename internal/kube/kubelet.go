@@ -2,15 +2,23 @@ package kube
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // kubelet runs the pods bound to one node: it transitions them
 // Pending→Running after the container start delay, executes their
-// Runtime, and reports heartbeats. Crashing the kubelet models a worker
-// failure: heartbeats stop and every process on the node dies.
+// Runtime, and renews the node's lease. Crashing the kubelet models a
+// worker failure: renewals stop and every process on the node dies.
 type kubelet struct {
 	cluster *Cluster
 	node    string
+
+	// lease is the Unix-nanosecond clock time of the last renewal, a
+	// Kubernetes node lease (KEP-589): only the node controller reads
+	// it, and it is not a store object, so renewing costs no event.
+	lease atomic.Int64
+	// ready is Node.Ready as last written; only the node controller uses it.
+	ready bool
 
 	mu      sync.Mutex
 	crashed bool
@@ -24,12 +32,15 @@ type kubelet struct {
 }
 
 func newKubelet(c *Cluster, node string) *kubelet {
-	return &kubelet{
+	k := &kubelet{
 		cluster: c,
 		node:    node,
+		ready:   true,
 		running: make(map[uint64]*podStop),
 		quit:    make(chan struct{}),
 	}
+	k.renew()
+	return k
 }
 
 func (k *kubelet) start() {
@@ -40,7 +51,7 @@ func (k *kubelet) start() {
 	}()
 }
 
-// heartbeatLoop reports node health; a crashed kubelet stays silent.
+// heartbeatLoop renews the lease; a crashed kubelet stays silent.
 func (k *kubelet) heartbeatLoop() {
 	ticker := k.cluster.cfg.Clock.NewTicker(k.cluster.cfg.HeartbeatInterval)
 	defer ticker.Stop()
@@ -51,22 +62,17 @@ func (k *kubelet) heartbeatLoop() {
 		case <-k.cluster.stopCh:
 			return
 		case <-ticker.C:
-			k.mu.Lock()
-			crashed := k.crashed
-			k.mu.Unlock()
-			if crashed {
-				continue
+			if !k.isCrashed() {
+				k.renew()
 			}
-			now := k.cluster.cfg.Clock.Now()
-			k.cluster.store.UpdateNode(k.node, func(n *Node) {
-				n.LastHeartbeat = now
-				n.Ready = true
-			})
 		}
 	}
 }
 
-// crash kills everything on the node and silences heartbeats.
+// renew sets the lease to the clock's time.
+func (k *kubelet) renew() { k.lease.Store(k.cluster.cfg.Clock.Now().UnixNano()) }
+
+// crash kills everything on the node and silences its lease.
 func (k *kubelet) crash() {
 	k.mu.Lock()
 	k.crashed = true
@@ -82,10 +88,13 @@ func (k *kubelet) crash() {
 	}
 }
 
+// restore revives the kubelet, which renews its lease at once, as a
+// restarted kubelet does.
 func (k *kubelet) restore() {
 	k.mu.Lock()
 	k.crashed = false
 	k.mu.Unlock()
+	k.renew()
 }
 
 func (k *kubelet) isCrashed() bool {

@@ -30,12 +30,10 @@ func overflow(t *testing.T, w *StoreWatch, mutate func()) {
 	}
 }
 
-// nodeChurn returns a mutation that bumps one node's heartbeat, the
+// nodeChurn returns a mutation that rewrites one node unchanged, an
 // event no consumer acts on.
 func nodeChurn(s *Store, node string) func() {
-	return func() {
-		s.UpdateNode(node, func(n *Node) { n.LastHeartbeat = n.LastHeartbeat.Add(time.Millisecond) })
-	}
+	return func() { s.UpdateNode(node, func(*Node) {}) }
 }
 
 // TestStoreWatchClosesOnOverflow pins layer 2's gap signal: a watcher
@@ -97,12 +95,12 @@ func (g *gatedPolicy) PlacePod(p *sched.PodSpec, cs *sched.ClusterState) (string
 	return g.Spread.PlacePod(p, cs)
 }
 
-// TestSchedulerRelistsOnWatchClose: heartbeats overflow the scheduler's
-// watch while it is parked mid-pass. The close makes it re-watch and
+// TestSchedulerRelistsOnWatchClose: no-op node updates overflow the
+// scheduler's watch while it is parked mid-pass. The close makes it re-watch and
 // rebuild once, and a pod created afterwards binds with no tick.
 func TestSchedulerRelistsOnWatchClose(t *testing.T) {
 	g := &gatedPolicy{entered: make(chan struct{}), release: make(chan struct{})}
-	c := dirtySetCluster(t, Config{PodPolicy: g, HeartbeatInterval: time.Hour})
+	c := dirtySetCluster(t, Config{PodPolicy: g})
 	c.RegisterRuntime("block", blockUntilKilled)
 	c.AddNode("node0", "K80", gpuRes(4))
 	c.Store().PutPod(&Pod{Name: "blocker", Spec: PodSpec{Demand: gpuRes(1), Runtime: "block"}})
@@ -198,8 +196,8 @@ func TestPodBoundToCrashedNodeStartsOnRestore(t *testing.T) {
 }
 
 // TestClusterTimersAreHeartbeatsAndNodeController pins the cluster's
-// clock waiters by count: one heartbeat per node plus the node
-// controller. The scheduler, the controllers and the kubelet start loop
+// clock waiters by count: one lease-renewal ticker per node plus the
+// node controller. The scheduler, the controllers and the kubelet start loop
 // wake on their watches alone.
 func TestClusterTimersAreHeartbeatsAndNodeController(t *testing.T) {
 	fc := sim.NewFakeClock(time.Unix(0, 0))
@@ -213,6 +211,6 @@ func TestClusterTimersAreHeartbeatsAndNodeController(t *testing.T) {
 	waitFor(t, "timers registered", 3*time.Second, func() bool { return fc.WaiterCount() >= want })
 	time.Sleep(20 * time.Millisecond) // room for any further loop to register one
 	if n := fc.WaiterCount(); n != want {
-		t.Fatalf("%d clock waiters, want %d (%d heartbeats + the node controller)", n, want, nodes)
+		t.Fatalf("%d clock waiters, want %d (%d lease renewals + the node controller)", n, want, nodes)
 	}
 }

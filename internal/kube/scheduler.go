@@ -28,7 +28,7 @@ type SchedStats struct {
 	PodsBound uint64
 	// EventsSeen / EventsIgnored count store watch events observed and
 	// the subset the dirty-set filter discarded without any work
-	// (heartbeat-only node updates above all).
+	// (controller objects, node updates that change nothing it reads).
 	EventsSeen    uint64
 	EventsIgnored uint64
 	// SpreadFullScans counts placement queries answered by the Spread
@@ -52,9 +52,9 @@ type SchedStats struct {
 // appears, or when capacity that could help a waiting pod is freed
 // (pod terminated/deleted, node added/uncordoned/grown — tracked per
 // GPU type and matched against what the waiting pods actually demand).
-// Node heartbeats, pod phase progress and other no-op churn are
-// discarded at the event filter, so on a large cluster an idle or
-// fully-waiting scheduler does zero work per heartbeat.
+// Pod phase progress, node updates that change neither schedulability
+// nor capacity and other no-op churn are discarded at the event filter;
+// node health sends no event at all, only a Ready flip is written.
 //
 // The loop keeps no ticker. Only a lost event can make the incremental
 // view drift, and the store never loses one silently: it closes a watch
@@ -209,8 +209,7 @@ func (s *schedCore) observeNode(ev WatchEvent) {
 	schedulable := n.Schedulable()
 	capChanged := sn.Capacity != n.Capacity
 	if schedulable == !sn.Unschedulable && !capChanged {
-		// Heartbeat-only update: nothing placement-relevant changed.
-		// This is the filter that makes node churn free at scale.
+		// Nothing placement-relevant changed: no pass.
 		s.stats.EventsIgnored++
 		return
 	}

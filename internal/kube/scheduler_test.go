@@ -14,29 +14,31 @@ import (
 // event path.
 func dirtySetCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = time.Millisecond
-	}
 	cfg.NodeGracePeriod = time.Hour
 	c := NewCluster(cfg)
 	t.Cleanup(c.Stop)
 	return c
 }
 
-// waitHeartbeats blocks until the scheduler has observed (and filtered)
-// at least n more heartbeat events than at the baseline.
-func waitHeartbeats(t *testing.T, c *Cluster, base SchedStats, n uint64) {
+// noOpNodeUpdates rewrites node0 unchanged n times and waits until the
+// scheduler has filtered all n events.
+func noOpNodeUpdates(t *testing.T, c *Cluster, n uint64) {
 	t.Helper()
-	waitFor(t, fmt.Sprintf("%d filtered heartbeats", n), 5*time.Second, func() bool {
-		return c.SchedStats().EventsIgnored >= base.EventsIgnored+n
+	base := c.SchedStats().EventsIgnored
+	for i := uint64(0); i < n; i++ {
+		c.Store().UpdateNode("node0", func(*Node) {})
+	}
+	waitFor(t, fmt.Sprintf("%d filtered node updates", n), 5*time.Second, func() bool {
+		return c.SchedStats().EventsIgnored >= base+n
 	})
 }
 
-// TestHeartbeatsCauseNoSchedulerWork pins the dirty-set contract: node
-// heartbeats are placement-irrelevant, so with no pending pods — and
-// with pending pods that cannot fit — an arbitrary number of them must
-// trigger zero scheduling passes and zero full-cluster scans.
-func TestHeartbeatsCauseNoSchedulerWork(t *testing.T) {
+// TestNoOpNodeUpdatesCauseNoSchedulerWork pins the dirty-set contract:
+// a node update that changes neither schedulability nor capacity is
+// placement-irrelevant, so with no pending pods — and with pending pods
+// that cannot fit — any number of them must trigger zero scheduling
+// passes and zero full-cluster scans.
+func TestNoOpNodeUpdatesCauseNoSchedulerWork(t *testing.T) {
 	c := dirtySetCluster(t, Config{})
 	for i := 0; i < 4; i++ {
 		c.AddNode(fmt.Sprintf("node%d", i), "K80", gpuRes(4))
@@ -47,21 +49,21 @@ func TestHeartbeatsCauseNoSchedulerWork(t *testing.T) {
 
 	// Phase 1: no pending pods.
 	base := c.SchedStats()
-	waitHeartbeats(t, c, base, 50)
+	noOpNodeUpdates(t, c, 50)
 	got := c.SchedStats()
 	if got.Passes != base.Passes {
-		t.Fatalf("heartbeats with no pending pods triggered %d passes", got.Passes-base.Passes)
+		t.Fatalf("node updates with no pending pods triggered %d passes", got.Passes-base.Passes)
 	}
 	if got.FullScans != base.FullScans {
-		t.Fatalf("heartbeats triggered %d full-cluster scans", got.FullScans-base.FullScans)
+		t.Fatalf("node updates triggered %d full-cluster scans", got.FullScans-base.FullScans)
 	}
 	if got.NodesExamined != base.NodesExamined {
-		t.Fatalf("heartbeats examined %d nodes", got.NodesExamined-base.NodesExamined)
+		t.Fatalf("node updates examined %d nodes", got.NodesExamined-base.NodesExamined)
 	}
 
 	// Phase 2: a pending pod that cannot fit anywhere (demands more
 	// GPUs than any machine has). Its arrival costs exactly one pass;
-	// heartbeats after that must not retrigger it.
+	// node updates after that must not retrigger it.
 	c.Store().PutPod(&Pod{
 		Name: "hungry",
 		Spec: PodSpec{Demand: sched.Resources{GPUs: 64}, Type: "learner"},
@@ -70,16 +72,16 @@ func TestHeartbeatsCauseNoSchedulerWork(t *testing.T) {
 		return len(c.Store().recordedEvents("FailedScheduling")) > 0
 	})
 	base = c.SchedStats()
-	waitHeartbeats(t, c, base, 50)
+	noOpNodeUpdates(t, c, 50)
 	got = c.SchedStats()
 	if got.Passes != base.Passes {
-		t.Fatalf("heartbeats retried an unfittable pod %d times", got.Passes-base.Passes)
+		t.Fatalf("node updates retried an unfittable pod %d times", got.Passes-base.Passes)
 	}
 	if got.FullScans != base.FullScans {
-		t.Fatalf("heartbeats triggered %d full scans while a pod waited", got.FullScans-base.FullScans)
+		t.Fatalf("node updates triggered %d full scans while a pod waited", got.FullScans-base.FullScans)
 	}
 	if got.NodesExamined != base.NodesExamined {
-		t.Fatalf("heartbeats examined %d nodes while a pod waited", got.NodesExamined-base.NodesExamined)
+		t.Fatalf("node updates examined %d nodes while a pod waited", got.NodesExamined-base.NodesExamined)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package kube implements the container-orchestration substrate FfDL
 // runs on: a Kubernetes-like system with a watchable object store, pod
 // scheduling, ReplicaSet/StatefulSet/Job/Deployment controllers, per-node
-// kubelets that execute pod processes, node heartbeating with
+// kubelets that execute pod processes, node leases with
 // NotReady-eviction, and a FailedScheduling event stream.
 //
 // It reproduces the Kubernetes behaviours the paper depends on:
@@ -119,14 +119,12 @@ type Node struct {
 	Name     string
 	GPUType  string
 	Capacity sched.Resources
-	// Ready mirrors the kubelet heartbeat; NotReady nodes get their pods
-	// evicted after a grace period.
+	// Ready is false while the node's kubelet lease is expired: the
+	// node controller flips it, and evicts a NotReady node's pods.
 	Ready bool
 	// Cordoned marks administratively unschedulable nodes (§5.5: nodes
 	// with hardware failures "were later cordoned").
 	Cordoned bool
-	// LastHeartbeat is the most recent kubelet health report.
-	LastHeartbeat time.Time
 }
 
 // Clone copies the node.
