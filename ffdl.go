@@ -39,12 +39,12 @@
 // etcd-watch architecture (§3.3, §3.8): components record state and
 // other components watch it, so reaction latency is bounded by event
 // propagation, not by any poll interval, and an idle platform is
-// quiescent: its kube store emits no watch event. Kubelets renew node
-// leases that only the node controller reads, and only a Ready flip is
-// written to the store. The tickers that remain are the lease
-// renewals, the node controller's grace check and a few safety ticks
-// over durable stores; no kube control loop keeps one. The watch chain
-// end to end:
+// quiescent: its kube store emits no watch event. One cluster loop
+// renews the live kubelets' node leases, which only the node controller
+// reads, and only a Ready flip is written to the store. The tickers
+// that remain are that renewal loop, the node controller's grace check
+// and a few safety ticks over durable stores; no kube control loop
+// keeps one. The watch chain end to end:
 //
 //   - learners write status/exit files to the job's shared NFS volume;
 //     the helper's controller container wakes on volume writes and

@@ -304,7 +304,7 @@ func TestCapacityPumpAddsNoWaiter(t *testing.T) {
 	}
 	t.Cleanup(p.Kube.Stop)
 	p.Kube.AddNode("node0", "K80", sched.Resources{MilliCPU: 16000, MemoryMB: 96000, GPUs: 4})
-	const kubeWaiters = 2 // node0's lease renewal and the node controller
+	const kubeWaiters = 2 // the lease renewal loop and the node controller
 	waitUntil(t, "kube timers", 3*time.Second, func() bool { return fc.WaiterCount() == kubeWaiters })
 
 	done := make(chan struct{})

@@ -17,7 +17,8 @@ type Runtime func(ctx *PodContext) int
 
 // PodContext is handed to a pod's Runtime.
 type PodContext struct {
-	// Pod is a snapshot of the pod at start time.
+	// Pod is the stored pod incarnation being started. It is shared
+	// with the store and read-only.
 	Pod *Pod
 	// Node is the machine the pod runs on.
 	Node string
@@ -47,8 +48,8 @@ type Config struct {
 	SchedulerInterval time.Duration
 	// ResyncInterval is ignored; ROADMAP 1a deletes it.
 	ResyncInterval time.Duration
-	// HeartbeatInterval is the period at which a kubelet renews its
-	// node's lease. Default 20ms.
+	// HeartbeatInterval is the period at which the cluster renews the
+	// lease of every kubelet that has not crashed. Default 20ms.
 	HeartbeatInterval time.Duration
 	// NodeGracePeriod is how stale a node's lease may be before the node
 	// is marked NotReady and its pods evicted. Default 100ms.
@@ -109,10 +110,10 @@ type Cluster struct {
 
 	stopCh chan struct{}
 	// loopWG tracks the control loops (scheduler, controllers, node
-	// controller, kubelet host). Stop waits for them before stopping
-	// kubelets: only the kubelet host loop dispatches pod processes, so
-	// after it exits no kubelet WaitGroup can grow and the
-	// Add-after-Wait hazard is structurally impossible.
+	// controller, lease renewal, kubelet host). Stop waits for them
+	// before stopping kubelets: only the kubelet host loop dispatches
+	// pod processes, so after it exits no kubelet WaitGroup can grow and
+	// the Add-after-Wait hazard is structurally impossible.
 	loopWG sync.WaitGroup
 
 	// deletionsByNodeFailure counts pods deleted by eviction, for the
@@ -144,10 +145,11 @@ func NewCluster(cfg Config) *Cluster {
 	schedWatch := c.store.Watch("")
 	ctrlWatch := c.store.Watch("")
 	kubeletWatch := c.store.Watch(KindPod)
-	c.loopWG.Add(4)
+	c.loopWG.Add(5)
 	go func() { defer c.loopWG.Done(); c.schedulerLoop(schedWatch) }()
 	go func() { defer c.loopWG.Done(); c.controllerLoop(ctrlWatch) }()
 	go func() { defer c.loopWG.Done(); c.nodeControllerLoop() }()
+	go func() { defer c.loopWG.Done(); c.leaseRenewalLoop() }()
 	go func() { defer c.loopWG.Done(); c.kubeletStartLoop(kubeletWatch) }()
 	return c
 }
@@ -192,7 +194,7 @@ func (c *Cluster) runtime(name string) Runtime {
 	return c.runtimes[name]
 }
 
-// AddNode registers a machine and starts its kubelet. The kubelet is
+// AddNode registers a machine and its kubelet. The kubelet is
 // registered before the node is published, so a pod bound to the node
 // finds it when its bind event reaches the start loop.
 func (c *Cluster) AddNode(name, gpuType string, capacity sched.Resources) {
@@ -201,7 +203,6 @@ func (c *Cluster) AddNode(name, gpuType string, capacity sched.Resources) {
 	c.kubelets[name] = kl
 	c.mu.Unlock()
 	c.store.PutNode(&Node{Name: name, GPUType: gpuType, Capacity: capacity, Ready: true})
-	kl.start()
 }
 
 // CrashNode simulates a machine failure: the kubelet halts (renewals
@@ -406,6 +407,7 @@ func (c *Cluster) Stop() {
 	for _, stop := range stops {
 		stop.close()
 	}
+	c.store.checkMutations()
 }
 
 // podStop is an idempotently-closable kill signal for one pod process.

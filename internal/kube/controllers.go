@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -157,7 +158,7 @@ func (c *Cluster) reconcileStatefulSet(s *StatefulSet) {
 			Spec:   s.Template,
 			Status: PodStatus{Phase: PodPending, Restarts: restarts},
 		}
-		pod.Spec.RuntimeArgs = cloneMap(s.Template.RuntimeArgs)
+		pod.Spec.RuntimeArgs = maps.Clone(s.Template.RuntimeArgs)
 		if pod.Spec.RuntimeArgs == nil {
 			pod.Spec.RuntimeArgs = map[string]string{}
 		}

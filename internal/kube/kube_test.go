@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -470,19 +471,57 @@ func TestStoreWatchDeliversTypedEvents(t *testing.T) {
 	}
 }
 
-func TestStoreCopiesAtBoundaries(t *testing.T) {
+// TestStoreSharesImmutableObjects pins the store's sharing contract:
+// reads and events return the stored pointer, and a write stores a new
+// object, so a pointer read before it keeps showing the old state.
+func TestStoreSharesImmutableObjects(t *testing.T) {
 	s := NewStore()
-	p := &Pod{Name: "x", Labels: map[string]string{"a": "1"}}
-	s.PutPod(p)
-	p.Labels["a"] = "mutated"
-	got, _ := s.GetPod("x")
-	if got.Labels["a"] != "1" {
-		t.Fatal("store shares memory with caller")
+	w := s.Watch(KindPod)
+	defer w.Cancel()
+	s.PutPod(&Pod{Name: "x", Labels: map[string]string{"a": "1"}})
+	a, _ := s.GetPod("x")
+	b, _ := s.GetPod("x")
+	if added := <-w.Events(); a != b || added.Object != a {
+		t.Fatal("two reads and the Added event do not share the stored pod")
 	}
-	got.Labels["a"] = "mutated2"
-	got2, _ := s.GetPod("x")
-	if got2.Labels["a"] != "1" {
-		t.Fatal("store shares memory with reader")
+	s.UpdatePod("x", func(p *Pod) { p.Status.Phase = PodRunning })
+	if a.Status.Phase != PodPending {
+		t.Fatalf("a pod read before the update shows phase %s", a.Status.Phase)
+	}
+	mod := <-w.Events()
+	if mod.Prev != a {
+		t.Fatal("the Modified event's Prev is not the pod it replaced")
+	}
+	cur, _ := s.GetPod("x")
+	if mod.Object != cur || cur.Status.Phase != PodRunning {
+		t.Fatal("the Modified event's Object is not the stored pod")
+	}
+	s.Delete(KindPod, "x")
+	if del := <-w.Events(); del.Prev != cur || del.Object != nil {
+		t.Fatal("the Deleted event's Prev is not the last stored pod")
+	}
+}
+
+// TestMutationDetectorFires: editing a stored pod in place, whether a
+// map entry or a status field, makes the pod's next update panic and
+// name it.
+func TestMutationDetectorFires(t *testing.T) {
+	for what, mutate := range map[string]func(*Pod){
+		"Labels": func(p *Pod) { p.Labels["a"] = "edited" },
+		"Status": func(p *Pod) { p.Status.Restarts++ },
+	} {
+		s := NewStore()
+		s.PutPod(&Pod{Name: "x", Labels: map[string]string{"a": "1"}})
+		p, _ := s.GetPod("x")
+		mutate(p)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Pod/x") {
+					t.Errorf("%s edit: UpdatePod panicked with %q, want it to name Pod/x", what, msg)
+				}
+			}()
+			s.UpdatePod("x", func(p *Pod) { p.Status.Phase = PodRunning })
+		}()
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // kubelet runs the pods bound to one node: it transitions them
-// Pending→Running after the container start delay, executes their
-// Runtime, and renews the node's lease. Crashing the kubelet models a
-// worker failure: renewals stop and every process on the node dies.
+// Pending→Running after the container start delay and executes their
+// Runtime, while the cluster's renewal loop renews the node's lease on
+// its behalf. Crashing the kubelet models a worker failure: renewals
+// stop and every process on the node dies.
 type kubelet struct {
 	cluster *Cluster
 	node    string
@@ -27,8 +28,7 @@ type kubelet struct {
 	// each other.
 	running map[uint64]*podStop
 
-	quit chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 func newKubelet(c *Cluster, node string) *kubelet {
@@ -37,33 +37,26 @@ func newKubelet(c *Cluster, node string) *kubelet {
 		node:    node,
 		ready:   true,
 		running: make(map[uint64]*podStop),
-		quit:    make(chan struct{}),
 	}
 	k.renew()
 	return k
 }
 
-func (k *kubelet) start() {
-	k.wg.Add(1)
-	go func() {
-		defer k.wg.Done()
-		k.heartbeatLoop()
-	}()
-}
-
-// heartbeatLoop renews the lease; a crashed kubelet stays silent.
-func (k *kubelet) heartbeatLoop() {
-	ticker := k.cluster.cfg.Clock.NewTicker(k.cluster.cfg.HeartbeatInterval)
+// leaseRenewalLoop renews, every HeartbeatInterval, the lease of each
+// kubelet that has not crashed: one ticker per cluster, however many
+// nodes it has.
+func (c *Cluster) leaseRenewalLoop() {
+	ticker := c.cfg.Clock.NewTicker(c.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-k.quit:
-			return
-		case <-k.cluster.stopCh:
+		case <-c.stopCh:
 			return
 		case <-ticker.C:
-			if !k.isCrashed() {
-				k.renew()
+			for _, kl := range c.kubeletList() {
+				if !kl.isCrashed() {
+					kl.renew()
+				}
 			}
 		}
 	}
@@ -104,11 +97,6 @@ func (k *kubelet) isCrashed() bool {
 }
 
 func (k *kubelet) stop() {
-	select {
-	case <-k.quit:
-	default:
-		close(k.quit)
-	}
 	k.crash()
 	k.wg.Wait()
 }
@@ -188,7 +176,7 @@ func (c *Cluster) maybeStartPod(p *Pod) {
 	go func(p *Pod) {
 		defer kl.wg.Done()
 		kl.runPod(p)
-	}(p.Clone())
+	}(p)
 }
 
 // runPod executes one pod's lifecycle on the node.

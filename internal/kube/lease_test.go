@@ -9,8 +9,8 @@ import (
 )
 
 // leaseCluster boots a FakeClock cluster with the default lease timing
-// and waits until every kubelet and the node controller hold their
-// tickers, so virtual time starts with all of them in phase.
+// and waits until the lease renewal loop and the node controller hold
+// their tickers, so virtual time starts with both in phase.
 func leaseCluster(t *testing.T, nodes int) (*Cluster, *sim.FakeClock) {
 	t.Helper()
 	fc := sim.NewFakeClock(time.Unix(0, 0))
@@ -19,7 +19,7 @@ func leaseCluster(t *testing.T, nodes int) (*Cluster, *sim.FakeClock) {
 	for i := 0; i < nodes; i++ {
 		c.AddNode(fmt.Sprintf("node%d", i), "K80", gpuRes(4))
 	}
-	waitFor(t, "timers registered", 3*time.Second, func() bool { return fc.WaiterCount() == nodes+1 })
+	waitFor(t, "timers registered", 3*time.Second, func() bool { return fc.WaiterCount() == 2 })
 	return c, fc
 }
 

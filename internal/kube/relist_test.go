@@ -196,21 +196,22 @@ func TestPodBoundToCrashedNodeStartsOnRestore(t *testing.T) {
 }
 
 // TestClusterTimersAreHeartbeatsAndNodeController pins the cluster's
-// clock waiters by count: one lease-renewal ticker per node plus the
-// node controller. The scheduler, the controllers and the kubelet start loop
-// wake on their watches alone.
+// clock waiters by count: the one lease-renewal loop and the node
+// controller, at 8 nodes as at 64. The scheduler, the controllers and
+// the kubelet start loop wake on their watches alone.
 func TestClusterTimersAreHeartbeatsAndNodeController(t *testing.T) {
-	fc := sim.NewFakeClock(time.Unix(0, 0))
-	c := NewCluster(Config{Clock: fc})
-	t.Cleanup(c.Stop)
-	const nodes = 8
-	for i := 0; i < nodes; i++ {
-		c.AddNode(fmt.Sprintf("node%d", i), "K80", gpuRes(4))
-	}
-	const want = nodes + 1
-	waitFor(t, "timers registered", 3*time.Second, func() bool { return fc.WaiterCount() >= want })
-	time.Sleep(20 * time.Millisecond) // room for any further loop to register one
-	if n := fc.WaiterCount(); n != want {
-		t.Fatalf("%d clock waiters, want %d (%d lease renewals + the node controller)", n, want, nodes)
+	for _, nodes := range []int{8, 64} {
+		fc := sim.NewFakeClock(time.Unix(0, 0))
+		c := NewCluster(Config{Clock: fc})
+		t.Cleanup(c.Stop)
+		for i := 0; i < nodes; i++ {
+			c.AddNode(fmt.Sprintf("node%d", i), "K80", gpuRes(4))
+		}
+		const want = 2
+		waitFor(t, "timers registered", 3*time.Second, func() bool { return fc.WaiterCount() >= want })
+		time.Sleep(20 * time.Millisecond) // room for any further loop to register one
+		if n := fc.WaiterCount(); n != want {
+			t.Fatalf("%d nodes: %d clock waiters, want %d (the lease renewal loop + the node controller)", nodes, n, want)
+		}
 	}
 }

@@ -1,36 +1,21 @@
 package kube
 
 import (
+	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"testing"
 )
 
-// cloneObject deep-copies any stored object type.
-func cloneObject(obj any) any {
-	switch o := obj.(type) {
-	case *Pod:
-		return o.Clone()
-	case *Node:
-		return o.Clone()
-	case *StatefulSet:
-		return o.Clone()
-	case *Deployment:
-		return o.Clone()
-	case *Job:
-		return o.Clone()
-	case *NetworkPolicy:
-		c := *o
-		return &c
-	default:
-		return obj
-	}
-}
-
 // Store is the API-server state: typed object maps with watch streams.
-// All reads return deep copies; all writes replace whole objects —
-// the same interaction model controllers have with a real API server.
+// A stored object is immutable, as in a client-go informer cache: reads
+// and watch events share the stored pointers, and every write stores a
+// new object in place of the old one. Callers must not mutate what a
+// read or an event returns. In test binaries a mutation detector
+// enforces this (see track).
 type Store struct {
 	mu      sync.RWMutex
 	objects map[string]map[string]any // kind -> name -> object
@@ -45,6 +30,9 @@ type Store struct {
 	// eventHead indexes the oldest.
 	events    []Event
 	eventHead int
+	// prints holds each stored object's fingerprint by "kind/name" in
+	// test binaries, and is nil otherwise.
+	prints map[string]string
 }
 
 type storeWatcher struct {
@@ -70,13 +58,19 @@ const (
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{objects: make(map[string]map[string]any), owned: make(map[OwnerRef][]string)}
+	s := &Store{objects: make(map[string]map[string]any), owned: make(map[OwnerRef][]string)}
+	if testing.Testing() {
+		s.prints = make(map[string]string)
+	}
+	return s
 }
 
-// Put creates or replaces an object. New pods default to the Pending
-// phase and get a fresh UID, mirroring API-server defaulting.
+// Put creates or replaces an object. The store takes ownership of obj:
+// the caller must not touch it afterwards. New pods default to the
+// Pending phase and get a fresh UID, mirroring API-server defaulting.
 func (s *Store) Put(kind, name string, obj any) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if p, ok := obj.(*Pod); ok {
 		if p.Status.Phase == "" {
 			p.Status.Phase = PodPending
@@ -86,13 +80,24 @@ func (s *Store) Put(kind, name string, obj any) {
 			p.UID = s.nextUID
 		}
 	}
+	s.setLocked(kind, name, obj)
+}
+
+// setLocked stores obj under (kind, name), replacing any previous
+// object, and publishes the change.
+func (s *Store) setLocked(kind, name string, obj any) {
 	m, ok := s.objects[kind]
 	if !ok {
 		m = make(map[string]any)
 		s.objects[kind] = m
 	}
 	old, existed := m[name]
-	m[name] = cloneObject(obj)
+	s.track(kind, name, old, obj)
+	m[name] = obj
+	ev := WatchEvent{Type: WatchAdded, Kind: kind, Name: name, Object: obj}
+	if existed {
+		ev.Type, ev.Prev = WatchModified, old
+	}
 	if kind == KindPod {
 		if existed {
 			s.reownLocked(name, old.(*Pod).Owner, obj.(*Pod).Owner)
@@ -100,25 +105,15 @@ func (s *Store) Put(kind, name string, obj any) {
 			s.indexPodLocked(obj.(*Pod).Owner, name)
 		}
 	}
-	evType := WatchAdded
-	var prev any
-	if existed {
-		evType = WatchModified
-		prev = cloneObject(old)
-	}
-	s.notifyLocked(WatchEvent{Type: evType, Kind: kind, Name: name, Object: cloneObject(obj), Prev: prev})
-	s.mu.Unlock()
+	s.notifyLocked(ev)
 }
 
-// Get returns a deep copy of an object.
+// Get returns the stored object, which the caller must not mutate.
 func (s *Store) Get(kind, name string) (any, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	obj, ok := s.objects[kind][name]
-	if !ok {
-		return nil, false
-	}
-	return cloneObject(obj), true
+	return obj, ok
 }
 
 // Delete removes an object; it reports whether it existed.
@@ -130,16 +125,17 @@ func (s *Store) Delete(kind, name string) bool {
 	if !ok {
 		return false
 	}
+	s.track(kind, name, old, nil)
 	delete(m, name)
 	if kind == KindPod {
 		s.unindexPodLocked(old.(*Pod).Owner, name)
 	}
-	s.notifyLocked(WatchEvent{Type: WatchDeleted, Kind: kind, Name: name, Prev: cloneObject(old)})
+	s.notifyLocked(WatchEvent{Type: WatchDeleted, Kind: kind, Name: name, Prev: old})
 	return true
 }
 
-// List returns deep copies of all objects of a kind whose name has the
-// given prefix, name-sorted.
+// List returns the stored objects of a kind whose name has the given
+// prefix, name-sorted; the caller must not mutate them.
 func (s *Store) List(kind, prefix string) []any {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -152,7 +148,7 @@ func (s *Store) List(kind, prefix string) []any {
 	sort.Strings(names)
 	out := make([]any, 0, len(names))
 	for _, name := range names {
-		out = append(out, cloneObject(s.objects[kind][name]))
+		out = append(out, s.objects[kind][name])
 	}
 	return out
 }
@@ -243,7 +239,7 @@ func (s *Store) recordedEvents(reason string) []Event {
 
 // --- typed convenience accessors ---
 
-// GetPod returns a pod copy.
+// GetPod returns the stored pod.
 func (s *Store) GetPod(name string) (*Pod, bool) {
 	obj, ok := s.Get(KindPod, name)
 	if !ok {
@@ -265,7 +261,7 @@ func (s *Store) ListPods(prefix string) []*Pod {
 	return out
 }
 
-// PodsOf returns copies of the pods owned by (kind, name), name-sorted.
+// PodsOf returns the stored pods owned by (kind, name), name-sorted.
 // It reads the owner index, so its cost is the owner's pod count, not
 // the store's.
 func (s *Store) PodsOf(kind, name string) []*Pod {
@@ -274,14 +270,13 @@ func (s *Store) PodsOf(kind, name string) []*Pod {
 	names := s.owned[OwnerRef{Kind: kind, Name: name}]
 	out := make([]*Pod, len(names))
 	for i, n := range names {
-		out[i] = s.objects[KindPod][n].(*Pod).Clone()
+		out[i] = s.objects[KindPod][n].(*Pod)
 	}
 	return out
 }
 
 // orphanedPods returns the names of pods whose controller owner object
-// no longer exists: one existence check per owner in the index, and no
-// pod is cloned.
+// no longer exists: one existence check per owner in the index.
 func (s *Store) orphanedPods() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -324,7 +319,7 @@ func (s *Store) reownLocked(name string, from, to OwnerRef) {
 	}
 }
 
-// getNode returns a node copy.
+// getNode returns the stored node.
 func (s *Store) getNode(name string) (*Node, bool) {
 	obj, ok := s.Get(KindNode, name)
 	if !ok {
@@ -346,54 +341,97 @@ func (s *Store) ListNodes() []*Node {
 	return out
 }
 
-// UpdatePod applies fn to the stored pod under the store lock and
-// republishes it; it reports whether the pod existed. This is the
-// compare-free variant of the Kubernetes update-conflict loop, adequate
-// because our controllers partition ownership of status fields.
-func (s *Store) UpdatePod(name string, fn func(*Pod)) bool {
+// UpdatePod replaces the stored pod with a copy that fn has changed,
+// under the store lock, and publishes it; it reports whether the pod
+// existed. This is the compare-free variant of the Kubernetes
+// update-conflict loop, adequate because our controllers partition
+// ownership of status fields. The copy is shallow, so fn may assign
+// fields, maps and slices but must not edit a map or slice in place:
+// the previous object shares them.
+func (s *Store) UpdatePod(name string, fn func(*Pod)) bool { return update(s, KindPod, name, fn) }
+
+// UpdateNode is UpdatePod for a node.
+func (s *Store) UpdateNode(name string, fn func(*Node)) bool { return update(s, KindNode, name, fn) }
+
+// UpdateJob is UpdatePod for a Job.
+func (s *Store) UpdateJob(name string, fn func(*Job)) bool { return update(s, KindJob, name, fn) }
+
+func update[T any](s *Store, kind, name string, fn func(*T)) bool {
 	s.mu.Lock()
-	obj, ok := s.objects[KindPod][name]
+	defer s.mu.Unlock()
+	old, ok := s.objects[kind][name].(*T)
 	if !ok {
-		s.mu.Unlock()
 		return false
 	}
-	p := obj.(*Pod)
-	prev := p.Clone()
-	fn(p)
-	s.reownLocked(name, prev.Owner, p.Owner)
-	s.notifyLocked(WatchEvent{Type: WatchModified, Kind: KindPod, Name: name, Object: p.Clone(), Prev: prev})
-	s.mu.Unlock()
+	next := *old
+	fn(&next)
+	s.setLocked(kind, name, &next)
 	return true
 }
 
-// UpdateNode applies fn to a stored node.
-func (s *Store) UpdateNode(name string, fn func(*Node)) bool {
-	s.mu.Lock()
-	obj, ok := s.objects[KindNode][name]
-	if !ok {
-		s.mu.Unlock()
-		return false
+// track is the mutation detector, after client-go's
+// KUBE_CACHE_MUTATION_DETECTOR, and runs only in test binaries. As
+// (kind, name) goes from old to obj (either may be nil), it panics if
+// old no longer matches the fingerprint taken when it was stored, then
+// fingerprints obj.
+func (s *Store) track(kind, name string, old, obj any) {
+	if s.prints == nil {
+		return
 	}
-	n := obj.(*Node)
-	prev := n.Clone()
-	fn(n)
-	s.notifyLocked(WatchEvent{Type: WatchModified, Kind: KindNode, Name: name, Object: n.Clone(), Prev: prev})
-	s.mu.Unlock()
-	return true
+	key := kind + "/" + name
+	if old != nil && string(fingerprint(nil, reflect.Indirect(reflect.ValueOf(old)))) != s.prints[key] {
+		panic("kube: stored object " + key + " was mutated")
+	}
+	if obj == nil {
+		delete(s.prints, key)
+	} else {
+		s.prints[key] = string(fingerprint(nil, reflect.Indirect(reflect.ValueOf(obj))))
+	}
 }
 
-// UpdateJob applies fn to a stored Job.
-func (s *Store) UpdateJob(name string, fn func(*Job)) bool {
-	s.mu.Lock()
-	obj, ok := s.objects[KindJob][name]
-	if !ok {
-		s.mu.Unlock()
-		return false
+// fingerprint appends a rendering of v: scalars, struct fields in
+// order, map entries in key order, and a pointer as its address. It
+// does not use fmt, whose pooled printer makes allocation counts vary
+// under the race detector: tests count the allocations of store writes.
+func fingerprint(b []byte, v reflect.Value) []byte {
+	switch {
+	case v.CanInt():
+		return strconv.AppendInt(b, v.Int(), 10)
+	case v.CanUint():
+		return strconv.AppendUint(b, v.Uint(), 10)
 	}
-	j := obj.(*Job)
-	prev := j.Clone()
-	fn(j)
-	s.notifyLocked(WatchEvent{Type: WatchModified, Kind: KindJob, Name: name, Object: j.Clone(), Prev: prev})
-	s.mu.Unlock()
-	return true
+	switch v.Kind() {
+	case reflect.String:
+		return strconv.AppendQuote(b, v.String())
+	case reflect.Bool:
+		return strconv.AppendBool(b, v.Bool())
+	case reflect.Pointer:
+		return strconv.AppendUint(b, uint64(v.Pointer()), 16)
+	case reflect.Struct:
+		b = append(b, '{')
+		for i := range v.NumField() {
+			b = append(fingerprint(b, v.Field(i)), ',')
+		}
+		return append(b, '}')
+	case reflect.Map:
+		keys := v.MapKeys()
+		slices.SortFunc(keys, func(x, y reflect.Value) int { return strings.Compare(x.String(), y.String()) })
+		b = append(b, '[')
+		for _, k := range keys {
+			b = append(fingerprint(append(fingerprint(b, k), ':'), v.MapIndex(k)), ',')
+		}
+		return append(b, ']')
+	}
+	panic("kube: no fingerprint for " + v.Type().String())
+}
+
+// checkMutations runs the mutation detector over every stored object.
+func (s *Store) checkMutations() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for kind, m := range s.objects {
+		for name, obj := range m {
+			s.track(kind, name, obj, obj)
+		}
+	}
 }

@@ -90,25 +90,6 @@ type Pod struct {
 	UID uint64
 }
 
-// Clone deep-copies the pod.
-func (p *Pod) Clone() *Pod {
-	c := *p
-	c.Labels = cloneMap(p.Labels)
-	c.Spec.RuntimeArgs = cloneMap(p.Spec.RuntimeArgs)
-	return &c
-}
-
-func cloneMap(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // Terminated reports whether the pod reached a terminal phase.
 func (p *Pod) Terminated() bool {
 	return p.Status.Phase == PodSucceeded || p.Status.Phase == PodFailed
@@ -127,12 +108,6 @@ type Node struct {
 	Cordoned bool
 }
 
-// Clone copies the node.
-func (n *Node) Clone() *Node {
-	c := *n
-	return &c
-}
-
 // Schedulable reports whether new pods may bind to the node.
 func (n *Node) Schedulable() bool { return n.Ready && !n.Cordoned }
 
@@ -144,26 +119,12 @@ type StatefulSet struct {
 	Template PodSpec
 }
 
-// Clone copies the set.
-func (s *StatefulSet) Clone() *StatefulSet {
-	c := *s
-	c.Template.RuntimeArgs = cloneMap(s.Template.RuntimeArgs)
-	return &c
-}
-
 // Deployment manages stateless replicas — how FfDL core microservices
 // and the per-job helper pod are deployed.
 type Deployment struct {
 	Name     string
 	Replicas int
 	Template PodSpec
-}
-
-// Clone copies the deployment.
-func (d *Deployment) Clone() *Deployment {
-	c := *d
-	c.Template.RuntimeArgs = cloneMap(d.Template.RuntimeArgs)
-	return &c
 }
 
 // Job runs a pod to completion, restarting on failure up to
@@ -178,13 +139,6 @@ type Job struct {
 	// succeeds is deleted instead (reconcileJob).
 	Attempts int
 	Failed   bool
-}
-
-// Clone copies the job.
-func (j *Job) Clone() *Job {
-	c := *j
-	c.Template.RuntimeArgs = cloneMap(j.Template.RuntimeArgs)
-	return &c
 }
 
 // NetworkPolicy models the per-job isolation policies the Guardian
@@ -236,11 +190,10 @@ type WatchEvent struct {
 	Type WatchEventType
 	Kind string
 	Name string
-	// Object is a deep copy of the object after the change (nil for
-	// deletes).
+	// Object is the stored object after the change (nil for deletes).
+	// Like every object the store hands out, it must not be mutated.
 	Object any
-	// Prev is a deep copy of the object before the change (nil for
-	// adds). Consumers that maintain incremental views — the
+	// Prev is the object the change replaced or deleted (nil for adds). Consumers that maintain incremental views — the
 	// scheduler's dirty-set above all — diff Prev against Object to
 	// apply exactly the delta an event represents, instead of
 	// re-listing the store.
