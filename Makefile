@@ -51,9 +51,11 @@ bench-gate:
 # oplog ops, learner log lines) — corrupt or truncated input must error,
 # never panic — and of
 # the owner index's op-sequence fuzzer, checked against the full-scan
-# oracle after every op, and of BSA gang placement, checked against the
-# sample-from-scratch reference for the same RNG stream. go's fuzzer
-# allows one -fuzz target per invocation, hence one run each.
+# oracle after every op, of BSA gang placement, checked against the
+# sample-from-scratch reference for the same RNG stream, and of the etcd
+# store's key index and watcher maps, checked against the linear-scan
+# oracle. go's fuzzer allows one -fuzz target per invocation, hence one
+# run each.
 fuzz-smoke:
 	$(GO) test -run=xxx -fuzz=FuzzCommandCodecRoundtrip -fuzztime=10s ./internal/etcd
 	$(GO) test -run=xxx -fuzz=FuzzFrameCodecRoundtrip -fuzztime=10s ./internal/rpc
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=xxx -fuzz=FuzzLogLineRoundtrip -fuzztime=10s ./internal/core
 	$(GO) test -run=xxx -fuzz=FuzzOwnerIndex -fuzztime=10s ./internal/kube
 	$(GO) test -run=xxx -fuzz=FuzzBSAMatchesReference -fuzztime=10s ./internal/sched
+	$(GO) test -run=xxx -fuzz=FuzzStoreMatchesLinearScan -fuzztime=10s ./internal/etcd
 
 # Experiment smoke: every row of the experiment registry (internal/expt;
 # `go run ./cmd/ffdl-bench -list` prints it) at its smoke size, each

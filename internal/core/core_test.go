@@ -949,6 +949,33 @@ func TestJobTrafficOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Cancel()
+	// The watch spans two whole job lives, more than a stream's buffer,
+	// so it is drained as events arrive, up to a sentinel put written
+	// once both subtrees are gone.
+	const sentinel = "jobs/~drained"
+	type traffic struct {
+		puts   int
+		exit   string // an unread /exit key, if one was written
+		closed bool   // closed by a leader change or an overflow
+	}
+	drained := make(chan traffic, 1)
+	go func() {
+		var tr traffic
+		defer func() { drained <- tr }()
+		for ev := range ws.Events() {
+			if ev.Type != etcd.EventPut {
+				continue
+			}
+			if ev.KV.Key == sentinel {
+				return
+			}
+			tr.puts++
+			if strings.HasSuffix(ev.KV.Key, "/exit") && tr.exit == "" {
+				tr.exit = ev.KV.Key
+			}
+		}
+		tr.closed = true
+	}()
 
 	var jobs []string
 	for _, learners := range []int{1, 4} {
@@ -969,28 +996,23 @@ func TestJobTrafficOnce(t *testing.T) {
 			return err == nil && len(kvs) == 0
 		})
 	}
-	puts := 0
-drain:
-	for {
-		select {
-		case ev, ok := <-ws.Events():
-			if !ok {
-				// Closed by a leader change or an overflow: a write
-				// may be missing from what was read.
-				t.Fatalf("the jobs/ watch closed after %d puts", puts)
-			}
-			if ev.Type != etcd.EventPut {
-				continue
-			}
-			puts++
-			if strings.HasSuffix(ev.KV.Key, "/exit") {
-				t.Fatalf("unread key written: %s", ev.KV.Key)
-			}
-		default:
-			break drain
-		}
+	if _, err := p.Etcd.Put(sentinel, nil, 0); err != nil {
+		t.Fatal(err)
 	}
-	if puts == 0 {
+	var tr traffic
+	select {
+	case tr = <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the jobs/ watch did not deliver the sentinel put within 5s")
+	}
+	if tr.closed {
+		// A write may be missing from what was read.
+		t.Fatalf("the jobs/ watch closed after %d puts", tr.puts)
+	}
+	if tr.exit != "" {
+		t.Fatalf("unread key written: %s", tr.exit)
+	}
+	if tr.puts == 0 {
 		t.Fatal("the jobs/ watch saw no writes at all")
 	}
 

@@ -93,13 +93,13 @@ func jobKeys[T any](f *fanout[T]) int {
 // is set and the stream has ending items), and serve, the API handler.
 type followedStream struct {
 	first uint64
-	buf   int  // the follower's subscription buffer
-	ends  bool // the stream ends at an item, not only with ctx
+	buf   func(p *Platform) int // the follower's subscription buffer
+	ends  bool                  // the stream ends at an item, not only with ctx
 	open  func(t *testing.T, p *Platform) (add func(n int, end bool), serve func(ctx context.Context, send func(any) error) error)
 }
 
 var (
-	logsStream = followedStream{first: 0, buf: 256, open: func(t *testing.T, p *Platform) (func(int, bool), func(context.Context, func(any) error) error) {
+	logsStream = followedStream{first: 0, buf: func(p *Platform) int { return p.Metrics.live.buf }, open: func(t *testing.T, p *Platform) (func(int, bool), func(context.Context, func(any) error) error) {
 		const jobID = "gap-job"
 		add := func(n int, _ bool) {
 			for i := 0; i < n; i++ {
@@ -111,7 +111,7 @@ var (
 			return p.apis[0].handleLogs(ctx, LogsArgs{JobID: jobID, Follow: true}, send)
 		}
 	}}
-	watchStream = followedStream{first: 1, buf: 64, ends: true, open: func(t *testing.T, p *Platform) (func(int, bool), func(context.Context, func(any) error) error) {
+	watchStream = followedStream{first: 1, buf: func(p *Platform) int { return p.bus.buf }, ends: true, open: func(t *testing.T, p *Platform) (func(int, bool), func(context.Context, func(any) error) error) {
 		// The history is written straight to the job document, as another
 		// replica would, in statuses the LCM's recovery scan skips.
 		const jobID = "training-gap"
@@ -179,7 +179,8 @@ func testFollowRefill(t *testing.T, s followedStream, tail bool) {
 		}
 	})
 	add, serve := s.open(t, p)
-	burst := 3 * s.buf
+	buf := s.buf(p)
+	burst := 3 * buf
 	entered, gate := make(chan struct{}), make(chan struct{})
 	got := make(chan uint64, 2*burst) // every position sent, so send never blocks past the gate
 	ctx, cancel := context.WithCancel(context.Background())
@@ -219,7 +220,7 @@ func testFollowRefill(t *testing.T, s followedStream, tail bool) {
 	}
 	last := s.first + uint64(burst)
 	if !tail {
-		recv(s.first + uint64(s.buf)) // the backlog item and what the buffer held
+		recv(s.first + uint64(buf)) // the backlog item and what the buffer held
 		add(1, true)
 		last++
 	}

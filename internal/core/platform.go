@@ -330,9 +330,11 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		Tracer:   tracer,
 		Registry: rpc.NewRegistry(),
 		res:      newResilienceHub(&cfg, instruments),
-		// A watch may fall 64 transitions, about ten job lifetimes,
-		// behind before it refills from MongoDB.
-		bus:       newFanout[StatusEvent](64),
+		// A status watch may fall 16 transitions behind before it
+		// refills from MongoDB: a watch follows one job, whose whole
+		// life is about ten transitions, and at most 4 were measured
+		// waiting at once on the bench workloads.
+		bus:       newFanout[StatusEvent](16),
 		resources: make(map[string]*jobResources),
 		jobSeq:    jobSeq,
 		stopCh:    make(chan struct{}),

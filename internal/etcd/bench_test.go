@@ -58,3 +58,65 @@ func BenchmarkEtcdPutSerial(b *testing.B) { benchPuts(b, Options{}, 1) }
 // BenchmarkEtcdPutConcurrent64 is the group-commit hot path: 64
 // concurrent proposers share Raft entries.
 func BenchmarkEtcdPutConcurrent64(b *testing.B) { benchPuts(b, Options{}, 64) }
+
+// BenchmarkStoreScale times the calls a Guardian makes, on a bare
+// replica holding N jobs. Each job has four keys under jobs/<id>/ and
+// one prefix watcher on jobs/<id>/, drained after every write, as its
+// Guardian holds. The ops rotate over the jobs: List of one job's
+// learners/, a Put to one existing key, and a DeletePrefix of one job
+// followed by re-creating its four keys. Each op's cost should not
+// depend on N.
+func BenchmarkStoreScale(b *testing.B) {
+	suffixes := []string{"control", "done", "learners/0/status", "learners/1/status"}
+	for _, jobs := range []int{50, 200, 1000, 4000} {
+		s := newStoreState()
+		prefixes := make([]string, jobs)
+		learners := make([]string, jobs)
+		keys := make([][]string, jobs)
+		watchers := make([]*watcher, jobs)
+		value := []byte("RUNNING")
+		put := func(key string) { s.apply(&command{Op: opPut, Key: key, Value: value}) }
+		for j := range jobs {
+			prefixes[j] = fmt.Sprintf("jobs/training-%06d/", j)
+			learners[j] = prefixes[j] + "learners/"
+			for _, suf := range suffixes {
+				k := prefixes[j] + suf
+				keys[j] = append(keys[j], k)
+				put(k)
+			}
+			watchers[j] = s.addWatcher(prefixes[j], true, watchBuffer)
+		}
+		drain := func(j int) {
+			w := watchers[j]
+			for len(w.ch) > 0 {
+				<-w.ch
+			}
+		}
+		b.Run(fmt.Sprintf("jobs=%d/list", jobs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if kvs := s.list(learners[i%jobs]); len(kvs) != 2 {
+					b.Fatalf("List %s = %d KVs, want 2", learners[i%jobs], len(kvs))
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("jobs=%d/put", jobs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				put(keys[i%jobs][2])
+				drain(i % jobs)
+			}
+		})
+		b.Run(fmt.Sprintf("jobs=%d/delete-recreate", jobs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				j := i % jobs
+				s.apply(&command{Op: opDelete, Key: prefixes[j], Prefix: true})
+				for _, k := range keys[j] {
+					put(k)
+				}
+				drain(j)
+			}
+		})
+	}
+}

@@ -261,10 +261,7 @@ func TestWatchFromRevisionIsRejected(t *testing.T) {
 		t.Fatal("Watch from a revision succeeded")
 	}
 	for i, st := range c.states {
-		st.mu.Lock()
-		n := len(st.watchers)
-		st.mu.Unlock()
-		if n != 0 {
+		if n := st.watcherCount(); n != 0 {
 			t.Fatalf("replica %d holds %d watchers after the rejected watch", i, n)
 		}
 	}

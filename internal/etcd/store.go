@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,12 +84,25 @@ type result struct {
 // All mutations arrive through Raft apply, so replicas stay identical.
 // Request-ID deduplication makes application exactly-once even when a
 // client re-proposes across a leader change and both proposals commit.
+//
+// Each call costs what it touches, not what the keyspace holds: range
+// reads and prefix deletes walk one contiguous run of the ordered key
+// index, and a write finds its watchers by lookups on the written key
+// rather than by testing every watcher.
 type storeState struct {
-	mu       sync.Mutex
-	kv       map[string]KV
-	rev      uint64
-	watchers map[int]*watcher
-	nextW    int
+	mu sync.Mutex
+	kv map[string]KV
+	// keys holds every key of kv in ascending order, sharing kv's key
+	// strings: the keys under a prefix are one contiguous run of it.
+	keys []string
+	rev  uint64
+	// exact maps a watched key to its exact-key watchers, and prefixes a
+	// watched prefix to its prefix watchers; each list is linked through
+	// watcher.next. prefixLens counts the prefix watchers of each prefix
+	// length, so a write looks up key[:L] once per watched length L.
+	exact      map[string]*watcher
+	prefixes   map[string]*watcher
+	prefixLens map[int]int
 	// appliedReq caches the result of each applied command whose ReqID
 	// is at or above floor, the highest ack floor any applied entry
 	// carried: the dedup window holds only in-flight proposals.
@@ -108,17 +122,19 @@ type storeState struct {
 // watcher receives events for a key or prefix. Its channel is closed,
 // under the store lock, when the watcher is removed.
 type watcher struct {
-	id     int
 	key    string
 	prefix bool
 	ch     chan Event
 	closed bool
+	next   *watcher // the next watcher on the same key or prefix
 }
 
 func newStoreState() *storeState {
 	return &storeState{
 		kv:         make(map[string]KV),
-		watchers:   make(map[int]*watcher),
+		exact:      make(map[string]*watcher),
+		prefixes:   make(map[string]*watcher),
+		prefixLens: make(map[int]int),
 		appliedReq: make(map[uint64]result),
 		applySig:   make(chan struct{}),
 	}
@@ -203,6 +219,8 @@ func (s *storeState) putLocked(key string, value []byte) result {
 		kv.CreateRevision = old.CreateRevision
 	} else {
 		kv.CreateRevision = s.rev
+		i, _ := slices.BinarySearch(s.keys, key)
+		s.keys = slices.Insert(s.keys, i, key)
 	}
 	s.kv[key] = kv
 	s.notifyLocked(Event{Type: EventPut, KV: kv, Revision: s.rev})
@@ -210,48 +228,64 @@ func (s *storeState) putLocked(key string, value []byte) result {
 }
 
 func (s *storeState) deleteLocked(key string, prefix bool) result {
-	var victims []string
-	if prefix {
-		for k := range s.kv {
-			if strings.HasPrefix(k, key) {
-				victims = append(victims, k)
-			}
-		}
-		sort.Strings(victims)
-	} else if _, ok := s.kv[key]; ok {
-		victims = []string{key}
-	}
-	if len(victims) == 0 {
+	lo, hi := s.keyRange(key, prefix)
+	if lo == hi {
 		return result{rev: s.rev, ok: false}
 	}
 	s.rev++
-	for _, k := range victims {
+	for _, k := range s.keys[lo:hi] {
 		delete(s.kv, k)
 		s.notifyLocked(Event{Type: EventDelete, KV: KV{Key: k, ModRevision: s.rev}, Revision: s.rev})
 	}
+	s.keys = slices.Delete(s.keys, lo, hi)
 	return result{rev: s.rev, ok: true}
 }
 
-func (s *storeState) notifyLocked(ev Event) {
-	for _, w := range s.watchers {
-		if !w.matches(ev.KV.Key) {
-			continue
+// keyRange returns the run keys[lo:hi] that holds key (prefix=false)
+// or every key under it (prefix=true): a binary search for the lower
+// bound, then a walk over the run.
+func (s *storeState) keyRange(key string, prefix bool) (lo, hi int) {
+	lo, found := slices.BinarySearch(s.keys, key)
+	if !prefix {
+		if found {
+			return lo, lo + 1
 		}
-		select {
-		case w.ch <- ev:
-		default:
-			// Slow watcher: close it rather than drop the event, so the
-			// consumer sees the gap as the end of its stream.
-			s.removeWatcherLocked(w)
+		return lo, lo
+	}
+	hi = lo
+	for hi < len(s.keys) && strings.HasPrefix(s.keys[hi], key) {
+		hi++
+	}
+	return lo, hi
+}
+
+// notifyLocked delivers ev to the watchers of its key: the exact-key
+// watchers, then the prefix watchers of each watched prefix length.
+func (s *storeState) notifyLocked(ev Event) {
+	key := ev.KV.Key
+	s.deliverLocked(s.exact[key], ev)
+	for n := range s.prefixLens {
+		if n <= len(key) {
+			s.deliverLocked(s.prefixes[key[:n]], ev)
 		}
 	}
 }
 
-func (w *watcher) matches(key string) bool {
-	if w.prefix {
-		return strings.HasPrefix(key, w.key)
+// deliverLocked sends ev to every watcher of the list that starts at w.
+// A slow watcher is closed rather than sent a gap, so the consumer sees
+// the gap as the end of its stream. The close unlinks the watcher (and
+// may delete the prefixLens entry notifyLocked is visiting, which a map
+// range allows), so the walk saves each next pointer before the send.
+func (s *storeState) deliverLocked(w *watcher, ev Event) {
+	for w != nil {
+		next := w.next
+		select {
+		case w.ch <- ev:
+		default:
+			s.removeWatcherLocked(w)
+		}
+		w = next
 	}
-	return key == w.key
 }
 
 // revision returns the replica's current revision.
@@ -273,13 +307,14 @@ func (s *storeState) get(key string) (KV, bool) {
 func (s *storeState) list(prefix string) []KV {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []KV
-	for k, v := range s.kv {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, v)
-		}
+	lo, hi := s.keyRange(prefix, true)
+	if lo == hi {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := make([]KV, hi-lo)
+	for i, k := range s.keys[lo:hi] {
+		out[i] = s.kv[k]
+	}
 	return out
 }
 
@@ -288,9 +323,14 @@ func (s *storeState) list(prefix string) []KV {
 func (s *storeState) addWatcher(key string, prefix bool, buf int) *watcher {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextW++
-	w := &watcher{id: s.nextW, key: key, prefix: prefix, ch: make(chan Event, buf)}
-	s.watchers[w.id] = w
+	w := &watcher{key: key, prefix: prefix, ch: make(chan Event, buf)}
+	lists := s.exact
+	if prefix {
+		lists = s.prefixes
+		s.prefixLens[len(key)]++
+	}
+	w.next = lists[key]
+	lists[key] = w
 	return w
 }
 
@@ -302,10 +342,34 @@ func (s *storeState) removeWatcher(w *watcher) {
 }
 
 func (s *storeState) removeWatcherLocked(w *watcher) {
-	if !w.closed {
-		w.closed = true
-		delete(s.watchers, w.id)
-		close(w.ch)
+	if w.closed {
+		return
+	}
+	w.closed = true
+	close(w.ch)
+	lists := s.exact
+	if w.prefix {
+		lists = s.prefixes
+		s.prefixLens[len(w.key)]--
+		if s.prefixLens[len(w.key)] == 0 {
+			delete(s.prefixLens, len(w.key))
+		}
+	}
+	head := lists[w.key]
+	if head == w {
+		head = w.next
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == w {
+				p.next = w.next
+				break
+			}
+		}
+	}
+	if head == nil {
+		delete(lists, w.key)
+	} else {
+		lists[w.key] = head
 	}
 }
 
@@ -313,9 +377,16 @@ func (s *storeState) removeWatcherLocked(w *watcher) {
 func (s *storeState) closeWatchers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range s.watchers {
-		s.removeWatcherLocked(w)
+	for _, lists := range []map[string]*watcher{s.exact, s.prefixes} {
+		for _, head := range lists {
+			for w := head; w != nil; w = w.next {
+				w.closed = true
+				close(w.ch)
+			}
+		}
+		clear(lists)
 	}
+	clear(s.prefixLens)
 }
 
 // snapshot serializes the KV map for Raft compaction.
@@ -324,12 +395,11 @@ func (s *storeState) snapshot() []byte {
 	defer s.mu.Unlock()
 	var buf bytes.Buffer
 	snap := storeSnapshot{
-		KVs: make([]KV, 0, len(s.kv)), Rev: s.rev, Floor: s.floor,
+		KVs: make([]KV, len(s.keys)), Rev: s.rev, Floor: s.floor,
 	}
-	for _, v := range s.kv {
-		snap.KVs = append(snap.KVs, v)
+	for i, k := range s.keys {
+		snap.KVs[i] = s.kv[k]
 	}
-	sort.Slice(snap.KVs, func(i, j int) bool { return snap.KVs[i].Key < snap.KVs[j].Key })
 	for id := range s.appliedReq {
 		snap.Applied = append(snap.Applied, id)
 	}
@@ -347,9 +417,13 @@ func (s *storeState) restore(data []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A snapshot lists its KVs key-sorted, so they rebuild the index
+	// in order.
 	s.kv = make(map[string]KV, len(snap.KVs))
-	for _, kv := range snap.KVs {
+	s.keys = make([]string, len(snap.KVs))
+	for i, kv := range snap.KVs {
 		s.kv[kv.Key] = kv
+		s.keys[i] = kv.Key
 	}
 	s.rev = snap.Rev
 	s.floor = snap.Floor

