@@ -55,17 +55,20 @@ bench-gate:
 # sample-from-scratch reference for the same RNG stream, and of the etcd
 # store's key index and watcher maps, checked against the linear-scan
 # oracle. go's fuzzer allows one -fuzz target per invocation, hence one
-# run each.
+# run each. It minimizes every new interesting input before it explores
+# again, for up to 60 s by default, so a 10 s run could sit at 0
+# execs/s after its first finds; -fuzzminimizetime caps each
+# minimization at 100 execs.
 fuzz-smoke:
-	$(GO) test -run=xxx -fuzz=FuzzCommandCodecRoundtrip -fuzztime=10s ./internal/etcd
-	$(GO) test -run=xxx -fuzz=FuzzFrameCodecRoundtrip -fuzztime=10s ./internal/rpc
-	$(GO) test -run=xxx -fuzz=FuzzBodyRoundtrip -fuzztime=10s ./internal/rpc
-	$(GO) test -run=xxx -fuzz=FuzzSegmentRecordRoundtrip -fuzztime=10s ./internal/commitlog
-	$(GO) test -run=xxx -fuzz=FuzzOplogOpRoundtrip -fuzztime=10s ./internal/mongo
-	$(GO) test -run=xxx -fuzz=FuzzLogLineRoundtrip -fuzztime=10s ./internal/core
-	$(GO) test -run=xxx -fuzz=FuzzOwnerIndex -fuzztime=10s ./internal/kube
-	$(GO) test -run=xxx -fuzz=FuzzBSAMatchesReference -fuzztime=10s ./internal/sched
-	$(GO) test -run=xxx -fuzz=FuzzStoreMatchesLinearScan -fuzztime=10s ./internal/etcd
+	$(GO) test -run=xxx -fuzz=FuzzCommandCodecRoundtrip -fuzztime=10s -fuzzminimizetime=100x ./internal/etcd
+	$(GO) test -run=xxx -fuzz=FuzzFrameCodecRoundtrip -fuzztime=10s -fuzzminimizetime=100x ./internal/rpc
+	$(GO) test -run=xxx -fuzz=FuzzBodyRoundtrip -fuzztime=10s -fuzzminimizetime=100x ./internal/rpc
+	$(GO) test -run=xxx -fuzz=FuzzSegmentRecordRoundtrip -fuzztime=10s -fuzzminimizetime=100x ./internal/commitlog
+	$(GO) test -run=xxx -fuzz=FuzzOplogOpRoundtrip -fuzztime=10s -fuzzminimizetime=100x ./internal/mongo
+	$(GO) test -run=xxx -fuzz=FuzzLogLineRoundtrip -fuzztime=10s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run=xxx -fuzz=FuzzOwnerIndex -fuzztime=10s -fuzzminimizetime=100x ./internal/kube
+	$(GO) test -run=xxx -fuzz=FuzzBSAMatchesReference -fuzztime=10s -fuzzminimizetime=100x ./internal/sched
+	$(GO) test -run=xxx -fuzz=FuzzStoreMatchesLinearScan -fuzztime=10s -fuzzminimizetime=100x ./internal/etcd
 
 # Experiment smoke: every row of the experiment registry (internal/expt;
 # `go run ./cmd/ffdl-bench -list` prints it) at its smoke size, each
@@ -114,7 +117,7 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only cloneObject TestStoreCopiesAtBoundaries "deep-copy boundaries" "Kube store reads return deep copies"; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only cloneObject TestStoreCopiesAtBoundaries "deep-copy boundaries" "Kube store reads return deep copies" statusMu; do \
 		if grep -n "$$gone" README.md docs/*.md examples/*/README.md ffdl.go; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \

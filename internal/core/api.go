@@ -209,8 +209,10 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		}
 		return nil, fmt.Errorf("core: persist job: %w", err)
 	}
-	// Open the job's trace before the bus announcement: transitions
-	// racing in behind the publish must find the root span in place.
+	// Seed the job's status head and open its trace before the bus
+	// announcement: transitions racing in behind the publish find both
+	// in place.
+	a.p.seedHead(jobID, status)
 	// The timestamps reuse the history[0] clock read, so the trace and
 	// the durable history agree exactly.
 	a.p.Tracer.Begin(jobID, now)
@@ -287,9 +289,6 @@ func (a *apiReplica) handleStatus(_ context.Context, arg any) (any, error) {
 		return nil, err
 	}
 	if reply.Degraded {
-		if len(reply.History) == 0 {
-			return nil, fmt.Errorf("core: job %s: %w", req.JobID, ErrDegraded)
-		}
 		a.p.Metrics.Inc("api.degraded_reads")
 	} else if reply.Status == StatusQueued && a.p.Dispatcher != nil {
 		reply.QueuePos, _ = a.p.Dispatcher.Position(req.JobID)
@@ -301,8 +300,8 @@ func (a *apiReplica) handleStatus(_ context.Context, arg any) (any, error) {
 // fromSeq on, from the job document: MongoDB by _id, or, when MongoDB
 // does not answer, the document's newest image in the oplog, flagged
 // Degraded. Either way the history is complete up to the last
-// acknowledged write. A degraded reply with no History means the oplog
-// retains nothing for the job. Store answers such as not-found are
+// acknowledged write. When the oplog retains nothing for the job either,
+// the read fails with ErrDegraded. Store answers such as not-found are
 // errors.
 func (p *Platform) statusHistory(jobID string, fromSeq int) (StatusReply, error) {
 	doc, err := p.findJob(jobID)
@@ -313,7 +312,7 @@ func (p *Platform) statusHistory(jobID string, fromSeq int) (StatusReply, error)
 		}
 		var ok bool
 		if doc, ok = p.Jobs.OplogImage(jobID); !ok {
-			return StatusReply{JobID: jobID, Degraded: true}, nil
+			return StatusReply{}, fmt.Errorf("core: job %s: %w", jobID, ErrDegraded)
 		}
 		degraded = true
 	}
@@ -446,8 +445,8 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 // handleWatch streams a job's status transitions in history order
 // through the follow protocol, filling from statusHistory, and ends the
 // stream at a terminal status. A degraded fill is as complete as a
-// healthy one; only a job the oplog retains nothing for leaves the
-// stream on live events and the safety tick.
+// healthy one; a job the oplog retains nothing for fails the fill with
+// ErrDegraded, as it fails a status read.
 func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) error) error {
 	req := arg.(WatchArgs)
 	a.p.Metrics.Inc("watch.refills")
@@ -631,7 +630,7 @@ func (c *Client) FollowLogs(ctx context.Context, jobID string, fn func(LogLine))
 func (c *Client) FollowLogsFrom(ctx context.Context, jobID string, from uint64, fn func(LogLine)) error {
 	resume(ctx, c, "API.Logs", func(next uint64) any {
 		return LogsArgs{JobID: jobID, Follow: true, FromOffset: next}
-	}, from, func(it LogItem) bool {
+	}, from, nil, func(it LogItem) bool {
 		fn(it.Line)
 		return true
 	})
@@ -653,36 +652,58 @@ const watchRetryDelay = 5 * time.Millisecond
 // whichever API replica serves the stream and whichever replica
 // committed the transition. This is the layer-4 contract of
 // docs/watch-protocol.md.
+//
+// The existence check rides the stream's first item: every job's
+// history has an entry, so WatchStatus waits for it, and an error the
+// server sends in its place — an unknown job, a degraded store that
+// holds no image of the job — fails the call. A connection that breaks
+// before the first item is reconnected like any later break.
 func (c *Client) WatchStatus(ctx context.Context, jobID string) (<-chan StatusEntry, func(), error) {
-	// Synchronous existence check so callers get an immediate error for
-	// unknown jobs rather than a silently empty stream.
-	if _, err := c.Status(ctx, jobID); err != nil {
+	wctx, cancel := context.WithCancel(ctx)
+	sr, err := c.api.Stream(wctx, "API.Watch", WatchArgs{JobID: jobID, FromSeq: 1})
+	if err != nil {
+		cancel()
 		return nil, nil, err
 	}
-	ch, cancel := c.watchFrom(ctx, jobID, 1)
-	return ch, cancel, nil
+	// The first entry is the submit's QUEUED or PENDING, never an ending
+	// one, so the stream goes on past it.
+	var first StatusItem
+	switch err := sr.Recv(&first); {
+	case err == nil:
+		return c.watch(wctx, jobID, first.Seq+1, sr, first.Entry), cancel, nil
+	case errors.As(err, new(*rpc.RemoteError)), ctx.Err() != nil:
+		sr.Close()
+		cancel()
+		return nil, nil, err
+	}
+	sr.Close() // the connection broke before the first item: reconnect
+	return c.watch(wctx, jobID, 1, nil), cancel, nil
 }
 
-// watchFrom runs a status watch's resume loop from Seq from.
-func (c *Client) watchFrom(ctx context.Context, jobID string, from int) (<-chan StatusEntry, func()) {
-	wctx, cancel := context.WithCancel(ctx)
+// watch runs a status watch's resume loop from Seq from, on sr when it
+// is open there, and returns its channel, which starts with the entries
+// already read.
+func (c *Client) watch(ctx context.Context, jobID string, from int, sr *rpc.StreamReader, read ...StatusEntry) <-chan StatusEntry {
 	// 16 holds a whole job history, so a consumer that reads in bursts
 	// does not hold the stream up.
 	out := make(chan StatusEntry, 16)
+	for _, e := range read {
+		out <- e
+	}
 	go func() {
 		defer close(out)
-		resume(wctx, c, "API.Watch", func(next uint64) any {
+		resume(ctx, c, "API.Watch", func(next uint64) any {
 			return WatchArgs{JobID: jobID, FromSeq: int(next)}
-		}, uint64(from), func(it StatusItem) bool {
+		}, uint64(from), sr, func(it StatusItem) bool {
 			select {
 			case out <- it.Entry:
 				return true
-			case <-wctx.Done():
+			case <-ctx.Done():
 				return false
 			}
 		})
 	}()
-	return out, cancel
+	return out
 }
 
 // WaitForStatus blocks until the job's *current* status reaches the
@@ -701,8 +722,9 @@ func (c *Client) WaitForStatus(ctx context.Context, jobID string, target JobStat
 		// A transition racing the status read lands past its history and
 		// is still seen. The watch closes only after a terminal entry or
 		// once ctx ends.
-		ch, cancel := c.watchFrom(ctx, jobID, len(reply.History)+1)
+		wctx, cancel := context.WithCancel(ctx)
 		defer cancel()
+		ch := c.watch(wctx, jobID, len(reply.History)+1, nil)
 		for e := range ch {
 			if e.Status == target || e.Status.Terminal() {
 				return e.Status, nil

@@ -12,8 +12,8 @@ import (
 
 // TestFinishedJobsLeaveNoKubeOrEtcdState pins by counts that a finished
 // job leaves only its record: after 200 jobs reach COMPLETED on one
-// platform, kube holds no Guardian Job and no pod of any of them, and
-// etcd no key of any of them.
+// platform, kube holds no Guardian Job and no pod of any of them, etcd
+// no key of any of them, and the platform no status head.
 func TestFinishedJobsLeaveNoKubeOrEtcdState(t *testing.T) {
 	p := newTestPlatform(t, nil)
 	c := p.Client()
@@ -50,6 +50,12 @@ func TestFinishedJobsLeaveNoKubeOrEtcdState(t *testing.T) {
 	st := p.Kube.Store()
 	waitUntil(t, "kube to hold no object of a finished job", 10*time.Second, func() bool {
 		return len(st.List(kube.KindJob, "")) == 0 && len(st.ListPods("")) == 0
+	})
+	// The terminal write drops its head just after it publishes.
+	waitUntil(t, "no status head of a finished job", 10*time.Second, func() bool {
+		p.headsMu.Lock()
+		defer p.headsMu.Unlock()
+		return len(p.heads) == 0
 	})
 	for jobID := range ids {
 		if kvs, err := p.Etcd.List(keyJobPrefix(jobID)); err != nil || len(kvs) != 0 {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"sync"
+
+	"github.com/ffdl/ffdl/internal/rpc"
 )
 
 // The follow protocol carries both user-facing streams: a job's status
@@ -161,15 +163,21 @@ func follow[T streamItem](ctx context.Context, p *Platform, live *fanout[T], key
 	return err
 }
 
-// resume is the client side of the follow protocol. It opens method with
-// the arguments args builds for the first undelivered position, hands fn
-// each item past that position, in order and once, and reconnects after
-// the stream breaks or ends — an API replica crash, a clean server end —
-// until ctx ends, fn returns false or an item ends the stream.
+// resume is the client side of the follow protocol. It reads items from
+// sr, a stream already open at next, or, when sr is nil, opens method
+// with the arguments args builds for the first undelivered position. It
+// hands fn each item past that position, in order and once, and
+// reconnects after the stream breaks or ends — an API replica crash, a
+// clean server end — until ctx ends, fn returns false or an item ends
+// the stream. After an ending item it reads the stream's end frame, so
+// the stream closes without a cancel.
 func resume[W streamItem](ctx context.Context, c *Client, method string, args func(next uint64) any,
-	next uint64, fn func(W) bool) {
+	next uint64, sr *rpc.StreamReader, fn func(W) bool) {
 	for {
-		if sr, err := c.api.Stream(ctx, method, args(next)); err == nil {
+		if sr == nil {
+			sr, _ = c.api.Stream(ctx, method, args(next))
+		}
+		if sr != nil {
 			over := false
 			for !over {
 				var it W
@@ -180,9 +188,13 @@ func resume[W streamItem](ctx context.Context, c *Client, method string, args fu
 					continue // sent again after a reconnect
 				}
 				next = it.position() + 1
-				over = !fn(it) || it.ends()
+				if over = !fn(it); !over && it.ends() {
+					sr.Recv(nil) //nolint:errcheck // the end frame
+					over = true
+				}
 			}
 			sr.Close()
+			sr = nil
 			if over {
 				return
 			}

@@ -52,6 +52,12 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	exitSeen := make(map[int]int)
 	logOffsets := make(map[int]int)
 	doneWritten := false
+	// Each learner's files, named once per incarnation, not per scan.
+	paths := make([]learnerPaths, m.Learners)
+	for ord := range paths {
+		dir := "learners/" + strconv.Itoa(ord) + "/"
+		paths[ord] = learnerPaths{status: dir + "status", exit: dir + "exit", log: dir + "stdout.log"}
+	}
 
 	// The controller wakes on volume writes — learners publish status,
 	// exit and log files there — so observations reach etcd at event
@@ -70,17 +76,15 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 		// decides the job and deletes its etcd subtree, and a learner's
 		// final status (written after its exit file) mirrored past that
 		// delete would outlive the job.
-		for ord := 0; ord < m.Learners; ord++ {
-			statusPath := fmt.Sprintf("learners/%d/status", ord)
-			if data, err := res.volume.ReadFile(statusPath); err == nil && !doneWritten {
+		for ord, lp := range paths {
+			if data, err := res.volume.ReadFile(lp.status); err == nil && !doneWritten {
 				if s := string(data); s != lastStatus[ord] {
 					lastStatus[ord] = s
 					p.tracedPut(jobID, keyLearnerStatus(jobID, ord), data) //nolint:errcheck
 				}
 			}
-			exitPath := fmt.Sprintf("learners/%d/exit", ord)
 			if _, seen := exitSeen[ord]; !seen {
-				if data, err := res.volume.ReadFile(exitPath); err == nil {
+				if data, err := res.volume.ReadFile(lp.exit); err == nil {
 					if code, err := strconv.Atoi(strings.TrimSpace(string(data))); err == nil {
 						exitSeen[ord] = code
 					}
@@ -88,7 +92,7 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 			}
 			// log-collector: ship new stdout lines to the metrics
 			// service.
-			p.collectLogs(jobID, ord, res, logOffsets)
+			p.collectLogs(jobID, ord, lp.log, res, logOffsets)
 		}
 
 		if !doneWritten {
@@ -121,9 +125,12 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	}
 }
 
-// collectLogs tails one learner's stdout from the shared volume.
-func (p *Platform) collectLogs(jobID string, ord int, res *jobResources, offsets map[int]int) {
-	logPath := fmt.Sprintf("learners/%d/stdout.log", ord)
+// learnerPaths names one learner's files on the job volume.
+type learnerPaths struct{ status, exit, log string }
+
+// collectLogs tails learner ord's stdout, at logPath, from the shared
+// volume.
+func (p *Platform) collectLogs(jobID string, ord int, logPath string, res *jobResources, offsets map[int]int) {
 	data, err := res.volume.ReadFile(logPath)
 	if err != nil {
 		return

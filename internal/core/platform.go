@@ -208,11 +208,13 @@ type Platform struct {
 	Admission  *sched.Admission
 
 	// bus fans out job status transitions to in-process subscribers
-	// (LCM recovery, tenancy, API WatchStatus streams); statusMu
-	// serializes status writes so bus sequence numbers match MongoDB
-	// history.
-	bus      *fanout[StatusEvent]
-	statusMu sync.Mutex
+	// (LCM recovery, tenancy, API WatchStatus streams); heads hold each
+	// live job's last written status and Seq, and the lock that orders
+	// its writes so bus sequence numbers match MongoDB history (see
+	// setJobStatus).
+	bus     *fanout[StatusEvent]
+	headsMu sync.Mutex
+	heads   map[string]*statusHead
 
 	mu        sync.Mutex
 	apis      []*apiReplica
@@ -335,6 +337,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		// life is about ten transitions, and at most 4 were measured
 		// waiting at once on the bench workloads.
 		bus:       newFanout[StatusEvent](16),
+		heads:     make(map[string]*statusHead),
 		resources: make(map[string]*jobResources),
 		jobSeq:    jobSeq,
 		stopCh:    make(chan struct{}),

@@ -2,6 +2,7 @@ package etcd
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -143,5 +144,43 @@ func TestPutAllocBudgetOnIdleCluster(t *testing.T) {
 	// full-suffix resends or per-waiter polling, blows this budget.
 	if allocs > 150 {
 		t.Fatalf("Put allocations = %.0f, budget 150", allocs)
+	}
+}
+
+// dropTransport discards every message.
+type dropTransport struct{}
+
+func (dropTransport) Send(*Message) {}
+
+// TestCommitCheckAllocatesNothing pins the leader's commit check, which
+// runs on every append response: it commits the largest index a quorum
+// holds, for clusters of 1 to 5, and sorts the match indexes on the
+// stack, allocating nothing.
+func TestCommitCheckAllocatesNothing(t *testing.T) {
+	for size := 1; size <= 5; size++ {
+		peers := make([]int, size)
+		for i := range peers {
+			peers[i] = i
+		}
+		n := newNode(Config{ID: 0, Peers: peers}, dropTransport{}, rand.New(rand.NewSource(1)), nil)
+		n.role, n.currentTerm = leader, 1
+		for i := 1; i <= 10*size; i++ {
+			n.log = append(n.log, entry{Index: uint64(i), Term: 1})
+		}
+		// Peer i holds 10*(i+1), so a quorum of size/2+1 holds
+		// 10*(size-size/2).
+		for _, p := range peers {
+			n.matchIndex[p] = uint64(10 * (p + 1))
+		}
+		n.mu.Lock()
+		n.maybeCommitLocked()
+		allocs := testing.AllocsPerRun(100, n.maybeCommitLocked)
+		n.mu.Unlock()
+		if want := uint64(10 * (size - size/2)); n.commitIndex != want {
+			t.Fatalf("%d nodes: commitIndex = %d, want %d", size, n.commitIndex, want)
+		}
+		if allocs != 0 {
+			t.Fatalf("%d nodes: the commit check allocates %.0f times a call, want 0", size, allocs)
+		}
 	}
 }

@@ -13,7 +13,7 @@ package etcd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -662,12 +662,16 @@ func (n *node) maybeCommitLocked() {
 	if n.role != leader {
 		return
 	}
-	matches := make([]uint64, 0, len(n.peers))
+	// Every append response lands here: the match indexes sort on the
+	// stack (clusters of up to 8), so a commit check allocates nothing.
+	var buf [8]uint64
+	matches := buf[:0]
 	for _, p := range n.peers {
 		matches = append(matches, n.matchIndex[p])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidateIdx := matches[len(n.peers)/2]
+	slices.Sort(matches)
+	// The largest index a quorum holds is the ((n-1)/2)-th smallest.
+	candidateIdx := matches[(len(matches)-1)/2]
 	if candidateIdx <= n.commitIndex {
 		return
 	}

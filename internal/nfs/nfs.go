@@ -89,7 +89,9 @@ func (v *Volume) ReadFile(path string) ([]byte, error) {
 	}
 	data, ok := v.files[path]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+		// The sentinel itself: the helper's scan misses on every volume
+		// write, and a wrapped error would allocate each time.
+		return nil, ErrNotFound
 	}
 	out := make([]byte, len(data))
 	copy(out, data)

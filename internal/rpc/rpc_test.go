@@ -1,9 +1,12 @@
 package rpc
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -22,6 +25,15 @@ type echoResp struct {
 
 func newEchoServer(t *testing.T) (*Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	return serveEcho(t, ln), ln.Addr().String()
+}
+
+// serveEcho serves the echo methods on ln until the test ends.
+func serveEcho(t *testing.T, ln net.Listener) *Server {
 	s := NewServer()
 	s.Register("Echo", echoReq{}, func(_ context.Context, arg any) (any, error) {
 		r := arg.(echoReq)
@@ -52,12 +64,9 @@ func newEchoServer(t *testing.T) (*Server, string) {
 			time.Sleep(time.Millisecond)
 		}
 	})
-	addr, err := s.Listen()
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
+	go s.Serve(ln) //nolint:errcheck // lifetime tied to Close
 	t.Cleanup(s.Close)
-	return s, addr
+	return s
 }
 
 func TestUnaryCall(t *testing.T) {
@@ -393,5 +402,115 @@ func TestCallKeepsReplyWhenEndRacesData(t *testing.T) {
 		if resp.Msg != "hi" || resp.N != 42 {
 			t.Fatalf("call %d: reply = %+v, want {hi 42} (end frame won the select and the body was dropped)", i, resp)
 		}
+	}
+}
+
+// tapListener records what the server does on the connections it
+// accepts: how many writes it makes, and every byte it reads.
+type tapListener struct {
+	net.Listener
+	mu     sync.Mutex
+	writes int
+	read   []byte
+}
+
+type tapConn struct {
+	net.Conn
+	l *tapListener
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{c, l}, nil
+}
+
+func (c tapConn) Write(b []byte) (int, error) {
+	c.l.mu.Lock()
+	c.l.writes++
+	c.l.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+func (c tapConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.l.mu.Lock()
+	c.l.read = append(c.l.read, b[:n]...)
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestUnaryReplyIsOneWriteAndEndedStreamSendsNoCancel pins two costs of
+// the wire: a unary reply's data and end frames leave the server in one
+// write, and a stream the client reads to its end is closed without a
+// cancel frame.
+func TestUnaryReplyIsOneWriteAndEndedStreamSendsNoCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &tapListener{Listener: ln}
+	serveEcho(t, tap)
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	const calls = 3
+	for i := 0; i < calls; i++ {
+		var resp echoResp
+		if err := c.Call(ctx, "Echo", echoReq{Msg: "hi", N: i}, &resp); err != nil || resp.N != i+1 {
+			t.Fatalf("Call %d = %+v, %v", i, resp, err)
+		}
+	}
+	tap.mu.Lock()
+	writes := tap.writes
+	tap.mu.Unlock()
+	if writes != calls {
+		t.Fatalf("%d unary calls took %d server writes, want one each", calls, writes)
+	}
+
+	sr, err := c.Stream(ctx, "Count", echoReq{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := 0
+	for {
+		var resp echoResp
+		err := sr.Recv(&resp)
+		if errors.Is(err, ErrStreamDone) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		items++
+	}
+	sr.Close()
+	if items != 3 {
+		t.Fatalf("stream delivered %d items, want 3", items)
+	}
+	// Frames on a connection arrive in order: once this call is
+	// answered, the server has read whatever the client sent before it.
+	if err := c.Call(ctx, "Echo", echoReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	tap.mu.Lock()
+	br := bufio.NewReader(bytes.NewReader(tap.read))
+	tap.mu.Unlock()
+	kinds := map[frameKind]int{}
+	for {
+		var f frame
+		if err := readFrame(br, &f); err != nil {
+			break
+		}
+		kinds[f.Kind]++
+	}
+	if kinds[frameCall] != calls+2 || kinds[frameCancel] != 0 {
+		t.Fatalf("server read %d call and %d cancel frames, want %d and 0", kinds[frameCall], kinds[frameCancel], calls+2)
 	}
 }

@@ -148,30 +148,33 @@ type connState struct {
 	cancel map[uint64]context.CancelFunc
 }
 
+// send encodes f into the reused frame buffer and writes it in one
+// syscall.
 func (cs *connState) send(f *frame) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return cs.write(f)
-}
-
-// write encodes f into the reused frame buffer and writes it in one
-// syscall. Callers hold cs.mu.
-func (cs *connState) write(f *frame) error {
 	cs.wbuf = appendFrame(cs.wbuf[:0], f)
 	_, err := cs.nc.Write(cs.wbuf)
 	return err
 }
 
 // sendData encodes v into the reused body buffer and writes it as the
-// data frame of call f. It returns the encode error or the write error.
-func (cs *connState) sendData(f *frame, v any) error {
+// data frame of call f — followed, when end is set, by the call's end
+// frame in the same write. It returns the encode error or the write
+// error.
+func (cs *connState) sendData(f *frame, v any, end bool) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	var err error
 	if cs.body, err = appendBody(cs.body[:0], v); err != nil {
 		return fmt.Errorf("rpc: encode %s body: %w", f.Method, err)
 	}
-	return cs.write(&frame{Kind: frameData, ID: f.ID, Body: cs.body})
+	cs.wbuf = appendFrame(cs.wbuf[:0], &frame{Kind: frameData, ID: f.ID, Body: cs.body})
+	if end {
+		cs.wbuf = appendFrame(cs.wbuf, &frame{Kind: frameEnd, ID: f.ID})
+	}
+	_, err = cs.nc.Write(cs.wbuf)
+	return err
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -253,22 +256,20 @@ func (s *Server) dispatch(ctx context.Context, cs *connState, f *frame) {
 	if m.unary != nil {
 		reply, err := m.unary(ctx, arg)
 		if err == nil {
-			err = cs.sendData(f, reply)
+			err = cs.sendData(f, reply, true)
 		}
 		if err != nil {
 			// After a write error this send fails too, harmlessly: the
 			// read loop is already seeing the connection go down.
 			fail(err)
-			return
 		}
-		cs.send(&frame{Kind: frameEnd, ID: f.ID}) //nolint:errcheck
 		return
 	}
 	send := func(msg any) error {
 		if err := ctx.Err(); err != nil {
 			return ErrCanceled
 		}
-		return cs.sendData(f, msg)
+		return cs.sendData(f, msg, false)
 	}
 	if err := m.stream(ctx, arg, send); err != nil {
 		fail(err)
