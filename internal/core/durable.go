@@ -98,3 +98,28 @@ func decodeLogLine(data []byte) (LogLine, error) {
 	}
 	return line, r.Done()
 }
+
+// logLineText returns the Text of one durable learner log line as a
+// view of data. It checks the whole line as decodeLogLine does but
+// keeps no other field: store-results copies the text straight from
+// the learner log.
+func logLineText(data []byte) ([]byte, error) {
+	r := codec.NewReader(data)
+	if _, err := r.Bytes(); err != nil { // JobID
+		return nil, err
+	}
+	if _, err := r.Varint(); err != nil { // Learner
+		return nil, err
+	}
+	if _, err := r.Uvarint(); err != nil { // Offset
+		return nil, err
+	}
+	if _, err := r.Varint(); err != nil { // Time
+		return nil, err
+	}
+	text, err := r.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	return text, r.Done()
+}

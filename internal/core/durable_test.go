@@ -18,7 +18,8 @@ func TestLogLineCodecGoldenBytes(t *testing.T) {
 
 // FuzzLogLineRoundtrip fuzzes the learner log line codec: a line built
 // from the inputs round-trips, a fuzz-chosen proper prefix of its
-// encoding errors, and arbitrary bytes never panic.
+// encoding errors, and arbitrary bytes never panic. logLineText reads
+// the same Text as decodeLogLine and accepts exactly what it accepts.
 func FuzzLogLineRoundtrip(f *testing.F) {
 	f.Add("training-000001", 2, uint64(300), int64(1700000000000000005), "iteration 10/40", uint(3), []byte{})
 	f.Add("", -1, uint64(1<<63), int64(-1), "", uint(0), []byte{0x01, 'j', 0x00, 0x00, 0x00, 0xff})
@@ -33,10 +34,19 @@ func FuzzLogLineRoundtrip(f *testing.F) {
 			!got.Time.Equal(want.Time) || got.Text != want.Text {
 			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 		}
+		if text, err := logLineText(data); err != nil || string(text) != want.Text {
+			t.Fatalf("logLineText = %q, %v; want %q", text, err, want.Text)
+		}
 		n := int(cut % uint(len(data)))
 		if _, err := decodeLogLine(data[:n]); err == nil {
 			t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(data))
 		}
-		decodeLogLine(raw) //nolint:errcheck // must not panic
+		if _, err := logLineText(data[:n]); err == nil {
+			t.Fatalf("logLineText of %d/%d-byte prefix succeeded", n, len(data))
+		}
+		line, err := decodeLogLine(raw)
+		if text, terr := logLineText(raw); (err == nil) != (terr == nil) || (err == nil && string(text) != line.Text) {
+			t.Fatalf("raw input: decodeLogLine %q, %v; logLineText %q, %v", line.Text, err, text, terr)
+		}
 	})
 }

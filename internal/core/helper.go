@@ -1,11 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/ffdl/ffdl/internal/kube"
+	"github.com/ffdl/ffdl/internal/nfs"
 	"github.com/ffdl/ffdl/internal/sim"
 )
 
@@ -48,68 +49,27 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 		}
 	}
 
-	lastStatus := make(map[int]string)
-	exitSeen := make(map[int]int)
-	logOffsets := make(map[int]int)
-	doneWritten := false
-	// Each learner's files, named once per incarnation, not per scan.
-	paths := make([]learnerPaths, m.Learners)
-	for ord := range paths {
-		dir := "learners/" + strconv.Itoa(ord) + "/"
-		paths[ord] = learnerPaths{status: dir + "status", exit: dir + "exit", log: dir + "stdout.log"}
-	}
+	scan := newHelperScan(p, jobID, res.volume, m.Learners)
 
 	// The controller wakes on volume writes — learners publish status,
 	// exit and log files there — so observations reach etcd at event
-	// latency. The volume drops a notification only to a full watcher,
-	// whose buffer still holds one; the level-triggered scan after that
-	// receive sees the dropped write, so no ticker is needed. The watch
-	// channel closes when the volume is released at teardown; by then
-	// the pod is being killed via Stop. Each helper incarnation
+	// latency. A watcher holds one pending wake-up, which a write that
+	// finds it pending does not add to; the level-triggered scan after
+	// that receive sees every write before it, so no ticker is needed.
+	// The watch channel closes when the volume is released at teardown;
+	// by then the pod is being killed via Stop. Each helper incarnation
 	// unsubscribes on exit, so restarts do not pile watchers onto the
 	// volume.
 	writes := res.volume.Watch()
 	defer res.volume.Unwatch(writes)
 	for {
-		// controller: mirror learner statuses into etcd, collect exits.
-		// Mirroring stops once the done key is written: the Guardian then
-		// decides the job and deletes its etcd subtree, and a learner's
-		// final status (written after its exit file) mirrored past that
-		// delete would outlive the job.
-		for ord, lp := range paths {
-			if data, err := res.volume.ReadFile(lp.status); err == nil && !doneWritten {
-				if s := string(data); s != lastStatus[ord] {
-					lastStatus[ord] = s
-					p.tracedPut(jobID, keyLearnerStatus(jobID, ord), data) //nolint:errcheck
-				}
-			}
-			if _, seen := exitSeen[ord]; !seen {
-				if data, err := res.volume.ReadFile(lp.exit); err == nil {
-					if code, err := strconv.Atoi(strings.TrimSpace(string(data))); err == nil {
-						exitSeen[ord] = code
-					}
-				}
-			}
-			// log-collector: ship new stdout lines to the metrics
-			// service.
-			p.collectLogs(jobID, ord, lp.log, res, logOffsets)
-		}
-
-		if !doneWritten {
-			// Failure fast-path: any graceful nonzero exit fails the job.
-			for _, code := range exitSeen {
-				if code != 0 {
-					p.storeResults(jobID, m)
-					p.tracedPut(jobID, keyDone(jobID), []byte(strconv.Itoa(code))) //nolint:errcheck
-					doneWritten = true
-					break
-				}
-			}
-			if !doneWritten && len(exitSeen) == m.Learners {
-				// store-results, then signal completion.
+		scan.scan()
+		if !scan.done {
+			if code, decided := scan.outcome(); decided {
+				// store-results, then signal the outcome.
 				p.storeResults(jobID, m)
-				p.tracedPut(jobID, keyDone(jobID), []byte("0")) //nolint:errcheck
-				doneWritten = true
+				p.tracedPut(jobID, keyDone(jobID), []byte(strconv.Itoa(code))) //nolint:errcheck
+				scan.done = true
 			}
 		}
 
@@ -125,38 +85,106 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	}
 }
 
-// learnerPaths names one learner's files on the job volume.
-type learnerPaths struct{ status, exit, log string }
+// helperScan is what the controller and log-collector know of a job's
+// learners between wakes. A scan reads each learner's files as views of
+// the volume's bytes and copies only what changed since the last one: a
+// scan that finds nothing new allocates nothing.
+type helperScan struct {
+	p        *Platform
+	jobID    string
+	vol      *nfs.Volume
+	learners []learnerFiles
+	// done is set once the done key is written. Mirroring stops there:
+	// the Guardian then decides the job and deletes its etcd subtree, and
+	// a learner's final status (written after its exit file) mirrored
+	// past that delete would outlive the job.
+	done bool
+}
 
-// collectLogs tails learner ord's stdout, at logPath, from the shared
-// volume.
-func (p *Platform) collectLogs(jobID string, ord int, logPath string, res *jobResources, offsets map[int]int) {
-	data, err := res.volume.ReadFile(logPath)
-	if err != nil {
+// learnerFiles is one learner's files on the job volume — named once
+// per helper incarnation, not per scan — and what the helper has taken
+// from them.
+type learnerFiles struct {
+	status, exit, log string
+	// mirrored is the status last put to etcd: a volume view, which no
+	// later write changes.
+	mirrored []byte
+	exited   bool
+	code     int
+	// logOff is how many bytes of the log have been shipped.
+	logOff int
+}
+
+func newHelperScan(p *Platform, jobID string, vol *nfs.Volume, learners int) *helperScan {
+	h := &helperScan{p: p, jobID: jobID, vol: vol, learners: make([]learnerFiles, learners)}
+	for ord := range h.learners {
+		dir := "learners/" + strconv.Itoa(ord) + "/"
+		h.learners[ord] = learnerFiles{status: dir + "status", exit: dir + "exit", log: dir + "stdout.log"}
+	}
+	return h
+}
+
+// scan mirrors each learner's changed status into etcd, records its
+// exit code once written, and ships its new stdout lines.
+func (h *helperScan) scan() {
+	for ord := range h.learners {
+		l := &h.learners[ord]
+		if !h.done {
+			if data, err := h.vol.ReadFile(l.status); err == nil && !bytes.Equal(data, l.mirrored) {
+				l.mirrored = data
+				h.p.tracedPut(h.jobID, keyLearnerStatus(h.jobID, ord), data) //nolint:errcheck
+			}
+		}
+		if !l.exited {
+			if data, err := h.vol.ReadFile(l.exit); err == nil {
+				if code, err := strconv.Atoi(string(bytes.TrimSpace(data))); err == nil {
+					l.exited, l.code = true, code
+				}
+			}
+		}
+		h.collectLogs(ord, l)
+	}
+}
+
+// outcome folds the exit codes seen so far into the job's: the first
+// graceful nonzero exit fails the job at once, and a job whose learners
+// all exited 0 completes. decided is false while neither holds.
+func (h *helperScan) outcome() (code int, decided bool) {
+	exited := 0
+	for _, l := range h.learners {
+		if !l.exited {
+			continue
+		}
+		if l.code != 0 {
+			return l.code, true
+		}
+		exited++
+	}
+	return 0, exited == len(h.learners)
+}
+
+// collectLogs is the log-collector: it ships each complete line of
+// learner ord's stdout past the shipped offset, blank lines included,
+// slicing them from the volume's bytes. A partial last line waits for
+// its newline.
+func (h *helperScan) collectLogs(ord int, l *learnerFiles) {
+	data, err := h.vol.ReadFile(l.log)
+	if err != nil || len(data) <= l.logOff {
 		return
 	}
-	off := offsets[ord]
-	if len(data) <= off {
-		return
-	}
-	chunk := string(data[off:])
-	consumed := strings.LastIndexByte(chunk, '\n') + 1
-	if consumed == 0 {
-		return // partial line; wait for more
-	}
-	offsets[ord] = off + consumed
-	for _, line := range strings.Split(strings.TrimRight(chunk[:consumed], "\n"), "\n") {
-		p.Metrics.AppendLog(LogLine{JobID: jobID, Learner: ord, Time: p.clock.Now(), Text: line})
+	for tail := data[l.logOff:]; ; {
+		n := bytes.IndexByte(tail, '\n')
+		if n < 0 {
+			return
+		}
+		h.p.Metrics.AppendLog(LogLine{JobID: h.jobID, Learner: ord, Time: h.p.clock.Now(), Text: string(tail[:n])})
+		l.logOff += n + 1
+		tail = tail[n+1:]
 	}
 }
 
 // storeResults copies the job's collected logs to the result bucket —
 // the store-results container's final act.
 func (p *Platform) storeResults(jobID string, m Manifest) {
-	var sb strings.Builder
-	for _, line := range p.Metrics.Logs(jobID) {
-		sb.WriteString(line.Text)
-		sb.WriteByte('\n')
-	}
-	p.Store.Put(m.ResultBucket, jobID+"/logs/training.log", []byte(sb.String())) //nolint:errcheck
+	p.Store.Put(m.ResultBucket, jobID+"/logs/training.log", p.Metrics.transcript(jobID)) //nolint:errcheck
 }

@@ -118,6 +118,27 @@ func (m *MetricsService) LogsFrom(jobID string, from uint64) []LogLine {
 	return out
 }
 
+// transcript returns the text of a job's lines, each ending in '\n', in
+// one buffer sized from the records: store-results' training.log. The
+// text is copied straight from each record; no line is decoded. A
+// record that does not decode is skipped, as LogsFrom skips it.
+func (m *MetricsService) transcript(jobID string) []byte {
+	m.mu.Lock()
+	recs := m.lines[jobID]
+	m.mu.Unlock()
+	n := 0
+	for _, rec := range recs {
+		n += len(rec.Payload) // a payload outsizes its text and newline
+	}
+	out := make([]byte, 0, n)
+	for _, rec := range recs {
+		if text, err := logLineText(rec.Payload); err == nil {
+			out = append(append(out, text...), '\n')
+		}
+	}
+	return out
+}
+
 // Inc bumps a named counter ("api.restarts", "guardian.rollbacks", ...).
 // Names follow the dotted subsystem.name convention (see internal/obs).
 func (m *MetricsService) Inc(counter string) {

@@ -22,6 +22,7 @@ package learner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -32,19 +33,22 @@ import (
 	"github.com/ffdl/ffdl/internal/sim"
 )
 
-// File layout on the shared NFS volume. The controller reads these.
+// File layout on the shared NFS volume, under "learners/<ordinal>/".
+// The controller reads these.
 const (
-	// StatusFile is "learners/<ordinal>/status": one of the LearnerStatus
-	// strings.
-	statusPattern = "learners/%d/status"
-	// ExitFile is "learners/<ordinal>/exit": the process exit code,
-	// written exactly once at termination.
-	exitPattern = "learners/%d/exit"
-	// ReadyFile marks rendezvous arrival.
-	readyPattern = "learners/%d/ready"
-	// LogFile accumulates stdout.
-	logPattern = "learners/%d/stdout.log"
+	// statusFile holds one of the LearnerStatus strings.
+	statusFile = "status"
+	// exitFile holds the process exit code, written exactly once at
+	// termination.
+	exitFile = "exit"
+	// readyFile marks rendezvous arrival.
+	readyFile = "ready"
+	// logFile accumulates stdout.
+	logFile = "stdout.log"
 )
+
+// learnerDir is the volume directory of learner ord's files.
+func learnerDir(ord int) string { return "learners/" + strconv.Itoa(ord) + "/" }
 
 // Status strings written to the volume.
 const (
@@ -101,6 +105,16 @@ type Spec struct {
 // Process is a running learner.
 type Process struct {
 	spec Spec
+
+	// The learner's files on the volume, named once.
+	statusPath, exitPath, logPath string
+	// readyPaths names every gang member's ready file, this learner's at
+	// its ordinal; nil for a learner without peers.
+	readyPaths []string
+	// line is logf's scratch: the line prefix, then the line being
+	// written. The volume copies what it appends.
+	line      []byte
+	prefixLen int
 }
 
 // New returns a learner process for the spec.
@@ -111,23 +125,41 @@ func New(spec Spec) *Process {
 	if spec.BatchSize <= 0 {
 		spec.BatchSize = 64
 	}
-	return &Process{spec: spec}
+	dir := learnerDir(spec.Ordinal)
+	p := &Process{
+		spec:       spec,
+		statusPath: dir + statusFile,
+		exitPath:   dir + exitFile,
+		logPath:    dir + logFile,
+		line:       fmt.Appendf(nil, "[%s learner-%d] ", spec.JobID, spec.Ordinal),
+	}
+	p.prefixLen = len(p.line)
+	if spec.Learners > 1 {
+		p.readyPaths = make([]string, spec.Learners)
+		for i := range p.readyPaths {
+			p.readyPaths[i] = learnerDir(i) + readyFile
+		}
+	}
+	return p
 }
 
-// path helpers
-func (p *Process) statusPath() string { return fmt.Sprintf(statusPattern, p.spec.Ordinal) }
-func (p *Process) exitPath() string   { return fmt.Sprintf(exitPattern, p.spec.Ordinal) }
-func (p *Process) readyPath() string  { return fmt.Sprintf(readyPattern, p.spec.Ordinal) }
-func (p *Process) logPath() string    { return fmt.Sprintf(logPattern, p.spec.Ordinal) }
-
+// setStatus publishes s to the helper's controller. In modeled time
+// (TimeCompression > 0) a phase lasts, so the learner then yields the
+// processor: the write wakes the controller behind this learner, and a
+// CPU-bound next step — streaming the dataset — would otherwise run to
+// its end before the controller reads the file, hiding a phase the
+// learner went through. At TimeCompression 0 every phase is an instant
+// and the controller samples them.
 func (p *Process) setStatus(s string) {
-	p.spec.Volume.WriteFile(p.statusPath(), []byte(s)) //nolint:errcheck // volume release races job teardown
+	p.spec.Volume.WriteFile(p.statusPath, []byte(s)) //nolint:errcheck // volume release races job teardown
+	if p.spec.TimeCompression > 0 {
+		runtime.Gosched()
+	}
 }
 
 func (p *Process) logf(format string, args ...any) {
-	line := fmt.Sprintf("[%s learner-%d] ", p.spec.JobID, p.spec.Ordinal) +
-		fmt.Sprintf(format, args...) + "\n"
-	p.spec.Volume.AppendFile(p.logPath(), []byte(line)) //nolint:errcheck
+	p.line = append(fmt.Appendf(p.line[:p.prefixLen], format, args...), '\n')
+	p.spec.Volume.AppendFile(p.logPath, p.line) //nolint:errcheck
 }
 
 // ckptKey formats a checkpoint object key; iteration is zero-padded so
@@ -181,7 +213,7 @@ func (p *Process) Run(stop <-chan struct{}) int {
 	code, kill := p.run(stop)
 	if !kill {
 		// Graceful path: record exit for the controller.
-		p.spec.Volume.WriteFile(p.exitPath(), []byte(strconv.Itoa(code))) //nolint:errcheck
+		p.spec.Volume.WriteFile(p.exitPath, []byte(strconv.Itoa(code))) //nolint:errcheck
 		if code == 0 {
 			p.setStatus(StatusCompleted)
 		} else {
@@ -212,6 +244,8 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 			return 1, false
 		}
 		for _, o := range objs {
+			// The read stands for an epoch's pass over the shard; the
+			// simulated training consumes nothing of it.
 			if _, err := p.spec.Mount.ReadAll(o.Key); err != nil {
 				p.logf("dataset read %s failed: %v", o.Key, err)
 				return 1, false
@@ -301,7 +335,7 @@ func (p *Process) waitForPeers(stop <-chan struct{}) bool {
 	vol := p.spec.Volume
 	writes := vol.Watch()
 	defer vol.Unwatch(writes)
-	vol.WriteFile(p.readyPath(), []byte("1")) //nolint:errcheck // a released volume has closed writes
+	vol.WriteFile(p.readyPaths[p.spec.Ordinal], []byte("1")) //nolint:errcheck // a released volume has closed writes
 	var timeout <-chan time.Time
 	if p.spec.RendezvousTimeout > 0 {
 		t := p.spec.Clock.NewTimer(p.spec.RendezvousTimeout)
@@ -310,12 +344,12 @@ func (p *Process) waitForPeers(stop <-chan struct{}) bool {
 	}
 	for {
 		ready := 0
-		for i := 0; i < p.spec.Learners; i++ {
-			if vol.Exists(fmt.Sprintf(readyPattern, i)) {
+		for _, path := range p.readyPaths {
+			if vol.Exists(path) {
 				ready++
 			}
 		}
-		if ready == p.spec.Learners {
+		if ready == len(p.readyPaths) {
 			return true
 		}
 		select {
@@ -344,5 +378,5 @@ func (p *Process) checkpoint(iter int) error {
 // encodes the iteration (so resume tests can verify which checkpoint was
 // loaded).
 func (p *Process) modelBytes(iter int) []byte {
-	return []byte(fmt.Sprintf("model(%s@%d)", p.spec.JobID, iter))
+	return fmt.Appendf(nil, "model(%s@%d)", p.spec.JobID, iter)
 }

@@ -12,6 +12,7 @@ package mongo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -182,24 +183,24 @@ func (c *Collection) EnsureIndex(field string) {
 	c.indexes[field] = idx
 }
 
-func (c *Collection) indexAddLocked(d Doc, id string) {
+// indexMoveLocked updates the indexes for id's document going from
+// prev to next (prev is nil for an insert). Only a field whose string
+// value changed moves id; a list whose key the write left as it was
+// keeps id in place, so a status write never scans the user's list.
+func (c *Collection) indexMoveLocked(prev, next Doc, id string) {
 	for field, idx := range c.indexes {
-		if key, ok := d[field].(string); ok {
-			idx[key] = append(idx[key], id)
+		from, had := prev[field].(string)
+		to, has := next[field].(string)
+		if had == has && from == to {
+			continue
 		}
-	}
-}
-
-func (c *Collection) indexRemoveLocked(d Doc, id string) {
-	for field, idx := range c.indexes {
-		if key, ok := d[field].(string); ok {
-			ids := idx[key]
-			for i, x := range ids {
-				if x == id {
-					idx[key] = append(ids[:i], ids[i+1:]...)
-					break
-				}
+		if had {
+			if i := slices.Index(idx[from], id); i >= 0 {
+				idx[from] = slices.Delete(idx[from], i, i+1)
 			}
+		}
+		if has {
+			idx[to] = append(idx[to], id)
 		}
 	}
 }
@@ -235,7 +236,7 @@ func (c *Collection) insertLocked(id string, stored Doc) error {
 		return err
 	}
 	c.docs[id] = stored
-	c.indexAddLocked(stored, id)
+	c.indexMoveLocked(nil, stored, id)
 	return nil
 }
 
@@ -393,9 +394,8 @@ func (c *Collection) updateLocked(f Filter, u Update) error {
 		if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: next}); err != nil {
 			return err
 		}
-		c.indexRemoveLocked(d, id)
 		c.docs[id] = next
-		c.indexAddLocked(next, id)
+		c.indexMoveLocked(d, next, id)
 		return nil
 	}
 	return ErrNotFound
@@ -602,11 +602,8 @@ func (db *DB) applyRecovered(o op) {
 	}
 	c := db.C(o.Coll)
 	c.mu.Lock()
-	if old, ok := c.docs[id]; ok {
-		c.indexRemoveLocked(old, id)
-	}
+	c.indexMoveLocked(c.docs[id], o.Doc, id)
 	c.docs[id] = o.Doc
-	c.indexAddLocked(o.Doc, id)
 	c.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package mongo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,66 @@ func TestIndexEqualityMatchesScan(t *testing.T) {
 	}
 	if got := len(c.Find(Filter{"user": "u1"}, FindOpts{})); got != u0+u1 {
 		t.Fatalf("count(u1) after reassign = %d, want %d", got, u0+u1)
+	}
+}
+
+// TestIndexMovesOnlyChangedKeys pins the index cost of an update: a
+// write that leaves a document's user as it was leaves that user's list
+// untouched, in insertion order, and a status change moves the id
+// exactly once, from the old status's list to the end of the new one's.
+// Reads through either index see the same documents as a scan.
+func TestIndexMovesOnlyChangedKeys(t *testing.T) {
+	db := NewDB()
+	c := db.C("jobs")
+	c.EnsureIndex("user")
+	c.EnsureIndex("status")
+	for _, id := range []string{"j3", "j1", "j4", "j0", "j2"} {
+		if _, err := c.Insert(Doc{"_id": id, "user": "alice", "status": "PENDING"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	users := c.indexes["user"]["alice"]
+	for _, s := range []string{"DEPLOYING", "PROCESSING", "COMPLETED"} {
+		if err := c.UpdateOne(Filter{"_id": "j4"}, Update{Set: Doc{"status": s}, Push: map[string]any{"history": s}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.UpdateOne(Filter{"_id": "j0"}, Update{Set: Doc{"status": "PENDING", "note": "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	got := c.indexes["user"]["alice"]
+	if !slices.Equal(got, []string{"j3", "j1", "j4", "j0", "j2"}) || &got[0] != &users[0] {
+		t.Fatalf("user list = %v, want the insertion order in the same array", got)
+	}
+	status := c.indexes["status"]
+	if !slices.Equal(status["PENDING"], []string{"j3", "j1", "j0", "j2"}) || !slices.Equal(status["COMPLETED"], []string{"j4"}) {
+		t.Fatalf("status lists = %v", status)
+	}
+	seen := 0
+	for _, ids := range status {
+		for _, id := range ids {
+			if id == "j4" {
+				seen++
+			}
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("j4 appears %d times across the status lists, want 1", seen)
+	}
+	for _, f := range []Filter{{"user": "alice"}, {"status": "PENDING"}, {"status": "COMPLETED"}, {"status": "DEPLOYING"}} {
+		var want []any
+		for _, d := range c.Find(Filter{}, FindOpts{}) {
+			if f.matches(d) {
+				want = append(want, d["_id"])
+			}
+		}
+		var ids []any
+		for _, d := range c.Find(f, FindOpts{}) {
+			ids = append(ids, d["_id"])
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("Find(%v) = %v, want %v", f, ids, want)
+		}
 	}
 }
 

@@ -30,20 +30,27 @@ var (
 
 // Volume is a shared in-memory filesystem mounted by all pods of one DL
 // job.
+//
+// Reads share: ReadFile hands out the stored bytes themselves, capped at
+// their length, and no write ever changes bytes a view covers. WriteFile
+// replaces a file with a fresh copy, and AppendFile writes only past the
+// end of the file, so past the length of every view handed out before
+// it. A view therefore reads the same for as long as its holder keeps
+// it, and must not be written.
 type Volume struct {
 	name string
 
 	mu       sync.Mutex
 	files    map[string][]byte
 	released bool
-	watchers []chan string
+	watchers []chan struct{}
 }
 
 // Name returns the volume's identifier.
 func (v *Volume) Name() string { return v.name }
 
-// WriteFile atomically replaces a file's contents. It is how learners
-// expose exit codes and status to the controller.
+// WriteFile atomically replaces a file's contents with a copy of data.
+// It is how learners expose exit codes and status to the controller.
 func (v *Volume) WriteFile(path string, data []byte) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -53,17 +60,14 @@ func (v *Volume) WriteFile(path string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	v.files[path] = cp
-	for _, ch := range v.watchers {
-		select {
-		case ch <- path:
-		default:
-		}
-	}
+	v.notifyLocked()
 	return nil
 }
 
 // AppendFile appends to a file, creating it if needed; used for learner
-// stdout/stderr logs that the log-collector tails.
+// stdout/stderr logs that the log-collector tails. The append writes
+// past the file's length, which caps every view ReadFile returned, so
+// no earlier reader sees it.
 func (v *Volume) AppendFile(path string, data []byte) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -71,16 +75,24 @@ func (v *Volume) AppendFile(path string, data []byte) error {
 		return ErrReleased
 	}
 	v.files[path] = append(v.files[path], data...)
-	for _, ch := range v.watchers {
-		select {
-		case ch <- path:
-		default:
-		}
-	}
+	v.notifyLocked()
 	return nil
 }
 
-// ReadFile returns a copy of a file's contents.
+// notifyLocked leaves each watcher one pending wake-up; a watcher that
+// already holds one needs no second.
+func (v *Volume) notifyLocked() {
+	for _, ch := range v.watchers {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// ReadFile returns a file's contents as a read-only view of the stored
+// bytes, capped at their length: no copy is made, and later writes leave
+// the view as it is. The caller must not write to it.
 func (v *Volume) ReadFile(path string) ([]byte, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -93,9 +105,7 @@ func (v *Volume) ReadFile(path string) ([]byte, error) {
 		// write, and a wrapped error would allocate each time.
 		return nil, ErrNotFound
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	return data[:len(data):len(data)], nil
 }
 
 // Exists reports whether a file exists.
@@ -106,17 +116,18 @@ func (v *Volume) Exists(path string) bool {
 	return ok && !v.released
 }
 
-// Watch returns a channel that receives the path of every subsequent
-// write. The helper's controller wakes on it to mirror learner status
-// and exits, and gang learners wake on it to rendezvous. Delivery never
-// blocks a writer: a full channel misses the path, so a consumer
-// rescans after every receive. The channel closes on Unwatch or when
-// the volume is released; on an already released volume it is returned
-// closed.
-func (v *Volume) Watch() <-chan string {
+// Watch returns a channel that wakes its reader after writes. The
+// helper's controller wakes on it to mirror learner status and exits,
+// and gang learners wake on it to rendezvous. A watcher holds at most
+// one pending wake-up, and it carries nothing: a write that finds one
+// pending adds none, so a consumer rescans after every receive, and
+// that rescan sees every write made before it. Delivery never blocks a
+// writer. The channel closes on Unwatch or when the volume is released;
+// on an already released volume it is returned closed.
+func (v *Volume) Watch() <-chan struct{} {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch := make(chan string, 64)
+	ch := make(chan struct{}, 1)
 	if v.released {
 		close(ch)
 		return ch
@@ -127,7 +138,7 @@ func (v *Volume) Watch() <-chan string {
 
 // Unwatch unsubscribes and closes a channel Watch returned. It is a
 // no-op for a channel already closed by Unwatch or Release.
-func (v *Volume) Unwatch(ch <-chan string) {
+func (v *Volume) Unwatch(ch <-chan struct{}) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for i, w := range v.watchers {

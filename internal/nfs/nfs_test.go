@@ -1,7 +1,9 @@
 package nfs
 
 import (
+	"bytes"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -77,12 +79,83 @@ func TestVolumeWatchDeliversWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case path := <-ch:
-		if path != "learner0/exit" {
-			t.Fatalf("path = %q", path)
+	case _, open := <-ch:
+		if !open {
+			t.Fatal("watch closed instead of waking")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("watch event not delivered")
+		t.Fatal("watch wake-up not delivered")
+	}
+}
+
+// TestWatchHoldsOneWakeUp pins the watcher's buffer: a burst of writes
+// with no receive leaves exactly one wake-up pending, and the rescan
+// after receiving it sees the burst's last write.
+func TestWatchHoldsOneWakeUp(t *testing.T) {
+	p := fastProvisioner()
+	v, err := p.Provision("job1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := v.Watch()
+	for i := 0; i < 1000; i++ {
+		if err := v.WriteFile("learners/0/status", []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(ch); n != 1 {
+		t.Fatalf("%d wake-ups pending after 1000 writes, want 1", n)
+	}
+	<-ch
+	select {
+	case <-ch:
+		t.Fatal("a second wake-up was pending")
+	default:
+	}
+	if data, err := v.ReadFile("learners/0/status"); err != nil || string(data) != "999" {
+		t.Fatalf("rescan read %q, %v; want the last write", data, err)
+	}
+}
+
+// TestReadFileSharesStoredBytes pins the sharing contract: ReadFile
+// allocates nothing, and a view reads the same after the file is
+// appended to, appended through the view, or replaced.
+func TestReadFileSharesStoredBytes(t *testing.T) {
+	p := fastProvisioner()
+	v, err := p.Provision("job1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const log = "learners/0/stdout.log"
+	if err := v.AppendFile(log, []byte("line1\n")); err != nil {
+		t.Fatal(err)
+	}
+	view, _ := v.ReadFile(log)
+	if got := testing.AllocsPerRun(100, func() { view, _ = v.ReadFile(log) }); got != 0 {
+		t.Fatalf("ReadFile made %.0f allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { v.ReadFile("missing") }); got != 0 { //nolint:errcheck
+		t.Fatalf("ReadFile of a missing file made %.0f allocations, want 0", got)
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("view has capacity %d past its length %d", cap(view), len(view))
+	}
+	_ = append(view, "clobber"...)
+	if err := v.AppendFile(log, []byte("line2\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WriteFile("learners/0/status", []byte("RUNNING")); err != nil {
+		t.Fatal(err)
+	}
+	status, _ := v.ReadFile("learners/0/status")
+	if err := v.WriteFile("learners/0/status", []byte("DONE")); err != nil {
+		t.Fatal(err)
+	}
+	if string(view) != "line1\n" || string(status) != "RUNNING" {
+		t.Fatalf("views changed under later writes: %q, %q", view, status)
+	}
+	if data, _ := v.ReadFile(log); string(data) != "line1\nline2\n" {
+		t.Fatalf("log = %q", data)
 	}
 }
 
@@ -120,7 +193,7 @@ func TestWatchAfterReleaseIsClosed(t *testing.T) {
 	select {
 	case _, open := <-ch:
 		if open {
-			t.Fatal("watch on a released volume delivered a path")
+			t.Fatal("watch on a released volume delivered a wake-up")
 		}
 	default:
 		t.Fatal("watch on a released volume returned an open channel")
@@ -186,11 +259,11 @@ func TestUnwatchLeavesNoWatcher(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if path, open := <-gone; open {
-		t.Fatalf("unwatched channel received %q", path)
+	if _, open := <-gone; open {
+		t.Fatal("unwatched channel received a wake-up")
 	}
-	if path := <-live; path != "learners/0/status" {
-		t.Fatalf("live watcher got %q", path)
+	if _, open := <-live; !open {
+		t.Fatal("live watcher closed instead of waking")
 	}
 
 	p.Release(v)
@@ -289,4 +362,125 @@ func TestConcurrentVolumeAccess(t *testing.T) {
 			t.Fatalf("file %c has %d bytes", 'a'+w, len(data))
 		}
 	}
+}
+
+// FuzzVolumeReadsStayPut checks the volume's sharing and wake-up
+// contracts against a model over a fuzz-chosen sequence of writes,
+// appends, reads, watches, receives and a release. After every op each
+// view ReadFile returned still reads as it did, and each live watcher
+// holds exactly one wake-up if any write landed since its last receive
+// and none otherwise. A read returns the model's bytes, capped at their
+// length; after the release every operation reports it.
+func FuzzVolumeReadsStayPut(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0x31, 2, 0x31, 1, 0x42, 2, 0x31, 0, 0x31, 4, 0, 4, 0, 2, 0x31})
+	f.Add([]byte{3, 0, 3, 1, 0, 0x20, 4, 1, 1, 0x21, 2, 0x21, 5, 0, 2, 0, 4, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		prov := fastProvisioner()
+		v, err := prov.Provision("fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := [...]string{"learners/0/status", "learners/0/stdout.log", "learners/1/ready"}
+		model := make(map[string][]byte)
+		type view struct{ got, want []byte }
+		var views []view
+		type watcher struct {
+			ch      <-chan struct{}
+			pending bool
+		}
+		var watchers []*watcher
+		released := false
+		wrote := func(err error) {
+			if released {
+				if !errors.Is(err, ErrReleased) {
+					t.Fatalf("write after release: err = %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range watchers {
+				w.pending = true
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := ops[i+1]
+			path := paths[int(arg)%len(paths)]
+			data := bytes.Repeat([]byte{arg}, int(arg>>4))
+			switch ops[i] % 6 {
+			case 0:
+				wrote(v.WriteFile(path, data))
+				if !released {
+					model[path] = bytes.Clone(data)
+				}
+			case 1:
+				wrote(v.AppendFile(path, data))
+				if !released {
+					old := model[path]
+					model[path] = append(old[:len(old):len(old)], data...)
+				}
+			case 2:
+				got, err := v.ReadFile(path)
+				want, exists := model[path]
+				switch {
+				case released:
+					if !errors.Is(err, ErrReleased) {
+						t.Fatalf("read after release: err = %v", err)
+					}
+				case !exists:
+					if !errors.Is(err, ErrNotFound) {
+						t.Fatalf("read of a missing file: err = %v", err)
+					}
+				case err != nil:
+					t.Fatal(err)
+				case !bytes.Equal(got, want) || cap(got) != len(got):
+					t.Fatalf("read %q (cap %d), want %q", got, cap(got), want)
+				default:
+					views = append(views, view{got: got, want: bytes.Clone(got)})
+				}
+			case 3:
+				watchers = append(watchers, &watcher{ch: v.Watch()})
+			case 4:
+				if len(watchers) == 0 {
+					continue
+				}
+				w := watchers[int(arg)%len(watchers)]
+				select {
+				case _, open := <-w.ch:
+					if open && !w.pending {
+						t.Fatal("a watcher woke with no write since its last receive")
+					}
+					if !open && !released {
+						t.Fatal("a watcher closed before the release")
+					}
+					w.pending = false
+				default:
+					if w.pending || released {
+						t.Fatalf("a watcher held no wake-up (released %v)", released)
+					}
+				}
+			case 5:
+				prov.Release(v)
+				released = true
+			}
+			for _, vw := range views {
+				if !bytes.Equal(vw.got, vw.want) {
+					t.Fatalf("a view changed from %q to %q", vw.want, vw.got)
+				}
+			}
+			if released {
+				continue
+			}
+			for _, w := range watchers {
+				want := 0
+				if w.pending {
+					want = 1
+				}
+				if len(w.ch) != want {
+					t.Fatalf("a watcher holds %d wake-ups, want %d", len(w.ch), want)
+				}
+			}
+		}
+	})
 }

@@ -2,8 +2,6 @@ package objstore
 
 import (
 	"container/list"
-	"fmt"
-	"io"
 	"sync"
 )
 
@@ -27,54 +25,41 @@ func (s *Service) NewMount(bucket string, capacityBytes int64) *Mount {
 	return &Mount{svc: s, bucket: bucket, cache: newChunkCache(capacityBytes)}
 }
 
-// Open returns a file-like reader over an object through the cache.
-func (m *Mount) Open(key string) (*File, error) {
+// ReadAll reads a whole object through the cache, as one training epoch
+// pass over a dataset file does. An object that fits in one chunk comes
+// back as the cached chunk itself, a read-only view the caller must not
+// write; a larger one is copied into one buffer sized from its metadata.
+func (m *Mount) ReadAll(key string) ([]byte, error) {
 	meta, err := m.svc.Head(m.bucket, key)
 	if err != nil {
 		return nil, err
 	}
-	return &File{mount: m, key: key, size: meta.Size}, nil
-}
-
-// ReadAll reads a whole object through the cache, as one training epoch
-// pass over a dataset file does.
-func (m *Mount) ReadAll(key string) ([]byte, error) {
-	f, err := m.Open(key)
-	if err != nil {
-		return nil, err
+	if meta.Size <= mountChunkSize {
+		chunk, err := m.chunkAt(key, 0)
+		if err != nil {
+			return nil, err
+		}
+		n := min(int64(len(chunk)), meta.Size)
+		return chunk[:n:n], nil
 	}
-	return io.ReadAll(f)
-}
-
-// File is a sequentially readable view of an object.
-type File struct {
-	mount *Mount
-	key   string
-	size  int64
-	off   int64
-}
-
-var _ io.Reader = (*File)(nil)
-
-// Read implements io.Reader, fetching 4 MiB chunks through the cache.
-func (f *File) Read(p []byte) (int, error) {
-	if f.off >= f.size {
-		return 0, io.EOF
+	buf := make([]byte, 0, meta.Size)
+	for idx := int64(0); int64(len(buf)) < meta.Size; idx++ {
+		chunk, err := m.chunkAt(key, idx)
+		if err != nil {
+			return nil, err
+		}
+		if len(chunk) == 0 {
+			break // the object shrank since Head
+		}
+		buf = append(buf, chunk[:min(int64(len(chunk)), meta.Size-int64(len(buf)))]...)
 	}
-	chunkIdx := f.off / mountChunkSize
-	chunk, err := f.mount.chunkAt(f.key, chunkIdx)
-	if err != nil {
-		return 0, err
-	}
-	within := f.off - chunkIdx*mountChunkSize
-	n := copy(p, chunk[within:])
-	f.off += int64(n)
-	return n, nil
+	return buf, nil
 }
 
-// chunkAt returns chunk idx of an object, from cache or backend.
+// chunkAt returns chunk idx of an object, from cache or backend. The
+// chunk is shared with the cache: callers only read it.
 func (m *Mount) chunkAt(key string, idx int64) ([]byte, error) {
-	ck := fmt.Sprintf("%s/%s#%d", m.bucket, key, idx)
+	ck := chunkKey{key: key, idx: idx}
 	if data, ok := m.cache.get(ck); ok {
 		return data, nil
 	}
@@ -86,17 +71,24 @@ func (m *Mount) chunkAt(key string, idx int64) ([]byte, error) {
 	return data, nil
 }
 
+// chunkKey names one chunk of an object in its mount's cache; a mount
+// serves one bucket, so the key need not name it.
+type chunkKey struct {
+	key string
+	idx int64
+}
+
 // chunkCache is a byte-bounded LRU of object chunks.
 type chunkCache struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
 	ll       *list.List // front = most recent
-	items    map[string]*list.Element
+	items    map[chunkKey]*list.Element
 }
 
 type cacheEntry struct {
-	key  string
+	key  chunkKey
 	data []byte
 }
 
@@ -104,11 +96,11 @@ func newChunkCache(capacity int64) *chunkCache {
 	return &chunkCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[chunkKey]*list.Element),
 	}
 }
 
-func (c *chunkCache) get(key string) ([]byte, bool) {
+func (c *chunkCache) get(key chunkKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -118,7 +110,7 @@ func (c *chunkCache) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-func (c *chunkCache) put(key string, data []byte) {
+func (c *chunkCache) put(key chunkKey, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {

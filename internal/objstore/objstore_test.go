@@ -216,6 +216,41 @@ func TestMountCacheHitsAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestMountReadAllCopiesOnlyWhatSpansChunks pins ReadAll's cost once
+// the cache holds an object: a one-chunk object comes back as the cached
+// chunk, with no allocation and no capacity past its bytes, and a larger
+// one is copied into exactly one buffer.
+func TestMountReadAllCopiesOnlyWhatSpansChunks(t *testing.T) {
+	s := newSvc()
+	s.EnsureBucket("data")
+	shard := bytes.Repeat([]byte{3}, 1<<10)
+	big := bytes.Repeat([]byte{4}, mountChunkSize+1<<10)
+	for key, data := range map[string][]byte{"shard-0": shard, "big": big} {
+		if err := s.Put("data", key, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := s.NewMount("data", 64<<20)
+	for key, want := range map[string][]byte{"shard-0": shard, "big": big} {
+		if got, err := m.ReadAll(key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadAll(%s): %d bytes, %v", key, len(got), err)
+		}
+	}
+	var got []byte
+	if n := testing.AllocsPerRun(100, func() { got, _ = m.ReadAll("shard-0") }); n != 0 {
+		t.Fatalf("cached one-chunk ReadAll made %.0f allocations, want 0", n)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("shared chunk has capacity %d past its %d bytes", cap(got), len(got))
+	}
+	if n := testing.AllocsPerRun(20, func() { got, _ = m.ReadAll("big") }); n != 1 {
+		t.Fatalf("cached two-chunk ReadAll made %.0f allocations, want 1", n)
+	}
+	if !bytes.Equal(got, big) {
+		t.Fatal("two-chunk ReadAll data mismatch")
+	}
+}
+
 func TestMountCacheEviction(t *testing.T) {
 	s := newSvc()
 	s.EnsureBucket("data")
