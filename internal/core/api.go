@@ -437,7 +437,7 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 		}
 		return nil
 	}
-	return follow(ctx, a.p, a.p.Metrics.live, req.JobID, req.FromOffset,
+	return follow(ctx, a.p.Metrics.live, req.JobID, req.FromOffset,
 		func(from uint64) ([]LogLine, error) { return a.p.Metrics.LogsFrom(req.JobID, from), nil },
 		sendLine)
 }
@@ -450,7 +450,7 @@ func (a *apiReplica) handleLogs(ctx context.Context, arg any, send func(any) err
 func (a *apiReplica) handleWatch(ctx context.Context, arg any, send func(any) error) error {
 	req := arg.(WatchArgs)
 	a.p.Metrics.Inc("watch.refills")
-	return follow(ctx, a.p, a.p.bus, req.JobID, uint64(max(req.FromSeq, 1)),
+	return follow(ctx, a.p.bus, req.JobID, uint64(max(req.FromSeq, 1)),
 		func(from uint64) ([]StatusEvent, error) {
 			h, err := a.p.statusHistory(req.JobID, int(from))
 			if err != nil {

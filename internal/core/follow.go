@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"github.com/ffdl/ffdl/internal/rpc"
@@ -10,13 +11,14 @@ import (
 // The follow protocol carries both user-facing streams: a job's status
 // transitions and its learner log lines (docs/watch-protocol.md, layer
 // 4). Each stream has a durable copy — the job document, the job's
-// commit log — and a best-effort in-process fan-out in front of it, and
-// one server loop (follow) and one client loop (resume) keep its rules
-// for both:
+// commit log — and an in-process fan-out in front of it that closes a
+// subscriber it cannot keep up with, and one server loop (follow) and
+// one client loop (resume) keep its rules for both:
 //
 //   - subscribe to the fan-out before reading the backlog;
 //   - dedup at the backlog/live seam by position;
-//   - fill from the durable copy on a position gap, and on a safety tick;
+//   - on a close or a position gap, re-subscribe, then fill from the
+//     durable copy;
 //   - reconnect from the first undelivered position.
 //
 // The streams differ only in what their items say through streamItem
@@ -55,12 +57,14 @@ type StatusEvent struct {
 // subscriber to "" receives every job's items. The platform runs two:
 // the status bus (read by the LCM recovery loop, the tenancy status pump
 // and status watches) and the learner-log feed (read by log follows).
-// Delivery never blocks a publisher: a full subscriber buffer drops the
-// item, and the subscriber recovers it from the durable copy. A fan-out
-// keeps no history.
+// Delivery never blocks a publisher, and never drops an item from an
+// open subscription: a subscriber whose buffer is full is closed and
+// unregistered instead, the gap signal of etcd and kube watches too. Its
+// reader re-subscribes, then re-reads the durable copy. A fan-out keeps
+// no history.
 type fanout[T any] struct {
 	// buf is the buffer a follow subscription gets: what one stream may
-	// fall behind before it must refill from the durable copy.
+	// fall behind before the fan-out closes it.
 	buf  int
 	mu   sync.Mutex
 	subs map[string][]chan T
@@ -70,8 +74,9 @@ func newFanout[T any](buf int) *fanout[T] {
 	return &fanout[T]{buf: buf, subs: make(map[string][]chan T)}
 }
 
-// subscribe registers for key's items. Cancel closes the channel, and
-// the fan-out forgets key when its last subscriber leaves.
+// subscribe registers for key's items. The channel closes on cancel, or
+// when publish finds its buffer full; cancel after that does nothing.
+// The fan-out forgets key when its last subscriber leaves.
 func (f *fanout[T]) subscribe(key string, buf int) (<-chan T, func()) {
 	ch := make(chan T, buf)
 	f.mu.Lock()
@@ -80,34 +85,40 @@ func (f *fanout[T]) subscribe(key string, buf int) (<-chan T, func()) {
 	return ch, func() {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		subs := f.subs[key]
-		for i, c := range subs {
-			if c != ch {
-				continue
-			}
-			if len(subs) == 1 {
-				delete(f.subs, key)
-			} else {
-				f.subs[key] = append(subs[:i], subs[i+1:]...)
-			}
-			close(ch)
-			return
+		if i := slices.Index(f.subs[key], ch); i >= 0 {
+			f.unsubscribeLocked(key, i)
 		}
 	}
 }
 
+// unsubscribeLocked closes key's i-th subscriber and unregisters it.
+func (f *fanout[T]) unsubscribeLocked(key string, i int) {
+	subs := f.subs[key]
+	close(subs[i])
+	if len(subs) == 1 {
+		delete(f.subs, key)
+	} else {
+		f.subs[key] = slices.Delete(subs, i, i+1)
+	}
+}
+
 // publish offers item to key's subscribers and to every "" subscriber
-// without blocking. Publishers serialise each job's items in position
-// order. A cancel edits the subscriber slice and closes its channel
-// under f.mu, so publish holds f.mu across the sends.
+// without blocking, closing each one whose buffer is full. Publishers
+// serialise each job's items in position order. A cancel edits the
+// subscriber slice and closes its channel under f.mu, so publish holds
+// f.mu across the sends.
 func (f *fanout[T]) publish(key string, item T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, subs := range [...][]chan T{f.subs[key], f.subs[""]} {
-		for _, ch := range subs {
+	for _, k := range [...]string{key, ""} {
+		subs := f.subs[k]
+		for i := 0; i < len(subs); {
 			select {
-			case ch <- item:
-			default: // slow subscriber: it fills from the durable copy
+			case subs[i] <- item:
+				i++
+			default: // a full buffer: its reader re-subscribes and fills
+				f.unsubscribeLocked(k, i)
+				subs = f.subs[k]
 			}
 		}
 	}
@@ -117,15 +128,15 @@ func (f *fanout[T]) publish(key string, item T) {
 // subscribes to live before it reads the backlog, sends everything fill
 // returns from the first undelivered position, then sends live items in
 // position order until ctx ends, send fails or an item ends the stream.
-// A live item the backlog already covered is skipped. One past the next
-// position reveals a gap, and the fill that follows includes it, because
-// every publisher writes the durable copy before it publishes. A safety
-// tick (PollInterval*10) fills too: a dropped tail has no later item to
-// reveal it.
-func follow[T streamItem](ctx context.Context, p *Platform, live *fanout[T], key string, next uint64,
+// A live item the backlog already covered is skipped. When the fan-out
+// closes the subscription, follow sends what it buffered, re-subscribes
+// and fills again. One past the next position reveals a gap and fills
+// too. Either fill includes every item the fan-out did not deliver,
+// because every publisher writes the durable copy before it publishes.
+func follow[T streamItem](ctx context.Context, live *fanout[T], key string, next uint64,
 	fill func(from uint64) ([]T, error), send func(T) error) error {
 	items, cancel := live.subscribe(key, live.buf)
-	defer cancel()
+	defer func() { cancel() }()
 	deliver := func(it T) (bool, error) {
 		next = it.position() + 1
 		return it.ends(), send(it)
@@ -140,19 +151,15 @@ func follow[T streamItem](ctx context.Context, p *Platform, live *fanout[T], key
 		return false, err
 	}
 	done, err := refill()
-	if err != nil || done {
-		return err
-	}
-	ticker := p.clock.NewTicker(p.cfg.PollInterval * 10)
-	defer ticker.Stop()
 	for err == nil && !done {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-ticker.C:
-			done, err = refill()
-		case it := <-items:
+		case it, ok := <-items:
 			switch pos := it.position(); {
+			case !ok:
+				items, cancel = live.subscribe(key, live.buf)
+				done, err = refill()
 			case pos == next:
 				done, err = deliver(it)
 			case pos > next:

@@ -74,6 +74,76 @@ func TestFollowForgetsEveryJob(t *testing.T) {
 	}
 }
 
+// TestFanoutClosesOverflowingSubscriber pins the fan-out's gap signal:
+// a subscriber whose buffer is full is closed and unregistered, after
+// the items it holds, instead of being handed a gap. Every other
+// subscriber gets every item, and no publish blocks.
+func TestFanoutClosesOverflowingSubscriber(t *testing.T) {
+	f := newFanout[LogLine](4)
+	slow, cancelSlow := f.subscribe("j", 2)
+	fast, cancelFast := f.subscribe("j", 8)
+	all, cancelAll := f.subscribe("", 16)
+	defer cancelAll()
+	lone, cancelLone := f.subscribe("k", 1)
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for i := 0; i < 8; i++ {
+			f.publish("j", LogLine{JobID: "j", Offset: uint64(i)})
+		}
+		f.publish("k", LogLine{JobID: "k", Offset: 0})
+		f.publish("k", LogLine{JobID: "k", Offset: 1})
+	}()
+	select {
+	case <-published:
+	case <-time.After(5 * time.Second):
+		t.Fatal("publish blocked on a full subscriber")
+	}
+	drain := func(ch <-chan LogLine) (offsets []uint64, closed bool) {
+		for {
+			select {
+			case l, ok := <-ch:
+				if !ok {
+					return offsets, true
+				}
+				offsets = append(offsets, l.Offset)
+			default:
+				return offsets, false
+			}
+		}
+	}
+	if got, closed := drain(slow); fmt.Sprint(got) != "[0 1]" || !closed {
+		t.Fatalf("overflowing subscriber got %v (closed %v), want [0 1] and a close", got, closed)
+	}
+	if got, closed := drain(lone); fmt.Sprint(got) != "[0]" || !closed {
+		t.Fatalf("overflowing lone subscriber got %v (closed %v), want [0] and a close", got, closed)
+	}
+	if got, closed := drain(fast); fmt.Sprint(got) != "[0 1 2 3 4 5 6 7]" || closed {
+		t.Fatalf("subscriber with room got %v (closed %v), want every item and no close", got, closed)
+	}
+	if got, closed := drain(all); fmt.Sprint(got) != "[0 1 2 3 4 5 6 7 0 1]" || closed {
+		t.Fatalf("every-job subscriber got %v (closed %v), want every item and no close", got, closed)
+	}
+	// The closed subscribers are unregistered: "k" is forgotten, "j"
+	// holds only the subscriber with room, and a cancel after a close
+	// does nothing.
+	if n := jobKeys(f); n != 1 {
+		t.Fatalf("fan-out holds %d job keys, want 1 (j)", n)
+	}
+	cancelSlow()
+	cancelLone()
+	f.mu.Lock()
+	held := len(f.subs["j"])
+	f.mu.Unlock()
+	if held != 1 {
+		t.Fatalf(`"j" holds %d subscribers, want 1`, held)
+	}
+	cancelFast()
+	if n := jobKeys(f); n != 0 {
+		t.Fatalf("fan-out holds %d job keys after every cancel, want 0", n)
+	}
+}
+
 // jobKeys counts the per-job keys a fan-out holds; "" (every job) is
 // the LCM's and the tenancy pump's.
 func jobKeys[T any](f *fanout[T]) int {
@@ -149,35 +219,32 @@ var (
 // The four tests below run both streams through the follower's
 // adversarial schedule, one body for both (testFollowRefill): the stream
 // stalls on its backlog item while a burst three times its buffer is
-// published, so the fan-out drops most of the burst. Every position
+// published, so the fan-out closes the subscription. Every position
 // arrives exactly once, in order, and a watch ends at its terminal item.
+// PollInterval is a minute, so no timer can stand in for the close.
 
-// TestFollowLogsRefillsOverflowGap pins the gap rule on a log follow:
-// the follower drains what its buffer held, and one more line then
-// reveals the gap; the safety tick is a minute away, so only the gap
-// rule can fill it.
+// TestFollowLogsRefillsOverflowGap pins the close rule on a log follow:
+// the follower drains what its buffer held, re-subscribes and fills the
+// rest of the burst, then streams the line published after it.
 func TestFollowLogsRefillsOverflowGap(t *testing.T) { testFollowRefill(t, logsStream, false) }
 
-// TestFollowLogsRefillsDroppedTail pins the safety tick on a log follow:
-// no line follows the burst, so the tick must deliver the dropped tail.
+// TestFollowLogsRefillsDroppedTail is the tail case on a log follow: no
+// line follows the burst, so the fill after the close must deliver the
+// burst's tail.
 func TestFollowLogsRefillsDroppedTail(t *testing.T) { testFollowRefill(t, logsStream, true) }
 
 // TestWatchRefillsOverflowGap is the gap case on a status watch.
 func TestWatchRefillsOverflowGap(t *testing.T) { testFollowRefill(t, watchStream, false) }
 
 // TestWatchRefillsDroppedTerminal is the tail case on a status watch:
-// the dropped tail ends in the terminal event, which the tick must
-// deliver before the stream ends.
+// the burst ends in the terminal event, which the fill after the close
+// must deliver before the stream ends.
 func TestWatchRefillsDroppedTerminal(t *testing.T) { testFollowRefill(t, watchStream, true) }
 
 // testFollowRefill runs s through the schedule. In the gap case (tail
-// unset) the safety tick is set a minute away.
+// unset) one more item follows the burst.
 func testFollowRefill(t *testing.T, s followedStream, tail bool) {
-	p := newTestPlatform(t, func(c *Config) {
-		if !tail {
-			c.PollInterval = time.Minute
-		}
-	})
+	p := newTestPlatform(t, func(c *Config) { c.PollInterval = time.Minute })
 	add, serve := s.open(t, p)
 	buf := s.buf(p)
 	burst := 3 * buf

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"github.com/ffdl/ffdl/internal/etcd"
 	"github.com/ffdl/ffdl/internal/kube"
@@ -198,39 +199,49 @@ func (p *Platform) teardownJob(jobID string) {
 // paper describes ("controllers record learner state in etcd and other
 // components watch those keys", §3.3/§3.8). The check itself is
 // level-triggered (it re-reads state rather than trusting event
-// payloads), so an event, a closed stream and a slow safety tick all
-// just mean "look again", and no event ordering subtlety can wedge a
-// job.
+// payloads), so an event and a closed stream both just mean "look
+// again", and no event ordering subtlety can wedge a job. A retry timer
+// (PollInterval*10) runs only while something no event will bring back
+// is due: a re-watch that failed, or an evaluation a store error cut
+// short. A job whose watch is healthy holds no timer: the watch
+// delivers every write or closes.
 func (p *Platform) monitorJob(ctx *kube.PodContext, jobID string, m Manifest) int {
 	var ws *etcd.WatchStream
 	var events <-chan etcd.Event
 	// attach (re)establishes the prefix subscription; a failure (e.g. a
-	// guardian starting mid leader-election) degrades to the safety
-	// ticker until the next tick retries, never for the pod's lifetime.
+	// guardian starting mid leader-election) is retried on the timer.
 	attach := func() {
-		if ws != nil {
-			return
-		}
 		if w, err := p.Etcd.Watch(keyJobPrefix(jobID), true, 0); err == nil {
 			ws = w
 			events = w.Events()
 		}
 	}
 	attach()
+	var retry *sim.Timer
 	defer func() {
 		if ws != nil {
 			ws.Cancel()
 		}
+		if retry != nil {
+			retry.Stop()
+		}
 	}()
-	// Safety net only: with the watch healthy this ticker does not bound
-	// reaction latency, so it runs an order of magnitude slower than the
-	// old poll.
-	ticker := p.clock.NewTicker(p.cfg.PollInterval * 10)
-	defer ticker.Stop()
-	halted := false
+	halted, check := false, true
 	for {
-		if code, done := p.checkJob(jobID, m, &halted); done {
-			return code
+		if check {
+			p.Metrics.Inc("guardian.checks")
+			code, done, complete := p.checkJob(jobID, m, &halted)
+			if done {
+				return code
+			}
+			check = false
+			if retry == nil && (!complete || ws == nil) {
+				retry = p.clock.NewTimer(p.cfg.PollInterval * 10)
+			}
+		}
+		var retryC <-chan time.Time
+		if retry != nil {
+			retryC = retry.C
 		}
 		select {
 		case <-ctx.Stop:
@@ -240,14 +251,18 @@ func (p *Platform) monitorJob(ctx *kube.PodContext, jobID string, m Manifest) in
 			if !ok || sim.Coalesce(events, nil) {
 				// The stream closed (leader change, overflow) and may
 				// have missed a write: re-watch before the re-check so
-				// none goes unread. A failed re-watch is retried on the
-				// ticker.
+				// none goes unread.
 				ws.Cancel()
 				ws, events = nil, nil
 				attach()
 			}
-		case <-ticker.C:
-			attach()
+			check = true
+		case <-retryC:
+			retry = nil
+			if ws == nil {
+				attach()
+			}
+			check = true
 		}
 	}
 }
@@ -255,9 +270,16 @@ func (p *Platform) monitorJob(ctx *kube.PodContext, jobID string, m Manifest) in
 // checkJob runs one level-triggered evaluation of the job's etcd state:
 // control verbs, completion, learner-status aggregation. done=true means
 // the guardian's work is over and the pod should exit with code.
-func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, done bool) {
+// complete=false means a store error cut the evaluation short — an etcd
+// read failed, or MongoDB did not record a transition — so the caller
+// evaluates again later.
+func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, done, complete bool) {
 	// Control verbs.
-	if kv, ok, _ := p.Etcd.Get(keyControl(jobID)); ok {
+	kv, ok, err := p.Etcd.Get(keyControl(jobID))
+	if err != nil {
+		return 0, false, false
+	}
+	if ok {
 		switch string(kv.Value) {
 		case controlTerminate:
 			if err := p.setJobStatus(jobID, StatusCanceled, "terminated by user"); err != nil && mongoOutageErr(err) {
@@ -265,10 +287,10 @@ func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, d
 				// outage): keep the guardian alive so the next check
 				// retries. Tearing down now would strand the job
 				// non-terminal forever.
-				return 0, false
+				return 0, false, false
 			}
 			p.teardownJob(jobID)
-			return 0, true
+			return 0, true, true
 		case controlHalt:
 			if !*halted {
 				p.Kube.Store().Delete(kube.KindStatefulSet, learnerSetName(jobID))
@@ -278,14 +300,14 @@ func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, d
 					// re-runs this (idempotent) branch once the store
 					// answers — the dispatcher needs the HALTED event to
 					// requeue the victim.
-					return 0, false
+					return 0, false, false
 				}
 				*halted = true
 			}
 		case controlResume:
 			if *halted {
 				if err := p.setJobStatus(jobID, StatusResumed, "resumed from latest checkpoint"); err != nil && mongoOutageErr(err) {
-					return 0, false // retry once the store answers
+					return 0, false, false // retry once the store answers
 				}
 				*halted = false
 				p.putLearnerSet(jobID, m)
@@ -293,7 +315,7 @@ func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, d
 		}
 	}
 	if *halted {
-		return 0, false
+		return 0, false, true
 	}
 
 	// Completion. The terminal transition must be durably recorded
@@ -301,7 +323,11 @@ func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, d
 	// key stays in place and the next evaluation retries — otherwise a
 	// store outage at exactly the wrong moment would strand the job
 	// non-terminal with its guardian gone.
-	if kv, ok, _ := p.Etcd.Get(keyDone(jobID)); ok {
+	kv, ok, err = p.Etcd.Get(keyDone(jobID))
+	if err != nil {
+		return 0, false, false
+	}
+	if ok {
 		code, _ := strconv.Atoi(string(kv.Value))
 		var err error
 		if code == 0 {
@@ -311,29 +337,31 @@ func (p *Platform) checkJob(jobID string, m Manifest, halted *bool) (code int, d
 			err = p.setJobStatus(jobID, StatusFailed, fmt.Sprintf("learner failed with exit code %d", code))
 		}
 		if err != nil && mongoOutageErr(err) {
-			return 0, false
+			return 0, false, false
 		}
 		p.teardownJob(jobID)
-		return 0, true
+		return 0, true, true
 	}
 
 	// Aggregate learner statuses: the job is as far along as its
 	// slowest learner ("The Guardian aggregates the statuses of
 	// each learner to record the overall status of the job in
 	// MongoDB", §3.8).
-	if agg, ok := p.aggregateLearnerStatus(jobID, m.Learners); ok {
-		p.setJobStatus(jobID, agg, "aggregated from learner statuses") //nolint:errcheck
+	kvs, err := p.Etcd.List(keyJobPrefix(jobID) + "learners/")
+	if err != nil {
+		return 0, false, false
 	}
-	return 0, false
+	if agg, ok := aggregateLearnerStatus(kvs, m.Learners); ok {
+		if err := p.setJobStatus(jobID, agg, "aggregated from learner statuses"); err != nil && mongoOutageErr(err) {
+			return 0, false, false
+		}
+	}
+	return 0, false, true
 }
 
 // aggregateLearnerStatus folds per-learner etcd statuses into one job
 // status.
-func (p *Platform) aggregateLearnerStatus(jobID string, learners int) (JobStatus, bool) {
-	kvs, err := p.Etcd.List(keyJobPrefix(jobID) + "learners/")
-	if err != nil || len(kvs) == 0 {
-		return "", false
-	}
+func aggregateLearnerStatus(kvs []etcd.KV, learners int) (JobStatus, bool) {
 	worst := statusRank(StatusCompleted) + 1
 	seen := 0
 	for _, kv := range kvs {

@@ -53,17 +53,19 @@ func (l *lcmReplica) routes(srv *rpc.Server) {
 // this delegate called the Guardian with all the metadata of the DL
 // job ... a K8S Job ... a very quick single step process" (§3.3). Its
 // callers hold evidence the job is admitted and live — a PENDING bus
-// event or a recovery-scan hit — so only resurrection re-reads it. kube
-// deletes a Guardian's Job once its pod succeeds, so a caller whose
-// evidence went stale as the job finished creates a Guardian for a
-// terminal job: it finds the terminal status, tears down, exits 0 and
-// is deleted in turn.
-func (l *lcmReplica) ensureGuardian(jobID string) {
+// event or a recovery-scan hit — or a Guardian Job kube marked Failed,
+// so only resurrection re-reads the job. kube deletes a Guardian's Job
+// once its pod succeeds, so a caller whose evidence went stale as the
+// job finished creates a Guardian for a terminal job: it finds the
+// terminal status, tears down, exits 0 and is deleted in turn. It
+// reports false when a resurrection could not read the job's status
+// because the store did not answer; the caller retries.
+func (l *lcmReplica) ensureGuardian(jobID string) bool {
 	name := guardianJobName(jobID)
 	if obj, exists := l.p.Kube.Store().Get(kube.KindJob, name); exists {
 		j, ok := obj.(*kube.Job)
 		if !ok || !j.Failed {
-			return // idempotent: the guardian is alive
+			return true // idempotent: the guardian is alive
 		}
 		// The guardian burned through its restart budget — a sustained
 		// crash loop (chaos node/pod kills, a long store outage at pod
@@ -73,8 +75,11 @@ func (l *lcmReplica) ensureGuardian(jobID string) {
 		// its steps are idempotent and roll back (§3.3), so a fresh
 		// incarnation is always safe.
 		status, err := l.p.jobStatus(jobID)
-		if err != nil || status.Terminal() || status == StatusHalted || status == StatusQueued {
-			return // a failed read is retried by the next scan
+		if err != nil {
+			return !mongoOutageErr(err)
+		}
+		if status.Terminal() || status == StatusHalted || status == StatusQueued {
+			return true
 		}
 		l.p.Kube.Store().Delete(kube.KindJob, name)
 		l.p.Metrics.Inc("lcm.guardian_resurrections")
@@ -98,6 +103,7 @@ func (l *lcmReplica) ensureGuardian(jobID string) {
 	if l.p.Tracer != nil {
 		l.p.Tracer.Sub(jobID, "lcm.deploy", deployStart, l.p.clock.Now())
 	}
+	return true
 }
 
 // handleControl writes HALT/RESUME to the job's etcd control key, where
@@ -136,68 +142,92 @@ func (l *lcmReplica) handleTerminate(_ context.Context, arg any) (any, error) {
 	return nil, err
 }
 
-// recoveryLoop deploys admitted jobs that have no Guardian. It wakes on
+// recoveryLoop deploys admitted jobs that have no Guardian and
+// resurrects Guardians kube gave up on. It keeps no ticker. It wakes on
 // the job-status event bus — a job's PENDING event arrives the moment
 // the API (open admission) or the tenant dispatcher (tenancy) persists
 // it, and that event is the deploy hand-off; nothing calls the LCM to
-// deploy. Behind it a slow safety tick scans MongoDB, covering bus drops
-// and jobs persisted before this loop subscribed: a dropped event costs
-// one tick (PollInterval*10), never the job. The scan is also the "in
-// the case of a failure that necessitates that the entire job be
-// restarted, information stored in MongoDB can be used readily without
-// the need for user intervention" path (§3.2).
+// deploy — and on the kube Job watch, where a Guardian Job marked Failed
+// has exhausted its restart backoff (a sustained crash loop: chaos
+// node/pod kills, a long store outage at pod start). Each watch closes
+// rather than drop an event, and the loop answers a close by
+// re-watching, then scanning MongoDB; it scans at boot too, for jobs
+// persisted before its watches opened. The scan is also the "in the
+// case of a failure that necessitates that the entire job be restarted,
+// information stored in MongoDB can be used readily without the need
+// for user intervention" path (§3.2). A scan or a resurrection the
+// store did not answer is retried PollInterval*10 later.
 //
-// On a durable (DataDir) platform the scan covers every admitted,
-// non-terminal, non-HALTED status, not just PENDING: on a cold process
-// restart the reopened metadata store holds jobs that were DEPLOYING or
-// PROCESSING when the process died — they lost their Guardians with the
-// rest of the kube state, and only this scan brings them back. The
-// wider scan is idempotent — ensureGuardian no-ops while the job's
-// Guardian kube Job exists, a Guardian raced by the job's end exits at
-// once (see ensureGuardian), and setJobStatus admits re-entrant
-// DEPLOYING from every scanned state.
-// HALTED stays excluded: a halted job resumes only on the user's RESUME
-// verb; QUEUED stays excluded: admission belongs to the tenant
-// dispatcher.
-//
-// Memory platforms scan the same statuses: their metadata store is born
-// empty, so every mid-flight job the scan sees was admitted through
-// this platform and normally still has its Guardian — making the scan a
-// no-op — but a guardian whose kube Job exhausted its restart backoff
-// (sustained chaos kill loops) is gone for good, and only this scan
-// (via ensureGuardian's resurrection path) brings it back.
+// The scan covers every admitted, non-terminal, non-HALTED status, not
+// just PENDING: on a cold restart of a durable (DataDir) platform the
+// reopened metadata store holds jobs that were DEPLOYING or PROCESSING
+// when the process died — they lost their Guardians with the rest of
+// the kube state, and only this scan brings them back. It is
+// idempotent — ensureGuardian no-ops while the job's Guardian kube Job
+// is alive, a Guardian raced by the job's end exits at once (see
+// ensureGuardian), and setJobStatus admits re-entrant DEPLOYING from
+// every scanned state. HALTED stays excluded: a halted job resumes only
+// on the user's RESUME verb; QUEUED stays excluded: admission belongs
+// to the tenant dispatcher.
 func (l *lcmReplica) recoveryLoop() {
+	guardians := l.p.Kube.Store().Watch(kube.KindJob)
 	events, cancel := l.p.bus.subscribe("", 256)
-	defer cancel()
-	ticker := l.p.clock.NewTicker(l.p.cfg.PollInterval * 10)
-	defer ticker.Stop()
+	defer func() {
+		guardians.Cancel()
+		cancel()
+	}()
 	recoverable := []JobStatus{
 		StatusPending, StatusDeploying, StatusDownloading,
 		StatusProcessing, StatusStoring, StatusResumed,
 	}
+	var retry <-chan time.Time
+	arm := func() {
+		if retry == nil {
+			retry = l.p.clock.After(l.p.cfg.PollInterval * 10)
+		}
+	}
 	scan := func() {
+		answered := true
 		for _, st := range recoverable {
 			// One indexed equality query per status keeps the scan off
 			// the full-collection path (status is an indexed field).
 			docs := l.p.Jobs.Find(mongo.Filter{"status": string(st)}, mongo.FindOpts{})
+			answered = answered && docs != nil // nil: the store did not answer
 			for _, d := range docs {
-				id, _ := d["_id"].(string)
-				if id != "" {
-					l.ensureGuardian(id)
+				if id, _ := d["_id"].(string); id != "" {
+					answered = l.ensureGuardian(id) && answered
 				}
 			}
 		}
+		if !answered {
+			arm()
+		}
 	}
-	scan() // catch anything persisted before the subscription
+	scan()
 	for {
 		select {
 		case <-l.p.stopCh:
 			return
-		case ev := <-events:
-			if ev.Entry.Status == StatusPending {
+		case ev, ok := <-events:
+			switch {
+			case !ok:
+				events, cancel = l.p.bus.subscribe("", 256)
+				scan()
+			case ev.Entry.Status == StatusPending:
 				l.ensureGuardian(ev.JobID)
 			}
-		case <-ticker.C:
+		case ev, ok := <-guardians.Events():
+			switch j, _ := ev.Object.(*kube.Job); {
+			case !ok:
+				guardians = l.p.Kube.Store().Watch(kube.KindJob)
+				scan()
+			case j != nil && j.Failed:
+				if !l.ensureGuardian(j.Template.RuntimeArgs["job"]) {
+					arm()
+				}
+			}
+		case <-retry:
+			retry = nil
 			scan()
 		}
 	}

@@ -19,9 +19,9 @@ import (
 // wake-ups — job status transitions from the status bus and cluster
 // capacity from the kube node watch; quota writes reach the dispatcher
 // straight from handleSetQuota. Each is an event path only: the
-// dispatcher's resync tick re-reads the durable stores, so a dropped
-// status event delays work, never loses it, and the capacity pump
-// re-reads capacity when its node watch closes.
+// dispatcher's resync tick re-reads the durable stores, so the status
+// events a closed bus subscription skipped delay work, never lose it,
+// and the capacity pump re-reads capacity when its node watch closes.
 
 // startTenancy boots the registry, admission controller and dispatcher.
 func (p *Platform) startTenancy(tc *TenancyConfig) error {
@@ -64,8 +64,7 @@ func (p *Platform) startTenancy(tc *TenancyConfig) error {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		defer cancel()
-		p.tenancyStatusPump(events)
+		p.tenancyStatusPump(events, cancel)
 	}()
 
 	p.Dispatcher.Start()
@@ -102,16 +101,18 @@ func (p *Platform) nodeCapacityLoop() {
 }
 
 // tenancyStatusPump translates status bus events into dispatcher notes.
-func (p *Platform) tenancyStatusPump(events <-chan StatusEvent) {
+// When the bus closes its subscription on overflow it re-subscribes; the
+// dispatcher's resync recovers what the close skipped.
+func (p *Platform) tenancyStatusPump(events <-chan StatusEvent, cancel func()) {
+	defer func() { cancel() }()
 	for {
 		select {
 		case <-p.stopCh:
 			return
 		case ev, ok := <-events:
-			if !ok {
-				return
-			}
 			switch st := ev.Entry.Status; {
+			case !ok:
+				events, cancel = p.bus.subscribe("", 256)
 			case st == StatusQueued:
 				if j, err := p.tenantJob(ev.JobID); err == nil {
 					p.Dispatcher.NoteQueued(j)

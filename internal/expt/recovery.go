@@ -121,9 +121,11 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	pcfg, fc := simConfig(cfg.Seed, cfg.SettleWall)
 	defer fc.StopAutoAdvance()
 	pcfg.DataDir = dataDir
-	// The measurement sees event-driven recovery, not poll overhead,
-	// except through PollInterval: the LCM recovery scan rides it, and
-	// redeploy-after-restart is part of what recovery means.
+	// The measurement sees event-driven recovery, not poll overhead: the
+	// reopened process's LCM scans MongoDB once at boot and redeploys
+	// what was mid-flight. PollInterval paces only retries after a
+	// store error (the Guardian's and the LCM's timers, the resilience
+	// backoff).
 	pcfg.PollInterval = 50 * time.Millisecond
 	pcfg.TimeCompression = 0 // training is instantaneous; durability is the workload
 	pcfg.StartDelay = func(string) time.Duration { return 0 }
