@@ -27,9 +27,14 @@ test:
 # under -short, and its exactly-once watch and strictly-increasing
 # log-offset invariants drive both streams' resume loop through API
 # replica crashes and RPC faults. expt's short tests are not run twice.
+# The etcd proposal tests that cross a failover, a lost quorum or a
+# seeded fault schedule run three times more, so an interleaving bug in
+# the batch loop's re-proposal and timeout paths cannot pass on one
+# lucky run.
 race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /internal/expt)
 	$(GO) test -race ./internal/expt/...
+	$(GO) test -race -count=3 -run 'TestBatchedProposalsSurviveLeaderFailover|TestLeaderFailoverContinuesService|TestNoQuorumTimesOutEachProposalOnce|TestExactlyOnceUnderFailoverSchedule' ./internal/etcd
 
 # Coverage artifact: a whole-repo coverprofile plus the per-function
 # summary CI uploads (cover.out, cover.txt).

@@ -77,17 +77,24 @@ type Cluster struct {
 	// waiters under mu in one step, so ackFloor can never pass an ID
 	// that is minted but not yet waiting.
 	reqSeq  uint64
-	waiters map[uint64]chan result
+	waiters map[uint64]*pending
 	// ackFloor caches the lowest ReqID that may still be waiting; see
-	// advanceFloor.
+	// oldestLocked.
 	ackFloor uint64
-
-	// Group commit: propose() enqueues commands here and the batch loop
-	// drains the queue into one batch envelope per Raft entry, so K
-	// concurrent proposals cost one replication round instead of K.
-	batchMu sync.Mutex
-	batchQ  []*command
+	// Group commit: propose() enqueues commands here (under mu) and the
+	// batch loop drains the queue into one batch envelope per Raft
+	// entry, so K concurrent proposals cost one replication round
+	// instead of K. The loop swaps batchQ with spare on each drain, so
+	// the two backing arrays are reused rather than regrown.
+	batchQ  []*pending
 	batchCh chan struct{} // signal, buffered(1)
+
+	// Owned by the batch loop goroutine alone. timer is the cluster's one
+	// proposal timer, armed exactly while some command waits (see pace).
+	spare      []*pending
+	envScratch []command
+	timer      *sim.Timer
+	timerArmed bool
 
 	// leaderSig is closed and replaced whenever any node gains or sheds
 	// leadership (or the topology changes): the event-driven wake for
@@ -117,7 +124,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:      opts,
 		transport: newMemTransport(),
-		waiters:   make(map[uint64]chan result),
+		waiters:   make(map[uint64]*pending),
 		batchCh:   make(chan struct{}, 1),
 		leaderSig: make(chan struct{}),
 		stopCh:    make(chan struct{}),
@@ -176,7 +183,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 // The decode target is a per-replica scratch command reused across
 // entries (including its Batch backing array): applyFunc runs under the
 // owning node's mutex, so there is never a concurrent decode into the
-// same scratch, and the state machine copies everything it retains.
+// same scratch. Decoded values alias the entry buffer, which the state
+// machine keeps as is (putLocked); key strings are materialized.
 func (c *Cluster) applier(st *storeState) applyFunc {
 	scratch := new(command)
 	return func(a Applied) {
@@ -200,18 +208,22 @@ func (c *Cluster) applier(st *storeState) applyFunc {
 }
 
 // applyOne applies a single command to one replica and fans the result
-// back to its waiter.
+// back to its waiter. The replica that applies a command first answers
+// it; the waiter leaves the map in the same step, so a command is
+// answered once however many replicas apply it. Answering the last
+// waiter wakes the batch loop to disarm its timer.
 func (c *Cluster) applyOne(st *storeState, cmd *command) {
 	res := st.apply(cmd)
 	c.mu.Lock()
-	w := c.waiters[cmd.ReqID]
-	delete(c.waiters, cmd.ReqID)
+	p := c.waiters[cmd.ReqID]
+	if p != nil {
+		delete(c.waiters, cmd.ReqID)
+		p.ch <- res
+	}
+	idle := p != nil && len(c.waiters) == 0
 	c.mu.Unlock()
-	if w != nil {
-		select {
-		case w <- res:
-		default:
-		}
+	if idle {
+		c.wakeLoop()
 	}
 }
 
@@ -284,12 +296,30 @@ func (c *Cluster) WaitLeader(timeout time.Duration) (int, error) {
 	}
 }
 
-// enqueue adds a command to the group-commit queue and signals the
-// batch loop.
-func (c *Cluster) enqueue(cmd *command) {
-	c.batchMu.Lock()
-	c.batchQ = append(c.batchQ, cmd)
-	c.batchMu.Unlock()
+// pending is one client command from propose until its answer.
+type pending struct {
+	cmd command
+	// ch carries the one answer: the command's result, or ErrTimeout
+	// from the batch loop. Buffered, and sent by whoever removes the
+	// waiter from Cluster.waiters, so the send never blocks.
+	ch       chan result
+	deadline time.Time
+	// queued marks a copy in batchQ (under Cluster.mu), so a command is
+	// queued at most once.
+	queued bool
+}
+
+// enqueueLocked adds a waiting command to the group-commit queue unless
+// it is already there. The caller holds mu and wakes the loop after.
+func (c *Cluster) enqueueLocked(p *pending) {
+	if !p.queued {
+		p.queued = true
+		c.batchQ = append(c.batchQ, p)
+	}
+}
+
+// wakeLoop signals the batch loop.
+func (c *Cluster) wakeLoop() {
 	select {
 	case c.batchCh <- struct{}{}:
 	default:
@@ -300,31 +330,67 @@ func (c *Cluster) enqueue(cmd *command) {
 // previous Raft entry was being proposed is flushed as one batch
 // envelope, so the commands-per-entry ratio adapts to load (1 when
 // idle, large under bursts) with no added latency — there is no timer
-// holding a batch open.
+// holding a batch open. The loop owns the cluster's one proposal timer
+// (see pace): it is the only clock waiter proposals ever cost.
 func (c *Cluster) batchLoop() {
+	defer func() {
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+	}()
 	for {
+		if q, floor := c.take(); q != nil {
+			if len(q) > 0 {
+				c.flush(q, floor)
+			}
+			clear(q)
+			c.spare = q[:0]
+			continue
+		}
+		c.pace(nil)
+		var fired <-chan time.Time
+		if c.timerArmed {
+			fired = c.timer.C
+		}
 		select {
 		case <-c.stopCh:
 			return
 		case <-c.batchCh:
-		}
-		for {
-			c.batchMu.Lock()
-			q := c.batchQ
-			c.batchQ = nil
-			c.batchMu.Unlock()
-			if len(q) == 0 {
-				break
-			}
-			c.flush(q)
+		case <-fired:
+			c.timerFired()
 		}
 	}
 }
 
+// take drains the queue for one entry, swapping in the spare backing
+// array. It drops commands answered since they were queued and returns
+// the rest — in the drained array, which the loop recycles as the next
+// spare — with the entry's ack floor. It returns nil when the queue is
+// empty.
+func (c *Cluster) take() ([]*pending, uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	q := c.batchQ
+	if len(q) == 0 {
+		return nil, 0
+	}
+	c.batchQ = c.spare
+	live := q[:0]
+	for _, p := range q {
+		p.queued = false
+		if c.waiters[p.cmd.ReqID] == p {
+			live = append(live, p)
+		}
+	}
+	clear(q[len(live):])
+	c.oldestLocked() // steps ackFloor up to the oldest waiting ID
+	return live, c.ackFloor
+}
+
 // flush encodes one drained queue into a single Raft entry — the
 // command itself for a batch of one, a batch envelope otherwise —
-// stamped with the current ack floor, and proposes it to the leader.
-func (c *Cluster) flush(q []*command) {
+// stamped with the ack floor, and proposes it to the leader.
+func (c *Cluster) flush(q []*pending, floor uint64) {
 	c.obsBatch.Observe(float64(len(q)))
 	for n := uint64(len(q)); ; {
 		cur := c.statMaxBatch.Load()
@@ -332,69 +398,152 @@ func (c *Cluster) flush(q []*command) {
 			break
 		}
 	}
-	floor := c.advanceFloor()
+	var data []byte
 	if len(q) == 1 {
-		one := *q[0]
+		one := q[0].cmd
 		one.Floor = floor
-		c.proposeEntry(encodeEntry(&one))
-		return
+		data = encodeEntry(&one)
+	} else {
+		env := command{Op: opBatch, Floor: floor, Batch: c.envScratch[:0]}
+		for _, p := range q {
+			env.Batch = append(env.Batch, p.cmd)
+		}
+		data = encodeEntry(&env)
+		// The entry holds its own copy; drop the scratch's references.
+		clear(env.Batch)
+		c.envScratch = env.Batch[:0]
 	}
-	env := command{Op: opBatch, Floor: floor, Batch: make([]command, len(q))}
-	for i, cmd := range q {
-		env.Batch[i] = *cmd
-	}
-	c.proposeEntry(encodeEntry(&env))
+	c.proposeEntry(data, q)
 }
 
-// advanceFloor returns the ack floor for the next entry: the lowest
-// ReqID still waiting, or reqSeq+1 when none is. Every ID below it was
-// answered — so it applied at an earlier, committed index — or its
-// proposer gave up. IDs are minted in order and a waiter never returns
-// once gone, so the cached floor only steps forward, over each ID once:
-// no scan of waiters per entry.
-func (c *Cluster) advanceFloor() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// oldestLocked returns the waiting command with the lowest ReqID — the
+// oldest, so the first to reach its deadline — or nil when none waits.
+// It steps ackFloor up to that ID, or to reqSeq+1: every ID below the
+// floor was answered — so it applied at an earlier, committed index — or
+// its proposer gave up. IDs are minted in order and a waiter never
+// returns once gone, so the floor only steps forward, over each ID
+// once: no scan of waiters per entry.
+func (c *Cluster) oldestLocked() *pending {
 	for c.ackFloor <= c.reqSeq {
-		if _, waiting := c.waiters[c.ackFloor]; waiting {
-			break
+		if p := c.waiters[c.ackFloor]; p != nil {
+			return p
 		}
 		c.ackFloor++
 	}
-	return c.ackFloor
+	return nil
 }
 
-// proposeEntry hands one encoded entry to the current leader, parking
-// on the leadership broadcast while no leader is reachable, then waits
-// for the entry to apply (the group-commit pacing: commands arriving
-// during the replication round accumulate into the next batch). Giving
-// up (deadline or stop) is safe: every waiter re-enqueues its own
-// command until its ProposalTimeout, and ReqID dedup keeps re-proposals
-// exactly-once.
-func (c *Cluster) proposeEntry(data []byte) {
-	clk := c.opts.Clock
-	deadline := clk.Now().Add(c.opts.ProposalTimeout)
+// pace keeps the batch loop's one timer armed exactly while some command
+// waits: it stops the timer when none does, and otherwise arms it, if
+// it is not armed, to fire at the oldest command's deadline or after an
+// election timeout — by then a lost leader has been replaced, if it is
+// going to be — whichever is sooner. Deadlines rise with ReqIDs, so a
+// timer armed for the oldest command fires no later than any newer
+// command's deadline. pace reports whether any command of q (an entry
+// in flight) still waits.
+func (c *Cluster) pace(q []*pending) bool {
+	c.mu.Lock()
+	live := false
+	for _, p := range q {
+		if c.waiters[p.cmd.ReqID] == p {
+			live = true
+			break
+		}
+	}
+	oldest := c.oldestLocked()
+	var deadline time.Time
+	if oldest != nil {
+		deadline = oldest.deadline
+	}
+	c.mu.Unlock()
+	switch {
+	case oldest == nil:
+		if c.timerArmed {
+			c.timer.Stop()
+			c.timerArmed = false
+		}
+	case !c.timerArmed:
+		clk := c.opts.Clock
+		d := min(c.opts.TickInterval*electionTicksMax, deadline.Sub(clk.Now()))
+		if c.timer == nil {
+			c.timer = clk.NewTimer(d)
+		} else {
+			c.timer.Reset(d)
+		}
+		c.timerArmed = true
+	}
+	return live
+}
+
+// timerFired answers ErrTimeout to every command past its deadline and
+// re-queues every other waiting command, in case its entry was lost
+// without a leadership signal to say so; a copy whose entry applies
+// meanwhile is dropped by take. A stale firing of a timer that pace has
+// since stopped does nothing.
+func (c *Cluster) timerFired() {
+	if !c.timerArmed {
+		return
+	}
+	c.timerArmed = false
+	now := c.opts.Clock.Now()
+	c.mu.Lock()
+	for id, p := range c.waiters {
+		if now.Before(p.deadline) {
+			c.enqueueLocked(p)
+			continue
+		}
+		delete(c.waiters, id)
+		p.ch <- result{err: ErrTimeout}
+	}
+	c.mu.Unlock()
+}
+
+// park blocks the batch loop, while it proposes or awaits the entry
+// carrying q, until the leadership broadcast sig, the replica's apply
+// barrier (nil while there is no leader), the loop's timer or stop. It
+// reports false — give the entry up — on stop, or when none of q's
+// commands waits any more: each was answered, or timed out.
+func (c *Cluster) park(sig, applied <-chan struct{}, q []*pending) bool {
+	if !c.pace(q) {
+		return false
+	}
+	var fired <-chan time.Time
+	if c.timerArmed {
+		fired = c.timer.C
+	}
+	select {
+	case <-sig:
+	case <-applied:
+	case <-fired:
+		c.timerFired()
+	case <-c.stopCh:
+		return false
+	}
+	return true
+}
+
+// proposeEntry hands one encoded entry, carrying the commands q, to the
+// current leader, parking on the leadership broadcast while no leader
+// is reachable, then waits for the entry to apply (the group-commit
+// pacing: commands arriving during the replication round accumulate
+// into the next batch). It gives the entry up on stop or once none of
+// q's commands waits; the loop's timer bounds every wait, and re-proposal
+// of a command whose entry is lost belongs to its waiter (on the
+// leadership broadcast) or to timerFired, under the same ReqID, which
+// dedup keeps exactly-once.
+func (c *Cluster) proposeEntry(data []byte, q []*pending) {
 	for {
 		sig := c.leadershipSignal()
 		if li := c.leaderIndex(); li >= 0 {
 			if idx, _, err := c.nodes[li].Propose(data); err == nil {
 				c.statEntries.Add(1)
-				c.awaitApplied(li, idx, deadline)
+				c.awaitApplied(li, idx, q)
 				return
 			}
 		}
-		if clk.Now().After(deadline) {
+		if !c.park(sig, nil, q) {
 			return
 		}
-		t := clk.NewTimer(c.opts.TickInterval * electionTicksMax)
-		select {
-		case <-sig:
-		case <-t.C:
-		case <-c.stopCh:
-			t.Stop()
-			return
-		}
-		t.Stop()
 	}
 }
 
@@ -402,36 +551,30 @@ func (c *Cluster) proposeEntry(data []byte) {
 // has applied through idx — the single-in-flight-entry window that
 // makes group commit actually group: without it the batch loop drains
 // the queue faster than proposals arrive and every entry carries one
-// command. Bails on leadership movement or the deadline; command-level
-// retry (propose's re-enqueue) owns correctness.
-func (c *Cluster) awaitApplied(li int, idx uint64, deadline time.Time) {
-	clk := c.opts.Clock
+// command. It wakes on the barrier, the leadership broadcast and the
+// loop's timer, and returns once leadership moves off li or none of q's
+// commands waits; command-level re-proposal owns correctness.
+func (c *Cluster) awaitApplied(li int, idx uint64, q []*pending) {
 	st := c.states[li]
 	for {
-		sig := st.applyBarrier()
-		if c.nodes[li].appliedAtLeast(idx) {
+		sig := c.leadershipSignal()
+		applied := st.applyBarrier()
+		if c.nodes[li].appliedAtLeast(idx) || c.leaderIndex() != li {
 			return
 		}
-		if c.leaderIndex() != li || clk.Now().After(deadline) {
+		if !c.park(sig, applied, q) {
 			return
 		}
-		// Safety-net timer only: the apply barrier is the wake path.
-		t := clk.NewTimer(c.opts.TickInterval * 2)
-		select {
-		case <-sig:
-		case <-t.C:
-		case <-c.stopCh:
-			t.Stop()
-			return
-		}
-		t.Stop()
 	}
 }
 
-// propose submits a command for group commit and waits for it to apply;
-// it retries across leader changes by re-enqueueing under the same
-// request ID so the state machine applies it exactly once.
-func (c *Cluster) propose(cmd *command) (result, error) {
+// propose submits a command for group commit and waits for its answer.
+// It holds no timer: it wakes on its result, on the leadership
+// broadcast — after which it re-queues the command under the same
+// request ID, so a proposal lost with a deposed leader is made again
+// and the state machine still applies it once — and on stop. The batch
+// loop's timer answers ErrTimeout once ProposalTimeout has passed.
+func (c *Cluster) propose(cmd command) (result, error) {
 	if c.stopped.Load() {
 		return result{}, ErrStopped
 	}
@@ -440,50 +583,39 @@ func (c *Cluster) propose(cmd *command) (result, error) {
 		start := c.opts.Clock.Now()
 		defer func() { c.obsPropose.ObserveDuration(c.opts.Clock.Now().Sub(start)) }()
 	}
-	ch := make(chan result, 1)
+	p := &pending{cmd: cmd, ch: make(chan result, 1)}
+	// Capture the broadcast before queueing: a leadership change after
+	// the command can have reached a leader must wake this waiter.
+	sig := c.leadershipSignal()
 	c.mu.Lock()
 	c.reqSeq++
-	cmd.ReqID = c.reqSeq
-	c.waiters[cmd.ReqID] = ch
+	id := c.reqSeq
+	p.cmd.ReqID = id
+	// Set under mu with the ID, so deadlines rise with ReqIDs.
+	p.deadline = c.opts.Clock.Now().Add(c.opts.ProposalTimeout)
+	c.waiters[id] = p
+	c.enqueueLocked(p)
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, cmd.ReqID)
-		c.mu.Unlock()
-	}()
-	c.enqueue(cmd)
-
-	clk := c.opts.Clock
-	deadline := clk.Now().Add(c.opts.ProposalTimeout)
+	c.wakeLoop()
 	for {
-		// Wait for apply. A stoppable timer (not After) so a FakeClock
-		// holds no stale waiters that would drag its auto-advancer
-		// forward; the result arrives through ch independently of the
-		// clock.
-		t := clk.NewTimer(20 * c.opts.TickInterval)
 		select {
-		case res := <-ch:
-			t.Stop()
+		case res := <-p.ch:
 			c.noteRev(res.rev)
 			return res, res.err
-		case <-t.C:
-			// Re-enqueue below: leadership may have moved before commit.
+		case <-sig:
+			sig = c.leadershipSignal()
+			c.mu.Lock()
+			if c.waiters[id] == p {
+				c.enqueueLocked(p)
+			}
+			c.mu.Unlock()
+			c.wakeLoop()
 		case <-c.stopCh:
-			t.Stop()
+			c.mu.Lock()
+			delete(c.waiters, id)
+			c.mu.Unlock()
 			return result{}, ErrStopped
 		}
-		// The first apply delivers to ch; one that landed as the timer
-		// fired spares the re-proposal.
-		select {
-		case res := <-ch:
-			c.noteRev(res.rev)
-			return res, res.err
-		default:
-		}
-		if clk.Now().After(deadline) {
-			return result{}, ErrTimeout
-		}
-		c.enqueue(cmd)
 	}
 }
 
@@ -498,13 +630,13 @@ func (c *Cluster) Put(key string, value []byte, lease int64) (uint64, error) {
 	if lease != 0 {
 		return 0, fmt.Errorf("etcd: put %q: leases are not supported", key)
 	}
-	res, err := c.propose(&command{Op: opPut, Key: key, Value: value})
+	res, err := c.propose(command{Op: opPut, Key: key, Value: value})
 	return res.rev, err
 }
 
 // Delete removes a key. It reports whether the key existed.
 func (c *Cluster) Delete(key string) (bool, error) {
-	res, err := c.propose(&command{Op: opDelete, Key: key})
+	res, err := c.propose(command{Op: opDelete, Key: key})
 	return res.ok, err
 }
 
@@ -512,7 +644,7 @@ func (c *Cluster) Delete(key string) (bool, error) {
 // existed. FfDL uses this to erase a DL job's coordination state after it
 // terminates (§3.2: "a DL job's data is erased after it terminates").
 func (c *Cluster) DeletePrefix(prefix string) (bool, error) {
-	res, err := c.propose(&command{Op: opDelete, Key: prefix, Prefix: true})
+	res, err := c.propose(command{Op: opDelete, Key: prefix, Prefix: true})
 	return res.ok, err
 }
 

@@ -113,8 +113,8 @@ func decodeCommandBody(r *codec.Reader, cmd *command, topLevel bool) error {
 		return err
 	}
 	cmd.Key = string(key)
-	// The value aliases the entry buffer: Raft entries are immutable and
-	// the state machine copies values it retains (putLocked).
+	// The value aliases the entry buffer: Raft entries are immutable, so
+	// the state machine keeps it without a copy (putLocked).
 	val, err := r.Bytes()
 	if err != nil {
 		return err

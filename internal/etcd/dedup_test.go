@@ -70,8 +70,18 @@ func TestDuplicateBelowAckFloorAppliesNowhere(t *testing.T) {
 		t.Fatal("follower caught up without a snapshot restore")
 	}
 
-	// The duplicate commits in an entry of its own, floor unset.
-	c.proposeEntry(encodeEntry(&command{Op: opPut, Key: "k", Value: []byte("v1"), ReqID: acked}))
+	// The duplicate commits in an entry of its own, floor unset, proposed
+	// to the leader directly (proposeEntry belongs to the batch loop).
+	li := c.Leader()
+	idx, _, err := c.nodes[li].Propose(encodeEntry(&command{Op: opPut, Key: "k", Value: []byte("v1"), ReqID: acked}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !c.nodes[li].appliedAtLeast(idx); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the duplicate's entry %d never applied on the leader", idx)
+		}
+	}
 	after := putEverywhere(t, c, "after", "v")
 	if after != healed+1 {
 		t.Fatalf("revision %d after the duplicate and one put, want %d", after, healed+1)

@@ -89,10 +89,13 @@ const (
 )
 
 // Transport delivers messages between Raft peers. Implementations may
-// drop, delay or partition traffic (see memTransport and internal/chaos).
+// drop, delay or partition traffic (see memTransport). Messages travel
+// by value, so sending an append, a response or a heartbeat allocates
+// nothing; an append's Entries is a read-only view of the sender's log
+// (see entriesFrom), which neither side writes.
 type Transport interface {
 	// Send delivers m to m.To asynchronously. Delivery may fail silently.
-	Send(m *Message)
+	Send(m Message)
 }
 
 // Applied is a committed command handed to the state machine.
@@ -289,6 +292,12 @@ func (n *node) termAt(index uint64) (uint64, bool) {
 	return n.log[index-n.snapIndex-1].Term, true
 }
 
+// entriesFrom returns the log suffix from index on as a view of the
+// log, capped at its length: an append ships it without a copy. The
+// view stays valid because nothing rewrites a log entry in place — the
+// leader only appends past the cap, and the two paths that drop entries
+// (a follower's conflict truncation, compactLocked) move the log to a
+// fresh array — so a view already in flight never changes.
 func (n *node) entriesFrom(index uint64) []entry {
 	if index > n.lastIndex() {
 		return nil
@@ -296,10 +305,7 @@ func (n *node) entriesFrom(index uint64) []entry {
 	if index <= n.snapIndex {
 		return nil
 	}
-	src := n.log[index-n.snapIndex-1:]
-	out := make([]entry, len(src))
-	copy(out, src)
-	return out
+	return slices.Clip(n.log[index-n.snapIndex-1:])
 }
 
 // tick advances logical time: followers/candidates count toward election
@@ -337,7 +343,7 @@ func (n *node) campaignLocked() {
 		if p == n.id {
 			continue
 		}
-		n.transport.Send(&Message{
+		n.transport.Send(Message{
 			Kind: MsgVoteRequest, From: n.id, To: p, Term: n.currentTerm,
 			LastLogIndex: lastIdx, LastLogTerm: lastTerm,
 		})
@@ -444,7 +450,7 @@ func (n *node) sendFrom(to int) uint64 {
 func (n *node) sendAppendLocked(to int) {
 	if n.nextIndex[to] <= n.snapIndex {
 		// Follower is too far behind: ship the snapshot.
-		n.transport.Send(&Message{
+		n.transport.Send(Message{
 			Kind: MsgSnapshot, From: n.id, To: to, Term: n.currentTerm,
 			SnapshotData: n.snapData, SnapshotIndex: n.snapIndex, SnapshotTerm: n.snapTerm,
 		})
@@ -467,7 +473,7 @@ func (n *node) sendAppendLocked(to int) {
 	// An empty append doubles as heartbeat and as a probe of the
 	// pipeline frontier: if an in-flight append was lost, the follower
 	// rejects prevIndex and the leader backs up and re-ships.
-	n.transport.Send(&Message{
+	n.transport.Send(Message{
 		Kind: MsgAppend, From: n.id, To: to, Term: n.currentTerm,
 		PrevLogIndex: prevIndex, PrevLogTerm: prevTerm,
 		Entries: entries, LeaderCommit: n.commitIndex,
@@ -521,7 +527,7 @@ func (n *node) handleVoteRequestLocked(m *Message) {
 			n.resetElectionTimeout()
 		}
 	}
-	n.transport.Send(&Message{
+	n.transport.Send(Message{
 		Kind: MsgVoteResponse, From: n.id, To: m.From,
 		Term: n.currentTerm, VoteGranted: granted,
 	})
@@ -539,7 +545,7 @@ func (n *node) handleVoteResponseLocked(m *Message) {
 
 func (n *node) handleAppendLocked(m *Message) {
 	reject := func(hint uint64) {
-		n.transport.Send(&Message{
+		n.transport.Send(Message{
 			Kind: MsgAppendResponse, From: n.id, To: m.From,
 			Term: n.currentTerm, Success: false, ConflictHint: hint,
 		})
@@ -580,9 +586,11 @@ func (n *node) handleAppendLocked(m *Message) {
 		case !ok && e.Index > n.lastIndex():
 			n.log = append(n.log, e)
 		case ok && t != e.Term:
-			// Conflict: delete this and all that follow, then append.
-			n.log = n.log[:e.Index-n.snapIndex-1]
-			n.log = append(n.log, e)
+			// Conflict: delete this and all that follow, then append —
+			// into a fresh array, since appends this node sent while it
+			// led may still hold views of the old one.
+			keep := n.log[:e.Index-n.snapIndex-1]
+			n.log = append(slices.Clip(keep), e)
 		case !ok:
 			// Entry within compacted prefix: already applied; skip.
 		}
@@ -591,7 +599,7 @@ func (n *node) handleAppendLocked(m *Message) {
 		n.commitIndex = min(m.LeaderCommit, n.lastIndex())
 		n.applyCommittedLocked()
 	}
-	n.transport.Send(&Message{
+	n.transport.Send(Message{
 		Kind: MsgAppendResponse, From: n.id, To: m.From,
 		Term: n.currentTerm, Success: true, MatchIndex: n.lastIndex(),
 	})
@@ -629,14 +637,14 @@ func (n *node) handleAppendResponseLocked(m *Message) {
 
 func (n *node) handleSnapshotLocked(m *Message) {
 	if m.Term < n.currentTerm {
-		n.transport.Send(&Message{Kind: MsgSnapshotResponse, From: n.id, To: m.From, Term: n.currentTerm})
+		n.transport.Send(Message{Kind: MsgSnapshotResponse, From: n.id, To: m.From, Term: n.currentTerm})
 		return
 	}
 	n.leaderHint = m.From
 	n.resetElectionTimeout()
 	if m.SnapshotIndex <= n.snapIndex || m.SnapshotIndex <= n.lastApplied {
 		// Stale snapshot.
-		n.transport.Send(&Message{
+		n.transport.Send(Message{
 			Kind: MsgSnapshotResponse, From: n.id, To: m.From,
 			Term: n.currentTerm, Success: true, MatchIndex: n.lastIndex(),
 		})
@@ -650,7 +658,7 @@ func (n *node) handleSnapshotLocked(m *Message) {
 	if n.restoreFn != nil {
 		n.restoreFn(m.SnapshotData, m.SnapshotIndex)
 	}
-	n.transport.Send(&Message{
+	n.transport.Send(Message{
 		Kind: MsgSnapshotResponse, From: n.id, To: m.From,
 		Term: n.currentTerm, Success: true, MatchIndex: m.SnapshotIndex,
 	})
@@ -716,7 +724,9 @@ func (n *node) compactLocked() {
 		return
 	}
 	n.snapData = n.snapshotFn()
-	keep := n.entriesFrom(n.lastApplied + 1)
+	// A copy, not a view: the old array (and every compacted entry's
+	// data) is freed once the appends in flight that view it land.
+	keep := slices.Clone(n.entriesFrom(n.lastApplied + 1))
 	n.snapIndex, n.snapTerm = n.lastApplied, term
 	n.log = keep
 }

@@ -113,10 +113,13 @@ type storeState struct {
 	// (Cluster.SnapshotRestores).
 	restores uint64
 
-	// applySig is closed and replaced after each applied Raft entry —
-	// the event-driven barrier leaderState parks on instead of
-	// poll-sleeping while the replica catches up to acknowledged writes.
-	applySig chan struct{}
+	// applySig is closed after an applied Raft entry — the event-driven
+	// barrier leaderState and the batch loop park on instead of
+	// poll-sleeping while the replica catches up. applyTaken records
+	// that applyBarrier handed the current channel out, so an entry that
+	// nobody awaits replaces nothing.
+	applySig   chan struct{}
+	applyTaken bool
 }
 
 // watcher receives events for a key or prefix. Its channel is closed,
@@ -146,15 +149,22 @@ func newStoreState() *storeState {
 func (s *storeState) applyBarrier() <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.applyTaken = true
 	return s.applySig
 }
 
 // signalApply broadcasts that an entry (possibly a whole batch) has
-// been applied to this replica.
+// been applied to this replica. The channel is closed and replaced only
+// if applyBarrier handed it out since the last signal: a replica whose
+// applies nobody awaits — every follower, most of the time — allocates
+// no barrier per entry.
 func (s *storeState) signalApply() {
 	s.mu.Lock()
-	close(s.applySig)
-	s.applySig = make(chan struct{})
+	if s.applyTaken {
+		close(s.applySig)
+		s.applySig = make(chan struct{})
+		s.applyTaken = false
+	}
 	s.mu.Unlock()
 }
 
@@ -211,10 +221,16 @@ func (s *storeState) applyLocked(c *command) result {
 	}
 }
 
+// putLocked stores value under key without copying it. The bytes must
+// never change afterwards: the applier hands it a value decoded from a
+// committed Raft entry, whose buffer is immutable and shared by every
+// replica (the log, a follower's append and the stored KV alias one
+// copy), and Get, List and watch events return it as is. Only the
+// applier and tests call it with bytes.
 func (s *storeState) putLocked(key string, value []byte) result {
 	s.rev++
 	old, existed := s.kv[key]
-	kv := KV{Key: key, Value: append([]byte(nil), value...), ModRevision: s.rev}
+	kv := KV{Key: key, Value: value, ModRevision: s.rev}
 	if existed {
 		kv.CreateRevision = old.CreateRevision
 	} else {

@@ -5,12 +5,13 @@ import (
 )
 
 // memTransport delivers Raft messages between in-process nodes through
-// per-node queues, preserving per-sender ordering. It supports fault
-// injection: dropping a node's traffic (crash) and partitioning links.
+// per-node queues of Message values, preserving per-sender ordering. It
+// supports fault injection: dropping a node's traffic (crash) and
+// partitioning links.
 type memTransport struct {
 	mu       sync.Mutex
 	nodes    map[int]*node
-	queues   map[int]chan *Message
+	queues   map[int]chan Message
 	isolated map[int]bool
 	cut      map[[2]int]bool // unordered pair -> link down
 	stopped  bool
@@ -20,7 +21,7 @@ type memTransport struct {
 func newMemTransport() *memTransport {
 	return &memTransport{
 		nodes:    make(map[int]*node),
-		queues:   make(map[int]chan *Message),
+		queues:   make(map[int]chan Message),
 		isolated: make(map[int]bool),
 		cut:      make(map[[2]int]bool),
 	}
@@ -31,13 +32,13 @@ func (t *memTransport) attach(n *node) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nodes[n.id] = n
-	q := make(chan *Message, 1024)
+	q := make(chan Message, 1024)
 	t.queues[n.id] = q
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
 		for m := range q {
-			n.Step(m)
+			n.Step(&m)
 		}
 	}()
 }
@@ -50,7 +51,7 @@ func pairKey(a, b int) [2]int {
 }
 
 // Send implements Transport.
-func (t *memTransport) Send(m *Message) {
+func (t *memTransport) Send(m Message) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.stopped || t.isolated[m.From] || t.isolated[m.To] || t.cut[pairKey(m.From, m.To)] {

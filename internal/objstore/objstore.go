@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ffdl/ffdl/internal/sim"
@@ -42,9 +43,9 @@ type Service struct {
 	buckets map[string]*bucket
 	clock   sim.Clock
 
-	// Stats.
+	// Stats. bytesOut is atomic so a read takes no write lock.
 	bytesIn  int64
-	bytesOut int64
+	bytesOut atomic.Int64
 }
 
 type bucket struct {
@@ -55,6 +56,9 @@ type bucket struct {
 	dirs map[string][]string
 }
 
+// blob is one stored object. Its data is never written after Put
+// stores it — a re-put swaps in a new blob — so GetRange can hand out
+// views of it.
 type blob struct {
 	data     []byte
 	modified time.Time
@@ -87,7 +91,9 @@ func (s *Service) EnsureBucket(name string) {
 	}
 }
 
-// Put stores an object.
+// Put stores a copy of data as the object. A re-put replaces the
+// object's blob rather than writing into it, so views GetRange handed
+// out earlier keep the old bytes.
 func (s *Service) Put(bucketName, key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,6 +118,9 @@ func (s *Service) Put(bucketName, key string, data []byte) error {
 }
 
 // GetRange returns object bytes [off, off+n); n < 0 means to the end.
+// The result is a read-only view of the stored object, capped at its
+// length, not a copy: the caller must not write it. It stays as it was
+// across a later Put of the same key.
 func (s *Service) GetRange(bucketName, key string, off, n int64) ([]byte, error) {
 	s.mu.RLock()
 	b, ok := s.buckets[bucketName]
@@ -120,26 +129,20 @@ func (s *Service) GetRange(bucketName, key string, off, n int64) ([]byte, error)
 		return nil, fmt.Errorf("%w: %s", ErrNoBucket, bucketName)
 	}
 	o, ok := b.objects[key]
+	s.mu.RUnlock()
 	if !ok {
-		s.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoObject, bucketName, key)
 	}
 	size := int64(len(o.data))
 	if off < 0 || off > size {
-		s.mu.RUnlock()
 		return nil, fmt.Errorf("objstore: range start %d outside object of %d bytes", off, size)
 	}
 	end := size
 	if n >= 0 && off+n < size {
 		end = off + n
 	}
-	out := make([]byte, end-off)
-	copy(out, o.data[off:end])
-	s.mu.RUnlock()
-	s.mu.Lock()
-	s.bytesOut += int64(len(out))
-	s.mu.Unlock()
-	return out, nil
+	s.bytesOut.Add(end - off)
+	return o.data[off:end:end], nil
 }
 
 // Head returns object metadata without transferring the body.
@@ -192,7 +195,7 @@ func (s *Service) List(bucketName, prefix string) ([]Object, error) {
 func (s *Service) Stats() (bytesIn, bytesOut int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.bytesIn, s.bytesOut
+	return s.bytesIn, s.bytesOut.Load()
 }
 
 func hashBytes(b []byte) uint32 {

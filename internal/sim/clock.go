@@ -10,6 +10,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,35 +33,62 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// Timer is a clock-agnostic analogue of time.Timer.
+// Timer is a clock-agnostic analogue of time.Timer. It holds the
+// clock's own timer — a *time.Timer, or a FakeClock waiter — and
+// dispatches Stop and Reset on it, so a timer costs no closure.
 type Timer struct {
 	// C receives the firing time.
 	C <-chan time.Time
 
-	stop func() bool
+	rt *time.Timer
+	fc *FakeClock
+	w  *waiter
 }
 
 // Stop prevents the timer from firing. It reports whether it stopped the
 // timer before it fired.
 func (t *Timer) Stop() bool {
-	if t.stop == nil {
-		return false
+	switch {
+	case t.rt != nil:
+		return t.rt.Stop()
+	case t.fc != nil:
+		return t.fc.stopWaiter(t.w)
 	}
-	return t.stop()
+	return false
 }
 
-// Ticker is a clock-agnostic analogue of time.Ticker.
+// Reset changes the timer to fire once after d, as time.Timer.Reset
+// does: it reports whether the timer was active, and a firing from
+// before the call is not received after it. A stopped or fired timer
+// may be reset, so one timer can pace a loop without a new one per wait.
+func (t *Timer) Reset(d time.Duration) bool {
+	switch {
+	case t.rt != nil:
+		return t.rt.Reset(d)
+	case t.fc != nil:
+		return t.fc.resetWaiter(t.w, d)
+	}
+	return false
+}
+
+// Ticker is a clock-agnostic analogue of time.Ticker; like Timer it
+// holds the clock's own ticker rather than a closure.
 type Ticker struct {
 	// C receives ticks.
 	C <-chan time.Time
 
-	stop func()
+	rt *time.Ticker
+	fc *FakeClock
+	w  *waiter
 }
 
 // Stop turns off the ticker.
 func (t *Ticker) Stop() {
-	if t.stop != nil {
-		t.stop()
+	switch {
+	case t.rt != nil:
+		t.rt.Stop()
+	case t.fc != nil:
+		t.fc.stopWaiter(t.w)
 	}
 }
 
@@ -87,13 +115,13 @@ func (RealClock) Since(t time.Time) time.Duration { return time.Since(t) }
 // NewTimer implements Clock.
 func (RealClock) NewTimer(d time.Duration) *Timer {
 	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: t.Stop}
+	return &Timer{C: t.C, rt: t}
 }
 
 // NewTicker implements Clock.
 func (RealClock) NewTicker(d time.Duration) *Ticker {
 	t := time.NewTicker(d)
-	return &Ticker{C: t.C, stop: t.Stop}
+	return &Ticker{C: t.C, rt: t}
 }
 
 // waiter is a pending virtual-clock event: a timer, sleep or tick due at
@@ -157,7 +185,7 @@ func (c *FakeClock) NewTimer(d time.Duration) *Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.addWaiterLocked(d, 0)
-	return &Timer{C: w.ch, stop: func() bool { return c.stopWaiter(w) }}
+	return &Timer{C: w.ch, fc: c, w: w}
 }
 
 // NewTicker implements Clock.
@@ -168,7 +196,7 @@ func (c *FakeClock) NewTicker(d time.Duration) *Ticker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.addWaiterLocked(d, d)
-	return &Ticker{C: w.ch, stop: func() { c.stopWaiter(w) }}
+	return &Ticker{C: w.ch, fc: c, w: w}
 }
 
 func (c *FakeClock) addWaiterLocked(d, period time.Duration) *waiter {
@@ -197,6 +225,32 @@ func (c *FakeClock) stopWaiter(w *waiter) bool {
 		}
 	}
 	return false
+}
+
+// resetWaiter re-arms a one-shot waiter to fire d from now, reusing it:
+// a firing not yet received is drained, and the waiter rejoins the set
+// if it had fired or been stopped. It reports whether the waiter was
+// pending.
+func (c *FakeClock) resetWaiter(w *waiter, d time.Duration) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	active := slices.Contains(c.waiters, w)
+	select {
+	case <-w.ch:
+	default:
+	}
+	c.seq++
+	w.at, w.sequence, w.stopped = c.now.Add(d), c.seq, false
+	if d <= 0 {
+		if active {
+			c.removeLocked(w)
+		}
+		w.ch <- c.now
+	} else if !active {
+		c.waiters = append(c.waiters, w)
+	}
+	c.signalLocked()
+	return active
 }
 
 func (c *FakeClock) signalLocked() {

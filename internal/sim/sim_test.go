@@ -196,6 +196,75 @@ func TestFakeClockTimerStop(t *testing.T) {
 	}
 }
 
+// TestFakeClockTimerReset: Reset re-arms one waiter in place — a fired,
+// stopped or pending timer alike — drops a firing nobody received, and
+// reports whether the timer was pending.
+func TestFakeClockTimerReset(t *testing.T) {
+	c := NewFakeClock(origin)
+	tm := c.NewTimer(time.Second)
+	if !tm.Reset(3 * time.Second) {
+		t.Fatal("Reset of a pending timer reported it inactive")
+	}
+	if n := c.WaiterCount(); n != 1 {
+		t.Fatalf("%d waiters after resetting a pending timer, want 1", n)
+	}
+	c.Advance(2 * time.Second)
+	select {
+	case <-tm.C:
+		t.Fatal("timer fired at its old deadline")
+	default:
+	}
+	c.Advance(time.Second)
+	// Fired but not received: the reset drops the stale firing.
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset of a fired timer reported it active")
+	}
+	select {
+	case <-tm.C:
+		t.Fatal("a firing from before Reset was received after it")
+	default:
+	}
+	c.Advance(time.Second)
+	select {
+	case at := <-tm.C:
+		if want := origin.Add(4 * time.Second); !at.Equal(want) {
+			t.Fatalf("fired at %v, want %v", at, want)
+		}
+	default:
+		t.Fatal("reset timer did not fire")
+	}
+	tm.Stop()
+	tm.Reset(time.Second)
+	if n := c.WaiterCount(); n != 1 {
+		t.Fatalf("%d waiters after resetting a stopped timer, want 1", n)
+	}
+	tm.Stop()
+	if n := c.WaiterCount(); n != 0 {
+		t.Fatalf("%d waiters after Stop, want 0", n)
+	}
+}
+
+var sinkTimer *Timer
+
+// TestRealClockTimerAllocs pins a wall-clock timer's cost: the Timer
+// holds the *time.Timer itself, not a Stop closure, and Reset reuses it.
+// The timer is made through the Clock interface and outlives the call,
+// as the platform's timers do.
+func TestRealClockTimerAllocs(t *testing.T) {
+	clk := Clock(NewRealClock())
+	newAndStop := func() {
+		sinkTimer = clk.NewTimer(time.Hour)
+		sinkTimer.Stop()
+	}
+	if got := testing.AllocsPerRun(100, newAndStop); got > 4 {
+		t.Fatalf("NewTimer+Stop = %.0f allocations, want <= 4", got)
+	}
+	tm := clk.NewTimer(time.Hour)
+	if got := testing.AllocsPerRun(100, func() { tm.Reset(time.Hour); tm.Stop() }); got != 0 {
+		t.Fatalf("Reset+Stop = %.0f allocations, want 0", got)
+	}
+}
+
 func TestFakeClockAutoAdvance(t *testing.T) {
 	c := NewFakeClock(origin)
 	c.StartAutoAdvance(200 * time.Microsecond)
