@@ -30,11 +30,14 @@ test:
 # The etcd proposal tests that cross a failover, a lost quorum or a
 # seeded fault schedule run three times more, so an interleaving bug in
 # the batch loop's re-proposal and timeout paths cannot pass on one
-# lucky run.
+# lucky run. So do the learner-log tests of a follow joining between two
+# records and of line collection independent of wake timing, since a
+# line reaches the fan-out only while a follow listens.
 race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /internal/expt)
 	$(GO) test -race ./internal/expt/...
 	$(GO) test -race -count=3 -run 'TestBatchedProposalsSurviveLeaderFailover|TestLeaderFailoverContinuesService|TestNoQuorumTimesOutEachProposalOnce|TestExactlyOnceUnderFailoverSchedule' ./internal/etcd
+	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming' ./internal/core
 
 # Coverage artifact: a whole-repo coverprofile plus the per-function
 # summary CI uploads (cover.out, cover.txt).

@@ -370,7 +370,7 @@ func TestRestartTheWorldDurability(t *testing.T) {
 			t.Fatalf("learner-logs/ holds %s, want only .seg files", e.Name())
 		}
 	}
-	total := len(p2.Metrics.Logs(jobA)) + len(p2.Metrics.Logs(jobB))
+	total := len(p2.Metrics.LogsFrom(jobA, 0)) + len(p2.Metrics.LogsFrom(jobB, 0))
 	if len(segs) == 0 || len(segs) > 2+total/1024+1 {
 		t.Fatalf("learner-logs/ holds %d segments for %d lines, want 1..%d", len(segs), total, 2+total/1024+1)
 	}
@@ -412,7 +412,7 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 		}
 	}()
 	appendLine := func(p *core.Platform, jobID, text string) {
-		p.Metrics.AppendLog(core.LogLine{JobID: jobID, Learner: 0, Time: time.Now(), Text: text})
+		p.Metrics.AppendLog(jobID, 0, time.Now(), []byte(text+"\n"))
 	}
 
 	// 50 intact lines of job X, with job Y's first 5 interleaved.
@@ -436,7 +436,7 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 		appendLine(p, jobX, fmt.Sprintf("x-%03d", i))
 		appendLine(p, jobY, fmt.Sprintf("y-post-%03d", i))
 	}
-	if n := len(p.Metrics.Logs(jobY)); n != 15 {
+	if n := len(p.Metrics.LogsFrom(jobY, 0)); n != 15 {
 		t.Fatalf("job Y holds %d lines before the restart, want 15", n)
 	}
 
@@ -454,7 +454,7 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 
 	checkPrefix := func(jobID, format string, n int) []core.LogLine {
 		t.Helper()
-		lines := p2.Metrics.Logs(jobID)
+		lines := p2.Metrics.LogsFrom(jobID, 0)
 		if len(lines) != n {
 			t.Fatalf("recovered %d lines of %s, want exactly the %d before the torn frame", len(lines), jobID, n)
 		}
@@ -474,7 +474,7 @@ func TestRestartTornTailLearnerLog(t *testing.T) {
 	// No recovered offset is ever reassigned: a fresh append lands past
 	// the recovered tail.
 	appendLine(p2, jobX, "post-recovery")
-	all := p2.Metrics.Logs(jobX)
+	all := p2.Metrics.LogsFrom(jobX, 0)
 	fresh := all[len(all)-1]
 	if fresh.Text != "post-recovery" || fresh.Offset <= lines[len(lines)-1].Offset {
 		t.Fatalf("post-recovery append got offset %d, want > %d (no reuse of recovered offsets)",

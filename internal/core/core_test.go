@@ -884,56 +884,111 @@ func openMetrics(t *testing.T, store commitlog.SegmentStore) *MetricsService {
 }
 
 // TestLogsFromOffset pins the resumable read path over the one learner
-// log: LogsFrom returns only lines at or past the requested offset, and
-// each job's offsets are assigned contiguously at ingest even while
+// log: LogsFrom returns only lines at or past the requested offset, a
+// record's lines included when the offset falls inside it, and each
+// job's offsets are assigned contiguously per line at ingest even while
 // jobs interleave in the log. A service reopened over the same store
 // serves the same lines, and each job's next append continues its own
 // count.
 func TestLogsFromOffset(t *testing.T) {
 	store := commitlog.NewMemStore()
 	m := openMetrics(t, store)
-	for i := 0; i < 10; i++ {
-		m.AppendLog(LogLine{JobID: "j", Learner: 1, Time: time.Unix(0, int64(i)), Text: fmt.Sprintf("j-%d", i)})
-		if i%2 == 0 {
-			m.AppendLog(LogLine{JobID: "k", Learner: 0, Time: time.Unix(0, int64(i)), Text: fmt.Sprintf("k-%d", i/2)})
-		}
+	// j's ten lines arrive as runs of 1, 2, 3 and 4 lines, k's five one
+	// at a time between them.
+	j, k := 0, 0
+	appendK := func(m *MetricsService) {
+		m.AppendLog("k", 0, time.Unix(0, int64(k)), fmt.Appendf(nil, "k-%d\n", k))
+		k++
 	}
-	checkJob := func(m *MetricsService, jobID string, n int) []LogLine {
+	for _, n := range []int{1, 2, 3, 4} {
+		var run []byte
+		for i := 0; i < n; i++ {
+			run = fmt.Appendf(run, "j-%d\n", j+i)
+		}
+		m.AppendLog("j", 1, time.Unix(0, int64(j)), run)
+		j += n
+		appendK(m)
+	}
+	appendK(m)
+	checkJob := func(m *MetricsService, jobID string, learner, n int) []LogLine {
 		t.Helper()
-		all := m.Logs(jobID)
+		all := m.LogsFrom(jobID, 0)
 		if len(all) != n {
-			t.Fatalf("Logs(%s) = %d lines, want %d", jobID, len(all), n)
+			t.Fatalf("LogsFrom(%s, 0) = %d lines, want %d", jobID, len(all), n)
 		}
 		for i, l := range all {
-			if l.JobID != jobID || l.Offset != uint64(i) || l.Text != fmt.Sprintf("%s-%d", jobID, i) {
-				t.Fatalf("%s line %d = (%s, %d, %q), want offset %d", jobID, i, l.JobID, l.Offset, l.Text, i)
+			if l.JobID != jobID || l.Learner != learner || l.Offset != uint64(i) || l.Text != fmt.Sprintf("%s-%d", jobID, i) {
+				t.Fatalf("%s line %d = (%s, %d, %d, %q), want learner %d, offset %d", jobID, i, l.JobID, l.Learner, l.Offset, l.Text, learner, i)
 			}
 		}
 		return all
 	}
-	allJ, allK := checkJob(m, "j", 10), checkJob(m, "k", 5)
-	tail := m.LogsFrom("j", 7)
-	if len(tail) != 3 || tail[0].Offset != 7 {
-		t.Fatalf("LogsFrom(7) = %d lines starting at %d, want 3 from 7", len(tail), tail[0].Offset)
+	allJ, allK := checkJob(m, "j", 1, 10), checkJob(m, "k", 0, 5)
+	// j's runs start at offsets 0, 1, 3 and 6; lines of one run share
+	// its time.
+	if !allJ[3].Time.Equal(time.Unix(0, 3)) || !allJ[5].Time.Equal(time.Unix(0, 3)) || !allJ[6].Time.Equal(time.Unix(0, 6)) {
+		t.Fatalf("run times = %v, %v, %v; want 3, 3 and 6 ns", allJ[3].Time, allJ[5].Time, allJ[6].Time)
+	}
+	for _, from := range []uint64{4, 7} {
+		tail := m.LogsFrom("j", from)
+		if !reflect.DeepEqual(tail, allJ[from:]) {
+			t.Fatalf("LogsFrom(%d) = %v, want %v", from, tail, allJ[from:])
+		}
 	}
 	if out := m.LogsFrom("j", 42); len(out) != 0 {
 		t.Fatalf("LogsFrom past the tail = %d lines, want 0", len(out))
 	}
-	if out := m.Logs("unknown"); len(out) != 0 {
-		t.Fatalf("Logs(unknown) = %d lines, want 0", len(out))
+	if out := m.LogsFrom("unknown", 0); len(out) != 0 {
+		t.Fatalf("LogsFrom(unknown) = %d lines, want 0", len(out))
 	}
 
 	m2 := openMetrics(t, store)
-	if got := checkJob(m2, "j", 10); !reflect.DeepEqual(got, allJ) {
+	if got := checkJob(m2, "j", 1, 10); !reflect.DeepEqual(got, allJ) {
 		t.Fatalf("reopened j lines = %v, want %v", got, allJ)
 	}
-	if got := checkJob(m2, "k", 5); !reflect.DeepEqual(got, allK) {
+	if got := checkJob(m2, "k", 0, 5); !reflect.DeepEqual(got, allK) {
 		t.Fatalf("reopened k lines = %v, want %v", got, allK)
 	}
-	m2.AppendLog(LogLine{JobID: "k", Text: "k-5"})
-	m2.AppendLog(LogLine{JobID: "j", Text: "j-10"})
-	checkJob(m2, "j", 11)
-	checkJob(m2, "k", 6)
+	appendK(m2)
+	m2.AppendLog("j", 1, time.Time{}, []byte("j-10\nj-11\n"))
+	checkJob(m2, "j", 1, 12)
+	checkJob(m2, "k", 0, 6)
+}
+
+// TestOneLineRecordsReadAsBefore pins the older learner-log layout — a
+// record per line, no '\n' ending its text — against the run layout: a
+// log written in it reopens with the same lines, offsets, learners and
+// times, a blank line included, and a run appended after them continues
+// the job's offsets and its transcript.
+func TestOneLineRecordsReadAsBefore(t *testing.T) {
+	l, err := commitlog.Open(commitlog.NewMemStore(), commitlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := []string{"a", "", "b c"}
+	for i, text := range texts {
+		if _, err := l.Append("", encodeLogRecord(nil, "j", 2, uint64(i), time.Unix(0, int64(i)), []byte(text))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewMetricsService(l, nil)
+	m.AppendLog("j", 3, time.Unix(0, 9), []byte("d\n\n"))
+	want := []LogLine{
+		{JobID: "j", Learner: 2, Offset: 0, Time: time.Unix(0, 0), Text: "a"},
+		{JobID: "j", Learner: 2, Offset: 1, Time: time.Unix(0, 1), Text: ""},
+		{JobID: "j", Learner: 2, Offset: 2, Time: time.Unix(0, 2), Text: "b c"},
+		{JobID: "j", Learner: 3, Offset: 3, Time: time.Unix(0, 9), Text: "d"},
+		{JobID: "j", Learner: 3, Offset: 4, Time: time.Unix(0, 9), Text: ""},
+	}
+	if got := m.LogsFrom("j", 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lines = %v, want %v", got, want)
+	}
+	if got := m.LogsFrom("j", 2); !reflect.DeepEqual(got, want[2:]) {
+		t.Fatalf("LogsFrom(2) = %v, want %v", got, want[2:])
+	}
+	if got := string(m.transcript("j")); got != "a\n\nb c\nd\n\n" {
+		t.Fatalf("transcript = %q", got)
+	}
 }
 
 // TestJobTrafficOnce pins what a job's life writes and who hands it to

@@ -2,51 +2,69 @@ package core
 
 import (
 	"encoding/hex"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestLogLineCodecGoldenBytes pins the durable learner log line layout
-// byte for byte.
+// TestLogLineCodecGoldenBytes pins the durable learner-log record
+// layout byte for byte, on a record of the one-line layout.
 func TestLogLineCodecGoldenBytes(t *testing.T) {
-	line := LogLine{JobID: "training-000001", Learner: 2, Offset: 300, Time: time.Unix(1700000000, 5), Text: "iteration 10/40"}
 	const want = "0f747261696e696e672d30303030303104ac028a80d0e2c6bfce972f0f697465726174696f6e2031302f3430"
-	if got := hex.EncodeToString(encodeLogLine(nil, line)); got != want {
-		t.Fatalf("log line bytes changed:\n got %s\nwant %s", got, want)
+	got := encodeLogRecord(nil, "training-000001", 2, 300, time.Unix(1700000000, 5), []byte("iteration 10/40"))
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("log record bytes changed:\n got %x\nwant %s", got, want)
 	}
 }
 
-// FuzzLogLineRoundtrip fuzzes the learner log line codec: a line built
-// from the inputs round-trips, a fuzz-chosen proper prefix of its
-// encoding errors, and arbitrary bytes never panic. logLineText reads
-// the same Text as decodeLogLine and accepts exactly what it accepts.
+// FuzzLogLineRoundtrip fuzzes the learner-log record codec: a record
+// built from the inputs round-trips, a fuzz-chosen proper prefix of its
+// encoding errors, and arbitrary bytes never panic. Its Text reads as
+// lines the same way whatever the bytes: a run ending in '\n' splits
+// into runLen lines that rebuild it, and any other Text — a record of
+// the one-line layout — is one line as it stands.
 func FuzzLogLineRoundtrip(f *testing.F) {
 	f.Add("training-000001", 2, uint64(300), int64(1700000000000000005), "iteration 10/40", uint(3), []byte{})
 	f.Add("", -1, uint64(1<<63), int64(-1), "", uint(0), []byte{0x01, 'j', 0x00, 0x00, 0x00, 0xff})
+	f.Add("training-000002", 0, uint64(7), int64(1), "a\n\nb c\n\n", uint(9), []byte{0x01, 'j', 0x00, 0x00, 0x00, 0x02, '\n', '\n'})
+	f.Add("training-000003", 1, uint64(0), int64(0), "x\ny", uint(1), []byte{})
 	f.Fuzz(func(t *testing.T, jobID string, learner int, offset uint64, ns int64, text string, cut uint, raw []byte) {
-		want := LogLine{JobID: jobID, Learner: learner, Offset: offset, Time: time.Unix(0, ns), Text: text}
-		data := encodeLogLine(nil, want)
-		got, err := decodeLogLine(data)
+		data := encodeLogRecord(nil, jobID, learner, offset, time.Unix(0, ns), []byte(text))
+		got, err := decodeLogRecord(data)
 		if err != nil {
 			t.Fatalf("decode(encode(x)): %v", err)
 		}
-		if got.JobID != want.JobID || got.Learner != want.Learner || got.Offset != want.Offset ||
-			!got.Time.Equal(want.Time) || got.Text != want.Text {
-			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
+		if string(got.JobID) != jobID || got.Learner != learner || got.Offset != offset ||
+			got.Time.UnixNano() != ns || string(got.Text) != text {
+			t.Fatalf("roundtrip mismatch: got %+v", got)
 		}
-		if text, err := logLineText(data); err != nil || string(text) != want.Text {
-			t.Fatalf("logLineText = %q, %v; want %q", text, err, want.Text)
+		lines := slices.Collect(runLines(text))
+		if uint64(len(lines)) != runLen([]byte(text)) {
+			t.Fatalf("runLines yields %d lines of %q, runLen says %d", len(lines), text, runLen([]byte(text)))
+		}
+		if strings.HasSuffix(text, "\n") {
+			rebuilt := ""
+			for _, line := range lines {
+				if strings.Contains(line, "\n") {
+					t.Fatalf("line %q of run %q holds a newline", line, text)
+				}
+				rebuilt += line + "\n"
+			}
+			if rebuilt != text {
+				t.Fatalf("lines %q rebuild %q, want %q", lines, rebuilt, text)
+			}
+		} else if len(lines) != 1 || lines[0] != text {
+			t.Fatalf("one-line record %q reads as %q", text, lines)
 		}
 		n := int(cut % uint(len(data)))
-		if _, err := decodeLogLine(data[:n]); err == nil {
+		if _, err := decodeLogRecord(data[:n]); err == nil {
 			t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(data))
 		}
-		if _, err := logLineText(data[:n]); err == nil {
-			t.Fatalf("logLineText of %d/%d-byte prefix succeeded", n, len(data))
-		}
-		line, err := decodeLogLine(raw)
-		if text, terr := logLineText(raw); (err == nil) != (terr == nil) || (err == nil && string(text) != line.Text) {
-			t.Fatalf("raw input: decodeLogLine %q, %v; logLineText %q, %v", line.Text, err, text, terr)
+		if rec, err := decodeLogRecord(raw); err == nil {
+			if k := len(slices.Collect(runLines(string(rec.Text)))); runLen(rec.Text) != uint64(k) {
+				t.Fatalf("raw record: runLen %d, runLines %d", runLen(rec.Text), k)
+			}
 		}
 	})
 }

@@ -102,6 +102,14 @@ func (f *fanout[T]) unsubscribeLocked(key string, i int) {
 	}
 }
 
+// listening reports whether key has a subscriber, counting those to
+// every key. A publisher that checks first builds no item nobody reads.
+func (f *fanout[T]) listening(key string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.subs[key]) > 0 || len(f.subs[""]) > 0
+}
+
 // publish offers item to key's subscribers and to every "" subscriber
 // without blocking, closing each one whose buffer is full. Publishers
 // serialise each job's items in position order. A cancel edits the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestStreamLogsCancelRacesAppendLog(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				m.AppendLog(LogLine{JobID: "j", Text: "line"})
+				m.AppendLog("j", 0, time.Time{}, []byte("line\n"))
 			}
 		}
 	}()
@@ -173,7 +174,7 @@ var (
 		const jobID = "gap-job"
 		add := func(n int, _ bool) {
 			for i := 0; i < n; i++ {
-				p.Metrics.AppendLog(LogLine{JobID: jobID, Text: "line"})
+				p.Metrics.AppendLog(jobID, 0, time.Time{}, []byte("line\n"))
 			}
 		}
 		add(1, false)
@@ -404,4 +405,54 @@ func watchOneJob(c *Client) (string, []StatusEntry, error) {
 		return "", nil, fmt.Errorf("%s: watch closed after %d entries without a terminal one (lost wake-up): %+v", jobID, len(got), got)
 	}
 	return jobID, got, nil
+}
+
+// TestFollowJoinsBetweenRecords pins the learner log's follow seam now
+// that lines reach the fan-out only while a follow listens: a follow
+// that subscribes between two records — the first appended with nobody
+// listening, the second appended once the follow has subscribed or
+// racing its subscribe — gets every line of both exactly once, in
+// offset order.
+func TestFollowJoinsBetweenRecords(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	texts := []string{"a0", "a1", "a2", "b3", "b4", "b5", "b6"}
+	for trial := 0; trial < 200; trial++ {
+		jobID := fmt.Sprintf("seam-%d", trial)
+		p.Metrics.AppendLog(jobID, 0, time.Time{}, []byte("a0\na1\na2\n"))
+		ctx, cancel := context.WithCancel(context.Background())
+		// Room for every line twice, so a follow that sent a line again
+		// never blocks before the check below sees it.
+		got := make(chan LogLine, 2*len(texts))
+		done := make(chan error, 1)
+		go func() {
+			done <- p.apis[0].handleLogs(ctx, LogsArgs{JobID: jobID, Follow: true}, func(it any) error {
+				got <- it.(LogItem).Line
+				return nil
+			})
+		}()
+		for trial%2 == 0 && !p.Metrics.live.listening(jobID) {
+			runtime.Gosched()
+		}
+		p.Metrics.AppendLog(jobID, 1, time.Time{}, []byte("b3\nb4\nb5\nb6\n"))
+		for i, text := range texts {
+			select {
+			case l := <-got:
+				if l.Offset != uint64(i) || l.Text != text || l.Learner != min(i/3, 1) {
+					t.Fatalf("trial %d: line %d = (%d, %q, learner %d), want (%d, %q, learner %d)",
+						trial, i, l.Offset, l.Text, l.Learner, i, text, min(i/3, 1))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("trial %d: follow delivered %d of %d lines", trial, i, len(texts))
+			}
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("trial %d: handleLogs: %v", trial, err)
+		}
+		select {
+		case l := <-got:
+			t.Fatalf("trial %d: follow delivered line %d again", trial, l.Offset)
+		default:
+		}
+	}
 }

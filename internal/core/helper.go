@@ -39,10 +39,7 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	// credentials, so data problems surface before GPUs are wasted.
 	if m.DataBucket != "" {
 		if _, err := p.Store.List(m.DataBucket, m.DataPrefix); err != nil {
-			p.Metrics.AppendLog(LogLine{
-				JobID: jobID, Learner: -1, Time: p.clock.Now(),
-				Text: fmt.Sprintf("[load-data] dataset inaccessible: %v", err),
-			})
+			p.Metrics.AppendLog(jobID, -1, p.clock.Now(), fmt.Appendf(nil, "[load-data] dataset inaccessible: %v\n", err))
 			p.tracedPut(jobID, keyDone(jobID), []byte("3")) //nolint:errcheck
 			<-ctx.Stop
 			return 137
@@ -101,11 +98,12 @@ type helperScan struct {
 	done bool
 }
 
-// learnerFiles is one learner's files on the job volume — named once
-// per helper incarnation, not per scan — and what the helper has taken
-// from them.
+// learnerFiles is one learner's files on the job volume and its etcd
+// status key — named once per helper incarnation, not per scan — and
+// what the helper has taken from them.
 type learnerFiles struct {
 	status, exit, log string
+	statusKey         string
 	// mirrored is the status last put to etcd: a volume view, which no
 	// later write changes.
 	mirrored []byte
@@ -119,7 +117,8 @@ func newHelperScan(p *Platform, jobID string, vol *nfs.Volume, learners int) *he
 	h := &helperScan{p: p, jobID: jobID, vol: vol, learners: make([]learnerFiles, learners)}
 	for ord := range h.learners {
 		dir := "learners/" + strconv.Itoa(ord) + "/"
-		h.learners[ord] = learnerFiles{status: dir + "status", exit: dir + "exit", log: dir + "stdout.log"}
+		h.learners[ord] = learnerFiles{status: dir + "status", exit: dir + "exit", log: dir + "stdout.log",
+			statusKey: keyLearnerStatus(jobID, ord)}
 	}
 	return h
 }
@@ -132,7 +131,7 @@ func (h *helperScan) scan() {
 		if !h.done {
 			if data, err := h.vol.ReadFile(l.status); err == nil && !bytes.Equal(data, l.mirrored) {
 				l.mirrored = data
-				h.p.tracedPut(h.jobID, keyLearnerStatus(h.jobID, ord), data) //nolint:errcheck
+				h.p.tracedPut(h.jobID, l.statusKey, data) //nolint:errcheck
 			}
 		}
 		if !l.exited {
@@ -163,24 +162,22 @@ func (h *helperScan) outcome() (code int, decided bool) {
 	return 0, exited == len(h.learners)
 }
 
-// collectLogs is the log-collector: it ships each complete line of
+// collectLogs is the log-collector: it ships the complete lines of
 // learner ord's stdout past the shipped offset, blank lines included,
-// slicing them from the volume's bytes. A partial last line waits for
-// its newline.
+// as one run sliced from the volume's bytes. A partial last line waits
+// for its newline.
 func (h *helperScan) collectLogs(ord int, l *learnerFiles) {
 	data, err := h.vol.ReadFile(l.log)
 	if err != nil || len(data) <= l.logOff {
 		return
 	}
-	for tail := data[l.logOff:]; ; {
-		n := bytes.IndexByte(tail, '\n')
-		if n < 0 {
-			return
-		}
-		h.p.Metrics.AppendLog(LogLine{JobID: h.jobID, Learner: ord, Time: h.p.clock.Now(), Text: string(tail[:n])})
-		l.logOff += n + 1
-		tail = tail[n+1:]
+	tail := data[l.logOff:]
+	n := bytes.LastIndexByte(tail, '\n') + 1
+	if n == 0 {
+		return
 	}
+	h.p.Metrics.AppendLog(h.jobID, ord, h.p.clock.Now(), tail[:n])
+	l.logOff += n
 }
 
 // storeResults copies the job's collected logs to the result bucket —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"strconv"
 	"testing"
@@ -24,7 +25,7 @@ func newTestVolume(t *testing.T) *nfs.Volume {
 
 func logTexts(p *Platform, jobID string) []string {
 	var texts []string
-	for _, l := range p.Metrics.Logs(jobID) {
+	for _, l := range p.Metrics.LogsFrom(jobID, 0) {
 		texts = append(texts, l.Text)
 	}
 	return texts
@@ -99,5 +100,33 @@ func TestLogCollectionIgnoresWakeTiming(t *testing.T) {
 		if got := string(p.Metrics.transcript(jobID)); got != "a\n\n\nb\n\n" {
 			t.Fatalf("%s transcript %q", jobID, got)
 		}
+	}
+}
+
+// TestLogShippingCostIsPerScan pins the log-collector's cost with no
+// follow open: a scan that ships k lines appends one learner-log record
+// and builds no line, so its allocations do not grow with k.
+func TestLogShippingCostIsPerScan(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	allocs := map[int]float64{}
+	for _, k := range []int{1, 16} {
+		vol := newTestVolume(t)
+		jobID := "training-ship-" + strconv.Itoa(k)
+		h := newHelperScan(p, jobID, vol, 1)
+		run := bytes.Repeat([]byte("iteration 1/2 loss=2.0000 images/sec=81.2\n"), k)
+		const runs = 200
+		allocs[k] = testing.AllocsPerRun(runs, func() {
+			if err := vol.AppendFile("learners/0/stdout.log", run); err != nil {
+				t.Fatal(err)
+			}
+			h.scan()
+		})
+		if n := len(p.Metrics.LogsFrom(jobID, 0)); n != (runs+1)*k {
+			t.Fatalf("k=%d: shipped %d lines, want %d", k, n, (runs+1)*k)
+		}
+	}
+	t.Logf("allocations per scan: %v", allocs)
+	if allocs[16] > allocs[1] {
+		t.Fatalf("a scan shipping 16 lines made %.0f allocations, one shipping 1 made %.0f", allocs[16], allocs[1])
 	}
 }

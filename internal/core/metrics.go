@@ -1,10 +1,10 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"time"
 
-	"github.com/ffdl/ffdl/internal/codec"
 	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/obs"
 )
@@ -30,14 +30,18 @@ type LogLine struct {
 // issues"). Every job's lines ride one commit log (internal/commitlog),
 // which is what makes log streams offset-addressable and resumable
 // rather than count-deduplicated.
+//
+// A line stays bytes until someone reads it: the log holds each
+// collected run of lines as one record, and a LogLine with a string
+// Text is built only for a reader — LogsFrom, and the append path while
+// a follow listens to the job.
 type MetricsService struct {
 	mu  sync.Mutex
 	log *commitlog.Log
-	// lines indexes the log's records by job, in append order. The
-	// records share the log's payload bytes. A line's Offset is its
-	// position here, so each job's offsets run 0, 1, 2, ... while the
-	// log's own offsets interleave jobs.
-	lines map[string][]commitlog.Record
+	// lines indexes each job's learner-log records, in append order, by
+	// their first line offsets. A job's offsets run 0, 1, 2, ... per
+	// line, while the log's own offsets count records of every job.
+	lines map[string]jobLines
 	// reg is the platform's unified metrics registry: the flat counter
 	// map the service historically kept now lives there as obs.Counter
 	// instruments under the dotted subsystem.name convention, so the
@@ -51,89 +55,135 @@ type MetricsService struct {
 	lineBuf []byte
 }
 
+// jobLines is one job's entry in MetricsService.lines.
+type jobLines struct {
+	runs []logRun
+	// next is the offset the job's next line takes.
+	next uint64
+}
+
+// logRun is one indexed learner-log record: the offset of its first
+// line, and its payload, which shares the log's bytes.
+type logRun struct {
+	first   uint64
+	payload []byte
+}
+
 // NewMetricsService returns a service over the learner log l, indexing
-// the lines l already holds, whose counters live in the given registry
-// (a private registry is created when nil). A record whose JobID does
-// not decode is skipped.
+// the records l already holds, whose counters live in the given
+// registry (a private registry is created when nil). Records of the
+// one-line layout and of runs index alike. A record that does not
+// decode is skipped.
 func NewMetricsService(l *commitlog.Log, reg *obs.Registry) *MetricsService {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	m := &MetricsService{
 		log:   l,
-		lines: make(map[string][]commitlog.Record),
+		lines: make(map[string]jobLines),
 		reg:   reg,
 		// A follow may fall 256 lines behind before it refills from
 		// the job's log.
 		live: newFanout[LogLine](256),
 	}
 	l.Scan(0, func(rec commitlog.Record) bool {
-		r := codec.NewReader(rec.Payload)
-		if jobID, err := r.Bytes(); err == nil {
-			m.lines[string(jobID)] = append(m.lines[string(jobID)], rec)
+		if r, err := decodeLogRecord(rec.Payload); err == nil {
+			m.indexLocked(string(r.JobID), rec.Payload, runLen(r.Text))
 		}
 		return true
 	})
 	return m
 }
 
-// AppendLog ingests one log line, assigns its offset, and fans it out
-// to follows. The fan-out stays under m.mu, which mints the offsets, so
-// live lines reach every follow in offset order.
-func (m *MetricsService) AppendLog(line LogLine) {
+// indexLocked adds a record of n lines to jobID's index, at the job's
+// next offset.
+func (m *MetricsService) indexLocked(jobID string, payload []byte, n uint64) {
+	jl := m.lines[jobID]
+	jl.runs = append(jl.runs, logRun{first: jl.next, payload: payload})
+	jl.next += n
+	m.lines[jobID] = jl
+}
+
+// AppendLog ingests text, a run of whole lines from one learner of a
+// job, each ending in '\n', as one learner-log record stamped t. The
+// lines take the job's next offsets in order. Only while a follow
+// listens to the job are they built into LogLines and fanned out; the
+// fan-out stays under m.mu, which mints the offsets, so live lines
+// reach every follow in offset order. text is copied, so the caller may
+// hand a view of bytes it does not own.
+func (m *MetricsService) AppendLog(jobID string, learner int, t time.Time, text []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	recs := m.lines[line.JobID]
-	line.Offset = uint64(len(recs))
-	m.lineBuf = encodeLogLine(m.lineBuf[:0], line)
+	first := m.lines[jobID].next
+	m.lineBuf = encodeLogRecord(m.lineBuf[:0], jobID, learner, first, t, text)
 	rec, err := m.log.Append("", m.lineBuf)
 	if err != nil {
 		return // never half-publish
 	}
-	m.lines[line.JobID] = append(recs, rec)
-	m.live.publish(line.JobID, line)
-}
-
-// Logs returns all lines for a job (copy).
-func (m *MetricsService) Logs(jobID string) []LogLine {
-	return m.LogsFrom(jobID, 0)
+	m.indexLocked(jobID, rec.Payload, runLen(text))
+	// A follow that subscribes after this check fills from the index,
+	// which already holds the record, once it takes m.mu.
+	if !m.live.listening(jobID) {
+		return
+	}
+	off := first
+	for line := range runLines(string(text)) {
+		m.live.publish(jobID, LogLine{JobID: jobID, Learner: learner, Offset: off, Time: t, Text: line})
+		off++
+	}
 }
 
 // LogsFrom returns a job's lines with Offset >= from — the resumable
-// read path under API.Logs.
+// read path under API.Logs. It finds the record holding from by first
+// offset and splits the records from there: one string per record,
+// each line a view of it.
 func (m *MetricsService) LogsFrom(jobID string, from uint64) []LogLine {
 	m.mu.Lock()
-	recs := m.lines[jobID]
+	jl := m.lines[jobID]
 	m.mu.Unlock()
-	if from >= uint64(len(recs)) {
+	if from >= jl.next {
 		return nil
 	}
-	recs = recs[from:]
-	out := make([]LogLine, 0, len(recs))
-	for _, rec := range recs {
-		if line, err := decodeLogLine(rec.Payload); err == nil {
-			out = append(out, line)
+	i := sort.Search(len(jl.runs), func(i int) bool { return jl.runs[i].first > from }) - 1
+	out := make([]LogLine, 0, jl.next-from)
+	for _, run := range jl.runs[i:] {
+		rec, err := decodeLogRecord(run.payload)
+		if err != nil {
+			continue
+		}
+		off := run.first
+		for text := range runLines(string(rec.Text)) {
+			if off >= from {
+				out = append(out, LogLine{JobID: jobID, Learner: rec.Learner, Offset: off, Time: rec.Time, Text: text})
+			}
+			off++
 		}
 	}
 	return out
 }
 
 // transcript returns the text of a job's lines, each ending in '\n', in
-// one buffer sized from the records: store-results' training.log. The
-// text is copied straight from each record; no line is decoded. A
-// record that does not decode is skipped, as LogsFrom skips it.
+// one buffer sized from the records: store-results' training.log. A
+// run's text is copied straight from its record, with no line split
+// out of it. A record that does not decode is skipped, as LogsFrom
+// skips it.
 func (m *MetricsService) transcript(jobID string) []byte {
 	m.mu.Lock()
-	recs := m.lines[jobID]
+	runs := m.lines[jobID].runs
 	m.mu.Unlock()
 	n := 0
-	for _, rec := range recs {
-		n += len(rec.Payload) // a payload outsizes its text and newline
+	for _, run := range runs {
+		n += len(run.payload) // a payload outsizes its text and a newline
 	}
 	out := make([]byte, 0, n)
-	for _, rec := range recs {
-		if text, err := logLineText(rec.Payload); err == nil {
-			out = append(append(out, text...), '\n')
+	for _, run := range runs {
+		rec, err := decodeLogRecord(run.payload)
+		if err != nil {
+			continue
+		}
+		out = append(out, rec.Text...)
+		if oneLine(rec.Text) {
+			out = append(out, '\n')
 		}
 	}
 	return out

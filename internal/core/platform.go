@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -524,7 +525,7 @@ func (p *Platform) tracedPut(jobID, key string, val []byte) (uint64, error) {
 // etcd key helpers.
 func keyJobPrefix(jobID string) string { return "jobs/" + jobID + "/" }
 func keyLearnerStatus(jobID string, ord int) string {
-	return fmt.Sprintf("jobs/%s/learners/%d/status", jobID, ord)
+	return keyJobPrefix(jobID) + "learners/" + strconv.Itoa(ord) + "/status"
 }
 func keyControl(jobID string) string { return "jobs/" + jobID + "/control" }
 func keyDone(jobID string) string    { return "jobs/" + jobID + "/done" }

@@ -218,7 +218,7 @@ func (c *Cluster) applyOne(st *storeState, cmd *command) {
 	p := c.waiters[cmd.ReqID]
 	if p != nil {
 		delete(c.waiters, cmd.ReqID)
-		p.ch <- res
+		p.answer(res)
 	}
 	idle := p != nil && len(c.waiters) == 0
 	c.mu.Unlock()
@@ -299,14 +299,24 @@ func (c *Cluster) WaitLeader(timeout time.Duration) (int, error) {
 // pending is one client command from propose until its answer.
 type pending struct {
 	cmd command
-	// ch carries the one answer: the command's result, or ErrTimeout
-	// from the batch loop. Buffered, and sent by whoever removes the
-	// waiter from Cluster.waiters, so the send never blocks.
-	ch       chan result
+	// res is the one answer: the command's result, or ErrTimeout from
+	// the batch loop. Whoever removes the waiter from Cluster.waiters
+	// sets it, then signals done, which is buffered so the send never
+	// blocks. A channel of empty structs is one allocation; one of
+	// result, which holds an error, would be two.
+	res      result
+	done     chan struct{}
 	deadline time.Time
 	// queued marks a copy in batchQ (under Cluster.mu), so a command is
 	// queued at most once.
 	queued bool
+}
+
+// answer hands the waiter its result. The caller holds Cluster.mu and
+// has just removed p from Cluster.waiters, so p is answered once.
+func (p *pending) answer(res result) {
+	p.res = res
+	p.done <- struct{}{}
 }
 
 // enqueueLocked adds a waiting command to the group-commit queue unless
@@ -493,7 +503,7 @@ func (c *Cluster) timerFired() {
 			continue
 		}
 		delete(c.waiters, id)
-		p.ch <- result{err: ErrTimeout}
+		p.answer(result{err: ErrTimeout})
 	}
 	c.mu.Unlock()
 }
@@ -583,7 +593,7 @@ func (c *Cluster) propose(cmd command) (result, error) {
 		start := c.opts.Clock.Now()
 		defer func() { c.obsPropose.ObserveDuration(c.opts.Clock.Now().Sub(start)) }()
 	}
-	p := &pending{cmd: cmd, ch: make(chan result, 1)}
+	p := &pending{cmd: cmd, done: make(chan struct{}, 1)}
 	// Capture the broadcast before queueing: a leadership change after
 	// the command can have reached a leader must wake this waiter.
 	sig := c.leadershipSignal()
@@ -599,9 +609,9 @@ func (c *Cluster) propose(cmd command) (result, error) {
 	c.wakeLoop()
 	for {
 		select {
-		case res := <-p.ch:
-			c.noteRev(res.rev)
-			return res, res.err
+		case <-p.done:
+			c.noteRev(p.res.rev)
+			return p.res, p.res.err
 		case <-sig:
 			sig = c.leadershipSignal()
 			c.mu.Lock()

@@ -606,7 +606,7 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 		}
 		// Learner-log offsets strictly increasing: no reuse across
 		// learner restarts or replica crashes.
-		logs := p.Metrics.Logs(id)
+		logs := p.Metrics.LogsFrom(id, 0)
 		for i := 1; i < len(logs); i++ {
 			if logs[i].Offset <= logs[i-1].Offset {
 				arm.violations = append(arm.violations, fmt.Sprintf(

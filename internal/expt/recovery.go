@@ -194,7 +194,7 @@ func recoveryArm(cfg RecoveryConfig, fileStore bool) (RecoveryArm, error) {
 	}
 	arm.RecoveredJobs = len(p2.Jobs.Find(mongo.Filter{"status": string(core.StatusCompleted)}, mongo.FindOpts{}))
 	for _, id := range jobIDs {
-		arm.RecoveredLogLines += len(p2.Metrics.Logs(id))
+		arm.RecoveredLogLines += len(p2.Metrics.LogsFrom(id, 0))
 	}
 
 	// One WatchStatus reconnect per recovered job: with the oplog

@@ -60,6 +60,16 @@ const (
 	StatusFailed      = "FAILED"
 )
 
+// The status files' bytes, made once: the volume copies what it writes.
+var (
+	downloading = []byte(StatusDownloading)
+	waiting     = []byte(StatusWaiting)
+	processing  = []byte(StatusProcessing)
+	storing     = []byte(StatusStoring)
+	completed   = []byte(StatusCompleted)
+	failed      = []byte(StatusFailed)
+)
+
 // Spec configures one learner process.
 type Spec struct {
 	// JobID and Ordinal identify this learner within its job.
@@ -111,11 +121,15 @@ type Process struct {
 	// readyPaths names every gang member's ready file, this learner's at
 	// its ordinal; nil for a learner without peers.
 	readyPaths []string
-	// line is logf's scratch: the line prefix, then the line being
+	// line is the log scratch: the line prefix, then the line being
 	// written. The volume copies what it appends.
 	line      []byte
 	prefixLen int
 }
+
+// lineRoom is the room New leaves in the log scratch past the line
+// prefix: enough for every line a healthy run writes.
+const lineRoom = 96
 
 // New returns a learner process for the spec.
 func New(spec Spec) *Process {
@@ -126,14 +140,15 @@ func New(spec Spec) *Process {
 		spec.BatchSize = 64
 	}
 	dir := learnerDir(spec.Ordinal)
+	prefix := "[" + spec.JobID + " learner-" + strconv.Itoa(spec.Ordinal) + "] "
 	p := &Process{
 		spec:       spec,
 		statusPath: dir + statusFile,
 		exitPath:   dir + exitFile,
 		logPath:    dir + logFile,
-		line:       fmt.Appendf(nil, "[%s learner-%d] ", spec.JobID, spec.Ordinal),
+		line:       append(make([]byte, 0, len(prefix)+lineRoom), prefix...),
+		prefixLen:  len(prefix),
 	}
-	p.prefixLen = len(p.line)
 	if spec.Learners > 1 {
 		p.readyPaths = make([]string, spec.Learners)
 		for i := range p.readyPaths {
@@ -150,15 +165,48 @@ func New(spec Spec) *Process {
 // its end before the controller reads the file, hiding a phase the
 // learner went through. At TimeCompression 0 every phase is an instant
 // and the controller samples them.
-func (p *Process) setStatus(s string) {
-	p.spec.Volume.WriteFile(p.statusPath, []byte(s)) //nolint:errcheck // volume release races job teardown
+func (p *Process) setStatus(status []byte) {
+	p.spec.Volume.WriteFile(p.statusPath, status) //nolint:errcheck // volume release races job teardown
 	if p.spec.TimeCompression > 0 {
 		runtime.Gosched()
 	}
 }
 
-func (p *Process) logf(format string, args ...any) {
-	p.line = append(fmt.Appendf(p.line[:p.prefixLen], format, args...), '\n')
+// Stdout lines. Each starts with the learner's prefix, "[<job>
+// learner-<ord>] ", and is built with strconv in the log scratch, so a
+// line allocates nothing once the scratch has room for it. Each
+// helper's comment names the fmt verbs whose output it matches byte for
+// byte.
+
+// logs writes the line of parts, in order: fmt's "%s%s...".
+func (p *Process) logs(parts ...string) {
+	b := p.line[:p.prefixLen]
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	p.writeLine(b)
+}
+
+// logAt writes the line head, n, tail: fmt's "<head>%d<tail>".
+func (p *Process) logAt(head string, n int, tail string) {
+	b := strconv.AppendInt(append(p.line[:p.prefixLen], head...), int64(n), 10)
+	p.writeLine(append(b, tail...))
+}
+
+// logIteration writes the progress line, fmt's "iteration %d/%d
+// loss=%.4f images/sec=%.1f".
+func (p *Process) logIteration(iter, total int, loss, thpt float64) {
+	b := append(p.line[:p.prefixLen], "iteration "...)
+	b = append(strconv.AppendInt(b, int64(iter), 10), '/')
+	b = append(strconv.AppendInt(b, int64(total), 10), " loss="...)
+	b = append(strconv.AppendFloat(b, loss, 'f', 4, 64), " images/sec="...)
+	p.writeLine(strconv.AppendFloat(b, thpt, 'f', 1, 64))
+}
+
+// writeLine ends line, built on the log scratch, with '\n' and appends
+// it to stdout. The scratch keeps whatever room the line grew it to.
+func (p *Process) writeLine(line []byte) {
+	p.line = append(line, '\n')
 	p.spec.Volume.AppendFile(p.logPath, p.line) //nolint:errcheck
 }
 
@@ -215,9 +263,9 @@ func (p *Process) Run(stop <-chan struct{}) int {
 		// Graceful path: record exit for the controller.
 		p.spec.Volume.WriteFile(p.exitPath, []byte(strconv.Itoa(code))) //nolint:errcheck
 		if code == 0 {
-			p.setStatus(StatusCompleted)
+			p.setStatus(completed)
 		} else {
-			p.setStatus(StatusFailed)
+			p.setStatus(failed)
 		}
 		// FfDL learner containers stay alive after finishing until the
 		// platform tears the job down; completion is signaled through
@@ -235,19 +283,19 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 	default:
 	}
 	// Phase 1: stream the dataset through the mounted object store.
-	p.setStatus(StatusDownloading)
-	p.logf("downloading dataset %s/%s", p.spec.DataBucket, p.spec.DataPrefix)
+	p.setStatus(downloading)
+	p.logs("downloading dataset ", p.spec.DataBucket, "/", p.spec.DataPrefix)
 	if p.spec.Mount != nil {
 		objs, err := p.spec.ResultStore.List(p.spec.DataBucket, p.spec.DataPrefix)
 		if err != nil {
-			p.logf("dataset list failed: %v", err)
+			p.logs("dataset list failed: ", err.Error())
 			return 1, false
 		}
 		for _, o := range objs {
 			// The read stands for an epoch's pass over the shard; the
 			// simulated training consumes nothing of it.
 			if _, err := p.spec.Mount.ReadAll(o.Key); err != nil {
-				p.logf("dataset read %s failed: %v", o.Key, err)
+				p.logs("dataset read ", o.Key, " failed: ", err.Error())
 				return 1, false
 			}
 		}
@@ -255,14 +303,14 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 
 	// Phase 2: rendezvous with peers (synchronous data parallelism).
 	if p.spec.Learners > 1 {
-		p.setStatus(StatusWaiting)
+		p.setStatus(waiting)
 		if !p.waitForPeers(stop) {
 			select {
 			case <-stop:
 				return 137, true
 			default:
 			}
-			p.logf("rendezvous timeout: peers never arrived")
+			p.logs("rendezvous timeout: peers never arrived")
 			return 2, false
 		}
 	}
@@ -270,9 +318,9 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 	// Phase 3: train, resuming from the latest checkpoint.
 	start := p.latestCheckpoint()
 	if start > 0 {
-		p.logf("resuming from checkpoint at iteration %d", start)
+		p.logAt("resuming from checkpoint at iteration ", start, "")
 	}
-	p.setStatus(StatusProcessing)
+	p.setStatus(processing)
 	cfg := perf.Config{
 		Model: p.spec.Model, Framework: p.spec.Framework, GPUType: p.spec.GPUType,
 		GPUsPerL: max(1, p.spec.GPUs), Learners: max(1, p.spec.Learners),
@@ -280,7 +328,7 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 	}
 	thpt := perf.FfDLThroughput(cfg) / float64(max(1, p.spec.Learners))
 	if thpt <= 0 {
-		p.logf("invalid training configuration: %+v", cfg)
+		p.writeLine(fmt.Appendf(p.line[:p.prefixLen], "invalid training configuration: %+v", cfg))
 		return 1, false
 	}
 	secPerIter := float64(p.spec.BatchSize) / thpt
@@ -295,27 +343,26 @@ func (p *Process) run(stop <-chan struct{}) (int, bool) {
 		default:
 		}
 		if iter%logEvery == 0 || iter == p.spec.Iterations {
-			p.logf("iteration %d/%d loss=%.4f images/sec=%.1f",
-				iter, p.spec.Iterations, 4.0/float64(1+iter), thpt)
+			p.logIteration(iter, p.spec.Iterations, 4.0/float64(1+iter), thpt)
 		}
 		if p.spec.CheckpointEvery > 0 && iter%p.spec.CheckpointEvery == 0 && p.spec.Ordinal == 0 {
 			if err := p.checkpoint(iter); err != nil {
-				p.logf("checkpoint at %d failed: %v", iter, err)
+				p.logAt("checkpoint at ", iter, " failed: "+err.Error())
 			} else {
-				p.logf("checkpoint written at iteration %d", iter)
+				p.logAt("checkpoint written at iteration ", iter, "")
 			}
 		}
 	}
 
 	// Phase 4: store the trained model (learner 0 writes it).
-	p.setStatus(StatusStoring)
+	p.setStatus(storing)
 	if p.spec.Ordinal == 0 && p.spec.ResultStore != nil {
-		key := fmt.Sprintf("%s/model/final.bin", p.spec.JobID)
+		key := p.spec.JobID + "/model/final.bin"
 		if err := p.spec.ResultStore.Put(p.spec.ResultBucket, key, p.modelBytes(p.spec.Iterations)); err != nil {
-			p.logf("storing final model failed: %v", err)
+			p.logs("storing final model failed: ", err.Error())
 			return 1, false
 		}
-		p.logf("final model stored at %s", key)
+		p.logs("final model stored at ", key)
 	}
 	return 0, false
 }

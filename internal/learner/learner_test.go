@@ -2,7 +2,9 @@ package learner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -352,5 +354,47 @@ func TestCheckpointKeysSortChronologically(t *testing.T) {
 	}
 	if got := p.latestCheckpoint(); got != 5000 {
 		t.Fatalf("latest = %d, want 5000", got)
+	}
+}
+
+// TestLogLinesMatchFmt pins the learner's stdout lines against the fmt
+// verbs they print: over sampled values each line helper writes, prefix
+// and newline included, the bytes fmt prints. Once the log scratch has
+// room for a line, writing it allocates nothing.
+func TestLogLinesMatchFmt(t *testing.T) {
+	f := newFixture(t)
+	p := New(f.spec(3, 4))
+	const prefix = "[job1 learner-3] "
+	ints := []int{0, 1, 9, 10, 4096, -7, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, 4.0 / 3, 0.00005, 0.99995, 812.25, 1e21, -0.0, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64}
+	strs := []string{"", "datasets", "demo/", "δ%d {}"}
+	err := errors.New("boom: 50%")
+	var want strings.Builder
+	for _, n := range ints {
+		p.logAt("resuming from checkpoint at iteration ", n, "")
+		fmt.Fprintf(&want, prefix+"resuming from checkpoint at iteration %d\n", n)
+		p.logAt("checkpoint at ", n, " failed: "+err.Error())
+		fmt.Fprintf(&want, prefix+"checkpoint at %d failed: %v\n", n, err)
+		for _, x := range floats {
+			p.logIteration(n, n/2, x, -x)
+			fmt.Fprintf(&want, prefix+"iteration %d/%d loss=%.4f images/sec=%.1f\n", n, n/2, x, -x)
+		}
+	}
+	for _, a := range strs {
+		for _, b := range strs {
+			p.logs("downloading dataset ", a, "/", b)
+			fmt.Fprintf(&want, prefix+"downloading dataset %s/%s\n", a, b)
+		}
+		p.logs("dataset read ", a, " failed: ", err.Error())
+		fmt.Fprintf(&want, prefix+"dataset read %s failed: %v\n", a, err)
+		p.logs("final model stored at ", a)
+		fmt.Fprintf(&want, prefix+"final model stored at %s\n", a)
+	}
+	got, rerr := f.vol.ReadFile("learners/3/stdout.log")
+	if rerr != nil || string(got) != want.String() {
+		t.Fatalf("stdout (%v):\n%s\nwant:\n%s", rerr, got, want.String())
+	}
+	if n := testing.AllocsPerRun(1000, func() { p.logIteration(49, 50, 4.0/50, 812.5) }); n != 0 {
+		t.Fatalf("a progress line made %.0f allocations, want 0", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"time"
 
 	"github.com/ffdl/ffdl/internal/codec"
 )
@@ -25,8 +26,11 @@ import (
 // element; a pointer as a 0 (nil) or 1 byte, then the pointee; a struct
 // as its exported fields in declaration order; and a struct that
 // marshals itself (encoding.BinaryAppender and BinaryUnmarshaler:
-// time.Time) as its marshaled bytes, length-prefixed. Maps, interfaces, channels, funcs, arrays and
-// complex numbers are rejected when the plan is built.
+// time.Time) as its marshaled bytes, length-prefixed — except a
+// time.Time whose zone offset Time's binary form cannot carry, which
+// the codec carries in a form of its own (appendZoneTime). Maps,
+// interfaces, channels, funcs, arrays and complex numbers are rejected
+// when the plan is built.
 //
 // The layout carries no type descriptors: both sides compile a plan per
 // Go type once, cache it process-wide, and walk the value with it. The
@@ -283,6 +287,9 @@ func appendBinary(dst []byte, v reflect.Value) ([]byte, error) {
 	}
 	start := len(dst)
 	dst, err := x.(encoding.BinaryAppender).AppendBinary(append(dst, 0))
+	if t, ok := timeOf(x); ok && (err != nil || dst[start+1] == timeBinaryV2) {
+		dst, err = appendZoneTime(dst[:start+1], t), nil
+	}
 	if err != nil {
 		return dst[:start], err
 	}
@@ -422,9 +429,73 @@ func (p *plan) read(r *codec.Reader, v reflect.Value, depth int) error {
 		if err != nil {
 			return err
 		}
+		if t, ok := v.Addr().Interface().(*time.Time); ok && len(b) > 0 && b[0] == zoneTimeVersion {
+			return readZoneTime(t, b[1:])
+		}
 		if err := v.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(b); err != nil {
 			return fmt.Errorf("%w: %v: %v", codec.ErrCorrupt, p.typ, err)
 		}
 	}
+	return nil
+}
+
+// Time.MarshalBinary writes version 1 for a zone offset of whole
+// minutes and version 2 for any other; zoneTimeVersion, which it never
+// writes, leads the codec's own time.Time form.
+const (
+	timeBinaryV2    = 2
+	zoneTimeVersion = 0x80
+)
+
+// timeOf returns the time.Time x holds, by value or by address.
+func timeOf(x any) (time.Time, bool) {
+	switch t := x.(type) {
+	case *time.Time:
+		return *t, true
+	case time.Time:
+		return t, true
+	}
+	return time.Time{}, false
+}
+
+// appendZoneTime appends t in the codec's own form, for a zone offset
+// that is not whole minutes or that MarshalBinary refuses. Time's
+// binary form holds the offset as int16 minutes, in which -1 stands for
+// UTC, so MarshalBinary refuses an offset from -119 s to -60 s and one
+// of 22 days or more; its version 2 adds the seconds as a byte that
+// UnmarshalBinary reads unsigned, so a negative offset that is not
+// whole minutes decodes wrong. The codec's form is the version byte,
+// then t's Unix seconds, its nanoseconds and its zone offset in
+// seconds, as varints.
+func appendZoneTime(dst []byte, t time.Time) []byte {
+	_, offset := t.Zone()
+	dst = binary.AppendVarint(append(dst, zoneTimeVersion), t.Unix())
+	dst = binary.AppendUvarint(dst, uint64(t.Nanosecond()))
+	return binary.AppendVarint(dst, int64(offset))
+}
+
+// readZoneTime decodes the codec's own time form, b without its version
+// byte, into t: the instant in an unnamed fixed zone of the offset.
+func readZoneTime(t *time.Time, b []byte) error {
+	r := codec.NewReader(b)
+	sec, err := r.Varint()
+	if err != nil {
+		return err
+	}
+	nsec, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	offset, err := r.Varint()
+	if err != nil {
+		return err
+	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	if nsec >= 1e9 || offset != int64(int32(offset)) {
+		return fmt.Errorf("%w: time nanoseconds %d, zone offset %d", codec.ErrCorrupt, nsec, offset)
+	}
+	*t = time.Unix(sec, int64(nsec)).In(time.FixedZone("", int(offset)))
 	return nil
 }

@@ -195,6 +195,8 @@ func FuzzBodyRoundtrip(f *testing.F) {
 	f.Add(true, int64(-7), uint64(300), 1.5, "job-1", int64(1_700_000_000), int16(330), uint8(2), []byte{0x01, 0x02})
 	f.Add(false, int64(math.MinInt64), uint64(math.MaxUint64), math.NaN(), "", int64(-5), int16(-600), uint8(0), []byte(nil))
 	f.Add(true, int64(1<<40), uint64(1), math.Inf(-1), strings.Repeat("x", 200), int64(0), int16(0), uint8(3), []byte{0xFF, 0xFF, 0xFF})
+	// A zone of -1 minute, whose offset Time.MarshalBinary refuses.
+	f.Add(false, int64(0), uint64(0), 0.0, "", int64(0), int16(-1), uint8(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, b bool, i int64, u uint64, fl float64, s string, sec int64, zoneMin int16, depth uint8, raw []byte) {
 		want := buildBodyAll(b, i, u, fl, s, sec, zoneMin, depth)
 		data, err := appendBody(nil, want)
@@ -251,6 +253,27 @@ func TestBodyGoldenBytes(t *testing.T) {
 		}
 		if hex.EncodeToString(got) != tc.want {
 			t.Fatalf("body bytes of %T changed:\n got %x\nwant %s", tc.v, got, tc.want)
+		}
+	}
+}
+
+// TestBodyCarriesEveryFixedZone pins times in every fixed zone through
+// the body codec by instant and zone offset, the offsets Time's binary
+// form refuses (-60 s to -119 s, 22 days or more) or misreads (negative
+// ones that are not whole minutes) included.
+func TestBodyCarriesEveryFixedZone(t *testing.T) {
+	for _, offset := range []int{0, 60, -60, -61, -90, -119, -120, 30, -30, -3599, 19800, 32768 * 60, -32769 * 60, 1 << 30} {
+		at := time.Unix(1_700_000_000, 123456789).In(time.FixedZone("fz", offset))
+		data, err := appendBody(nil, struct{ At time.Time }{at})
+		if err != nil {
+			t.Fatalf("offset %d s: encode: %v", offset, err)
+		}
+		var got struct{ At time.Time }
+		if err := decodeBody(&got, data); err != nil {
+			t.Fatalf("offset %d s: decode: %v", offset, err)
+		}
+		if _, o := got.At.Zone(); !got.At.Equal(at) || o != offset {
+			t.Fatalf("offset %d s: decoded %v (offset %d s), want %v", offset, got.At, o, at)
 		}
 	}
 }
