@@ -32,12 +32,16 @@ test:
 # the batch loop's re-proposal and timeout paths cannot pass on one
 # lucky run. So do the learner-log tests of a follow joining between two
 # records and of line collection independent of wake timing, since a
-# line reaches the fan-out only while a follow listens.
+# line reaches the fan-out only while a follow listens. The file store
+# holds its active segment's descriptor under a mutex that the log's
+# appends, compaction and Close all take, so its tests and the DataDir
+# stop/reopen test run three times too.
 race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /internal/expt)
 	$(GO) test -race ./internal/expt/...
 	$(GO) test -race -count=3 -run 'TestBatchedProposalsSurviveLeaderFailover|TestLeaderFailoverContinuesService|TestNoQuorumTimesOutEachProposalOnce|TestExactlyOnceUnderFailoverSchedule' ./internal/etcd
-	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming' ./internal/core
+	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir' ./internal/core
+	$(GO) test -race -count=3 -run 'TestFileStore|TestLogCloseRefusesAppends' ./internal/commitlog
 
 # Coverage artifact: a whole-repo coverprofile plus the per-function
 # summary CI uploads (cover.out, cover.txt).

@@ -29,6 +29,7 @@ package commitlog
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -87,6 +88,9 @@ const segmentBytes = 1 << 20
 // read-only from the first failed write (the in-memory index never
 // runs ahead of the store).
 var ErrDead = errors.New("commitlog: store failed; log is read-only")
+
+// errClosed is the ErrDead an append after Close returns.
+var errClosed = fmt.Errorf("%w: log closed", ErrDead)
 
 // segment is one bounded run of records. recs hold the decoded index;
 // bytes mirrors the store-side encoded size.
@@ -403,6 +407,21 @@ func encodeRecords(recs []Record) []byte {
 		recs[i].Payload = framePayload(data, len(r.Payload))
 	}
 	return data
+}
+
+// Close makes the log read-only — a later Append fails with ErrDead —
+// and closes its store when the store is an io.Closer. Reads still
+// answer from the in-memory index.
+func (l *Log) Close() error {
+	l.lock()
+	defer l.unlock()
+	if l.dead == nil {
+		l.dead = errClosed
+	}
+	if c, ok := l.store.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // OldestOffset returns the retention floor: the first offset of the

@@ -2,6 +2,7 @@ package commitlog
 
 import (
 	"errors"
+	"io"
 	"sync"
 )
 
@@ -155,4 +156,12 @@ func (f *FaultStore) Remove(base uint64) error {
 		return ErrCrashed
 	}
 	return f.inner.Remove(base)
+}
+
+// Close closes the inner store when it is an io.Closer.
+func (f *FaultStore) Close() error {
+	if c, ok := f.inner.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }

@@ -133,14 +133,30 @@ func (m *MemStore) Remove(base uint64) error {
 // segment, all in one directory. It is the durability arm the crash
 // torture suite drives (wrapped in a FaultStore); recovery semantics —
 // torn-tail truncation — live in Open, which reads the store back.
+//
+// The store holds one descriptor, opened O_WRONLY|O_APPEND on the
+// segment it last created or appended to, so an append to the active
+// segment is one write(2) that returns before the record is
+// acknowledged: no buffer and no batching, and a refused write leaves
+// no trace. A Rewrite or Remove of the held segment closes it first, so
+// no write lands in an inode that was renamed over or unlinked. Close
+// releases the descriptor; every later write fails.
 type FileStore struct {
 	dir string
+
+	mu     sync.Mutex
+	held   *os.File // nil when no segment is held
+	base   uint64   // held's segment
+	closed bool
 }
 
 const (
 	segSuffix = ".seg"
 	tmpSuffix = ".tmp"
 )
+
+// errStoreClosed reports a write to a FileStore after Close.
+var errStoreClosed = errors.New("commitlog: file store closed")
 
 // OpenFileStore opens (creating if needed) a file store rooted at dir.
 // Stale temp files from a crashed compaction rewrite are discarded.
@@ -186,30 +202,50 @@ func (f *FileStore) Segments() ([]uint64, error) {
 	return out, nil
 }
 
-// Create implements SegmentStore.
-func (f *FileStore) Create(base uint64) error {
-	file, err := os.OpenFile(f.segPath(base), os.O_CREATE|os.O_WRONLY, 0o644)
+// holdLocked opens segment base for appending with the extra flags and
+// holds it in place of the segment held before.
+func (f *FileStore) holdLocked(base uint64, flags int) error {
+	if f.closed {
+		return errStoreClosed
+	}
+	file, err := os.OpenFile(f.segPath(base), flags|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	return file.Close()
+	f.releaseLocked(f.base)
+	f.held, f.base = file, base
+	return nil
 }
 
-// Append implements SegmentStore.
+// releaseLocked closes the held descriptor when it is segment base's.
+func (f *FileStore) releaseLocked(base uint64) {
+	if f.held != nil && f.base == base {
+		f.held.Close() //nolint:errcheck // O_APPEND writes are done; nothing is buffered
+		f.held = nil
+	}
+}
+
+// Create implements SegmentStore. The new segment becomes the held one.
+func (f *FileStore) Create(base uint64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.holdLocked(base, os.O_CREATE)
+}
+
+// Append implements SegmentStore: one write on the held descriptor,
+// after opening segment base in its place when another is held.
 func (f *FileStore) Append(base uint64, data []byte) (int, error) {
-	path := f.segPath(base)
-	if _, err := os.Stat(path); err != nil {
-		return 0, fmt.Errorf("%w: %d", ErrNoSegment, base)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.held == nil || f.base != base {
+		if err := f.holdLocked(base, 0); err != nil {
+			if errors.Is(err, os.ErrNotExist) {
+				return 0, fmt.Errorf("%w: %d", ErrNoSegment, base)
+			}
+			return 0, err
+		}
 	}
-	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	n, err := file.Write(data)
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
+	return f.held.Write(data)
 }
 
 // Load implements SegmentStore.
@@ -224,6 +260,12 @@ func (f *FileStore) Load(base uint64) ([]byte, error) {
 // Rewrite implements SegmentStore: the new contents are staged in a
 // temp file and renamed over the segment.
 func (f *FileStore) Rewrite(base uint64, data []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return errStoreClosed
+	}
+	f.releaseLocked(base)
 	path := f.segPath(base)
 	if _, err := os.Stat(path); err != nil {
 		return fmt.Errorf("%w: %d", ErrNoSegment, base)
@@ -237,9 +279,30 @@ func (f *FileStore) Rewrite(base uint64, data []byte) error {
 
 // Remove implements SegmentStore.
 func (f *FileStore) Remove(base uint64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return errStoreClosed
+	}
+	f.releaseLocked(base)
 	err := os.Remove(f.segPath(base))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
+	return err
+}
+
+// Close releases the held descriptor. Every later Create, Append,
+// Rewrite or Remove fails; Load and Segments still read the directory.
+// Closing twice is a no-op.
+func (f *FileStore) Close() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	if f.held == nil {
+		return nil
+	}
+	err := f.held.Close()
+	f.held = nil
 	return err
 }

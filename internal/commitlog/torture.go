@@ -97,6 +97,7 @@ func tortureReference(cfg *TortureConfig) (tortureRef, error) {
 	if err != nil {
 		return tortureRef{}, err
 	}
+	defer l.Close() //nolint:errcheck // the reference run is done writing
 	runWorkload(l, cfg)
 	return tortureRef{recs: l.Records(0), journal: fault.Written()}, nil
 }
@@ -167,12 +168,15 @@ func tortureOne(cfg *TortureConfig, ref *tortureRef, dir string, crashAt int64, 
 	if l, err := Open(fault, tortureOpts(cfg)); err == nil {
 		runWorkload(l, cfg)
 	}
+	// The crashed run's store holds a descriptor until it is closed.
+	fault.Close() //nolint:errcheck // nothing is buffered
 
 	// "Restart": reopen the raw file store, no fault injection.
 	rfs, err := OpenFileStore(dir)
 	if err != nil {
 		return 0, []string{fmt.Sprintf("reopen file store: %v", err)}
 	}
+	defer rfs.Close() //nolint:errcheck // nothing is buffered
 	rl, err := Open(rfs, tortureOpts(cfg))
 	if err != nil {
 		return 0, []string{fmt.Sprintf("recovery open: %v", err)}

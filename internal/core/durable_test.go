@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ffdl/ffdl/internal/mongo"
 )
 
 // TestLogLineCodecGoldenBytes pins the durable learner-log record
@@ -67,4 +72,68 @@ func FuzzLogLineRoundtrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// openFDsUnder counts this process's descriptors on files under dir.
+func openFDsUnder(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("descriptor table not readable: %v", err)
+	}
+	n := 0
+	for _, e := range ents {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStoppedPlatformReleasesDataDir pins the durable logs' lifecycle:
+// a running DataDir platform holds one descriptor per log, a stopped
+// one holds none and takes no late write, and a platform reopened on
+// the same DataDir sees every job with its history and log lines.
+func TestStoppedPlatformReleasesDataDir(t *testing.T) {
+	dir := t.TempDir()
+	p := newTestPlatform(t, func(c *Config) { c.DataDir = dir })
+	c := p.Client()
+	var jobs []string
+	for i := 0; i < 2; i++ {
+		jobID, err := c.Submit(context.Background(), testManifest())
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitStatus(t, c, jobID, StatusCompleted, 20*time.Second)
+		jobs = append(jobs, jobID)
+	}
+	if n := openFDsUnder(t, dir); n != 2 {
+		t.Fatalf("a running platform holds %d descriptors under DataDir, want 2 (one per log)", n)
+	}
+	before := map[string]int{}
+	for _, jobID := range jobs {
+		before[jobID] = len(p.Metrics.LogsFrom(jobID, 0))
+	}
+	p.Stop()
+	if n := openFDsUnder(t, dir); n != 0 {
+		t.Fatalf("a stopped platform holds %d descriptors under DataDir, want 0", n)
+	}
+	if err := p.Jobs.UpdateOne(mongo.Filter{"_id": jobs[0]}, mongo.Update{Set: mongo.Doc{"late": true}}); err == nil {
+		t.Fatal("a stopped platform took a metadata write")
+	}
+
+	p2 := newTestPlatform(t, func(c *Config) { c.DataDir = dir })
+	for _, jobID := range jobs {
+		doc, err := p2.Jobs.FindOne(mongo.Filter{"_id": jobID})
+		if err != nil {
+			t.Fatalf("job %s after reopen: %v", jobID, err)
+		}
+		if doc["status"] != string(StatusCompleted) || doc["late"] != nil {
+			t.Fatalf("job %s after reopen: status %v, late %v", jobID, doc["status"], doc["late"])
+		}
+		if got := len(p2.Metrics.LogsFrom(jobID, 0)); got != before[jobID] || got == 0 {
+			t.Fatalf("job %s after reopen: %d log lines, want %d", jobID, got, before[jobID])
+		}
+	}
 }

@@ -114,7 +114,7 @@ func (p *Platform) deployJob(jobID string, m Manifest) error {
 		m.ResultBucket = "ffdl-results"
 	}
 	p.Store.EnsureBucket(m.ResultBucket)
-	res := &jobResources{manifest: m, volume: vol}
+	res := &jobResources{manifest: m, volume: vol, logFrom: p.Metrics.nextLine(jobID)}
 	if m.DataBucket != "" {
 		res.mount = p.Store.NewMount(m.DataBucket, 256<<20)
 	}

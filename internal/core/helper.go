@@ -46,7 +46,7 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 		}
 	}
 
-	scan := newHelperScan(p, jobID, res.volume, m.Learners)
+	scan := newHelperScan(p, jobID, res.volume, m.Learners, res.logFrom)
 
 	// The controller wakes on volume writes — learners publish status,
 	// exit and log files there — so observations reach etcd at event
@@ -109,17 +109,29 @@ type learnerFiles struct {
 	mirrored []byte
 	exited   bool
 	code     int
-	// logOff is how many bytes of the log have been shipped.
+	// logOff is how many bytes of the log have been shipped, by this
+	// incarnation or an earlier one.
 	logOff int
 }
 
-func newHelperScan(p *Platform, jobID string, vol *nfs.Volume, learners int) *helperScan {
+// newHelperScan names the files of a job's learners on vol. Each
+// learner's shipped offset starts at the bytes its learner-log records
+// from line logFrom on already hold — the lines earlier helper
+// incarnations shipped from vol — so a restarted helper ships each
+// line once. For a job with no such records (every first incarnation)
+// that costs one index lookup.
+func newHelperScan(p *Platform, jobID string, vol *nfs.Volume, learners int, logFrom uint64) *helperScan {
 	h := &helperScan{p: p, jobID: jobID, vol: vol, learners: make([]learnerFiles, learners)}
 	for ord := range h.learners {
 		dir := "learners/" + strconv.Itoa(ord) + "/"
 		h.learners[ord] = learnerFiles{status: dir + "status", exit: dir + "exit", log: dir + "stdout.log",
 			statusKey: keyLearnerStatus(jobID, ord)}
 	}
+	p.Metrics.stdoutShipped(jobID, logFrom, func(learner, n int) {
+		if learner >= 0 && learner < len(h.learners) {
+			h.learners[learner].logOff += n
+		}
+	})
 	return h
 }
 

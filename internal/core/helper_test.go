@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strconv"
 	"testing"
+	"time"
 
+	"github.com/ffdl/ffdl/internal/commitlog"
 	"github.com/ffdl/ffdl/internal/nfs"
 	"github.com/ffdl/ffdl/internal/sim"
 )
@@ -52,7 +55,7 @@ func TestHelperScanOfUnchangedFilesAllocatesNothing(t *testing.T) {
 	if err := vol.WriteFile("learners/0/exit", []byte("0\n")); err != nil {
 		t.Fatal(err)
 	}
-	h := newHelperScan(p, jobID, vol, 4)
+	h := newHelperScan(p, jobID, vol, 4, 0)
 	h.scan()
 	if n := testing.AllocsPerRun(100, h.scan); n != 0 {
 		t.Fatalf("a scan of unchanged files made %.0f allocations, want 0", n)
@@ -78,13 +81,13 @@ func TestLogCollectionIgnoresWakeTiming(t *testing.T) {
 	const log = "learners/0/stdout.log"
 	first, second := []byte("a\n\n"), []byte("\nb\n\n")
 
-	one := newHelperScan(p, "training-one", newTestVolume(t), 1)
+	one := newHelperScan(p, "training-one", newTestVolume(t), 1, 0)
 	if err := one.vol.AppendFile(log, append(slices.Clone(first), second...)); err != nil {
 		t.Fatal(err)
 	}
 	one.scan()
 
-	two := newHelperScan(p, "training-two", newTestVolume(t), 1)
+	two := newHelperScan(p, "training-two", newTestVolume(t), 1, 0)
 	for _, chunk := range [][]byte{first, second} {
 		if err := two.vol.AppendFile(log, chunk); err != nil {
 			t.Fatal(err)
@@ -112,7 +115,7 @@ func TestLogShippingCostIsPerScan(t *testing.T) {
 	for _, k := range []int{1, 16} {
 		vol := newTestVolume(t)
 		jobID := "training-ship-" + strconv.Itoa(k)
-		h := newHelperScan(p, jobID, vol, 1)
+		h := newHelperScan(p, jobID, vol, 1, 0)
 		run := bytes.Repeat([]byte("iteration 1/2 loss=2.0000 images/sec=81.2\n"), k)
 		const runs = 200
 		allocs[k] = testing.AllocsPerRun(runs, func() {
@@ -128,5 +131,82 @@ func TestLogShippingCostIsPerScan(t *testing.T) {
 	t.Logf("allocations per scan: %v", allocs)
 	if allocs[16] > allocs[1] {
 		t.Fatalf("a scan shipping 16 lines made %.0f allocations, one shipping 1 made %.0f", allocs[16], allocs[1])
+	}
+}
+
+// TestRestartedHelperShipsEachLineOnce pins the log-collector across
+// helper incarnations: a helper that starts over a volume an earlier
+// one shipped from resumes at each learner's shipped bytes, so every
+// line ships once — a line written between the incarnations and one
+// completed across them included. A redeployment's fresh volume ships
+// from its start. Seeding a job with no records allocates nothing.
+func TestRestartedHelperShipsEachLineOnce(t *testing.T) {
+	p := newTestPlatform(t, nil)
+	const jobID = "training-restart"
+	vol := newTestVolume(t)
+	write := func(vol *nfs.Volume, ord int, text string) {
+		t.Helper()
+		if err := vol.AppendFile("learners/"+strconv.Itoa(ord)+"/stdout.log", []byte(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(vol, 0, "a\nb\n")
+	write(vol, 1, "x\npar")
+	newHelperScan(p, jobID, vol, 2, 0).scan()
+	write(vol, 0, "c\n")
+	write(vol, 1, "tial\n")
+	second := newHelperScan(p, jobID, vol, 2, 0)
+	second.scan()
+	second.scan()
+	want := []string{"a", "b", "x", "c", "partial"}
+	if got := logTexts(p, jobID); !slices.Equal(got, want) {
+		t.Fatalf("two incarnations shipped %q, want %q", got, want)
+	}
+
+	// A redeployment provisions a fresh volume; its lines are new.
+	fresh := newTestVolume(t)
+	write(fresh, 1, "a\n")
+	newHelperScan(p, jobID, fresh, 2, p.Metrics.nextLine(jobID)).scan()
+	if got := logTexts(p, jobID); !slices.Equal(got, append(want, "a")) {
+		t.Fatalf("after a redeployment shipped %q, want %q", got, append(want, "a"))
+	}
+
+	add := func(int, int) { t.Fatal("a job with no records reported a shipped run") }
+	if n := testing.AllocsPerRun(100, func() { p.Metrics.stdoutShipped("training-none", 0, add) }); n != 0 {
+		t.Fatalf("seeding a job with no records made %.0f allocations, want 0", n)
+	}
+}
+
+// TestStdoutShippedCountsBothLayouts pins the byte count a helper seeds
+// from: a run counts its text, and a record of the one-line layout its
+// text and the '\n' that layout dropped; records before the given line
+// offset are not counted.
+func TestStdoutShippedCountsBothLayouts(t *testing.T) {
+	l, err := commitlog.Open(commitlog.NewMemStore(), commitlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range []string{"a", "", "b c"} {
+		if _, err := l.Append("", encodeLogRecord(nil, "j", 0, uint64(i), time.Unix(0, 0), []byte(text))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewMetricsService(l, nil)
+	m.AppendLog("j", 1, time.Unix(0, 0), []byte("d\n\n"))
+	m.AppendLog("j", 0, time.Unix(0, 0), []byte("e\n"))
+	for _, tc := range []struct {
+		from uint64
+		want map[int]int
+	}{
+		{0, map[int]int{0: len("a\n\nb c\ne\n"), 1: len("d\n\n")}},
+		{3, map[int]int{0: len("e\n"), 1: len("d\n\n")}},
+		{5, map[int]int{0: len("e\n")}},
+		{6, map[int]int{}},
+	} {
+		got := map[int]int{}
+		m.stdoutShipped("j", tc.from, func(learner, n int) { got[learner] += n })
+		if !maps.Equal(got, tc.want) {
+			t.Fatalf("from %d: shipped bytes %v, want %v", tc.from, got, tc.want)
+		}
 	}
 }

@@ -133,6 +133,36 @@ func (m *MetricsService) AppendLog(jobID string, learner int, t time.Time, text 
 	}
 }
 
+// nextLine returns the offset jobID's next line takes.
+func (m *MetricsService) nextLine(jobID string) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lines[jobID].next
+}
+
+// stdoutShipped calls add for each of jobID's records whose lines start
+// at offset from or later, with its learner and the bytes of that
+// learner's stdout it holds: its Text, and for a record of the one-line
+// layout the '\n' that layout dropped. A record that does not decode is
+// skipped, as LogsFrom skips it.
+func (m *MetricsService) stdoutShipped(jobID string, from uint64, add func(learner, n int)) {
+	m.mu.Lock()
+	runs := m.lines[jobID].runs
+	m.mu.Unlock()
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].first >= from })
+	for _, run := range runs[i:] {
+		rec, err := decodeLogRecord(run.payload)
+		if err != nil {
+			continue
+		}
+		n := len(rec.Text)
+		if oneLine(rec.Text) {
+			n++
+		}
+		add(rec.Learner, n)
+	}
+}
+
 // LogsFrom returns a job's lines with Offset >= from — the resumable
 // read path under API.Logs. It finds the record holding from by first
 // offset and splits the records from there: one string per record,

@@ -169,6 +169,10 @@ type jobResources struct {
 	manifest Manifest
 	volume   *nfs.Volume
 	mount    *objstore.Mount
+	// logFrom is the offset the job's next log line took when volume was
+	// provisioned: the job's lines from there on came from this volume's
+	// stdout files, and those before from an earlier deployment's.
+	logFrom uint64
 }
 
 // Platform is a fully wired FfDL instance.
@@ -287,10 +291,12 @@ func NewPlatform(cfg Config) (*Platform, error) {
 
 	learnerStore, err := openLogStore(cfg.DataDir, dirLearnerLogs, cfg.StoreWrapper)
 	if err != nil {
+		db.Close() //nolint:errcheck // the open error is the one to report
 		return nil, err
 	}
 	learnerLog, err := commitlog.Open(learnerStore, commitlog.Options{Obs: instruments, Clock: cfg.Clock})
 	if err != nil {
+		db.Close() //nolint:errcheck // the open error is the one to report
 		return nil, fmt.Errorf("core: open learner log: %w", err)
 	}
 	metrics := NewMetricsService(learnerLog, registry)
@@ -456,6 +462,12 @@ func (p *Platform) Stop() {
 	p.Kube.Stop()
 	p.Etcd.Stop()
 	p.wg.Wait()
+	// Close both durable logs: a stopped platform holds no descriptor
+	// under DataDir, and a late write from a pod still winding down
+	// fails instead of landing in the segment a reopened platform
+	// appends to.
+	p.Mongo.Close()       //nolint:errcheck // nothing is buffered
+	p.Metrics.log.Close() //nolint:errcheck // nothing is buffered
 }
 
 // collectStats mirrors every subsystem's Stats() accessors into the

@@ -377,28 +377,40 @@ func (c *Collection) UpdateOne(f Filter, u Update) error {
 }
 
 func (c *Collection) updateLocked(f Filter, u Update) error {
+	if id, ok := f["_id"].(string); ok {
+		// A primary-key update — every status write is one — reads the
+		// map; the rest of the filter (a guard such as "preempted") still
+		// has to match.
+		if d, found := c.docs[id]; found && f.matches(d) {
+			return c.replaceLocked(id, d, u)
+		}
+		return ErrNotFound
+	}
 	ids := c.candidatesLocked(f)
 	sort.Strings(ids)
 	for _, id := range ids {
-		d, ok := c.docs[id]
-		if !ok || !f.matches(d) {
-			continue
+		if d, ok := c.docs[id]; ok && f.matches(d) {
+			return c.replaceLocked(id, d, u)
 		}
-		// The update builds the next version in a copy-on-write view, which
-		// is also the oplog entry; only a logged version is installed, so
-		// an update the oplog refused is not acknowledged and leaves the
-		// stored document as it was.
-		next := d.Clone()
-		u.apply(next)
-		next["_id"] = id // _id is immutable
-		if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: next}); err != nil {
-			return err
-		}
-		c.docs[id] = next
-		c.indexMoveLocked(d, next, id)
-		return nil
 	}
 	return ErrNotFound
+}
+
+// replaceLocked installs u applied to document id's stored version d.
+// The update builds the next version in a copy-on-write view, which is
+// also the oplog entry; only a logged version is installed, so an update
+// the oplog refused is not acknowledged and leaves the stored document
+// as it was.
+func (c *Collection) replaceLocked(id string, d Doc, u Update) error {
+	next := d.Clone()
+	u.apply(next)
+	next["_id"] = id // _id is immutable
+	if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: next}); err != nil {
+		return err
+	}
+	c.docs[id] = next
+	c.indexMoveLocked(d, next, id)
+	return nil
 }
 
 // Upsert updates the first match or inserts a new document from the
@@ -591,6 +603,12 @@ func Open(store commitlog.SegmentStore, opts Options) (*DB, error) {
 		}
 	}
 	return db, nil
+}
+
+// Close closes the oplog and its store: every later write fails with
+// ErrUnavailable, while reads still answer from the collections.
+func (db *DB) Close() error {
+	return db.oplog.Close()
 }
 
 // applyRecovered replays one recovered oplog entry into the collections

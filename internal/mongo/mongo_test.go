@@ -617,3 +617,45 @@ func TestFindMatchesNaiveScanProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUpdateByIDAllocs pins the cost of a primary-key update — every
+// status write is one — at an exact count: it reads the document from
+// the map, with no candidate list built or sorted, and the rest of the
+// filter (a guard such as tenancy's "preempted") is still checked.
+func TestUpdateByIDAllocs(t *testing.T) {
+	db := NewDB()
+	c := db.C("jobs")
+	c.EnsureIndex("status")
+	if _, err := c.Insert(Doc{"_id": "j1", "status": "A", "user": "u", "preempted": true}); err != nil {
+		t.Fatal(err)
+	}
+	flip := map[bool]string{false: "A", true: "B"}
+	for _, tc := range []struct {
+		name   string
+		filter Filter
+		want   float64
+	}{
+		{"_id", Filter{"_id": "j1"}, 6},
+		{"_id and guard", Filter{"_id": "j1", "preempted": true}, 6},
+	} {
+		n := 0
+		got := testing.AllocsPerRun(200, func() {
+			n++
+			if err := c.UpdateOne(tc.filter, Update{Set: Doc{"status": flip[n%2 == 0]}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: an update made %.0f allocations, want %.0f", tc.name, got, tc.want)
+		}
+	}
+	if err := c.UpdateOne(Filter{"_id": "j1", "preempted": false}, Update{Set: Doc{"status": "C"}}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("update whose guard does not match = %v, want ErrNotFound", err)
+	}
+	if err := c.UpdateOne(Filter{"_id": "j2"}, Update{Set: Doc{"status": "C"}}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("update of a missing _id = %v, want ErrNotFound", err)
+	}
+	if d, _ := c.FindOne(Filter{"_id": "j1"}); d["status"] == "C" {
+		t.Fatal("an update that matched nothing changed the document")
+	}
+}
