@@ -195,7 +195,7 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 	doc["_id"] = jobID
 	doc["status"] = string(status)
 	doc["submitted"] = now.Format(time.RFC3339Nano)
-	doc["history"] = []any{map[string]any{
+	doc["history"] = []any{mongo.Doc{
 		"status": string(status), "time": now.Format(time.RFC3339Nano),
 		"message": message,
 	}}
@@ -343,6 +343,9 @@ func (a *apiReplica) handleList(_ context.Context, arg any) (any, error) {
 		return nil, degradedErr(err)
 	}
 	reply := ListReply{}
+	if len(docs) > 0 {
+		reply.Jobs = make([]JobRecord, 0, len(docs))
+	}
 	for _, d := range docs {
 		reply.Jobs = append(reply.Jobs, docToRecord(d))
 	}

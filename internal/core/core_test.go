@@ -600,6 +600,27 @@ func TestMongoDocRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDocToRecordSizesHistoryOnce pins the cost of decoding a job
+// document: one allocation, the History slice sized to the document's
+// history, however many entries it holds.
+func TestDocToRecordSizesHistoryOnce(t *testing.T) {
+	doc := manifestToDoc(testManifest())
+	doc["_id"], doc["status"] = "j1", string(StatusProcessing)
+	now := time.Unix(1700000000, 5).UTC()
+	hist := make([]any, 8)
+	for i := range hist {
+		hist[i] = mongo.Doc{"status": string(StatusPending), "time": now.Add(time.Duration(i)).Format(time.RFC3339Nano), "message": "m"}
+	}
+	doc["history"] = hist
+	rec := docToRecord(doc)
+	if len(rec.History) != 8 || cap(rec.History) != 8 || !rec.History[7].Time.Equal(now.Add(7)) {
+		t.Fatalf("History = %d entries (cap %d), last %v", len(rec.History), cap(rec.History), rec.History[len(rec.History)-1])
+	}
+	if n := testing.AllocsPerRun(100, func() { rec = docToRecord(doc) }); n != 1 {
+		t.Fatalf("docToRecord of an 8-entry history made %.0f allocations, want 1", n)
+	}
+}
+
 func TestGuardianPodTypeUsedForStartDelay(t *testing.T) {
 	// Verify the platform passes pod types through to kube's start-delay
 	// hook (Table 3's measurement path).

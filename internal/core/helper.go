@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"time"
 
 	"github.com/ffdl/ffdl/internal/kube"
 	"github.com/ffdl/ffdl/internal/nfs"
@@ -40,7 +41,18 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	if m.DataBucket != "" {
 		if _, err := p.Store.List(m.DataBucket, m.DataPrefix); err != nil {
 			p.Metrics.AppendLog(jobID, -1, p.clock.Now(), fmt.Appendf(nil, "[load-data] dataset inaccessible: %v\n", err))
-			p.tracedPut(jobID, keyDone(jobID), []byte("3")) //nolint:errcheck
+			for {
+				if _, err := p.tracedPut(jobID, keyDone(jobID), []byte("3")); err == nil {
+					break
+				}
+				retry := p.clock.NewTimer(p.cfg.PollInterval * 10)
+				select {
+				case <-ctx.Stop:
+					retry.Stop()
+					return 137
+				case <-retry.C:
+				}
+			}
 			<-ctx.Stop
 			return 137
 		}
@@ -57,22 +69,43 @@ func (p *Platform) runHelper(ctx *kube.PodContext) int {
 	// by then the pod is being killed via Stop. Each helper incarnation
 	// unsubscribes on exit, so restarts do not pile watchers onto the
 	// volume.
+	//
+	// An etcd put that failed is made again by the next scan. No volume
+	// write need come to start that scan, and the Guardian holds no
+	// timer while its watch is healthy, so a failed put arms one retry
+	// timer (PollInterval*10); while puts succeed, none is armed.
 	writes := res.volume.Watch()
 	defer res.volume.Unwatch(writes)
+	var retry *sim.Timer
+	defer func() {
+		if retry != nil {
+			retry.Stop()
+		}
+	}()
 	for {
-		scan.scan()
+		failed := !scan.scan()
 		if !scan.done {
 			if code, decided := scan.outcome(); decided {
 				// store-results, then signal the outcome.
 				p.storeResults(jobID, m)
-				p.tracedPut(jobID, keyDone(jobID), []byte(strconv.Itoa(code))) //nolint:errcheck
-				scan.done = true
+				_, err := p.tracedPut(jobID, keyDone(jobID), []byte(strconv.Itoa(code)))
+				scan.done = err == nil
+				failed = failed || !scan.done
 			}
+		}
+		var retryC <-chan time.Time
+		if failed && retry == nil {
+			retry = p.clock.NewTimer(p.cfg.PollInterval * 10)
+		}
+		if retry != nil {
+			retryC = retry.C
 		}
 
 		select {
 		case <-ctx.Stop:
 			return 137
+		case <-retryC:
+			retry = nil
 		case _, ok := <-writes:
 			// Coalesce write bursts into one scan.
 			if !ok || sim.Coalesce(writes, nil) {
@@ -91,7 +124,7 @@ type helperScan struct {
 	jobID    string
 	vol      *nfs.Volume
 	learners []learnerFiles
-	// done is set once the done key is written. Mirroring stops there:
+	// done is set once a done-key put succeeds. Mirroring stops there:
 	// the Guardian then decides the job and deletes its etcd subtree, and
 	// a learner's final status (written after its exit file) mirrored
 	// past that delete would outlive the job.
@@ -104,8 +137,8 @@ type helperScan struct {
 type learnerFiles struct {
 	status, exit, log string
 	statusKey         string
-	// mirrored is the status last put to etcd: a volume view, which no
-	// later write changes.
+	// mirrored is the status last put to etcd, set once the put
+	// succeeds: a volume view, which no later write changes.
 	mirrored []byte
 	exited   bool
 	code     int
@@ -136,14 +169,20 @@ func newHelperScan(p *Platform, jobID string, vol *nfs.Volume, learners int, log
 }
 
 // scan mirrors each learner's changed status into etcd, records its
-// exit code once written, and ships its new stdout lines.
-func (h *helperScan) scan() {
+// exit code once written, and ships its new stdout lines. It reports
+// whether every etcd put it made succeeded; a status whose put failed
+// is put again by the next scan.
+func (h *helperScan) scan() (ok bool) {
+	ok = true
 	for ord := range h.learners {
 		l := &h.learners[ord]
 		if !h.done {
 			if data, err := h.vol.ReadFile(l.status); err == nil && !bytes.Equal(data, l.mirrored) {
-				l.mirrored = data
-				h.p.tracedPut(h.jobID, l.statusKey, data) //nolint:errcheck
+				if _, err := h.p.tracedPut(h.jobID, l.statusKey, data); err == nil {
+					l.mirrored = data
+				} else {
+					ok = false
+				}
 			}
 		}
 		if !l.exited {
@@ -155,6 +194,7 @@ func (h *helperScan) scan() {
 		}
 		h.collectLogs(ord, l)
 	}
+	return ok
 }
 
 // outcome folds the exit codes seen so far into the job's: the first

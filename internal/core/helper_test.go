@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"maps"
 	"slices"
 	"strconv"
@@ -57,7 +58,7 @@ func TestHelperScanOfUnchangedFilesAllocatesNothing(t *testing.T) {
 	}
 	h := newHelperScan(p, jobID, vol, 4, 0)
 	h.scan()
-	if n := testing.AllocsPerRun(100, h.scan); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { h.scan() }); n != 0 {
 		t.Fatalf("a scan of unchanged files made %.0f allocations, want 0", n)
 	}
 	if got := logTexts(p, jobID); !slices.Equal(got, []string{"iteration 1/10", "iteration 1/10", "iteration 1/10", "iteration 1/10"}) {
@@ -208,5 +209,74 @@ func TestStdoutShippedCountsBothLayouts(t *testing.T) {
 		if !maps.Equal(got, tc.want) {
 			t.Fatalf("from %d: shipped bytes %v, want %v", tc.from, got, tc.want)
 		}
+	}
+}
+
+// TestHelperRetriesFailedDonePut pins that the helper puts the done key
+// until a put succeeds. Every etcd member is cut off while a job runs,
+// so the done put of the finished job fails across the etcd policy's
+// attempts. The Guardian holds no timer for a job whose watch is
+// healthy, so a put the helper gave up on would leave the job
+// PROCESSING forever; here, once the cluster heals, the helper's retry
+// timer lands the put and the job completes.
+func TestHelperRetriesFailedDonePut(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	p := newFakeClockPlatform(t, fc, func(c *Config) {
+		c.TimeCompression = 1e-3
+		c.HeartbeatInterval = 2 * time.Minute
+		c.NodeGracePeriod = 10 * time.Minute
+	})
+	fc.StartAutoAdvance(time.Millisecond)
+	c := p.Client()
+	ctx := context.Background()
+	m := testManifest()
+	m.DataPrefix, m.Iterations, m.CheckpointEvery = "mnist/", 300, 0
+	jobID, err := c.Submit(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	st, err := c.WaitForStatus(wctx, jobID, StatusProcessing, p.cfg.PollInterval)
+	cancel()
+	if err != nil || st != StatusProcessing {
+		t.Fatalf("%s reached %s (err %v), want PROCESSING", jobID, st, err)
+	}
+	fc.StopAutoAdvance()
+	res, ok := p.getResources(jobID)
+	if !ok {
+		t.Fatal("no resources for the running job")
+	}
+	if _, err := res.volume.ReadFile("learners/0/exit"); err == nil {
+		t.Fatal("the learner exited before etcd was cut off; raise Iterations")
+	}
+	for i := range p.Etcd.Replicas() {
+		p.Etcd.Isolate(i, true)
+	}
+
+	fc.StartAutoAdvance(time.Millisecond)
+	waitUntil(t, "the learner exits", 30*time.Second, func() bool {
+		_, err := res.volume.ReadFile("learners/0/exit")
+		return err == nil
+	})
+	// Each attempt waits out the proposal timeout (5s); three attempts
+	// with their backoff take under a minute of virtual time.
+	exited := fc.Now()
+	waitUntil(t, "a virtual minute past the exit", 30*time.Second, func() bool { return fc.Since(exited) > time.Minute })
+	if st, err := p.jobStatus(jobID); err != nil || st != StatusProcessing {
+		t.Fatalf("with etcd cut off the job is %s (err %v), want PROCESSING", st, err)
+	}
+	for i := range p.Etcd.Replicas() {
+		p.Etcd.Isolate(i, false)
+	}
+	healed := fc.Now()
+	waitUntil(t, "the job completes after the heal", 30*time.Second, func() bool {
+		st, err := p.jobStatus(jobID)
+		if err == nil && st != StatusProcessing && st != StatusStoring && st != StatusCompleted {
+			t.Fatalf("the job went %s", st)
+		}
+		return err == nil && st == StatusCompleted
+	})
+	if d := fc.Since(healed); d > time.Minute {
+		t.Fatalf("the job completed %v of virtual time after the heal", d)
 	}
 }

@@ -77,6 +77,7 @@ func docToRecord(d mongo.Doc) JobRecord {
 		rec.Status = JobStatus(s)
 	}
 	if hist, ok := d["history"].([]any); ok {
+		rec.History = make([]StatusEntry, 0, len(hist))
 		for _, h := range hist {
 			hd, ok := h.(mongo.Doc)
 			if !ok {
@@ -188,7 +189,7 @@ func (p *Platform) setJobStatus(jobID string, to JobStatus, msg string) error {
 	err := p.mongoDo(func() error {
 		return p.Jobs.UpdateOne(mongo.Filter{"_id": jobID}, mongo.Update{
 			Set: mongo.Doc{"status": string(to)},
-			Push: map[string]any{"history": map[string]any{
+			Push: map[string]any{"history": mongo.Doc{
 				"status": string(to), "time": now.Format(time.RFC3339Nano), "message": msg,
 			}},
 		})

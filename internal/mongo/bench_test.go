@@ -17,7 +17,7 @@ func seedJob(b *testing.B, c *Collection, id string, n int) {
 	}
 }
 
-// BenchmarkMongoFindOneLongHistory measures the copy-on-write read
+// BenchmarkMongoFindOneLongHistory measures the primary-key read
 // path: fetching a job document dragging a 1000-entry history.
 func BenchmarkMongoFindOneLongHistory(b *testing.B) {
 	db := NewDB()

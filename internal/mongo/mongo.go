@@ -6,15 +6,21 @@
 // The paper stores job metadata, identifiers, resource requirements,
 // user ids, status history and other long-lived business artifacts here
 // (§3.2); the API surface below covers exactly that usage: documents are
-// inserted, read, updated and upserted, never deleted.
+// inserted, read, updated and upserted, never deleted. A stored document
+// is immutable: reads hand out the stored map and writes keep the values
+// they are given, so neither copies a document (see Doc).
 package mongo
 
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"maps"
+	"reflect"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
+	"testing"
 	"time"
 
 	"github.com/ffdl/ffdl/internal/commitlog"
@@ -28,63 +34,57 @@ import (
 // document names its own string _id, and filters and updates address
 // top-level fields only.
 //
-// # Copy-on-write semantics
+// # Immutable once stored
 //
-// Documents handed out by reads (Find, FindOne, OplogImage, change-stream
-// events) are copy-on-write views: the top-level map is a private copy,
-// but nested documents and slices are SHARED with the store. The
-// mutation rules callers must follow:
+// A stored document is never written again: every update stores a new
+// top-level map in place of the old one. So reads (Find, FindOne,
+// OplogImage, change-stream events) hand out the stored map itself, and
+// writes (Insert, UpdateOne, Upsert) keep the values they are given. The
+// rules callers must follow:
 //
-//   - Top-level fields of a returned Doc may be freely assigned.
-//   - Nested values (anything below the top level) are read-only; a
-//     caller that needs to mutate them must DeepClone the Doc first.
-//   - All store-side mutations go through Update, which replaces
-//     top-level values on a fresh copy of the top-level map and never
-//     writes a nested container in place, so a view taken before an
-//     update never observes it.
+//   - A Doc a read returned is read-only, at every depth, and stays as
+//     it was when read: later updates never show in it.
+//   - A value handed to a write belongs to the store once the write is
+//     made; the caller must not write it afterwards.
+//   - The store writes a value it was handed for one reason only: a
+//     nested map[string]any becomes a Doc by type conversion in place,
+//     which shares the map (see own).
 //
-// This is what makes reads O(top-level fields) instead of O(document):
-// a job document dragging a 10k-entry status history clones in constant
-// time. See docs/architecture.md ("Throughput & batching").
+// This makes a read O(1) per document, whatever its status history
+// holds. In test binaries a mutation detector enforces the rule for
+// top-level fields (see Collection.check).
 type Doc map[string]any
 
-// Clone returns a copy-on-write view of the document: a fresh top-level
-// map sharing nested values with the original. See the Doc mutation
-// rules; use DeepClone before mutating nested state.
-func (d Doc) Clone() Doc {
-	out := make(Doc, len(d))
-	for k, v := range d {
-		out[k] = v
-	}
-	return out
-}
+// Clone returns a fresh top-level map holding d's values: nested
+// documents and lists are shared, not copied.
+func (d Doc) Clone() Doc { return maps.Clone(d) }
 
-// DeepClone fully copies the document, including nested documents and
-// slices, yielding a view the caller may mutate arbitrarily.
-func (d Doc) DeepClone() Doc {
-	out := make(Doc, len(d))
-	for k, v := range d {
-		out[k] = cloneValue(v)
-	}
-	return out
-}
-
-// cloneValue deep-copies a value, storing a map[string]any as a Doc.
-func cloneValue(v any) any {
+// own returns v as the store keeps it: a map[string]any, at any depth,
+// becomes a Doc. The conversion shares the map, so a value the store
+// was handed is written only where a list element or a document field
+// holds a map[string]any; a value without one is only read.
+func own(v any) any {
 	switch x := v.(type) {
-	case Doc:
-		return x.DeepClone()
 	case map[string]any:
-		return Doc(x).DeepClone()
-	case []any:
-		out := make([]any, len(x))
-		for i, e := range x {
-			out[i] = cloneValue(e)
+		return own(Doc(x))
+	case Doc:
+		for k, e := range x {
+			if _, plain := e.(map[string]any); plain {
+				x[k] = own(e)
+			} else {
+				own(e)
+			}
 		}
-		return out
-	default:
-		return v
+	case []any:
+		for i, e := range x {
+			if _, plain := e.(map[string]any); plain {
+				x[i] = own(e)
+			} else {
+				own(e)
+			}
+		}
 	}
+	return v
 }
 
 // Filter is an equality query: top-level field → value. A document
@@ -115,23 +115,24 @@ type Update struct {
 	Push map[string]any
 }
 
-// apply mutates d, the store's private copy of a document's top-level
-// map. Nested containers may be shared with reader views, so none is
-// written in place: Set replaces the top-level value.
+// apply writes u into d, the next version's fresh top-level map. Nested
+// containers are shared with stored versions and the reads that handed
+// them out, so none is written in place: Set replaces the top-level
+// value.
 //
 // Push deliberately appends WITHOUT copying the array: versions of a
 // stored document form a linear history (writes are serialized per
 // collection), so the append writes at an index beyond the length of
-// every previously handed-out view — invisible to all of them. This is
+// every earlier version's array — invisible to every read. This is
 // what makes a status-history append O(1) amortized instead of
 // O(history).
 func (u Update) apply(d Doc) {
 	for k, v := range u.Set {
-		d[k] = cloneValue(v)
+		d[k] = own(v)
 	}
 	for k, v := range u.Push {
 		arr, _ := d[k].([]any)
-		d[k] = append(arr, cloneValue(v))
+		d[k] = append(arr, own(v))
 	}
 }
 
@@ -163,6 +164,82 @@ type Collection struct {
 	docs    map[string]Doc
 	indexes map[string]map[string][]string // field -> string value -> ids
 	db      *DB
+	// prints holds each stored document's fingerprint by _id in test
+	// binaries, and is nil otherwise (see check).
+	prints map[string]uint64
+}
+
+// check is the mutation detector, after kube's, and runs only in test
+// binaries: it panics if document id's stored version d no longer
+// matches the fingerprint taken when d was stored. A document is
+// checked at its next write and at DB.Close.
+func (c *Collection) check(id string, d Doc) {
+	if c.prints != nil && fingerprint(d) != c.prints[id] {
+		panic("mongo: stored document " + c.name + "/" + id + " was mutated")
+	}
+}
+
+// track fingerprints d, which is being stored under id.
+func (c *Collection) track(id string, d Doc) {
+	if c.prints != nil {
+		c.prints[id] = fingerprint(d)
+	}
+}
+
+// checkAll runs check over every stored document.
+func (c *Collection) checkAll() {
+	if c.prints == nil {
+		return
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for id, d := range c.docs {
+		c.check(id, d)
+	}
+}
+
+// printSeed seeds the fingerprints of one process.
+var printSeed = maphash.MakeSeed()
+
+// fingerprint hashes d's top-level fields without allocating: each key
+// with its value's identity — a scalar's value, a nested document's or
+// list's address, and a list's length. The per-field hashes are summed,
+// so map order does not matter, and nothing below the top level is
+// read: the cost is O(top-level fields).
+func fingerprint(d Doc) uint64 {
+	sum := uint64(len(d))
+	for k, v := range d {
+		var h, tag uint64
+		switch x := v.(type) {
+		case nil:
+		case string:
+			h, tag = maphash.String(printSeed, x), 1
+		case int:
+			h, tag = uint64(x), 2
+		case bool:
+			if x {
+				h = 1
+			}
+			tag = 3
+		case Doc, map[string]any:
+			h, tag = uint64(reflect.ValueOf(x).Pointer()), 4
+		case []any:
+			h, tag = uint64(reflect.ValueOf(x).Pointer())^mix(uint64(len(x))), 5
+		default:
+			tag = 6 // a type the codec refuses at the write
+		}
+		sum += mix(maphash.String(printSeed, k) ^ mix(h+tag))
+	}
+	return sum
+}
+
+// mix is a 64-bit finalizer (MurmurHash3's fmix64).
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // EnsureIndex builds a hash index over a field's string values to
@@ -205,10 +282,9 @@ func (c *Collection) indexMoveLocked(prev, next Doc, id string) {
 	}
 }
 
-// Insert stores a document under its string _id, which it returns; a
-// document without one is refused. The input is deep-copied: the store
-// must never alias caller-owned memory, or later caller mutations would
-// corrupt the copy-on-write views reads hand out.
+// Insert stores d under its string _id, which it returns; a document
+// without one is refused. The store keeps d itself, so the caller must
+// not write d once it is handed over (see the Doc rules).
 func (c *Collection) Insert(d Doc) (string, error) {
 	defer c.db.opEnd(c.db.opStart())
 	if c.db.Unavailable() {
@@ -218,53 +294,45 @@ func (c *Collection) Insert(d Doc) (string, error) {
 	if id == "" {
 		return "", errNoID
 	}
-	stored := d.DeepClone()
+	own(d)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return id, c.insertLocked(id, stored)
+	return id, c.insertLocked(id, d)
 }
 
 // insertLocked installs a new document the store already owns.
-func (c *Collection) insertLocked(id string, stored Doc) error {
+func (c *Collection) insertLocked(id string, d Doc) error {
 	if _, exists := c.docs[id]; exists {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
 	// The entry is logged first: an insert the oplog refused is not
 	// acknowledged and leaves no document behind. Stored maps are never
 	// written in place, so the oplog entry and the document share one.
-	if err := c.db.logOp(op{Kind: "insert", Coll: c.name, Doc: stored}); err != nil {
+	if err := c.db.logOp(op{Kind: "insert", Coll: c.name, Doc: d}); err != nil {
 		return err
 	}
-	c.docs[id] = stored
-	c.indexMoveLocked(nil, stored, id)
+	c.docs[id] = d
+	c.track(id, d)
+	c.indexMoveLocked(nil, d, id)
 	return nil
 }
 
-// candidatesLocked returns ids potentially matching the filter: the
-// primary key directly for an _id filter (the hottest query shape —
-// every status transition reads by _id), a hash index when the filter
-// names an indexed field with a string value, and a full scan otherwise.
-func (c *Collection) candidatesLocked(f Filter) []string {
+// candidatesLocked returns the ids potentially matching the filter: the
+// primary key for an _id filter, or a hash index's list when the filter
+// names an indexed field with a string value — the index's own slice,
+// which the caller must not modify. all reports that neither narrows
+// the filter: every document is a candidate, and ids is nil.
+func (c *Collection) candidatesLocked(f Filter) (ids []string, all bool) {
 	if id, ok := f["_id"].(string); ok {
-		if _, exists := c.docs[id]; exists {
-			return []string{id}
-		}
-		return nil
+		return []string{id}, false
 	}
 	for field, v := range f {
 		key, isStr := v.(string)
 		if idx, ok := c.indexes[field]; ok && isStr {
-			ids := idx[key]
-			out := make([]string, len(ids))
-			copy(out, ids)
-			return out
+			return idx[key], false
 		}
 	}
-	out := make([]string, 0, len(c.docs))
-	for id := range c.docs {
-		out = append(out, id)
-	}
-	return out
+	return nil, true
 }
 
 // FindOne returns the first matching document (in _id order for
@@ -280,7 +348,7 @@ func (c *Collection) FindOne(f Filter) (Doc, error) {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
 		if d, found := c.docs[id]; found {
-			return d.Clone(), nil
+			return d, nil
 		}
 		return nil, ErrNotFound
 	}
@@ -292,7 +360,7 @@ func (c *Collection) FindOne(f Filter) (Doc, error) {
 }
 
 // OplogImage returns document id's newest post-image as the retained
-// oplog holds it — a copy-on-write view, like FindOne's — without
+// oplog holds it — read-only, like FindOne's — without
 // touching the collection. It is the package's one model of a read from
 // a caught-up secondary (§3.2 replicates MongoDB for availability): it
 // answers even while SetUnavailable is on, and degraded status reads
@@ -317,7 +385,7 @@ func (c *Collection) OplogImage(id string) (Doc, bool) {
 	if !ok || o.Doc == nil {
 		return nil, false // an undecodable record
 	}
-	return o.Doc.Clone(), true
+	return o.Doc, true
 }
 
 // FindOpts shape Find results.
@@ -327,12 +395,11 @@ type FindOpts struct {
 	SortBy string
 }
 
-// Find returns copy-on-write views of all matching documents in SortBy
-// order (see the Doc mutation rules) — nil, never an empty slice, while
-// the primary is unavailable, which is how callers that must not
-// mistake an outage for "no documents" tell the two apart. Matching and
-// sorting run against the stored documents under the read lock; only
-// the sorted result is cloned.
+// Find returns the stored documents that match, read-only (see the Doc
+// rules), in SortBy order — nil, never an empty slice, while the
+// primary is unavailable, which is how callers that must not mistake an
+// outage for "no documents" tell the two apart. The result slice is the
+// caller's own; the documents it holds are shared.
 func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	defer c.db.opEnd(c.db.opStart())
 	if c.db.Unavailable() {
@@ -340,27 +407,32 @@ func (c *Collection) Find(f Filter, opts FindOpts) []Doc {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := c.candidatesLocked(f)
-	matched := make([]Doc, 0, len(ids))
-	for _, id := range ids {
-		d, ok := c.docs[id]
-		if ok && f.matches(d) {
-			matched = append(matched, d)
+	ids, all := c.candidatesLocked(f)
+	var out []Doc
+	if all {
+		out = make([]Doc, 0, len(c.docs))
+		for _, d := range c.docs {
+			if f.matches(d) {
+				out = append(out, d)
+			}
+		}
+	} else {
+		out = make([]Doc, 0, len(ids))
+		for _, id := range ids {
+			if d, ok := c.docs[id]; ok && f.matches(d) {
+				out = append(out, d)
+			}
 		}
 	}
 	sortBy := opts.SortBy
 	if sortBy == "" {
 		sortBy = "_id"
 	}
-	sort.SliceStable(matched, func(i, j int) bool {
-		vi, _ := matched[i][sortBy].(string)
-		vj, _ := matched[j][sortBy].(string)
-		return vi < vj
+	slices.SortStableFunc(out, func(a, b Doc) int {
+		va, _ := a[sortBy].(string)
+		vb, _ := b[sortBy].(string)
+		return strings.Compare(va, vb)
 	})
-	out := make([]Doc, len(matched))
-	for i, d := range matched {
-		out[i] = d.Clone()
-	}
 	return out
 }
 
@@ -386,29 +458,46 @@ func (c *Collection) updateLocked(f Filter, u Update) error {
 		}
 		return ErrNotFound
 	}
-	ids := c.candidatesLocked(f)
-	sort.Strings(ids)
-	for _, id := range ids {
-		if d, ok := c.docs[id]; ok && f.matches(d) {
-			return c.replaceLocked(id, d, u)
+	// The first match in _id order: the least matching id.
+	var first string
+	var match Doc
+	consider := func(id string, d Doc) {
+		if (match == nil || id < first) && f.matches(d) {
+			first, match = id, d
 		}
 	}
-	return ErrNotFound
+	if ids, all := c.candidatesLocked(f); all {
+		for id, d := range c.docs {
+			consider(id, d)
+		}
+	} else {
+		for _, id := range ids {
+			if d, ok := c.docs[id]; ok {
+				consider(id, d)
+			}
+		}
+	}
+	if match == nil {
+		return ErrNotFound
+	}
+	return c.replaceLocked(first, match, u)
 }
 
 // replaceLocked installs u applied to document id's stored version d.
-// The update builds the next version in a copy-on-write view, which is
-// also the oplog entry; only a logged version is installed, so an update
-// the oplog refused is not acknowledged and leaves the stored document
-// as it was.
+// The next version is a fresh top-level map — the one copy a write
+// makes — and is also the oplog entry; only a logged version is
+// installed, so an update the oplog refused is not acknowledged and
+// leaves the stored document as it was.
 func (c *Collection) replaceLocked(id string, d Doc, u Update) error {
+	c.check(id, d)
 	next := d.Clone()
 	u.apply(next)
-	next["_id"] = id // _id is immutable
+	next["_id"] = d["_id"] // _id is immutable; the stored value is already boxed
 	if err := c.db.logOp(op{Kind: "update", Coll: c.name, Doc: next}); err != nil {
 		return err
 	}
 	c.docs[id] = next
+	c.track(id, next)
 	c.indexMoveLocked(d, next, id)
 	return nil
 }
@@ -427,7 +516,10 @@ func (c *Collection) Upsert(f Filter, u Update) error {
 	if err := c.updateLocked(f, u); !errors.Is(err, ErrNotFound) {
 		return err
 	}
-	d := Doc(f).DeepClone()
+	d := make(Doc, len(f)+len(u.Set)+len(u.Push))
+	for k, v := range f {
+		d[k] = own(v)
+	}
 	u.apply(d)
 	id, _ := d["_id"].(string)
 	if id == "" {
@@ -606,8 +698,15 @@ func Open(store commitlog.SegmentStore, opts Options) (*DB, error) {
 }
 
 // Close closes the oplog and its store: every later write fails with
-// ErrUnavailable, while reads still answer from the collections.
+// ErrUnavailable, while reads still answer from the collections. In test
+// binaries it runs the mutation detector over every stored document.
 func (db *DB) Close() error {
+	db.mu.Lock()
+	colls := slices.Collect(maps.Values(db.colls))
+	db.mu.Unlock()
+	for _, c := range colls {
+		c.checkAll()
+	}
 	return db.oplog.Close()
 }
 
@@ -622,6 +721,7 @@ func (db *DB) applyRecovered(o op) {
 	c.mu.Lock()
 	c.indexMoveLocked(c.docs[id], o.Doc, id)
 	c.docs[id] = o.Doc
+	c.track(id, o.Doc)
 	c.mu.Unlock()
 }
 
@@ -643,6 +743,9 @@ func (db *DB) C(name string) *Collection {
 		docs:    make(map[string]Doc),
 		indexes: make(map[string]map[string][]string),
 		db:      db,
+	}
+	if testing.Testing() {
+		c.prints = make(map[string]uint64)
 	}
 	db.colls[name] = c
 	return c
@@ -730,9 +833,9 @@ type ChangeEvent struct {
 	Seq  uint64
 	Kind string // "insert", "update" or "resync"
 	Coll string
-	// Doc is the full post-image (nil on a resync marker). It is a
-	// copy-on-write view the consumer may retain; nested values are
-	// read-only (DeepClone before mutating — see the Doc mutation rules).
+	// Doc is the full post-image (nil on a resync marker): a stored
+	// version the consumer may retain but must not write (see the Doc
+	// rules).
 	Doc Doc
 	// ID is the _id of the affected document.
 	ID string
@@ -809,7 +912,7 @@ func (db *DB) Watch(coll string, fromSeq uint64) *ChangeStream {
 			}
 			ev := ChangeEvent{Seq: o.Seq, Kind: o.Kind, Coll: o.Coll}
 			if o.Doc != nil {
-				ev.Doc = o.Doc.Clone()
+				ev.Doc = o.Doc
 				ev.ID, _ = o.Doc["_id"].(string)
 			}
 			select {

@@ -3,6 +3,7 @@ package mongo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -345,31 +346,65 @@ func TestIndexMovesOnlyChangedKeys(t *testing.T) {
 	}
 }
 
+// mutationPanic runs fn and returns what it panicked with, or nil.
+func mutationPanic(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// TestCloneIsolation pins the mutation detector: a read returns the
+// stored document itself, so assigning a field of it writes the store,
+// and the detector panics at the document's next write and at Close.
+// An untouched document passes both, and so does a document whose
+// fields are reassigned to the values they held.
 func TestCloneIsolation(t *testing.T) {
 	db := NewDB()
 	c := db.C("jobs")
-	if _, err := c.Insert(Doc{"_id": "j1", "cfg": Doc{"gpus": 2}}); err != nil {
+	for _, id := range []string{"j1", "j2", "j3"} {
+		if _, err := c.Insert(Doc{"_id": id, "status": "PENDING", "cfg": Doc{"gpus": 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, _ := c.FindOne(Filter{"_id": "j1"})
+	d["status"] = "FAILED"
+	const want = "mongo: stored document jobs/j1 was mutated"
+	if r := mutationPanic(func() { c.UpdateOne(Filter{"_id": "j1"}, Update{Set: Doc{"n": 1}}) }); r != want { //nolint:errcheck
+		t.Fatalf("update after a write to a read's doc panicked with %v, want %q", r, want)
+	}
+	if r := mutationPanic(func() { db.Close() }); r != want { //nolint:errcheck
+		t.Fatalf("Close after a write to a read's doc panicked with %v, want %q", r, want)
+	}
+	d["status"] = "PENDING" // back to the stored value
+	if err := c.UpdateOne(Filter{"_id": "j1"}, Update{Set: Doc{"n": 1}}); err != nil {
 		t.Fatal(err)
 	}
-	// Returned docs are copy-on-write views: top-level assignment is
-	// free, nested mutation requires DeepClone (the documented rules).
-	d, _ := c.FindOne(Filter{"_id": "j1"})
-	d["status"] = "FAILED" // top-level: never visible to the store
-	mine := d.DeepClone()
-	mine["cfg"].(Doc)["gpus"] = 99 // nested mutation on the deep copy
-	d2, _ := c.FindOne(Filter{"_id": "j1"})
-	if g := d2["cfg"].(Doc)["gpus"]; g != 2 {
-		t.Fatal("stored document mutated through DeepClone")
+
+	// A field added to, or deleted from, a doc handed to Insert is a
+	// mutation too: the store keeps that map.
+	mine := Doc{"_id": "j4", "status": "PENDING"}
+	if _, err := c.Insert(mine); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := d2["status"]; ok {
-		t.Fatal("stored document grew a field from a view's top-level write")
+	delete(mine, "status")
+	if r := mutationPanic(func() { c.UpdateOne(Filter{"_id": "j4"}, Update{Set: Doc{"n": 1}}) }); r == nil { //nolint:errcheck
+		t.Fatal("a field deleted from an inserted doc went undetected")
+	}
+	mine["status"] = "PENDING"
+	// Replacing a nested doc by an equal one changes the field's
+	// identity, so it is detected as well.
+	d2, _ := c.FindOne(Filter{"_id": "j2"})
+	d2["cfg"] = Doc{"gpus": 2}
+	if r := mutationPanic(func() { db.Close() }); r != "mongo: stored document jobs/j2 was mutated" { //nolint:errcheck
+		t.Fatalf("Close after a nested doc was replaced panicked with %v", r)
 	}
 }
 
-// TestCOWViewImmuneToLaterUpdates pins the copy-on-write invariant: a
-// view taken before an update never observes it, even though nested
-// containers are shared — updates replace top-level values and history
-// pushes append beyond every handed-out length.
+// TestCOWViewImmuneToLaterUpdates pins that a stored version is
+// immutable: a document read before an update never observes it, even
+// though nested containers are shared — updates replace top-level
+// values on a new top-level map and history pushes append beyond every
+// earlier version's length.
 func TestCOWViewImmuneToLaterUpdates(t *testing.T) {
 	db := NewDB()
 	c := db.C("jobs")
@@ -405,10 +440,9 @@ func TestCOWViewImmuneToLaterUpdates(t *testing.T) {
 	}
 }
 
-// TestCloneAllocBudgetWithLongHistory pins the tentpole read-path
-// property: cloning a job document with a 1000-entry status history is
-// O(top-level fields), not O(history). The deep-copy equivalent costs
-// thousands of allocations.
+// TestCloneAllocBudgetWithLongHistory pins the cost of the one copy an
+// update makes: cloning a job document with a 1000-entry status history
+// is O(top-level fields), not O(history).
 func TestCloneAllocBudgetWithLongHistory(t *testing.T) {
 	d := Doc{"_id": "j1", "status": "PROCESSING", "user": "alice"}
 	hist := make([]any, 1000)
@@ -423,12 +457,6 @@ func TestCloneAllocBudgetWithLongHistory(t *testing.T) {
 	_ = sink
 	if allocs > 4 {
 		t.Fatalf("Clone allocations = %.1f, budget 4 (O(1)-ish); deep copy would be O(history)", allocs)
-	}
-	deep := testing.AllocsPerRun(10, func() {
-		sink = d.DeepClone()
-	})
-	if deep < 1000 {
-		t.Fatalf("DeepClone allocations = %.1f; expected O(history) — is the guard measuring the right thing?", deep)
 	}
 }
 
@@ -619,9 +647,11 @@ func TestFindMatchesNaiveScanProperty(t *testing.T) {
 }
 
 // TestUpdateByIDAllocs pins the cost of a primary-key update — every
-// status write is one — at an exact count: it reads the document from
-// the map, with no candidate list built or sorted, and the rest of the
-// filter (a guard such as tenancy's "preempted") is still checked.
+// status write is one — at an exact count, with the mutation detector
+// on: it reads the document from the map, with no candidate list built
+// or sorted, copies its top-level map once without re-boxing the _id,
+// and the rest of the filter (a guard such as tenancy's "preempted") is
+// still checked.
 func TestUpdateByIDAllocs(t *testing.T) {
 	db := NewDB()
 	c := db.C("jobs")
@@ -635,8 +665,8 @@ func TestUpdateByIDAllocs(t *testing.T) {
 		filter Filter
 		want   float64
 	}{
-		{"_id", Filter{"_id": "j1"}, 6},
-		{"_id and guard", Filter{"_id": "j1", "preempted": true}, 6},
+		{"_id", Filter{"_id": "j1"}, 5},
+		{"_id and guard", Filter{"_id": "j1", "preempted": true}, 5},
 	} {
 		n := 0
 		got := testing.AllocsPerRun(200, func() {
@@ -658,4 +688,230 @@ func TestUpdateByIDAllocs(t *testing.T) {
 	if d, _ := c.FindOne(Filter{"_id": "j1"}); d["status"] == "C" {
 		t.Fatal("an update that matched nothing changed the document")
 	}
+}
+
+// TestReadsShareStoredDocs pins the read half of "immutable once
+// stored": FindOne allocates nothing and returns the stored map, and
+// Find's allocations do not grow with the number of documents it
+// returns — on an index, on a full scan and sorted by another field.
+func TestReadsShareStoredDocs(t *testing.T) {
+	db := NewDB()
+	c := db.C("jobs")
+	c.EnsureIndex("user")
+	for i := 0; i < 1010; i++ {
+		user := "many"
+		if i >= 1000 {
+			user = "few"
+		}
+		hist := []any{Doc{"status": "PENDING"}, Doc{"status": "PROCESSING"}}
+		if _, err := c.Insert(Doc{"_id": fmt.Sprintf("j%04d", i), "user": user, "submitted": fmt.Sprint(2000 - i), "history": hist}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := c.FindOne(Filter{"_id": "j0007"})
+	b, _ := c.FindOne(Filter{"_id": "j0007"})
+	if reflect.ValueOf(a).Pointer() != reflect.ValueOf(b).Pointer() {
+		t.Fatal("two reads of one version returned two maps")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.FindOne(Filter{"_id": "j0007"}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("FindOne made %.0f allocations, want 0", n)
+	}
+	find := func(f Filter, opts FindOpts, want int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if got := len(c.Find(f, opts)); got != want {
+				t.Fatalf("Find(%v) = %d docs, want %d", f, got, want)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name      string
+		many, few Filter
+		opts      FindOpts
+	}{
+		{"index", Filter{"user": "many"}, Filter{"user": "few"}, FindOpts{}},
+		{"index sorted by another field", Filter{"user": "many"}, Filter{"user": "few"}, FindOpts{SortBy: "submitted"}},
+	} {
+		many, few := find(tc.many, tc.opts, 1000), find(tc.few, tc.opts, 10)
+		if many != few || many > 1 {
+			t.Errorf("%s: Find of 1,000 docs made %.0f allocations and of 10 made %.0f; want the same, at most 1", tc.name, many, few)
+		}
+	}
+	if n := find(Filter{}, FindOpts{}, 1010); n > 1 {
+		t.Errorf("a full-scan Find of 1,010 docs made %.0f allocations, want at most 1", n)
+	}
+	docs := c.Find(Filter{"user": "many"}, FindOpts{})
+	if reflect.ValueOf(docs[7]).Pointer() != reflect.ValueOf(a).Pointer() {
+		t.Fatal("Find and FindOne returned different maps for one version")
+	}
+}
+
+// TestSharedPushValueIsNotWritten pins the write half: one flat
+// map[string]any pushed into 1,000 documents — the shape of a shared
+// Update value reused by every call — reads back as a Doc from each,
+// sharing the map, and the store never writes it. Under -race a write
+// would race with the reader that ranges over the map throughout.
+func TestSharedPushValueIsNotWritten(t *testing.T) {
+	const docs, writers = 1000, 4
+	db := NewDB()
+	c := db.C("jobs")
+	for i := 0; i < docs; i++ {
+		if _, err := c.Insert(Doc{"_id": fmt.Sprintf("j%04d", i), "history": []any{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := map[string]any{"status": "PROCESSING", "time": "t", "message": "m"}
+	push := Update{Set: Doc{"status": "PROCESSING"}, Push: map[string]any{"history": entry}}
+	stop := make(chan struct{})
+	read := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				read <- n
+				return
+			default:
+			}
+			for _, v := range entry {
+				if v == nil {
+					n--
+				}
+				n++
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < docs; i += writers {
+				if err := c.UpdateOne(Filter{"_id": fmt.Sprintf("j%04d", i)}, push); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-read
+	for _, d := range c.Find(Filter{}, FindOpts{}) {
+		hist := d["history"].([]any)
+		got, ok := hist[0].(Doc)
+		if len(hist) != 1 || !ok || reflect.ValueOf(got).Pointer() != reflect.ValueOf(entry).Pointer() {
+			t.Fatalf("%s history = %#v, want the pushed map as a Doc", d["_id"], hist)
+		}
+	}
+	if len(entry) != 3 || entry["status"] != "PROCESSING" {
+		t.Fatalf("the shared value changed: %v", entry)
+	}
+	db.Close() //nolint:errcheck // runs the mutation detector
+}
+
+// TestReadersHoldDocsWhileWritersUpdate runs readers that hold FindOne
+// and Find results, and walk them, while writers update and push to
+// the same documents. A held document never changes: its status and
+// history length stay as read, and every entry it holds keeps its
+// value. Run it under -race: reads share the stored maps and arrays
+// that writes copy and append to.
+func TestReadersHoldDocsWhileWritersUpdate(t *testing.T) {
+	const ids, writers, readers, rounds = 8, 2, 4, 300
+	db := NewDB()
+	c := db.C("jobs")
+	c.EnsureIndex("user")
+	for i := 0; i < ids; i++ {
+		if _, err := c.Insert(Doc{"_id": fmt.Sprintf("j%d", i), "user": "alice", "status": "0", "history": []any{Doc{"n": 0}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check verifies a held doc against what it held when read.
+	check := func(d Doc, status string, n int) error {
+		hist := d["history"].([]any)
+		if d["status"] != status || len(hist) != n {
+			return fmt.Errorf("%s changed: status %v (read %s), %d entries (read %d)", d["_id"], d["status"], status, len(hist), n)
+		}
+		for i, e := range hist {
+			if e.(Doc)["n"] != i {
+				return fmt.Errorf("%s entry %d = %v", d["_id"], i, e)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				id := fmt.Sprintf("j%d", (r*writers+w)%ids)
+				// Read-modify-write under the collection lock's order:
+				// the next entry's n is the history's length.
+				err := func() error {
+					c.mu.Lock()
+					defer c.mu.Unlock()
+					hist := c.docs[id]["history"].([]any)
+					return c.updateLocked(Filter{"_id": id}, Update{
+						Set:  Doc{"status": fmt.Sprint(len(hist))},
+						Push: map[string]any{"history": map[string]any{"n": len(hist)}},
+					})
+				}()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			type held struct {
+				d      Doc
+				status string
+				n      int
+			}
+			var hold []held
+			keep := func(d Doc) {
+				hist := d["history"].([]any)
+				hold = append(hold, held{d, fmt.Sprint(len(hist) - 1), len(hist)})
+			}
+			for i := 0; i < rounds; i++ {
+				if d, err := c.FindOne(Filter{"_id": fmt.Sprintf("j%d", (i+r)%ids)}); err == nil {
+					keep(d)
+				}
+				if i%10 == 0 {
+					for _, d := range c.Find(Filter{"user": "alice"}, FindOpts{}) {
+						keep(d)
+					}
+				}
+				for _, h := range hold {
+					if err := check(h.d, h.status, h.n); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if len(hold) > 64 {
+					hold = hold[len(hold)-16:]
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	total := 0
+	for _, d := range c.Find(Filter{}, FindOpts{}) {
+		n := len(d["history"].([]any))
+		if err := check(d, fmt.Sprint(n-1), n); err != nil {
+			t.Fatal(err)
+		}
+		total += n - 1
+	}
+	if total != writers*rounds {
+		t.Fatalf("%d pushes stored, want %d", total, writers*rounds)
+	}
+	db.Close() //nolint:errcheck // runs the mutation detector
 }
