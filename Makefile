@@ -35,12 +35,18 @@ test:
 # line reaches the fan-out only while a follow listens. The file store
 # holds its active segment's descriptor under a mutex that the log's
 # appends, compaction and Close all take, so its tests and the DataDir
-# stop/reopen test run three times too.
+# stop/reopen test run three times too. The tenant dispatcher keeps no
+# ticker, so a failed store read, write or LCM call is recovered only by
+# its one-shot retry and a closed status subscription only by the resync
+# that answers it: those fault tests, and the LCM-failover preemption
+# that needs the halt re-issued, run three times as well.
 race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /internal/expt)
 	$(GO) test -race ./internal/expt/...
 	$(GO) test -race -count=3 -run 'TestBatchedProposalsSurviveLeaderFailover|TestLeaderFailoverContinuesService|TestNoQuorumTimesOutEachProposalOnce|TestExactlyOnceUnderFailoverSchedule' ./internal/etcd
-	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir' ./internal/core
+	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir|TestClosedStatusSubscriptionResyncsDispatcher|TestFailedResumedReadRestoresFootprint' ./internal/core
+	$(GO) test -race -count=3 -run 'TestFailedQueuedReadDispatchesThroughOneRetry|TestFailedHaltIsIssuedAgain|TestFailedResumeLookupIsOwedToRetry' ./internal/tenant
+	$(GO) test -race -count=3 -run 'TestPreemptionSurvivesLCMFailover' ./internal/chaos
 	$(GO) test -race -count=3 -run 'TestFileStore|TestLogCloseRefusesAppends' ./internal/commitlog
 	$(GO) test -race -count=3 -run 'TestReadersHoldDocsWhileWritersUpdate|TestSharedPushValueIsNotWritten' ./internal/mongo
 
@@ -133,7 +139,7 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only cloneObject TestStoreCopiesAtBoundaries "deep-copy boundaries" "Kube store reads return deep copies" statusMu 64-slot DeepClone; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only cloneObject TestStoreCopiesAtBoundaries "deep-copy boundaries" "Kube store reads return deep copies" statusMu 64-slot DeepClone "resync tick"; do \
 		if grep -n "$$gone" README.md docs/*.md examples/*/README.md ffdl.go; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \

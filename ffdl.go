@@ -42,10 +42,10 @@
 // quiescent: its kube store emits no watch event. One cluster loop
 // renews the live kubelets' node leases, which only the node controller
 // reads, and only a Ready flip is written to the store. The tickers
-// that remain are that renewal loop, the node controller's grace check
-// and the tenant dispatcher's resync; a Guardian or the LCM arms a
-// one-shot retry timer only after a store error, and no kube control
-// loop keeps one. The watch chain end to end:
+// that remain are that renewal loop and the node controller's grace
+// check; a Guardian, the LCM or the tenant dispatcher arms a one-shot
+// retry timer only after a call that failed, and no other control loop
+// keeps one. The watch chain end to end:
 //
 //   - learners write status/exit files to the job's shared NFS volume;
 //     the helper's controller container wakes on volume writes and

@@ -14,10 +14,10 @@ import (
 // TestPreemptionSurvivesLCMFailover runs the §3.6 preemption story with
 // every LCM replica crashing at the worst moment — right as the
 // dispatcher issues the checkpoint-halt. The halt RPC may be lost
-// entirely; the dispatcher's resync safety net must re-issue it once an
-// LCM replica is back, the victim still requeues and resumes, and both
-// jobs complete. This pins that preemption is level-triggered, not a
-// fire-and-forget edge.
+// entirely; its failure arms the dispatcher's retry, whose resync must
+// re-issue it once an LCM replica is back, the victim still requeues
+// and resumes, and both jobs complete. This pins that preemption is
+// level-triggered, not a fire-and-forget edge.
 func TestPreemptionSurvivesLCMFailover(t *testing.T) {
 	p, err := core.NewPlatform(core.Config{
 		Seed:            23,

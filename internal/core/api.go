@@ -249,9 +249,7 @@ func (a *apiReplica) handleQuota(_ context.Context, arg any) (any, error) {
 }
 
 // handleSetQuota installs or updates a tenant record. The write lands
-// in MongoDB first and then goes straight to this platform's
-// dispatcher; another process's dispatcher picks it up on its next
-// resync.
+// in MongoDB first and then goes straight to the dispatcher.
 func (a *apiReplica) handleSetQuota(_ context.Context, arg any) (any, error) {
 	req := arg.(SetTenantArgs)
 	if a.p.Tenants == nil {

@@ -125,12 +125,18 @@ func TestLCMResurrectsFailedGuardianOnWatch(t *testing.T) {
 }
 
 // TestRunningJobsCostNoTicks pins the steady state of running jobs on a
-// FakeClock: an idle platform's only clock waiters are the kube's, so
-// the LCM holds none; a running job adds only its learner's, so its
-// Guardian holds none; opening a WatchStatus and a FollowLogs on every
-// running job adds none; and ten PollInterval*10 periods cost no MongoDB
-// op and no Guardian evaluation.
+// FakeClock, with tenancy off and on: an idle platform's only clock
+// waiters are the kube's, so the LCM and the tenant dispatcher hold
+// none; a running job adds only its learner's, so its Guardian holds
+// none; opening a WatchStatus and a FollowLogs on every running job adds
+// none; and ten PollInterval*10 periods cost no MongoDB op, no Guardian
+// evaluation and no dispatcher resync.
 func TestRunningJobsCostNoTicks(t *testing.T) {
+	t.Run("tenancy off", func(t *testing.T) { testRunningJobsCostNoTicks(t, nil) })
+	t.Run("tenancy on", func(t *testing.T) { testRunningJobsCostNoTicks(t, aliceTenancy) })
+}
+
+func testRunningJobsCostNoTicks(t *testing.T, tenancy func(*Config)) {
 	const jobs = 3
 	fc := sim.NewFakeClock(time.Unix(0, 0))
 	p := newFakeClockPlatform(t, fc, func(c *Config) {
@@ -139,6 +145,9 @@ func TestRunningJobsCostNoTicks(t *testing.T) {
 		// outlast all ten.
 		c.HeartbeatInterval = 2 * time.Minute
 		c.NodeGracePeriod = 10 * time.Minute
+		if tenancy != nil {
+			tenancy(c)
+		}
 	})
 	const kubeWaiters = 2 // the lease renewal loop and the node controller
 	if n := quiescentWaiters(fc); n != kubeWaiters {
@@ -203,7 +212,13 @@ func TestRunningJobsCostNoTicks(t *testing.T) {
 		h, _ := p.Obs.Snapshot().Histogram("mongo.op_latency")
 		return int64(h.Count)
 	}
-	ops0, checks0 := ops(), p.Obs.CounterValue("guardian.checks")
+	resyncs := func() uint64 {
+		if p.Dispatcher == nil {
+			return 0
+		}
+		return p.Dispatcher.Stats().Resyncs
+	}
+	ops0, checks0, resyncs0 := ops(), p.Obs.CounterValue("guardian.checks"), resyncs()
 	for i := 0; i < 10; i++ {
 		fc.Advance(p.cfg.PollInterval * 10)
 		quiescentWaiters(fc)
@@ -213,6 +228,9 @@ func TestRunningJobsCostNoTicks(t *testing.T) {
 	}
 	if n := p.Obs.CounterValue("guardian.checks") - checks0; n != 0 {
 		t.Fatalf("ten PollInterval*10 periods of running jobs cost %d Guardian evaluations, want 0", n)
+	}
+	if n := resyncs() - resyncs0; n != 0 {
+		t.Fatalf("ten PollInterval*10 periods of running jobs cost %d dispatcher resyncs, want 0", n)
 	}
 	for _, id := range ids {
 		if r, err := c.Status(ctx, id); err != nil || r.Status != StatusProcessing {

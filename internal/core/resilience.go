@@ -88,7 +88,8 @@ func newResilienceHub(cfg *Config, instruments *obs.Registry) *resilienceHub {
 			// A short failover blip is absorbed by the retries above; a
 			// real outage trips the breaker and the API degrades instead
 			// of queueing every request behind a dead store. The open
-			// window stays modest (a few safety-net ticks) so recovery
+			// window stays shorter than the PollInterval*10 delay of the
+			// LCM's and the dispatcher's one-shot retries, so recovery
 			// after a heal is prompt even on stretched-clock runs.
 			Breaker: &resilience.BreakerConfig{Threshold: 3, OpenFor: pi * 8},
 			Obs:     instruments,

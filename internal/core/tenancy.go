@@ -18,10 +18,11 @@ import (
 // pumps that turn the platform's existing watch fabric into dispatcher
 // wake-ups — job status transitions from the status bus and cluster
 // capacity from the kube node watch; quota writes reach the dispatcher
-// straight from handleSetQuota. Each is an event path only: the
-// dispatcher's resync tick re-reads the durable stores, so the status
-// events a closed bus subscription skipped delay work, never lose it,
-// and the capacity pump re-reads capacity when its node watch closes.
+// straight from handleSetQuota. Neither pump keeps a ticker: when the
+// bus closes the status subscription the pump re-subscribes and runs a
+// dispatcher Resync, which re-reads the durable stores, and the
+// capacity pump re-reads capacity when its node watch closes. A read or
+// LCM call that fails arms the dispatcher's one retry.
 
 // startTenancy boots the registry, admission controller and dispatcher.
 func (p *Platform) startTenancy(tc *TenancyConfig) error {
@@ -101,8 +102,8 @@ func (p *Platform) nodeCapacityLoop() {
 }
 
 // tenancyStatusPump translates status bus events into dispatcher notes.
-// When the bus closes its subscription on overflow it re-subscribes; the
-// dispatcher's resync recovers what the close skipped.
+// When the bus closes its subscription on overflow it re-subscribes,
+// then resyncs the dispatcher to recover what the close skipped.
 func (p *Platform) tenancyStatusPump(events <-chan StatusEvent, cancel func()) {
 	defer func() { cancel() }()
 	for {
@@ -113,17 +114,18 @@ func (p *Platform) tenancyStatusPump(events <-chan StatusEvent, cancel func()) {
 			switch st := ev.Entry.Status; {
 			case !ok:
 				events, cancel = p.bus.subscribe("", 256)
+				p.Dispatcher.Resync()
 			case st == StatusQueued:
-				if j, err := p.tenantJob(ev.JobID); err == nil {
+				if j, err := p.tenantJob(ev.JobID); err != nil {
+					p.Dispatcher.Retry() // its resync reads the job from PendingWork
+				} else {
 					p.Dispatcher.NoteQueued(j)
 				}
 			case st == StatusHalted:
 				p.Dispatcher.NoteHalted(ev.JobID)
 			case st == StatusResumed:
 				p.clearPreempted(ev.JobID)
-				if j, err := p.tenantJob(ev.JobID); err == nil {
-					p.Dispatcher.NoteResumed(j)
-				}
+				p.Dispatcher.NoteResumed(ev.JobID)
 			case st.Terminal():
 				p.clearPreempted(ev.JobID)
 				p.Dispatcher.NoteTerminal(ev.JobID)
@@ -214,23 +216,25 @@ func (b *tenantBackend) Preempt(jobID string) error {
 // dispatcher invokes Preempt/Resume while holding its mutex — with
 // Position() (API status of queued jobs) and the status pump behind it
 // — so a wedged LCM (e.g. blocked on an etcd quorum outage) must never
-// stall dispatch or user-facing status reads. Outcomes are not needed
-// synchronously: the halt/resume signals are level-triggered — the
-// HALTED/RESUMED bus events report success, and the dispatcher's
-// resync re-issues signals whose effect never appeared. The wall-clock
-// timeout is a goroutine-liveness bound, not a modeled latency.
+// stall dispatch or user-facing status reads. The HALTED/RESUMED bus
+// events report success; a call that fails arms the dispatcher's
+// retry, whose resync re-issues the halt to a victim still running and
+// requeues a victim still HALTED for its resume. The wall-clock timeout
+// is a goroutine-liveness bound, not a modeled latency.
 func (b *tenantBackend) asyncLCM(method, jobID string) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		b.lcm.Call(ctx, method, JobArgs{JobID: jobID}, nil) //nolint:errcheck // resync re-issues
+		if b.lcm.Call(ctx, method, JobArgs{JobID: jobID}, nil) != nil {
+			b.p.Dispatcher.Retry()
+		}
 	}()
 }
 
 // Resume restarts a halted victim from its latest checkpoint via the
-// LCM (asynchronously — see asyncLCM). If the signal is lost, the
-// victim stays HALTED with its preempted marker set, so the next
-// resync requeues it and retries. The marker is cleared when the
+// LCM (asynchronously — see asyncLCM). If the call fails, the victim
+// stays HALTED with its preempted marker set, so the retry's resync
+// requeues it and resumes it again. The marker is cleared when the
 // RESUMED transition lands (tenancyStatusPump), keeping it truthful if
 // this call races a user terminate.
 func (b *tenantBackend) Resume(jobID string) error {
@@ -269,14 +273,18 @@ func (b *tenantBackend) Phase(jobID string) (tenant.Phase, error) {
 // PendingWork lists, from MongoDB, the jobs awaiting the dispatcher:
 // QUEUED submissions (FCFS order is restored from their submission
 // timestamps) and preempted victims that have reached their checkpoint.
+// A read the store does not answer (Find's nil) arms the retry.
 func (b *tenantBackend) PendingWork() (queued, preempted []tenant.Job) {
-	for _, d := range b.p.Jobs.Find(mongo.Filter{"status": string(StatusQueued)}, mongo.FindOpts{SortBy: "_id"}) {
-		queued = append(queued, tenantJobFromDoc(d))
+	find := func(f mongo.Filter) (jobs []tenant.Job) {
+		docs := b.p.Jobs.Find(f, mongo.FindOpts{SortBy: "_id"})
+		if docs == nil {
+			b.p.Dispatcher.Retry()
+		}
+		for _, d := range docs {
+			jobs = append(jobs, tenantJobFromDoc(d))
+		}
+		return jobs
 	}
-	for _, d := range b.p.Jobs.Find(mongo.Filter{
-		"status": string(StatusHalted), "preempted": true,
-	}, mongo.FindOpts{SortBy: "_id"}) {
-		preempted = append(preempted, tenantJobFromDoc(d))
-	}
-	return queued, preempted
+	return find(mongo.Filter{"status": string(StatusQueued)}),
+		find(mongo.Filter{"status": string(StatusHalted), "preempted": true})
 }

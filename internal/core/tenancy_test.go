@@ -39,7 +39,7 @@ func historyHas(history []StatusEntry, s JobStatus) bool {
 // acceptance test, on a simulated clock: an over-capacity submission is
 // not rejected — it reaches QUEUED with a queue position, and when
 // capacity frees it is dispatched event-driven, orders of magnitude
-// faster than the dispatcher's resync interval.
+// faster than the dispatcher's PollInterval*10 retry delay.
 func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 	fc := sim.NewFakeClock(time.Unix(0, 0))
 	fc.StartAutoAdvance(15 * time.Millisecond)
@@ -56,7 +56,7 @@ func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 			},
 		},
 	}
-	resync := cfg.PollInterval * 10 // the dispatcher's tick: dispatch must never wait for it
+	resync := cfg.PollInterval * 10 // the dispatcher's retry delay: dispatch must never wait for it
 	p, err := NewPlatform(cfg)
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
@@ -106,7 +106,7 @@ func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 
 	// Event-driven dispatch: j2's PENDING transition must land within a
 	// sliver of j1's terminal transition in *virtual* time — not after a
-	// resync tick.
+	// timer.
 	r1, _ := c.Status(ctx, j1)
 	r2, _ := c.Status(ctx, j2)
 	var j1Done, j2Pending time.Time
@@ -124,9 +124,9 @@ func TestOverQuotaSubmissionQueuesAndDispatchesEventDriven(t *testing.T) {
 		t.Fatalf("missing transitions: j1=%+v j2=%+v", r1.History, r2.History)
 	}
 	lat := j2Pending.Sub(j1Done)
-	t.Logf("dispatch latency after capacity freed: %v virtual (resync interval %v)", lat, resync)
+	t.Logf("dispatch latency after capacity freed: %v virtual (retry delay %v)", lat, resync)
 	if lat >= resync/100 {
-		t.Fatalf("dispatch took %v virtual — waited for something slower than events (resync %v)", lat, resync)
+		t.Fatalf("dispatch took %v virtual — waited for something slower than events (retry delay %v)", lat, resync)
 	}
 	if st := p.Dispatcher.Stats(); st.Dispatched != 2 {
 		t.Fatalf("dispatcher stats = %+v, want 2 dispatches", st)
@@ -299,7 +299,7 @@ func TestCapacityPumpAddsNoWaiter(t *testing.T) {
 	adm := sched.NewAdmission(0)
 	p := &Platform{
 		Kube:       kube.NewCluster(kube.Config{Clock: fc}),
-		Dispatcher: tenant.NewDispatcher(tenant.Config{Clock: fc, Admission: adm}), // not started: no ticker
+		Dispatcher: tenant.NewDispatcher(tenant.Config{Clock: fc, Admission: adm}), // not started
 		stopCh:     make(chan struct{}),
 	}
 	t.Cleanup(p.Kube.Stop)
@@ -325,7 +325,7 @@ func TestCapacityPumpFollowsNodeReadiness(t *testing.T) {
 	adm := sched.NewAdmission(0)
 	p := &Platform{
 		Kube:       kube.NewCluster(kube.Config{}),
-		Dispatcher: tenant.NewDispatcher(tenant.Config{Admission: adm}), // not started: no ticker
+		Dispatcher: tenant.NewDispatcher(tenant.Config{Admission: adm}), // not started
 		stopCh:     make(chan struct{}),
 	}
 	t.Cleanup(p.Kube.Stop)
@@ -340,4 +340,128 @@ func TestCapacityPumpFollowsNodeReadiness(t *testing.T) {
 	waitUntil(t, "budget without the crashed node", 3*time.Second, func() bool { return adm.ClusterCap() == 4 })
 	p.Kube.RestoreNode("node1")
 	waitUntil(t, "budget after the restore", 3*time.Second, func() bool { return adm.ClusterCap() == 8 })
+}
+
+// aliceTenancy gives alice the whole 4-GPU node of a FakeClock platform.
+func aliceTenancy(c *Config) {
+	c.Tenancy = &TenancyConfig{Quotas: []tenant.Record{{User: "alice", Tier: sched.TierPaid, GPUs: 4}}}
+}
+
+// TestFailedResumedReadRestoresFootprint: the store went down between
+// the Guardian recording a user's resume and the status pump reading
+// the job for its RESUMED event. The running job must not stay without
+// its admission footprint: the note is owed to the dispatcher's retry,
+// which restores it once the store answers.
+func TestFailedResumedReadRestoresFootprint(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	p := newFakeClockPlatform(t, fc, aliceTenancy)
+	fc.StartAutoAdvance(5 * time.Millisecond)
+	c := p.Client()
+	ctx := context.Background()
+	m := testManifest()
+	m.Iterations, m.CheckpointEvery = 1<<30, 0 // runs until terminated
+	id, err := c.Submit(ctx, m)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitStatus(t, c, id, StatusProcessing, 20*time.Second)
+	if err := c.Halt(ctx, id); err != nil {
+		t.Fatalf("Halt: %v", err)
+	}
+	waitStatus(t, c, id, StatusHalted, 20*time.Second)
+	waitUntil(t, "the halted job's footprint released", 5*time.Second, func() bool { return !p.Admission.Holds(id) })
+
+	// The window between the Guardian's RESUMED write and the pump's read
+	// is too narrow to hit with a real outage, so the event is published
+	// as the Guardian publishes it, with the store already down.
+	r, err := c.Status(ctx, id)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	p.Mongo.SetUnavailable(true)
+	p.bus.publish(id, StatusEvent{JobID: id, StatusItem: StatusItem{
+		Seq:   len(r.History) + 1,
+		Entry: StatusEntry{Status: StatusResumed, Time: fc.Now(), Message: "resumed from latest checkpoint"},
+	}})
+	time.Sleep(20 * time.Millisecond)
+	if p.Admission.Holds(id) {
+		t.Fatal("footprint restored while the store was down")
+	}
+	p.Mongo.SetUnavailable(false)
+	waitUntil(t, "the footprint restored once the store answers", 10*time.Second, func() bool { return p.Admission.Holds(id) })
+
+	// The real resume and the job's end keep the accounting whole.
+	if err := c.Resume(ctx, id); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	waitStatus(t, c, id, StatusResumed, 20*time.Second)
+	if err := c.Terminate(ctx, id); err != nil {
+		t.Fatalf("Terminate: %v", err)
+	}
+	waitStatus(t, c, id, StatusCanceled, 20*time.Second)
+	waitUntil(t, "the footprint released at the end", 5*time.Second, func() bool { return !p.Admission.Holds(id) })
+}
+
+// TestClosedStatusSubscriptionResyncsDispatcher: the status bus closed
+// the tenancy pump's subscription, and the events it skipped were a
+// running job's terminal transition and a new job's QUEUED one. The
+// pump answers the close with one dispatcher resync, which releases the
+// terminal job's footprint and dispatches the queued job. The clock
+// stands still meanwhile, so no timer can do it instead.
+func TestClosedStatusSubscriptionResyncsDispatcher(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	p := newFakeClockPlatform(t, fc, aliceTenancy)
+	fc.StartAutoAdvance(5 * time.Millisecond)
+	c := p.Client()
+	ctx := context.Background()
+	long := testManifest()
+	long.GPUsPerLearner, long.Iterations, long.CheckpointEvery = 4, 1<<30, 0
+	a, err := c.Submit(ctx, long)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitStatus(t, c, a, StatusProcessing, 20*time.Second)
+	fc.StopAutoAdvance()
+	start, resyncs := fc.Now(), p.Dispatcher.Stats().Resyncs
+
+	// Detach every all-jobs subscriber, as the bus does when it closes
+	// them, but leave their channels open: what is published now
+	// reaches none of them.
+	p.bus.mu.Lock()
+	detached := p.bus.subs[""]
+	delete(p.bus.subs, "")
+	p.bus.mu.Unlock()
+	if err := c.Terminate(ctx, a); err != nil {
+		t.Fatalf("Terminate: %v", err)
+	}
+	waitStatus(t, c, a, StatusCanceled, 20*time.Second)
+	short := testManifest()
+	short.GPUsPerLearner = 4
+	b, err := c.Submit(ctx, short)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if r, err := c.Status(ctx, b); err != nil || r.Status != StatusQueued {
+		t.Fatalf("b = %+v (err %v), want QUEUED", r.Status, err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if !p.Admission.Holds(a) || p.Dispatcher.QueueDepth() != 0 {
+		t.Fatalf("Holds(a)=%v queue depth %d: the pump saw a skipped event", p.Admission.Holds(a), p.Dispatcher.QueueDepth())
+	}
+
+	for _, ch := range detached {
+		close(ch)
+	}
+	waitStatus(t, c, b, StatusPending, 10*time.Second)
+	if p.Admission.Holds(a) {
+		t.Fatal("the resync kept the terminal job's footprint")
+	}
+	if n := p.Dispatcher.Stats().Resyncs - resyncs; n != 1 {
+		t.Fatalf("%d resyncs after the close, want 1", n)
+	}
+	if !fc.Now().Equal(start) {
+		t.Fatalf("the clock moved %v", fc.Since(start))
+	}
+	fc.StartAutoAdvance(5 * time.Millisecond)
+	waitStatus(t, c, b, StatusCompleted, 30*time.Second)
 }

@@ -564,6 +564,14 @@ func chaosSoakArm(cfg ChaosSoakConfig, withChaos bool) (arm soakArm, err error) 
 			arm.violations = append(arm.violations, fmt.Sprintf("watch collector for %s did not finish", id))
 		}
 	}
+	// The tenancy status pump releases a job's footprint when it reads
+	// the terminal event off the status bus, and the soak saw the same
+	// transition through its own watch, which may run ahead of the pump.
+	// The pump gets a bounded wall-clock moment to catch up; a footprint
+	// it never releases still fails the admission checks below.
+	for released := time.Now().Add(5 * time.Second); p.Admission.AdmittedGPUs() != 0 && time.Now().Before(released); {
+		time.Sleep(time.Millisecond)
+	}
 
 	// The durable history is read through List, which only MongoDB can
 	// answer: a Status read may come from the oplog image instead.

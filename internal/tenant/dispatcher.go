@@ -81,7 +81,7 @@ type Stats struct {
 	// re-entered the queue after their checkpoint landed.
 	Preempted uint64
 	Requeued  uint64
-	// Resyncs counts safety-net ticks.
+	// Resyncs counts Resync passes: boot, closed subscription, retry.
 	Resyncs uint64
 	// Failed counts queued jobs permanently rejected at dispatch.
 	Failed uint64
@@ -93,10 +93,9 @@ type Config struct {
 	Backend   Backend
 	Registry  *Registry
 	Admission *sched.Admission
-	// ResyncInterval is the safety-net tick re-reading queued jobs,
-	// quotas and victim phases from their durable stores. It bounds
-	// recovery from dropped events, never dispatch latency. Default
-	// 250ms.
+	// ResyncInterval is how long after a call the durable stores or the
+	// LCM did not answer the one retry resync runs. It bounds recovery
+	// from a failed call, never dispatch latency. Default 250ms.
 	ResyncInterval time.Duration
 	// DisablePreemption keeps starved in-quota requests waiting instead
 	// of checkpointing victims (ablation; production FfDL preempts).
@@ -127,10 +126,11 @@ type Dispatcher struct {
 	clock sim.Clock
 	adm   *sched.Admission
 
-	wake chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	wake  chan struct{}
+	retry chan struct{} // Retry's request to arm the one-shot resync
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	once  sync.Once
 
 	mu      sync.Mutex
 	queue   sched.Queue
@@ -138,6 +138,8 @@ type Dispatcher struct {
 	// victims maps preempted jobs awaiting their HALTED transition to
 	// their durable view, so the requeue needs no store read.
 	victims map[string]Job
+	// resumes holds resumed jobs whose lookup failed, owed a footprint.
+	resumes map[string]struct{}
 	stats   Stats
 
 	// obsDelay is the registry queue-delay histogram; nil without
@@ -158,9 +160,11 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		clock:   cfg.Clock,
 		adm:     cfg.Admission,
 		wake:    make(chan struct{}, 1),
+		retry:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		entries: make(map[string]*queuedEntry),
 		victims: make(map[string]Job),
+		resumes: make(map[string]struct{}),
 	}
 	if cfg.Obs != nil {
 		d.obsDelay = cfg.Obs.Histogram("tenant.queue_delay")
@@ -169,15 +173,14 @@ func NewDispatcher(cfg Config) *Dispatcher {
 }
 
 // Start recovers quotas and queued work from the durable stores and
-// runs the dispatch loop until Stop.
+// runs the dispatch loop, which holds a timer only while a Retry waits.
 func (d *Dispatcher) Start() {
-	d.resync()
+	d.Resync()
 
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		ticker := d.clock.NewTicker(d.cfg.ResyncInterval)
-		defer ticker.Stop()
+		var timer <-chan time.Time
 		for {
 			select {
 			case <-d.stop:
@@ -185,8 +188,13 @@ func (d *Dispatcher) Start() {
 			case <-d.wake:
 				d.noteWake()
 				d.dispatch()
-			case <-ticker.C:
-				d.resync()
+			case <-d.retry:
+				if timer == nil {
+					timer = d.clock.After(d.cfg.ResyncInterval)
+				}
+			case <-timer:
+				timer = nil
+				d.Resync()
 			}
 		}
 	}()
@@ -205,9 +213,17 @@ func (d *Dispatcher) noteWake() {
 }
 
 // Wake nudges the dispatch loop without carrying an event.
-func (d *Dispatcher) Wake() {
+func (d *Dispatcher) Wake() { signal(d.wake) }
+
+// Retry arms the one-shot retry after a call the durable stores or the
+// LCM did not answer: one Resync runs ResyncInterval later, however
+// many calls fail before it.
+func (d *Dispatcher) Retry() { signal(d.retry) }
+
+// signal sends on a one-slot channel unless a send is already pending.
+func signal(ch chan struct{}) {
 	select {
-	case d.wake <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -226,10 +242,13 @@ func (d *Dispatcher) NoteQueued(j Job) {
 // status bus observes), drops it from the queue if it was still waiting,
 // and wakes the loop — a completion is exactly when capacity frees.
 func (d *Dispatcher) NoteTerminal(jobID string) {
-	d.adm.Release(jobID)
+	// Under mu: a pass that read the job HALTED admits it under mu too,
+	// so that admission cannot land after this release.
 	d.mu.Lock()
+	d.adm.Release(jobID)
 	d.dropLocked(jobID)
 	delete(d.victims, jobID)
+	delete(d.resumes, jobID)
 	d.mu.Unlock()
 	d.Wake()
 }
@@ -239,10 +258,14 @@ func (d *Dispatcher) NoteTerminal(jobID string) {
 // dispatcher initiated, requeues the victim under its original arrival
 // time — the FCFS order restores it to the head of the queue.
 func (d *Dispatcher) NoteHalted(jobID string) {
-	d.adm.Release(jobID)
 	d.mu.Lock()
+	d.adm.Release(jobID)
+	delete(d.resumes, jobID)
 	if j, ok := d.victims[jobID]; ok {
 		delete(d.victims, jobID)
+		if j.Gang == nil {
+			d.Retry() // its lookup failed: Resync requeues it from PendingWork
+		}
 		d.enqueueLocked(j, true)
 		d.stats.Requeued++
 	}
@@ -254,8 +277,21 @@ func (d *Dispatcher) NoteHalted(jobID string) {
 // from its checkpoint. Admit is idempotent per job, so a resume the
 // dispatcher itself admitted is not double-counted; a user-initiated
 // resume (which bypassed the queue) gets its footprint re-registered
-// here.
-func (d *Dispatcher) NoteResumed(j Job) {
+// here. A failed lookup leaves the footprint owed to the retry.
+func (d *Dispatcher) NoteResumed(jobID string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.resumeLocked(jobID)
+}
+
+func (d *Dispatcher) resumeLocked(jobID string) {
+	j, err := d.cfg.Backend.Lookup(jobID)
+	if err != nil {
+		d.resumes[jobID] = struct{}{}
+		d.Retry()
+		return
+	}
+	delete(d.resumes, jobID)
 	if j.Gang != nil {
 		d.adm.Admit(j.Gang) //nolint:errcheck // accounting restore; rejection leaves it unaccounted, matching pre-tenancy resume semantics
 	}
@@ -324,13 +360,14 @@ func (d *Dispatcher) Stats() Stats {
 	return d.stats
 }
 
-// resync is the level-triggered safety net: re-read quotas, recover
-// queued work and victim state from the durable stores, release the
-// footprints of jobs that finished unseen, then run a pass. With the
-// event paths healthy it finds nothing to fix.
-func (d *Dispatcher) resync() {
-	if d.cfg.Registry != nil {
-		d.cfg.Registry.Seed(d.adm)
+// Resync is the level-triggered recovery pass: re-read quotas, recover
+// queued work, victims and owed resume footprints, release those of
+// jobs that finished unseen, then run a pass. It runs at Start, after
+// the status subscription closed, and on the retry; a call in it that
+// fails arms the retry again.
+func (d *Dispatcher) Resync() {
+	if d.cfg.Registry != nil && d.cfg.Registry.Seed(d.adm) != nil {
+		d.Retry()
 	}
 	queued, preempted := d.cfg.Backend.PendingWork()
 	d.mu.Lock()
@@ -352,24 +389,31 @@ func (d *Dispatcher) resync() {
 	// signal (e.g. an LCM outage mid-call), so re-issue it — the halt
 	// path is idempotent.
 	for id := range d.victims {
-		ph, err := d.cfg.Backend.Phase(id)
-		switch {
-		case err != nil || ph == PhaseTerminal:
+		switch ph, err := d.cfg.Backend.Phase(id); {
+		case err != nil:
+			d.Retry()
+		case ph == PhaseTerminal:
 			delete(d.victims, id)
-		case ph == PhaseRunning:
-			d.cfg.Backend.Preempt(id) //nolint:errcheck // retried next resync
+		case ph == PhaseRunning && d.cfg.Backend.Preempt(id) != nil:
+			d.Retry()
 		}
 	}
-	d.mu.Unlock()
+	for id := range d.resumes {
+		d.resumeLocked(id)
+	}
 	// A terminal job whose bus event was lost still holds its footprint;
 	// release it so the capacity is not leaked forever. Halted jobs keep
 	// theirs: a victim admitted for resume stays HALTED until its resume
 	// lands.
 	for _, id := range d.adm.Held() {
-		if ph, err := d.cfg.Backend.Phase(id); err == nil && ph == PhaseTerminal {
+		switch ph, err := d.cfg.Backend.Phase(id); {
+		case err != nil:
+			d.Retry()
+		case ph == PhaseTerminal:
 			d.adm.Release(id)
 		}
 	}
+	d.mu.Unlock()
 	d.dispatch()
 }
 
@@ -412,12 +456,16 @@ func (d *Dispatcher) dispatchQueuedLocked(e *queuedEntry) bool {
 	dec, _ := d.adm.Admit(e.job.Gang)
 	if dec != sched.Reject {
 		if err := d.cfg.Backend.Dispatch(id); err != nil {
-			// No longer dispatchable (vanished, terminal, or another
-			// process dispatched it): footprint stays if the job runs —
-			// the bus events reconcile — but the queue must move on.
+			// No longer dispatchable (vanished, terminal, or a stale
+			// echo): footprint stays if the job runs — the bus events
+			// reconcile — but the queue moves on. The retry re-enqueues
+			// a job the store left QUEUED or whose phase it hid.
 			ph, perr := d.cfg.Backend.Phase(id)
 			if perr == nil && (ph == PhaseTerminal || ph == PhaseQueued) {
 				d.adm.Release(id)
+			}
+			if perr != nil || ph == PhaseQueued {
+				d.Retry()
 			}
 			d.dropLocked(id)
 			return true
@@ -430,7 +478,9 @@ func (d *Dispatcher) dispatchQueuedLocked(e *queuedEntry) bool {
 	// Rejected. Unknown user: the quota record disappeared between
 	// submit-time validation and dispatch — fail the job visibly.
 	if _, ok := d.adm.Quota(e.job.User); !ok {
-		d.cfg.Backend.Fail(id, "no quota for user "+e.job.User) //nolint:errcheck // resync retries
+		if d.cfg.Backend.Fail(id, "no quota for user "+e.job.User) != nil {
+			d.Retry()
+		}
 		d.dropLocked(id)
 		d.stats.Failed++
 		return true
@@ -458,13 +508,12 @@ func (d *Dispatcher) dispatchQueuedLocked(e *queuedEntry) bool {
 // of the queue; it reports whether the pass should continue.
 func (d *Dispatcher) dispatchVictimLocked(e *queuedEntry) bool {
 	id := e.job.ID
-	ph, err := d.cfg.Backend.Phase(id)
-	if err != nil || ph == PhaseTerminal {
-		d.dropLocked(id)
-		return true
-	}
-	if ph == PhaseRunning {
-		// Resumed by the user directly; nothing left to dispatch.
+	switch ph, err := d.cfg.Backend.Phase(id); {
+	case err != nil:
+		d.Retry() // the retry's resync requeues it from PendingWork
+		fallthrough
+	case ph == PhaseTerminal, ph == PhaseRunning:
+		// Gone, or resumed by the user directly: nothing to dispatch.
 		d.dropLocked(id)
 		return true
 	}
@@ -482,7 +531,8 @@ func (d *Dispatcher) dispatchVictimLocked(e *queuedEntry) bool {
 	}
 	if err := d.cfg.Backend.Resume(id); err != nil {
 		d.adm.Release(id)
-		return false // halt may still be propagating; next wake retries
+		d.Retry()
+		return false // halt may still be propagating
 	}
 	d.recordDispatchLocked(e, true)
 	d.dropLocked(id)
@@ -502,8 +552,9 @@ func (d *Dispatcher) failIfInfeasibleLocked(e *queuedEntry) bool {
 	if budget <= 0 || need <= budget {
 		return false
 	}
-	d.cfg.Backend.Fail(e.job.ID, //nolint:errcheck // resync retries
-		fmt.Sprintf("job needs %d GPUs but the cluster has %d", need, budget))
+	if d.cfg.Backend.Fail(e.job.ID, fmt.Sprintf("job needs %d GPUs but the cluster has %d", need, budget)) != nil {
+		d.Retry()
+	}
 	d.dropLocked(e.job.ID)
 	d.stats.Failed++
 	return true
@@ -539,11 +590,11 @@ func (d *Dispatcher) preemptForLocked(j Job) bool {
 	}
 	for _, v := range victims {
 		vj, err := d.cfg.Backend.Lookup(v)
-		if err == nil {
-			d.victims[v] = vj
-		}
+		d.victims[v] = vj // a zero Job if the lookup failed
 		d.stats.Preempted++
-		d.cfg.Backend.Preempt(v) //nolint:errcheck // resync reconciles victims that cannot halt
+		if err != nil || d.cfg.Backend.Preempt(v) != nil {
+			d.Retry()
+		}
 	}
 	return true
 }

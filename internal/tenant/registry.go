@@ -15,9 +15,8 @@ const Collection = "tenants"
 
 // Registry is the durable tenant store. Reads come from MongoDB; the
 // API hands each quota write to its platform's dispatcher directly
-// (Dispatcher.SetQuota), and the dispatcher's resync tick re-reads the
-// collection, so a write committed through another process takes
-// effect within one resync interval.
+// (Dispatcher.SetQuota), and the dispatcher's Resync re-reads the
+// collection.
 type Registry struct {
 	coll *mongo.Collection
 }
@@ -76,13 +75,14 @@ func (r *Registry) List() ([]Record, error) {
 }
 
 // Seed installs every stored quota into an admission controller — the
-// level-triggered re-read the dispatcher runs on each resync tick. An
-// outage installs nothing; the next tick re-reads.
-func (r *Registry) Seed(a *sched.Admission) {
-	recs, _ := r.List()
+// level-triggered re-read of each dispatcher Resync. An outage installs
+// nothing and returns mongo.ErrUnavailable; the dispatcher retries.
+func (r *Registry) Seed(a *sched.Admission) error {
+	recs, err := r.List()
 	for _, rec := range recs {
 		a.SetQuota(rec.Quota())
 	}
+	return err
 }
 
 // docToRecord decodes a tenant document.

@@ -20,11 +20,13 @@
 // docs/watch-protocol.md: it wakes on job status transitions (queued,
 // halted, resumed, terminal) from the platform's status bus, on quota
 // writes the API hands it (SetQuota), and on cluster capacity changes
-// from the kube store watch — and it pairs every wake source with a
-// slow resync tick that re-reads queued jobs, quotas and victim phases
-// from their durable stores and releases the footprints of jobs that
-// finished unseen, so a dropped event delays a dispatch by at most one
-// resync interval, never loses it or leaks its GPUs.
+// from the kube store watch. It keeps no ticker. Its Resync re-reads
+// queued jobs, quotas and victim phases from their durable stores and
+// releases the footprints of jobs that finished unseen; it runs at
+// Start, when the status subscription closes (the gap signal for the
+// events it skipped), and once ResyncInterval after any call the stores
+// or the LCM did not answer (Retry). So a dropped event or a failed
+// call delays a dispatch, never loses it or leaks its GPUs.
 package tenant
 
 import (

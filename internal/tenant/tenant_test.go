@@ -3,6 +3,7 @@ package tenant
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/obs"
 	"github.com/ffdl/ffdl/internal/sched"
+	"github.com/ffdl/ffdl/internal/sim"
 )
 
 func gang(jobID, user string, gpus int) *sched.Gang {
@@ -38,7 +40,16 @@ type fakeBackend struct {
 	resumed    []string
 	halted     []string
 	failed     map[string]string
+	// down fails every call that reads or writes the store, and makes
+	// PendingWork arm d's retry as the platform's does.
+	down bool
+	d    *Dispatcher
+	// haltErrs is how many Preempt calls fail, as an LCM that does not
+	// answer the halt.
+	haltErrs int
 }
+
+var errStoreDown = errors.New("fake: store unavailable")
 
 func newFakeBackend() *fakeBackend {
 	return &fakeBackend{
@@ -59,6 +70,9 @@ func (b *fakeBackend) add(j Job) {
 func (b *fakeBackend) Dispatch(jobID string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.down {
+		return errStoreDown
+	}
 	if b.phase[jobID] != PhaseQueued {
 		return fmt.Errorf("fake: %s not queued", jobID)
 	}
@@ -70,6 +84,10 @@ func (b *fakeBackend) Dispatch(jobID string) error {
 func (b *fakeBackend) Preempt(jobID string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.haltErrs > 0 {
+		b.haltErrs--
+		return errors.New("fake: the LCM did not answer the halt")
+	}
 	b.preempted[jobID] = true
 	b.halted = append(b.halted, jobID)
 	b.phase[jobID] = PhaseHalted
@@ -99,6 +117,9 @@ func (b *fakeBackend) Fail(jobID, reason string) error {
 func (b *fakeBackend) Lookup(jobID string) (Job, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.down {
+		return Job{}, errStoreDown
+	}
 	j, ok := b.job[jobID]
 	if !ok {
 		return Job{}, fmt.Errorf("fake: unknown job %s", jobID)
@@ -109,6 +130,9 @@ func (b *fakeBackend) Lookup(jobID string) (Job, error) {
 func (b *fakeBackend) Phase(jobID string) (Phase, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.down {
+		return 0, errStoreDown
+	}
 	ph, ok := b.phase[jobID]
 	if !ok {
 		return 0, fmt.Errorf("fake: unknown job %s", jobID)
@@ -119,6 +143,10 @@ func (b *fakeBackend) Phase(jobID string) (Phase, error) {
 func (b *fakeBackend) PendingWork() (queued, preempted []Job) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.down {
+		b.d.Retry()
+		return nil, nil
+	}
 	for id, ph := range b.phase {
 		switch {
 		case ph == PhaseQueued:
@@ -128,6 +156,19 @@ func (b *fakeBackend) PendingWork() (queued, preempted []Job) {
 		}
 	}
 	return queued, preempted
+}
+
+func (b *fakeBackend) setDown(on bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.down = on
+}
+
+// snapshot returns copies of the dispatched, halted and resumed lists.
+func (b *fakeBackend) snapshot() (dispatched, halted, resumed []string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.Clone(b.dispatched), slices.Clone(b.halted), slices.Clone(b.resumed)
 }
 
 func (b *fakeBackend) finish(d *Dispatcher, jobID string) {
@@ -149,6 +190,35 @@ func newTestDispatcher(t *testing.T, clusterGPUs int, quotas ...Record) (*Dispat
 	b := newFakeBackend()
 	d := NewDispatcher(Config{Backend: b, Admission: adm, Obs: obs.NewRegistry()})
 	return d, b, adm
+}
+
+// startFakeClockDispatcher runs a dispatcher loop over the fake backend
+// on a FakeClock, retrying one second after a failed call.
+func startFakeClockDispatcher(t *testing.T, clusterGPUs int, quotas ...Record) (*Dispatcher, *fakeBackend, *sched.Admission, *sim.FakeClock) {
+	t.Helper()
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	adm := sched.NewAdmission(clusterGPUs)
+	for _, q := range quotas {
+		adm.SetQuota(q.Quota())
+	}
+	b := newFakeBackend()
+	d := NewDispatcher(Config{Clock: fc, Backend: b, Admission: adm, ResyncInterval: time.Second})
+	b.d = d
+	d.Start()
+	t.Cleanup(d.Stop)
+	return d, b, adm, fc
+}
+
+// holdsStill reports whether fc keeps want waiters for 30ms of wall
+// time.
+func holdsStill(fc *sim.FakeClock, want int) bool {
+	for i := 0; i < 6; i++ {
+		if fc.WaiterCount() != want {
+			return false
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return true
 }
 
 func TestRegistryPutLookupList(t *testing.T) {
@@ -184,13 +254,18 @@ func TestRegistryPutLookupList(t *testing.T) {
 	}
 
 	adm := sched.NewAdmission(0)
-	r.Seed(adm)
+	if err := r.Seed(adm); err != nil {
+		t.Fatalf("Seed: %v", err)
+	}
 	if q, ok := adm.Quota("bob"); !ok || q.Tier != sched.TierFree || q.GPUs != 2 {
 		t.Fatalf("seeded quota = %+v %v", q, ok)
 	}
 
 	// An outage is an error, never an empty registry.
 	db.SetUnavailable(true)
+	if err := r.Seed(sched.NewAdmission(0)); !errors.Is(err, mongo.ErrUnavailable) {
+		t.Fatalf("Seed during outage = %v, want ErrUnavailable", err)
+	}
 	if list, err := r.List(); !errors.Is(err, mongo.ErrUnavailable) {
 		t.Fatalf("List during outage = %+v %v, want ErrUnavailable", list, err)
 	}
@@ -392,7 +467,7 @@ func TestDispatcherResyncRecoversMissedEvents(t *testing.T) {
 	// A job lands in the durable store but its QUEUED event is lost.
 	j := job("lost", "alice", 2, time.Unix(0, 0))
 	b.add(j)
-	d.resync()
+	d.Resync()
 	if len(b.dispatched) != 1 || b.dispatched[0] != "lost" {
 		t.Fatalf("resync did not recover the queued job: %v", b.dispatched)
 	}
@@ -405,7 +480,7 @@ func TestDispatcherResyncRecoversMissedEvents(t *testing.T) {
 	b.phase["victim"] = PhaseHalted
 	b.preempted["victim"] = true
 	b.mu.Unlock()
-	d.resync()
+	d.Resync()
 	if len(b.resumed) != 1 || b.resumed[0] != "victim" {
 		t.Fatalf("resync did not resume the halted victim: %v", b.resumed)
 	}
@@ -437,7 +512,7 @@ func TestDispatcherResyncReleasesLostTerminalFootprint(t *testing.T) {
 	b.mu.Lock()
 	b.phase["j1"] = PhaseTerminal
 	b.mu.Unlock()
-	d.resync()
+	d.Resync()
 	if adm.Holds("j1") || adm.Usage("alice") != 4 {
 		t.Fatalf("after resync: Holds(j1)=%v usage=%d, want j1 released and j2 holding 4",
 			adm.Holds("j1"), adm.Usage("alice"))
@@ -460,7 +535,7 @@ func TestDispatcherResyncKeepsHaltedFootprint(t *testing.T) {
 	if _, err := adm.Admit(v.Gang); err != nil {
 		t.Fatal(err)
 	}
-	d.resync()
+	d.Resync()
 	if !adm.Holds("victim") {
 		t.Fatal("resync released a halted job's footprint")
 	}
@@ -473,7 +548,7 @@ func TestDispatcherLoopWakesOnQuotaWrite(t *testing.T) {
 	b := newFakeBackend()
 	d := NewDispatcher(Config{
 		Backend: b, Registry: r, Admission: adm,
-		ResyncInterval: time.Hour, // the quota event must do the waking
+		ResyncInterval: time.Hour, // no retry: the quota event must do the waking
 	})
 	if err := r.Put(Record{User: "freeloader", Tier: sched.TierFree, GPUs: 4}); err != nil {
 		t.Fatal(err)
@@ -503,8 +578,8 @@ func TestDispatcherLoopWakesOnQuotaWrite(t *testing.T) {
 		t.Fatalf("over-quota head preempted: %v", b.halted)
 	}
 	// Raising the payer's quota makes the head in-quota; SetQuota must
-	// wake the loop — the hour-long resync never fires here — and the
-	// dispatcher preempts the free job for it.
+	// wake the loop — nothing else does — and the dispatcher preempts
+	// the free job for it.
 	raised := Record{User: "payer", Tier: sched.TierPaid, GPUs: 8}
 	if err := r.Put(raised); err != nil {
 		t.Fatal(err)
@@ -525,5 +600,119 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFailedQueuedReadDispatchesThroughOneRetry: the status pump could
+// not read a QUEUED job because the store was down, so it armed the
+// retry instead of noting the job. The loop holds one timer however
+// many calls fail; a retry the store still does not answer re-arms it,
+// and the first one it answers dispatches the job.
+func TestFailedQueuedReadDispatchesThroughOneRetry(t *testing.T) {
+	d, b, _, fc := startFakeClockDispatcher(t, 4, Record{User: "alice", Tier: sched.TierPaid, GPUs: 4})
+	if !holdsStill(fc, 0) {
+		t.Fatalf("an idle dispatcher holds %d clock waiters, want 0", fc.WaiterCount())
+	}
+	b.add(job("j1", "alice", 2, time.Unix(0, 0)))
+	b.setDown(true)
+	d.Retry() // the pump's failed read
+	waitFor(t, "the retry timer", func() bool { return fc.WaiterCount() == 1 })
+	d.Retry()
+	if !holdsStill(fc, 1) {
+		t.Fatalf("a second failure armed another timer: %d waiters", fc.WaiterCount())
+	}
+
+	fc.Advance(time.Second) // the store is still down
+	waitFor(t, "the unanswered resync re-arms", func() bool {
+		return d.Stats().Resyncs == 2 && fc.WaiterCount() == 1
+	})
+	if dispatched, _, _ := b.snapshot(); len(dispatched) != 0 {
+		t.Fatalf("dispatched %v while the store was down", dispatched)
+	}
+
+	b.setDown(false)
+	fc.Advance(time.Second)
+	waitFor(t, "j1 dispatched by the retry", func() bool {
+		dispatched, _, _ := b.snapshot()
+		return len(dispatched) == 1 && dispatched[0] == "j1"
+	})
+	if !holdsStill(fc, 0) {
+		t.Fatalf("%d clock waiters after an answered retry, want 0", fc.WaiterCount())
+	}
+	if st := d.Stats(); st.Resyncs != 3 {
+		t.Fatalf("resyncs = %d, want boot + 2 retries", st.Resyncs)
+	}
+}
+
+// TestFailedHaltIsIssuedAgain: the LCM did not answer the halt of a
+// preemption victim. Nothing else re-issues it, so the failure arms the
+// retry, whose resync halts the victim still running; the victim then
+// requeues and resumes as usual.
+func TestFailedHaltIsIssuedAgain(t *testing.T) {
+	d, b, _, fc := startFakeClockDispatcher(t, 4,
+		Record{User: "freeloader", Tier: sched.TierFree, GPUs: 1},
+		Record{User: "payer", Tier: sched.TierPaid, GPUs: 4})
+	t0 := time.Unix(0, 0)
+	jf := job("free-job", "freeloader", 4, t0)
+	b.add(jf)
+	d.NoteQueued(jf)
+	waitFor(t, "the free job dispatched", func() bool {
+		dispatched, _, _ := b.snapshot()
+		return len(dispatched) == 1
+	})
+
+	b.mu.Lock()
+	b.haltErrs = 1
+	b.mu.Unlock()
+	jp := job("paid-job", "payer", 4, t0.Add(time.Minute))
+	b.add(jp)
+	d.NoteQueued(jp)
+	waitFor(t, "the retry after the failed halt", func() bool {
+		return d.Stats().Preempted == 1 && fc.WaiterCount() == 1
+	})
+	if _, halted, _ := b.snapshot(); len(halted) != 0 {
+		t.Fatalf("halted = %v, want none before the retry", halted)
+	}
+
+	fc.Advance(time.Second)
+	waitFor(t, "the halt issued again", func() bool {
+		_, halted, _ := b.snapshot()
+		return len(halted) == 1 && halted[0] == "free-job"
+	})
+	d.NoteHalted("free-job")
+	b.finish(d, "paid-job")
+	waitFor(t, "the victim resumed", func() bool {
+		_, _, resumed := b.snapshot()
+		return len(resumed) == 1 && resumed[0] == "free-job"
+	})
+	if st := d.Stats(); st.Preempted != 1 || st.Requeued != 1 || st.Resumed != 1 || st.Resyncs != 2 {
+		t.Fatalf("stats = %+v, want one preemption, requeue, resume and retry", st)
+	}
+}
+
+// TestFailedResumeLookupIsOwedToRetry: a resumed job whose record the
+// store did not return keeps no footprint until the retry restores it;
+// a job that halts again before the retry is owed nothing.
+func TestFailedResumeLookupIsOwedToRetry(t *testing.T) {
+	d, b, adm, fc := startFakeClockDispatcher(t, 8, Record{User: "alice", Tier: sched.TierPaid, GPUs: 8})
+	for _, id := range []string{"j1", "j2"} {
+		b.add(job(id, "alice", 2, time.Unix(0, 0)))
+		b.mu.Lock()
+		b.phase[id] = PhaseRunning
+		b.mu.Unlock()
+	}
+	b.setDown(true)
+	d.NoteResumed("j1")
+	d.NoteResumed("j2")
+	b.setDown(false)
+	d.NoteHalted("j2") // halted again before the retry
+	if adm.Holds("j1") || adm.Holds("j2") {
+		t.Fatal("a footprint was restored without a lookup")
+	}
+	waitFor(t, "the retry timer", func() bool { return fc.WaiterCount() == 1 })
+	fc.Advance(time.Second)
+	waitFor(t, "j1's footprint restored", func() bool { return adm.Holds("j1") })
+	if adm.Holds("j2") {
+		t.Fatal("the retry restored the footprint of a job that halted again")
 	}
 }
