@@ -38,14 +38,16 @@ test:
 # stop/reopen test run three times too. The tenant dispatcher keeps no
 # ticker, so a failed store read, write or LCM call is recovered only by
 # its one-shot retry and a closed status subscription only by the resync
-# that answers it: those fault tests, and the LCM-failover preemption
-# that needs the halt re-issued, run three times as well.
+# that answers it: those fault tests, the resync that restores a running
+# job's footprint after a reopen, the terminal note racing a resync, and
+# the LCM-failover preemption that needs the halt re-issued, run three
+# times as well.
 race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /internal/expt)
 	$(GO) test -race ./internal/expt/...
 	$(GO) test -race -count=3 -run 'TestBatchedProposalsSurviveLeaderFailover|TestLeaderFailoverContinuesService|TestNoQuorumTimesOutEachProposalOnce|TestExactlyOnceUnderFailoverSchedule' ./internal/etcd
-	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir|TestClosedStatusSubscriptionResyncsDispatcher|TestFailedResumedReadRestoresFootprint' ./internal/core
-	$(GO) test -race -count=3 -run 'TestFailedQueuedReadDispatchesThroughOneRetry|TestFailedHaltIsIssuedAgain|TestFailedResumeLookupIsOwedToRetry' ./internal/tenant
+	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir|TestClosedStatusSubscriptionResyncsDispatcher|TestFailedResumedReadRestoresFootprint|TestSkippedResumedEventRestoresFootprint|TestRunningJobKeepsFootprintAcrossReopen|TestUserResumeClearsTheMarkerOfAHaltedVictim' ./internal/core
+	$(GO) test -race -count=3 -run 'TestFailedQueuedReadDispatchesThroughOneRetry|TestFailedHaltIsIssuedAgain|TestFailedResumeLookupIsOwedToRetry|TestTerminalNoteRacingResyncLeavesNoFootprint|TestPreemptionWaitsForTheVictimsMarker' ./internal/tenant
 	$(GO) test -race -count=3 -run 'TestPreemptionSurvivesLCMFailover' ./internal/chaos
 	$(GO) test -race -count=3 -run 'TestFileStore|TestLogCloseRefusesAppends' ./internal/commitlog
 	$(GO) test -race -count=3 -run 'TestReadersHoldDocsWhileWritersUpdate|TestSharedPushValueIsNotWritten' ./internal/mongo

@@ -414,7 +414,16 @@ func (a *apiReplica) control(verb string) rpc.Handler {
 	}[verb]
 	return func(ctx context.Context, arg any) (any, error) {
 		req := arg.(JobArgs)
-		return nil, a.lcm.Call(ctx, method, req, nil)
+		// A user's resume clears a HALTED victim's preemption marker
+		// before it goes out, so neither the RESUMED note nor a resync
+		// reads the resumed job as a victim owed a halt; a resume that
+		// fails marks the victim again.
+		cleared := verb == controlResume && a.p.Dispatcher != nil && a.p.clearPreempted(req.JobID)
+		err := a.lcm.Call(ctx, method, req, nil)
+		if err != nil && cleared {
+			a.p.markPreempted(req.JobID, true) //nolint:errcheck // an unmarked victim stays HALTED until its user resumes it
+		}
+		return nil, err
 	}
 }
 
@@ -710,40 +719,33 @@ func (c *Client) watch(ctx context.Context, jobID string, from int, sr *rpc.Stre
 // WaitForStatus blocks until the job's *current* status reaches the
 // target (or any terminal status), returning the final observed
 // status; past transitions the job has already moved beyond do not
-// satisfy the wait. It rides a status watch opened just past the
-// history its status read returned, so reaction time is bounded by
-// status propagation, not a poll interval; poll is only used as the
-// fallback cadence (on the client's clock, never the wall clock) when
-// the status read fails.
+// satisfy the wait. It retries the status read every poll (on the
+// client's clock, never the wall clock) until the read answers, then
+// rides a status watch opened just past the history that read
+// returned, so reaction time is bounded by status propagation, not a
+// poll interval.
 func (c *Client) WaitForStatus(ctx context.Context, jobID string, target JobStatus, poll time.Duration) (JobStatus, error) {
-	if reply, err := c.Status(ctx, jobID); err == nil {
-		if reply.Status == target || reply.Status.Terminal() {
-			return reply.Status, nil
-		}
-		// A transition racing the status read lands past its history and
-		// is still seen. The watch closes only after a terminal entry or
-		// once ctx ends.
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		ch := c.watch(wctx, jobID, len(reply.History)+1, nil)
-		for e := range ch {
-			if e.Status == target || e.Status.Terminal() {
-				return e.Status, nil
-			}
-		}
-		return "", ctx.Err()
-	}
-	for {
-		reply, err := c.Status(ctx, jobID)
-		if err == nil {
-			if reply.Status == target || reply.Status.Terminal() {
-				return reply.Status, nil
-			}
-		}
+	reply, err := c.Status(ctx, jobID)
+	for err != nil {
 		select {
 		case <-ctx.Done():
 			return "", ctx.Err()
 		case <-c.clock.After(poll):
 		}
+		reply, err = c.Status(ctx, jobID)
 	}
+	if reply.Status == target || reply.Status.Terminal() {
+		return reply.Status, nil
+	}
+	// A transition racing the status read lands past its history and is
+	// still seen. The watch closes only after a terminal entry or once
+	// ctx ends.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	for e := range c.watch(wctx, jobID, len(reply.History)+1, nil) {
+		if e.Status == target || e.Status.Terminal() {
+			return e.Status, nil
+		}
+	}
+	return "", ctx.Err()
 }

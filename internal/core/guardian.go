@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"time"
 
 	"github.com/ffdl/ffdl/internal/etcd"
 	"github.com/ffdl/ffdl/internal/kube"
+	"github.com/ffdl/ffdl/internal/resilience"
 	"github.com/ffdl/ffdl/internal/sched"
 	"github.com/ffdl/ffdl/internal/sim"
 )
@@ -50,9 +52,23 @@ func (p *Platform) runGuardian(ctx *kube.PodContext) int {
 		p.Metrics.Inc("guardian.rollbacks")
 	}
 
-	// Deploy with bounded retries.
+	// Deploy with bounded retries, a jittered backoff apart on the
+	// platform clock, so the retries of a burst that overloaded NFS
+	// provisioning meet neither the same load nor each other. The
+	// jitter's RNG is seeded from the job at the first retry.
+	var rng *sim.RNG
 	var deployErr error
-	for attempt := 1; attempt <= deployAttempts; attempt++ {
+	for attempt := 0; attempt < deployAttempts; attempt++ {
+		if attempt > 0 {
+			if rng == nil {
+				h := fnv.New64a()
+				h.Write([]byte(jobID))
+				rng = sim.NewRNG(p.cfg.Seed ^ int64(h.Sum64()))
+			}
+			if !p.deployRetryWait(ctx.Stop, attempt-1, rng) {
+				return 137
+			}
+		}
 		select {
 		case <-ctx.Stop:
 			return 137
@@ -79,6 +95,21 @@ func (p *Platform) runGuardian(ctx *kube.PodContext) int {
 		return 0
 	}
 	return p.monitorJob(ctx, jobID, rec.Manifest)
+}
+
+// deployRetryWait waits out the jittered backoff before deploy retry
+// #retry (0-based) on the platform clock. It reports false if the pod
+// was stopped first.
+func (p *Platform) deployRetryWait(stop <-chan struct{}, retry int, rng *sim.RNG) bool {
+	backoff := resilience.Backoff{Base: 10 * p.cfg.PollInterval, Jitter: 0.5}
+	t := p.clock.NewTimer(backoff.Delay(retry, rng))
+	defer t.Stop()
+	select {
+	case <-stop:
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // hasDeployedObjects reports whether any of the job's kube objects

@@ -176,10 +176,6 @@ func (l *lcmReplica) recoveryLoop() {
 		guardians.Cancel()
 		cancel()
 	}()
-	recoverable := []JobStatus{
-		StatusPending, StatusDeploying, StatusDownloading,
-		StatusProcessing, StatusStoring, StatusResumed,
-	}
 	var retry <-chan time.Time
 	arm := func() {
 		if retry == nil {
@@ -188,7 +184,7 @@ func (l *lcmReplica) recoveryLoop() {
 	}
 	scan := func() {
 		answered := true
-		for _, st := range recoverable {
+		for _, st := range admittedStatuses {
 			// One indexed equality query per status keeps the scan off
 			// the full-collection path (status is an indexed field).
 			docs := l.p.Jobs.Find(mongo.Filter{"status": string(st)}, mongo.FindOpts{})

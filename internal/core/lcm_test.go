@@ -253,3 +253,40 @@ func quiescentWaiters(fc *sim.FakeClock) int {
 	}
 	return n
 }
+
+// TestDeployRetriesBackOff pins the Guardian's pause before a deploy
+// retry: a jittered 5–15 PollIntervals on the platform clock before the
+// first, and a stopped pod ends the wait at once, leaving no clock
+// waiter behind.
+func TestDeployRetriesBackOff(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	pi := 50 * time.Millisecond
+	p := &Platform{clock: fc, cfg: Config{Seed: 13, PollInterval: pi}}
+	base := fc.WaiterCount()
+	stop := make(chan struct{})
+	rng := sim.NewRNG(13)
+
+	done := make(chan bool, 1)
+	go func() { done <- p.deployRetryWait(stop, 0, rng) }()
+	waitUntil(t, "the retry's timer", time.Second, func() bool { return fc.WaiterCount() == base+1 })
+	fc.Advance(5*pi - time.Nanosecond)
+	select {
+	case <-done:
+		t.Fatal("the retry ran before 5 PollIntervals")
+	case <-time.After(20 * time.Millisecond):
+	}
+	fc.Advance(10 * pi)
+	if !<-done {
+		t.Fatal("the pause reported a stop")
+	}
+
+	go func() { done <- p.deployRetryWait(stop, 1, rng) }()
+	waitUntil(t, "the second retry's timer", time.Second, func() bool { return fc.WaiterCount() == base+1 })
+	close(stop)
+	if <-done {
+		t.Fatal("a stopped pod kept waiting")
+	}
+	if n := fc.WaiterCount(); n != base {
+		t.Fatalf("%d clock waiters after the stop, want %d", n, base)
+	}
+}

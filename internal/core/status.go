@@ -39,6 +39,15 @@ func (s JobStatus) Terminal() bool {
 	return s == StatusCompleted || s == StatusFailed || s == StatusCanceled
 }
 
+// admittedStatuses are the statuses of a job that is admitted and
+// neither HALTED nor terminal, in lifecycle order: the LCM's recovery
+// scan deploys these jobs, and the tenant dispatcher's listing restores
+// their admission footprints.
+var admittedStatuses = []JobStatus{
+	StatusPending, StatusResumed, StatusDeploying, StatusDownloading,
+	StatusProcessing, StatusStoring,
+}
+
 // statusRank orders the in-flight statuses for aggregation across
 // learners: the job is only as far along as its slowest learner.
 func statusRank(s JobStatus) int {

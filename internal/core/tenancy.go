@@ -101,7 +101,8 @@ func (p *Platform) nodeCapacityLoop() {
 	}
 }
 
-// tenancyStatusPump translates status bus events into dispatcher notes.
+// tenancyStatusPump translates status bus events into dispatcher notes,
+// reading the job for those that carry it outside the dispatcher's lock.
 // When the bus closes its subscription on overflow it re-subscribes,
 // then resyncs the dispatcher to recover what the close skipped.
 func (p *Platform) tenancyStatusPump(events <-chan StatusEvent, cancel func()) {
@@ -116,51 +117,72 @@ func (p *Platform) tenancyStatusPump(events <-chan StatusEvent, cancel func()) {
 				events, cancel = p.bus.subscribe("", 256)
 				p.Dispatcher.Resync()
 			case st == StatusQueued:
-				if j, err := p.tenantJob(ev.JobID); err != nil {
-					p.Dispatcher.Retry() // its resync reads the job from PendingWork
-				} else {
-					p.Dispatcher.NoteQueued(j)
-				}
+				p.Dispatcher.NoteQueued(p.tenantJob(ev.JobID))
 			case st == StatusHalted:
-				p.Dispatcher.NoteHalted(ev.JobID)
+				p.Dispatcher.NoteHalted(p.tenantJob(ev.JobID))
 			case st == StatusResumed:
-				p.clearPreempted(ev.JobID)
-				p.Dispatcher.NoteResumed(ev.JobID)
+				p.Dispatcher.NoteResumed(p.tenantJob(ev.JobID))
 			case st.Terminal():
-				p.clearPreempted(ev.JobID)
 				p.Dispatcher.NoteTerminal(ev.JobID)
 			}
 		}
 	}
 }
 
-// tenantJob builds the dispatcher's view of a job from its document.
-func (p *Platform) tenantJob(jobID string) (tenant.Job, error) {
+// tenantJob reads the dispatcher's view of a job for its event. A read
+// the store does not answer yields the ID alone and arms the retry,
+// whose resync lists the job.
+func (p *Platform) tenantJob(jobID string) tenant.Job {
 	doc, err := p.Jobs.FindOne(mongo.Filter{"_id": jobID})
 	if err != nil {
-		return tenant.Job{}, err
+		p.Dispatcher.Retry()
+		return tenant.Job{ID: jobID}
 	}
-	return tenantJobFromDoc(doc), nil
+	return tenantJobFromDoc(doc)
 }
 
 func tenantJobFromDoc(doc mongo.Doc) tenant.Job {
 	rec := docToRecord(doc)
 	j := tenant.Job{
-		ID:   rec.ID,
-		User: rec.Manifest.User,
-		Gang: manifestGang(&rec.Manifest, rec.ID),
+		ID:    rec.ID,
+		User:  rec.Manifest.User,
+		Gang:  manifestGang(&rec.Manifest, rec.ID),
+		Phase: tenantPhase(rec.Status),
 	}
+	j.Preempted, _ = doc["preempted"].(bool)
 	if ts, ok := doc["submitted"].(string); ok {
 		j.Submitted, _ = time.Parse(time.RFC3339Nano, ts)
 	}
 	return j
 }
 
-// clearPreempted drops the durable preemption marker once a victim has
-// resumed or terminated.
-func (p *Platform) clearPreempted(jobID string) {
-	p.Jobs.UpdateOne(mongo.Filter{"_id": jobID, "preempted": true}, //nolint:errcheck // marker may not exist
-		mongo.Update{Set: mongo.Doc{"preempted": false}})
+// tenantPhase maps the job status machine onto the dispatcher's phases.
+func tenantPhase(status JobStatus) tenant.Phase {
+	switch {
+	case status == StatusQueued:
+		return tenant.PhaseQueued
+	case status == StatusHalted:
+		return tenant.PhaseHalted
+	case status.Terminal():
+		return tenant.PhaseTerminal
+	default:
+		return tenant.PhaseRunning
+	}
+}
+
+// clearPreempted drops the durable preemption marker of a HALTED job
+// before its user resumes it, which takes a victim out of the
+// dispatcher's hands, and reports whether it did. A job still running
+// keeps it: its halt may be in flight. A finished job keeps it too:
+// only listings of jobs that are not terminal read it.
+func (p *Platform) clearPreempted(jobID string) bool {
+	return p.Jobs.UpdateOne(mongo.Filter{"_id": jobID, "preempted": true, "status": string(StatusHalted)},
+		mongo.Update{Set: mongo.Doc{"preempted": false}}) == nil
+}
+
+// markPreempted writes a job's durable preemption marker.
+func (p *Platform) markPreempted(jobID string, on bool) error {
+	return p.Jobs.UpdateOne(mongo.Filter{"_id": jobID}, mongo.Update{Set: mongo.Doc{"preempted": on}})
 }
 
 // newDispatchBalancer builds the dispatcher's LCM balancer with the
@@ -201,44 +223,38 @@ func (b *tenantBackend) Dispatch(jobID string) error {
 // Preempt checkpoints and halts a running job through the existing LCM
 // halt path (control verb in etcd, Guardian deletes the learner set,
 // learners leave their checkpoint behind). The durable preempted marker
-// is written first so a dispatcher restart still knows to requeue the
-// victim when its HALTED transition lands.
+// is written first, so the HALTED transition requeues the victim even
+// across a dispatcher restart.
 func (b *tenantBackend) Preempt(jobID string) error {
-	if err := b.p.Jobs.UpdateOne(mongo.Filter{"_id": jobID},
-		mongo.Update{Set: mongo.Doc{"preempted": true}}); err != nil {
-		return err
-	}
-	b.asyncLCM("LCM.Halt", jobID)
-	return nil
+	return b.signal(jobID, true, "LCM.Halt")
 }
 
-// asyncLCM issues an LCM control RPC off the caller's goroutine. The
-// dispatcher invokes Preempt/Resume while holding its mutex — with
-// Position() (API status of queued jobs) and the status pump behind it
-// — so a wedged LCM (e.g. blocked on an etcd quorum outage) must never
-// stall dispatch or user-facing status reads. The HALTED/RESUMED bus
-// events report success; a call that fails arms the dispatcher's
-// retry, whose resync re-issues the halt to a victim still running and
-// requeues a victim still HALTED for its resume. The wall-clock timeout
-// is a goroutine-liveness bound, not a modeled latency.
-func (b *tenantBackend) asyncLCM(method, jobID string) {
+// Resume clears the marker under the dispatcher's lock, so no resync
+// halts the resumed victim, then restarts it from its latest checkpoint.
+func (b *tenantBackend) Resume(jobID string) error {
+	return b.signal(jobID, false, "LCM.Resume")
+}
+
+// signal writes the job's preempted marker, then issues the LCM call
+// off the caller's goroutine: the dispatcher holds its mutex, and a
+// wedged LCM (say, behind an etcd quorum outage) must not stall
+// dispatch or the API's queue-position reads. The HALTED/RESUMED bus
+// events report success. A call that fails sets the marker, so the
+// retry it arms halts a victim still running or requeues one still
+// HALTED. The wall-clock timeout bounds the goroutine's life, not a
+// modeled latency.
+func (b *tenantBackend) signal(jobID string, preempted bool, method string) error {
+	if err := b.p.markPreempted(jobID, preempted); err != nil {
+		return err
+	}
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if b.lcm.Call(ctx, method, JobArgs{JobID: jobID}, nil) != nil {
+			b.p.markPreempted(jobID, true) //nolint:errcheck // a victim left unmarked stays HALTED until its user resumes it
 			b.p.Dispatcher.Retry()
 		}
 	}()
-}
-
-// Resume restarts a halted victim from its latest checkpoint via the
-// LCM (asynchronously — see asyncLCM). If the call fails, the victim
-// stays HALTED with its preempted marker set, so the retry's resync
-// requeues it and resumes it again. The marker is cleared when the
-// RESUMED transition lands (tenancyStatusPump), keeping it truthful if
-// this call races a user terminate.
-func (b *tenantBackend) Resume(jobID string) error {
-	b.asyncLCM("LCM.Resume", jobID)
 	return nil
 }
 
@@ -247,44 +263,35 @@ func (b *tenantBackend) Fail(jobID, reason string) error {
 	return b.p.setJobStatus(jobID, StatusFailed, "admission rejected: "+reason)
 }
 
-// Lookup fetches the dispatcher view from MongoDB.
-func (b *tenantBackend) Lookup(jobID string) (tenant.Job, error) {
-	return b.p.tenantJob(jobID)
-}
-
-// Phase maps the job status machine onto the dispatcher's phases.
+// Phase reads where a job is now.
 func (b *tenantBackend) Phase(jobID string) (tenant.Phase, error) {
 	status, err := b.p.jobStatus(jobID)
 	if err != nil {
 		return 0, err
 	}
-	switch {
-	case status == StatusQueued:
-		return tenant.PhaseQueued, nil
-	case status == StatusHalted:
-		return tenant.PhaseHalted, nil
-	case status.Terminal():
-		return tenant.PhaseTerminal, nil
-	default:
-		return tenant.PhaseRunning, nil
-	}
+	return tenantPhase(status), nil
 }
 
-// PendingWork lists, from MongoDB, the jobs awaiting the dispatcher:
+// PendingWork lists, from MongoDB, the jobs the dispatcher reconciles:
 // QUEUED submissions (FCFS order is restored from their submission
-// timestamps) and preempted victims that have reached their checkpoint.
-// A read the store does not answer (Find's nil) arms the retry.
-func (b *tenantBackend) PendingWork() (queued, preempted []tenant.Job) {
-	find := func(f mongo.Filter) (jobs []tenant.Job) {
-		docs := b.p.Jobs.Find(f, mongo.FindOpts{SortBy: "_id"})
+// timestamps), then HALTED and every admitted status, one indexed query
+// per status. The queries run in lifecycle order, so a job that moves
+// forward during the listing is still listed. A query the store does
+// not answer makes both lists nil.
+func (b *tenantBackend) PendingWork() (queued, active []tenant.Job) {
+	active = []tenant.Job{}
+	for _, st := range append([]JobStatus{StatusQueued, StatusHalted}, admittedStatuses...) {
+		docs := b.p.Jobs.Find(mongo.Filter{"status": string(st)}, mongo.FindOpts{})
 		if docs == nil {
-			b.p.Dispatcher.Retry()
+			return nil, nil
 		}
 		for _, d := range docs {
-			jobs = append(jobs, tenantJobFromDoc(d))
+			if st == StatusQueued {
+				queued = append(queued, tenantJobFromDoc(d))
+			} else {
+				active = append(active, tenantJobFromDoc(d))
+			}
 		}
-		return jobs
 	}
-	return find(mongo.Filter{"status": string(StatusQueued)}),
-		find(mongo.Filter{"status": string(StatusHalted), "preempted": true})
+	return queued, active
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ffdl/ffdl/internal/kube"
+	"github.com/ffdl/ffdl/internal/mongo"
 	"github.com/ffdl/ffdl/internal/sched"
 	"github.com/ffdl/ffdl/internal/sim"
 	"github.com/ffdl/ffdl/internal/tenant"
@@ -347,16 +348,21 @@ func aliceTenancy(c *Config) {
 	c.Tenancy = &TenancyConfig{Quotas: []tenant.Record{{User: "alice", Tier: sched.TierPaid, GPUs: 4}}}
 }
 
-// TestFailedResumedReadRestoresFootprint: the store went down between
-// the Guardian recording a user's resume and the status pump reading
-// the job for its RESUMED event. The running job must not stay without
-// its admission footprint: the note is owed to the dispatcher's retry,
-// which restores it once the store answers.
-func TestFailedResumedReadRestoresFootprint(t *testing.T) {
-	fc := sim.NewFakeClock(time.Unix(0, 0))
-	p := newFakeClockPlatform(t, fc, aliceTenancy)
-	fc.StartAutoAdvance(5 * time.Millisecond)
-	c := p.Client()
+// detachAllJobsSubscribers detaches every all-jobs subscriber of the
+// status bus, as the bus does when it closes them, but leaves their
+// channels open: what is published now reaches none of them.
+func detachAllJobsSubscribers(p *Platform) []chan StatusEvent {
+	p.bus.mu.Lock()
+	defer p.bus.mu.Unlock()
+	detached := p.bus.subs[""]
+	delete(p.bus.subs, "")
+	return detached
+}
+
+// haltRunningJob submits a job that runs until terminated, halts it and
+// waits until the dispatcher has released its footprint.
+func haltRunningJob(t *testing.T, p *Platform, c *Client) string {
+	t.Helper()
 	ctx := context.Background()
 	m := testManifest()
 	m.Iterations, m.CheckpointEvery = 1<<30, 0 // runs until terminated
@@ -370,36 +376,181 @@ func TestFailedResumedReadRestoresFootprint(t *testing.T) {
 	}
 	waitStatus(t, c, id, StatusHalted, 20*time.Second)
 	waitUntil(t, "the halted job's footprint released", 5*time.Second, func() bool { return !p.Admission.Holds(id) })
+	return id
+}
+
+// terminateReleases terminates a job and waits until its footprint is
+// released.
+func terminateReleases(t *testing.T, p *Platform, c *Client, id string) {
+	t.Helper()
+	if err := c.Terminate(context.Background(), id); err != nil {
+		t.Fatalf("Terminate: %v", err)
+	}
+	waitStatus(t, c, id, StatusCanceled, 20*time.Second)
+	waitUntil(t, "the footprint released at the end", 5*time.Second, func() bool { return !p.Admission.Holds(id) })
+}
+
+// TestFailedResumedReadRestoresFootprint: the store went down between
+// a user's resume landing and the status pump reading the job for its
+// RESUMED event. The running job must not stay without its admission
+// footprint: the failed read arms the dispatcher's retry, whose resync
+// lists the job running and restores the footprint once the store
+// answers.
+func TestFailedResumedReadRestoresFootprint(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	p := newFakeClockPlatform(t, fc, aliceTenancy)
+	fc.StartAutoAdvance(5 * time.Millisecond)
+	c := p.Client()
+	ctx := context.Background()
+	id := haltRunningJob(t, p, c)
 
 	// The window between the Guardian's RESUMED write and the pump's read
-	// is too narrow to hit with a real outage, so the event is published
-	// as the Guardian publishes it, with the store already down.
+	// is too narrow to hit with a real outage, so the all-jobs
+	// subscribers miss the resume and are handed its RESUMED event once
+	// the store is down.
+	detached := detachAllJobsSubscribers(p)
+	if err := c.Resume(ctx, id); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	waitStatus(t, c, id, StatusResumed, 20*time.Second)
 	r, err := c.Status(ctx, id)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
+	ev := StatusEvent{JobID: id}
+	for i, h := range r.History {
+		if h.Status == StatusResumed {
+			ev.StatusItem = StatusItem{Seq: i + 1, Entry: h}
+		}
+	}
 	p.Mongo.SetUnavailable(true)
-	p.bus.publish(id, StatusEvent{JobID: id, StatusItem: StatusItem{
-		Seq:   len(r.History) + 1,
-		Entry: StatusEntry{Status: StatusResumed, Time: fc.Now(), Message: "resumed from latest checkpoint"},
-	}})
+	for _, ch := range detached {
+		ch <- ev
+	}
+	p.bus.mu.Lock()
+	p.bus.subs[""] = append(p.bus.subs[""], detached...)
+	p.bus.mu.Unlock()
 	time.Sleep(20 * time.Millisecond)
 	if p.Admission.Holds(id) {
 		t.Fatal("footprint restored while the store was down")
 	}
 	p.Mongo.SetUnavailable(false)
 	waitUntil(t, "the footprint restored once the store answers", 10*time.Second, func() bool { return p.Admission.Holds(id) })
+	terminateReleases(t, p, c, id)
+}
 
-	// The real resume and the job's end keep the accounting whole.
-	if err := c.Resume(ctx, id); err != nil {
+// TestSkippedResumedEventRestoresFootprint: the status bus closed the
+// tenancy pump's subscription, and the event it skipped was a user's
+// resume. The resync that answers the close lists the job running and
+// restores its footprint.
+func TestSkippedResumedEventRestoresFootprint(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	p := newFakeClockPlatform(t, fc, aliceTenancy)
+	fc.StartAutoAdvance(5 * time.Millisecond)
+	c := p.Client()
+	id := haltRunningJob(t, p, c)
+
+	detached := detachAllJobsSubscribers(p)
+	if err := c.Resume(context.Background(), id); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	waitStatus(t, c, id, StatusResumed, 20*time.Second)
-	if err := c.Terminate(ctx, id); err != nil {
-		t.Fatalf("Terminate: %v", err)
+	time.Sleep(20 * time.Millisecond)
+	if p.Admission.Holds(id) {
+		t.Fatal("the pump saw the skipped RESUMED event")
 	}
-	waitStatus(t, c, id, StatusCanceled, 20*time.Second)
-	waitUntil(t, "the footprint released at the end", 5*time.Second, func() bool { return !p.Admission.Holds(id) })
+	for _, ch := range detached {
+		close(ch)
+	}
+	waitUntil(t, "the footprint restored by the resync", 10*time.Second, func() bool { return p.Admission.Holds(id) })
+	terminateReleases(t, p, c, id)
+}
+
+// TestUserResumeClearsTheMarkerOfAHaltedVictim: a user's resume takes a
+// HALTED victim out of the dispatcher's hands by clearing its
+// preemption marker before the resume goes out. A resume the LCM does
+// not take marks the victim again, so a resync still requeues it, and a
+// resume of a job still running leaves the marker to the halt in flight.
+func TestUserResumeClearsTheMarkerOfAHaltedVictim(t *testing.T) {
+	fc := sim.NewFakeClock(time.Unix(0, 0))
+	p := newFakeClockPlatform(t, fc, aliceTenancy)
+	fc.StartAutoAdvance(5 * time.Millisecond)
+	c := p.Client()
+	id := haltRunningJob(t, p, c)
+	marked := func() bool {
+		t.Helper()
+		doc, err := p.Jobs.FindOne(mongo.Filter{"_id": id})
+		if err != nil {
+			t.Fatalf("FindOne: %v", err)
+		}
+		on, _ := doc["preempted"].(bool)
+		return on
+	}
+	resume := p.apis[0].control(controlResume)
+	if err := p.markPreempted(id, true); err != nil {
+		t.Fatal(err)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := resume(canceled, JobArgs{JobID: id}); err == nil {
+		t.Fatal("a resume under a canceled context went out")
+	}
+	if !marked() {
+		t.Fatal("a resume that failed left the halted victim unmarked")
+	}
+	if _, err := resume(context.Background(), JobArgs{JobID: id}); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if marked() {
+		t.Fatal("a resume that went out left the victim marked")
+	}
+	waitStatus(t, c, id, StatusResumed, 20*time.Second)
+	waitUntil(t, "the resumed job's footprint", 5*time.Second, func() bool { return p.Admission.Holds(id) })
+
+	if err := p.markPreempted(id, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resume(context.Background(), JobArgs{JobID: id}); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if !marked() {
+		t.Fatal("a resume of a running job cleared its marker")
+	}
+	terminateReleases(t, p, c, id)
+}
+
+// TestRunningJobKeepsFootprintAcrossReopen: a tenancy platform on a
+// DataDir stops while a job runs. The reopened platform's boot resync
+// lists the job and restores its footprint before any node has joined,
+// so the budget does not refuse it, and the LCM redeploys it.
+func TestRunningJobKeepsFootprintAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	tenancy := func(c *Config) {
+		c.DataDir = dir
+		c.Tenancy = &TenancyConfig{Quotas: []tenant.Record{{User: "alice", Tier: sched.TierPaid, GPUs: 8}}}
+	}
+	p := newTestPlatform(t, tenancy)
+	c := p.Client()
+	m := testManifest()
+	m.GPUsPerLearner, m.Iterations, m.CheckpointEvery = 4, 1<<30, 0 // runs until terminated
+	id, err := c.Submit(context.Background(), m)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitStatus(t, c, id, StatusProcessing, 20*time.Second)
+	if got := p.Admission.Usage("alice"); got != 4 {
+		t.Fatalf("Usage(alice) = %d before the stop, want 4", got)
+	}
+	p.Stop()
+
+	p2 := newTestPlatform(t, tenancy)
+	if got := p2.Admission.Usage("alice"); got != 4 || !p2.Admission.Holds(id) {
+		t.Fatalf("after reopen: Usage(alice) = %d, Holds = %v, want the running job's 4", got, p2.Admission.Holds(id))
+	}
+	c2 := p2.Client()
+	waitStatus(t, c2, id, StatusProcessing, 20*time.Second)
+	terminateReleases(t, p2, c2, id)
 }
 
 // TestClosedStatusSubscriptionResyncsDispatcher: the status bus closed

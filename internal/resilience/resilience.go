@@ -116,8 +116,9 @@ type Backoff struct {
 	Jitter float64
 }
 
-// delay computes the wait before retry #attempt (0-based).
-func (b Backoff) delay(attempt int, rng *sim.RNG) time.Duration {
+// Delay computes the wait before retry #attempt (0-based), jittered
+// from rng (nil: no jitter).
+func (b Backoff) Delay(attempt int, rng *sim.RNG) time.Duration {
 	base := b.Base
 	if base <= 0 {
 		base = time.Millisecond
@@ -505,7 +506,7 @@ func (p *Policy) Do(ctx context.Context, op func(context.Context) error) error {
 		}
 		p.retries.Inc()
 		p.rngMu.Lock()
-		wait := p.backoff.delay(attempt, p.rng)
+		wait := p.backoff.Delay(attempt, p.rng)
 		p.rngMu.Unlock()
 		t := p.clock.NewTimer(wait)
 		select {

@@ -39,7 +39,7 @@ func TestBackoffCapAndDeterminism(t *testing.T) {
 	b := Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Mult: 2}
 	want := []time.Duration{10, 20, 40, 80, 80}
 	for i, w := range want {
-		if got := b.delay(i, nil); got != w*time.Millisecond {
+		if got := b.Delay(i, nil); got != w*time.Millisecond {
 			t.Fatalf("delay(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
@@ -47,7 +47,7 @@ func TestBackoffCapAndDeterminism(t *testing.T) {
 	bj := Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Mult: 2, Jitter: 0.5}
 	a, c := sim.NewRNG(7), sim.NewRNG(7)
 	for i := 0; i < 5; i++ {
-		if d1, d2 := bj.delay(i, a), bj.delay(i, c); d1 != d2 {
+		if d1, d2 := bj.Delay(i, a), bj.Delay(i, c); d1 != d2 {
 			t.Fatalf("jitter not deterministic: %v vs %v", d1, d2)
 		}
 	}

@@ -59,6 +59,7 @@ type runningJob struct {
 	user      string
 	gpus      int
 	overQuota bool
+	resuming  bool // admitted for a resume that has not landed yet
 	seq       uint64
 }
 
@@ -66,10 +67,10 @@ type runningJob struct {
 // It sits logically above FfDL (§3.6) and decides which jobs reach the
 // scheduler queue at all.
 //
-// Entries are keyed by job ID and both Admit and Release are
+// Entries are keyed by job ID and Admit, Restore and Release are all
 // idempotent per job, so the controller stays correct when the same job
 // is admitted or released more than once — an API client retrying a
-// submit against another replica, a dispatcher re-admitting after a
+// submit against another replica, a dispatcher restoring after a
 // resync, or duplicate terminal events from the status bus.
 type Admission struct {
 	mu      sync.Mutex
@@ -206,17 +207,49 @@ func (a *Admission) Admit(g *Gang) (AdmitDecision, error) {
 		return Reject, fmt.Errorf("sched: cluster GPU admission limit reached (%d/%d in use, %d requested)",
 			a.admitted, limit, need)
 	}
-	over := a.usage[g.User]+need > q.GPUs
+	if a.holdLocked(g, q.GPUs) {
+		return AdmitOverQuota, nil
+	}
+	return AdmitInQuota, nil
+}
+
+// Restore records the footprint of a job that already runs, resumed or
+// found running after a restart, and never refuses for budget or quota;
+// a job without a quota counts as over quota. On a job already held it
+// ends the shield Resuming set.
+func (a *Admission) Restore(g *Gang) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if j, ok := a.running[g.JobID]; ok {
+		j.resuming = false
+	} else {
+		a.holdLocked(g, a.quotas[g.User].GPUs)
+	}
+}
+
+// Resuming shields a held job admitted for a resume from PreemptFor
+// until Restore records it running: a halt sent before the resume lands
+// could overtake it, or meet a job still halted and change nothing.
+func (a *Admission) Resuming(jobID string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if j, ok := a.running[jobID]; ok {
+		j.resuming = true
+	}
+}
+
+// holdLocked registers g's footprint and reports whether it is over the
+// user's quota.
+func (a *Admission) holdLocked(g *Gang, quota int) bool {
+	need := g.GPUDemand()
+	over := a.usage[g.User]+need > quota
 	a.seq++
 	a.running[g.JobID] = &runningJob{
 		jobID: g.JobID, user: g.User, gpus: need, overQuota: over, seq: a.seq,
 	}
 	a.usage[g.User] += need
 	a.admitted += need
-	if over {
-		return AdmitOverQuota, nil
-	}
-	return AdmitInQuota, nil
+	return over
 }
 
 // Release returns a finished (or preempted) job's footprint. Release
@@ -229,28 +262,38 @@ func (a *Admission) Release(jobID string) {
 	a.releaseLocked(jobID)
 }
 
-func (a *Admission) releaseLocked(jobID string) {
-	j, ok := a.running[jobID]
-	if !ok {
-		return
+// Evict releases a preempted job's footprint and counts the preemption.
+func (a *Admission) Evict(jobID string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.releaseLocked(jobID) {
+		a.preemptions++
 	}
-	delete(a.running, jobID)
-	a.usage[j.user] -= j.gpus
-	a.admitted -= j.gpus
+}
+
+func (a *Admission) releaseLocked(jobID string) bool {
+	j, ok := a.running[jobID]
+	if ok {
+		delete(a.running, jobID)
+		a.usage[j.user] -= j.gpus
+		a.admitted -= j.gpus
+	}
+	return ok
 }
 
 // PreemptFor selects victim jobs freeing at least needGPUs for an
 // in-quota request by user. Victims are chosen in the paper's order:
 // free-tier users' jobs first, then over-quota jobs (most recent first —
-// the job that least "deserves" its resources). The selected jobs are
-// released; the caller must actually stop them. It returns the victim
-// job IDs, or nil if the demand cannot be met.
+// the job that least "deserves" its resources), passing over a job whose
+// resume has not landed. It releases nothing: the caller stops each
+// victim, then Evicts it. It returns the victim job IDs, or nil if the
+// demand cannot be met.
 func (a *Admission) PreemptFor(user string, needGPUs int) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var candidates []*runningJob
 	for _, j := range a.running {
-		if j.user == user {
+		if j.user == user || j.resuming {
 			continue
 		}
 		tier := a.quotas[j.user].Tier
@@ -279,9 +322,5 @@ func (a *Admission) PreemptFor(user string, needGPUs int) []string {
 	if freed < needGPUs {
 		return nil
 	}
-	for _, id := range victims {
-		a.releaseLocked(id)
-	}
-	a.preemptions += int64(len(victims))
 	return victims
 }

@@ -327,6 +327,9 @@ func TestPreemptionScenarios(t *testing.T) {
 
 	// B reclaims 8 GPUs: free job (2) + A's over-quota job (8) free 10.
 	victims := a.PreemptFor("payB", 8)
+	for _, v := range victims {
+		a.Evict(v)
+	}
 	if len(victims) != 2 {
 		t.Fatalf("victims = %v", victims)
 	}
@@ -527,6 +530,12 @@ func TestPreemptForVictimOrderingAndSufficiency(t *testing.T) {
 	if victims == nil {
 		t.Fatal("satisfiable preemption returned nil")
 	}
+	if a.AdmittedGPUs() != 12 {
+		t.Fatalf("selection released footprints: admitted = %d, want 12", a.AdmittedGPUs())
+	}
+	for _, v := range victims {
+		a.Evict(v)
+	}
 	// Ordering: both free-tier jobs before any over-quota job, then the
 	// newest over-quota job first.
 	if len(victims) != 4 {
@@ -549,6 +558,30 @@ func TestPreemptForVictimOrderingAndSufficiency(t *testing.T) {
 	}
 	if got := a.Preemptions(); got != 4 {
 		t.Fatalf("preemption counter = %d, want 4", got)
+	}
+}
+
+// TestPreemptForPassesOverResumingJob: a job admitted for a resume that
+// has not landed is no victim until Restore records it running.
+func TestPreemptForPassesOverResumingJob(t *testing.T) {
+	a := NewAdmission(0)
+	a.SetQuota(UserQuota{User: "free1", Tier: TierFree, GPUs: 2})
+	a.SetQuota(UserQuota{User: "payB", Tier: TierPaid, GPUs: 8})
+	g := gang("victim", 1, 2)
+	g.User = "free1"
+	if _, err := a.Admit(g); err != nil {
+		t.Fatal(err)
+	}
+	a.Resuming("victim")
+	if v := a.PreemptFor("payB", 2); v != nil {
+		t.Fatalf("a resuming job was selected: %v", v)
+	}
+	a.Restore(g)
+	if v := a.PreemptFor("payB", 2); len(v) != 1 || v[0] != "victim" {
+		t.Fatalf("victims = %v after the resume landed, want [victim]", v)
+	}
+	if a.AdmittedGPUs() != 2 {
+		t.Fatalf("Restore of a held job changed its footprint: admitted = %d", a.AdmittedGPUs())
 	}
 }
 
@@ -583,6 +616,9 @@ func TestPreemptForFreesEnoughProperty(t *testing.T) {
 		victims := a.PreemptFor("claimant", need)
 		if victims == nil {
 			continue // demand not satisfiable from preemptible jobs
+		}
+		for _, v := range victims {
+			a.Evict(v)
 		}
 		freed := before - a.AdmittedGPUs()
 		if freed < need {

@@ -11,20 +11,23 @@ import (
 )
 
 // Job is the dispatcher's view of one submitted job: identity, owner,
-// the gang shape admission and preemption account in, and the original
-// submission time that anchors its FCFS position (queue delay is always
-// measured from Submitted, and a preempted victim re-enters the queue
-// under its original arrival — which is what puts it back at the head).
+// the gang shape admission accounts in, and the submission time that
+// anchors its FCFS position (a requeued victim keeps it, which puts it
+// back at the head). Phase is where the job stood when the store was
+// read; Preempted is its durable marker: the dispatcher halted it to
+// make room and owes it a resume. A queued victim dispatches through
+// Resume and never preempts (no preemption cycles).
 type Job struct {
 	ID        string
 	User      string
 	Gang      *sched.Gang
 	Submitted time.Time
+	Phase     Phase
+	Preempted bool
 }
 
-// Phase is where a job currently is in its lifecycle, as far as the
-// dispatcher cares: the platform maps its richer status machine down to
-// these four.
+// Phase is the platform's status machine mapped down to what the
+// dispatcher cares about.
 type Phase int
 
 // Dispatcher-visible job phases.
@@ -33,52 +36,48 @@ const (
 	PhaseQueued Phase = iota + 1
 	// PhaseRunning: handed to the LCM and neither halted nor terminal.
 	PhaseRunning
-	// PhaseHalted: checkpointed and stopped; GPUs are free. Preempted
-	// victims wait here until the dispatcher resumes them.
+	// PhaseHalted: checkpointed and stopped; victims wait here.
 	PhaseHalted
 	// PhaseTerminal: completed, failed or canceled.
 	PhaseTerminal
 )
 
-// Backend is what the dispatcher drives — implemented by the core
-// platform. All methods must be safe to call repeatedly for the same
-// job: the dispatcher is level-triggered and will re-issue an action it
-// cannot prove happened.
+// Backend is what the dispatcher drives, implemented by the core
+// platform. Every method must be safe to repeat for a job: the
+// dispatcher re-issues an action it cannot prove happened.
 type Backend interface {
 	// Dispatch hands an admitted queued job to the LCM (QUEUED →
 	// PENDING). An error means the job is no longer dispatchable
 	// (vanished or already moved on) and it is dropped from the queue.
 	Dispatch(jobID string) error
-	// Preempt checkpoints and halts a running job through the
-	// platform's existing halt path (checkpoint signal to learners).
+	// Preempt marks a running job preempted in the store, then
+	// checkpoints and halts it through the platform's halt path. An
+	// error means the store did not take the mark and nothing went out;
+	// a halt that fails later arms the dispatcher's Retry.
 	Preempt(jobID string) error
-	// Resume restarts a halted victim from its latest checkpoint.
+	// Resume clears the mark and restarts a halted victim from its
+	// latest checkpoint; it errors as Preempt does.
 	Resume(jobID string) error
-	// Fail permanently rejects a queued job (e.g. its quota record was
-	// deleted between submit and dispatch).
+	// Fail permanently rejects a queued job.
 	Fail(jobID, reason string) error
-	// Lookup fetches a job's dispatcher view from the durable store.
-	Lookup(jobID string) (Job, error)
 	// Phase reports where a job currently is.
 	Phase(jobID string) (Phase, error)
-	// PendingWork lists, from the durable store, jobs awaiting the
-	// dispatcher: QUEUED submissions and preempted-but-halted victims.
-	// This is the resync source of truth.
-	PendingWork() (queued []Job, preempted []Job)
+	// PendingWork lists, from the durable store, the QUEUED submissions
+	// and every other job that is not terminal, each with its Phase and
+	// Preempted marker. It is the resync's source of truth. A nil active
+	// list means the store did not answer.
+	PendingWork() (queued []Job, active []Job)
 }
 
 // Stats counts dispatcher activity.
 type Stats struct {
-	// Wakes is the number of times the loop woke for any reason;
-	// Passes counts dispatch passes actually run.
+	// Wakes counts loop wake-ups; Passes, dispatch passes run.
 	Wakes  uint64
 	Passes uint64
-	// Dispatched counts jobs handed to the LCM (first dispatch only);
-	// Resumed counts preemption victims restarted from checkpoint.
+	// Dispatched counts first dispatches; Resumed, victims resumed.
 	Dispatched uint64
 	Resumed    uint64
-	// Preempted counts victims halted; Requeued counts victims that
-	// re-entered the queue after their checkpoint landed.
+	// Preempted counts victims halted; Requeued, victims requeued.
 	Preempted uint64
 	Requeued  uint64
 	// Resyncs counts Resync passes: boot, closed subscription, retry.
@@ -101,20 +100,14 @@ type Config struct {
 	// of checkpointing victims (ablation; production FfDL preempts).
 	DisablePreemption bool
 	// Obs, when non-nil, records each dispatch's queue delay into the
-	// "tenant.queue_delay" histogram. Nil leaves dispatch accounting
-	// uninstrumented at zero cost.
+	// "tenant.queue_delay" histogram.
 	Obs *obs.Registry
 }
 
-// queuedEntry is the dispatcher's per-job queue state.
+// queuedEntry is the dispatcher's per-job queue state; enqueued is when
+// it (re-)entered the queue, for a victim's delay accounting.
 type queuedEntry struct {
-	job Job
-	// victim marks a preempted job waiting to resume from checkpoint
-	// rather than a fresh submission: it dispatches through Resume and
-	// never triggers further preemption (no preemption cycles).
-	victim bool
-	// enqueued is when the entry (re-)entered the queue, for delay
-	// accounting; FCFS position still keys off job.Submitted.
+	job      Job
 	enqueued time.Time
 }
 
@@ -135,16 +128,9 @@ type Dispatcher struct {
 	mu      sync.Mutex
 	queue   sched.Queue
 	entries map[string]*queuedEntry
-	// victims maps preempted jobs awaiting their HALTED transition to
-	// their durable view, so the requeue needs no store read.
-	victims map[string]Job
-	// resumes holds resumed jobs whose lookup failed, owed a footprint.
-	resumes map[string]struct{}
 	stats   Stats
 
-	// obsDelay is the registry queue-delay histogram; nil without
-	// Config.Obs.
-	obsDelay *obs.Histogram
+	obsDelay *obs.Histogram // nil without Config.Obs
 }
 
 // NewDispatcher builds a dispatcher; call Start to run it.
@@ -163,8 +149,6 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		retry:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		entries: make(map[string]*queuedEntry),
-		victims: make(map[string]Job),
-		resumes: make(map[string]struct{}),
 	}
 	if cfg.Obs != nil {
 		d.obsDelay = cfg.Obs.Histogram("tenant.queue_delay")
@@ -186,7 +170,9 @@ func (d *Dispatcher) Start() {
 			case <-d.stop:
 				return
 			case <-d.wake:
-				d.noteWake()
+				d.mu.Lock()
+				d.stats.Wakes++
+				d.mu.Unlock()
 				d.dispatch()
 			case <-d.retry:
 				if timer == nil {
@@ -204,12 +190,6 @@ func (d *Dispatcher) Start() {
 func (d *Dispatcher) Stop() {
 	d.once.Do(func() { close(d.stop) })
 	d.wg.Wait()
-}
-
-func (d *Dispatcher) noteWake() {
-	d.mu.Lock()
-	d.stats.Wakes++
-	d.mu.Unlock()
 }
 
 // Wake nudges the dispatch loop without carrying an event.
@@ -232,97 +212,79 @@ func signal(ch chan struct{}) {
 // the loop. Duplicate notes for a known job are no-ops.
 func (d *Dispatcher) NoteQueued(j Job) {
 	d.mu.Lock()
-	d.enqueueLocked(j, false)
+	d.enqueueLocked(j)
 	d.mu.Unlock()
 	d.Wake()
 }
 
-// NoteTerminal releases a finished job's admission footprint (satisfying
-// the release-on-every-terminal-transition contract for all writers the
-// status bus observes), drops it from the queue if it was still waiting,
-// and wakes the loop — a completion is exactly when capacity frees.
+// NoteTerminal releases a finished job's footprint, drops it from the
+// queue and wakes the loop: a completion is when capacity frees. It
+// takes mu, as a pass that read the job HALTED and a resync that listed
+// it running admit it under mu, so neither admission lands after it.
 func (d *Dispatcher) NoteTerminal(jobID string) {
-	// Under mu: a pass that read the job HALTED admits it under mu too,
-	// so that admission cannot land after this release.
 	d.mu.Lock()
 	d.adm.Release(jobID)
 	d.dropLocked(jobID)
-	delete(d.victims, jobID)
-	delete(d.resumes, jobID)
 	d.mu.Unlock()
 	d.Wake()
 }
 
 // NoteHalted releases a halted job's footprint (its GPUs are free while
-// it sits on its checkpoint) and, if the halt was a preemption the
-// dispatcher initiated, requeues the victim under its original arrival
-// time — the FCFS order restores it to the head of the queue.
-func (d *Dispatcher) NoteHalted(jobID string) {
+// it sits on its checkpoint) and, if the store marks it preempted,
+// requeues the victim under its original arrival time — the FCFS order
+// restores it to the head of the queue.
+func (d *Dispatcher) NoteHalted(j Job) {
 	d.mu.Lock()
-	d.adm.Release(jobID)
-	delete(d.resumes, jobID)
-	if j, ok := d.victims[jobID]; ok {
-		delete(d.victims, jobID)
-		if j.Gang == nil {
-			d.Retry() // its lookup failed: Resync requeues it from PendingWork
-		}
-		d.enqueueLocked(j, true)
+	d.adm.Release(j.ID)
+	if j.Preempted && d.enqueueLocked(j) {
 		d.stats.Requeued++
 	}
 	d.mu.Unlock()
 	d.Wake()
 }
 
-// NoteResumed restores the admission footprint of a job that resumed
-// from its checkpoint. Admit is idempotent per job, so a resume the
-// dispatcher itself admitted is not double-counted; a user-initiated
-// resume (which bypassed the queue) gets its footprint re-registered
-// here. A failed lookup leaves the footprint owed to the retry.
-func (d *Dispatcher) NoteResumed(jobID string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resumeLocked(jobID)
-}
-
-func (d *Dispatcher) resumeLocked(jobID string) {
-	j, err := d.cfg.Backend.Lookup(jobID)
-	if err != nil {
-		d.resumes[jobID] = struct{}{}
+// NoteResumed restores the footprint of a job that resumed from its
+// checkpoint, which never refuses: a user's resume holds its GPUs
+// whatever the budget says. It wakes the loop, as a head Resuming kept
+// from preempting the job may do so now. A job whose read failed
+// carries no gang, and one the store marks preempted owes a halt: the
+// retry's resync restores the one and halts the other.
+func (d *Dispatcher) NoteResumed(j Job) {
+	switch {
+	case j.Preempted:
 		d.Retry()
-		return
-	}
-	delete(d.resumes, jobID)
-	if j.Gang != nil {
-		d.adm.Admit(j.Gang) //nolint:errcheck // accounting restore; rejection leaves it unaccounted, matching pre-tenancy resume semantics
+	case j.Gang != nil:
+		d.adm.Restore(j.Gang)
+		d.Wake()
 	}
 }
 
 // SetQuota installs a tenant's quota written through the API and wakes
-// the loop — a raised quota may make a starved head in-quota, which
-// preempts for it.
+// the loop: a raised quota may make a starved head in-quota.
 func (d *Dispatcher) SetQuota(rec Record) {
 	d.adm.SetQuota(rec.Quota())
 	d.Wake()
 }
 
-// SetClusterGPUs updates the admission budget to the cluster's current
-// capacity (wired to kube node watch events) and wakes the loop —
-// added capacity may admit the head of the queue.
+// SetClusterGPUs updates the admission budget to the cluster's capacity
+// and wakes the loop: added capacity may admit the head.
 func (d *Dispatcher) SetClusterGPUs(n int) {
 	d.adm.SetClusterGPUs(n)
 	d.Wake()
 }
 
-// enqueueLocked adds a job to the queue unless it is already there.
-func (d *Dispatcher) enqueueLocked(j Job, victim bool) {
+// enqueueLocked adds a job to the queue unless it is already there, and
+// reports whether it did.
+func (d *Dispatcher) enqueueLocked(j Job) bool {
 	if j.Gang == nil || j.ID == "" {
-		return
+		return false
 	}
 	if _, ok := d.entries[j.ID]; ok {
-		return
+		return false
 	}
-	d.entries[j.ID] = &queuedEntry{job: j, victim: victim, enqueued: d.clock.Now()}
+	d.entries[j.ID] = &queuedEntry{job: j, enqueued: d.clock.Now()}
 	d.queue.Push(j.Gang, j.Submitted)
+	return true
 }
 
 // dropLocked removes a job from the queue.
@@ -360,61 +322,59 @@ func (d *Dispatcher) Stats() Stats {
 	return d.stats
 }
 
-// Resync is the level-triggered recovery pass: re-read quotas, recover
-// queued work, victims and owed resume footprints, release those of
-// jobs that finished unseen, then run a pass. It runs at Start, after
-// the status subscription closed, and on the retry; a call in it that
-// fails arms the retry again.
+// Resync is the level-triggered recovery pass: re-read quotas, list the
+// jobs that are not terminal, reconcile admission with that listing,
+// then run a pass. It runs at Start, after the status subscription
+// closed, and on the retry; a call in it that fails arms the retry
+// again. The listing is read and applied under mu, so a terminal or
+// halted note that lands meanwhile is never undone.
 func (d *Dispatcher) Resync() {
 	if d.cfg.Registry != nil && d.cfg.Registry.Seed(d.adm) != nil {
 		d.Retry()
 	}
-	queued, preempted := d.cfg.Backend.PendingWork()
 	d.mu.Lock()
 	d.stats.Resyncs++
+	queued, active := d.cfg.Backend.PendingWork()
 	for _, j := range queued {
-		d.enqueueLocked(j, false)
+		d.enqueueLocked(j)
 	}
-	for _, j := range preempted {
-		// A preempted job already halted: its HALTED event may have
-		// been dropped, so requeue it directly.
-		if _, waiting := d.victims[j.ID]; waiting {
-			delete(d.victims, j.ID)
-			d.stats.Requeued++
-		}
-		d.enqueueLocked(j, true)
-	}
-	// Victims whose halt never landed (terminal raced the preemption)
-	// must not leak; victims still running may have lost the halt
-	// signal (e.g. an LCM outage mid-call), so re-issue it — the halt
-	// path is idempotent.
-	for id := range d.victims {
-		switch ph, err := d.cfg.Backend.Phase(id); {
-		case err != nil:
-			d.Retry()
-		case ph == PhaseTerminal:
-			delete(d.victims, id)
-		case ph == PhaseRunning && d.cfg.Backend.Preempt(id) != nil:
-			d.Retry()
-		}
-	}
-	for id := range d.resumes {
-		d.resumeLocked(id)
-	}
-	// A terminal job whose bus event was lost still holds its footprint;
-	// release it so the capacity is not leaked forever. Halted jobs keep
-	// theirs: a victim admitted for resume stays HALTED until its resume
-	// lands.
-	for _, id := range d.adm.Held() {
-		switch ph, err := d.cfg.Backend.Phase(id); {
-		case err != nil:
-			d.Retry()
-		case ph == PhaseTerminal:
-			d.adm.Release(id)
-		}
+	if active == nil {
+		d.Retry() // the store did not answer: release nothing
+	} else {
+		d.reconcileLocked(active)
 	}
 	d.mu.Unlock()
 	d.dispatch()
+}
+
+// reconcileLocked makes admission match the listed jobs: a halted victim
+// is requeued; a running job holds its footprint, unless it is marked
+// preempted: then its halt has not landed and is issued again.
+// A footprint is released only when its job is not listed, that is
+// terminal or gone; a HALTED job keeps its own, as a victim admitted for
+// resume stays HALTED until its resume lands.
+func (d *Dispatcher) reconcileLocked(active []Job) {
+	listed := make(map[string]bool, len(active))
+	for _, j := range active {
+		listed[j.ID] = true
+		switch {
+		case j.Phase == PhaseHalted:
+			if j.Preempted && d.enqueueLocked(j) {
+				d.stats.Requeued++
+			}
+		case !j.Preempted:
+			d.adm.Restore(j.Gang)
+		default:
+			if d.cfg.Backend.Preempt(j.ID) != nil {
+				d.Retry()
+			}
+		}
+	}
+	for _, id := range d.adm.Held() {
+		if !listed[id] {
+			d.adm.Release(id)
+		}
+	}
 }
 
 // dispatch runs one pass: admit and hand off jobs from the head of the
@@ -436,7 +396,7 @@ func (d *Dispatcher) dispatch() {
 			d.queue.Remove(id)
 			continue
 		}
-		if entry.victim {
+		if entry.job.Preempted {
 			if !d.dispatchVictimLocked(entry) {
 				return
 			}
@@ -475,8 +435,7 @@ func (d *Dispatcher) dispatchQueuedLocked(e *queuedEntry) bool {
 		d.stats.Dispatched++
 		return true
 	}
-	// Rejected. Unknown user: the quota record disappeared between
-	// submit-time validation and dispatch — fail the job visibly.
+	// Rejected. Its quota record disappeared since submit: fail it.
 	if _, ok := d.adm.Quota(e.job.User); !ok {
 		if d.cfg.Backend.Fail(id, "no quota for user "+e.job.User) != nil {
 			d.Retry()
@@ -485,23 +444,14 @@ func (d *Dispatcher) dispatchQueuedLocked(e *queuedEntry) bool {
 		d.stats.Failed++
 		return true
 	}
-	// Permanently infeasible: a gang bigger than the whole cluster can
-	// never be admitted, and in strict FCFS it would wedge the queue
-	// for every tenant behind it. Fail it visibly instead.
 	if d.failIfInfeasibleLocked(e) {
 		return true
 	}
 	// Cluster budget exhausted. A starved in-quota head preempts
 	// (§3.6: free users under load, over-quota jobs when the quota
-	// owner returns); over-quota heads wait for capacity.
-	if d.cfg.DisablePreemption || !d.inQuotaLocked(e.job) {
-		return false
-	}
-	if !d.preemptForLocked(e.job) {
-		return false
-	}
-	// Footprints were released; re-admit on the next loop iteration.
-	return true
+	// owner returns) and is admitted on the next iteration; over-quota
+	// heads wait for capacity.
+	return !d.cfg.DisablePreemption && d.inQuotaLocked(e.job) && d.preemptForLocked(e.job)
 }
 
 // dispatchVictimLocked tries to resume a preempted victim at the head
@@ -517,35 +467,29 @@ func (d *Dispatcher) dispatchVictimLocked(e *queuedEntry) bool {
 		d.dropLocked(id)
 		return true
 	}
-	dec, _ := d.adm.Admit(e.job.Gang)
-	if dec == sched.Reject {
-		// A victim that no longer fits the cluster at all (capacity
-		// shrank while it sat on its checkpoint) must not wedge the
-		// queue either.
-		if d.failIfInfeasibleLocked(e) {
-			return true
-		}
-		// Victims never preempt (no cycles); the head waits for
-		// capacity in strict FCFS order.
-		return false
+	if dec, _ := d.adm.Admit(e.job.Gang); dec == sched.Reject {
+		// Capacity may have shrunk below the victim while it sat on its
+		// checkpoint. Victims never preempt (no cycles): the head waits.
+		return d.failIfInfeasibleLocked(e)
 	}
 	if err := d.cfg.Backend.Resume(id); err != nil {
+		// The store did not take the marker clear, so no resume went
+		// out: the footprint is released and the retry's pass resumes.
 		d.adm.Release(id)
 		d.Retry()
-		return false // halt may still be propagating
+		return false
 	}
+	d.adm.Resuming(id)
 	d.recordDispatchLocked(e, true)
 	d.dropLocked(id)
 	d.stats.Resumed++
 	return true
 }
 
-// failIfInfeasibleLocked fails and drops a head whose GPU demand
-// exceeds total cluster capacity — no amount of completion or
-// preemption can ever admit it, and leaving it at the head would block
-// the strict-FCFS queue forever. Reports whether the entry was failed.
-// A capacity of "unlimited" (ClusterCap 0) or known-zero (< 0, e.g. no
-// nodes registered yet) never fails a job: capacity may still appear.
+// failIfInfeasibleLocked fails and drops a head whose GPU demand exceeds
+// the cluster's capacity, which at the head would wedge the FCFS queue
+// forever, and reports whether it did. An unlimited (0) or known-zero
+// (< 0) capacity fails no job: capacity may still appear.
 func (d *Dispatcher) failIfInfeasibleLocked(e *queuedEntry) bool {
 	budget := d.adm.ClusterCap()
 	need := e.job.Gang.GPUDemand()
@@ -570,9 +514,11 @@ func (d *Dispatcher) inQuotaLocked(j Job) bool {
 	return d.adm.Usage(j.User)+j.Gang.GPUDemand() <= q.GPUs
 }
 
-// preemptForLocked checkpoints enough victims to admit j, marking each
-// so its HALTED transition requeues it. Reports whether victims were
-// selected.
+// preemptForLocked checkpoints enough victims to admit j. Preempt marks
+// each in the store, so its HALTED transition requeues it, and only a
+// marked victim is evicted: one whose marker the store did not take
+// keeps its footprint, and the pass waits for the retry. Reports
+// whether every victim was marked.
 func (d *Dispatcher) preemptForLocked(j Job) bool {
 	need := j.Gang.GPUDemand()
 	shortfall := need
@@ -585,18 +531,17 @@ func (d *Dispatcher) preemptForLocked(j Job) bool {
 		return false
 	}
 	victims := d.adm.PreemptFor(j.User, shortfall)
-	if len(victims) == 0 {
-		return false
-	}
+	marked := len(victims) > 0
 	for _, v := range victims {
-		vj, err := d.cfg.Backend.Lookup(v)
-		d.victims[v] = vj // a zero Job if the lookup failed
-		d.stats.Preempted++
-		if err != nil || d.cfg.Backend.Preempt(v) != nil {
+		if d.cfg.Backend.Preempt(v) != nil {
 			d.Retry()
+			marked = false
+			continue
 		}
+		d.adm.Evict(v)
+		d.stats.Preempted++
 	}
-	return true
+	return marked
 }
 
 // recordDispatchLocked observes one dispatch's queue delay: from

@@ -20,13 +20,14 @@
 // docs/watch-protocol.md: it wakes on job status transitions (queued,
 // halted, resumed, terminal) from the platform's status bus, on quota
 // writes the API hands it (SetQuota), and on cluster capacity changes
-// from the kube store watch. It keeps no ticker. Its Resync re-reads
-// queued jobs, quotas and victim phases from their durable stores and
-// releases the footprints of jobs that finished unseen; it runs at
-// Start, when the status subscription closes (the gap signal for the
-// events it skipped), and once ResyncInterval after any call the stores
-// or the LCM did not answer (Retry). So a dropped event or a failed
-// call delays a dispatch, never loses it or leaks its GPUs.
+// from the kube store watch. It keeps no ticker. Its Resync lists every
+// job that is not terminal from the durable store and reconciles
+// admission with that one listing; it runs at Start, when the status
+// subscription closes (the gap signal for the events it skipped), and
+// once ResyncInterval after any call the stores or the LCM did not
+// answer (Retry). So a dropped event, a failed call or a restart delays
+// a dispatch, never loses it, leaks its GPUs or leaves a running job
+// unaccounted.
 package tenant
 
 import (

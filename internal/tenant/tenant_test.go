@@ -40,13 +40,17 @@ type fakeBackend struct {
 	resumed    []string
 	halted     []string
 	failed     map[string]string
-	// down fails every call that reads or writes the store, and makes
-	// PendingWork arm d's retry as the platform's does.
+	// down fails every call that reads or writes the store; PendingWork
+	// then answers nil as the platform's does.
 	down bool
-	d    *Dispatcher
-	// haltErrs is how many Preempt calls fail, as an LCM that does not
-	// answer the halt.
+	// haltErrs is how many Preempt calls write the marker but halt
+	// nothing, as an LCM that does not answer the halt; the platform
+	// reports that failure through Dispatcher.Retry, which tests call.
 	haltErrs int
+	// phaseReads counts Phase calls; listed, when set, runs after each
+	// PendingWork has read the store.
+	phaseReads int
+	listed     func()
 }
 
 var errStoreDown = errors.New("fake: store unavailable")
@@ -84,11 +88,14 @@ func (b *fakeBackend) Dispatch(jobID string) error {
 func (b *fakeBackend) Preempt(jobID string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.haltErrs > 0 {
-		b.haltErrs--
-		return errors.New("fake: the LCM did not answer the halt")
+	if b.down {
+		return errStoreDown
 	}
 	b.preempted[jobID] = true
+	if b.haltErrs > 0 {
+		b.haltErrs--
+		return nil
+	}
 	b.halted = append(b.halted, jobID)
 	b.phase[jobID] = PhaseHalted
 	return nil
@@ -97,6 +104,9 @@ func (b *fakeBackend) Preempt(jobID string) error {
 func (b *fakeBackend) Resume(jobID string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.down {
+		return errStoreDown
+	}
 	if b.phase[jobID] != PhaseHalted {
 		return fmt.Errorf("fake: %s not halted", jobID)
 	}
@@ -114,22 +124,10 @@ func (b *fakeBackend) Fail(jobID, reason string) error {
 	return nil
 }
 
-func (b *fakeBackend) Lookup(jobID string) (Job, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.down {
-		return Job{}, errStoreDown
-	}
-	j, ok := b.job[jobID]
-	if !ok {
-		return Job{}, fmt.Errorf("fake: unknown job %s", jobID)
-	}
-	return j, nil
-}
-
 func (b *fakeBackend) Phase(jobID string) (Phase, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.phaseReads++
 	if b.down {
 		return 0, errStoreDown
 	}
@@ -140,22 +138,49 @@ func (b *fakeBackend) Phase(jobID string) (Phase, error) {
 	return ph, nil
 }
 
-func (b *fakeBackend) PendingWork() (queued, preempted []Job) {
+func (b *fakeBackend) PendingWork() (queued, active []Job) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.down {
-		b.d.Retry()
+		b.mu.Unlock()
 		return nil, nil
 	}
+	active = []Job{}
 	for id, ph := range b.phase {
-		switch {
-		case ph == PhaseQueued:
-			queued = append(queued, b.job[id])
-		case ph == PhaseHalted && b.preempted[id]:
-			preempted = append(preempted, b.job[id])
+		switch ph {
+		case PhaseQueued:
+			queued = append(queued, b.viewLocked(id))
+		case PhaseRunning, PhaseHalted:
+			active = append(active, b.viewLocked(id))
 		}
 	}
-	return queued, preempted
+	listed := b.listed
+	b.mu.Unlock()
+	if listed != nil {
+		listed()
+	}
+	return queued, active
+}
+
+// view is the job as the store holds it now, as the status pump reads
+// it for an event.
+func (b *fakeBackend) view(jobID string) Job {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.viewLocked(jobID)
+}
+
+func (b *fakeBackend) viewLocked(jobID string) Job {
+	j := b.job[jobID]
+	j.Phase, j.Preempted = b.phase[jobID], b.preempted[jobID]
+	return j
+}
+
+// setPhase moves a job without telling the dispatcher, as a transition
+// whose event it has not seen yet.
+func (b *fakeBackend) setPhase(jobID string, ph Phase) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.phase[jobID] = ph
 }
 
 func (b *fakeBackend) setDown(on bool) {
@@ -203,7 +228,6 @@ func startFakeClockDispatcher(t *testing.T, clusterGPUs int, quotas ...Record) (
 	}
 	b := newFakeBackend()
 	d := NewDispatcher(Config{Clock: fc, Backend: b, Admission: adm, ResyncInterval: time.Second})
-	b.d = d
 	d.Start()
 	t.Cleanup(d.Stop)
 	return d, b, adm, fc
@@ -354,7 +378,7 @@ func TestDispatcherPreemptsHaltsRequeuesAndResumes(t *testing.T) {
 		t.Fatalf("dispatched = %v, want paid-job after preemption", b.dispatched)
 	}
 	// The victim's HALTED transition requeues it as a victim.
-	d.NoteHalted("free-job")
+	d.NoteHalted(b.view("free-job"))
 	if pos, ok := d.Position("free-job"); !ok || pos != 1 {
 		t.Fatalf("victim position = %d %v, want head", pos, ok)
 	}
@@ -667,9 +691,9 @@ func TestFailedHaltIsIssuedAgain(t *testing.T) {
 	jp := job("paid-job", "payer", 4, t0.Add(time.Minute))
 	b.add(jp)
 	d.NoteQueued(jp)
-	waitFor(t, "the retry after the failed halt", func() bool {
-		return d.Stats().Preempted == 1 && fc.WaiterCount() == 1
-	})
+	waitFor(t, "the preemption", func() bool { return d.Stats().Preempted == 1 })
+	d.Retry() // the platform's report of the halt the LCM did not answer
+	waitFor(t, "the retry timer", func() bool { return fc.WaiterCount() == 1 })
 	if _, halted, _ := b.snapshot(); len(halted) != 0 {
 		t.Fatalf("halted = %v, want none before the retry", halted)
 	}
@@ -679,7 +703,7 @@ func TestFailedHaltIsIssuedAgain(t *testing.T) {
 		_, halted, _ := b.snapshot()
 		return len(halted) == 1 && halted[0] == "free-job"
 	})
-	d.NoteHalted("free-job")
+	d.NoteHalted(b.view("free-job"))
 	b.finish(d, "paid-job")
 	waitFor(t, "the victim resumed", func() bool {
 		_, _, resumed := b.snapshot()
@@ -690,29 +714,228 @@ func TestFailedHaltIsIssuedAgain(t *testing.T) {
 	}
 }
 
-// TestFailedResumeLookupIsOwedToRetry: a resumed job whose record the
-// store did not return keeps no footprint until the retry restores it;
-// a job that halts again before the retry is owed nothing.
+// TestFailedResumeLookupIsOwedToRetry: the status pump could not read
+// two resumed jobs, so it noted each without its record and armed the
+// retry. Neither holds a footprint until the retry's resync lists them;
+// the one that halted again before it is owed nothing.
 func TestFailedResumeLookupIsOwedToRetry(t *testing.T) {
 	d, b, adm, fc := startFakeClockDispatcher(t, 8, Record{User: "alice", Tier: sched.TierPaid, GPUs: 8})
 	for _, id := range []string{"j1", "j2"} {
 		b.add(job(id, "alice", 2, time.Unix(0, 0)))
-		b.mu.Lock()
-		b.phase[id] = PhaseRunning
-		b.mu.Unlock()
+		b.setPhase(id, PhaseRunning)
+		d.NoteResumed(Job{ID: id})
+		d.Retry()
 	}
-	b.setDown(true)
-	d.NoteResumed("j1")
-	d.NoteResumed("j2")
-	b.setDown(false)
-	d.NoteHalted("j2") // halted again before the retry
+	b.setPhase("j2", PhaseHalted)
+	d.NoteHalted(b.view("j2")) // halted again before the retry
 	if adm.Holds("j1") || adm.Holds("j2") {
-		t.Fatal("a footprint was restored without a lookup")
+		t.Fatal("a footprint was restored without a read")
 	}
 	waitFor(t, "the retry timer", func() bool { return fc.WaiterCount() == 1 })
 	fc.Advance(time.Second)
 	waitFor(t, "j1's footprint restored", func() bool { return adm.Holds("j1") })
 	if adm.Holds("j2") {
 		t.Fatal("the retry restored the footprint of a job that halted again")
+	}
+}
+
+// TestUserResumeIntoFullClusterHoldsFootprint: a user resumed a halted
+// job while other work filled the cluster. The job runs all the same,
+// so it holds its footprint past the budget, and a resync keeps it.
+func TestUserResumeIntoFullClusterHoldsFootprint(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4,
+		Record{User: "alice", Tier: sched.TierPaid, GPUs: 4},
+		Record{User: "bob", Tier: sched.TierPaid, GPUs: 4})
+	full := job("full", "alice", 4, time.Unix(0, 0))
+	b.add(full)
+	d.NoteQueued(full)
+	d.dispatch()
+	b.add(job("resumed", "bob", 2, time.Unix(1, 0)))
+	b.setPhase("resumed", PhaseRunning)
+	d.NoteResumed(b.view("resumed"))
+	if !adm.Holds("resumed") || adm.AdmittedGPUs() != 6 {
+		t.Fatalf("Holds=%v admitted=%d, want the resumed job held past the 4-GPU budget",
+			adm.Holds("resumed"), adm.AdmittedGPUs())
+	}
+	d.Resync()
+	if !adm.Holds("resumed") || !adm.Holds("full") || adm.AdmittedGPUs() != 6 {
+		t.Fatalf("after resync: admitted=%d, want both jobs held", adm.AdmittedGPUs())
+	}
+}
+
+// TestResyncReadsNoJobPerFootprint: a resync reconciles 1,000 held
+// footprints from its one listing, with no read per job: it releases
+// the one whose job finished unseen and restores the one running job
+// that held none.
+func TestResyncReadsNoJobPerFootprint(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 0, Record{User: "alice", Tier: sched.TierPaid, GPUs: 1000})
+	for i := 0; i <= 1000; i++ {
+		j := job(fmt.Sprintf("j%04d", i), "alice", 1, time.Unix(int64(i), 0))
+		b.add(j)
+		b.setPhase(j.ID, PhaseRunning)
+		if i < 1000 {
+			adm.Restore(j.Gang)
+		}
+	}
+	b.setPhase("j0000", PhaseTerminal) // its event was lost
+	d.Resync()
+	if n := len(adm.Held()); n != 1000 || adm.Holds("j0000") || !adm.Holds("j1000") {
+		t.Fatalf("%d footprints held (j0000 %v, j1000 %v), want 1000 with j1000 and without j0000",
+			n, adm.Holds("j0000"), adm.Holds("j1000"))
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.phaseReads != 0 {
+		t.Fatalf("the resync read %d jobs one by one", b.phaseReads)
+	}
+}
+
+// TestTerminalNoteRacingResyncLeavesNoFootprint: a job finishes after a
+// resync listed it running, and its terminal note arrives before the
+// resync has applied the listing. The note waits for the resync, so
+// the footprint the listing restored is released after it.
+func TestTerminalNoteRacingResyncLeavesNoFootprint(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4, Record{User: "alice", Tier: sched.TierPaid, GPUs: 4})
+	b.add(job("j1", "alice", 2, time.Unix(0, 0)))
+	b.setPhase("j1", PhaseRunning)
+	noted := make(chan struct{})
+	b.listed = func() {
+		b.listed = nil
+		b.setPhase("j1", PhaseTerminal)
+		go func() {
+			d.NoteTerminal("j1")
+			close(noted)
+		}()
+		select {
+		case <-noted:
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	d.Resync()
+	<-noted
+	if adm.Holds("j1") {
+		t.Fatal("the resync restored a footprint after the job's terminal note")
+	}
+}
+
+// TestUnansweredListingReleasesNothing: a resync whose listing the store
+// did not answer keeps every footprint and arms the retry.
+func TestUnansweredListingReleasesNothing(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4, Record{User: "alice", Tier: sched.TierPaid, GPUs: 4})
+	j := job("j1", "alice", 2, time.Unix(0, 0))
+	b.add(j)
+	d.NoteQueued(j)
+	d.dispatch()
+	b.setDown(true)
+	d.Resync()
+	if !adm.Holds("j1") {
+		t.Fatal("an unanswered listing released a running job's footprint")
+	}
+	select {
+	case <-d.retry:
+	default:
+		t.Fatal("an unanswered listing armed no retry")
+	}
+}
+
+// TestPreemptionWaitsForTheVictimsMarker: the store did not take a
+// victim's preemption marker, so no halt went out. The victim keeps its
+// footprint and the paid head waits; the retry's pass, with the store
+// back, halts the victim and admits the head within the budget.
+func TestPreemptionWaitsForTheVictimsMarker(t *testing.T) {
+	d, b, adm, fc := startFakeClockDispatcher(t, 4,
+		Record{User: "freeloader", Tier: sched.TierFree, GPUs: 1},
+		Record{User: "payer", Tier: sched.TierPaid, GPUs: 4})
+	t0 := time.Unix(0, 0)
+	jf := job("free-job", "freeloader", 4, t0)
+	b.add(jf)
+	d.NoteQueued(jf)
+	waitFor(t, "the free job dispatched", func() bool {
+		dispatched, _, _ := b.snapshot()
+		return len(dispatched) == 1
+	})
+
+	b.setDown(true)
+	jp := job("paid-job", "payer", 4, t0.Add(time.Minute))
+	b.add(jp)
+	d.NoteQueued(jp)
+	waitFor(t, "the retry timer", func() bool { return fc.WaiterCount() == 1 })
+	dispatched, halted, _ := b.snapshot()
+	if len(dispatched) != 1 || len(halted) != 0 || !adm.Holds("free-job") || adm.AdmittedGPUs() != 4 {
+		t.Fatalf("dispatched=%v halted=%v Holds(free-job)=%v admitted=%d, want the victim kept and the head waiting",
+			dispatched, halted, adm.Holds("free-job"), adm.AdmittedGPUs())
+	}
+
+	b.setDown(false)
+	fc.Advance(time.Second)
+	waitFor(t, "the victim halted and the head dispatched", func() bool {
+		dispatched, halted, _ := b.snapshot()
+		return len(halted) == 1 && halted[0] == "free-job" && len(dispatched) == 2
+	})
+	if adm.Holds("free-job") || adm.AdmittedGPUs() != 4 {
+		t.Fatalf("Holds(free-job)=%v admitted=%d, want only the paid job's 4 GPUs",
+			adm.Holds("free-job"), adm.AdmittedGPUs())
+	}
+}
+
+// TestResumedVictimIsNotHaltedBeforeItsResumeLands: a pass resumes a
+// victim, and the in-quota head behind it finds the cluster full. A
+// halt sent before the resume lands could overtake it, or meet a job
+// still halted and leave it so with no transition to requeue it, so the
+// head waits for the RESUMED note and then preempts the victim.
+func TestResumedVictimIsNotHaltedBeforeItsResumeLands(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4,
+		Record{User: "freeloader", Tier: sched.TierFree, GPUs: 1},
+		Record{User: "payer", Tier: sched.TierPaid, GPUs: 4})
+	t0 := time.Unix(0, 0)
+	v := job("victim", "freeloader", 4, t0)
+	b.add(v)
+	b.mu.Lock()
+	b.phase["victim"], b.preempted["victim"] = PhaseHalted, true
+	b.mu.Unlock()
+	d.NoteHalted(b.view("victim"))
+	jp := job("paid-job", "payer", 4, t0.Add(time.Minute))
+	b.add(jp)
+	d.NoteQueued(jp)
+
+	d.dispatch()
+	dispatched, halted, resumed := b.snapshot()
+	if len(resumed) != 1 || len(halted) != 0 || len(dispatched) != 0 {
+		t.Fatalf("resumed=%v halted=%v dispatched=%v, want the victim resumed and not halted",
+			resumed, halted, dispatched)
+	}
+	d.NoteResumed(b.view("victim"))
+	d.dispatch()
+	dispatched, halted, _ = b.snapshot()
+	if len(halted) != 1 || len(dispatched) != 1 || dispatched[0] != "paid-job" {
+		t.Fatalf("halted=%v dispatched=%v, want the victim preempted for the paid job", halted, dispatched)
+	}
+	if adm.AdmittedGPUs() != 4 || !adm.Holds("paid-job") {
+		t.Fatalf("admitted=%d, want only the paid job's 4 GPUs", adm.AdmittedGPUs())
+	}
+}
+
+// TestMarkedResumedJobIsHaltedAgain: a job resumed although the store
+// marks it preempted (a resume that failed to report back, or one that
+// raced a preemption) owes a halt. Its RESUMED note restores no
+// footprint and arms the retry, and the resync halts it.
+func TestMarkedResumedJobIsHaltedAgain(t *testing.T) {
+	d, b, adm := newTestDispatcher(t, 4, Record{User: "freeloader", Tier: sched.TierFree, GPUs: 1})
+	b.add(job("victim", "freeloader", 4, time.Unix(0, 0)))
+	b.mu.Lock()
+	b.phase["victim"], b.preempted["victim"] = PhaseRunning, true
+	b.mu.Unlock()
+	d.NoteResumed(b.view("victim"))
+	if adm.Holds("victim") {
+		t.Fatal("a marked job's RESUMED note restored its footprint")
+	}
+	select {
+	case <-d.retry:
+	default:
+		t.Fatal("a marked job's RESUMED note armed no retry")
+	}
+	d.Resync()
+	if _, halted, _ := b.snapshot(); len(halted) != 1 || halted[0] != "victim" {
+		t.Fatalf("halted = %v, want the marked job halted again", halted)
 	}
 }
