@@ -41,12 +41,14 @@ test:
 # that answers it: those fault tests, the resync that restores a running
 # job's footprint after a reopen, the terminal note racing a resync, and
 # the LCM-failover preemption that needs the halt re-issued, run three
-# times as well.
+# times as well. So do the trace read that follows a terminal status and
+# the teardown reads that follow a completion, since each races a write
+# landing just behind the status a watch delivered.
 race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /internal/expt)
 	$(GO) test -race ./internal/expt/...
 	$(GO) test -race -count=3 -run 'TestBatchedProposalsSurviveLeaderFailover|TestLeaderFailoverContinuesService|TestNoQuorumTimesOutEachProposalOnce|TestExactlyOnceUnderFailoverSchedule' ./internal/etcd
-	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir|TestClosedStatusSubscriptionResyncsDispatcher|TestFailedResumedReadRestoresFootprint|TestSkippedResumedEventRestoresFootprint|TestRunningJobKeepsFootprintAcrossReopen|TestUserResumeClearsTheMarkerOfAHaltedVictim' ./internal/core
+	$(GO) test -race -count=3 -run 'TestFollowJoinsBetweenRecords|TestLogCollectionIgnoresWakeTiming|TestStoppedPlatformReleasesDataDir|TestClosedStatusSubscriptionResyncsDispatcher|TestFailedResumedReadRestoresFootprint|TestSkippedResumedEventRestoresFootprint|TestRunningJobKeepsFootprintAcrossReopen|TestUserResumeClearsTheMarkerOfAHaltedVictim|TestJobTraceMatchesHistory|TestSingleLearnerJobCompletes' ./internal/core
 	$(GO) test -race -count=3 -run 'TestFailedQueuedReadDispatchesThroughOneRetry|TestFailedHaltIsIssuedAgain|TestFailedResumeLookupIsOwedToRetry|TestTerminalNoteRacingResyncLeavesNoFootprint|TestPreemptionWaitsForTheVictimsMarker' ./internal/tenant
 	$(GO) test -race -count=3 -run 'TestPreemptionSurvivesLCMFailover' ./internal/chaos
 	$(GO) test -race -count=3 -run 'TestFileStore|TestLogCloseRefusesAppends' ./internal/commitlog
@@ -141,7 +143,7 @@ docs-check:
 	for anchor in "watch.refills" "watch.degraded_refills"; do \
 		grep -q "$$anchor" docs/watch-protocol.md || { echo "docs/watch-protocol.md does not cover '$$anchor'"; ok=0; }; \
 	done; \
-	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only cloneObject TestStoreCopiesAtBoundaries "deep-copy boundaries" "Kube store reads return deep copies" statusMu 64-slot DeepClone "resync tick"; do \
+	for gone in UnbatchedAblation GobCodec LegacyReplication EtcdUnbatched EtcdGobCodec "Config.Admission" statusFeedLoop degradedStatus "Two feeders" deployWithRetry "LCM.Deploy" keyLearnerExit StorageBandwidth "Config.Pack" ReplayJob status-bus "watch.replays" AggregateBandwidth WatchChurn watch-churn BenchCodec RenderThroughput tp-submitters CommitLogCursor OffsetsRewriteEvery offsets.log FuzzOffsetMapDecode ReadFrom StartSecondary FreezeMTBF InitiateMultipart CompareAndSwap ForceLeader UpdateMany StreamLogs forwardWatch forwardLogs CompactRevisions Options.WatchHistory TruncateBefore LastRevision "revision→offset" cmdReader opReader frameReader durableReader maxCodecLen maxOpLen maxFrameLen maxDurableLen QueueDelays DropFeedNext FeedDropMTBF quota_events Registry.Watch AppendValue Record.Value non-compacting leaseExpiryLoop opExpireLease EventExpire KeepAlive NewMountWith ChunkCache CounterValues hasLogDir jobLogForReadLocked log_open_errors "learner-logs/<jobID>" encBufs bench-smoke setPathCOW Filter.compile interpretedMatch OplogFloor DeployAttempts Job.Succeeded "kube keeps Job objects after success" EventResync WatchHealthInterval histReplayLocked revision-resumable TakeDropped ResyncsSkipped AuditsClean resyncTick Store.Revision "conditional resync" "revision-based resume" TestWatchReplaysAgainstSnapshotRestoredLeader LastHeartbeat nodeCapacityChanged heartbeat-only cloneObject TestStoreCopiesAtBoundaries "deep-copy boundaries" "Kube store reads return deep copies" statusMu 64-slot DeepClone "resync tick" chunkCache mountChunkSize Tracer.Begin Tracer.Finish "retention ring"; do \
 		if grep -n "$$gone" README.md docs/*.md examples/*/README.md ffdl.go; then echo "docs still mention retired '$$gone'"; ok=0; fi; \
 	done; \
 	grep -q "watch-protocol.md" docs/architecture.md || { echo "docs/architecture.md does not link watch-protocol.md"; ok=0; }; \

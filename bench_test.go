@@ -18,7 +18,6 @@ import (
 	"github.com/ffdl/ffdl"
 	"github.com/ffdl/ffdl/internal/expt"
 	"github.com/ffdl/ffdl/internal/mongo"
-	"github.com/ffdl/ffdl/internal/objstore"
 	"github.com/ffdl/ffdl/internal/perf"
 	"github.com/ffdl/ffdl/internal/sched"
 	"github.com/ffdl/ffdl/internal/sim"
@@ -223,37 +222,6 @@ func BenchmarkAblationBSASamples(b *testing.B) {
 				nodesUsed += float64(len(used))
 			}
 			b.ReportMetric(nodesUsed/float64(b.N), "nodes-per-gang")
-		})
-	}
-}
-
-// BenchmarkAblationMountCache measures the object-store mount with and
-// without its LRU chunk cache across training epochs.
-func BenchmarkAblationMountCache(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "cache-on"
-		capacity := int64(256 << 20)
-		if !cached {
-			name = "cache-off"
-			capacity = 0
-		}
-		b.Run(name, func(b *testing.B) {
-			svc := objstore.New(objstore.Config{})
-			svc.EnsureBucket("data")
-			if err := svc.Put("data", "train.rec", make([]byte, 16<<20)); err != nil {
-				b.Fatal(err)
-			}
-			m := svc.NewMount("data", capacity)
-			b.SetBytes(16 << 20)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.ReadAll("train.rec"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			_, fetched := svc.Stats()
-			b.ReportMetric(float64(fetched)/float64(b.N), "backend-bytes/epoch")
 		})
 	}
 }

@@ -2,7 +2,7 @@
 // multi-tenant deep learning platform (Jayaram et al., MIDDLEWARE '19)
 // rebuilt as an in-process Go system over simulated substrates
 // (Kubernetes-like orchestration, Raft-replicated etcd, a document
-// store, object storage with an s3fs-style caching mount, and NFS
+// store, object storage with an s3fs-style mount, and NFS
 // volumes).
 //
 // Quickstart:

@@ -209,14 +209,9 @@ func (a *apiReplica) handleSubmit(_ context.Context, arg any) (any, error) {
 		}
 		return nil, fmt.Errorf("core: persist job: %w", err)
 	}
-	// Seed the job's status head and open its trace before the bus
-	// announcement: transitions racing in behind the publish find both
-	// in place.
+	// Seed the job's status head before the bus announcement:
+	// transitions racing in behind the publish find it in place.
 	a.p.seedHead(jobID, status)
-	// The timestamps reuse the history[0] clock read, so the trace and
-	// the durable history agree exactly.
-	a.p.Tracer.Begin(jobID, now)
-	a.p.Tracer.Phase(jobID, string(status), now)
 	// Announce the new job on the status bus: the tenant dispatcher (for
 	// QUEUED), the LCM recovery loop (for PENDING) and any WatchStatus
 	// subscriber wake immediately.
@@ -358,48 +353,51 @@ func (a *apiReplica) handleMetrics(_ context.Context, _ any) (any, error) {
 	return MetricsReply{Snapshot: a.p.Obs.Snapshot()}, nil
 }
 
-// handleTrace returns a job's span tree. The live tracer is preferred —
-// it carries sub-spans (etcd proposes, the LCM deploy) — but when the
-// tracer missed the job (bounded retention evicted it, the platform
-// runs DisableObs, or the job was submitted by another process) the
-// tree is reconstructed from the job's durable status history, which
-// carries the same lifecycle phases at the same timestamps.
+// handleTrace returns a job's span tree: its phases from the status
+// history, read as Status reads it (the oplog image while the primary
+// is out), with the tracer's sub-spans hung under them. A job the
+// tracer never saw — evicted, traced on a DisableObs platform or run by
+// another process — gets the phases alone.
 func (a *apiReplica) handleTrace(_ context.Context, arg any) (any, error) {
 	req := arg.(JobArgs)
-	if t, ok := a.p.Tracer.Trace(req.JobID); ok {
-		return TraceReply{Trace: t}, nil
-	}
-	doc, err := a.p.findJob(req.JobID)
+	reply, err := a.p.statusHistory(req.JobID, 1)
 	if err != nil {
-		return nil, fmt.Errorf("core: job %s: %w", req.JobID, err)
+		return nil, err
 	}
-	return TraceReply{Trace: traceFromHistory(docToRecord(doc))}, nil
+	return TraceReply{Trace: traceFromHistory(req.JobID, reply.History, a.p.Tracer.Subs(req.JobID))}, nil
 }
 
-// traceFromHistory rebuilds a job's phase-level trace from its status
-// history: each history entry opens a phase child that closes when the
-// next entry lands, and a terminal status closes the root — so the root
-// duration still equals the submit→terminal wall time, matching what
-// the live tracer records. Sub-spans are lost; they exist only in the
-// tracer's memory.
-func traceFromHistory(rec JobRecord) obs.Trace {
-	t := obs.Trace{JobID: rec.ID}
-	if len(rec.History) == 0 {
+// traceFromHistory builds a job's span tree. Each history entry opens a
+// phase child that closes when the next entry lands, and a terminal
+// entry closes the root, so the root spans exactly the submit→terminal
+// wall time the history records. Each sub-span hangs under the last
+// phase that started at or before it (the first phase takes any that
+// start before it); one that starts after a terminal entry belongs to
+// teardown and is dropped.
+func traceFromHistory(jobID string, hist []StatusEntry, subs []*obs.Span) obs.Trace {
+	t := obs.Trace{JobID: jobID}
+	if len(hist) == 0 {
 		return t
 	}
-	root := &obs.Span{Name: "job", Start: rec.History[0].Time}
-	for i, h := range rec.History {
+	root := &obs.Span{Name: "job " + jobID, Start: hist[0].Time, Children: make([]*obs.Span, len(hist))}
+	for i, h := range hist {
 		sp := &obs.Span{Name: string(h.Status), Start: h.Time}
-		if i+1 < len(rec.History) {
-			sp.End = rec.History[i+1].Time
+		if i+1 < len(hist) {
+			sp.End = hist[i+1].Time
 		} else if h.Status.Terminal() {
-			sp.End = h.Time
+			sp.End, root.End = h.Time, h.Time
 		}
-		root.Children = append(root.Children, sp)
+		root.Children[i] = sp
 	}
-	last := rec.History[len(rec.History)-1]
-	if last.Status.Terminal() {
-		root.End = last.Time
+	for _, sub := range subs {
+		if !root.End.IsZero() && sub.Start.After(root.End) {
+			continue
+		}
+		i := len(hist) - 1
+		for i > 0 && hist[i].Time.After(sub.Start) {
+			i--
+		}
+		root.Children[i].Children = append(root.Children[i].Children, sub)
 	}
 	t.Root = root
 	return t
@@ -576,8 +574,8 @@ func (c *Client) Metrics(ctx context.Context) (obs.Snapshot, error) {
 }
 
 // Trace fetches a job's span tree: the lifecycle phases as children of
-// one root span, with etcd-propose and LCM-deploy sub-spans when the
-// live tracer recorded the job.
+// one root span, with etcd-propose and LCM-deploy sub-spans while the
+// tracer holds the job's.
 func (c *Client) Trace(ctx context.Context, jobID string) (obs.Trace, error) {
 	var reply TraceReply
 	err := c.api.Call(ctx, "API.Trace", JobArgs{JobID: jobID}, &reply)

@@ -123,16 +123,18 @@ func TestSingleLearnerJobCompletes(t *testing.T) {
 	if _, err := p.Store.Head("ffdl-results", jobID+"/logs/training.log"); err != nil {
 		t.Fatalf("stored logs missing: %v", err)
 	}
-	// Job's etcd subtree erased after termination (§3.2).
-	kvs, _ := p.Etcd.List("jobs/" + jobID + "/")
-	if len(kvs) != 0 {
-		t.Fatalf("etcd not cleaned: %v", kvs)
-	}
+	// The Guardian records the terminal status before it tears the job
+	// down (§3.3), so both checks wait for teardown. Job's etcd subtree
+	// erased after termination (§3.2).
+	waitUntil(t, "etcd subtree erased", 10*time.Second, func() bool {
+		kvs, _ := p.Etcd.List("jobs/" + jobID + "/")
+		return len(kvs) == 0
+	})
 	// GPUs released.
-	alloc, _ := p.Kube.GPUUtilization()
-	if alloc != 0 {
-		t.Fatalf("GPUs still allocated: %d", alloc)
-	}
+	waitUntil(t, "GPUs released", 10*time.Second, func() bool {
+		alloc, _ := p.Kube.GPUUtilization()
+		return alloc == 0
+	})
 }
 
 func TestDistributedJobCompletes(t *testing.T) {

@@ -147,7 +147,7 @@ func (p *Platform) deployJob(jobID string, m Manifest) error {
 	p.Store.EnsureBucket(m.ResultBucket)
 	res := &jobResources{manifest: m, volume: vol, logFrom: p.Metrics.nextLine(jobID)}
 	if m.DataBucket != "" {
-		res.mount = p.Store.NewMount(m.DataBucket, 256<<20)
+		res.mount = p.Store.NewMount(m.DataBucket, 0)
 	}
 	p.putResources(jobID, res)
 

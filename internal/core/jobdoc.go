@@ -205,14 +205,8 @@ func (p *Platform) setJobStatus(jobID string, to JobStatus, msg string) error {
 		Seq:   h.seq,
 		Entry: StatusEntry{Status: to, Time: now, Message: msg},
 	}})
-	// Trace the transition with the same clock read the history entry
-	// was written with, so the root span's duration equals the job's
-	// submit→terminal wall time exactly.
 	if to.Terminal() {
 		p.dropHead(jobID, h)
-		p.Tracer.Finish(jobID, string(to), now)
-	} else {
-		p.Tracer.Phase(jobID, string(to), now)
 	}
 	return nil
 }

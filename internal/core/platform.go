@@ -192,7 +192,7 @@ type Platform struct {
 	// Obs is the unified metrics registry (internal/obs): every
 	// subsystem's instruments, the MetricsService counters, and the
 	// snapshot-time stats collectors all live here. Always non-nil.
-	// Tracer records per-job lifecycle span trees (nil when
+	// Tracer records per-job sub-operation spans (nil when
 	// Config.DisableObs strips the layer).
 	Obs    *obs.Registry
 	Tracer *obs.Tracer

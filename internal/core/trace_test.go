@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -131,6 +132,53 @@ func TestTraceFallsBackToHistory(t *testing.T) {
 	}
 	if got, want := tr.Root.Duration(), hist[len(hist)-1].Time.Sub(hist[0].Time); got != want {
 		t.Fatalf("fallback root duration %v, history wall time %v", got, want)
+	}
+}
+
+// TestTraceHangsSubSpansUnderPhases: the trace builder nests each
+// sub-span under the phase it started in, drops one that starts after
+// the terminal entry, and gives a job the tracer evicted every phase.
+func TestTraceHangsSubSpansUnderPhases(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	hist := []StatusEntry{
+		{Status: StatusPending, Time: at(0)},
+		{Status: StatusDeploying, Time: at(10)},
+		{Status: StatusProcessing, Time: at(20)},
+		{Status: StatusCompleted, Time: at(50)},
+	}
+	tr := obs.NewTracer(1)
+	tr.Sub("j1", "lcm.deploy", at(2), at(12)) // outlives PENDING, still its child
+	tr.Event("j1", "sched.bind learner-0", at(10))
+	tr.Sub("j1", "etcd.propose", at(30), at(31))
+	tr.Sub("j1", "etcd.propose", at(51), at(52)) // teardown, after COMPLETED
+
+	trace := traceFromHistory("j1", hist, tr.Subs("j1"))
+	if !trace.Root.Start.Equal(at(0)) || !trace.Root.End.Equal(at(50)) {
+		t.Fatalf("root spans %v..%v, want the history's %v..%v", trace.Root.Start, trace.Root.End, at(0), at(50))
+	}
+	var got []string
+	for _, ph := range trace.Root.Children {
+		names := []string{}
+		for _, sub := range ph.Children {
+			names = append(names, sub.Name)
+		}
+		got = append(got, ph.Name+fmt.Sprint(names))
+	}
+	want := "[PENDING[lcm.deploy] DEPLOYING[sched.bind learner-0] PROCESSING[etcd.propose] COMPLETED[]]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("phases = %v, want %v", got, want)
+	}
+
+	tr.Event("j2", "sched.bind learner-0", at(0)) // evicts j1
+	evicted := traceFromHistory("j1", hist, tr.Subs("j1"))
+	if len(evicted.Root.Children) != len(hist) || !evicted.Root.End.Equal(at(50)) {
+		t.Fatalf("evicted job's trace = %+v, want all %d phases", evicted.Root, len(hist))
+	}
+	for _, ph := range evicted.Root.Children {
+		if len(ph.Children) != 0 {
+			t.Fatalf("evicted job's phase %s has sub-spans %+v", ph.Name, ph.Children)
+		}
 	}
 }
 

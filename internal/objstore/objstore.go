@@ -4,9 +4,12 @@
 //
 //   - buckets the platform ensures exist, and object put, ranged get,
 //     head and prefix list (learners list checkpoints to resume, §3.8),
-//   - an s3fs-like mount driver that exposes objects as files with
-//     on-demand chunk streaming and an LRU cache reused across training
-//     epochs and jobs (§3.7 "Mounted object store").
+//   - an s3fs-like mount driver that exposes objects as files to
+//     learners (§3.7 "Mounted object store"). FfDL's driver caches
+//     chunks so that epochs and jobs reuse them; this store needs no
+//     such cache, because a stored object is immutable (a re-put swaps
+//     in a new one) and a read is a view of it, so every reader of a
+//     dataset already shares one copy of its bytes.
 package objstore
 
 import (

@@ -65,7 +65,7 @@ func TestObsAllocBudget(t *testing.T) {
 		nilC.Inc()
 		nilG.Set(3)
 		nilH.Observe(0.5)
-		nilT.Phase("job", "PENDING", at)
+		nilT.Event("job", "sched.bind", at)
 		nilT.Sub("job", "etcd.propose", at, at)
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", n)

@@ -9,7 +9,7 @@ import (
 // Span is one node of a job's trace tree. The root span covers the
 // job's whole lifetime (submit to terminal status); its children are
 // the lifecycle phases in causal order (QUEUED, PENDING, DEPLOYING,
-// ...), and phase children are sub-operations recorded while that
+// ...), and phase children are sub-operations that started while that
 // phase was current (lcm.deploy, etcd.propose, sched.bind). A span
 // with a zero End is still open; an Event span has End == Start.
 type Span struct {
@@ -81,143 +81,71 @@ func (t Trace) ChromeTrace() ([]byte, error) {
 	return json.Marshal(events)
 }
 
-// jobTrace is the tracer's mutable per-job state.
-type jobTrace struct {
-	root  *Span
-	phase *Span // currently open phase (child of root)
-	done  bool
-}
-
-// Tracer records per-job lifecycle traces. All methods are nil-receiver
-// safe no-ops, so a disabled platform calls them for free. Timestamps
-// are supplied by callers from their own sim.Clock — the tracer never
-// reads a clock — which keeps traces exact under sim.FakeClock and
-// guarantees the root span's duration equals the job's status-history
-// wall time (both are written from the same clock reads).
+// Tracer records the sub-operations of each job (lcm.deploy,
+// etcd.propose, sched.bind) as a flat list of closed spans. The job's
+// lifecycle phases are not kept here: the durable status history holds
+// them, and the trace endpoint hangs these sub-spans under the phases it
+// rebuilds from that history. All methods are nil-receiver safe no-ops,
+// so a disabled platform calls them for free. Timestamps are supplied
+// by callers from the same sim.Clock the status history is written
+// from, so a sub-span falls inside the phase it ran in.
 //
-// Retention is bounded: once maxJobs traces are held, starting a new
-// one evicts the oldest.
+// Retention is bounded: once maxJobs jobs are held, a new job's first
+// sub-span evicts the oldest job's list.
 type Tracer struct {
 	mu      sync.Mutex
-	jobs    map[string]*jobTrace
+	jobs    map[string][]*Span
 	order   []string
 	maxJobs int
 }
 
-// NewTracer returns a tracer retaining up to maxJobs job traces
-// (default 4096 when maxJobs <= 0).
+// NewTracer returns a tracer retaining the sub-spans of up to maxJobs
+// jobs (default 4096 when maxJobs <= 0).
 func NewTracer(maxJobs int) *Tracer {
 	if maxJobs <= 0 {
 		maxJobs = 4096
 	}
-	return &Tracer{jobs: make(map[string]*jobTrace), maxJobs: maxJobs}
+	return &Tracer{jobs: make(map[string][]*Span), maxJobs: maxJobs}
 }
 
-// Begin starts a job's root span at the submit timestamp. A duplicate
-// Begin for a live job is ignored.
-func (t *Tracer) Begin(jobID string, at time.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.jobs[jobID]; ok {
-		return
-	}
-	for len(t.jobs) >= t.maxJobs && len(t.order) > 0 {
-		delete(t.jobs, t.order[0])
-		t.order = t.order[1:]
-	}
-	t.jobs[jobID] = &jobTrace{root: &Span{Name: "job " + jobID, Start: at}}
-	t.order = append(t.order, jobID)
-}
+// Begin does nothing: a job's list opens on its first Sub. It stays
+// only because the benchmark's obs probe calls it (ROADMAP 1a).
+func (t *Tracer) Begin(string, time.Time) {}
 
-// Phase closes the current phase (if any) and opens a new one as a
-// child of the root — one call per status transition. Unknown jobs are
-// ignored (transitions observed for jobs submitted before this tracer
-// existed, or already evicted).
-func (t *Tracer) Phase(jobID, name string, at time.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	jt, ok := t.jobs[jobID]
-	if !ok || jt.done {
-		return
-	}
-	if jt.phase != nil {
-		jt.phase.End = at
-	}
-	jt.phase = &Span{Name: name, Start: at}
-	jt.root.Children = append(jt.root.Children, jt.phase)
-}
-
-// Sub records a closed sub-operation span under the job's current
-// phase (or directly under the root before the first phase).
+// Sub records a closed sub-operation span for the job.
 func (t *Tracer) Sub(jobID, name string, start, end time.Time) {
 	if t == nil {
 		return
 	}
+	sp := &Span{Name: name, Start: start, End: end}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	jt, ok := t.jobs[jobID]
-	if !ok || jt.done {
-		return
+	subs, ok := t.jobs[jobID]
+	if !ok {
+		for len(t.jobs) >= t.maxJobs && len(t.order) > 0 {
+			delete(t.jobs, t.order[0])
+			t.order = t.order[1:]
+		}
+		t.order = append(t.order, jobID)
 	}
-	parent := jt.root
-	if jt.phase != nil {
-		parent = jt.phase
-	}
-	parent.Children = append(parent.Children, &Span{Name: name, Start: start, End: end})
+	t.jobs[jobID] = append(subs, sp)
 }
 
-// Event records a zero-duration marker under the current phase.
+// Event records a zero-duration marker for the job.
 func (t *Tracer) Event(jobID, name string, at time.Time) {
 	t.Sub(jobID, name, at, at)
 }
 
-// Finish closes the job's trace at its terminal transition: the open
-// phase ends, a zero-length terminal phase named name is appended, and
-// the root span ends — so root.Duration() is exactly the submit→terminal
-// wall time recorded in the job's status history.
-func (t *Tracer) Finish(jobID, name string, at time.Time) {
+// Subs returns the job's sub-spans in the order they were recorded, or
+// nil for a job the tracer never saw or has evicted. The slice is a
+// capped view of the tracer's list and the spans are shared: both are
+// read-only, and later records do not show through.
+func (t *Tracer) Subs(jobID string) []*Span {
 	if t == nil {
-		return
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	jt, ok := t.jobs[jobID]
-	if !ok || jt.done {
-		return
-	}
-	if jt.phase != nil {
-		jt.phase.End = at
-	}
-	jt.root.Children = append(jt.root.Children, &Span{Name: name, Start: at, End: at})
-	jt.root.End = at
-	jt.phase = nil
-	jt.done = true
-}
-
-// Trace exports a deep copy of a job's span tree.
-func (t *Tracer) Trace(jobID string) (Trace, bool) {
-	if t == nil {
-		return Trace{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	jt, ok := t.jobs[jobID]
-	if !ok {
-		return Trace{}, false
-	}
-	return Trace{JobID: jobID, Root: copySpan(jt.root)}, true
-}
-
-func copySpan(s *Span) *Span {
-	out := &Span{Name: s.Name, Start: s.Start, End: s.End}
-	for _, c := range s.Children {
-		out.Children = append(out.Children, copySpan(c))
-	}
-	return out
+	subs := t.jobs[jobID]
+	return subs[:len(subs):len(subs)]
 }

@@ -7,102 +7,75 @@ import (
 	"time"
 )
 
-func TestTracerSpanTree(t *testing.T) {
+func TestTracerKeepsSubSpansInOrder(t *testing.T) {
 	tr := NewTracer(0)
 	t0 := time.Unix(100, 0)
-	tr.Begin("j1", t0)
-	tr.Phase("j1", "QUEUED", t0)
-	tr.Phase("j1", "PENDING", t0.Add(10*time.Millisecond))
 	tr.Sub("j1", "lcm.deploy", t0.Add(12*time.Millisecond), t0.Add(15*time.Millisecond))
-	tr.Phase("j1", "PROCESSING", t0.Add(20*time.Millisecond))
-	tr.Finish("j1", "COMPLETED", t0.Add(50*time.Millisecond))
+	tr.Event("j1", "sched.bind learner-0", t0.Add(20*time.Millisecond))
+	tr.Sub("j2", "etcd.propose", t0, t0.Add(time.Millisecond))
 
-	trace, ok := tr.Trace("j1")
-	if !ok {
-		t.Fatal("trace missing")
+	subs := tr.Subs("j1")
+	if len(subs) != 2 || subs[0].Name != "lcm.deploy" || subs[1].Name != "sched.bind learner-0" {
+		t.Fatalf("j1 sub-spans = %+v, want lcm.deploy then sched.bind", subs)
 	}
-	root := trace.Root
-	if root.Duration() != 50*time.Millisecond {
-		t.Fatalf("root duration = %v, want 50ms", root.Duration())
-	}
-	names := make([]string, 0, len(root.Children))
-	for _, c := range root.Children {
-		names = append(names, c.Name)
-	}
-	want := []string{"QUEUED", "PENDING", "PROCESSING", "COMPLETED"}
-	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("phases = %v, want %v", names, want)
-	}
-	// Causal order: each phase starts when its predecessor ends.
-	for i := 1; i < len(root.Children); i++ {
-		prev, cur := root.Children[i-1], root.Children[i]
-		if cur.Start.Before(prev.Start) {
-			t.Fatalf("phase %s starts before %s", cur.Name, prev.Name)
-		}
-		if !prev.End.Equal(cur.Start) {
-			t.Fatalf("phase %s ends at %v but %s starts at %v", prev.Name, prev.End, cur.Name, cur.Start)
-		}
-	}
-	// The deploy sub-span nests under PENDING.
-	pending := root.Children[1]
-	if len(pending.Children) != 1 || pending.Children[0].Name != "lcm.deploy" {
-		t.Fatalf("PENDING children = %+v, want one lcm.deploy span", pending.Children)
-	}
-	if d := pending.Children[0].Duration(); d != 3*time.Millisecond {
+	if d := subs[0].Duration(); d != 3*time.Millisecond {
 		t.Fatalf("lcm.deploy duration = %v, want 3ms", d)
 	}
-	// Post-finish mutations are ignored.
-	tr.Phase("j1", "ZOMBIE", t0.Add(time.Hour))
-	trace2, _ := tr.Trace("j1")
-	if len(trace2.Root.Children) != 4 {
-		t.Fatal("finished trace accepted a new phase")
+	if !subs[1].Start.Equal(subs[1].End) {
+		t.Fatalf("event spans %v..%v, want zero length", subs[1].Start, subs[1].End)
 	}
-}
+	// A record after the read does not show through the returned view.
+	tr.Sub("j1", "etcd.propose", t0.Add(30*time.Millisecond), t0.Add(31*time.Millisecond))
+	if len(subs) != 2 || cap(subs) != 2 {
+		t.Fatalf("earlier read grew to len %d cap %d", len(subs), cap(subs))
+	}
+	if n := len(tr.Subs("j1")); n != 3 {
+		t.Fatalf("j1 holds %d sub-spans, want 3", n)
+	}
+	if subs := tr.Subs("ghost"); subs != nil {
+		t.Fatalf("unknown job has sub-spans %+v", subs)
+	}
 
-func TestTracerUnknownJobAndNil(t *testing.T) {
-	tr := NewTracer(0)
-	// Transitions for jobs the tracer never saw (another process's
-	// writes surfacing via the change feed) are dropped, not invented.
-	tr.Phase("ghost", "PENDING", time.Unix(0, 0))
-	tr.Finish("ghost", "COMPLETED", time.Unix(1, 0))
-	if _, ok := tr.Trace("ghost"); ok {
-		t.Fatal("unknown job must not materialize a trace")
-	}
 	var nilT *Tracer
-	nilT.Begin("x", time.Unix(0, 0))
-	nilT.Phase("x", "PENDING", time.Unix(0, 0))
-	nilT.Event("x", "sched.bind", time.Unix(0, 0))
-	nilT.Finish("x", "COMPLETED", time.Unix(0, 0))
-	if _, ok := nilT.Trace("x"); ok {
-		t.Fatal("nil tracer must report no traces")
+	nilT.Sub("x", "etcd.propose", t0, t0)
+	nilT.Event("x", "sched.bind", t0)
+	if nilT.Subs("x") != nil {
+		t.Fatal("nil tracer must report no sub-spans")
 	}
 }
 
 func TestTracerEviction(t *testing.T) {
 	tr := NewTracer(2)
 	t0 := time.Unix(0, 0)
-	tr.Begin("a", t0)
-	tr.Begin("b", t0)
-	tr.Begin("c", t0) // evicts a
-	if _, ok := tr.Trace("a"); ok {
-		t.Fatal("oldest trace not evicted")
+	tr.Event("a", "sched.bind", t0)
+	tr.Event("b", "sched.bind", t0)
+	tr.Event("a", "sched.bind", t0) // a second record does not renew a
+	tr.Event("c", "sched.bind", t0) // evicts a
+	if subs := tr.Subs("a"); subs != nil {
+		t.Fatalf("oldest job not evicted: %+v", subs)
 	}
-	if _, ok := tr.Trace("b"); !ok {
-		t.Fatal("trace b missing")
+	for _, id := range []string{"b", "c"} {
+		if len(tr.Subs(id)) != 1 {
+			t.Fatalf("job %s lost its sub-span", id)
+		}
 	}
-	if _, ok := tr.Trace("c"); !ok {
-		t.Fatal("trace c missing")
+	for i := range 10 {
+		tr.Event(fmt.Sprint("job-", i), "sched.bind", t0)
+	}
+	if len(tr.jobs) != 2 || len(tr.order) != 2 {
+		t.Fatalf("tracer holds %d jobs in an order of %d, want 2", len(tr.jobs), len(tr.order))
 	}
 }
 
 func TestChromeTrace(t *testing.T) {
-	tr := NewTracer(0)
 	t0 := time.Unix(100, 0)
-	tr.Begin("j1", t0)
-	tr.Phase("j1", "PENDING", t0)
-	tr.Sub("j1", "etcd.propose", t0.Add(time.Millisecond), t0.Add(2*time.Millisecond))
-	tr.Finish("j1", "COMPLETED", t0.Add(10*time.Millisecond))
-	trace, _ := tr.Trace("j1")
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	trace := Trace{JobID: "j1", Root: &Span{Name: "job j1", Start: at(0), End: at(10), Children: []*Span{
+		{Name: "PENDING", Start: at(0), End: at(10), Children: []*Span{
+			{Name: "etcd.propose", Start: at(1), End: at(2)},
+		}},
+		{Name: "COMPLETED", Start: at(10), End: at(10)},
+	}}}
 	raw, err := trace.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
